@@ -6,8 +6,6 @@ single `run` subcommand or by chaining `gen`, `corrupt`, `split`, `fit`,
 `score`, `prune` / `reweight`, `detect-noise`, `evaluate`, `report`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Set DIMSIFT_PARALLEL=1 to score with a thread pool; outputs are identical to
-the sequential default.
 """
 from __future__ import annotations
 
@@ -129,7 +127,7 @@ def _build_parser() -> _Parser:
     sc.add_argument("--scope", default="head_only", choices=[s.value for s in Scope])
     sc.add_argument("--method", default="closed",
                     choices=("closed", "explicit", "global", "row_sum"),
-                    help="closed: forward-only self-influence; explicit: gradient-assembled; "
+                    help="closed: forward-only self-influence; explicit: any scope; "
                          "global: scalar self-influence; row_sum: matrix row sums")
     sc.add_argument("--lambdas", default=None)
     sc.add_argument("--out", required=True)

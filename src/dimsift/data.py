@@ -509,14 +509,31 @@ def loads_dataset(text: str) -> Dataset:
         labs.append(y)
     if not ids:
         raise DataError("dataset file contains no samples")
+    try:
+        features = np.asarray(feats, dtype=np.float64)
+        labels = np.asarray(labs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(_first_non_numeric(ids, feats, labs)) from None
     return Dataset(
         ids=ids,
-        features=np.asarray(feats, dtype=np.float64),
-        labels=np.asarray(labs, dtype=np.float64),
+        features=features,
+        labels=labels,
         dim_names=dim_names,
         corrupted=np.asarray(masks, dtype=bool) if any_mask else None,
         manifest=head.get("meta") or {},
     )
+
+
+def _first_non_numeric(ids: list[str], feats: list[list], labs: list[list]) -> str:
+    """Message naming the first sample whose features or labels are not all numbers."""
+    for i, sid in enumerate(ids):
+        for what, row in (("features", feats[i]), ("labels", labs[i])):
+            try:
+                np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                # sample i sits on line i + 2, after the manifest
+                return f"sample {sid!r} on line {i + 2}: non-numeric {what}: {e}"
+    return "non-numeric features or labels"
 
 
 def load_dataset(path: str | Path) -> Dataset:

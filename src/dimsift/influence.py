@@ -14,8 +14,11 @@ head-only scope it collapses to the forward-only closed form
     S[i, k] = r[i, k]^2 * (|h_i|^2 + 1)
 
 because the gradient of dimension k touches only that head's weights and
-bias. Scores are computed at one final checkpoint; the Hessian is taken to
-be the identity throughout.
+bias. A shared layer adds one Gram term per dimension pair (see
+_gram_terms), so every batched score is a few matrix products over the
+dataset; grad_per_dimension assembles the gradients one sample at a time as
+the reference. Scores are computed at one final checkpoint; the Hessian is
+taken to be the identity throughout.
 
 Self-influence tables are lambda-free so they can be reused under different
 dimension weightings; the pairwise matrix, the aggregated scalar, and the
@@ -24,11 +27,9 @@ row-sum scores include the lambda factors.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -139,8 +140,11 @@ class SelfInfluenceTable:
             raise DataError(f"malformed score header: {e}") from None
         if head.get("type") != "self_influence":
             raise DataError("first line must be a self_influence header")
+        dim_names = head.get("dim_names")
+        if not isinstance(dim_names, list):
+            raise DataError("score header needs a dim_names list")
         ids, rows = [], []
-        k = len(head["dim_names"])
+        k = len(dim_names)
         for ln_no, ln in enumerate(lines[1:], start=2):
             try:
                 rec = json.loads(ln)
@@ -155,7 +159,7 @@ class SelfInfluenceTable:
             return cls(
                 scores=np.asarray(rows, dtype=np.float64),
                 sample_ids=ids,
-                dim_names=[str(x) for x in head["dim_names"]],
+                dim_names=[str(x) for x in dim_names],
                 scope=Scope(head["scope"]),
                 lambdas=np.asarray(head["lambdas"], dtype=np.float64),
             )
@@ -239,46 +243,7 @@ def grad_per_dimension(head: RegressionHead, sample: Sample, cfg: InfluenceConfi
     return grads
 
 
-def _aggregate_grad(head: RegressionHead, sample: Sample, cfg: InfluenceConfig) -> np.ndarray:
-    """Flat scope gradient of the lambda-weighted total loss, assembled in one pass."""
-    _check_scope(head, cfg.scope)
-    x, u, r = _residual_and_input(head, sample)
-    lam = cfg.resolved_lambdas(head.n_dims)
-    k, p = head.n_dims, head.head_width
-    n_p = scope_dim(head, cfg.scope)
-    off = n_p - k * (p + 1)
-    g = np.zeros(n_p)
-    lr = lam * r
-    for j in range(k):
-        blk = off + j * (p + 1)
-        g[blk : blk + p] = lr[j] * u
-        g[blk + p] = lr[j]
-    if cfg.scope == Scope.LAST_TWO_LAYERS:
-        m, d = head.shared_weight.shape
-        v = lr @ head.weights  # (m,)
-        g[: m * d] = np.outer(v, x).ravel()
-        g[m * d : m * d + m] = v
-    return g
-
-
 # -- scoring -----------------------------------------------------------------
-
-
-def _parallel_workers() -> int:
-    flag = os.environ.get("DIMSIFT_PARALLEL", "").strip().lower()
-    if flag in ("", "0", "false", "no"):
-        return 0
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_indices(fn: Callable[[int], np.ndarray], n: int) -> list:
-    """Apply fn to 0..n-1, sequentially or on a thread pool; order is preserved
-    either way, so results do not depend on the execution mode."""
-    workers = _parallel_workers()
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def _check_pair(head: RegressionHead, ds: Dataset) -> None:
@@ -286,6 +251,32 @@ def _check_pair(head: RegressionHead, ds: Dataset) -> None:
         raise DataError(f"head has {head.n_dims} dimensions, dataset has {ds.n_dims}")
     if ds.feature_dim != head.feature_dim:
         raise DataError(f"head expects {head.feature_dim} features, dataset has {ds.feature_dim}")
+
+
+def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
+    """Batched factors of every per-dimension gradient inner product.
+
+    For sample i and dimensions j, k of one scope,
+
+        <grad L_j(z_i), grad L_k(z_i)> = r_ij r_ik (G_jk a_i + [j == k] b_i)
+
+    with G = W_head W_head^T, b_i = |u_i|^2 + 1 from the head blocks (u_i is
+    the head input, 1 the bias) and a_i = |x_i|^2 + 1 from the shared-layer
+    blocks, which is 0 for head-only scopes. This is the per-example
+    gradient-norm identity for linear layers (Goodfellow 2015), so no
+    gradient is assembled. Returns (r, a, b, G).
+    """
+    _check_pair(head, ds)
+    _check_scope(head, cfg.scope)
+    x = ds.features
+    u = head.head_inputs(x)
+    r = u @ head.weights.T + head.biases - ds.labels
+    b = np.einsum("ij,ij->i", u, u) + 1.0
+    if cfg.scope == Scope.LAST_TWO_LAYERS:
+        a = np.einsum("ij,ij->i", x, x) + 1.0
+    else:
+        a = np.zeros(len(ds))
+    return r, a, b, head.weights @ head.weights.T
 
 
 def self_influence_closed_form(
@@ -300,36 +291,20 @@ def self_influence_closed_form(
     """
     if cfg.scope != Scope.HEAD_ONLY:
         raise ValueError("closed-form self-influence is defined for the head_only scope")
-    _check_pair(head, ds)
-    u = head.head_inputs(ds.features)
-    r = u @ head.weights.T + head.biases - ds.labels
-    norms = np.einsum("ij,ij->i", u, u) + 1.0
-    scores = r * r * norms[:, None]
-    return SelfInfluenceTable(
-        scores=scores,
-        sample_ids=ds.ids,
-        dim_names=ds.dim_names,
-        scope=cfg.scope,
-        lambdas=cfg.resolved_lambdas(ds.n_dims),
-    )
+    return self_influence_explicit(head, ds, cfg)
 
 
 def self_influence_explicit(
     head: RegressionHead, ds: Dataset, cfg: InfluenceConfig
 ) -> SelfInfluenceTable:
-    """Self-influence via explicit gradient assembly: S[i, k] = |grad L_k(z_i)|^2.
+    """Self-influence S[i, k] = |grad L_k(z_i)|^2 = r_ik^2 (G_kk a_i + b_i).
 
-    Valid for any scope; the reference route the closed form is checked
-    against. Honors DIMSIFT_PARALLEL for threaded scoring with identical
-    output.
+    Valid for any scope; see _gram_terms for the factors. grad_per_dimension
+    assembles the same gradients one sample at a time and is the reference
+    the tests check this against.
     """
-    _check_pair(head, ds)
-
-    def row(i: int) -> np.ndarray:
-        g = grad_per_dimension(head, ds.sample(i), cfg)
-        return np.einsum("kp,kp->k", g, g)
-
-    scores = np.vstack(_map_indices(row, len(ds)))
+    r, a, b, gram = _gram_terms(head, ds, cfg)
+    scores = r * r * (np.diag(gram) * a[:, None] + b[:, None])
     return SelfInfluenceTable(
         scores=scores,
         sample_ids=ds.ids,
@@ -365,20 +340,22 @@ def scalar_influence(
     not by summing the pairwise matrix; the two routes agree up to float
     roundoff, which is what makes the decomposition checkable.
     """
-    g_test = _aggregate_grad(head, z_test, cfg)
-    g_train = _aggregate_grad(head, z_train, cfg)
+    lam = cfg.resolved_lambdas(head.n_dims)
+    g_test = lam @ grad_per_dimension(head, z_test, cfg)
+    g_train = lam @ grad_per_dimension(head, z_train, cfg)
     return float(g_test @ g_train)
 
 
 def global_tracin_self(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> np.ndarray:
-    """Per-sample scalar self-influence |sum_k lambda_k grad L_k(z)|^2."""
-    _check_pair(head, ds)
+    """Per-sample scalar self-influence |sum_k lambda_k grad L_k(z)|^2.
 
-    def val(i: int) -> np.ndarray:
-        g = _aggregate_grad(head, ds.sample(i), cfg)
-        return np.asarray(g @ g)
-
-    return np.array([float(v) for v in _map_indices(val, len(ds))])
+    With rho_i = lambda * r_i this is |rho_i W_head|^2 a_i + |rho_i|^2 b_i
+    (factors as in _gram_terms).
+    """
+    r, a, b, _ = _gram_terms(head, ds, cfg)
+    rho = cfg.resolved_lambdas(head.n_dims) * r
+    v = rho @ head.weights
+    return np.einsum("ij,ij->i", v, v) * a + np.einsum("ij,ij->i", rho, rho) * b
 
 
 def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> np.ndarray:
@@ -386,15 +363,10 @@ def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> n
 
     Row sums keep cross-dimension terms, so for head-only scopes (exact zero
     off-diagonals) the result reduces to lambda_j^2 times the self-influence
-    column, while shared-layer scopes mix dimensions.
+    column, while shared-layer scopes mix dimensions. With rho_i = lambda * r_i
+    the entry is rho_ij ((rho_i G)_j a_i + rho_ij b_i) (factors as in
+    _gram_terms).
     """
-    _check_pair(head, ds)
-    lam = cfg.resolved_lambdas(head.n_dims)
-    outer = lam[:, None] * lam[None, :]
-
-    def row(i: int) -> np.ndarray:
-        g = grad_per_dimension(head, ds.sample(i), cfg)
-        phi = outer * (g @ g.T)
-        return phi.sum(axis=1)
-
-    return np.vstack(_map_indices(row, len(ds)))
+    r, a, b, gram = _gram_terms(head, ds, cfg)
+    rho = cfg.resolved_lambdas(head.n_dims) * r
+    return rho * ((rho @ gram) * a[:, None] + rho * b[:, None])

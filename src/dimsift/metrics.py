@@ -15,13 +15,31 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset, ceil_count
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import RegressionHead
 from .refine import top_scorer_indices
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, tied values sharing the mean of their ranks.
+
+    The algorithm of scipy.stats.rankdata(method="average"): stable sort,
+    tie groups, and for a group spanning sorted positions [lo, hi) the rank
+    (lo + 1 + hi) / 2, an exact half-integer. A NaN anywhere gives all-NaN
+    ranks, as scipy's default nan_policy does.
+    """
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.r_[True, s[1:] != s[:-1]]
+    dense = np.empty(a.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    count = np.r_[np.flatnonzero(starts), a.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def spearman(pred: np.ndarray, target: np.ndarray) -> float:
@@ -37,8 +55,8 @@ def spearman(pred: np.ndarray, target: np.ndarray) -> float:
         raise DataError("need at least two points for a rank correlation")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DataError("rank correlation undefined for a constant input")
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
@@ -59,7 +77,7 @@ def auroc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC undefined: scores contain a single class")
-    ranks = rankdata(s, method="average")
+    ranks = _average_ranks(s)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -251,3 +251,31 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
     assert main(["fit", "--data", str(corpus), "--alpha", "0.0",
                  "--out", str(tmp_path / "h.json")]) == 3
     capsys.readouterr()
+
+
+def test_non_numeric_dataset_value_is_a_data_error(stage_dir, capsys):
+    lines = (stage_dir / "corpus.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["labels"][1] = "abc"
+    lines[3] = json.dumps(rec)
+    bad = stage_dir / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--data", str(bad), "--head", str(stage_dir / "head.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert repr(rec["id"]) in err and "line 4" in err and "'abc'" in err
+
+
+def test_score_header_without_dim_names_is_a_data_error(stage_dir, capsys):
+    scores = stage_dir / "scores.jsonl"
+    main(["score", "--data", str(stage_dir / "noisy.jsonl"),
+          "--head", str(stage_dir / "head.json"), "--out", str(scores)])
+    lines = scores.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["dim_names"]
+    lines[0] = json.dumps(header)
+    scores.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["prune", "--scores", str(scores), "--out", str(stage_dir / "prune.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "dim_names" in err

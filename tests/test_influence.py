@@ -7,10 +7,14 @@ scalar influence against the sum of the per-dimension matrix entries.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dimsift.influence as influence_mod
 from conftest import random_head, random_sample
 from dimsift import (
+    Dataset,
     InfluenceConfig,
     RegressionHead,
     Sample,
@@ -148,19 +152,25 @@ def test_closed_form_rejects_two_layer_scope(noisy_corpus):
 
 
 def test_closed_form_never_assembles_gradients(noisy_corpus, monkeypatch):
-    # the whole point of the closed form is O(N d) scoring without per-sample
-    # gradient vectors; fail loudly if it ever falls back to them
+    # the whole point of the closed form and the batched scorers is O(N d)
+    # scoring without per-sample gradient vectors; fail loudly if one ever
+    # falls back to them
     rng = np.random.default_rng(6)
     head = random_head(rng, 3, 6)
+    shared = random_head(rng, 3, 6, hidden_dim=4)
 
     def boom(*args, **kwargs):
-        raise AssertionError("closed form must not assemble gradients")
+        raise AssertionError("batched scoring must not assemble gradients")
 
     monkeypatch.setattr(influence_mod, "grad_per_dimension", boom)
     table = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
     assert np.all(np.isfinite(table.scores))
+    for score in (self_influence_explicit, global_tracin_self, row_sum_scores):
+        for h, cfg in ((head, HEAD_CFG), (shared, TWO_CFG)):
+            score(h, noisy_corpus, cfg)
+    # the per-sample route still assembles them, so the patch is live
     with pytest.raises(AssertionError):
-        self_influence_explicit(head, noisy_corpus, HEAD_CFG)
+        disentangled_matrix(head, noisy_corpus.sample(0), noisy_corpus.sample(1), HEAD_CFG)
 
 
 def test_self_influence_ignores_lambdas(noisy_corpus):
@@ -169,15 +179,6 @@ def test_self_influence_ignores_lambdas(noisy_corpus):
     a = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
     b = self_influence_closed_form(head, noisy_corpus, InfluenceConfig(lambdas=(9.0, 1.0, 0.5)))
     assert np.array_equal(a.scores, b.scores)
-
-
-def test_parallel_scoring_is_identical(noisy_corpus, monkeypatch):
-    rng = np.random.default_rng(8)
-    head = random_head(rng, 3, 6, hidden_dim=4)
-    seq = self_influence_explicit(head, noisy_corpus, TWO_CFG)
-    monkeypatch.setenv("DIMSIFT_PARALLEL", "4")
-    par = self_influence_explicit(head, noisy_corpus, TWO_CFG)
-    assert np.array_equal(seq.scores, par.scores)
 
 
 # ------------------------------------------------------ disentangled matrix
@@ -302,6 +303,68 @@ def test_row_sums_two_layer_match_matrix_rows(noisy_corpus):
         z = noisy_corpus.sample(i)
         phi = disentangled_matrix(head, z, z, TWO_CFG).phi
         assert np.abs(rows[i] - phi.sum(axis=1)).max() < 1e-9
+
+
+def _oracle_sums(head, ds, cfg):
+    """Self-influence, global and row-sum scores summed from per-sample gradients,
+    with the sum of the absolute terms behind each entry as its error scale."""
+    lam = cfg.resolved_lambdas(head.n_dims)
+    out = {name: ([], []) for name in ("explicit", "global", "row_sum")}
+    for i in range(len(ds)):
+        g = grad_per_dimension(head, ds.sample(i), cfg)
+        terms = np.outer(lam, lam) * (g @ g.T)
+        for name, value, scale in (
+            ("explicit", (g * g).sum(axis=1), (g * g).sum(axis=1)),
+            ("global", float((lam @ g) @ (lam @ g)), np.abs(terms).sum()),
+            ("row_sum", terms.sum(axis=1), np.abs(terms).sum(axis=1)),
+        ):
+            out[name][0].append(value)
+            out[name][1].append(scale)
+    return {name: (np.array(v), np.array(s)) for name, (v, s) in out.items()}
+
+
+# Values are 0 or at least 1e-3 in magnitude, so no product reaches the
+# subnormal range, where a relative tolerance cannot hold.
+_finite = st.just(0.0) | st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3)
+
+
+@st.composite
+def _scoring_cases(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    hidden = draw(st.none() | st.integers(1, 5))
+    scope = Scope.HEAD_ONLY if hidden is None else draw(st.sampled_from(Scope))
+    width = d if hidden is None else hidden
+    head = RegressionHead(
+        weights=draw(hnp.arrays(np.float64, (k, width), elements=_finite)),
+        biases=draw(hnp.arrays(np.float64, k, elements=_finite)),
+        shared_weight=None if hidden is None else draw(hnp.arrays(np.float64, (hidden, d), elements=_finite)),
+        shared_bias=None if hidden is None else draw(hnp.arrays(np.float64, hidden, elements=_finite)),
+    )
+    ds = Dataset(
+        [f"s{i}" for i in range(n)],
+        draw(hnp.arrays(np.float64, (n, d), elements=_finite)),
+        draw(hnp.arrays(np.float64, (n, k), elements=_finite)),
+        [f"dim{j}" for j in range(k)],
+    )
+    lam = draw(st.lists(st.just(0.0) | st.floats(1e-3, 4.0), min_size=k, max_size=k))
+    return head, ds, InfluenceConfig(scope=scope, lambdas=tuple(lam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scoring_cases())
+def test_batched_scores_equal_gradient_oracle(case):
+    head, ds, cfg = case
+    want = _oracle_sums(head, ds, cfg)
+    got = {
+        "explicit": self_influence_explicit(head, ds, cfg).scores,
+        "global": global_tracin_self(head, ds, cfg),
+        "row_sum": row_sum_scores(head, ds, cfg),
+    }
+    for name, (value, scale) in want.items():
+        assert got[name].shape == value.shape, name
+        assert np.all(np.abs(got[name] - value) <= 1e-10 * scale), name
 
 
 def test_zero_lambda_silences_a_dimension(noisy_corpus):

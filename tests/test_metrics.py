@@ -1,8 +1,14 @@
 """Rank correlation, AUROC, overlap curves, heterogeneity, masking."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
+
+import dimsift
 
 from dimsift import (
     DataError,
@@ -23,6 +29,7 @@ from dimsift import (
 )
 from dimsift import InfluenceConfig
 from dimsift.influence import SelfInfluenceTable
+from dimsift.metrics import _average_ranks
 
 
 def make_table(scores):
@@ -64,6 +71,27 @@ def test_spearman_matches_scipy_on_random_pairs():
             continue
         expect = scipy.stats.spearmanr(x, y).statistic
         assert spearman(x, y) == pytest.approx(expect, abs=1e-12)
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 7, 100, 5000):
+        for x in (
+            rng.integers(0, 4, size=n).astype(float),  # tie-heavy
+            rng.integers(-1000, 1000, size=n).astype(float),
+            rng.normal(size=n),
+        ):
+            assert np.array_equal(_average_ranks(x), scipy.stats.rankdata(x, method="average"))
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(dimsift.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import dimsift; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spearman_rejects_degenerate_inputs():

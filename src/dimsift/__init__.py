@@ -20,6 +20,7 @@ from .data import (
     load_dataset,
     save_dataset,
     split,
+    split_indices,
 )
 from .errors import DataError, DimsiftError, NumericalError, UsageError
 from .influence import (
@@ -86,6 +87,7 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "split",
+    "split_indices",
     "DimsiftError",
     "UsageError",
     "DataError",

@@ -173,9 +173,15 @@ class Dataset:
         except ValueError:
             raise DataError(f"unknown sample id {sample_id!r}") from None
 
-    def select(self, indices: Iterable[int]) -> "Dataset":
-        """New dataset restricted to the given row indices, in the given order."""
-        idx = np.asarray(list(indices), dtype=int)
+    def select(self, indices: np.ndarray | Iterable[int]) -> "Dataset":
+        """New dataset restricted to the given row indices, in the given order.
+
+        An integer ndarray is used as is; any other iterable is read into one.
+        """
+        if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+            idx = indices
+        else:
+            idx = np.asarray(list(indices), dtype=int)
         return Dataset(
             ids=[self._ids[i] for i in idx],
             features=self._features[idx],
@@ -394,28 +400,40 @@ def inject_correlated_noise(
     )
 
 
-def split(
-    ds: Dataset, fractions: tuple[float, float, float], seed: int
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded train/val/test split.
+def split_indices(
+    n: int, fractions: tuple[float, float, float], seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded train/val/test row indices for an n-row corpus.
 
-    Validation and test sizes are floor(f * N); the remainder goes to train.
-    Membership comes from one seeded permutation; within each part, samples
-    keep their original corpus order. The three parts partition the input.
+    Validation and test sizes are floor(f * n); the remainder goes to train.
+    Membership comes from one seeded permutation; each part lists its rows
+    in ascending order. The three parts partition range(n).
     """
     f = tuple(float(x) for x in fractions)
     if len(f) != 3 or any(x < 0 for x in f):
         raise ValueError(f"fractions must be three nonnegative reals, got {fractions}")
     if abs(sum(f) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(f)}")
-    n = len(ds)
     n_val = floor_count(f[1], n)
     n_test = floor_count(f[2], n)
     n_train = n - n_val - n_test
     perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    val_idx = np.sort(perm[n_train : n_train + n_val])
-    test_idx = np.sort(perm[n_train + n_val :])
+    return (
+        np.sort(perm[:n_train]),
+        np.sort(perm[n_train : n_train + n_val]),
+        np.sort(perm[n_train + n_val :]),
+    )
+
+
+def split(
+    ds: Dataset, fractions: tuple[float, float, float], seed: int
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded train/val/test split: split_indices applied to ds.
+
+    Within each part, samples keep their original corpus order. The three
+    parts partition the input.
+    """
+    train_idx, val_idx, test_idx = split_indices(len(ds), fractions, seed)
     return ds.select(train_idx), ds.select(val_idx), ds.select(test_idx)
 
 
@@ -460,8 +478,11 @@ def loads_dataset(text: str) -> Dataset:
         head = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise DataError(f"malformed manifest line: {e}") from None
-    if head.get("type") != "manifest":
-        raise DataError("first line must be a manifest record")
+    if not isinstance(head, dict) or head.get("type") != "manifest":
+        raise DataError("line 1: first line must be a manifest object")
+    meta = head.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise DataError("line 1: manifest meta must be an object")
     try:
         feature_dim = int(head["feature_dim"])
         dim_names = [str(x) for x in head["dim_names"]]
@@ -479,8 +500,8 @@ def loads_dataset(text: str) -> Dataset:
             rec = json.loads(ln)
         except json.JSONDecodeError as e:
             raise DataError(f"malformed record on line {ln_no}: {e}") from None
-        if rec.get("type") != "sample":
-            raise DataError(f"line {ln_no}: expected a sample record")
+        if not isinstance(rec, dict) or rec.get("type") != "sample":
+            raise DataError(f"line {ln_no}: expected a sample record object")
         sid = rec.get("id")
         if sid is None:
             raise DataError(f"line {ln_no}: sample record without id")
@@ -520,7 +541,7 @@ def loads_dataset(text: str) -> Dataset:
         labels=labels,
         dim_names=dim_names,
         corrupted=np.asarray(masks, dtype=bool) if any_mask else None,
-        manifest=head.get("meta") or {},
+        manifest=meta,
     )
 
 

@@ -138,8 +138,8 @@ class SelfInfluenceTable:
             head = json.loads(lines[0])
         except json.JSONDecodeError as e:
             raise DataError(f"malformed score header: {e}") from None
-        if head.get("type") != "self_influence":
-            raise DataError("first line must be a self_influence header")
+        if not isinstance(head, dict) or head.get("type") != "self_influence":
+            raise DataError("line 1: first line must be a self_influence header object")
         dim_names = head.get("dim_names")
         if not isinstance(dim_names, list):
             raise DataError("score header needs a dim_names list")
@@ -150,9 +150,11 @@ class SelfInfluenceTable:
                 rec = json.loads(ln)
             except json.JSONDecodeError as e:
                 raise DataError(f"malformed score row on line {ln_no}: {e}") from None
+            if not isinstance(rec, dict) or "id" not in rec:
+                raise DataError(f"line {ln_no}: score row must be an object with an id")
             sc = rec.get("scores")
             if rec.get("type") != "row" or not isinstance(sc, list) or len(sc) != k:
-                raise DataError(f"invalid score row for id {rec.get('id')!r} on line {ln_no}")
+                raise DataError(f"invalid score row for id {rec['id']!r} on line {ln_no}")
             ids.append(str(rec["id"]))
             rows.append(sc)
         try:
@@ -163,7 +165,7 @@ class SelfInfluenceTable:
                 scope=Scope(head["scope"]),
                 lambdas=np.asarray(head["lambdas"], dtype=np.float64),
             )
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"invalid score file: {e}") from None
 
     @classmethod

@@ -5,7 +5,10 @@ Supported fitting paths:
     closed form     per-dimension weighted ridge over augmented inputs [h; 1],
                     solving (X' diag(w) X + alpha D) beta = X' diag(w) y with
                     no penalty on the bias coordinate (D has a zero in the
-                    bias slot)
+                    bias slot); the blocks of these normal equations come
+                    straight from the features, so [h; 1] is never built, and
+                    an unweighted fit shares one set of normal equations (one
+                    Gram matrix, one solve) across all dimensions
     gradient        full-batch gradient descent on the weighted sum of
                     per-dimension squared-error losses, with a fixed (Equal),
                     learned (uncertainty log-variance), or per-epoch random
@@ -224,13 +227,55 @@ def _resolve_weights(weights, n: int, k: int) -> np.ndarray:
     return w
 
 
+def _normal_equations(x: np.ndarray, y: np.ndarray, w: Optional[np.ndarray], fit_bias: bool):
+    """Normal equations of [x 1] against y (N, K) under row weights w, or unit weights.
+
+    Returns A = [x 1]' W [x 1] and B = [x 1]' W y, built from the blocks x'Wx,
+    x'W1, 1'W1, x'Wy and 1'Wy, so [x 1] is never materialised. Only a weighted
+    system allocates an N x d temporary, x * w.
+    """
+    xw = x if w is None else x * w[:, None]
+    a = x.T @ xw
+    b = xw.T @ y
+    if not fit_bias:
+        return a, b
+    col = xw.sum(axis=0)
+    total = float(len(x)) if w is None else w.sum()
+    a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
+    b = np.vstack([b, (y.sum(axis=0) if w is None else w @ y)[None, :]])
+    return a, b
+
+
+def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str) -> np.ndarray:
+    """Ridge solve of (A + alpha D) beta = B; D is the identity with the bias slot zeroed."""
+    p = a.shape[0]
+    reg = np.eye(p)
+    if cfg.fit_bias:
+        reg[-1, -1] = 0.0
+    a = a + cfg.ridge_alpha * reg
+    if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a) < p:
+        raise NumericalError(
+            f"normal equations for {what} are rank deficient at alpha=0; "
+            "use a positive ridge_alpha or more effective samples"
+        )
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"normal equations for {what} are singular: {e}") from None
+
+
 def fit_closed_form(
     ds: Dataset, weights=None, config: TrainConfig | None = None
 ) -> RegressionHead:
     """Weighted ridge solution, one independent solve per dimension.
 
     Minimizes sum_i w_ik * 0.5 * (w_k . h_i + b_k - y_ik)^2 + 0.5 * alpha * |w_k|^2
-    over augmented inputs [h; 1]; the bias coordinate is not penalized.
+    over augmented inputs [h; 1]; the bias coordinate is not penalized. The
+    normal equations come straight from the feature matrix, and [h; 1] is
+    never built. Without sample weights every dimension shares one set of
+    normal equations: one Gram matrix, one rank check and one solve with K
+    right-hand sides; all-one weights are the unweighted fit and take that
+    route. Other weights give each dimension its own system.
     Zero-weight samples drop out of the normal equations exactly. Positive
     per-dimension loss weights rescale each dimension's objective uniformly
     and therefore do not change the solution. With alpha = 0 a rank-deficient
@@ -241,38 +286,18 @@ def fit_closed_form(
         raise ValueError("closed-form fitting supports head-only models; use fit_gd for a shared layer")
     n, k = len(ds), ds.n_dims
     cfg.resolved_lambdas(k)  # validate even though the solution ignores them
-    w = _resolve_weights(weights, n, k)
-    x = ds.features
-    if cfg.fit_bias:
-        xa = np.hstack([x, np.ones((n, 1))])
+    x, y = ds.features, ds.labels
+    w = None if weights is None else _resolve_weights(weights, n, k)
+    if w is None or np.all(w == 1.0):
+        beta = _solve(*_normal_equations(x, y, None, cfg.fit_bias), cfg, "all dimensions")
     else:
-        xa = x
-    p = xa.shape[1]
-    reg = np.eye(p)
-    if cfg.fit_bias:
-        reg[-1, -1] = 0.0
-
-    head_w = np.zeros((k, ds.feature_dim))
-    head_b = np.zeros(k)
-    for j in range(k):
-        xw = xa * w[:, j][:, None]
-        a = xa.T @ xw + cfg.ridge_alpha * reg
-        rhs = xw.T @ ds.labels[:, j]
-        if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a) < p:
-            raise NumericalError(
-                f"normal equations for dimension {j} are rank deficient at alpha=0; "
-                "use a positive ridge_alpha or more effective samples"
-            )
-        try:
-            beta = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as e:
-            raise NumericalError(f"normal equations for dimension {j} are singular: {e}") from None
-        if cfg.fit_bias:
-            head_w[j] = beta[:-1]
-            head_b[j] = beta[-1]
-        else:
-            head_w[j] = beta
-            head_b[j] = 0.0
+        beta = np.hstack([
+            _solve(*_normal_equations(x, y[:, j : j + 1], w[:, j], cfg.fit_bias), cfg, f"dimension {j}")
+            for j in range(k)
+        ])
+    d = ds.feature_dim
+    head_w = beta[:d].T
+    head_b = beta[d] if cfg.fit_bias else np.zeros(k)
     info = {
         "method": "closed_form",
         "ridge_alpha": cfg.ridge_alpha,

@@ -27,7 +27,7 @@ from .data import (
     inject_correlated_noise,
     inject_dimension_noise,
     save_dataset,
-    split,
+    split_indices,
 )
 from .errors import DataError, UsageError
 from .influence import (
@@ -482,8 +482,10 @@ def run_pipeline(
 ) -> PipelineArtifacts:
     """Run the full experiment described by config; optionally write artifacts.
 
-    Evaluation is always against clean test labels: the split is computed on
-    the corrupted corpus and the matching clean rows are looked up by id.
+    Evaluation is always against clean test labels: the split indices are
+    drawn once and select the training rows of the corrupted corpus and the
+    test rows of the clean one (both corpora share ids and row order). The
+    validation and test rows of the corrupted corpus are never materialised.
     """
     clean = generate_synthetic(config.synth)
     noisy = clean
@@ -502,10 +504,13 @@ def run_pipeline(
             severity=config.noise.severity,
         )
 
-    train, val, test = split(noisy, config.split_fractions, config.split_seed)
-    if len(test) == 0:
+    train_idx, val_idx, test_idx = split_indices(
+        len(noisy), config.split_fractions, config.split_seed
+    )
+    if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
-    test_clean = clean.select_ids(test.ids)
+    train = noisy.select(train_idx)
+    test_clean = clean.select(test_idx)
 
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
     probe = _fit(train, None, probe_cfg)
@@ -534,7 +539,10 @@ def run_pipeline(
     if prune is not None:
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
-        refined_train = train.select_ids(prune.kept_ids)
+        # the rows of kept_ids, in corpus order
+        removed = set(prune.removed_ids)
+        kept = np.fromiter((sid not in removed for sid in train.ids), dtype=bool, count=len(train))
+        refined_train = train.select(np.flatnonzero(kept))
 
     final = probe if r.strategy == "none" else _fit(refined_train, refit_weights, config.train)
 
@@ -594,8 +602,8 @@ def run_pipeline(
             "feature_dim": noisy.feature_dim,
             "dim_names": noisy.dim_names,
             "n_train": len(train),
-            "n_val": len(val),
-            "n_test": len(test),
+            "n_val": len(val_idx),
+            "n_test": len(test_idx),
             "train_corrupted_per_dim": None
             if mask is None
             else [int(c) for c in mask.sum(axis=0)],

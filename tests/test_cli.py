@@ -4,6 +4,9 @@ value-for-value with the library call it wraps, and failures must map to the
 documented exit codes (1 usage, 2 data, 3 numerics)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from dimsift import (
     run_pipeline,
     self_influence_closed_form,
 )
+import dimsift
 from dimsift.cli import main
 from dimsift.data import dumps_dataset
 from dimsift.influence import SelfInfluenceTable
@@ -279,3 +283,56 @@ def test_score_header_without_dim_names_is_a_data_error(stage_dir, capsys):
     assert main(["prune", "--scores", str(scores), "--out", str(stage_dir / "prune.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "dim_names" in err
+
+
+def _cli_subprocess(argv):
+    """dimsift main(argv) in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(dimsift.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from dimsift.cli import main; sys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+def _replace_line(path, line_no, value):
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = json.dumps(value(json.loads(lines[line_no - 1])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _as_list(doc):
+    return list(doc.values())
+
+
+def _without_id(doc):
+    return {k: v for k, v in doc.items() if k != "id"}
+
+
+def _list_meta(doc):
+    return dict(doc, meta=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "kind, line_no, value",
+    [
+        ("dataset", 1, _as_list),
+        ("dataset", 1, _list_meta),
+        ("dataset", 3, _as_list),
+        ("scores", 1, _as_list),
+        ("scores", 4, _as_list),
+        ("scores", 4, _without_id),
+    ],
+)
+def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
+    head = str(stage_dir / "head.json")
+    if kind == "dataset":
+        bad = stage_dir / "noisy.jsonl"
+        argv = ["evaluate", "--data", str(bad), "--head", head]
+    else:
+        bad = stage_dir / "scores.jsonl"
+        assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
+                     "--head", head, "--out", str(bad)]) == 0
+        argv = ["prune", "--scores", str(bad), "--out", str(stage_dir / "prune.json")]
+    _replace_line(bad, line_no, value)
+    out = _cli_subprocess(argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("data error:") and f"line {line_no}" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -1,7 +1,11 @@
 """Weighted per-dimension ridge, gradient descent strategies, head io."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_head
 from dimsift import (
@@ -114,6 +118,88 @@ def test_negative_weights_are_rejected():
     weights[0, 0] = -1.0
     with pytest.raises(ValueError):
         fit_closed_form(corpus, weights)
+
+
+def _reference_closed_form(x, y, w, alpha, fit_bias):
+    """The textbook formulation: augmented [X 1] and one diag(w) system per dimension."""
+    n, k = y.shape
+    w = np.ones((n, k)) if w is None else w
+    xa = np.hstack([x, np.ones((n, 1))]) if fit_bias else x
+    reg = np.eye(xa.shape[1])
+    if fit_bias:
+        reg[-1, -1] = 0.0
+    beta = np.column_stack([
+        np.linalg.solve(xa.T @ np.diag(w[:, j]) @ xa + alpha * reg, xa.T @ np.diag(w[:, j]) @ y[:, j])
+        for j in range(k)
+    ])
+    if fit_bias:
+        return beta[:-1].T, beta[-1]
+    return beta.T, np.zeros(k)
+
+
+@st.composite
+def _fit_cases(draw):
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    fit_bias = draw(st.booleans())
+    n_zero = draw(st.integers(0, 8))
+    # at least twice as many positive-weight rows as unknowns keeps the systems well conditioned
+    n = draw(st.integers(2 * (d + 1), 40)) + n_zero
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    y = rng.normal(size=(n, k)) * 5.0
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.uniform(0.1, 3.0, size=(n, k))
+        for j in range(k):
+            weights[rng.choice(n, size=n_zero, replace=False), j] = 0.0
+    alpha = draw(st.just(0.0) | st.floats(1e-4, 10.0))
+    ds = Dataset([f"s{i}" for i in range(n)], x, y, [f"d{j}" for j in range(k)])
+    return ds, weights, TrainConfig(ridge_alpha=alpha, fit_bias=fit_bias)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fit_cases())
+def test_closed_form_matches_augmented_reference(case):
+    ds, weights, cfg = case
+    head = fit_closed_form(ds, weights, cfg)
+    want_w, want_b = _reference_closed_form(ds.features, ds.labels, weights, cfg.ridge_alpha, cfg.fit_bias)
+    scale = max(np.abs(want_w).max(), np.abs(want_b).max(), 1e-300)
+    assert np.abs(head.weights - want_w).max() <= 1e-9 * scale
+    assert np.abs(head.biases - want_b).max() <= 1e-9 * scale
+
+
+def test_rank_deficiency_is_caught_in_both_paths():
+    rng = np.random.default_rng(5)
+    ds = Dataset([f"s{i}" for i in range(10)], rng.normal(size=(10, 4)), rng.normal(size=(10, 3)),
+                 ["d0", "d1", "d2"])
+    cfg = TrainConfig(ridge_alpha=0.0)
+    fit_closed_form(ds, None, cfg)  # 10 rows determine 4 features + bias
+    with pytest.raises(NumericalError, match="all dimensions"):
+        fit_closed_form(ds.select(range(4)), None, cfg)
+    # only dimension 1 keeps fewer positive-weight rows than unknowns
+    weights = rng.uniform(0.5, 2.0, size=(10, 3))
+    weights[4:, 1] = 0.0
+    with pytest.raises(NumericalError, match="dimension 1"):
+        fit_closed_form(ds, weights, cfg)
+
+
+@pytest.mark.parametrize("weighted, bound", [(False, 0.25), (True, 1.5)])
+def test_closed_form_peak_memory(weighted, bound):
+    # an unweighted fit allocates nothing of size N; a weighted one holds one
+    # N x d temporary at a time, never an [X 1] or per-dimension design copy
+    rng = np.random.default_rng(0)
+    n, d, k = 50_000, 16, 5
+    ds = Dataset([f"s{i}" for i in range(n)], rng.normal(size=(n, d)), rng.normal(size=(n, k)),
+                 [f"d{j}" for j in range(k)])
+    weights = rng.uniform(0.0, 2.0, size=(n, k)) if weighted else None
+    tracemalloc.start()
+    try:
+        fit_closed_form(ds, weights, TrainConfig(ridge_alpha=1e-6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * ds.features.nbytes
 
 
 # -------------------------------------------------------- gradient descent

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import dimsift.pipeline
 from dimsift import (
     DataError,
     ExperimentReport,
@@ -13,6 +14,7 @@ from dimsift import (
     UsageError,
     default_config,
     run_pipeline,
+    split,
 )
 
 
@@ -139,3 +141,42 @@ def test_report_text_rendering_mentions_each_strategy():
     text = arts.report.render_text()
     assert "baseline" in text and "ddp" in text
     assert "spearman" in text.lower()
+
+
+def _same_rows(a, b):
+    assert a.ids == b.ids
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.corruption_mask, b.corruption_mask)
+
+
+@pytest.mark.parametrize("refine", ["ddp", "loss_prune", "global_prune"])
+def test_index_selection_matches_the_id_route(monkeypatch, refine):
+    fitted = []
+    fit = dimsift.pipeline._fit
+
+    def recording_fit(ds, *args):
+        fitted.append(ds)
+        return fit(ds, *args)
+
+    monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
+    cfg = small_config(refine=refine)
+    arts = run_pipeline(cfg)
+    train, _, test = split(arts.noisy, cfg.split_fractions, cfg.split_seed)
+    refined = train.select_ids(arts.prune.kept_ids)
+    assert 0 < len(refined) < len(train)
+    _same_rows(arts.train, train)
+    _same_rows(arts.test_clean, arts.clean.select_ids(test.ids))
+    probe_set, final_set = fitted
+    _same_rows(probe_set, train)
+    _same_rows(final_set, refined)
+
+
+@pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])
+def test_invalid_split_fractions_raise_the_split_error(fractions):
+    cfg = small_config()
+    with pytest.raises(ValueError) as direct:
+        split(run_pipeline(cfg).noisy, fractions, cfg.split_seed)
+    with pytest.raises(ValueError) as piped:
+        run_pipeline(dataclasses.replace(cfg, split_fractions=fractions))
+    assert str(piped.value) == str(direct.value)

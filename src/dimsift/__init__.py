@@ -45,6 +45,7 @@ from .metrics import (
     heterogeneity_export,
     masking_report,
     overlap_curve,
+    per_dim_auroc,
     spearman,
 )
 from .model import (
@@ -127,6 +128,7 @@ __all__ = [
     "overlap_curve",
     "heterogeneity_export",
     "masking_report",
+    "per_dim_auroc",
     "NoiseSpec",
     "RefineSpec",
     "PipelineConfig",

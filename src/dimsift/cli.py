@@ -35,9 +35,18 @@ from .influence import (
     self_influence_closed_form,
     self_influence_explicit,
 )
-from .metrics import auroc, evaluate_head, masking_report, overlap_curve
-from .model import RegressionHead, Scope, TrainConfig, fit_closed_form, fit_gd, per_dim_loss
+from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
+from .model import (
+    STRATEGIES,
+    RegressionHead,
+    Scope,
+    TrainConfig,
+    fit_closed_form,
+    fit_gd,
+    per_dim_loss,
+)
 from .pipeline import (
+    REFINE_STRATEGIES,
     ExperimentReport,
     PipelineConfig,
     default_config,
@@ -85,16 +94,17 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True, help="number of samples")
     g.add_argument("--features", type=int, required=True, help="feature dimension")
     g.add_argument("--dims", type=int, required=True, help="number of output dimensions")
-    g.add_argument("--noise-sd", default="0.0", help="clean label noise SD, scalar or comma list")
+    g.add_argument("--noise-sd", type=_csv_floats, default="0.0",
+                   help="clean label noise SD, scalar or comma list")
     g.add_argument("--teacher-seed", type=int, default=0)
     g.add_argument("--sample-seed", type=int, default=0)
-    g.add_argument("--label-range", default=None, help="lo,hi clamp for labels")
+    g.add_argument("--label-range", type=_csv_floats, help="lo,hi clamp for labels")
     g.add_argument("--out", required=True, help="output dataset (JSONL)")
 
     c = sub.add_parser("corrupt", help="inject label corruption into a dataset")
     c.add_argument("--data", required=True)
     c.add_argument("--rate", type=float, default=0.0, help="per-dimension corruption rate")
-    c.add_argument("--dims", default=None, help="comma list of dimension indices, default all")
+    c.add_argument("--dims", type=_csv_ints, help="comma list of dimension indices, default all")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--correlated-rate", type=float, default=0.0,
                    help="fraction of samples corrupted across all dimensions at once")
@@ -103,15 +113,15 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("split", help="seeded train/val/test split")
     s.add_argument("--data", required=True)
-    s.add_argument("--fractions", default="0.6,0.2,0.2")
+    s.add_argument("--fractions", type=_csv_floats, default="0.6,0.2,0.2")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out-prefix", required=True, help="writes <prefix>.train/.val/.test.jsonl")
 
     f = sub.add_parser("fit", help="fit a regression head")
     f.add_argument("--data", required=True)
     f.add_argument("--alpha", type=float, default=0.0, help="ridge strength (closed form)")
-    f.add_argument("--strategy", default="equal", choices=("equal", "uncertainty", "rlw"))
-    f.add_argument("--lambdas", default=None, help="comma list of per-dimension loss weights")
+    f.add_argument("--strategy", default="equal", choices=STRATEGIES)
+    f.add_argument("--lambdas", type=_csv_floats, help="comma list of per-dimension loss weights")
     f.add_argument("--weights", default=None, help="per-sample weight file from `reweight`")
     f.add_argument("--gd", action="store_true", help="force gradient descent for the equal strategy")
     f.add_argument("--lr", type=float, default=0.05)
@@ -129,7 +139,7 @@ def _build_parser() -> _Parser:
                     choices=("closed", "explicit", "global", "row_sum"),
                     help="closed: forward-only self-influence; explicit: any scope; "
                          "global: scalar self-influence; row_sum: matrix row sums")
-    sc.add_argument("--lambdas", default=None)
+    sc.add_argument("--lambdas", type=_csv_floats)
     sc.add_argument("--out", required=True)
     sc.add_argument("--csv", default=None, help="also export id,dim,score CSV")
 
@@ -168,7 +178,7 @@ def _build_parser() -> _Parser:
     rn = sub.add_parser("run", help="full pipeline from one config")
     rn.add_argument("--config", default=None, help="JSON config file; omit for built-in defaults")
     rn.add_argument("--seed", type=int, default=0, help="base seed for the default config")
-    rn.add_argument("--refine", default=None, choices=("none", "ddp", "ddr", "loss_prune", "global_prune"))
+    rn.add_argument("--refine", default=None, choices=REFINE_STRATEGIES)
     rn.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                     help="override a config value, e.g. --set refine.rho=0.01")
     rn.add_argument("--out", required=True, help="output directory")
@@ -177,18 +187,6 @@ def _build_parser() -> _Parser:
 
 
 # -- helpers -----------------------------------------------------------------
-
-
-def _load_head(path: str) -> RegressionHead:
-    return RegressionHead.load(path)
-
-
-def _score_table(args) -> SelfInfluenceTable:
-    return SelfInfluenceTable.load(args.scores)
-
-
-def _parse_lambdas(text):
-    return None if text is None else _csv_floats(text)
 
 
 def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
@@ -212,18 +210,16 @@ def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    noise = _csv_floats(args.noise_sd)
-    label_range = None if args.label_range is None else _csv_floats(args.label_range)
-    if label_range is not None and len(label_range) != 2:
+    if args.label_range is not None and len(args.label_range) != 2:
         raise UsageError("--label-range expects lo,hi")
     cfg = SynthConfig(
         n_samples=args.n,
         feature_dim=args.features,
         n_dims=args.dims,
-        label_noise_sd=noise[0] if len(noise) == 1 else noise,
+        label_noise_sd=args.noise_sd[0] if len(args.noise_sd) == 1 else args.noise_sd,
         teacher_seed=args.teacher_seed,
         sample_seed=args.sample_seed,
-        label_range=label_range,
+        label_range=args.label_range,
     )
     ds = generate_synthetic(cfg)
     save_dataset(ds, args.out)
@@ -234,7 +230,7 @@ def _cmd_gen(args) -> int:
 def _cmd_corrupt(args) -> int:
     ds = load_dataset(args.data)
     if args.rate > 0.0:
-        dims = list(range(ds.n_dims)) if args.dims is None else list(_csv_ints(args.dims))
+        dims = list(range(ds.n_dims)) if args.dims is None else list(args.dims)
         ds = inject_dimension_noise(ds, args.rate, dims, args.seed)
     if args.correlated_rate > 0.0:
         ds = inject_correlated_noise(ds, args.correlated_rate, args.correlated_seed)
@@ -247,10 +243,9 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_split(args) -> int:
     ds = load_dataset(args.data)
-    fractions = _csv_floats(args.fractions)
-    if len(fractions) != 3:
+    if len(args.fractions) != 3:
         raise UsageError("--fractions expects train,val,test")
-    train, val, test = split(ds, fractions, args.seed)
+    train, val, test = split(ds, args.fractions, args.seed)
     for part, name in ((train, "train"), (val, "val"), (test, "test")):
         save_dataset(part, f"{args.out_prefix}.{name}.jsonl")
     print(f"split {len(ds)} -> train {len(train)} / val {len(val)} / test {len(test)}")
@@ -263,7 +258,7 @@ def _cmd_fit(args) -> int:
     if weights is not None and weights.sample_ids != ds.ids:
         raise DataError("weight file ids do not match the dataset")
     cfg = TrainConfig(
-        lambdas=_parse_lambdas(args.lambdas),
+        lambdas=args.lambdas,
         ridge_alpha=args.alpha,
         lr=args.lr,
         epochs=args.epochs,
@@ -281,8 +276,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_score(args) -> int:
     ds = load_dataset(args.data)
-    head = _load_head(args.head)
-    cfg = InfluenceConfig(scope=Scope(args.scope), lambdas=_parse_lambdas(args.lambdas))
+    head = RegressionHead.load(args.head)
+    cfg = InfluenceConfig(scope=Scope(args.scope), lambdas=args.lambdas)
     if args.method == "closed":
         table = self_influence_closed_form(head, ds, cfg)
     elif args.method == "explicit":
@@ -315,13 +310,14 @@ def _cmd_prune(args) -> int:
     if args.method == "ddp":
         if args.scores is None:
             raise UsageError("prune --method ddp requires --scores")
-        result = ddp_select(_score_table(args), args.rho)
-        dim_names = _score_table(args).dim_names
+        table = SelfInfluenceTable.load(args.scores)
+        result = ddp_select(table, args.rho)
+        dim_names = table.dim_names
     elif args.method == "loss":
         if args.data is None or args.head is None:
             raise UsageError("prune --method loss requires --data and --head")
         ds = load_dataset(args.data)
-        result = loss_prune_select(per_dim_loss(_load_head(args.head), ds), args.rho)
+        result = loss_prune_select(per_dim_loss(RegressionHead.load(args.head), ds), args.rho)
         dim_names = ds.dim_names
     else:  # global
         if args.global_scores is None:
@@ -344,7 +340,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_reweight(args) -> int:
-    table = _score_table(args)
+    table = SelfInfluenceTable.load(args.scores)
     wm = ddr_weights(table, args.temperature, args.epsilon)
     wm.save(args.out)
     if args.csv:
@@ -358,7 +354,7 @@ def _cmd_reweight(args) -> int:
 
 def _cmd_detect_noise(args) -> int:
     ds = load_dataset(args.data)
-    table = _score_table(args)
+    table = SelfInfluenceTable.load(args.scores)
     if table.sample_ids != ds.ids:
         raise DataError("score file ids do not match the dataset")
     mask = ds.corruption_mask
@@ -367,25 +363,21 @@ def _cmd_detect_noise(args) -> int:
             "dataset has no corrupted labels: AUROC needs both classes "
             "(run `corrupt` first, or score a corpus that carries corruption masks)"
         )
-    rows = []
-    for k, name in enumerate(ds.dim_names):
-        col = mask[:, k]
-        if col.any() and not col.all():
-            value = auroc(table.scores[:, k], col)
-            rows.append((name, value))
-            print(f"{name}: AUROC {value:.4f} ({int(col.sum())} corrupted)")
-        else:
-            rows.append((name, None))
+    values = per_dim_auroc(table.scores, mask)
+    for name, value, n_corrupted in zip(ds.dim_names, values, mask.sum(axis=0)):
+        if value is None:
             print(f"{name}: AUROC n/a (single class)")
+        else:
+            print(f"{name}: AUROC {value:.4f} ({n_corrupted} corrupted)")
     if args.out:
-        doc = {"per_dim_auroc": {name: v for name, v in rows}}
+        doc = {"per_dim_auroc": dict(zip(ds.dim_names, values))}
         Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     ds = load_dataset(args.data)
-    head = _load_head(args.head)
+    head = RegressionHead.load(args.head)
     report = evaluate_head(head, ds)
     for name, value in zip(ds.dim_names, report.per_dim_spearman):
         print(f"{name}: spearman {value:.4f}")
@@ -417,16 +409,19 @@ def _cmd_report(args) -> int:
         rho = DEFAULT_RHO
     curve = overlap_curve(table, rho)
     curve.to_csv(run_dir / "overlap.csv")
-    lam = table.lambdas
-    global_scores = (table.scores * (lam[None, :] ** 2)).sum(axis=1)
-    masking = masking_report(table, global_scores, rho)
     lines = [f"score table: {table.n_samples} samples x {table.n_dims} dimensions"]
     curve_txt = ", ".join(f"{100.0 * v:.2f}%" for v in curve.cumulative_ratios)
     lines.append(f"overlap curve at rho={rho}: [{curve_txt}]")
-    masked_txt = ", ".join(
-        f"{row['dim']}={row['masked']}" for row in masking.to_dict()["per_dim"]
-    )
-    lines.append(f"masked by global ranking (budget {masking.budget}): {masked_txt}")
+    if table.scope == Scope.HEAD_ONLY:
+        masking = masking_report(table, table.global_scores(), rho)
+        masked_txt = ", ".join(
+            f"{row['dim']}={row['masked']}" for row in masking.to_dict()["per_dim"]
+        )
+        lines.append(f"masked by global ranking (budget {masking.budget}): {masked_txt}")
+    else:
+        lines.append(
+            f"masked by global ranking: not computed ({table.scope.value} scores need the head)"
+        )
     text = "\n".join(lines) + "\n"
     (run_dir / "report.txt").write_text(text)
     print(text, end="")

@@ -519,10 +519,12 @@ def loads_dataset(text: str) -> Dataset:
             )
         c = rec.get("corrupted")
         if c is not None:
-            if not isinstance(c, list) or len(c) != k:
-                raise DataError(f"sample {sid!r}: corruption mask length does not match {k}")
+            if not isinstance(c, list) or len(c) != k or not all(isinstance(v, bool) for v in c):
+                raise DataError(
+                    f"sample {sid!r} on line {ln_no}: corruption mask must be a list of {k} booleans"
+                )
             any_mask = True
-            masks.append([bool(v) for v in c])
+            masks.append(c)
         else:
             masks.append([False] * k)
         ids.append(str(sid))

@@ -101,6 +101,22 @@ class SelfInfluenceTable:
     def n_dims(self) -> int:
         return self.scores.shape[1]
 
+    def global_scores(self) -> np.ndarray:
+        """global_tracin_self from a head-only table: (scores * lambda^2).sum(1).
+
+        Head-only per-dimension gradients sit on disjoint parameter blocks, so
+        the squared norm of their lambda-weighted sum is the lambda^2-weighted
+        sum of the per-dimension squared norms. A shared layer adds
+        cross-dimension terms the table does not hold, so other scopes are
+        refused.
+        """
+        if self.scope != Scope.HEAD_ONLY:
+            raise ValueError(
+                f"a {self.scope.value} score table does not determine global scores; "
+                "use global_tracin_self with the head"
+            )
+        return (self.scores * self.lambdas**2).sum(axis=1)
+
     def to_csv(self, path: str | Path) -> None:
         """Long-format CSV: one (id, dim, score) row per table entry."""
         lines = ["id,dim,score"]

@@ -82,6 +82,18 @@ def auroc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def per_dim_auroc(scores: np.ndarray, mask: np.ndarray) -> list[Optional[float]]:
+    """AUROC of each score column against the same column of a corruption mask.
+
+    None for a column whose mask holds a single class, where AUROC is undefined.
+    """
+    out: list[Optional[float]] = []
+    for k in range(mask.shape[1]):
+        col = mask[:, k]
+        out.append(auroc(scores[:, k], col) if col.any() and not col.all() else None)
+    return out
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     dx = x - x.mean()
     dy = y - y.mean()

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Optional
+from types import UnionType
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,21 +36,19 @@ from .influence import (
     InfluenceConfig,
     SelfInfluenceTable,
     global_tracin_self,
-    self_influence_closed_form,
     self_influence_explicit,
 )
 from .metrics import (
     MaskingReport,
     MetricReport,
     OverlapCurve,
-    auroc,
     evaluate_head,
     masking_report,
     overlap_curve,
+    per_dim_auroc,
 )
 from .model import (
     RegressionHead,
-    Scope,
     TrainConfig,
     fit_closed_form,
     fit_gd,
@@ -101,6 +101,69 @@ class RefineSpec:
             )
 
 
+# config.json keeps the two split fields of PipelineConfig in one "split" section
+_SPLIT_KEYS = {"fractions": "split_fractions", "seed": "split_seed"}
+
+
+def _jsonable(value):
+    """A config value as JSON: tuples become lists and enums their value."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def _read_value(value, tp, key: str):
+    """A JSON value as the annotated type tp; a UsageError naming key if it is not one.
+
+    Handles the annotations config fields use: int, float, str, bool (a JSON
+    boolean only), enums, fixed and variable length tuples, and unions such
+    as X | None.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        for arm in args:
+            try:
+                return _read_value(value, arm, key)
+            except UsageError:
+                pass
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(items) == len(value):
+                return tuple(_read_value(v, t, key) for v, t in zip(value, items))
+    elif isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            pass
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif isinstance(value, tp):
+        return value
+    name = str(tp).replace("typing.", "") if origin else tp.__name__
+    raise UsageError(f"config {key}: expected {name}, got {value!r}")
+
+
+def _read_section(section, name: str, types: dict) -> dict:
+    """The values of one config section, each read as types[key]."""
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {name!r} must be an object")
+    unknown = sorted(set(section) - set(types))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {[f'{name}.{key}' for key in unknown]}")
+    return {key: _read_value(v, types[key], f"{name}.{key}") for key, v in section.items()}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     synth: SynthConfig
@@ -114,184 +177,43 @@ class PipelineConfig:
     # -- dict / file round trip ---------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "synth": {
-                "n_samples": self.synth.n_samples,
-                "feature_dim": self.synth.feature_dim,
-                "n_dims": self.synth.n_dims,
-                "label_noise_sd": list(np.atleast_1d(self.synth.label_noise_sd).tolist())
-                if not np.isscalar(self.synth.label_noise_sd)
-                else self.synth.label_noise_sd,
-                "teacher_seed": self.synth.teacher_seed,
-                "sample_seed": self.synth.sample_seed,
-                "label_range": list(self.synth.label_range) if self.synth.label_range else None,
-            },
-            "noise": {
-                "rate": self.noise.rate,
-                "dims": list(self.noise.dims) if self.noise.dims is not None else None,
-                "seed": self.noise.seed,
-                "correlated_rate": self.noise.correlated_rate,
-                "correlated_seed": self.noise.correlated_seed,
-                "severity": list(self.noise.severity),
-            },
-            "split": {"fractions": list(self.split_fractions), "seed": self.split_seed},
-            "train": {
-                "lambdas": list(self.train.lambdas) if self.train.lambdas is not None else None,
-                "ridge_alpha": self.train.ridge_alpha,
-                "lr": self.train.lr,
-                "epochs": self.train.epochs,
-                "strategy": self.train.strategy,
-                "seed": self.train.seed,
-                "hidden_dim": self.train.hidden_dim,
-                "fit_bias": self.train.fit_bias,
-            },
-            "influence": {
-                "scope": self.influence.scope.value,
-                "lambdas": list(self.influence.lambdas)
-                if self.influence.lambdas is not None
-                else None,
-                "hessian": self.influence.hessian,
-            },
-            "refine": {
-                "strategy": self.refine.strategy,
-                "rho": self.refine.rho,
-                "temperature": self.refine.temperature,
-                "epsilon": self.refine.epsilon,
-                "rho_total": self.refine.rho_total,
-            },
-        }
-
-    @staticmethod
-    def _take(section: dict, allowed: dict, name: str) -> dict:
-        unknown = set(section) - set(allowed)
-        if unknown:
-            raise UsageError(f"unknown key(s) in config section {name!r}: {sorted(unknown)}")
-        out = dict(allowed)
-        out.update(section)
-        return out
+        doc = _jsonable(dataclasses.asdict(self))
+        doc["split"] = {key: doc.pop(attr) for key, attr in _SPLIT_KEYS.items()}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known_sections = {"synth", "noise", "split", "train", "influence", "refine"}
-        unknown = set(doc) - known_sections
+        """Read a config document written by to_dict.
+
+        Each section's keys and types are the fields of its dataclass, and a
+        missing key takes its value from this class's default for the
+        section, so every default lives in the dataclasses.
+        """
+        hints = get_type_hints(cls)
+        sections = [f for f in dataclasses.fields(cls) if dataclasses.is_dataclass(hints[f.name])]
+        unknown = set(doc) - {f.name for f in sections} - {"split"}
         if unknown:
             raise UsageError(f"unknown config section(s): {sorted(unknown)}")
-        if "synth" not in doc:
-            raise UsageError("config requires a 'synth' section")
-        try:
-            s = cls._take(
-                doc["synth"],
-                {
-                    "n_samples": None,
-                    "feature_dim": None,
-                    "n_dims": None,
-                    "label_noise_sd": 0.0,
-                    "teacher_seed": 0,
-                    "sample_seed": 0,
-                    "label_range": None,
-                },
-                "synth",
-            )
-            for req in ("n_samples", "feature_dim", "n_dims"):
-                if s[req] is None:
-                    raise UsageError(f"config synth section requires {req!r}")
-            synth = SynthConfig(
-                n_samples=int(s["n_samples"]),
-                feature_dim=int(s["feature_dim"]),
-                n_dims=int(s["n_dims"]),
-                label_noise_sd=tuple(s["label_noise_sd"])
-                if isinstance(s["label_noise_sd"], (list, tuple))
-                else float(s["label_noise_sd"]),
-                teacher_seed=int(s["teacher_seed"]),
-                sample_seed=int(s["sample_seed"]),
-                label_range=tuple(s["label_range"]) if s["label_range"] else None,
-            )
-            n = cls._take(
-                doc.get("noise", {}),
-                {
-                    "rate": 0.0,
-                    "dims": None,
-                    "seed": 0,
-                    "correlated_rate": 0.0,
-                    "correlated_seed": 0,
-                    "severity": [0.5, 1.0],
-                },
-                "noise",
-            )
-            noise = NoiseSpec(
-                rate=float(n["rate"]),
-                dims=tuple(int(d) for d in n["dims"]) if n["dims"] is not None else None,
-                seed=int(n["seed"]),
-                correlated_rate=float(n["correlated_rate"]),
-                correlated_seed=int(n["correlated_seed"]),
-                severity=tuple(float(x) for x in n["severity"]),
-            )
-            sp = cls._take(doc.get("split", {}), {"fractions": [0.6, 0.2, 0.2], "seed": 0}, "split")
-            t = cls._take(
-                doc.get("train", {}),
-                {
-                    "lambdas": None,
-                    "ridge_alpha": 1e-6,
-                    "lr": 0.05,
-                    "epochs": 200,
-                    "strategy": "equal",
-                    "seed": 0,
-                    "hidden_dim": None,
-                    "fit_bias": True,
-                },
-                "train",
-            )
-            train = TrainConfig(
-                lambdas=tuple(t["lambdas"]) if t["lambdas"] is not None else None,
-                ridge_alpha=float(t["ridge_alpha"]),
-                lr=float(t["lr"]),
-                epochs=int(t["epochs"]),
-                strategy=str(t["strategy"]),
-                seed=int(t["seed"]),
-                hidden_dim=int(t["hidden_dim"]) if t["hidden_dim"] is not None else None,
-                fit_bias=bool(t["fit_bias"]),
-            )
-            i = cls._take(
-                doc.get("influence", {}),
-                {"scope": "head_only", "lambdas": None, "hessian": "identity"},
-                "influence",
-            )
-            influence = InfluenceConfig(
-                scope=Scope(i["scope"]),
-                lambdas=tuple(i["lambdas"]) if i["lambdas"] is not None else None,
-                hessian=str(i["hessian"]),
-            )
-            r = cls._take(
-                doc.get("refine", {}),
-                {
-                    "strategy": "none",
-                    "rho": DEFAULT_RHO,
-                    "temperature": DEFAULT_TEMPERATURE,
-                    "epsilon": DEFAULT_EPSILON,
-                    "rho_total": None,
-                },
-                "refine",
-            )
-            refine = RefineSpec(
-                strategy=str(r["strategy"]),
-                rho=float(r["rho"]),
-                temperature=float(r["temperature"]),
-                epsilon=float(r["epsilon"]),
-                rho_total=float(r["rho_total"]) if r["rho_total"] is not None else None,
-            )
-            return cls(
-                synth=synth,
-                noise=noise,
-                train=train,
-                influence=influence,
-                refine=refine,
-                split_fractions=tuple(float(x) for x in sp["fractions"]),
-                split_seed=int(sp["seed"]),
-            )
-        except UsageError:
-            raise
-        except (TypeError, ValueError, KeyError) as e:
-            raise UsageError(f"invalid config value: {e}") from None
+        values = {}
+        for f in sections:
+            section_cls = hints[f.name]
+            given = _read_section(doc.get(f.name, {}), f.name, get_type_hints(section_cls))
+            if f.default is dataclasses.MISSING:
+                for g in dataclasses.fields(section_cls):
+                    if g.name not in given and g.default is dataclasses.MISSING:
+                        raise UsageError(f"config requires {f.name}.{g.name}")
+            try:
+                if f.default is dataclasses.MISSING:
+                    values[f.name] = section_cls(**given)
+                else:
+                    values[f.name] = dataclasses.replace(f.default, **given)
+            except (ValueError, UsageError) as e:
+                raise UsageError(f"config {f.name}: {e}") from None
+        split = _read_section(
+            doc.get("split", {}), "split", {key: hints[attr] for key, attr in _SPLIT_KEYS.items()}
+        )
+        values.update((_SPLIT_KEYS[key], value) for key, value in split.items())
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -323,19 +245,23 @@ def default_config(seed: int = 0, refine_strategy: str = "ddp") -> PipelineConfi
             teacher_seed=seed,
             sample_seed=seed + 1,
         ),
-        noise=NoiseSpec(
-            rate=0.1,
-            dims=None,
-            seed=seed + 2,
-            correlated_rate=0.0025,
-            correlated_seed=seed + 3,
-        ),
-        train=TrainConfig(ridge_alpha=1e-6),
-        influence=InfluenceConfig(),
+        noise=NoiseSpec(rate=0.1, seed=seed + 2, correlated_rate=0.0025, correlated_seed=seed + 3),
         refine=RefineSpec(strategy=refine_strategy),
-        split_fractions=(0.6, 0.2, 0.2),
         split_seed=seed + 4,
     )
+
+
+# report.json key of each ExperimentReport field
+_REPORT_KEYS = {
+    "version": "version",
+    "config": "config",
+    "dataset_summary": "dataset",
+    "strategies": "strategies",
+    "refine_summary": "refine",
+    "noise_detection": "noise_detection",
+    "overlap": "overlap",
+    "masking": "masking",
+}
 
 
 @dataclass
@@ -352,32 +278,23 @@ class ExperimentReport:
     masking: dict
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "dataset": self.dataset_summary,
-            "strategies": self.strategies,
-            "refine": self.refine_summary,
-            "noise_detection": self.noise_detection,
-            "overlap": self.overlap,
-            "masking": self.masking,
-        }
+        return {key: getattr(self, name) for name, key in _REPORT_KEYS.items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        try:
-            return cls(
-                version=d["version"],
-                config=d["config"],
-                dataset_summary=d["dataset"],
-                strategies=d["strategies"],
-                refine_summary=d["refine"],
-                noise_detection=d["noise_detection"],
-                overlap=d["overlap"],
-                masking=d["masking"],
-            )
-        except KeyError as e:
-            raise DataError(f"report document missing key {e.args[0]!r}") from None
+    def from_dict(cls, d) -> "ExperimentReport":
+        if not isinstance(d, dict):
+            raise DataError("report document must be a JSON object")
+        hints = get_type_hints(cls)
+        values = {}
+        for name, key in _REPORT_KEYS.items():
+            if key not in d:
+                raise DataError(f"report document missing key {key!r}")
+            if not isinstance(d[key], hints[name]):
+                raise DataError(
+                    f"report {key!r} must be a {hints[name].__name__}, got {type(d[key]).__name__}"
+                )
+            values[name] = d[key]
+        return cls(**values)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -515,10 +432,7 @@ def run_pipeline(
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
     probe = _fit(train, None, probe_cfg)
 
-    if config.influence.scope == Scope.HEAD_ONLY:
-        scores = self_influence_closed_form(probe, train, config.influence)
-    else:
-        scores = self_influence_explicit(probe, train, config.influence)
+    scores = self_influence_explicit(probe, train, config.influence)
     global_scores = global_tracin_self(probe, train, config.influence)
 
     prune: Optional[PruneResult] = None
@@ -561,14 +475,7 @@ def run_pipeline(
             "note": "no corrupted labels in the training split; AUROC undefined",
         }
     else:
-        per_dim = []
-        for k in range(train.n_dims):
-            col = mask[:, k]
-            if col.any() and not col.all():
-                per_dim.append(auroc(scores.scores[:, k], col))
-            else:
-                per_dim.append(None)
-        detection = {"per_dim_auroc": per_dim}
+        detection = {"per_dim_auroc": per_dim_auroc(scores.scores, mask)}
 
     report_rho = r.rho if r.strategy in ("ddp", "loss_prune") else DEFAULT_RHO
     overlap = overlap_curve(scores, report_rho)

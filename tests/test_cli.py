@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dimsift import (
+    ExperimentReport,
     InfluenceConfig,
     PruneResult,
     RegressionHead,
@@ -336,3 +337,61 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and f"line {line_no}" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(lambda doc: doc.update(mystery={}), "mystery", id="unknown-section"),
+        pytest.param(lambda doc: doc["synth"].update(bogus=1), "synth.bogus", id="unknown-key"),
+        pytest.param(lambda doc: doc["synth"].pop("n_dims"), "synth.n_dims", id="missing-key"),
+        pytest.param(lambda doc: doc["synth"].update(n_samples="many"), "synth.n_samples",
+                     id="non-numeric-int"),
+        pytest.param(lambda doc: doc["train"].update(fit_bias="false"), "train.fit_bias",
+                     id="string-bool"),
+        pytest.param(lambda doc: doc["influence"].update(scope="everything"), "influence.scope",
+                     id="bad-scope"),
+        pytest.param(lambda doc: doc["refine"].update(strategy="psychic"),
+                     "config refine: unknown refine strategy 'psychic'", id="bad-refine-strategy"),
+    ],
+)
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
+    doc = default_config().to_dict()
+    edit(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and named in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"dataset": [1]}])
+def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc):
+    if isinstance(doc, dict):
+        doc = dict(ExperimentReport("0.1.0", {}, {}, {}, {}, {}, {}, {}).to_dict(), **doc)
+    (tmp_path / "report.json").write_text(json.dumps(doc))
+    out = _cli_subprocess(["report", "--dir", str(tmp_path)])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("data error:") and "Traceback" not in out.stderr
+
+
+def test_string_corruption_mask_is_a_data_error(stage_dir):
+    bad = stage_dir / "noisy.jsonl"
+    _replace_line(bad, 3, lambda rec: dict(rec, corrupted=["false"] * len(rec["corrupted"])))
+    out = _cli_subprocess(["evaluate", "--data", str(bad), "--head", str(stage_dir / "head.json")])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("data error:") and "line 3" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_stage_report_leaves_out_masking_for_a_shared_layer_table(stage_dir, capsys):
+    noisy, head = str(stage_dir / "noisy.jsonl"), str(stage_dir / "shared_head.json")
+    assert main(["fit", "--data", noisy, "--hidden-dim", "4", "--epochs", "50", "--out", head]) == 0
+    assert main(["score", "--data", noisy, "--head", head, "--scope", "last_two_layers",
+                 "--method", "explicit", "--out", str(stage_dir / "scores.jsonl")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--dir", str(stage_dir)]) == 0
+    text = capsys.readouterr().out
+    assert "overlap curve" in text
+    assert "masked by global ranking: not computed" in text and "budget" not in text

@@ -285,6 +285,19 @@ def test_global_tracin_is_lambda_weighted_score_sum(noisy_corpus):
     assert np.abs(g - table.scores @ lam**2).max() < 1e-9
 
 
+def test_table_global_scores_hold_for_head_only_tables(noisy_corpus):
+    rng = np.random.default_rng(20)
+    cfg = InfluenceConfig(lambdas=(1.5, 1.0, 0.5))
+    head = random_head(rng, 3, 6)
+    table = self_influence_explicit(head, noisy_corpus, cfg)
+    g = global_tracin_self(head, noisy_corpus, cfg)
+    assert np.allclose(table.global_scores(), g, rtol=1e-12, atol=0.0)
+    shared = random_head(rng, 3, 6, hidden_dim=4)
+    cfg = InfluenceConfig(scope=Scope.LAST_TWO_LAYERS)
+    with pytest.raises(ValueError, match="last_two_layers"):
+        self_influence_explicit(shared, noisy_corpus, cfg).global_scores()
+
+
 def test_row_sums_head_only_reduce_to_scaled_self_influence(noisy_corpus):
     rng = np.random.default_rng(18)
     head = random_head(rng, 3, 6)

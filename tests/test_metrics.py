@@ -24,6 +24,7 @@ from dimsift import (
     inject_dimension_noise,
     masking_report,
     overlap_curve,
+    per_dim_auroc,
     self_influence_closed_form,
     spearman,
 )
@@ -146,6 +147,12 @@ def test_auroc_rejects_single_class():
 
 
 # ---------------------------------------------------------- head evaluation
+
+def test_per_dim_auroc_gives_none_for_single_class_columns():
+    scores = np.array([[0.1, 0.5, 0.2], [0.9, 0.4, 0.8], [0.3, 0.6, 0.1]])
+    mask = np.array([[False, False, True], [True, False, True], [False, False, True]])
+    assert per_dim_auroc(scores, mask) == [auroc(scores[:, 0], mask[:, 0]), None, None]
+
 
 def test_evaluate_head_reports_per_dimension_rank_quality():
     cfg = SynthConfig(300, 5, 3, label_noise_sd=0.05, teacher_seed=6, sample_seed=7)

@@ -5,17 +5,27 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimsift.pipeline
 from dimsift import (
     DataError,
     ExperimentReport,
+    InfluenceConfig,
+    NoiseSpec,
     PipelineConfig,
+    RefineSpec,
+    Scope,
+    SynthConfig,
+    TrainConfig,
     UsageError,
     default_config,
     run_pipeline,
     split,
 )
+from dimsift.model import STRATEGIES
+from dimsift.pipeline import REFINE_STRATEGIES
 
 
 def small_config(seed=0, refine="ddp", **synth_overrides):
@@ -43,6 +53,93 @@ def test_config_round_trip_and_unknown_keys():
     doc["mystery"] = {}
     with pytest.raises(UsageError, match="mystery"):
         PipelineConfig.from_dict(doc)
+
+
+def _tuples(elements):
+    return st.lists(elements, min_size=1, max_size=5).map(tuple)
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_unit = st.floats(0.0, 1.0)
+_nonneg = st.floats(0.0, 1e6)
+_positive = st.floats(1e-9, 1e6)
+_configs = st.builds(
+    PipelineConfig,
+    synth=st.builds(
+        SynthConfig,
+        n_samples=st.integers(1, 10**6),
+        feature_dim=st.integers(1, 64),
+        n_dims=st.integers(1, 8),
+        label_noise_sd=_nonneg | _tuples(_nonneg),
+        teacher_seed=_seeds,
+        sample_seed=_seeds,
+        label_range=st.none() | st.tuples(st.floats(-1e6, 0.0), _nonneg),
+    ),
+    noise=st.builds(
+        NoiseSpec,
+        rate=_unit,
+        dims=st.none() | _tuples(st.integers(0, 7)),
+        seed=_seeds,
+        correlated_rate=_unit,
+        correlated_seed=_seeds,
+        severity=st.tuples(_unit, _unit),
+    ),
+    train=st.builds(
+        TrainConfig,
+        lambdas=st.none() | _tuples(_positive),
+        ridge_alpha=_nonneg,
+        lr=_positive,
+        epochs=st.integers(1, 10**4),
+        strategy=st.sampled_from(STRATEGIES),
+        seed=_seeds,
+        hidden_dim=st.none() | st.integers(1, 64),
+        fit_bias=st.booleans(),
+    ),
+    influence=st.builds(
+        InfluenceConfig, scope=st.sampled_from(Scope), lambdas=st.none() | _tuples(_nonneg)
+    ),
+    refine=st.builds(
+        RefineSpec,
+        strategy=st.sampled_from(REFINE_STRATEGIES),
+        rho=_unit,
+        temperature=_positive,
+        epsilon=_positive,
+        rho_total=st.none() | _unit,
+    ),
+    split_fractions=st.tuples(_unit, _unit, _unit),
+    split_seed=_seeds,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs)
+def test_config_round_trips_through_json(cfg):
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    assert PipelineConfig.from_dict(doc) == cfg
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    synth = {"n_samples": 10, "feature_dim": 2, "n_dims": 1}
+    assert PipelineConfig.from_dict({"synth": synth}) == PipelineConfig(SynthConfig(**synth))
+
+
+def test_config_reads_integers_in_float_fields_as_floats():
+    doc = default_config().to_dict()
+    doc["influence"]["lambdas"] = [1, 2, 1, 1, 0.5]
+    doc["refine"]["rho"] = 0
+    cfg = PipelineConfig.from_dict(doc)
+    assert cfg.influence.lambdas == (1.0, 2.0, 1.0, 1.0, 0.5)
+    assert all(type(v) is float for v in cfg.influence.lambdas)
+    assert type(cfg.refine.rho) is float
+    assert json.dumps(cfg.to_dict()["influence"]["lambdas"]) == "[1.0, 2.0, 1.0, 1.0, 0.5]"
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "report", {"version": "0.1.0", "config": []}])
+def test_report_document_of_the_wrong_shape_is_a_data_error(doc):
+    if isinstance(doc, dict):
+        doc = dict(ExperimentReport("0.1.0", {}, {}, {}, {}, {}, {}, {}).to_dict(), **doc)
+    with pytest.raises(DataError, match="report"):
+        ExperimentReport.from_dict(doc)
 
 
 def test_config_rejects_unknown_refine_strategy():

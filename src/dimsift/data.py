@@ -8,11 +8,13 @@ score has a known ground truth to be checked against.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -437,23 +439,61 @@ def split(
     return ds.select(train_idx), ds.select(val_idx), ds.select(test_idx)
 
 
-# -- JSONL serialization ----------------------------------------------------
+# -- JSONL and CSV serialization ---------------------------------------------
+#
+# Writers yield one newline-terminated line at a time and readers consume an
+# open file line by line, appending numbers to array('d') buffers, so neither
+# holds the whole text, its line list or one Python float per value.
 
 
-def dumps_dataset(ds: Dataset) -> str:
-    """Serialize to JSON Lines: one manifest line, then one line per sample.
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write newline-terminated lines to path as they are produced."""
+    with open(path, "w") as fh:
+        fh.writelines(lines)
 
-    Floats go through json's repr formatting, which round-trips exactly.
+
+def long_csv_lines(
+    header: str, ids: Sequence[str], names: Sequence[str], values: np.ndarray
+) -> Iterator[str]:
+    """Long-format CSV: the header, then one `id,name,repr(value)` line per matrix cell."""
+    yield header + "\n"
+    for sid, row in zip(ids, values):
+        for name, v in zip(names, row.tolist()):
+            yield f"{sid},{name},{v!r}\n"
+
+
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line; numbers count from 1 in the file."""
+    for ln_no, ln in enumerate(lines, start=1):
+        if ln.strip():
+            yield ln_no, ln
+
+
+def extend_numbers(buf: array, values: list, what: str, sid, ln_no: int) -> None:
+    """Append a JSON list of numbers from sample sid on line ln_no to buf.
+
+    A string, null or any other non-number is a DataError naming the sample,
+    the line and the value.
     """
+    try:
+        buf.extend(values)
+    except TypeError:
+        bad = next(v for v in values if not isinstance(v, (int, float)))
+        raise DataError(f"sample {sid!r} on line {ln_no}: non-numeric {what}: {bad!r}") from None
+    except OverflowError as e:
+        raise DataError(f"sample {sid!r} on line {ln_no}: {what} out of float range: {e}") from None
+
+
+def _dataset_lines(ds: Dataset) -> Iterator[str]:
     head = {
         "type": "manifest",
         "feature_dim": ds.feature_dim,
         "dim_names": ds.dim_names,
         "meta": ds.manifest,
     }
-    lines = [json.dumps(head, separators=(",", ":"))]
+    yield json.dumps(head, separators=(",", ":")) + "\n"
     mask = ds.corruption_mask
-    for i, sid in enumerate(ds.ids):
+    for i, sid in enumerate(ds._ids):
         rec = {
             "type": "sample",
             "id": sid,
@@ -461,28 +501,37 @@ def dumps_dataset(ds: Dataset) -> str:
             "labels": ds.labels[i].tolist(),
         }
         if mask is not None:
-            rec["corrupted"] = [bool(v) for v in mask[i]]
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+            rec["corrupted"] = mask[i].tolist()
+        yield json.dumps(rec, separators=(",", ":")) + "\n"
+
+
+def dumps_dataset(ds: Dataset) -> str:
+    """Serialize to JSON Lines: one manifest line, then one line per sample.
+
+    Floats go through json's repr formatting, which round-trips exactly.
+    """
+    return "".join(_dataset_lines(ds))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_text(dumps_dataset(ds))
+    write_lines(path, _dataset_lines(ds))
 
 
-def loads_dataset(text: str) -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def _read_dataset(lines: Iterable[str]) -> Dataset:
+    rows = numbered_lines(lines)
+    first = next(rows, None)
+    if first is None:
         raise DataError("empty dataset file")
+    ln_no, ln = first
     try:
-        head = json.loads(lines[0])
+        head = json.loads(ln)
     except json.JSONDecodeError as e:
         raise DataError(f"malformed manifest line: {e}") from None
     if not isinstance(head, dict) or head.get("type") != "manifest":
-        raise DataError("line 1: first line must be a manifest object")
+        raise DataError(f"line {ln_no}: first line must be a manifest object")
     meta = head.get("meta") or {}
     if not isinstance(meta, dict):
-        raise DataError("line 1: manifest meta must be an object")
+        raise DataError(f"line {ln_no}: manifest meta must be an object")
     try:
         feature_dim = int(head["feature_dim"])
         dim_names = [str(x) for x in head["dim_names"]]
@@ -491,11 +540,11 @@ def loads_dataset(text: str) -> Dataset:
     k = len(dim_names)
 
     ids: list[str] = []
-    feats: list[list[float]] = []
-    labs: list[list[float]] = []
-    masks: list[list[bool]] = []
+    feats = array("d")
+    labs = array("d")
+    masks = bytearray()
     any_mask = False
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in rows:
         try:
             rec = json.loads(ln)
         except json.JSONDecodeError as e:
@@ -517,6 +566,8 @@ def loads_dataset(text: str) -> Dataset:
                 f"sample {sid!r}: label length {None if not isinstance(y, list) else len(y)} "
                 f"does not match manifest dimension count {k}"
             )
+        extend_numbers(feats, f, "features", sid, ln_no)
+        extend_numbers(labs, y, "labels", sid, ln_no)
         c = rec.get("corrupted")
         if c is not None:
             if not isinstance(c, list) or len(c) != k or not all(isinstance(v, bool) for v in c):
@@ -524,43 +575,30 @@ def loads_dataset(text: str) -> Dataset:
                     f"sample {sid!r} on line {ln_no}: corruption mask must be a list of {k} booleans"
                 )
             any_mask = True
-            masks.append(c)
+            masks.extend(c)
         else:
-            masks.append([False] * k)
+            masks.extend(bytes(k))
         ids.append(str(sid))
-        feats.append(f)
-        labs.append(y)
     if not ids:
         raise DataError("dataset file contains no samples")
-    try:
-        features = np.asarray(feats, dtype=np.float64)
-        labels = np.asarray(labs, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DataError(_first_non_numeric(ids, feats, labs)) from None
+    n = len(ids)
     return Dataset(
         ids=ids,
-        features=features,
-        labels=labels,
+        features=np.frombuffer(feats).reshape(n, feature_dim),
+        labels=np.frombuffer(labs).reshape(n, k),
         dim_names=dim_names,
-        corrupted=np.asarray(masks, dtype=bool) if any_mask else None,
+        corrupted=np.frombuffer(masks, dtype=bool).reshape(n, k) if any_mask else None,
         manifest=meta,
     )
 
 
-def _first_non_numeric(ids: list[str], feats: list[list], labs: list[list]) -> str:
-    """Message naming the first sample whose features or labels are not all numbers."""
-    for i, sid in enumerate(ids):
-        for what, row in (("features", feats[i]), ("labels", labs[i])):
-            try:
-                np.asarray(row, dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                # sample i sits on line i + 2, after the manifest
-                return f"sample {sid!r} on line {i + 2}: non-numeric {what}: {e}"
-    return "non-numeric features or labels"
+def loads_dataset(text: str) -> Dataset:
+    return _read_dataset(io.StringIO(text, newline=None))
 
 
 def load_dataset(path: str | Path) -> Dataset:
     p = Path(path)
     if not p.exists():
         raise DataError(f"dataset file not found: {p}")
-    return loads_dataset(p.read_text())
+    with open(p) as fh:
+        return _read_dataset(fh)

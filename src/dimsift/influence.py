@@ -26,14 +26,16 @@ row-sum scores include the lambda factors.
 """
 from __future__ import annotations
 
+import io
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Dataset, Sample, extend_numbers, long_csv_lines, numbered_lines, write_lines
 from .errors import DataError
 from .model import RegressionHead, Scope
 
@@ -119,49 +121,47 @@ class SelfInfluenceTable:
 
     def to_csv(self, path: str | Path) -> None:
         """Long-format CSV: one (id, dim, score) row per table entry."""
-        lines = ["id,dim,score"]
-        for i, sid in enumerate(self.sample_ids):
-            for k, name in enumerate(self.dim_names):
-                lines.append(f"{sid},{name},{float(self.scores[i, k])!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        lines = long_csv_lines("id,dim,score", self.sample_ids, self.dim_names, self.scores)
+        write_lines(path, lines)
 
-    def dumps(self) -> str:
+    def _lines(self) -> Iterator[str]:
         head = {
             "type": "self_influence",
             "scope": self.scope.value,
             "lambdas": self.lambdas.tolist(),
             "dim_names": self.dim_names,
         }
-        lines = [json.dumps(head, separators=(",", ":"))]
-        for i, sid in enumerate(self.sample_ids):
-            lines.append(
-                json.dumps(
-                    {"type": "row", "id": sid, "scores": self.scores[i].tolist()},
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + "\n"
+        yield json.dumps(head, separators=(",", ":")) + "\n"
+        for sid, row in zip(self.sample_ids, self.scores):
+            rec = {"type": "row", "id": sid, "scores": row.tolist()}
+            yield json.dumps(rec, separators=(",", ":")) + "\n"
+
+    def dumps(self) -> str:
+        return "".join(self._lines())
 
     def to_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps())
+        write_lines(path, self._lines())
 
     @classmethod
-    def loads(cls, text: str) -> "SelfInfluenceTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+    def _read(cls, lines: Iterable[str]) -> "SelfInfluenceTable":
+        rows = numbered_lines(lines)
+        first = next(rows, None)
+        if first is None:
             raise DataError("empty score file")
+        ln_no, ln = first
         try:
-            head = json.loads(lines[0])
+            head = json.loads(ln)
         except json.JSONDecodeError as e:
             raise DataError(f"malformed score header: {e}") from None
         if not isinstance(head, dict) or head.get("type") != "self_influence":
-            raise DataError("line 1: first line must be a self_influence header object")
+            raise DataError(f"line {ln_no}: first line must be a self_influence header object")
         dim_names = head.get("dim_names")
         if not isinstance(dim_names, list):
             raise DataError("score header needs a dim_names list")
-        ids, rows = [], []
+        ids: list[str] = []
+        scores = array("d")
         k = len(dim_names)
-        for ln_no, ln in enumerate(lines[1:], start=2):
+        for ln_no, ln in rows:
             try:
                 rec = json.loads(ln)
             except json.JSONDecodeError as e:
@@ -171,11 +171,13 @@ class SelfInfluenceTable:
             sc = rec.get("scores")
             if rec.get("type") != "row" or not isinstance(sc, list) or len(sc) != k:
                 raise DataError(f"invalid score row for id {rec['id']!r} on line {ln_no}")
+            extend_numbers(scores, sc, "scores", rec["id"], ln_no)
             ids.append(str(rec["id"]))
-            rows.append(sc)
+        if not ids:
+            raise DataError("score file contains no rows")
         try:
             return cls(
-                scores=np.asarray(rows, dtype=np.float64),
+                scores=np.frombuffer(scores).reshape(len(ids), k),
                 sample_ids=ids,
                 dim_names=[str(x) for x in dim_names],
                 scope=Scope(head["scope"]),
@@ -185,11 +187,16 @@ class SelfInfluenceTable:
             raise DataError(f"invalid score file: {e}") from None
 
     @classmethod
+    def loads(cls, text: str) -> "SelfInfluenceTable":
+        return cls._read(io.StringIO(text, newline=None))
+
+    @classmethod
     def load(cls, path: str | Path) -> "SelfInfluenceTable":
         p = Path(path)
         if not p.exists():
             raise DataError(f"score file not found: {p}")
-        return cls.loads(p.read_text())
+        with open(p) as fh:
+            return cls._read(fh)
 
 
 @dataclass

@@ -251,6 +251,19 @@ def default_config(seed: int = 0, refine_strategy: str = "ddp") -> PipelineConfi
     )
 
 
+class _Section(dict):
+    """A report.json object whose missing keys are data errors naming section.key."""
+
+    def __init__(self, name: str, doc):
+        if not isinstance(doc, dict):
+            raise DataError(f"report {name} must be an object, got {type(doc).__name__}")
+        super().__init__(doc)
+        self.name = name
+
+    def __missing__(self, key):
+        raise DataError(f"report {self.name}.{key} is missing")
+
+
 # report.json key of each ExperimentReport field
 _REPORT_KEYS = {
     "version": "version",
@@ -314,7 +327,7 @@ class ExperimentReport:
 
     def render_text(self) -> str:
         out = []
-        ds = self.dataset_summary
+        ds = _Section("dataset", self.dataset_summary)
         out.append(f"dimsift experiment report (version {self.version})")
         out.append("")
         out.append(
@@ -332,10 +345,11 @@ class ExperimentReport:
         out.append("")
         out.append("clean-test Spearman per dimension:")
         for name, rep in sorted(self.strategies.items()):
+            rep = _Section(f"strategies.{name}", rep)
             per_dim = ", ".join(f"{v:.4f}" for v in rep["per_dim_spearman"])
             out.append(f"  {name:<14} mean {rep['mean_spearman']:.4f}  [{per_dim}]")
         out.append("")
-        rs = self.refine_summary
+        rs = _Section("refine", self.refine_summary)
         out.append(f"refinement: {rs['strategy']}")
         if rs["strategy"] in ("ddp", "loss_prune", "global_prune"):
             out.append(
@@ -347,7 +361,7 @@ class ExperimentReport:
                 f"  weights in [{rs['min_weight']:.6f}, {rs['max_weight']:.6f}], "
                 f"global mean {rs['mean_weight']:.12f}, temperature {rs['temperature']}"
             )
-        nd = self.noise_detection
+        nd = _Section("noise_detection", self.noise_detection)
         out.append("")
         if nd.get("per_dim_auroc") is None:
             out.append(f"noise detection: {nd.get('note', 'not computed')}")
@@ -357,14 +371,14 @@ class ExperimentReport:
                 for name, v in zip(ds["dim_names"], nd["per_dim_auroc"])
             )
             out.append(f"noise detection AUROC (train split): {vals}")
-        ov = self.overlap
+        ov = _Section("overlap", self.overlap)
         curve = ", ".join(f"{100.0 * v:.2f}%" for v in ov["cumulative_ratios"])
         out.append(f"overlap curve at rho={ov['rho']}: [{curve}]")
-        mk = self.masking
+        mk = _Section("masking", self.masking)
         masked = ", ".join(
             f"{row['dim']}={row['masked']}"
             + ("" if row["masked_corrupted"] is None else f" ({row['masked_corrupted']} corrupted)")
-            for row in mk["per_dim"]
+            for row in (_Section("masking.per_dim", r) for r in mk["per_dim"])
         )
         out.append(f"masked by global ranking (budget {mk['budget']}): {masked}")
         out.append("")

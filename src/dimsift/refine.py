@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ceil_count
+from .data import ceil_count, long_csv_lines, write_lines
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import LossTable
@@ -140,11 +140,7 @@ class WeightMatrix:
     def to_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
         k = self.weights.shape[1]
         names = list(dim_names) if dim_names is not None else [str(j) for j in range(k)]
-        lines = ["id,dim,weight"]
-        for i, sid in enumerate(self.sample_ids):
-            for j in range(k):
-                lines.append(f"{sid},{names[j]},{float(self.weights[i, j])!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_lines(path, long_csv_lines("id,dim,weight", self.sample_ids, names, self.weights))
 
 
 def _validate_rho(rho: float) -> float:

@@ -1,7 +1,10 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dimsift import (
     RegressionHead,
@@ -10,6 +13,22 @@ from dimsift import (
     generate_synthetic,
     inject_dimension_noise,
 )
+
+
+# Odd strings for ids, dimension names and manifest keys: commas, quotes,
+# backslashes, line breaks and non-ASCII text all survive the JSON escaping.
+ODD_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def peak_traced_bytes(fn, *args) -> int:
+    """Peak traced Python allocation while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def random_head(rng, n_dims, feature_dim, hidden_dim=None):

@@ -311,6 +311,11 @@ def _list_meta(doc):
     return dict(doc, meta=[1, 2])
 
 
+def _first_as(field, make):
+    """Edit that replaces the first entry of a numeric list field with make(entry)."""
+    return lambda doc: dict(doc, **{field: [make(doc[field][0])] + doc[field][1:]})
+
+
 @pytest.mark.parametrize(
     "kind, line_no, value",
     [
@@ -320,6 +325,11 @@ def _list_meta(doc):
         ("scores", 1, _as_list),
         ("scores", 4, _as_list),
         ("scores", 4, _without_id),
+        pytest.param("dataset", 3, _first_as("features", str), id="dataset-string-feature"),
+        pytest.param("dataset", 3, _first_as("labels", str), id="dataset-string-label"),
+        pytest.param("dataset", 3, _first_as("labels", lambda v: None), id="dataset-null-label"),
+        pytest.param("scores", 4, _first_as("scores", str), id="scores-string-score"),
+        pytest.param("scores", 4, _first_as("scores", lambda v: None), id="scores-null-score"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
@@ -366,7 +376,7 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("doc", [[1, 2], {"dataset": [1]}])
+@pytest.mark.parametrize("doc", [[1, 2], {"dataset": [1]}, {}])
 def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc):
     if isinstance(doc, dict):
         doc = dict(ExperimentReport("0.1.0", {}, {}, {}, {}, {}, {}, {}).to_dict(), **doc)

@@ -1,10 +1,16 @@
 """Synthetic corpus generation, corruption injection, splitting, and JSONL io."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import ODD_TEXT, peak_traced_bytes
 from dimsift import (
     DataError,
     Dataset,
@@ -264,6 +270,80 @@ def test_jsonl_errors_name_the_offender():
         loads_dataset("\n".join(lines[1:]))
     with pytest.raises(DataError, match="empty"):
         loads_dataset("")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | ODD_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    return Dataset(
+        ids=draw(st.lists(ODD_TEXT, min_size=n, max_size=n, unique=True)),
+        features=draw(hnp.arrays(np.float64, (n, d), elements=FINITE)),
+        labels=draw(hnp.arrays(np.float64, (n, k), elements=FINITE)),
+        dim_names=draw(st.lists(ODD_TEXT, min_size=k, max_size=k)),
+        corrupted=draw(st.none() | hnp.arrays(bool, (n, k)).filter(np.any)),
+        manifest=draw(st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=3)),
+    )
+
+
+def _same_dataset(a, b):
+    assert a.ids == b.ids and a.dim_names == b.dim_names and a.manifest == b.manifest
+    # bytes, so -0.0 and subnormals must come back bit for bit
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+    if a.corruption_mask is None:
+        assert b.corruption_mask is None
+    else:
+        assert np.array_equal(a.corruption_mask, b.corruption_mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_datasets(), st.data())
+def test_jsonl_file_and_text_round_trips_agree(ds, data):
+    text = dumps_dataset(ds)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.jsonl"
+        save_dataset(ds, path)
+        assert path.read_bytes() == text.encode()
+        _same_dataset(load_dataset(path), ds)
+        _same_dataset(loads_dataset(text), ds)
+        # a file cut at any byte either loads or is a DataError, never another exception
+        cut = data.draw(st.integers(0, len(text)), label="cut")
+        path.write_text(text[:cut])
+        for load, src in ((load_dataset, path), (loads_dataset, text[:cut])):
+            try:
+                load(src)
+            except DataError:
+                pass
+
+
+@pytest.fixture(scope="module")
+def big_corpus():
+    cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
+    return inject_dimension_noise(generate_synthetic(cfg), 0.1, range(5), 2)
+
+
+def test_save_dataset_streams(big_corpus, tmp_path):
+    # one line at a time: no whole-file string, no list of lines
+    peak = peak_traced_bytes(save_dataset, big_corpus, tmp_path / "ds.jsonl")
+    assert peak < 0.1 * (big_corpus.features.nbytes + big_corpus.labels.nbytes)
+
+
+def test_load_dataset_holds_little_beyond_the_arrays(big_corpus, tmp_path):
+    # the arrays themselves plus ids and buffer slack; no text, line list or Python floats
+    path = tmp_path / "ds.jsonl"
+    save_dataset(big_corpus, path)
+    peak = peak_traced_bytes(load_dataset, path)
+    assert peak < 4 * (big_corpus.features.nbytes + big_corpus.labels.nbytes)
 
 
 def test_dataset_select_preserves_order():

@@ -5,6 +5,10 @@ the closed form against explicitly assembled gradients, and the aggregated
 scalar influence against the sum of the per-dimension matrix entries.
 """
 
+import locale
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dimsift.influence as influence_mod
-from conftest import random_head, random_sample
+from conftest import ODD_TEXT, peak_traced_bytes, random_head, random_sample
 from dimsift import (
+    DataError,
     Dataset,
     InfluenceConfig,
     RegressionHead,
@@ -416,3 +421,80 @@ def test_score_table_csv_layout(noisy_corpus, tmp_path):
     sid, dim, score = lines[1].split(",")
     assert sid == noisy_corpus.ids[0] and dim == "dim0"
     assert float(score) == table.scores[0, 0]
+
+
+NONNEG = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    return SelfInfluenceTable(
+        scores=draw(hnp.arrays(np.float64, (n, k), elements=NONNEG)),
+        sample_ids=draw(st.lists(ODD_TEXT, min_size=n, max_size=n, unique=True)),
+        dim_names=draw(st.lists(ODD_TEXT, min_size=k, max_size=k)),
+        scope=draw(st.sampled_from(Scope)),
+        lambdas=draw(hnp.arrays(np.float64, k, elements=NONNEG)),
+    )
+
+
+def _same_table(a, b):
+    assert a.sample_ids == b.sample_ids and a.dim_names == b.dim_names and a.scope == b.scope
+    assert a.scores.tobytes() == b.scores.tobytes()
+    assert a.lambdas.tobytes() == b.lambdas.tobytes()
+
+
+def _csv_reference(table):
+    """The long CSV built as one string: the reference for the line-by-line writer."""
+    lines = ["id,dim,score"]
+    for i, sid in enumerate(table.sample_ids):
+        for k, name in enumerate(table.dim_names):
+            lines.append(f"{sid},{name},{float(table.scores[i, k])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(), st.data())
+def test_score_file_and_text_round_trips_agree(table, data):
+    text = table.dumps()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.jsonl"
+        table.to_jsonl(path)
+        assert path.read_bytes() == text.encode()
+        _same_table(SelfInfluenceTable.load(path), table)
+        _same_table(SelfInfluenceTable.loads(text), table)
+        csv = Path(tmp) / "scores.csv"
+        table.to_csv(csv)
+        assert csv.read_bytes() == _csv_reference(table).encode(locale.getpreferredencoding(False))
+        # a file cut at any byte either loads or is a DataError, never another exception
+        cut = data.draw(st.integers(0, len(text)), label="cut")
+        path.write_text(text[:cut])
+        for load, src in ((SelfInfluenceTable.load, path), (SelfInfluenceTable.loads, text[:cut])):
+            try:
+                load(src)
+            except DataError:
+                pass
+
+
+@pytest.fixture(scope="module")
+def big_table():
+    n, k = 20_000, 5
+    rng = np.random.default_rng(23)
+    return SelfInfluenceTable(rng.uniform(0.0, 2.0, size=(n, k)), [f"s{i:05d}" for i in range(n)],
+                              [f"dim{j}" for j in range(k)], Scope.HEAD_ONLY, np.ones(k))
+
+
+@pytest.mark.parametrize("writer", ["to_jsonl", "to_csv"])
+def test_score_writers_stream(big_table, tmp_path, writer):
+    # one line at a time: no whole-file string, no list of lines
+    peak = peak_traced_bytes(getattr(big_table, writer), tmp_path / "scores")
+    assert peak < 0.1 * big_table.scores.nbytes
+
+
+def test_score_load_holds_little_beyond_the_array(big_table, tmp_path):
+    # the score array plus ids and buffer slack; no text, line list or Python floats
+    path = tmp_path / "scores.jsonl"
+    big_table.to_jsonl(path)
+    peak = peak_traced_bytes(SelfInfluenceTable.load, path)
+    assert peak < 5 * big_table.scores.nbytes

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthConfig,
+    extend_numbers,
     generate_synthetic,
     inject_correlated_noise,
     inject_dimension_noise,
@@ -36,19 +38,12 @@ from .influence import (
     self_influence_explicit,
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
-from .model import (
-    STRATEGIES,
-    RegressionHead,
-    Scope,
-    TrainConfig,
-    fit_closed_form,
-    fit_gd,
-    per_dim_loss,
-)
+from .model import STRATEGIES, RegressionHead, Scope, TrainConfig, fit_gd, per_dim_loss
 from .pipeline import (
     REFINE_STRATEGIES,
     ExperimentReport,
     PipelineConfig,
+    _fit,
     default_config,
     run_pipeline,
 )
@@ -86,6 +81,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _build_parser() -> _Parser:
+    # a flag that sets a config field takes the field's dataclass default, so it lives once
     p = _Parser(prog="dimsift", description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=f"dimsift {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -94,10 +90,10 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True, help="number of samples")
     g.add_argument("--features", type=int, required=True, help="feature dimension")
     g.add_argument("--dims", type=int, required=True, help="number of output dimensions")
-    g.add_argument("--noise-sd", type=_csv_floats, default="0.0",
+    g.add_argument("--noise-sd", type=_csv_floats, default=str(SynthConfig.label_noise_sd),
                    help="clean label noise SD, scalar or comma list")
-    g.add_argument("--teacher-seed", type=int, default=0)
-    g.add_argument("--sample-seed", type=int, default=0)
+    g.add_argument("--teacher-seed", type=int, default=SynthConfig.teacher_seed)
+    g.add_argument("--sample-seed", type=int, default=SynthConfig.sample_seed)
     g.add_argument("--label-range", type=_csv_floats, help="lo,hi clamp for labels")
     g.add_argument("--out", required=True, help="output dataset (JSONL)")
 
@@ -119,15 +115,16 @@ def _build_parser() -> _Parser:
 
     f = sub.add_parser("fit", help="fit a regression head")
     f.add_argument("--data", required=True)
-    f.add_argument("--alpha", type=float, default=0.0, help="ridge strength (closed form)")
-    f.add_argument("--strategy", default="equal", choices=STRATEGIES)
+    f.add_argument("--alpha", type=float, default=TrainConfig.ridge_alpha,
+                   help="ridge strength (closed form)")
+    f.add_argument("--strategy", default=TrainConfig.strategy, choices=STRATEGIES)
     f.add_argument("--lambdas", type=_csv_floats, help="comma list of per-dimension loss weights")
     f.add_argument("--weights", default=None, help="per-sample weight file from `reweight`")
     f.add_argument("--gd", action="store_true", help="force gradient descent for the equal strategy")
-    f.add_argument("--lr", type=float, default=0.05)
-    f.add_argument("--epochs", type=int, default=200)
+    f.add_argument("--lr", type=float, default=TrainConfig.lr)
+    f.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     f.add_argument("--hidden-dim", type=int, default=None, help="shared layer width (implies --gd)")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=int, default=TrainConfig.seed)
     f.add_argument("--no-bias", action="store_true", help="drop the intercept (closed form)")
     f.add_argument("--out", required=True)
 
@@ -267,10 +264,10 @@ def _cmd_fit(args) -> int:
         hidden_dim=args.hidden_dim,
         fit_bias=not args.no_bias,
     )
-    use_gd = args.gd or args.strategy != "equal" or args.hidden_dim is not None
-    head = fit_gd(ds, weights, cfg) if use_gd else fit_closed_form(ds, weights, cfg)
+    head = fit_gd(ds, weights, cfg) if args.gd else _fit(ds, weights, cfg)
     head.save(args.out)
-    print(f"fit {'gd' if use_gd else 'closed-form'} head on {len(ds)} samples -> {args.out}")
+    method = head.fit_info["method"].replace("_", "-")
+    print(f"fit {method} head on {len(ds)} samples -> {args.out}")
     return 0
 
 
@@ -327,10 +324,11 @@ def _cmd_prune(args) -> int:
             raise DataError(f"score file not found: {p}")
         try:
             doc = json.loads(p.read_text())
-            ids, values = doc["ids"], np.asarray(doc["scores"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            ids, values = doc["ids"], array("d")
+            extend_numbers(values, doc["scores"], "scores", None, 1)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
             raise DataError(f"invalid scalar score file {p}: {e}") from None
-        result = global_prune_select(values, ids, args.rho)
+        result = global_prune_select(np.frombuffer(values), ids, args.rho)
         dim_names = None
     result.save(args.out)
     if args.csv:

@@ -34,6 +34,25 @@ def ceil_count(rate: float, n: int) -> int:
     return int(math.ceil(x))
 
 
+def top_sets(values: np.ndarray, rho: float) -> np.ndarray:
+    """Each column's top ceil(rho * N) rows, as a read-only (K, m) index array.
+
+    Row k lists column k's selection in rank order: highest value first, ties
+    to the smaller row index. A 1-D vector counts as one column. This is the
+    one selection rule of pruning, the overlap curve and the masking report.
+    """
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    cols = values if values.ndim == 2 else values[:, None]
+    out = np.empty((cols.shape[1], ceil_count(rho, cols.shape[0])), dtype=np.intp)
+    # a stable sort keeps ties in row order; one column at a time keeps temporaries to one column
+    for j, col in enumerate(cols.T):
+        out[j] = np.argsort(-col, kind="stable")[: out.shape[1]]
+    out.setflags(write=False)
+    return out
+
+
 def floor_count(frac: float, n: int) -> int:
     """floor(frac * n) with the same integer snapping as ceil_count."""
     x = float(frac) * n
@@ -147,19 +166,6 @@ class Dataset:
         """(N, K) boolean matrix, or None when no corruption info exists."""
         return self._corrupted
 
-    @property
-    def samples(self) -> list[Sample]:
-        mask = self._corrupted
-        return [
-            Sample(
-                id=self._ids[i],
-                features=self._features[i],
-                labels=self._labels[i],
-                corrupted=None if mask is None else mask[i],
-            )
-            for i in range(len(self._ids))
-        ]
-
     def sample(self, i: int) -> Sample:
         mask = self._corrupted
         return Sample(
@@ -240,9 +246,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     if config.n_samples <= 0 or config.feature_dim <= 0 or config.n_dims <= 0:
         raise ValueError("n_samples, feature_dim and n_dims must be positive")
     sd = config.noise_vector()
-    teacher_rng = np.random.default_rng(config.teacher_seed)
-    w_star = teacher_rng.standard_normal((config.n_dims, config.feature_dim))
-    b_star = teacher_rng.standard_normal(config.n_dims)
+    w_star, b_star = teacher_head(config)
 
     sample_rng = np.random.default_rng(config.sample_seed)
     features = sample_rng.standard_normal((config.n_samples, config.feature_dim))
@@ -473,15 +477,17 @@ def extend_numbers(buf: array, values: list, what: str, sid, ln_no: int) -> None
     """Append a JSON list of numbers from sample sid on line ln_no to buf.
 
     A string, null or any other non-number is a DataError naming the sample,
-    the line and the value.
+    the line and the value. sid is None for a list that belongs to no sample,
+    such as a file header's.
     """
     try:
         buf.extend(values)
-    except TypeError:
+    except (TypeError, OverflowError) as e:
+        where = f"line {ln_no}" if sid is None else f"sample {sid!r} on line {ln_no}"
+        if isinstance(e, OverflowError):
+            raise DataError(f"{where}: {what} out of float range: {e}") from None
         bad = next(v for v in values if not isinstance(v, (int, float)))
-        raise DataError(f"sample {sid!r} on line {ln_no}: non-numeric {what}: {bad!r}") from None
-    except OverflowError as e:
-        raise DataError(f"sample {sid!r} on line {ln_no}: {what} out of float range: {e}") from None
+        raise DataError(f"{where}: non-numeric {what}: {bad!r}") from None
 
 
 def _dataset_lines(ds: Dataset) -> Iterator[str]:

@@ -29,13 +29,13 @@ from __future__ import annotations
 import io
 import json
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .data import Dataset, Sample, extend_numbers, long_csv_lines, numbered_lines, write_lines
+from .data import Dataset, Sample, extend_numbers, long_csv_lines, numbered_lines, top_sets, write_lines
 from .errors import DataError
 from .model import RegressionHead, Scope
 
@@ -72,16 +72,18 @@ class InfluenceConfig:
 
 @dataclass
 class SelfInfluenceTable:
-    """Per-sample, per-dimension self-influence scores (lambda-free)."""
+    """Per-sample, per-dimension self-influence scores (lambda-free); scores is read-only."""
 
     scores: np.ndarray
     sample_ids: list[str]
     dim_names: list[str]
     scope: Scope
     lambdas: np.ndarray
+    _top_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.scores = np.ascontiguousarray(self.scores, dtype=np.float64)
+        self.scores.setflags(write=False)
         if self.scores.ndim != 2:
             raise ValueError("scores must be an (N, K) matrix")
         n, k = self.scores.shape
@@ -102,6 +104,13 @@ class SelfInfluenceTable:
     @property
     def n_dims(self) -> int:
         return self.scores.shape[1]
+
+    def top_sets(self, rho: float) -> np.ndarray:
+        """data.top_sets of the read-only scores, ranked once per rho for every caller."""
+        rho = float(rho)
+        if rho not in self._top_sets:
+            self._top_sets[rho] = top_sets(self.scores, rho)
+        return self._top_sets[rho]
 
     def global_scores(self) -> np.ndarray:
         """global_tracin_self from a head-only table: (scores * lambda^2).sum(1).
@@ -158,9 +167,13 @@ class SelfInfluenceTable:
         dim_names = head.get("dim_names")
         if not isinstance(dim_names, list):
             raise DataError("score header needs a dim_names list")
+        k = len(dim_names)
+        lambdas, lam = head.get("lambdas"), array("d")
+        if not isinstance(lambdas, list) or len(lambdas) != k:
+            raise DataError(f"line {ln_no}: score header needs a lambdas list of {k} numbers")
+        extend_numbers(lam, lambdas, "lambdas", None, ln_no)
         ids: list[str] = []
         scores = array("d")
-        k = len(dim_names)
         for ln_no, ln in rows:
             try:
                 rec = json.loads(ln)
@@ -181,7 +194,7 @@ class SelfInfluenceTable:
                 sample_ids=ids,
                 dim_names=[str(x) for x in dim_names],
                 scope=Scope(head["scope"]),
-                lambdas=np.asarray(head["lambdas"], dtype=np.float64),
+                lambdas=np.frombuffer(lam),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"invalid score file: {e}") from None

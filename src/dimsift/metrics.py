@@ -16,11 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, ceil_count
+from .data import Dataset, top_sets
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import RegressionHead
-from .refine import top_scorer_indices
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -170,13 +169,11 @@ def overlap_curve(
     order = list(range(k)) if dim_order is None else [int(j) for j in dim_order]
     if sorted(order) != list(range(k)):
         raise ValueError(f"dim_order must be a permutation of 0..{k - 1}, got {order}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    m = ceil_count(rho, n)
+    top = scores.top_sets(rho)
     member = np.zeros(n, dtype=bool)
     ratios = []
     for j in order:
-        member[top_scorer_indices(scores.scores[:, j], m)] = True
+        member[top[j]] = True
         ratios.append(float(member.sum()) / n)
     return OverlapCurve(cumulative_ratios=ratios, dim_order=order, rho=float(rho))
 
@@ -299,29 +296,20 @@ def masking_report(
     g = np.asarray(global_scores, dtype=np.float64).ravel()
     if g.shape[0] != n:
         raise ValueError(f"global_scores must have one entry per sample, got {g.shape[0]} for {n}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
     if corrupted is not None:
         corrupted = np.asarray(corrupted, dtype=bool)
         if corrupted.shape != (n, k):
             raise ValueError(f"corruption mask shape {corrupted.shape} != scores {(n, k)}")
-    m = ceil_count(rho, n)
+    top = scores.top_sets(rho)
     in_global = np.zeros(n, dtype=bool)
-    in_global[top_scorer_indices(g, m)] = True
-    masked: list[int] = []
-    masked_cor: list[Optional[int]] = []
-    for j in range(k):
-        top = top_scorer_indices(scores.scores[:, j], m)
-        hidden = top[~in_global[top]]
-        masked.append(int(hidden.shape[0]))
-        if corrupted is None:
-            masked_cor.append(None)
-        else:
-            masked_cor.append(int(corrupted[hidden, j].sum()))
+    in_global[top_sets(g, rho)] = True
+    hidden = [t[~in_global[t]] for t in top]
     return MaskingReport(
         rho=float(rho),
-        budget=m,
+        budget=top.shape[1],
         dim_names=list(scores.dim_names),
-        masked=masked,
-        masked_corrupted=masked_cor,
+        masked=[len(h) for h in hidden],
+        masked_corrupted=[
+            None if corrupted is None else int(corrupted[h, j].sum()) for j, h in enumerate(hidden)
+        ],
     )

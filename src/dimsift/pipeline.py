@@ -263,6 +263,21 @@ class _Section(dict):
     def __missing__(self, key):
         raise DataError(f"report {self.name}.{key} is missing")
 
+    def number(self, key, optional: bool = False):
+        """self[key] if it is a JSON number (or None, if optional), else a data error naming it."""
+        v = self[key]
+        if v is None and optional or isinstance(v, (int, float)) and not isinstance(v, bool):
+            return v
+        raise DataError(f"report {self.name}.{key} must be a number, got {v!r}")
+
+    def numbers(self, key, optional: bool = False) -> list:
+        """self[key] if it is a list whose every entry number() accepts."""
+        v = self[key]
+        if not isinstance(v, list):
+            raise DataError(f"report {self.name}.{key} must be a list, got {v!r}")
+        entries = _Section(f"{self.name}.{key}", dict(enumerate(v)))
+        return [entries.number(i, optional) for i in range(len(v))]
+
 
 # report.json key of each ExperimentReport field
 _REPORT_KEYS = {
@@ -346,20 +361,20 @@ class ExperimentReport:
         out.append("clean-test Spearman per dimension:")
         for name, rep in sorted(self.strategies.items()):
             rep = _Section(f"strategies.{name}", rep)
-            per_dim = ", ".join(f"{v:.4f}" for v in rep["per_dim_spearman"])
-            out.append(f"  {name:<14} mean {rep['mean_spearman']:.4f}  [{per_dim}]")
+            per_dim = ", ".join(f"{v:.4f}" for v in rep.numbers("per_dim_spearman"))
+            out.append(f"  {name:<14} mean {rep.number('mean_spearman'):.4f}  [{per_dim}]")
         out.append("")
         rs = _Section("refine", self.refine_summary)
         out.append(f"refinement: {rs['strategy']}")
         if rs["strategy"] in ("ddp", "loss_prune", "global_prune"):
             out.append(
                 f"  removed {rs['n_removed']} of {ds['n_train']} "
-                f"({100.0 * rs['removed_fraction']:.2f}%) at rho={rs['rho']}"
+                f"({100.0 * rs.number('removed_fraction'):.2f}%) at rho={rs['rho']}"
             )
         elif rs["strategy"] == "ddr":
             out.append(
-                f"  weights in [{rs['min_weight']:.6f}, {rs['max_weight']:.6f}], "
-                f"global mean {rs['mean_weight']:.12f}, temperature {rs['temperature']}"
+                f"  weights in [{rs.number('min_weight'):.6f}, {rs.number('max_weight'):.6f}], "
+                f"global mean {rs.number('mean_weight'):.12f}, temperature {rs['temperature']}"
             )
         nd = _Section("noise_detection", self.noise_detection)
         out.append("")
@@ -368,11 +383,11 @@ class ExperimentReport:
         else:
             vals = ", ".join(
                 f"{name}={'n/a' if v is None else format(v, '.4f')}"
-                for name, v in zip(ds["dim_names"], nd["per_dim_auroc"])
+                for name, v in zip(ds["dim_names"], nd.numbers("per_dim_auroc", optional=True))
             )
             out.append(f"noise detection AUROC (train split): {vals}")
         ov = _Section("overlap", self.overlap)
-        curve = ", ".join(f"{100.0 * v:.2f}%" for v in ov["cumulative_ratios"])
+        curve = ", ".join(f"{100.0 * v:.2f}%" for v in ov.numbers("cumulative_ratios"))
         out.append(f"overlap curve at rho={ov['rho']}: [{curve}]")
         mk = _Section("masking", self.masking)
         masked = ", ".join(

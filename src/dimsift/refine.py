@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import ceil_count, long_csv_lines, write_lines
+from .data import extend_numbers, long_csv_lines, top_sets, write_lines
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import LossTable
@@ -29,14 +31,6 @@ from .model import LossTable
 DEFAULT_RHO = 0.005
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_EPSILON = 1e-8
-
-
-def top_scorer_indices(col: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the m largest scores, ties broken toward the smaller index."""
-    if not 0 <= m <= col.shape[0]:
-        raise ValueError(f"selection size {m} out of range for {col.shape[0]} scores")
-    order = np.argsort(-col, kind="stable")  # stable desc keeps ties in index order
-    return order[:m]
 
 
 @dataclass
@@ -127,14 +121,23 @@ class WeightMatrix:
             raise DataError(f"weight file not found: {p}")
         try:
             d = json.loads(p.read_text())
+            ids = [str(x) for x in d["sample_ids"]]
+            stats = [(float(m), float(s)) for m, s in d["per_dim_stats"]]
+            rows, weights = d["weights"], array("d")
+            if not isinstance(rows, list) or len(rows) != len(ids):
+                raise DataError("weights must hold one row per sample id")
+            for sid, row in zip(ids, rows):
+                if not isinstance(row, list) or len(row) != len(stats):
+                    raise DataError(f"sample {sid!r}: weights row must list {len(stats)} numbers")
+                extend_numbers(weights, row, "weights", sid, 1)
             return cls(
-                weights=np.asarray(d["weights"], dtype=np.float64),
-                sample_ids=[str(x) for x in d["sample_ids"]],
+                weights=np.frombuffer(weights).reshape(len(ids), len(stats)),
+                sample_ids=ids,
                 temperature=float(d["temperature"]),
                 epsilon=float(d["epsilon"]),
-                per_dim_stats=[(float(m), float(s)) for m, s in d["per_dim_stats"]],
+                per_dim_stats=stats,
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
             raise DataError(f"invalid weight file {p}: {e}") from None
 
     def to_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
@@ -143,35 +146,18 @@ class WeightMatrix:
         write_lines(path, long_csv_lines("id,dim,weight", self.sample_ids, names, self.weights))
 
 
-def _validate_rho(rho: float) -> float:
-    rho = float(rho)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    return rho
-
-
 def _union_prune(
-    scores: np.ndarray, sample_ids: list[str], rho: float, collect_risk_sets: bool = True
+    values: np.ndarray, top: np.ndarray, sample_ids: Sequence[str], rho: float
 ) -> PruneResult:
-    n, k = scores.shape
-    m = ceil_count(rho, n)
-    removed = np.zeros(n, dtype=bool)
-    risk_sets: list[list[str]] = []
-    thresholds: list[float] = []
-    for j in range(k):
-        top = top_scorer_indices(scores[:, j], m)
-        removed[top] = True
-        thresholds.append(float(scores[top[-1], j]) if m > 0 else math.inf)
-        if collect_risk_sets:
-            risk_sets.append([sample_ids[i] for i in top])
-    kept = [sample_ids[i] for i in range(n) if not removed[i]]
-    gone = [sample_ids[i] for i in range(n) if removed[i]]
+    """Remove the union of the (K, m) top sets top of the (N, K) matrix values."""
+    removed = np.zeros(values.shape[0], dtype=bool)
+    removed[top] = True
     return PruneResult(
-        kept_ids=kept,
-        removed_ids=gone,
-        per_dim_risk_sets=risk_sets,
-        thresholds=thresholds,
-        rho=rho,
+        kept_ids=list(compress(sample_ids, ~removed)),
+        removed_ids=list(compress(sample_ids, removed)),
+        per_dim_risk_sets=[[sample_ids[i] for i in t] for t in top],
+        thresholds=[float(values[t[-1], j]) if t.size else math.inf for j, t in enumerate(top)],
+        rho=float(rho),
     )
 
 
@@ -183,7 +169,7 @@ def ddp_select(scores: SelfInfluenceTable, rho: float) -> PruneResult:
     dimension is removed even when its other dimensions look benign. The
     removed count is between ceil(rho * N) and min(N, K * ceil(rho * N)).
     """
-    return _union_prune(scores.scores, scores.sample_ids, _validate_rho(rho))
+    return _union_prune(scores.scores, scores.top_sets(rho), scores.sample_ids, rho)
 
 
 def loss_prune_select(losses: LossTable, rho: float) -> PruneResult:
@@ -196,7 +182,7 @@ def loss_prune_select(losses: LossTable, rho: float) -> PruneResult:
     values = np.asarray(losses.values, dtype=np.float64)
     if values.ndim != 2 or len(losses.sample_ids) != values.shape[0]:
         raise ValueError("losses must be an (N, K) table with matching ids")
-    return _union_prune(values, list(losses.sample_ids), _validate_rho(rho))
+    return _union_prune(values, top_sets(values, rho), list(losses.sample_ids), rho)
 
 
 def global_prune_select(
@@ -206,25 +192,15 @@ def global_prune_select(
 
     The matched-budget baseline for dimension-wise pruning: a single ranking
     cannot see which dimension a sample harms, so dominant-variance dimensions
-    can mask minority-dimension corruption.
+    can mask minority-dimension corruption. This is union pruning over one
+    column, with per_dim_risk_sets and thresholds left empty.
     """
     scores = np.asarray(scalar_scores, dtype=np.float64)
     ids = [str(s) for s in sample_ids]
     if scores.ndim != 1 or len(ids) != scores.shape[0]:
         raise ValueError("scalar_scores must be one score per sample id")
-    rho_total = _validate_rho(rho_total)
-    n = scores.shape[0]
-    m = ceil_count(rho_total, n)
-    top = top_scorer_indices(scores, m)
-    removed = np.zeros(n, dtype=bool)
-    removed[top] = True
-    return PruneResult(
-        kept_ids=[ids[i] for i in range(n) if not removed[i]],
-        removed_ids=[ids[i] for i in range(n) if removed[i]],
-        per_dim_risk_sets=[],
-        thresholds=[],
-        rho=rho_total,
-    )
+    result = _union_prune(scores[:, None], top_sets(scores, rho_total), ids, rho_total)
+    return replace(result, per_dim_risk_sets=[], thresholds=[])
 
 
 def ddr_weights(

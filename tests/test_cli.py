@@ -330,13 +330,29 @@ def _first_as(field, make):
         pytest.param("dataset", 3, _first_as("labels", lambda v: None), id="dataset-null-label"),
         pytest.param("scores", 4, _first_as("scores", str), id="scores-string-score"),
         pytest.param("scores", 4, _first_as("scores", lambda v: None), id="scores-null-score"),
+        pytest.param("scores", 1, _first_as("lambdas", str), id="scores-string-lambda"),
+        pytest.param("weights", 1, _first_as("weights", lambda row: [str(row[0])] + row[1:]),
+                     id="weights-string-weight"),
+        pytest.param("global", 1, _first_as("scores", str), id="global-string-score"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
     head = str(stage_dir / "head.json")
+    noisy = str(stage_dir / "noisy.jsonl")
     if kind == "dataset":
         bad = stage_dir / "noisy.jsonl"
         argv = ["evaluate", "--data", str(bad), "--head", head]
+    elif kind == "weights":
+        bad, scores = stage_dir / "weights.json", str(stage_dir / "scores.jsonl")
+        assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
+        assert main(["reweight", "--scores", scores, "--out", str(bad)]) == 0
+        argv = ["fit", "--data", noisy, "--weights", str(bad), "--out", str(stage_dir / "h.json")]
+    elif kind == "global":
+        bad = stage_dir / "global.json"
+        assert main(["score", "--method", "global", "--data", noisy,
+                     "--head", head, "--out", str(bad)]) == 0
+        argv = ["prune", "--method", "global", "--global-scores", str(bad),
+                "--out", str(stage_dir / "prune.json")]
     else:
         bad = stage_dir / "scores.jsonl"
         assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
@@ -376,7 +392,18 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("doc", [[1, 2], {"dataset": [1]}, {}])
+_DATASET_SECTION = {"n_total": 10, "feature_dim": 2, "dim_names": ["a"], "n_train": 6,
+                    "n_val": 2, "n_test": 2}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"dataset": [1]},
+    {},
+    pytest.param({"dataset": _DATASET_SECTION,
+                  "strategies": {"baseline": {"per_dim_spearman": [0.5], "mean_spearman": "x"}}},
+                 id="string-mean-spearman"),
+])
 def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc):
     if isinstance(doc, dict):
         doc = dict(ExperimentReport("0.1.0", {}, {}, {}, {}, {}, {}, {}).to_dict(), **doc)
@@ -384,6 +411,8 @@ def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc):
     out = _cli_subprocess(["report", "--dir", str(tmp_path)])
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and "Traceback" not in out.stderr
+    if isinstance(doc, dict) and doc["strategies"]:
+        assert "strategies.baseline.mean_spearman" in out.stderr
 
 
 def test_string_corruption_mask_is_a_data_error(stage_dir):

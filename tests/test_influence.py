@@ -186,6 +186,15 @@ def test_self_influence_ignores_lambdas(noisy_corpus):
     assert np.array_equal(a.scores, b.scores)
 
 
+def test_score_table_is_read_only_and_ranks_once_per_rho(noisy_corpus):
+    head = random_head(np.random.default_rng(7), 3, 6)
+    table = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
+    with pytest.raises(ValueError):
+        table.scores[0, 0] = 1.0
+    assert table.top_sets(0.05) is table.top_sets(0.05)
+    assert table.top_sets(0.1).shape == (3, 40)
+
+
 # ------------------------------------------------------ disentangled matrix
 
 def test_scalar_influence_equals_matrix_total():

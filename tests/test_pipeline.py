@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dimsift.influence
+import dimsift.metrics
 import dimsift.pipeline
+import dimsift.refine
 from dimsift import (
     DataError,
     ExperimentReport,
@@ -24,6 +27,7 @@ from dimsift import (
     run_pipeline,
     split,
 )
+from dimsift.data import top_sets
 from dimsift.model import STRATEGIES
 from dimsift.pipeline import REFINE_STRATEGIES
 
@@ -277,3 +281,19 @@ def test_invalid_split_fractions_raise_the_split_error(fractions):
     with pytest.raises(ValueError) as piped:
         run_pipeline(dataclasses.replace(cfg, split_fractions=fractions))
     assert str(piped.value) == str(direct.value)
+
+
+def test_a_ddp_run_ranks_each_score_table_once(monkeypatch):
+    # DDP, the overlap curve and the masking report share one ranking of the
+    # score matrix; masking ranks the global scores once more
+    ranked = []
+
+    def counting(values, rho):
+        ranked.append(values.shape)
+        return top_sets(values, rho)
+
+    for module in (dimsift.influence, dimsift.refine, dimsift.metrics):
+        monkeypatch.setattr(module, "top_sets", counting)
+    arts = run_pipeline(small_config(refine="ddp"))
+    assert ranked == [arts.scores.scores.shape, arts.global_scores.shape]
+

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dimsift import (
     LossTable,
@@ -13,9 +16,8 @@ from dimsift import (
     global_prune_select,
     loss_prune_select,
 )
-from dimsift.data import ceil_count
+from dimsift.data import ceil_count, top_sets
 from dimsift.influence import SelfInfluenceTable
-from dimsift.refine import top_scorer_indices
 
 
 def make_table(scores, ids=None):
@@ -30,9 +32,34 @@ def make_table(scores, ids=None):
 def test_top_scorer_stable_tie_break():
     # equal scores resolve to the smallest index, deterministically
     col = np.ones(10)
-    assert list(top_scorer_indices(col, 3)) == [0, 1, 2]
+    assert top_sets(col, 0.3).tolist() == [[0, 1, 2]]
     col2 = np.array([1.0, 5.0, 5.0, 0.0, 5.0])
-    assert list(top_scorer_indices(col2, 2)) == [1, 2]
+    assert top_sets(col2, 0.4).tolist() == [[1, 2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.tuples(st.integers(1, 60), st.integers(1, 4)).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64,
+            shape,
+            # few distinct integer values: most columns are full of ties
+            elements=st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3),
+        )
+    ),
+    rho=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    one_dim=st.booleans(),
+)
+def test_top_sets_match_a_sorted_reference(values, rho, one_dim):
+    if one_dim:
+        values = values[:, 0]
+    cols = values.reshape(values.shape[0], -1)
+    m = ceil_count(rho, cols.shape[0])
+    got = top_sets(values, rho)
+    assert got.shape == (cols.shape[1], m)
+    for j, col in enumerate(cols.T):
+        ref = sorted(range(len(col)), key=lambda i: (-col[i], i))[:m]
+        assert got[j].tolist() == ref
 
 
 def test_prune_zero_rho_keeps_everything():

@@ -65,6 +65,7 @@ from .pipeline import (
     PipelineArtifacts,
     PipelineConfig,
     RefineSpec,
+    build_corpus,
     default_config,
     run_pipeline,
 )
@@ -134,6 +135,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineArtifacts",
     "ExperimentReport",
+    "build_corpus",
     "default_config",
     "run_pipeline",
 ]

@@ -326,6 +326,8 @@ def _cmd_prune(args) -> int:
             doc = json.loads(p.read_text())
             ids, values = doc["ids"], array("d")
             extend_numbers(values, doc["scores"], "scores", None, 1)
+            if not isinstance(ids, list) or len(ids) != len(values):
+                raise DataError(f"line 1: {len(values)} scores for {len(ids)} ids")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
             raise DataError(f"invalid scalar score file {p}: {e}") from None
         result = global_prune_select(np.frombuffer(values), ids, args.rho)

@@ -250,13 +250,19 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 
     sample_rng = np.random.default_rng(config.sample_seed)
     features = sample_rng.standard_normal((config.n_samples, config.feature_dim))
-    noise = sample_rng.standard_normal((config.n_samples, config.n_dims)) * sd[None, :]
-    labels = features @ w_star.T + b_star + noise
+    noise = sample_rng.standard_normal((config.n_samples, config.n_dims))
+    # features @ w*^T + b* + noise * sd, built in place: the same sums in the
+    # same order, so the labels are bit-identical without N x K temporaries
+    noise *= sd
+    labels = features @ w_star.T
+    labels += b_star
+    labels += noise
+    del noise
     if config.label_range is not None:
         lo, hi = config.label_range
         if not lo < hi:
             raise ValueError("label_range must satisfy lo < hi")
-        labels = np.clip(labels, lo, hi)
+        np.clip(labels, lo, hi, out=labels)
 
     manifest = {
         "generator": "linear_teacher",

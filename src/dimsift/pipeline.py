@@ -270,11 +270,16 @@ class _Section(dict):
             return v
         raise DataError(f"report {self.name}.{key} must be a number, got {v!r}")
 
-    def numbers(self, key, optional: bool = False) -> list:
-        """self[key] if it is a list whose every entry number() accepts."""
+    def sequence(self, key) -> list:
+        """self[key] if it is a list, else a data error naming it."""
         v = self[key]
         if not isinstance(v, list):
             raise DataError(f"report {self.name}.{key} must be a list, got {v!r}")
+        return v
+
+    def numbers(self, key, optional: bool = False) -> list:
+        """self[key] if it is a list whose every entry number() accepts."""
+        v = self.sequence(key)
         entries = _Section(f"{self.name}.{key}", dict(enumerate(v)))
         return [entries.number(i, optional) for i in range(len(v))]
 
@@ -343,18 +348,19 @@ class ExperimentReport:
     def render_text(self) -> str:
         out = []
         ds = _Section("dataset", self.dataset_summary)
+        dim_names = ds.sequence("dim_names")
         out.append(f"dimsift experiment report (version {self.version})")
         out.append("")
         out.append(
             f"corpus: {ds['n_total']} samples, {ds['feature_dim']} features, "
-            f"{len(ds['dim_names'])} dimensions"
+            f"{len(dim_names)} dimensions"
         )
         out.append(
             f"split: train {ds['n_train']} / val {ds['n_val']} / test {ds['n_test']}"
         )
         if ds.get("train_corrupted_per_dim") is not None:
             frac = ", ".join(
-                f"{name}={c}" for name, c in zip(ds["dim_names"], ds["train_corrupted_per_dim"])
+                f"{name}={c}" for name, c in zip(dim_names, ds.sequence("train_corrupted_per_dim"))
             )
             out.append(f"corrupted training labels per dimension: {frac}")
         out.append("")
@@ -383,7 +389,7 @@ class ExperimentReport:
         else:
             vals = ", ".join(
                 f"{name}={'n/a' if v is None else format(v, '.4f')}"
-                for name, v in zip(ds["dim_names"], nd.numbers("per_dim_auroc", optional=True))
+                for name, v in zip(dim_names, nd.numbers("per_dim_auroc", optional=True))
             )
             out.append(f"noise detection AUROC (train split): {vals}")
         ov = _Section("overlap", self.overlap)
@@ -393,7 +399,7 @@ class ExperimentReport:
         masked = ", ".join(
             f"{row['dim']}={row['masked']}"
             + ("" if row["masked_corrupted"] is None else f" ({row['masked_corrupted']} corrupted)")
-            for row in (_Section("masking.per_dim", r) for r in mk["per_dim"])
+            for row in (_Section("masking.per_dim", r) for r in mk.sequence("per_dim"))
         )
         out.append(f"masked by global ranking (budget {mk['budget']}): {masked}")
         out.append("")
@@ -402,11 +408,12 @@ class ExperimentReport:
 
 @dataclass
 class PipelineArtifacts:
-    """In-memory handles to everything a run produced."""
+    """In-memory handles to what a run produced after the split.
+
+    The corpora are released at the split; build_corpus(config) rebuilds them.
+    """
 
     report: ExperimentReport
-    clean: Dataset
-    noisy: Dataset
     train: Dataset
     test_clean: Dataset
     probe: RegressionHead
@@ -423,15 +430,12 @@ def _fit(ds: Dataset, weights, cfg: TrainConfig) -> RegressionHead:
     return fit_closed_form(ds, weights, cfg)
 
 
-def run_pipeline(
-    config: PipelineConfig, output_dir: str | Path | None = None
-) -> PipelineArtifacts:
-    """Run the full experiment described by config; optionally write artifacts.
+def build_corpus(config: PipelineConfig) -> tuple[Dataset, Dataset]:
+    """The clean corpus of config and its corrupted copy: generate, then inject noise.
 
-    Evaluation is always against clean test labels: the split indices are
-    drawn once and select the training rows of the corrupted corpus and the
-    test rows of the clean one (both corpora share ids and row order). The
-    validation and test rows of the corrupted corpus are never materialised.
+    Both share ids and row order; with no noise configured the corrupted
+    corpus is the clean one. run_pipeline starts from this pair, so calling
+    it again rebuilds the corpus a run was drawn from.
     """
     clean = generate_synthetic(config.synth)
     noisy = clean
@@ -449,14 +453,39 @@ def run_pipeline(
             config.noise.correlated_seed,
             severity=config.noise.severity,
         )
+    return clean, noisy
 
+
+def run_pipeline(
+    config: PipelineConfig, output_dir: str | Path | None = None
+) -> PipelineArtifacts:
+    """Run the full experiment described by config; optionally write artifacts.
+
+    Evaluation is always against clean test labels: the split indices are
+    drawn once and select the training rows of the corrupted corpus and the
+    test rows of the clean one (see build_corpus). The validation and test
+    rows of the corrupted corpus are never materialised. Nothing after the
+    split reads the corpora, so config.json and corpus.jsonl are written
+    there and both corpora are released before the probe fit.
+    """
+    clean, noisy = build_corpus(config)
     train_idx, val_idx, test_idx = split_indices(
         len(noisy), config.split_fractions, config.split_seed
     )
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
-    train = noisy.select(train_idx)
+    # the clean corpus goes as soon as its test rows are taken, so the larger
+    # training selection is made with one corpus live, not two
     test_clean = clean.select(test_idx)
+    del clean
+    train = noisy.select(train_idx)
+    if output_dir is not None:
+        out = Path(output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
+        (out / "config.json").write_text(config_doc + "\n")
+        save_dataset(noisy, out / "corpus.jsonl")
+    del noisy
 
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
     probe = _fit(train, None, probe_cfg)
@@ -534,9 +563,9 @@ def run_pipeline(
         version=__version__,
         config=config.to_dict(),
         dataset_summary={
-            "n_total": len(noisy),
-            "feature_dim": noisy.feature_dim,
-            "dim_names": noisy.dim_names,
+            "n_total": len(train_idx) + len(val_idx) + len(test_idx),
+            "feature_dim": train.feature_dim,
+            "dim_names": train.dim_names,
             "n_train": len(train),
             "n_val": len(val_idx),
             "n_test": len(test_idx),
@@ -558,8 +587,6 @@ def run_pipeline(
 
     artifacts = PipelineArtifacts(
         report=report,
-        clean=clean,
-        noisy=noisy,
         train=train,
         test_clean=test_clean,
         probe=probe,
@@ -570,14 +597,12 @@ def run_pipeline(
         weight_matrix=weight_matrix,
     )
     if output_dir is not None:
-        _write_artifacts(artifacts, config, Path(output_dir))
+        _write_artifacts(artifacts, out)
     return artifacts
 
 
-def _write_artifacts(art: PipelineArtifacts, config: PipelineConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
-    save_dataset(art.noisy, out / "corpus.jsonl")
+def _write_artifacts(art: PipelineArtifacts, out: Path) -> None:
+    """Everything after the split; run_pipeline writes config.json and corpus.jsonl."""
     save_dataset(art.train, out / "train.jsonl")
     save_dataset(art.test_clean, out / "test_clean.jsonl")
     art.probe.save(out / "probe_head.json")

@@ -33,6 +33,13 @@ DEFAULT_TEMPERATURE = 1.0
 DEFAULT_EPSILON = 1e-8
 
 
+def _numbers(values, what: str) -> list[float]:
+    """A JSON list of numbers from a one-line JSON file; a DataError naming what if it is not one."""
+    buf = array("d")
+    extend_numbers(buf, values, what, None, 1)
+    return buf.tolist()
+
+
 @dataclass
 class PruneResult:
     """Outcome of a pruning pass.
@@ -72,10 +79,10 @@ class PruneResult:
                 kept_ids=[str(x) for x in d["kept_ids"]],
                 removed_ids=[str(x) for x in d["removed_ids"]],
                 per_dim_risk_sets=[[str(x) for x in s] for s in d["per_dim_risk_sets"]],
-                thresholds=[float(x) for x in d["thresholds"]],
-                rho=float(d["rho"]),
+                thresholds=_numbers(d["thresholds"], "thresholds"),
+                rho=_numbers([d["rho"]], "rho")[0],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
             raise DataError(f"invalid prune file {p}: {e}") from None
 
     def removal_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
@@ -122,7 +129,7 @@ class WeightMatrix:
         try:
             d = json.loads(p.read_text())
             ids = [str(x) for x in d["sample_ids"]]
-            stats = [(float(m), float(s)) for m, s in d["per_dim_stats"]]
+            stats = [tuple(_numbers([m, s], "per_dim_stats")) for m, s in d["per_dim_stats"]]
             rows, weights = d["weights"], array("d")
             if not isinstance(rows, list) or len(rows) != len(ids):
                 raise DataError("weights must hold one row per sample id")
@@ -133,8 +140,8 @@ class WeightMatrix:
             return cls(
                 weights=np.frombuffer(weights).reshape(len(ids), len(stats)),
                 sample_ids=ids,
-                temperature=float(d["temperature"]),
-                epsilon=float(d["epsilon"]),
+                temperature=_numbers([d["temperature"]], "temperature")[0],
+                epsilon=_numbers([d["epsilon"]], "epsilon")[0],
                 per_dim_stats=stats,
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:

@@ -316,6 +316,11 @@ def _first_as(field, make):
     return lambda doc: dict(doc, **{field: [make(doc[field][0])] + doc[field][1:]})
 
 
+def _field_as(field, make):
+    """Edit that replaces a field with make(field)."""
+    return lambda doc: dict(doc, **{field: make(doc[field])})
+
+
 @pytest.mark.parametrize(
     "kind, line_no, value",
     [
@@ -333,7 +338,14 @@ def _first_as(field, make):
         pytest.param("scores", 1, _first_as("lambdas", str), id="scores-string-lambda"),
         pytest.param("weights", 1, _first_as("weights", lambda row: [str(row[0])] + row[1:]),
                      id="weights-string-weight"),
+        pytest.param("weights", 1, _field_as("temperature", str), id="weights-string-temperature"),
+        pytest.param("weights", 1, _field_as("epsilon", str), id="weights-string-epsilon"),
+        pytest.param("weights", 1, _first_as("per_dim_stats", lambda pair: [str(pair[0]), pair[1]]),
+                     id="weights-string-stat"),
         pytest.param("global", 1, _first_as("scores", str), id="global-string-score"),
+        pytest.param("global", 1, _field_as("scores", lambda v: v[:-1]), id="global-short-scores"),
+        pytest.param("prune", 1, _field_as("rho", str), id="prune-string-rho"),
+        pytest.param("prune", 1, _first_as("thresholds", str), id="prune-string-threshold"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
@@ -353,6 +365,11 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
                      "--head", head, "--out", str(bad)]) == 0
         argv = ["prune", "--method", "global", "--global-scores", str(bad),
                 "--out", str(stage_dir / "prune.json")]
+    elif kind == "prune":
+        bad, scores = stage_dir / "prune.json", str(stage_dir / "scores.jsonl")
+        assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
+        assert main(["prune", "--scores", scores, "--out", str(bad)]) == 0
+        argv = ["report", "--dir", str(stage_dir)]
     else:
         bad = stage_dir / "scores.jsonl"
         assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
@@ -396,23 +413,29 @@ _DATASET_SECTION = {"n_total": 10, "feature_dim": 2, "dim_names": ["a"], "n_trai
                     "n_val": 2, "n_test": 2}
 
 
-@pytest.mark.parametrize("doc", [
-    [1, 2],
-    {"dataset": [1]},
-    {},
+@pytest.mark.parametrize("doc, named", [
+    pytest.param([1, 2], None, id="doc0"),
+    pytest.param({"dataset": [1]}, None, id="doc1"),
+    pytest.param({}, None, id="doc2"),
     pytest.param({"dataset": _DATASET_SECTION,
                   "strategies": {"baseline": {"per_dim_spearman": [0.5], "mean_spearman": "x"}}},
-                 id="string-mean-spearman"),
+                 "strategies.baseline.mean_spearman", id="string-mean-spearman"),
+    pytest.param({"dataset": dict(_DATASET_SECTION, dim_names=5)}, "report dataset.dim_names",
+                 id="int-dim-names"),
+    pytest.param({"dataset": _DATASET_SECTION, "refine": {"strategy": "none"},
+                  "overlap": {"rho": 0.1, "cumulative_ratios": []},
+                  "masking": {"budget": 1, "per_dim": 5}}, "report masking.per_dim",
+                 id="int-masking-per-dim"),
 ])
-def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc):
+def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc, named):
     if isinstance(doc, dict):
         doc = dict(ExperimentReport("0.1.0", {}, {}, {}, {}, {}, {}, {}).to_dict(), **doc)
     (tmp_path / "report.json").write_text(json.dumps(doc))
     out = _cli_subprocess(["report", "--dir", str(tmp_path)])
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and "Traceback" not in out.stderr
-    if isinstance(doc, dict) and doc["strategies"]:
-        assert "strategies.baseline.mean_spearman" in out.stderr
+    if named is not None:
+        assert named in out.stderr
 
 
 def test_string_corruption_mask_is_a_data_error(stage_dir):

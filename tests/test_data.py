@@ -98,6 +98,36 @@ def test_per_dimension_noise_sd():
     assert abs(noise[:, 1].std() - 0.5) < 0.05
 
 
+@pytest.mark.parametrize(
+    "sd, label_range",
+    [(0.3, None), ((0.0, 0.5, 2.0), None), ((0.1, 0.2, 0.3), (-1.0, 1.5))],
+    ids=["scalar-sd", "per-dim-sd", "label-range"],
+)
+def test_labels_are_teacher_plus_scaled_noise_bit_for_bit(sd, label_range):
+    cfg = SynthConfig(500, 4, 3, label_noise_sd=sd, teacher_seed=7, sample_seed=8,
+                      label_range=label_range)
+    corpus = generate_synthetic(cfg)
+    w_star, b_star = teacher_head(cfg)
+    rng = np.random.default_rng(cfg.sample_seed)
+    features = rng.standard_normal((500, 4))
+    noise = rng.standard_normal((500, 3))
+    expect = features @ w_star.T + b_star + noise * cfg.noise_vector()
+    if label_range is not None:
+        expect = np.clip(expect, *label_range)
+        assert (expect.min(), expect.max()) == label_range
+    assert np.array_equal(corpus.features, features)
+    assert np.array_equal(corpus.labels, expect)
+
+
+def test_generate_synthetic_holds_one_label_sized_temporary():
+    # beyond the features: the labels and the noise draw added into them
+    # (2.0x the labels measured); an unfused sum peaks at 3.0x
+    cfg = SynthConfig(20_000, 4, 64, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
+    peak = peak_traced_bytes(generate_synthetic, cfg)
+    features, labels = 20_000 * 4 * 8, 20_000 * 64 * 8
+    assert peak < features + 2.5 * labels
+
+
 def test_ids_are_unique_and_ordered():
     corpus = generate_synthetic(SynthConfig(30, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=0))
     assert len(set(corpus.ids)) == 30

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from dimsift import (
     SynthConfig,
     TrainConfig,
     UsageError,
+    build_corpus,
     default_config,
     run_pipeline,
     split,
 )
-from dimsift.data import top_sets
+from dimsift.data import dumps_dataset, top_sets
 from dimsift.model import STRATEGIES
 from dimsift.pipeline import REFINE_STRATEGIES
 
@@ -181,11 +183,13 @@ def test_pipeline_none_branch_keeps_probe():
 
 
 def test_pipeline_clean_test_labels_are_uncorrupted():
-    arts = run_pipeline(small_config())
+    cfg = small_config()
+    arts = run_pipeline(cfg)
+    clean, _ = build_corpus(cfg)
     # every test id maps back to the clean corpus with identical labels
     for i, sid in enumerate(arts.test_clean.ids):
-        j = arts.clean.index_of(sid)
-        assert np.array_equal(arts.test_clean.labels[i], arts.clean.labels[j])
+        j = clean.index_of(sid)
+        assert np.array_equal(arts.test_clean.labels[i], clean.labels[j])
     assert arts.test_clean.corruption_mask.sum() == 0
 
 
@@ -205,7 +209,8 @@ def test_pipeline_seed_changes_the_run():
 
 def test_pipeline_writes_reloadable_artifacts(tmp_path):
     out = tmp_path / "run"
-    arts = run_pipeline(small_config(), output_dir=out)
+    cfg = small_config()
+    arts = run_pipeline(cfg, output_dir=out)
     expected = [
         "config.json",
         "corpus.jsonl",
@@ -225,6 +230,7 @@ def test_pipeline_writes_reloadable_artifacts(tmp_path):
         assert (out / name).exists(), name
     report = ExperimentReport.load(out / "report.json")
     assert report.dumps() == arts.report.dumps()
+    assert (out / "corpus.jsonl").read_text() == dumps_dataset(build_corpus(cfg)[1])
     # no wall-clock state may leak into artifacts
     blob = (out / "report.json").read_text() + (out / "config.json").read_text()
     assert "time" not in blob and "date" not in blob
@@ -235,6 +241,14 @@ def test_pipeline_rejects_empty_test_split():
     doc["split"]["fractions"] = [1.0, 0.0, 0.0]
     with pytest.raises(DataError, match="test"):
         run_pipeline(PipelineConfig.from_dict(doc))
+
+
+def test_a_run_that_fails_after_the_split_leaves_config_and_corpus(tmp_path):
+    cfg = dataclasses.replace(small_config(), refine=RefineSpec("ddp", rho=1.0))
+    with pytest.raises(DataError, match="every training sample"):
+        run_pipeline(cfg, output_dir=tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["config.json", "corpus.jsonl"]
+    assert PipelineConfig.from_file(tmp_path / "run" / "config.json") == cfg
 
 
 def test_report_text_rendering_mentions_each_strategy():
@@ -263,21 +277,42 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine):
     monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
     cfg = small_config(refine=refine)
     arts = run_pipeline(cfg)
-    train, _, test = split(arts.noisy, cfg.split_fractions, cfg.split_seed)
+    clean, noisy = build_corpus(cfg)
+    train, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
     refined = train.select_ids(arts.prune.kept_ids)
     assert 0 < len(refined) < len(train)
     _same_rows(arts.train, train)
-    _same_rows(arts.test_clean, arts.clean.select_ids(test.ids))
+    _same_rows(arts.test_clean, clean.select_ids(test.ids))
     probe_set, final_set = fitted
     _same_rows(probe_set, train)
     _same_rows(final_set, refined)
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["in-memory", "to-dir"])
+def test_the_corpora_are_released_before_the_probe_fit(monkeypatch, tmp_path, write):
+    refs, alive_at_fit = [], []
+    build, fit = dimsift.pipeline.build_corpus, dimsift.pipeline._fit
+
+    def recording_build(config):
+        clean, noisy = build(config)
+        refs.extend((weakref.ref(clean), weakref.ref(noisy)))
+        return clean, noisy
+
+    def checking_fit(ds, *args):
+        alive_at_fit.append([ref() is not None for ref in refs])
+        return fit(ds, *args)
+
+    monkeypatch.setattr(dimsift.pipeline, "build_corpus", recording_build)
+    monkeypatch.setattr(dimsift.pipeline, "_fit", checking_fit)
+    run_pipeline(small_config(), output_dir=tmp_path / "run" if write else None)
+    assert alive_at_fit[0] == [False, False]
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])
 def test_invalid_split_fractions_raise_the_split_error(fractions):
     cfg = small_config()
     with pytest.raises(ValueError) as direct:
-        split(run_pipeline(cfg).noisy, fractions, cfg.split_seed)
+        split(build_corpus(cfg)[1], fractions, cfg.split_seed)
     with pytest.raises(ValueError) as piped:
         run_pipeline(dataclasses.replace(cfg, split_fractions=fractions))
     assert str(piped.value) == str(direct.value)

@@ -236,33 +236,77 @@ class SynthConfig:
         return sd.copy()
 
 
-def generate_synthetic(config: SynthConfig) -> Dataset:
-    """Draw a corpus from a seeded linear teacher.
-
-    Features are i.i.d. standard normal. Labels are W* h + b* plus independent
-    gaussian noise per dimension. The manifest records both seeds and content
-    digests of the teacher parameters so runs can be audited later.
-    """
+def validate_synth(config: SynthConfig) -> np.ndarray:
+    """Check the settings a draw needs; return the per-dimension label noise SD."""
     if config.n_samples <= 0 or config.feature_dim <= 0 or config.n_dims <= 0:
         raise ValueError("n_samples, feature_dim and n_dims must be positive")
     sd = config.noise_vector()
-    w_star, b_star = teacher_head(config)
-
-    sample_rng = np.random.default_rng(config.sample_seed)
-    features = sample_rng.standard_normal((config.n_samples, config.feature_dim))
-    noise = sample_rng.standard_normal((config.n_samples, config.n_dims))
-    # features @ w*^T + b* + noise * sd, built in place: the same sums in the
-    # same order, so the labels are bit-identical without N x K temporaries
-    noise *= sd
-    labels = features @ w_star.T
-    labels += b_star
-    labels += noise
-    del noise
     if config.label_range is not None:
         lo, hi = config.label_range
         if not lo < hi:
             raise ValueError("label_range must satisfy lo < hi")
-        np.clip(labels, lo, hi, out=labels)
+    return sd
+
+
+# Rows of the sample stream drawn at a time: 1 MiB of features at d=16.
+DRAW_BLOCK_ROWS = 8192
+
+
+def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each draw block of an n-row corpus.
+
+    Each block holds DRAW_BLOCK_ROWS rows and the last one the rest, from
+    DRAW_BLOCK_ROWS to twice that less one (or all n). A short last block
+    could round its product differently from the one-shot product: numpy
+    sends a one-row product to gemv, and OpenBLAS takes small products
+    through other kernels.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start < 2 * DRAW_BLOCK_ROWS else start + DRAW_BLOCK_ROWS
+        yield start, stop
+        start = stop
+
+
+def draw_synthetic(
+    config: SynthConfig, row_sets: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], dict]:
+    """Clean labels of every row, the features of each row set, and the manifest.
+
+    Features are i.i.d. standard normal. Labels are W* h + b* plus independent
+    gaussian noise per dimension, clipped to label_range if one is set. The
+    sample stream is read DRAW_BLOCK_ROWS rows at a time, so only one block
+    of features is held beyond the rows of row_sets, each an ascending array
+    of row indices. The manifest records both seeds and content digests of
+    the teacher parameters so runs can be audited later.
+    """
+    sd = validate_synth(config)
+    n, d = config.n_samples, config.feature_dim
+    row_sets = [np.asarray(rows, dtype=np.intp) for rows in row_sets]
+    for rows in row_sets:
+        if len(rows) and (rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] < rows[:-1])):
+            raise ValueError(f"row indices must be ascending and in [0, {n})")
+    w_star, b_star = teacher_head(config)
+
+    rng = np.random.default_rng(config.sample_seed)
+    labels = np.empty((n, config.n_dims))
+    features = [np.empty((len(rows), d)) for rows in row_sets]
+    for start, stop in _row_blocks(n):
+        block = rng.standard_normal((stop - start, d))
+        np.matmul(block, w_star.T, out=labels[start:stop])
+        for rows, out in zip(row_sets, features):
+            lo, hi = np.searchsorted(rows, (start, stop))
+            out[lo:hi] = block[rows[lo:hi] - start]
+    # the noise draw follows every feature in the stream; each label is
+    # (h @ w*^T + b*) + noise * sd, summed in that order
+    for start, stop in _row_blocks(n):
+        noise = rng.standard_normal((stop - start, config.n_dims))
+        noise *= sd
+        part = labels[start:stop]
+        part += b_star
+        part += noise
+    if config.label_range is not None:
+        np.clip(labels, *config.label_range, out=labels)
 
     manifest = {
         "generator": "linear_teacher",
@@ -275,16 +319,37 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         "label_range": list(config.label_range) if config.label_range else None,
         "teacher_digest": {"weights": _digest(w_star), "biases": _digest(b_star)},
     }
-    n = config.n_samples
-    width = max(5, len(str(n - 1)))
-    ids = [f"s{i:0{width}d}" for i in range(n)]
+    return labels, features, manifest
+
+
+def synthetic_rows(
+    config: SynthConfig,
+    rows: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    corrupted: np.ndarray,
+    manifest: dict,
+) -> Dataset:
+    """The given rows of config's corpus as a Dataset, with the corpus's ids and dimension names."""
+    width = max(5, len(str(config.n_samples - 1)))
+    # one int at a time: a list of them would be freed between the id
+    # strings, leaving the allocator's arenas fragmented after the run
     return Dataset(
-        ids=ids,
+        ids=[f"s{i:0{width}d}" for i in map(int, rows)],
         features=features,
         labels=labels,
         dim_names=[f"dim{k}" for k in range(config.n_dims)],
-        corrupted=np.zeros((n, config.n_dims), dtype=bool),
+        corrupted=corrupted,
         manifest=manifest,
+    )
+
+
+def generate_synthetic(config: SynthConfig) -> Dataset:
+    """Draw a corpus from a seeded linear teacher (see draw_synthetic)."""
+    rows = np.arange(config.n_samples)
+    labels, (features,), manifest = draw_synthetic(config, [rows])
+    return synthetic_rows(
+        config, rows, features, labels, np.zeros(labels.shape, dtype=bool), manifest
     )
 
 
@@ -294,6 +359,107 @@ def teacher_head(config: SynthConfig):
     w_star = rng.standard_normal((config.n_dims, config.feature_dim))
     b_star = rng.standard_normal(config.n_dims)
     return w_star, b_star
+
+
+def corrupt_dimensions(
+    labels: np.ndarray, mask: np.ndarray, rate: float, dims: Iterable[int], rng_seed: int
+) -> dict:
+    """Corrupt labels in place as inject_dimension_noise describes, mark mask, return the record.
+
+    The record is the manifest entry of this injection.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate must be in [0, 1], got {rate}")
+    dim_list = sorted(set(int(k) for k in dims))
+    if not dim_list:
+        raise ValueError("dims must be a non-empty set of dimension indices")
+    n, n_dims = labels.shape
+    if dim_list[0] < 0 or dim_list[-1] >= n_dims:
+        raise ValueError(f"dims out of range for {n_dims} dimensions: {dim_list}")
+
+    m = ceil_count(rate, n)
+    if m > 0:
+        for k in dim_list:
+            rng = np.random.default_rng([rng_seed, k])
+            idx = rng.choice(n, size=m, replace=False)
+            col = labels[:, k]
+            # read before this column is touched, and no other dimension
+            # writes it, so this is the pre-injection range
+            lo = float(col.min())
+            hi = float(col.max())
+            col[idx] = rng.uniform(lo, hi, size=m)
+            mask[idx, k] = True
+    return {"kind": "per_dimension", "rate": rate, "dims": dim_list, "seed": int(rng_seed)}
+
+
+def corrupt_correlated(
+    labels: np.ndarray,
+    mask: np.ndarray,
+    rate: float,
+    rng_seed: int,
+    severity: tuple[float, float] = (0.5, 1.0),
+) -> dict:
+    """Corrupt labels in place as inject_correlated_noise describes, mark mask, return the record.
+
+    The record is the manifest entry of this injection.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate must be in [0, 1], got {rate}")
+    lo_sev, hi_sev = severity
+    if not 0.0 <= lo_sev <= hi_sev:
+        raise ValueError(f"severity bounds must satisfy 0 <= lo <= hi, got {severity}")
+
+    m = ceil_count(rate, len(labels))
+    if m > 0:
+        rng = np.random.default_rng(rng_seed)
+        idx = rng.choice(len(labels), size=m, replace=False)
+        u = rng.uniform(lo_sev, hi_sev, size=m)[:, None]
+        sign = rng.integers(0, 2, size=m) * 2 - 1
+        lo = labels.min(axis=0)
+        hi = labels.max(axis=0)
+        width = hi - lo
+        labels[idx] = np.where(sign[:, None] > 0, hi + u * width, lo - u * width)
+        mask[idx] = True
+    return {
+        "kind": "correlated",
+        "rate": rate,
+        "seed": int(rng_seed),
+        "severity": [float(lo_sev), float(hi_sev)],
+    }
+
+
+def with_injections(manifest: dict, records: list[dict]) -> dict:
+    """manifest with records appended to its noise_injections list; unchanged if there are none."""
+    if not records:
+        return manifest
+    out = dict(manifest)
+    out["noise_injections"] = list(out.get("noise_injections", [])) + records
+    return out
+
+
+def corrupted_copy(ds: Dataset, corrupt) -> Dataset:
+    """ds with corrupt(labels, mask) applied to copies of its labels and mask.
+
+    corrupt returns the manifest records of its injections; with none, the
+    result is ds itself.
+    """
+    labels = ds.labels.copy()
+    mask = (
+        np.zeros(labels.shape, dtype=bool)
+        if ds.corruption_mask is None
+        else ds.corruption_mask.copy()
+    )
+    records = corrupt(labels, mask)
+    if not records:
+        return ds
+    return Dataset(
+        ids=ds.ids,
+        features=ds.features,
+        labels=labels,
+        dim_names=ds.dim_names,
+        corrupted=mask,
+        manifest=with_injections(ds.manifest, records),
+    )
 
 
 def inject_dimension_noise(
@@ -310,43 +476,8 @@ def inject_dimension_noise(
     columns are bit-identical to the input. Returns a new dataset with the
     corruption mask extended.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    dim_list = sorted(set(int(k) for k in dims))
-    if not dim_list:
-        raise ValueError("dims must be a non-empty set of dimension indices")
-    if dim_list[0] < 0 or dim_list[-1] >= ds.n_dims:
-        raise ValueError(f"dims out of range for {ds.n_dims} dimensions: {dim_list}")
-
-    n = len(ds)
-    m = ceil_count(rate, n)
-    labels = ds.labels.copy()
-    mask = (
-        np.zeros((n, ds.n_dims), dtype=bool)
-        if ds.corruption_mask is None
-        else ds.corruption_mask.copy()
-    )
-    clean = ds.labels  # ranges come from the pre-injection labels
-    for k in dim_list:
-        rng = np.random.default_rng([rng_seed, k])
-        if m == 0:
-            continue
-        idx = rng.choice(n, size=m, replace=False)
-        lo = float(clean[:, k].min())
-        hi = float(clean[:, k].max())
-        labels[idx, k] = rng.uniform(lo, hi, size=m)
-        mask[idx, k] = True
-
-    manifest = dict(ds.manifest)
-    record = {"kind": "per_dimension", "rate": rate, "dims": dim_list, "seed": int(rng_seed)}
-    manifest["noise_injections"] = list(manifest.get("noise_injections", [])) + [record]
-    return Dataset(
-        ids=ds.ids,
-        features=ds.features,
-        labels=labels,
-        dim_names=ds.dim_names,
-        corrupted=mask,
-        manifest=manifest,
+    return corrupted_copy(
+        ds, lambda labels, mask: [corrupt_dimensions(labels, mask, rate, dims, rng_seed)]
     )
 
 
@@ -365,50 +496,8 @@ def inject_correlated_noise(
     side, lo_k - u * (hi_k - lo_k) on the negative. Complements
     inject_dimension_noise, whose corruptions are independent per dimension.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    lo_sev, hi_sev = severity
-    if not 0.0 <= lo_sev <= hi_sev:
-        raise ValueError(f"severity bounds must satisfy 0 <= lo <= hi, got {severity}")
-
-    n = len(ds)
-    m = ceil_count(rate, n)
-    labels = ds.labels.copy()
-    mask = (
-        np.zeros((n, ds.n_dims), dtype=bool)
-        if ds.corruption_mask is None
-        else ds.corruption_mask.copy()
-    )
-    if m > 0:
-        rng = np.random.default_rng(rng_seed)
-        idx = rng.choice(n, size=m, replace=False)
-        u = rng.uniform(lo_sev, hi_sev, size=m)
-        sign = rng.integers(0, 2, size=m) * 2 - 1
-        lo = ds.labels.min(axis=0)
-        hi = ds.labels.max(axis=0)
-        width = hi - lo
-        for j, i in enumerate(idx):
-            if sign[j] > 0:
-                labels[i, :] = hi + u[j] * width
-            else:
-                labels[i, :] = lo - u[j] * width
-            mask[i, :] = True
-
-    manifest = dict(ds.manifest)
-    record = {
-        "kind": "correlated",
-        "rate": rate,
-        "seed": int(rng_seed),
-        "severity": [float(lo_sev), float(hi_sev)],
-    }
-    manifest["noise_injections"] = list(manifest.get("noise_injections", [])) + [record]
-    return Dataset(
-        ids=ds.ids,
-        features=ds.features,
-        labels=labels,
-        dim_names=ds.dim_names,
-        corrupted=mask,
-        manifest=manifest,
+    return corrupted_copy(
+        ds, lambda labels, mask: [corrupt_correlated(labels, mask, rate, rng_seed, severity)]
     )
 
 
@@ -482,17 +571,20 @@ def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 def extend_numbers(buf: array, values: list, what: str, sid, ln_no: int) -> None:
     """Append a JSON list of numbers from sample sid on line ln_no to buf.
 
-    A string, null or any other non-number is a DataError naming the sample,
-    the line and the value. sid is None for a list that belongs to no sample,
-    such as a file header's.
+    A string, null, boolean or any other non-number is a DataError naming the
+    sample, the line and the value. sid is None for a list that belongs to no
+    sample, such as a file header's.
     """
     try:
+        # array('d') would store a JSON true as 1.0
+        if bool in map(type, values):
+            raise TypeError
         buf.extend(values)
     except (TypeError, OverflowError) as e:
         where = f"line {ln_no}" if sid is None else f"sample {sid!r} on line {ln_no}"
         if isinstance(e, OverflowError):
             raise DataError(f"{where}: {what} out of float range: {e}") from None
-        bad = next(v for v in values if not isinstance(v, (int, float)))
+        bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, (int, float)))
         raise DataError(f"{where}: non-numeric {what}: {bad!r}") from None
 
 

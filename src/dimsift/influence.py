@@ -392,8 +392,12 @@ def global_tracin_self(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) 
     """
     r, a, b, _ = _gram_terms(head, ds, cfg)
     rho = cfg.resolved_lambdas(head.n_dims) * r
-    v = rho @ head.weights
-    return np.einsum("ij,ij->i", v, v) * a + np.einsum("ij,ij->i", rho, rho) * b
+    out = np.einsum("ij,ij->i", rho, rho) * b
+    # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is all zeros
+    if cfg.scope == Scope.LAST_TWO_LAYERS:
+        v = rho @ head.weights
+        out += np.einsum("ij,ij->i", v, v) * a
+    return out
 
 
 def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> np.ndarray:

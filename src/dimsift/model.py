@@ -332,6 +332,7 @@ class GDObjective:
         self.p_head = p_head
         self.n_shared = 0 if hidden_dim is None else hidden_dim * self.d + hidden_dim
         self.n_params = self.n_shared + self.k * p_head + self.k
+        self._u = None if hidden_dim is None else np.empty((self.n, hidden_dim))
 
     def init_params(self, seed: int) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -364,15 +365,29 @@ class GDObjective:
             fit_info=fit_info,
         )
 
+    def _head_inputs(self, shared_w, shared_b) -> np.ndarray:
+        """u = x W_s^T + b_s (x itself without a shared layer), valid until the next call.
+
+        u is written into one buffer kept for the whole fit: a fresh (N, m)
+        array every epoch is mapped and unmapped each time once it is above
+        the allocator's mmap threshold, which measured 1.7x the fit time at
+        N = 12k, m = 16 on a 2-core x86 VM.
+        """
+        if shared_w is None:
+            return self.x
+        np.matmul(self.x, shared_w.T, out=self._u)
+        self._u += shared_b
+        return self._u
+
     def per_dim_losses(self, theta: np.ndarray) -> np.ndarray:
         shared_w, shared_b, hw, hb = self._unpack(theta)
-        u = self.x if shared_w is None else self.x @ shared_w.T + shared_b
+        u = self._head_inputs(shared_w, shared_b)
         r = u @ hw.T + hb - self.y
         return 0.5 * np.sum(self.coef * r * r, axis=0)
 
     def per_dim_losses_and_grads(self, theta: np.ndarray):
         shared_w, shared_b, hw, hb = self._unpack(theta)
-        u = self.x if shared_w is None else self.x @ shared_w.T + shared_b
+        u = self._head_inputs(shared_w, shared_b)
         r = u @ hw.T + hb - self.y  # (N, K)
         cr = self.coef * r  # (N, K)
         losses = 0.5 * np.sum(cr * r, axis=0)

@@ -3,8 +3,8 @@
 One seeded config fully determines every artifact byte (no timestamps are
 written), so identical configs give identical runs. Stages:
 
-    generate -> inject noise -> split -> fit probe -> score -> refine
-             -> refit -> evaluate on clean test labels -> report
+    split -> draw the training and test rows -> inject noise -> fit probe
+          -> score -> refine -> refit -> evaluate on clean test labels -> report
 
 The probe is an equal-weighted fit on the full training split; influence
 scores, the refined training set, and the refit head all derive from it.
@@ -25,11 +25,16 @@ from . import __version__
 from .data import (
     Dataset,
     SynthConfig,
+    corrupt_correlated,
+    corrupt_dimensions,
+    corrupted_copy,
+    draw_synthetic,
     generate_synthetic,
-    inject_correlated_noise,
-    inject_dimension_noise,
     save_dataset,
     split_indices,
+    synthetic_rows,
+    validate_synth,
+    with_injections,
 )
 from .errors import DataError, UsageError
 from .influence import (
@@ -410,7 +415,8 @@ class ExperimentReport:
 class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
-    The corpora are released at the split; build_corpus(config) rebuilds them.
+    A run draws only its training and test rows; build_corpus(config)
+    rebuilds the full corpus they were taken from.
     """
 
     report: ExperimentReport
@@ -430,30 +436,30 @@ def _fit(ds: Dataset, weights, cfg: TrainConfig) -> RegressionHead:
     return fit_closed_form(ds, weights, cfg)
 
 
+def _corrupt(noise: NoiseSpec, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
+    """Apply noise to labels and mask in place; the manifest record of each injection."""
+    records = []
+    if noise.rate > 0.0:
+        dims = range(labels.shape[1]) if noise.dims is None else noise.dims
+        records.append(corrupt_dimensions(labels, mask, noise.rate, dims, noise.seed))
+    if noise.correlated_rate > 0.0:
+        records.append(
+            corrupt_correlated(
+                labels, mask, noise.correlated_rate, noise.correlated_seed, noise.severity
+            )
+        )
+    return records
+
+
 def build_corpus(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     """The clean corpus of config and its corrupted copy: generate, then inject noise.
 
     Both share ids and row order; with no noise configured the corrupted
-    corpus is the clean one. run_pipeline starts from this pair, so calling
-    it again rebuilds the corpus a run was drawn from.
+    corpus is the clean one. run_pipeline draws its training and test rows
+    with the same kernels, so this rebuilds the corpus a run was drawn from.
     """
     clean = generate_synthetic(config.synth)
-    noisy = clean
-    if config.noise.rate > 0.0:
-        dims = (
-            list(range(config.synth.n_dims))
-            if config.noise.dims is None
-            else list(config.noise.dims)
-        )
-        noisy = inject_dimension_noise(noisy, config.noise.rate, dims, config.noise.seed)
-    if config.noise.correlated_rate > 0.0:
-        noisy = inject_correlated_noise(
-            noisy,
-            config.noise.correlated_rate,
-            config.noise.correlated_seed,
-            severity=config.noise.severity,
-        )
-    return clean, noisy
+    return clean, corrupted_copy(clean, lambda labels, mask: _corrupt(config.noise, labels, mask))
 
 
 def run_pipeline(
@@ -461,31 +467,44 @@ def run_pipeline(
 ) -> PipelineArtifacts:
     """Run the full experiment described by config; optionally write artifacts.
 
-    Evaluation is always against clean test labels: the split indices are
-    drawn once and select the training rows of the corrupted corpus and the
-    test rows of the clean one (see build_corpus). The validation and test
-    rows of the corrupted corpus are never materialised. Nothing after the
-    split reads the corpora, so config.json and corpus.jsonl are written
-    there and both corpora are released before the probe fit.
+    Evaluation is always against clean test labels. The split indices are
+    drawn first, and the run draws only the training and test rows: the
+    training rows carry corrupted labels and the test rows clean ones, both
+    equal to the rows build_corpus(config) would give. The full corpus is
+    built only with output_dir, to write config.json and corpus.jsonl, and
+    is released before the rows are drawn.
     """
-    clean, noisy = build_corpus(config)
+    validate_synth(config.synth)
     train_idx, val_idx, test_idx = split_indices(
-        len(noisy), config.split_fractions, config.split_seed
+        config.synth.n_samples, config.split_fractions, config.split_seed
     )
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
-    # the clean corpus goes as soon as its test rows are taken, so the larger
-    # training selection is made with one corpus live, not two
-    test_clean = clean.select(test_idx)
-    del clean
-    train = noisy.select(train_idx)
     if output_dir is not None:
+        noisy = build_corpus(config)[1]
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
         (out / "config.json").write_text(config_doc + "\n")
         save_dataset(noisy, out / "corpus.jsonl")
-    del noisy
+        del noisy
+
+    labels, (train_x, test_x), manifest = draw_synthetic(config.synth, [train_idx, test_idx])
+    mask = np.zeros(labels.shape, dtype=bool)
+    # the test rows keep their clean labels; the one label matrix is then corrupted in place
+    test_clean = synthetic_rows(
+        config.synth, test_idx, test_x, labels[test_idx], mask[test_idx], manifest
+    )
+    records = _corrupt(config.noise, labels, mask)
+    train = synthetic_rows(
+        config.synth,
+        train_idx,
+        train_x,
+        labels[train_idx],
+        mask[train_idx],
+        with_injections(manifest, records),
+    )
+    del labels, mask, train_x, test_x
 
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
     probe = _fit(train, None, probe_cfg)

@@ -346,6 +346,12 @@ def _field_as(field, make):
         pytest.param("global", 1, _field_as("scores", lambda v: v[:-1]), id="global-short-scores"),
         pytest.param("prune", 1, _field_as("rho", str), id="prune-string-rho"),
         pytest.param("prune", 1, _first_as("thresholds", str), id="prune-string-threshold"),
+        # array('d') takes a JSON true as 1.0 unless booleans are refused
+        pytest.param("dataset", 3, _first_as("features", lambda v: True), id="dataset-bool-feature"),
+        pytest.param("scores", 4, _first_as("scores", lambda v: True), id="scores-bool-score"),
+        pytest.param("prune", 1, _field_as("rho", lambda v: True), id="prune-bool-rho"),
+        pytest.param("weights", 1, _field_as("temperature", lambda v: False),
+                     id="weights-bool-temperature"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):

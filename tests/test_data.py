@@ -26,7 +26,9 @@ from dimsift import (
     split,
 )
 from dimsift.data import (
+    DRAW_BLOCK_ROWS,
     ceil_count,
+    draw_synthetic,
     dumps_dataset,
     floor_count,
     loads_dataset,
@@ -119,9 +121,40 @@ def test_labels_are_teacher_plus_scaled_noise_bit_for_bit(sd, label_range):
     assert np.array_equal(corpus.labels, expect)
 
 
+@pytest.mark.parametrize("label_range", [None, (-3.0, 2.5)], ids=["no-range", "label-range"])
+@pytest.mark.parametrize("tail", [100, 1], ids=["tail-100", "tail-1"])
+def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail, label_range):
+    # several blocks and a remainder, which joins the last full block
+    n = 3 * DRAW_BLOCK_ROWS + tail
+    cfg = SynthConfig(n, 16, 5, label_noise_sd=(0.1, 0.2, 0.3, 0.4, 0.5), teacher_seed=3,
+                      sample_seed=4, label_range=label_range)
+    rows = [np.arange(0, n, 7), np.array([0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1])]
+    labels, features, _ = draw_synthetic(cfg, rows)
+    w_star, b_star = teacher_head(cfg)
+    rng = np.random.default_rng(cfg.sample_seed)
+    all_features = rng.standard_normal((n, 16))
+    noise = rng.standard_normal((n, 5))
+    expect = all_features @ w_star.T + b_star + noise * cfg.noise_vector()
+    if label_range is not None:
+        expect = np.clip(expect, *label_range)
+        assert (expect.min(), expect.max()) == label_range
+    assert np.array_equal(labels, expect)
+    assert [len(f) for f in features] == [len(r) for r in rows]
+    for r, f in zip(rows, features):
+        assert np.array_equal(f, all_features[r])
+
+
+def test_the_draw_rejects_rows_out_of_order_or_range():
+    cfg = SynthConfig(10, 2, 1, teacher_seed=0, sample_seed=1)
+    for rows in ([3, 2], [-1, 4], [4, 10]):
+        with pytest.raises(ValueError, match="ascending"):
+            draw_synthetic(cfg, [np.array(rows)])
+
+
 def test_generate_synthetic_holds_one_label_sized_temporary():
-    # beyond the features: the labels and the noise draw added into them
-    # (2.0x the labels measured); an unfused sum peaks at 3.0x
+    # beyond the features: the labels, one block of the noise draw added into
+    # them and the Dataset checks (1.9x the labels measured); an unfused sum
+    # peaks at 3.0x
     cfg = SynthConfig(20_000, 4, 64, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
     peak = peak_traced_bytes(generate_synthetic, cfg)
     features, labels = 20_000 * 4 * 8, 20_000 * 64 * 8

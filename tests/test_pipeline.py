@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_traced_bytes
 import dimsift.influence
 import dimsift.metrics
 import dimsift.pipeline
 import dimsift.refine
 from dimsift import (
     DataError,
+    Dataset,
     ExperimentReport,
     InfluenceConfig,
     NoiseSpec,
@@ -26,10 +28,11 @@ from dimsift import (
     UsageError,
     build_corpus,
     default_config,
+    generate_synthetic,
     run_pipeline,
     split,
 )
-from dimsift.data import dumps_dataset, top_sets
+from dimsift.data import dumps_dataset, floor_count, top_sets
 from dimsift.model import STRATEGIES
 from dimsift.pipeline import REFINE_STRATEGIES
 
@@ -263,10 +266,22 @@ def _same_rows(a, b):
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.corruption_mask, b.corruption_mask)
+    assert (a.dim_names, a.manifest) == (b.dim_names, b.manifest)
 
 
-@pytest.mark.parametrize("refine", ["ddp", "loss_prune", "global_prune"])
-def test_index_selection_matches_the_id_route(monkeypatch, refine):
+@pytest.mark.parametrize(
+    "refine, noise, synth",
+    [
+        pytest.param("ddp", {}, {}, id="ddp"),
+        pytest.param("loss_prune", {}, {}, id="loss_prune"),
+        pytest.param("global_prune", {}, {}, id="global_prune"),
+        pytest.param("ddp", {"dims": (0, 2)}, {}, id="ddp-noise-dims"),
+        pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.02}, {}, id="ddp-correlated-only"),
+        pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.0}, {}, id="ddp-no-noise"),
+        pytest.param("ddp", {}, {"label_range": (-2.0, 2.5)}, id="ddp-label-range"),
+    ],
+)
+def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth):
     fitted = []
     fit = dimsift.pipeline._fit
 
@@ -276,6 +291,11 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine):
 
     monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
     cfg = small_config(refine=refine)
+    cfg = dataclasses.replace(
+        cfg,
+        synth=dataclasses.replace(cfg.synth, **synth),
+        noise=dataclasses.replace(cfg.noise, **noise),
+    )
     arts = run_pipeline(cfg)
     clean, noisy = build_corpus(cfg)
     train, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
@@ -288,8 +308,8 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine):
     _same_rows(final_set, refined)
 
 
-@pytest.mark.parametrize("write", [False, True], ids=["in-memory", "to-dir"])
-def test_the_corpora_are_released_before_the_probe_fit(monkeypatch, tmp_path, write):
+@pytest.mark.parametrize("out", ["run"], ids=["to-dir"])
+def test_the_corpora_are_released_before_the_probe_fit(monkeypatch, tmp_path, out):
     refs, alive_at_fit = [], []
     build, fit = dimsift.pipeline.build_corpus, dimsift.pipeline._fit
 
@@ -304,8 +324,49 @@ def test_the_corpora_are_released_before_the_probe_fit(monkeypatch, tmp_path, wr
 
     monkeypatch.setattr(dimsift.pipeline, "build_corpus", recording_build)
     monkeypatch.setattr(dimsift.pipeline, "_fit", checking_fit)
-    run_pipeline(small_config(), output_dir=tmp_path / "run" if write else None)
+    run_pipeline(small_config(), output_dir=tmp_path / out)
     assert alive_at_fit[0] == [False, False]
+
+
+def test_an_in_memory_run_builds_no_full_corpus_dataset(monkeypatch):
+    sizes = []
+    init = Dataset.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(Dataset, "__init__", recording_init)
+    cfg = small_config()
+    arts = run_pipeline(cfg)
+    assert len(arts.train) in sizes and len(arts.test_clean) in sizes
+    assert cfg.synth.n_samples not in sizes
+
+
+class _AtProbeFit(Exception):
+    pass
+
+
+def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monkeypatch):
+    cfg = default_config(seed=0)
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
+    n, d, k = cfg.synth.n_samples, cfg.synth.feature_dim, cfg.synth.n_dims
+
+    def stop(ds, *args):
+        raise _AtProbeFit
+
+    def run_to_the_probe_fit():
+        with pytest.raises(_AtProbeFit):
+            run_pipeline(cfg)
+
+    monkeypatch.setattr(dimsift.pipeline, "_fit", stop)
+    peak = peak_traced_bytes(run_to_the_probe_fit)
+    n_test = floor_count(cfg.split_fractions[2], n)
+    n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
+    rows = (n_train + n_test) * ((d + k) * 8 + k)  # features, labels and mask
+    # the training and test rows, two N x K label matrices, and ids beside
+    # them: 1.45x measured; building the whole corpus first measured 2.37x
+    assert peak < 1.75 * (rows + 2 * n * k * 8)
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])
@@ -316,6 +377,28 @@ def test_invalid_split_fractions_raise_the_split_error(fractions):
     with pytest.raises(ValueError) as piped:
         run_pipeline(dataclasses.replace(cfg, split_fractions=fractions))
     assert str(piped.value) == str(direct.value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({"n_samples": 0}, id="no-samples"),
+        pytest.param({"label_noise_sd": -0.1}, id="negative-noise-sd"),
+        pytest.param({"label_range": (1.0, 1.0)}, id="empty-label-range"),
+    ],
+)
+def test_invalid_synth_settings_raise_the_generator_error(bad):
+    cfg = small_config()
+    synth = dataclasses.replace(cfg.synth, **bad)
+    with pytest.raises(ValueError) as direct:
+        generate_synthetic(synth)
+    # the synth settings are checked before the split, so bad split fractions
+    # do not hide them
+    for fractions in (cfg.split_fractions, (0.5, 0.5)):
+        with pytest.raises(ValueError) as piped:
+            run_pipeline(dataclasses.replace(cfg, synth=synth, split_fractions=fractions))
+        assert type(piped.value) is type(direct.value)
+        assert str(piped.value) == str(direct.value)
 
 
 def test_a_ddp_run_ranks_each_score_table_once(monkeypatch):

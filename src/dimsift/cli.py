@@ -264,7 +264,7 @@ def _cmd_fit(args) -> int:
         hidden_dim=args.hidden_dim,
         fit_bias=not args.no_bias,
     )
-    head = fit_gd(ds, weights, cfg) if args.gd else _fit(ds, weights, cfg)
+    head = fit_gd(ds, weights, cfg) if args.gd else _fit(ds.features, ds.labels, weights, cfg)
     head.save(args.out)
     method = head.fit_info["method"].replace("_", "-")
     print(f"fit {method} head on {len(ds)} samples -> {args.out}")

@@ -551,6 +551,36 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         fh.writelines(lines)
 
 
+JSON_PIECE_ITEMS = 256
+
+
+def json_pieces(doc: dict) -> Iterator[str]:
+    """json.dumps(doc, sort_keys=True) + "\n", produced a piece at a time.
+
+    A list or array value comes JSON_PIECE_ITEMS items per piece, each piece
+    encoded by one call (an array's rows through tolist()), so no piece holds
+    more of the document than that many items.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    yield "{"
+    sep = ""
+    for key in sorted(doc):
+        value = doc[key]
+        yield f"{sep}{encode(key)}: "
+        sep = ", "
+        if not isinstance(value, (list, np.ndarray)):
+            yield encode(value)
+            continue
+        yield "["
+        for i in range(0, len(value), JSON_PIECE_ITEMS):
+            items = value[i : i + JSON_PIECE_ITEMS]
+            text = encode(items.tolist() if isinstance(items, np.ndarray) else items)
+            # the items without their brackets, so the pieces join into one list
+            yield ("" if i == 0 else ", ") + text[1:-1]
+        yield "]"
+    yield "}\n"
+
+
 def long_csv_lines(
     header: str, ids: Sequence[str], names: Sequence[str], values: np.ndarray
 ) -> Iterator[str]:

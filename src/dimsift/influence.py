@@ -302,16 +302,21 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
     the head input, 1 the bias) and a_i = |x_i|^2 + 1 from the shared-layer
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
-    gradient is assembled. Returns (r, a, b, G).
+    gradient is assembled. Returns (r, a, b, G), all fresh arrays: the
+    callers overwrite r in place to build their scores.
     """
     _check_pair(head, ds)
     _check_scope(head, cfg.scope)
     x = ds.features
     u = head.head_inputs(x)
-    r = u @ head.weights.T + head.biases - ds.labels
-    b = np.einsum("ij,ij->i", u, u) + 1.0
+    r = u @ head.weights.T
+    r += head.biases
+    r -= ds.labels
+    b = np.einsum("ij,ij->i", u, u)
+    b += 1.0
     if cfg.scope == Scope.LAST_TWO_LAYERS:
-        a = np.einsum("ij,ij->i", x, x) + 1.0
+        a = np.einsum("ij,ij->i", x, x)
+        a += 1.0
     else:
         a = np.zeros(len(ds))
     return r, a, b, head.weights @ head.weights.T
@@ -341,8 +346,13 @@ def self_influence_explicit(
     assembles the same gradients one sample at a time and is the reference
     the tests check this against.
     """
-    r, a, b, gram = _gram_terms(head, ds, cfg)
-    scores = r * r * (np.diag(gram) * a[:, None] + b[:, None])
+    scores, a, b, gram = _gram_terms(head, ds, cfg)
+    scores *= scores
+    if cfg.scope == Scope.LAST_TWO_LAYERS:
+        scores *= np.diag(gram) * a[:, None] + b[:, None]
+    else:
+        # a is all zeros in head-only scopes, so the factor is exactly b
+        scores *= b[:, None]
     return SelfInfluenceTable(
         scores=scores,
         sample_ids=ds.ids,
@@ -390,9 +400,10 @@ def global_tracin_self(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) 
     With rho_i = lambda * r_i this is |rho_i W_head|^2 a_i + |rho_i|^2 b_i
     (factors as in _gram_terms).
     """
-    r, a, b, _ = _gram_terms(head, ds, cfg)
-    rho = cfg.resolved_lambdas(head.n_dims) * r
-    out = np.einsum("ij,ij->i", rho, rho) * b
+    rho, a, b, _ = _gram_terms(head, ds, cfg)
+    rho *= cfg.resolved_lambdas(head.n_dims)
+    out = np.einsum("ij,ij->i", rho, rho)
+    out *= b
     # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is all zeros
     if cfg.scope == Scope.LAST_TWO_LAYERS:
         v = rho @ head.weights
@@ -409,6 +420,10 @@ def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> n
     the entry is rho_ij ((rho_i G)_j a_i + rho_ij b_i) (factors as in
     _gram_terms).
     """
-    r, a, b, gram = _gram_terms(head, ds, cfg)
-    rho = cfg.resolved_lambdas(head.n_dims) * r
-    return rho * ((rho @ gram) * a[:, None] + rho * b[:, None])
+    rho, a, b, gram = _gram_terms(head, ds, cfg)
+    rho *= cfg.resolved_lambdas(head.n_dims)
+    out = rho @ gram
+    out *= a[:, None]
+    out += rho * b[:, None]
+    out *= rho
+    return out

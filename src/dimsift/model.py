@@ -264,10 +264,12 @@ def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str) -> np.ndar
         raise NumericalError(f"normal equations for {what} are singular: {e}") from None
 
 
-def fit_closed_form(
-    ds: Dataset, weights=None, config: TrainConfig | None = None
+def fit_closed_form_arrays(
+    x: np.ndarray, y: np.ndarray, weights=None, config: TrainConfig | None = None
 ) -> RegressionHead:
-    """Weighted ridge solution, one independent solve per dimension.
+    """Weighted ridge solution of features x (N, d) against labels y (N, K).
+
+    x and y are used as given, finite float64 as a Dataset holds them.
 
     Minimizes sum_i w_ik * 0.5 * (w_k . h_i + b_k - y_ik)^2 + 0.5 * alpha * |w_k|^2
     over augmented inputs [h; 1]; the bias coordinate is not penalized. The
@@ -284,9 +286,8 @@ def fit_closed_form(
     cfg = config or TrainConfig()
     if cfg.hidden_dim is not None:
         raise ValueError("closed-form fitting supports head-only models; use fit_gd for a shared layer")
-    n, k = len(ds), ds.n_dims
+    (n, d), k = x.shape, y.shape[1]
     cfg.resolved_lambdas(k)  # validate even though the solution ignores them
-    x, y = ds.features, ds.labels
     w = None if weights is None else _resolve_weights(weights, n, k)
     if w is None or np.all(w == 1.0):
         beta = _solve(*_normal_equations(x, y, None, cfg.fit_bias), cfg, "all dimensions")
@@ -295,7 +296,6 @@ def fit_closed_form(
             _solve(*_normal_equations(x, y[:, j : j + 1], w[:, j], cfg.fit_bias), cfg, f"dimension {j}")
             for j in range(k)
         ])
-    d = ds.feature_dim
     head_w = beta[:d].T
     head_b = beta[d] if cfg.fit_bias else np.zeros(k)
     info = {
@@ -305,6 +305,13 @@ def fit_closed_form(
         "fit_bias": cfg.fit_bias,
     }
     return RegressionHead(weights=head_w, biases=head_b, fit_info=info)
+
+
+def fit_closed_form(
+    ds: Dataset, weights=None, config: TrainConfig | None = None
+) -> RegressionHead:
+    """fit_closed_form_arrays on the features and labels of ds."""
+    return fit_closed_form_arrays(ds.features, ds.labels, weights, config)
 
 
 class GDObjective:
@@ -320,19 +327,31 @@ class GDObjective:
     gradients dL_k/dtheta, so callers can combine dimensions with any weights.
     """
 
-    def __init__(self, ds: Dataset, weights, lambdas: np.ndarray, hidden_dim: Optional[int]):
-        self.x = ds.features
-        self.y = ds.labels
-        self.n, self.d = self.x.shape
-        self.k = ds.n_dims
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, weights, lambdas: np.ndarray, hidden_dim: Optional[int]
+    ):
+        self.x = x
+        self.y = y
+        self.n, self.d = x.shape
+        self.k = y.shape[1]
         self.hidden_dim = hidden_dim
-        w = _resolve_weights(weights, self.n, self.k)
-        self.coef = (np.asarray(lambdas)[None, :] * w) / self.n  # (N, K)
+        lam = np.asarray(lambdas)[None, :]
+        if weights is None:
+            self.coef = lam / self.n  # (1, K), shared by every sample
+        else:
+            self.coef = lam * _resolve_weights(weights, self.n, self.k) / self.n  # (N, K)
         p_head = hidden_dim if hidden_dim is not None else self.d
         self.p_head = p_head
         self.n_shared = 0 if hidden_dim is None else hidden_dim * self.d + hidden_dim
         self.n_params = self.n_shared + self.k * p_head + self.k
+        # the per-epoch (N, m) and (N, K) arrays are written into buffers kept
+        # for the whole fit. Fresh ones every epoch are mapped and unmapped
+        # each time once they are above the allocator's mmap threshold, which
+        # measured 1.7x the fit time at N = 12k, m = 16 on a 2-core x86 VM;
+        # below it they fragment the heap and raise the peak RSS
         self._u = None if hidden_dim is None else np.empty((self.n, hidden_dim))
+        self._r = np.empty((self.n, self.k))
+        self._cr = np.empty((self.n, self.k))
 
     def init_params(self, seed: int) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -366,31 +385,23 @@ class GDObjective:
         )
 
     def _head_inputs(self, shared_w, shared_b) -> np.ndarray:
-        """u = x W_s^T + b_s (x itself without a shared layer), valid until the next call.
-
-        u is written into one buffer kept for the whole fit: a fresh (N, m)
-        array every epoch is mapped and unmapped each time once it is above
-        the allocator's mmap threshold, which measured 1.7x the fit time at
-        N = 12k, m = 16 on a 2-core x86 VM.
-        """
+        """u = x W_s^T + b_s (x itself without a shared layer), valid until the next call."""
         if shared_w is None:
             return self.x
         np.matmul(self.x, shared_w.T, out=self._u)
         self._u += shared_b
         return self._u
 
-    def per_dim_losses(self, theta: np.ndarray) -> np.ndarray:
-        shared_w, shared_b, hw, hb = self._unpack(theta)
-        u = self._head_inputs(shared_w, shared_b)
-        r = u @ hw.T + hb - self.y
-        return 0.5 * np.sum(self.coef * r * r, axis=0)
-
     def per_dim_losses_and_grads(self, theta: np.ndarray):
         shared_w, shared_b, hw, hb = self._unpack(theta)
         u = self._head_inputs(shared_w, shared_b)
-        r = u @ hw.T + hb - self.y  # (N, K)
-        cr = self.coef * r  # (N, K)
-        losses = 0.5 * np.sum(cr * r, axis=0)
+        r, cr = self._r, self._cr  # (N, K) each
+        np.matmul(u, hw.T, out=r)
+        r += hb
+        r -= self.y
+        np.multiply(self.coef, r, out=cr)
+        r *= cr  # the residuals are not needed past the losses
+        losses = 0.5 * np.sum(r, axis=0)
         grads = np.zeros((self.k, self.n_params))
         off = self.n_shared
         ph = self.p_head
@@ -412,8 +423,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None) -> RegressionHead:
-    """Full-batch gradient descent on the weighted multi-dimension objective.
+def fit_gd_arrays(
+    x: np.ndarray, y: np.ndarray, weights=None, config: TrainConfig | None = None
+) -> RegressionHead:
+    """Full-batch gradient descent of features x (N, d) against labels y (N, K).
+
+    x and y are used as given, finite float64 as a Dataset holds them.
 
     Head parameters start at zero; a shared layer, when requested, starts from
     a small seeded gaussian. Strategies:
@@ -428,10 +443,10 @@ def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None) -> Regr
     raises NumericalError naming the epoch.
     """
     cfg = config or TrainConfig()
-    lam = cfg.resolved_lambdas(ds.n_dims)
-    obj = GDObjective(ds, weights, lam, cfg.hidden_dim)
+    k = y.shape[1]
+    lam = cfg.resolved_lambdas(k)
+    obj = GDObjective(x, y, weights, lam, cfg.hidden_dim)
     theta = obj.init_params(cfg.seed)
-    k = ds.n_dims
     s = np.zeros(k)
     rlw_rng = np.random.default_rng([cfg.seed, 1])
     history: list[float] = []
@@ -465,6 +480,11 @@ def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None) -> Regr
     if cfg.strategy == "uncertainty":
         info["log_vars"] = s.tolist()
     return obj.to_head(theta, fit_info=info)
+
+
+def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None) -> RegressionHead:
+    """fit_gd_arrays on the features and labels of ds."""
+    return fit_gd_arrays(ds.features, ds.labels, weights, config)
 
 
 def predict(head: RegressionHead, features: np.ndarray) -> np.ndarray:

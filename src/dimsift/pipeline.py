@@ -55,8 +55,8 @@ from .metrics import (
 from .model import (
     RegressionHead,
     TrainConfig,
-    fit_closed_form,
-    fit_gd,
+    fit_closed_form_arrays,
+    fit_gd_arrays,
     per_dim_loss,
 )
 from .refine import (
@@ -416,7 +416,9 @@ class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
     A run draws only its training and test rows; build_corpus(config)
-    rebuilds the full corpus they were taken from.
+    rebuilds the full corpus they were taken from. A pruned run's refined
+    rows are not kept: prune.kept_ids names them, and the refit held only
+    their features and labels.
     """
 
     report: ExperimentReport
@@ -430,10 +432,15 @@ class PipelineArtifacts:
     weight_matrix: Optional[WeightMatrix]
 
 
-def _fit(ds: Dataset, weights, cfg: TrainConfig) -> RegressionHead:
+def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig) -> RegressionHead:
+    """A head fitted to features x and labels y.
+
+    Gradient descent with a shared layer or a loss-balancing strategy, else
+    the closed form.
+    """
     if cfg.hidden_dim is not None or cfg.strategy != "equal":
-        return fit_gd(ds, weights, cfg)
-    return fit_closed_form(ds, weights, cfg)
+        return fit_gd_arrays(x, y, weights, cfg)
+    return fit_closed_form_arrays(x, y, weights, cfg)
 
 
 def _corrupt(noise: NoiseSpec, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
@@ -472,7 +479,8 @@ def run_pipeline(
     training rows carry corrupted labels and the test rows clean ones, both
     equal to the rows build_corpus(config) would give. The full corpus is
     built only with output_dir, to write config.json and corpus.jsonl, and
-    is released before the rows are drawn.
+    is released before the rows are drawn. After pruning, the refit holds
+    only the kept rows' features and labels, released once it is fitted.
     """
     validate_synth(config.synth)
     train_idx, val_idx, test_idx = split_indices(
@@ -507,15 +515,14 @@ def run_pipeline(
     del labels, mask, train_x, test_x
 
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
-    probe = _fit(train, None, probe_cfg)
+    probe = _fit(train.features, train.labels, None, probe_cfg)
 
     scores = self_influence_explicit(probe, train, config.influence)
     global_scores = global_tracin_self(probe, train, config.influence)
 
     prune: Optional[PruneResult] = None
     weight_matrix: Optional[WeightMatrix] = None
-    refined_train = train
-    refit_weights = None
+    x, y, refit_weights = train.features, train.labels, None
     r = config.refine
     if r.strategy == "ddp":
         prune = ddp_select(scores, r.rho)
@@ -530,12 +537,13 @@ def run_pipeline(
     if prune is not None:
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
-        # the rows of kept_ids, in corpus order
+        # the features and labels of kept_ids, in corpus order
         removed = set(prune.removed_ids)
         kept = np.fromiter((sid not in removed for sid in train.ids), dtype=bool, count=len(train))
-        refined_train = train.select(np.flatnonzero(kept))
-
-    final = probe if r.strategy == "none" else _fit(refined_train, refit_weights, config.train)
+        x, y = train.features[kept], train.labels[kept]
+    n_train_refined = len(x)
+    final = probe if r.strategy == "none" else _fit(x, y, refit_weights, config.train)
+    del x, y
 
     strategies = {
         "baseline": evaluate_head(probe, test_clean, {"strategy": "baseline"}).to_dict()
@@ -591,7 +599,7 @@ def run_pipeline(
             "train_corrupted_per_dim": None
             if mask is None
             else [int(c) for c in mask.sum(axis=0)],
-            "n_train_refined": len(refined_train),
+            "n_train_refined": n_train_refined,
         },
         strategies=strategies,
         refine_summary=refine_summary,

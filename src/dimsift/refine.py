@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import extend_numbers, long_csv_lines, top_sets, write_lines
+from .data import extend_numbers, json_pieces, long_csv_lines, top_sets, write_lines
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import LossTable
@@ -66,7 +66,8 @@ class PruneResult:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        """Write json.dumps(to_dict(), sort_keys=True) and a newline, a piece at a time."""
+        write_lines(path, json_pieces(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "PruneResult":
@@ -109,17 +110,21 @@ class WeightMatrix:
     epsilon: float
     per_dim_stats: list[tuple[float, float]]
 
-    def to_dict(self) -> dict:
+    def _doc(self, weights) -> dict:
         return {
             "temperature": self.temperature,
             "epsilon": self.epsilon,
             "per_dim_stats": [[m, s] for m, s in self.per_dim_stats],
             "sample_ids": self.sample_ids,
-            "weights": self.weights.tolist(),
+            "weights": weights,
         }
 
+    def to_dict(self) -> dict:
+        return self._doc(self.weights.tolist())
+
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        """Write json.dumps(to_dict(), sort_keys=True) and a newline, one weight row at a time."""
+        write_lines(path, json_pieces(self._doc(self.weights)))
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightMatrix":

@@ -27,10 +27,12 @@ from dimsift import (
 )
 from dimsift.data import (
     DRAW_BLOCK_ROWS,
+    JSON_PIECE_ITEMS,
     ceil_count,
     draw_synthetic,
     dumps_dataset,
     floor_count,
+    json_pieces,
     loads_dataset,
     teacher_head,
 )
@@ -393,6 +395,25 @@ def test_jsonl_file_and_text_round_trips_agree(ds, data):
 def big_corpus():
     cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
     return inject_dimension_noise(generate_synthetic(cfg), 0.1, range(5), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(ODD_TEXT, JSON_VALUES | st.floats(), max_size=4))
+def test_json_pieces_join_to_json_dumps(doc):
+    assert "".join(json_pieces(doc)) == json.dumps(doc, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, JSON_PIECE_ITEMS, JSON_PIECE_ITEMS + 1, 2 * JSON_PIECE_ITEMS + 3]
+)
+def test_json_pieces_split_long_lists_and_arrays(n):
+    rows = np.random.default_rng(n).normal(size=(n, 3))
+    rows[: n // 2, 1] = np.inf
+    doc = {"rows": rows, "ids": [f'"s{i}"\u00e9' for i in range(n)], "k": [[1, "a"]] * n, "z": 2}
+    pieces = list(json_pieces(doc))
+    assert "".join(pieces) == json.dumps({**doc, "rows": rows.tolist()}, sort_keys=True) + "\n"
+    # "{", four keys, z, "}\n", and per list "[", "]" and one piece per JSON_PIECE_ITEMS items
+    assert len(pieces) == 7 + 3 * (2 + -(-n // JSON_PIECE_ITEMS))
 
 
 def test_save_dataset_streams(big_corpus, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -285,9 +286,9 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth)
     fitted = []
     fit = dimsift.pipeline._fit
 
-    def recording_fit(ds, *args):
-        fitted.append(ds)
-        return fit(ds, *args)
+    def recording_fit(x, y, *args):
+        fitted.append((x, y))
+        return fit(x, y, *args)
 
     monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
     cfg = small_config(refine=refine)
@@ -303,9 +304,14 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth)
     assert 0 < len(refined) < len(train)
     _same_rows(arts.train, train)
     _same_rows(arts.test_clean, clean.select_ids(test.ids))
-    probe_set, final_set = fitted
-    _same_rows(probe_set, train)
-    _same_rows(final_set, refined)
+    (probe_x, probe_y), (final_x, final_y) = fitted
+    # the probe fits the full training rows themselves; the refit only the
+    # kept rows' features and labels
+    assert probe_x is arts.train.features and probe_y is arts.train.labels
+    for got, want in ((final_x, refined.features), (final_y, refined.labels)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    assert arts.report.dataset_summary["n_train_refined"] == len(refined)
 
 
 @pytest.mark.parametrize("out", ["run"], ids=["to-dir"])
@@ -367,6 +373,37 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
     # the training and test rows, two N x K label matrices, and ids beside
     # them: 1.45x measured; building the whole corpus first measured 2.37x
     assert peak < 1.75 * (rows + 2 * n * k * 8)
+
+
+def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
+    cfg = default_config(seed=0)
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
+    d, k = cfg.synth.feature_dim, cfg.synth.n_dims
+    select, fit = dimsift.pipeline.ddp_select, dimsift.pipeline._fit
+    measured = []
+
+    def tracing_select(scores, rho):
+        tracemalloc.start()  # from here on: what the selection and the refit allocate
+        return select(scores, rho)
+
+    def measuring_fit(x, *args):
+        head = fit(x, *args)
+        if tracemalloc.is_tracing():
+            measured.append((tracemalloc.get_traced_memory()[1], len(x)))
+            tracemalloc.stop()
+        return head
+
+    monkeypatch.setattr(dimsift.pipeline, "ddp_select", tracing_select)
+    monkeypatch.setattr(dimsift.pipeline, "_fit", measuring_fit)
+    try:
+        run_pipeline(cfg)
+    finally:
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+    [(peak, n_kept)] = measured
+    # the kept rows' features and labels and the selection beside them: 1.11x
+    # measured; a Dataset of the kept rows (ids, id set, mask and checks) 1.57x
+    assert peak < 1.3 * n_kept * (d + k) * 8
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])

@@ -12,18 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from array import array
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .data import (
+    NoiseSpec,
     SynthConfig,
-    extend_numbers,
+    corrupted_copy,
     generate_synthetic,
-    inject_correlated_noise,
-    inject_dimension_noise,
     load_dataset,
     save_dataset,
     split,
@@ -38,13 +34,15 @@ from .influence import (
     self_influence_explicit,
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
-from .model import STRATEGIES, RegressionHead, Scope, TrainConfig, fit_gd, per_dim_loss
+from .model import STRATEGIES, RegressionHead, Scope, TrainConfig, per_dim_loss
 from .pipeline import (
     REFINE_STRATEGIES,
     ExperimentReport,
     PipelineConfig,
     _fit,
     default_config,
+    masking_line,
+    overlap_line,
     run_pipeline,
 )
 from .refine import (
@@ -56,6 +54,7 @@ from .refine import (
     ddp_select,
     ddr_weights,
     global_prune_select,
+    load_scalar_scores,
     loss_prune_select,
 )
 
@@ -99,18 +98,20 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("corrupt", help="inject label corruption into a dataset")
     c.add_argument("--data", required=True)
-    c.add_argument("--rate", type=float, default=0.0, help="per-dimension corruption rate")
-    c.add_argument("--dims", type=_csv_ints, help="comma list of dimension indices, default all")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--correlated-rate", type=float, default=0.0,
+    c.add_argument("--rate", type=float, default=NoiseSpec.rate,
+                   help="per-dimension corruption rate")
+    c.add_argument("--dims", type=_csv_ints, default=NoiseSpec.dims,
+                   help="comma list of dimension indices, default all")
+    c.add_argument("--seed", type=int, default=NoiseSpec.seed)
+    c.add_argument("--correlated-rate", type=float, default=NoiseSpec.correlated_rate,
                    help="fraction of samples corrupted across all dimensions at once")
-    c.add_argument("--correlated-seed", type=int, default=0)
+    c.add_argument("--correlated-seed", type=int, default=NoiseSpec.correlated_seed)
     c.add_argument("--out", required=True)
 
     s = sub.add_parser("split", help="seeded train/val/test split")
     s.add_argument("--data", required=True)
-    s.add_argument("--fractions", type=_csv_floats, default="0.6,0.2,0.2")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--fractions", type=_csv_floats, default=PipelineConfig.split_fractions)
+    s.add_argument("--seed", type=int, default=PipelineConfig.split_seed)
     s.add_argument("--out-prefix", required=True, help="writes <prefix>.train/.val/.test.jsonl")
 
     f = sub.add_parser("fit", help="fit a regression head")
@@ -120,10 +121,9 @@ def _build_parser() -> _Parser:
     f.add_argument("--strategy", default=TrainConfig.strategy, choices=STRATEGIES)
     f.add_argument("--lambdas", type=_csv_floats, help="comma list of per-dimension loss weights")
     f.add_argument("--weights", default=None, help="per-sample weight file from `reweight`")
-    f.add_argument("--gd", action="store_true", help="force gradient descent for the equal strategy")
     f.add_argument("--lr", type=float, default=TrainConfig.lr)
     f.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    f.add_argument("--hidden-dim", type=int, default=None, help="shared layer width (implies --gd)")
+    f.add_argument("--hidden-dim", type=int, help="shared layer width (gradient descent)")
     f.add_argument("--seed", type=int, default=TrainConfig.seed)
     f.add_argument("--no-bias", action="store_true", help="drop the intercept (closed form)")
     f.add_argument("--out", required=True)
@@ -131,7 +131,8 @@ def _build_parser() -> _Parser:
     sc = sub.add_parser("score", help="influence scores for every training sample")
     sc.add_argument("--data", required=True)
     sc.add_argument("--head", required=True)
-    sc.add_argument("--scope", default="head_only", choices=[s.value for s in Scope])
+    sc.add_argument("--scope", default=InfluenceConfig.scope.value,
+                    choices=[s.value for s in Scope])
     sc.add_argument("--method", default="closed",
                     choices=("closed", "explicit", "global", "row_sum"),
                     help="closed: forward-only self-influence; explicit: any scope; "
@@ -225,12 +226,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    ds = load_dataset(args.data)
-    if args.rate > 0.0:
-        dims = list(range(ds.n_dims)) if args.dims is None else list(args.dims)
-        ds = inject_dimension_noise(ds, args.rate, dims, args.seed)
-    if args.correlated_rate > 0.0:
-        ds = inject_correlated_noise(ds, args.correlated_rate, args.correlated_seed)
+    noise = NoiseSpec(
+        rate=args.rate,
+        dims=args.dims,
+        seed=args.seed,
+        correlated_rate=args.correlated_rate,
+        correlated_seed=args.correlated_seed,
+    )
+    ds = corrupted_copy(load_dataset(args.data), noise.apply)
     save_dataset(ds, args.out)
     mask = ds.corruption_mask
     total = 0 if mask is None else int(mask.any(axis=1).sum())
@@ -240,8 +243,6 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_split(args) -> int:
     ds = load_dataset(args.data)
-    if len(args.fractions) != 3:
-        raise UsageError("--fractions expects train,val,test")
     train, val, test = split(ds, args.fractions, args.seed)
     for part, name in ((train, "train"), (val, "val"), (test, "test")):
         save_dataset(part, f"{args.out_prefix}.{name}.jsonl")
@@ -264,7 +265,7 @@ def _cmd_fit(args) -> int:
         hidden_dim=args.hidden_dim,
         fit_bias=not args.no_bias,
     )
-    head = fit_gd(ds, weights, cfg) if args.gd else _fit(ds.features, ds.labels, weights, cfg)
+    head = _fit(ds.features, ds.labels, weights, cfg)
     head.save(args.out)
     method = head.fit_info["method"].replace("_", "-")
     print(f"fit {method} head on {len(ds)} samples -> {args.out}")
@@ -319,18 +320,8 @@ def _cmd_prune(args) -> int:
     else:  # global
         if args.global_scores is None:
             raise UsageError("prune --method global requires --global-scores")
-        p = Path(args.global_scores)
-        if not p.exists():
-            raise DataError(f"score file not found: {p}")
-        try:
-            doc = json.loads(p.read_text())
-            ids, values = doc["ids"], array("d")
-            extend_numbers(values, doc["scores"], "scores", None, 1)
-            if not isinstance(ids, list) or len(ids) != len(values):
-                raise DataError(f"line 1: {len(values)} scores for {len(ids)} ids")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
-            raise DataError(f"invalid scalar score file {p}: {e}") from None
-        result = global_prune_select(np.frombuffer(values), ids, args.rho)
+        ids, values = load_scalar_scores(args.global_scores)
+        result = global_prune_select(values, ids, args.rho)
         dim_names = None
     result.save(args.out)
     if args.csv:
@@ -410,14 +401,10 @@ def _cmd_report(args) -> int:
     curve = overlap_curve(table, rho)
     curve.to_csv(run_dir / "overlap.csv")
     lines = [f"score table: {table.n_samples} samples x {table.n_dims} dimensions"]
-    curve_txt = ", ".join(f"{100.0 * v:.2f}%" for v in curve.cumulative_ratios)
-    lines.append(f"overlap curve at rho={rho}: [{curve_txt}]")
+    lines.append(overlap_line(rho, curve.cumulative_ratios))
     if table.scope == Scope.HEAD_ONLY:
         masking = masking_report(table, table.global_scores(), rho)
-        masked_txt = ", ".join(
-            f"{row['dim']}={row['masked']}" for row in masking.to_dict()["per_dim"]
-        )
-        lines.append(f"masked by global ranking (budget {masking.budget}): {masked_txt}")
+        lines.append(masking_line(masking.budget, masking.to_dict()["per_dim"]))
     else:
         lines.append(
             f"masked by global ranking: not computed ({table.scope.value} scores need the head)"

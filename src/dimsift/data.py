@@ -14,24 +14,27 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError
 
 
-def ceil_count(rate: float, n: int) -> int:
-    """ceil(rate * n), snapping products within 1e-9 of an integer first.
+def _snapped(rate: float, n: int) -> float:
+    """rate * n, snapped to the nearest integer when it lies within 1e-9 of one.
 
     Plain ceil(0.1 * 1000) gives 101 because 0.1 * 1000 is slightly above 100
     in binary floating point; callers always mean the exact rational product.
     """
     x = float(rate) * n
     r = round(x)
-    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
-        x = r
-    return int(math.ceil(x))
+    return r if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else x
+
+
+def ceil_count(rate: float, n: int) -> int:
+    """ceil(rate * n) of the snapped product (see _snapped)."""
+    return int(math.ceil(_snapped(rate, n)))
 
 
 def top_sets(values: np.ndarray, rho: float) -> np.ndarray:
@@ -54,12 +57,8 @@ def top_sets(values: np.ndarray, rho: float) -> np.ndarray:
 
 
 def floor_count(frac: float, n: int) -> int:
-    """floor(frac * n) with the same integer snapping as ceil_count."""
-    x = float(frac) * n
-    r = round(x)
-    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
-        x = r
-    return int(math.floor(x))
+    """floor(frac * n) of the snapped product, as ceil_count."""
+    return int(math.floor(_snapped(frac, n)))
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -397,7 +396,7 @@ def corrupt_correlated(
     mask: np.ndarray,
     rate: float,
     rng_seed: int,
-    severity: tuple[float, float] = (0.5, 1.0),
+    severity: tuple[float, float],
 ) -> dict:
     """Corrupt labels in place as inject_correlated_noise describes, mark mask, return the record.
 
@@ -426,6 +425,34 @@ def corrupt_correlated(
         "seed": int(rng_seed),
         "severity": [float(lo_sev), float(hi_sev)],
     }
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Label corruption: the noise section of a pipeline config and of `corrupt`.
+
+    rate / dims / seed drive the per-dimension independent corruption;
+    correlated_rate additionally corrupts a common seeded subset in every
+    dimension with out-of-range labels (see inject_correlated_noise).
+    """
+
+    rate: float = 0.0
+    dims: Optional[tuple[int, ...]] = None
+    seed: int = 0
+    correlated_rate: float = 0.0
+    correlated_seed: int = 0
+    severity: tuple[float, float] = (0.5, 1.0)
+
+    def apply(self, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
+        """Corrupt labels and mask in place, per dimension then correlated; return the records."""
+        records = []
+        if self.rate > 0.0:
+            dims = range(labels.shape[1]) if self.dims is None else self.dims
+            records.append(corrupt_dimensions(labels, mask, self.rate, dims, self.seed))
+        if self.correlated_rate > 0.0:
+            rate, seed = self.correlated_rate, self.correlated_seed
+            records.append(corrupt_correlated(labels, mask, rate, seed, self.severity))
+        return records
 
 
 def with_injections(manifest: dict, records: list[dict]) -> dict:
@@ -485,7 +512,7 @@ def inject_correlated_noise(
     ds: Dataset,
     rate: float,
     rng_seed: int,
-    severity: tuple[float, float] = (0.5, 1.0),
+    severity: tuple[float, float] = NoiseSpec.severity,
 ) -> Dataset:
     """Corrupt a common subset of samples in every dimension at once.
 
@@ -589,6 +616,17 @@ def long_csv_lines(
     for sid, row in zip(ids, values):
         for name, v in zip(names, row.tolist()):
             yield f"{sid},{name},{v!r}\n"
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in the file at path; a DataError naming it if missing or not JSON."""
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"{what} file not found: {p}")
+    try:
+        return json.loads(p.read_text())
+    except (OSError, ValueError) as e:
+        raise DataError(f"invalid {what} file {p}: {e}") from None
 
 
 def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Dataset, Sample, extend_numbers, long_csv_lines, numbered_lines, top_sets, write_lines
 from .errors import DataError
-from .model import RegressionHead, Scope
+from .model import RegressionHead, Scope, check_pair
 
 
 @dataclass(frozen=True)
@@ -284,13 +284,6 @@ def grad_per_dimension(head: RegressionHead, sample: Sample, cfg: InfluenceConfi
 # -- scoring -----------------------------------------------------------------
 
 
-def _check_pair(head: RegressionHead, ds: Dataset) -> None:
-    if ds.n_dims != head.n_dims:
-        raise DataError(f"head has {head.n_dims} dimensions, dataset has {ds.n_dims}")
-    if ds.feature_dim != head.feature_dim:
-        raise DataError(f"head expects {head.feature_dim} features, dataset has {ds.feature_dim}")
-
-
 def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
     """Batched factors of every per-dimension gradient inner product.
 
@@ -305,7 +298,7 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
     gradient is assembled. Returns (r, a, b, G), all fresh arrays: the
     callers overwrite r in place to build their scores.
     """
-    _check_pair(head, ds)
+    check_pair(head, ds)
     _check_scope(head, cfg.scope)
     x = ds.features
     u = head.head_inputs(x)

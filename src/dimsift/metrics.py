@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, top_sets
 from .errors import DataError
 from .influence import SelfInfluenceTable
-from .model import RegressionHead
+from .model import RegressionHead, check_pair
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -123,8 +123,7 @@ class MetricReport:
 
 def evaluate_head(head: RegressionHead, ds: Dataset, metadata: dict | None = None) -> MetricReport:
     """Per-dimension Spearman of head predictions against the dataset labels."""
-    if ds.n_dims != head.n_dims:
-        raise DataError(f"head has {head.n_dims} dimensions, dataset has {ds.n_dims}")
+    check_pair(head, ds)
     pred = head.predict_batch(ds.features)
     per_dim = [spearman(pred[:, k], ds.labels[:, k]) for k in range(ds.n_dims)]
     meta = dict(metadata or {})

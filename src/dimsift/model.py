@@ -20,6 +20,7 @@ that influence scopes covering the last two layers have coupled parameters.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, extend_numbers, read_json
 from .errors import DataError, NumericalError
 
 
@@ -96,15 +97,6 @@ class RegressionHead:
             return self.shared_weight.shape[1]
         return self.weights.shape[1]
 
-    @property
-    def hidden_dim(self) -> Optional[int]:
-        return None if self.shared_weight is None else self.shared_weight.shape[0]
-
-    @property
-    def scope_descriptor(self) -> Scope:
-        """Widest scope this head supports."""
-        return Scope.HEAD_ONLY if self.shared_weight is None else Scope.LAST_TWO_LAYERS
-
     def head_inputs(self, features: np.ndarray) -> np.ndarray:
         """Inputs seen by the heads: raw features, or shared-layer activations."""
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -136,16 +128,17 @@ class RegressionHead:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionHead":
+        """A head from to_dict's document; every parameter entry must be a JSON number."""
         try:
             return cls(
-                weights=np.asarray(d["weights"], dtype=np.float64),
-                biases=np.asarray(d["biases"], dtype=np.float64),
+                weights=_number_rows(d["weights"], "weights"),
+                biases=_number_rows([d["biases"]], "biases")[0],
                 shared_weight=None
                 if d.get("shared_weight") is None
-                else np.asarray(d["shared_weight"], dtype=np.float64),
+                else _number_rows(d["shared_weight"], "shared_weight"),
                 shared_bias=None
                 if d.get("shared_bias") is None
-                else np.asarray(d["shared_bias"], dtype=np.float64),
+                else _number_rows([d["shared_bias"]], "shared_bias")[0],
                 fit_info=d.get("fit_info"),
             )
         except (KeyError, TypeError, ValueError) as e:
@@ -156,14 +149,17 @@ class RegressionHead:
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionHead":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"head file not found: {p}")
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise DataError(f"malformed head file {p}: {e}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, "head"))
+
+
+def _number_rows(rows: list, what: str) -> np.ndarray:
+    """Equal-length lists of JSON numbers from line 1 of a head file, as a float64 matrix."""
+    buf = array("d")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != len(rows[0]):
+            raise DataError(f"line 1: {what} must hold equal-length lists of numbers")
+        extend_numbers(buf, row, what, None, 1)
+    return np.array(buf).reshape(len(rows), len(buf) // max(len(rows), 1))
 
 
 @dataclass(frozen=True)
@@ -492,12 +488,17 @@ def predict(head: RegressionHead, features: np.ndarray) -> np.ndarray:
     return head.predict(features)
 
 
-def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
-    """(N, K) matrix of prediction minus label."""
+def check_pair(head: RegressionHead, ds: Dataset) -> None:
+    """A DataError unless head and ds agree on the dimension and feature counts."""
     if ds.n_dims != head.n_dims:
         raise DataError(f"head has {head.n_dims} dimensions, dataset has {ds.n_dims}")
     if ds.feature_dim != head.feature_dim:
         raise DataError(f"head expects {head.feature_dim} features, dataset has {ds.feature_dim}")
+
+
+def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
+    """(N, K) matrix of prediction minus label."""
+    check_pair(head, ds)
     return head.predict_batch(ds.features) - ds.labels
 
 

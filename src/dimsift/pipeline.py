@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__
 from .data import (
     Dataset,
+    NoiseSpec,
     SynthConfig,
-    corrupt_correlated,
-    corrupt_dimensions,
     corrupted_copy,
     draw_synthetic,
     generate_synthetic,
+    read_json,
     save_dataset,
     split_indices,
     synthetic_rows,
@@ -72,23 +72,6 @@ from .refine import (
 )
 
 REFINE_STRATEGIES = ("none", "ddp", "ddr", "loss_prune", "global_prune")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Label corruption applied to the generated corpus before splitting.
-
-    rate / dims / seed drive the per-dimension independent corruption;
-    correlated_rate additionally corrupts a common seeded subset in every
-    dimension with out-of-range labels (see inject_correlated_noise).
-    """
-
-    rate: float = 0.0
-    dims: Optional[tuple[int, ...]] = None
-    seed: int = 0
-    correlated_rate: float = 0.0
-    correlated_seed: int = 0
-    severity: tuple[float, float] = (0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -289,6 +272,22 @@ class _Section(dict):
         return [entries.number(i, optional) for i in range(len(v))]
 
 
+def overlap_line(rho, ratios) -> str:
+    """The report line of an overlap curve: its rho and cumulative ratios as percentages."""
+    curve = ", ".join(f"{100.0 * v:.2f}%" for v in ratios)
+    return f"overlap curve at rho={rho}: [{curve}]"
+
+
+def masking_line(budget, per_dim) -> str:
+    """The report line of a masking report: per_dim holds the rows of MaskingReport.to_dict()."""
+    masked = ", ".join(
+        f"{row['dim']}={row['masked']}"
+        + ("" if row["masked_corrupted"] is None else f" ({row['masked_corrupted']} corrupted)")
+        for row in per_dim
+    )
+    return f"masked by global ranking (budget {budget}): {masked}"
+
+
 # report.json key of each ExperimentReport field
 _REPORT_KEYS = {
     "version": "version",
@@ -342,13 +341,7 @@ class ExperimentReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentReport":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"report file not found: {p}")
-        try:
-            return cls.from_dict(json.loads(p.read_text()))
-        except json.JSONDecodeError as e:
-            raise DataError(f"malformed report file {p}: {e}") from None
+        return cls.from_dict(read_json(path, "report"))
 
     def render_text(self) -> str:
         out = []
@@ -398,15 +391,10 @@ class ExperimentReport:
             )
             out.append(f"noise detection AUROC (train split): {vals}")
         ov = _Section("overlap", self.overlap)
-        curve = ", ".join(f"{100.0 * v:.2f}%" for v in ov.numbers("cumulative_ratios"))
-        out.append(f"overlap curve at rho={ov['rho']}: [{curve}]")
+        out.append(overlap_line(ov["rho"], ov.numbers("cumulative_ratios")))
         mk = _Section("masking", self.masking)
-        masked = ", ".join(
-            f"{row['dim']}={row['masked']}"
-            + ("" if row["masked_corrupted"] is None else f" ({row['masked_corrupted']} corrupted)")
-            for row in (_Section("masking.per_dim", r) for r in mk.sequence("per_dim"))
-        )
-        out.append(f"masked by global ranking (budget {mk['budget']}): {masked}")
+        per_dim = [_Section("masking.per_dim", r) for r in mk.sequence("per_dim")]
+        out.append(masking_line(mk["budget"], per_dim))
         out.append("")
         return "\n".join(out) + "\n"
 
@@ -443,21 +431,6 @@ def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig) -> RegressionH
     return fit_closed_form_arrays(x, y, weights, cfg)
 
 
-def _corrupt(noise: NoiseSpec, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
-    """Apply noise to labels and mask in place; the manifest record of each injection."""
-    records = []
-    if noise.rate > 0.0:
-        dims = range(labels.shape[1]) if noise.dims is None else noise.dims
-        records.append(corrupt_dimensions(labels, mask, noise.rate, dims, noise.seed))
-    if noise.correlated_rate > 0.0:
-        records.append(
-            corrupt_correlated(
-                labels, mask, noise.correlated_rate, noise.correlated_seed, noise.severity
-            )
-        )
-    return records
-
-
 def build_corpus(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     """The clean corpus of config and its corrupted copy: generate, then inject noise.
 
@@ -466,7 +439,7 @@ def build_corpus(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     with the same kernels, so this rebuilds the corpus a run was drawn from.
     """
     clean = generate_synthetic(config.synth)
-    return clean, corrupted_copy(clean, lambda labels, mask: _corrupt(config.noise, labels, mask))
+    return clean, corrupted_copy(clean, config.noise.apply)
 
 
 def run_pipeline(
@@ -503,7 +476,7 @@ def run_pipeline(
     test_clean = synthetic_rows(
         config.synth, test_idx, test_x, labels[test_idx], mask[test_idx], manifest
     )
-    records = _corrupt(config.noise, labels, mask)
+    records = config.noise.apply(labels, mask)
     train = synthetic_rows(
         config.synth,
         train_idx,

@@ -13,7 +13,6 @@ comparisons.
 """
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import extend_numbers, json_pieces, long_csv_lines, top_sets, write_lines
+from .data import extend_numbers, json_pieces, long_csv_lines, read_json, top_sets, write_lines
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import LossTable
@@ -71,11 +70,8 @@ class PruneResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "PruneResult":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"prune file not found: {p}")
+        d = read_json(path, "prune")
         try:
-            d = json.loads(p.read_text())
             return cls(
                 kept_ids=[str(x) for x in d["kept_ids"]],
                 removed_ids=[str(x) for x in d["removed_ids"]],
@@ -83,8 +79,8 @@ class PruneResult:
                 thresholds=_numbers(d["thresholds"], "thresholds"),
                 rho=_numbers([d["rho"]], "rho")[0],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
-            raise DataError(f"invalid prune file {p}: {e}") from None
+        except (KeyError, TypeError, ValueError, DataError) as e:
+            raise DataError(f"invalid prune file {path}: {e}") from None
 
     def removal_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
         """CSV of removed ids with the dimensions whose risk set flagged them."""
@@ -128,11 +124,8 @@ class WeightMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightMatrix":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"weight file not found: {p}")
+        d = read_json(path, "weight")
         try:
-            d = json.loads(p.read_text())
             ids = [str(x) for x in d["sample_ids"]]
             stats = [tuple(_numbers([m, s], "per_dim_stats")) for m, s in d["per_dim_stats"]]
             rows, weights = d["weights"], array("d")
@@ -149,8 +142,8 @@ class WeightMatrix:
                 epsilon=_numbers([d["epsilon"]], "epsilon")[0],
                 per_dim_stats=stats,
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as e:
-            raise DataError(f"invalid weight file {p}: {e}") from None
+        except (KeyError, TypeError, ValueError, DataError) as e:
+            raise DataError(f"invalid weight file {path}: {e}") from None
 
     def to_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
         k = self.weights.shape[1]
@@ -195,6 +188,19 @@ def loss_prune_select(losses: LossTable, rho: float) -> PruneResult:
     if values.ndim != 2 or len(losses.sample_ids) != values.shape[0]:
         raise ValueError("losses must be an (N, K) table with matching ids")
     return _union_prune(values, top_sets(values, rho), list(losses.sample_ids), rho)
+
+
+def load_scalar_scores(path: str | Path) -> tuple[list, np.ndarray]:
+    """The ids and scores of a scalar score file, as `score --method global` writes it."""
+    doc = read_json(path, "scalar score")
+    try:
+        ids, values = doc["ids"], array("d")
+        extend_numbers(values, doc["scores"], "scores", None, 1)
+        if not isinstance(ids, list) or len(ids) != len(values):
+            raise DataError(f"line 1: {len(values)} scores for {len(ids)} ids")
+    except (KeyError, TypeError, ValueError, DataError) as e:
+        raise DataError(f"invalid scalar score file {path}: {e}") from None
+    return ids, np.frombuffer(values)
 
 
 def global_prune_select(

@@ -14,6 +14,8 @@ import pytest
 from dimsift import (
     ExperimentReport,
     InfluenceConfig,
+    NoiseSpec,
+    PipelineConfig,
     PruneResult,
     RegressionHead,
     Scope,
@@ -24,13 +26,15 @@ from dimsift import (
     default_config,
     fit_closed_form,
     generate_synthetic,
+    inject_correlated_noise,
     inject_dimension_noise,
     load_dataset,
     run_pipeline,
+    save_dataset,
     self_influence_closed_form,
 )
 import dimsift
-from dimsift.cli import main
+from dimsift.cli import _build_parser, main
 from dimsift.data import dumps_dataset
 from dimsift.influence import SelfInfluenceTable
 
@@ -67,6 +71,29 @@ def test_corrupt_matches_library(stage_dir):
     noisy = load_dataset(stage_dir / "noisy.jsonl")
     expect = inject_dimension_noise(corpus, 0.1, range(3), 3)
     assert dumps_dataset(noisy) == dumps_dataset(expect)
+
+
+def test_corrupt_noise_flags_match_the_library_chain(tmp_path):
+    corpus = generate_synthetic(SynthConfig(300, 5, 4, label_noise_sd=0.1, sample_seed=1))
+    save_dataset(corpus, tmp_path / "corpus.jsonl")
+    out = tmp_path / "noisy.jsonl"
+    assert main(["corrupt", "--data", str(tmp_path / "corpus.jsonl"), "--rate", "0.15",
+                 "--dims", "1,3", "--seed", "9", "--correlated-rate", "0.01",
+                 "--correlated-seed", "4", "--out", str(out)]) == 0
+    expect = inject_correlated_noise(inject_dimension_noise(corpus, 0.15, (1, 3), 9), 0.01, 4)
+    assert out.read_text() == dumps_dataset(expect)
+
+
+def test_stage_flag_defaults_are_the_dataclass_fields():
+    parse = _build_parser().parse_args
+    c = parse(["corrupt", "--data", "d", "--out", "o"])
+    assert NoiseSpec(rate=c.rate, dims=c.dims, seed=c.seed, correlated_rate=c.correlated_rate,
+                     correlated_seed=c.correlated_seed) == NoiseSpec()
+    s = parse(["split", "--data", "d", "--out-prefix", "o"])
+    assert tuple(s.fractions) == PipelineConfig.split_fractions
+    assert s.seed == PipelineConfig.split_seed
+    sc = parse(["score", "--data", "d", "--head", "h", "--out", "o"])
+    assert Scope(sc.scope) == InfluenceConfig().scope
 
 
 def test_split_partitions_like_library(stage_dir):
@@ -246,6 +273,12 @@ def test_data_errors_exit_two(stage_dir, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{}\n")
     assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "h.json")]) == 2
+    # a head fitted on 4 features, evaluated on the 5-feature corpus
+    head4 = tmp_path / "head4.json"
+    RegressionHead(np.zeros((3, 4)), np.zeros(3)).save(head4)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(stage_dir / "noisy.jsonl"), "--head", str(head4)]) == 2
+    assert capsys.readouterr().err == "data error: head expects 4 features, dataset has 5\n"
 
 
 def test_numerical_errors_exit_three(tmp_path, capsys):
@@ -352,6 +385,14 @@ def _field_as(field, make):
         pytest.param("prune", 1, _field_as("rho", lambda v: True), id="prune-bool-rho"),
         pytest.param("weights", 1, _field_as("temperature", lambda v: False),
                      id="weights-bool-temperature"),
+        pytest.param("head", 1, _first_as("weights", lambda row: [str(row[0])] + row[1:]),
+                     id="head-string-weight"),
+        pytest.param("head", 1, _first_as("biases", lambda v: True), id="head-bool-bias"),
+        pytest.param("head", 1, _first_as("weights", lambda row: row[:-1]),
+                     id="head-ragged-weights"),
+        pytest.param("shared_head", 1,
+                     _first_as("shared_weight", lambda row: [str(row[0])] + row[1:]),
+                     id="head-string-shared-weight"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
@@ -360,6 +401,12 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
     if kind == "dataset":
         bad = stage_dir / "noisy.jsonl"
         argv = ["evaluate", "--data", str(bad), "--head", head]
+    elif kind in ("head", "shared_head"):
+        bad = stage_dir / "head.json"
+        if kind == "shared_head":
+            assert main(["fit", "--data", noisy, "--hidden-dim", "4", "--epochs", "5",
+                         "--out", head]) == 0
+        argv = ["evaluate", "--data", noisy, "--head", head]
     elif kind == "weights":
         bad, scores = stage_dir / "weights.json", str(stage_dir / "scores.jsonl")
         assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
@@ -442,6 +489,36 @@ def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc, named):
     assert out.stderr.startswith("data error:") and "Traceback" not in out.stderr
     if named is not None:
         assert named in out.stderr
+
+
+@pytest.mark.parametrize("kind, broken", [
+    ("head", "missing"), ("head", "malformed"),
+    ("weights", "missing"), ("weights", "malformed"),
+    ("global", "missing"), ("global", "malformed"),
+    # `report --dir` reads report.json and prune.json only when they exist
+    ("report", "malformed"), ("prune", "malformed"),
+])
+def test_missing_or_malformed_json_file_exits_two_naming_it(stage_dir, kind, broken):
+    noisy = str(stage_dir / "noisy.jsonl")
+    path = stage_dir / ("bad_head.json" if kind == "head" else f"{kind}.json")
+    argv = {
+        "head": ["evaluate", "--data", noisy, "--head", str(path)],
+        "weights": ["fit", "--data", noisy, "--weights", str(path),
+                    "--out", str(stage_dir / "h.json")],
+        "global": ["prune", "--method", "global", "--global-scores", str(path),
+                   "--out", str(stage_dir / "p.json")],
+        "report": ["report", "--dir", str(stage_dir)],
+        "prune": ["report", "--dir", str(stage_dir)],
+    }[kind]
+    if kind == "prune":
+        assert main(["score", "--data", noisy, "--head", str(stage_dir / "head.json"),
+                     "--out", str(stage_dir / "scores.jsonl")]) == 0
+    if broken == "malformed":
+        path.write_text('{"rho": 0.1,\n')
+    out = _cli_subprocess(argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("data error:") and str(path) in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_string_corruption_mask_is_a_data_error(stage_dir):

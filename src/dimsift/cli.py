@@ -23,6 +23,7 @@ from .data import (
     load_dataset,
     save_dataset,
     split,
+    write_json,
 )
 from .errors import DataError, NumericalError, UsageError
 from .influence import (
@@ -282,19 +283,13 @@ def _cmd_score(args) -> int:
         table = self_influence_explicit(head, ds, cfg)
     elif args.method == "global":
         values = global_tracin_self(head, ds, cfg)
-        doc = {"type": "global_tracin", "ids": ds.ids, "scores": values.tolist()}
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        write_json(args.out, {"type": "global_tracin", "ids": ds.ids, "scores": values})
         print(f"wrote scalar self-influence for {len(ds)} samples to {args.out}")
         return 0
     else:  # row_sum
         values = row_sum_scores(head, ds, cfg)
-        doc = {
-            "type": "row_sum",
-            "ids": ds.ids,
-            "dim_names": ds.dim_names,
-            "values": values.tolist(),
-        }
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        doc = {"type": "row_sum", "ids": ds.ids, "dim_names": ds.dim_names, "values": values}
+        write_json(args.out, doc)
         print(f"wrote row-sum scores for {len(ds)} samples to {args.out}")
         return 0
     table.to_jsonl(args.out)
@@ -361,8 +356,7 @@ def _cmd_detect_noise(args) -> int:
         else:
             print(f"{name}: AUROC {value:.4f} ({n_corrupted} corrupted)")
     if args.out:
-        doc = {"per_dim_auroc": dict(zip(ds.dim_names, values))}
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        write_json(args.out, {"per_dim_auroc": dict(zip(ds.dim_names, values))})
     return 0
 
 

@@ -258,7 +258,9 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     DRAW_BLOCK_ROWS to twice that less one (or all n). A short last block
     could round its product differently from the one-shot product: numpy
     sends a one-row product to gemv, and OpenBLAS takes small products
-    through other kernels.
+    through other kernels. A one-column product would go to gemv too, whose
+    OpenBLAS result depends on the thread count, so draw_synthetic forms the
+    labels of a one-dimension corpus with einsum instead.
     """
     start = 0
     while start < n:
@@ -292,7 +294,11 @@ def draw_synthetic(
     features = [np.empty((len(rows), d)) for rows in row_sets]
     for start, stop in _row_blocks(n):
         block = rng.standard_normal((stop - start, d))
-        np.matmul(block, w_star.T, out=labels[start:stop])
+        if config.n_dims == 1:
+            # einsum uses no BLAS, so these labels do not depend on the thread count
+            np.einsum("ij,kj->ik", block, w_star, out=labels[start:stop])
+        else:
+            np.matmul(block, w_star.T, out=labels[start:stop])
         for rows, out in zip(row_sets, features):
             lo, hi = np.searchsorted(rows, (start, stop))
             out[lo:hi] = block[rows[lo:hi] - start]
@@ -608,6 +614,11 @@ def json_pieces(doc: dict) -> Iterator[str]:
     yield "}\n"
 
 
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write json.dumps(doc, sort_keys=True) and a newline, a piece at a time (see json_pieces)."""
+    write_lines(path, json_pieces(doc))
+
+
 def long_csv_lines(
     header: str, ids: Sequence[str], names: Sequence[str], values: np.ndarray
 ) -> Iterator[str]:
@@ -618,42 +629,108 @@ def long_csv_lines(
             yield f"{sid},{name},{v!r}\n"
 
 
+def read_file(path: str | Path, what: str, read):
+    """read(fh) of the text file at path, open as fh; a DataError naming it if missing."""
+    p = Path(path)
+    # a directory is no file either: opening one would raise IsADirectoryError
+    if not p.is_file():
+        raise DataError(f"{what} file not found: {p}")
+    with open(p) as fh:
+        return read(fh)
+
+
 def read_json(path: str | Path, what: str):
     """The JSON document in the file at path; a DataError naming it if missing or not JSON."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        return read_file(path, what, json.load)
     except (OSError, ValueError) as e:
-        raise DataError(f"invalid {what} file {p}: {e}") from None
+        raise DataError(f"invalid {what} file {Path(path)}: {e}") from None
 
 
-def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-blank line; numbers count from 1 in the file."""
-    for ln_no, ln in enumerate(lines, start=1):
-        if ln.strip():
-            yield ln_no, ln
+def extend_numbers(
+    buf: array, values, what: str, sid, ln_no: int, width: int | None = None
+) -> None:
+    """Append a JSON list of width numbers (any length if None) to buf.
 
-
-def extend_numbers(buf: array, values: list, what: str, sid, ln_no: int) -> None:
-    """Append a JSON list of numbers from sample sid on line ln_no to buf.
-
-    A string, null, boolean or any other non-number is a DataError naming the
-    sample, the line and the value. sid is None for a list that belongs to no
-    sample, such as a file header's.
+    Anything else, or a string, null or boolean in the list, is a DataError
+    naming sample sid, line ln_no and the offender. sid is None for a list
+    that belongs to no sample, such as a file header's.
     """
     try:
+        if type(values) is not list or (width is not None and len(values) != width):
+            raise ValueError
         # array('d') would store a JSON true as 1.0
         if bool in map(type, values):
             raise TypeError
         buf.extend(values)
-    except (TypeError, OverflowError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
+        # the text is built only here: one f-string per row would slow every load
         where = f"line {ln_no}" if sid is None else f"sample {sid!r} on line {ln_no}"
+        if isinstance(e, ValueError):
+            got = len(values) if type(values) is list else f"{values!r:.40}"
+            size = "" if width is None else f"{width} "
+            raise DataError(f"{where}: {what} must be a list of {size}numbers, got {got}") from None
         if isinstance(e, OverflowError):
             raise DataError(f"{where}: {what} out of float range: {e}") from None
         bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, (int, float)))
         raise DataError(f"{where}: non-numeric {what}: {bad!r}") from None
+
+
+def table_lines(head: dict, row_type: str, ids: Sequence[str], columns: dict) -> Iterator[str]:
+    """A JSONL row table: the header line, then one {"type", "id", column: row} line per id.
+
+    columns maps each row field to an (N, w) array; its rows go through
+    tolist(), and json's float formatting round-trips exactly.
+    """
+    # one encoder for every line: json.dumps builds a new one per call with these separators
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    yield encode(head) + "\n"
+    names = tuple(columns)
+    for sid, *rows in zip(ids, *columns.values()):
+        rec = {"type": row_type, "id": sid}
+        for name, row in zip(names, rows):
+            rec[name] = row.tolist()
+        yield encode(rec) + "\n"
+
+
+def table_rows(
+    lines: Iterable[str], what: str, header_type: str, row_type: str
+) -> Iterator[tuple[int, Optional[str], dict]]:
+    """(line number, id, object) of each line of a JSONL row table as table_lines writes it.
+
+    The header comes first, with id None; it must be a header_type object
+    with a dim_names list, whose entries are read as strings. Every later
+    line must be a row_type object with a non-null id. Blank lines are
+    skipped, line numbers count from 1 in the file, and a table without rows
+    is a DataError.
+    """
+    head = sid = None
+    for ln_no, ln in enumerate(lines, start=1):
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+        except ValueError as e:
+            raise DataError(f"line {ln_no}: malformed JSON: {e}") from None
+        if head is None:
+            if not isinstance(rec, dict) or rec.get("type") != header_type:
+                raise DataError(f"line {ln_no}: first line must be a {header_type!r} header object")
+            if not isinstance(rec.get("dim_names"), list):
+                raise DataError(f"line {ln_no}: {what} header needs a dim_names list")
+            rec["dim_names"] = [str(x) for x in rec["dim_names"]]
+            head = rec
+            yield ln_no, None, rec
+            continue
+        if not isinstance(rec, dict) or rec.get("type") != row_type:
+            raise DataError(f"line {ln_no}: expected a {row_type!r} object")
+        sid = rec.get("id")
+        if sid is None:
+            raise DataError(f"line {ln_no}: {what} row without an id")
+        yield ln_no, str(sid), rec
+    if head is None:
+        raise DataError(f"empty {what} file")
+    if sid is None:
+        raise DataError(f"{what} file contains no rows")
 
 
 def _dataset_lines(ds: Dataset) -> Iterator[str]:
@@ -663,18 +740,10 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
         "dim_names": ds.dim_names,
         "meta": ds.manifest,
     }
-    yield json.dumps(head, separators=(",", ":")) + "\n"
-    mask = ds.corruption_mask
-    for i, sid in enumerate(ds._ids):
-        rec = {
-            "type": "sample",
-            "id": sid,
-            "features": ds.features[i].tolist(),
-            "labels": ds.labels[i].tolist(),
-        }
-        if mask is not None:
-            rec["corrupted"] = mask[i].tolist()
-        yield json.dumps(rec, separators=(",", ":")) + "\n"
+    columns = {"features": ds.features, "labels": ds.labels}
+    if ds.corruption_mask is not None:
+        columns["corrupted"] = ds.corruption_mask
+    return table_lines(head, "sample", ds._ids, columns)
 
 
 def dumps_dataset(ds: Dataset) -> str:
@@ -690,25 +759,16 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 
 
 def _read_dataset(lines: Iterable[str]) -> Dataset:
-    rows = numbered_lines(lines)
-    first = next(rows, None)
-    if first is None:
-        raise DataError("empty dataset file")
-    ln_no, ln = first
-    try:
-        head = json.loads(ln)
-    except json.JSONDecodeError as e:
-        raise DataError(f"malformed manifest line: {e}") from None
-    if not isinstance(head, dict) or head.get("type") != "manifest":
-        raise DataError(f"line {ln_no}: first line must be a manifest object")
+    rows = table_rows(lines, "dataset", "manifest", "sample")
+    ln_no, _, head = next(rows)
     meta = head.get("meta") or {}
     if not isinstance(meta, dict):
         raise DataError(f"line {ln_no}: manifest meta must be an object")
-    try:
-        feature_dim = int(head["feature_dim"])
-        dim_names = [str(x) for x in head["dim_names"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"manifest missing or invalid fields: {e}") from None
+    feature_dim = head.get("feature_dim")
+    # type(True) is bool, not int, so a boolean is refused here too
+    if type(feature_dim) is not int:
+        raise DataError(f"line {ln_no}: feature_dim must be an integer, got {feature_dim!r}")
+    dim_names = head["dim_names"]
     k = len(dim_names)
 
     ids: list[str] = []
@@ -716,43 +776,20 @@ def _read_dataset(lines: Iterable[str]) -> Dataset:
     labs = array("d")
     masks = bytearray()
     any_mask = False
-    for ln_no, ln in rows:
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise DataError(f"malformed record on line {ln_no}: {e}") from None
-        if not isinstance(rec, dict) or rec.get("type") != "sample":
-            raise DataError(f"line {ln_no}: expected a sample record object")
-        sid = rec.get("id")
-        if sid is None:
-            raise DataError(f"line {ln_no}: sample record without id")
-        f = rec.get("features")
-        y = rec.get("labels")
-        if not isinstance(f, list) or len(f) != feature_dim:
-            raise DataError(
-                f"sample {sid!r}: feature length {None if not isinstance(f, list) else len(f)} "
-                f"does not match manifest feature_dim {feature_dim}"
-            )
-        if not isinstance(y, list) or len(y) != k:
-            raise DataError(
-                f"sample {sid!r}: label length {None if not isinstance(y, list) else len(y)} "
-                f"does not match manifest dimension count {k}"
-            )
-        extend_numbers(feats, f, "features", sid, ln_no)
-        extend_numbers(labs, y, "labels", sid, ln_no)
+    for ln_no, sid, rec in rows:
+        extend_numbers(feats, rec.get("features"), "features", sid, ln_no, feature_dim)
+        extend_numbers(labs, rec.get("labels"), "labels", sid, ln_no, k)
         c = rec.get("corrupted")
         if c is not None:
             if not isinstance(c, list) or len(c) != k or not all(isinstance(v, bool) for v in c):
                 raise DataError(
-                    f"sample {sid!r} on line {ln_no}: corruption mask must be a list of {k} booleans"
+                    f"sample {sid!r} on line {ln_no}: corrupted must be a list of {k} booleans"
                 )
             any_mask = True
             masks.extend(c)
         else:
             masks.extend(bytes(k))
-        ids.append(str(sid))
-    if not ids:
-        raise DataError("dataset file contains no samples")
+        ids.append(sid)
     n = len(ids)
     return Dataset(
         ids=ids,
@@ -769,8 +806,4 @@ def loads_dataset(text: str) -> Dataset:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"dataset file not found: {p}")
-    with open(p) as fh:
-        return _read_dataset(fh)
+    return read_file(path, "dataset", _read_dataset)

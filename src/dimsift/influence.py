@@ -27,7 +27,6 @@ row-sum scores include the lambda factors.
 from __future__ import annotations
 
 import io
-import json
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +34,17 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .data import Dataset, Sample, extend_numbers, long_csv_lines, numbered_lines, top_sets, write_lines
+from .data import (
+    Dataset,
+    Sample,
+    extend_numbers,
+    long_csv_lines,
+    read_file,
+    table_lines,
+    table_rows,
+    top_sets,
+    write_lines,
+)
 from .errors import DataError
 from .model import RegressionHead, Scope, check_pair
 
@@ -140,10 +149,7 @@ class SelfInfluenceTable:
             "lambdas": self.lambdas.tolist(),
             "dim_names": self.dim_names,
         }
-        yield json.dumps(head, separators=(",", ":")) + "\n"
-        for sid, row in zip(self.sample_ids, self.scores):
-            rec = {"type": "row", "id": sid, "scores": row.tolist()}
-            yield json.dumps(rec, separators=(",", ":")) + "\n"
+        return table_lines(head, "row", self.sample_ids, {"scores": self.scores})
 
     def dumps(self) -> str:
         return "".join(self._lines())
@@ -153,50 +159,25 @@ class SelfInfluenceTable:
 
     @classmethod
     def _read(cls, lines: Iterable[str]) -> "SelfInfluenceTable":
-        rows = numbered_lines(lines)
-        first = next(rows, None)
-        if first is None:
-            raise DataError("empty score file")
-        ln_no, ln = first
-        try:
-            head = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise DataError(f"malformed score header: {e}") from None
-        if not isinstance(head, dict) or head.get("type") != "self_influence":
-            raise DataError(f"line {ln_no}: first line must be a self_influence header object")
-        dim_names = head.get("dim_names")
-        if not isinstance(dim_names, list):
-            raise DataError("score header needs a dim_names list")
-        k = len(dim_names)
-        lambdas, lam = head.get("lambdas"), array("d")
-        if not isinstance(lambdas, list) or len(lambdas) != k:
-            raise DataError(f"line {ln_no}: score header needs a lambdas list of {k} numbers")
-        extend_numbers(lam, lambdas, "lambdas", None, ln_no)
+        rows = table_rows(lines, "score", "self_influence", "row")
+        ln_no, _, head = next(rows)
+        k = len(head["dim_names"])
+        lam = array("d")
+        extend_numbers(lam, head.get("lambdas"), "lambdas", None, ln_no, k)
         ids: list[str] = []
         scores = array("d")
-        for ln_no, ln in rows:
-            try:
-                rec = json.loads(ln)
-            except json.JSONDecodeError as e:
-                raise DataError(f"malformed score row on line {ln_no}: {e}") from None
-            if not isinstance(rec, dict) or "id" not in rec:
-                raise DataError(f"line {ln_no}: score row must be an object with an id")
-            sc = rec.get("scores")
-            if rec.get("type") != "row" or not isinstance(sc, list) or len(sc) != k:
-                raise DataError(f"invalid score row for id {rec['id']!r} on line {ln_no}")
-            extend_numbers(scores, sc, "scores", rec["id"], ln_no)
-            ids.append(str(rec["id"]))
-        if not ids:
-            raise DataError("score file contains no rows")
+        for ln_no, sid, rec in rows:
+            extend_numbers(scores, rec.get("scores"), "scores", sid, ln_no, k)
+            ids.append(sid)
         try:
             return cls(
                 scores=np.frombuffer(scores).reshape(len(ids), k),
                 sample_ids=ids,
-                dim_names=[str(x) for x in dim_names],
-                scope=Scope(head["scope"]),
+                dim_names=head["dim_names"],
+                scope=Scope(head.get("scope")),
                 lambdas=np.frombuffer(lam),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except ValueError as e:
             raise DataError(f"invalid score file: {e}") from None
 
     @classmethod
@@ -205,11 +186,7 @@ class SelfInfluenceTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "SelfInfluenceTable":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"score file not found: {p}")
-        with open(p) as fh:
-            return cls._read(fh)
+        return read_file(path, "score", cls._read)
 
 
 @dataclass

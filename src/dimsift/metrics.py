@@ -9,14 +9,13 @@ per-dimension top scorers a single global ranking would miss.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, top_sets
+from .data import Dataset, top_sets, write_json
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import RegressionHead, check_pair
@@ -118,7 +117,7 @@ class MetricReport:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
 
 def evaluate_head(head: RegressionHead, ds: Dataset, metadata: dict | None = None) -> MetricReport:

@@ -19,16 +19,15 @@ that influence scopes covering the last two layers have coupled parameters.
 """
 from __future__ import annotations
 
-import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, extend_numbers, read_json
+from .data import Dataset, extend_numbers, read_json, write_json
 from .errors import DataError, NumericalError
 
 
@@ -145,7 +144,7 @@ class RegressionHead:
             raise DataError(f"invalid head document: {e}") from None
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionHead":
@@ -155,11 +154,10 @@ class RegressionHead:
 def _number_rows(rows: list, what: str) -> np.ndarray:
     """Equal-length lists of JSON numbers from line 1 of a head file, as a float64 matrix."""
     buf = array("d")
+    width = len(rows[0]) if rows and type(rows[0]) is list else None
     for row in rows:
-        if not isinstance(row, list) or len(row) != len(rows[0]):
-            raise DataError(f"line 1: {what} must hold equal-length lists of numbers")
-        extend_numbers(buf, row, what, None, 1)
-    return np.array(buf).reshape(len(rows), len(buf) // max(len(rows), 1))
+        extend_numbers(buf, row, what, None, 1, width)
+    return np.array(buf).reshape(len(rows), width or 0)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import extend_numbers, json_pieces, long_csv_lines, read_json, top_sets, write_lines
+from .data import extend_numbers, long_csv_lines, read_json, top_sets, write_json, write_lines
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import LossTable
@@ -32,10 +32,10 @@ DEFAULT_TEMPERATURE = 1.0
 DEFAULT_EPSILON = 1e-8
 
 
-def _numbers(values, what: str) -> list[float]:
-    """A JSON list of numbers from a one-line JSON file; a DataError naming what if it is not one."""
+def _numbers(values, what: str, width: int | None = None) -> list[float]:
+    """A JSON list of numbers (width of them, if given) from a one-line JSON file."""
     buf = array("d")
-    extend_numbers(buf, values, what, None, 1)
+    extend_numbers(buf, values, what, None, 1, width)
     return buf.tolist()
 
 
@@ -66,7 +66,7 @@ class PruneResult:
 
     def save(self, path: str | Path) -> None:
         """Write json.dumps(to_dict(), sort_keys=True) and a newline, a piece at a time."""
-        write_lines(path, json_pieces(self.to_dict()))
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "PruneResult":
@@ -120,21 +120,19 @@ class WeightMatrix:
 
     def save(self, path: str | Path) -> None:
         """Write json.dumps(to_dict(), sort_keys=True) and a newline, one weight row at a time."""
-        write_lines(path, json_pieces(self._doc(self.weights)))
+        write_json(path, self._doc(self.weights))
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightMatrix":
         d = read_json(path, "weight")
         try:
             ids = [str(x) for x in d["sample_ids"]]
-            stats = [tuple(_numbers([m, s], "per_dim_stats")) for m, s in d["per_dim_stats"]]
+            stats = [tuple(_numbers(pair, "per_dim_stats", 2)) for pair in d["per_dim_stats"]]
             rows, weights = d["weights"], array("d")
             if not isinstance(rows, list) or len(rows) != len(ids):
                 raise DataError("weights must hold one row per sample id")
             for sid, row in zip(ids, rows):
-                if not isinstance(row, list) or len(row) != len(stats):
-                    raise DataError(f"sample {sid!r}: weights row must list {len(stats)} numbers")
-                extend_numbers(weights, row, "weights", sid, 1)
+                extend_numbers(weights, row, "weights", sid, 1, len(stats))
             return cls(
                 weights=np.frombuffer(weights).reshape(len(ids), len(stats)),
                 sample_ids=ids,
@@ -195,9 +193,9 @@ def load_scalar_scores(path: str | Path) -> tuple[list, np.ndarray]:
     doc = read_json(path, "scalar score")
     try:
         ids, values = doc["ids"], array("d")
-        extend_numbers(values, doc["scores"], "scores", None, 1)
-        if not isinstance(ids, list) or len(ids) != len(values):
-            raise DataError(f"line 1: {len(values)} scores for {len(ids)} ids")
+        if not isinstance(ids, list):
+            raise DataError("line 1: ids must be a list")
+        extend_numbers(values, doc["scores"], "scores", None, 1, len(ids))
     except (KeyError, TypeError, ValueError, DataError) as e:
         raise DataError(f"invalid scalar score file {path}: {e}") from None
     return ids, np.frombuffer(values)

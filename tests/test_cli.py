@@ -4,6 +4,7 @@ value-for-value with the library call it wraps, and failures must map to the
 documented exit codes (1 usage, 2 data, 3 numerics)."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,7 @@ def test_score_global_and_row_sum_outputs(stage_dir):
     doc = json.loads(out.read_text())
     assert doc["type"] == "global_tracin"
     assert len(doc["ids"]) == len(doc["scores"]) == 200
+    assert out.read_text() == json.dumps(doc, sort_keys=True) + "\n"
     out2 = stage_dir / "rows.json"
     assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
                  "--head", str(stage_dir / "head.json"),
@@ -148,6 +150,7 @@ def test_score_global_and_row_sum_outputs(stage_dir):
     doc2 = json.loads(out2.read_text())
     assert doc2["type"] == "row_sum"
     assert np.asarray(doc2["values"]).shape == (200, 3)
+    assert out2.read_text() == json.dumps(doc2, sort_keys=True) + "\n"
 
 
 def test_prune_matches_library(stage_dir):
@@ -393,6 +396,16 @@ def _field_as(field, make):
         pytest.param("shared_head", 1,
                      _first_as("shared_weight", lambda row: [str(row[0])] + row[1:]),
                      id="head-string-shared-weight"),
+        # the dataset header: feature_dim is a JSON integer, dim_names a list
+        pytest.param("dataset", 1, _field_as("feature_dim", lambda v: math.inf),
+                     id="dataset-infinite-feature-dim"),
+        pytest.param("dataset", 1, _field_as("feature_dim", str), id="dataset-string-feature-dim"),
+        pytest.param("dataset", 1, _field_as("feature_dim", lambda v: v + 0.9),
+                     id="dataset-fractional-feature-dim"),
+        pytest.param("dataset", 1, _field_as("feature_dim", lambda v: True),
+                     id="dataset-bool-feature-dim"),
+        pytest.param("dataset", 1, _field_as("dim_names", lambda v: "ab"),
+                     id="dataset-string-dim-names"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
@@ -492,7 +505,7 @@ def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, doc, named):
 
 
 @pytest.mark.parametrize("kind, broken", [
-    ("head", "missing"), ("head", "malformed"),
+    ("head", "missing"), ("head", "malformed"), ("head", "directory"), ("dataset", "directory"),
     ("weights", "missing"), ("weights", "malformed"),
     ("global", "missing"), ("global", "malformed"),
     # `report --dir` reads report.json and prune.json only when they exist
@@ -503,6 +516,7 @@ def test_missing_or_malformed_json_file_exits_two_naming_it(stage_dir, kind, bro
     path = stage_dir / ("bad_head.json" if kind == "head" else f"{kind}.json")
     argv = {
         "head": ["evaluate", "--data", noisy, "--head", str(path)],
+        "dataset": ["evaluate", "--data", str(path), "--head", str(stage_dir / "head.json")],
         "weights": ["fit", "--data", noisy, "--weights", str(path),
                     "--out", str(stage_dir / "h.json")],
         "global": ["prune", "--method", "global", "--global-scores", str(path),
@@ -515,6 +529,8 @@ def test_missing_or_malformed_json_file_exits_two_naming_it(stage_dir, kind, bro
                      "--out", str(stage_dir / "scores.jsonl")]) == 0
     if broken == "malformed":
         path.write_text('{"rho": 0.1,\n')
+    elif broken == "directory":
+        path.mkdir()
     out = _cli_subprocess(argv)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and str(path) in out.stderr

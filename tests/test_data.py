@@ -1,6 +1,10 @@
 """Synthetic corpus generation, corruption injection, splitting, and JSONL io."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,9 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ODD_TEXT, peak_traced_bytes
+import dimsift
 from dimsift import (
     DataError,
     Dataset,
+    Scope,
+    SelfInfluenceTable,
     SynthConfig,
     TrainConfig,
     fit_closed_form,
@@ -35,6 +42,7 @@ from dimsift.data import (
     json_pieces,
     loads_dataset,
     teacher_head,
+    write_json,
 )
 
 
@@ -151,6 +159,27 @@ def test_the_draw_rejects_rows_out_of_order_or_range():
     for rows in ([3, 2], [-1, 4], [4, 10]):
         with pytest.raises(ValueError, match="ascending"):
             draw_synthetic(cfg, [np.array(rows)])
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_one_dimension_labels_do_not_depend_on_the_blas_thread_count():
+    # numpy sends a one-column product to gemv, and OpenBLAS's gemv gave these
+    # labels different bytes at one and two threads
+    src = str(Path(dimsift.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from dimsift import SynthConfig, generate_synthetic; "
+        "cfg = SynthConfig(16500, 64, 1, label_noise_sd=0.1, teacher_seed=0, sample_seed=1); "
+        "sys.stdout.buffer.write(generate_synthetic(cfg).labels.tobytes())"
+    )
+    labels = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        labels.append(out.stdout)
+    assert len(labels[0]) == 16500 * 8
+    assert labels[0] == labels[1]
 
 
 def test_generate_synthetic_holds_one_label_sized_temporary():
@@ -391,6 +420,51 @@ def test_jsonl_file_and_text_round_trips_agree(ds, data):
                 pass
 
 
+# any JSON value, half the time one a loader is likely to mishandle:
+# non-finite and out-of-range numbers, numbers as text, booleans and null
+ODD_JSON = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 10**400, -(10**400), 2**63, "8", 8.9, True, None]
+)
+ANY_JSON = ODD_JSON | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ODD_TEXT | ODD_JSON,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _row_table_texts():
+    corpus = inject_dimension_noise(
+        generate_synthetic(SynthConfig(4, 3, 2, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)),
+        0.5, range(2), 2,
+    )
+    table = SelfInfluenceTable(
+        np.arange(8.0).reshape(4, 2), corpus.ids, corpus.dim_names, Scope.HEAD_ONLY, np.ones(2)
+    )
+    return {"dataset": (dumps_dataset(corpus), loads_dataset),
+            "scores": (table.dumps(), SelfInfluenceTable.loads)}
+
+
+ROW_TABLES = _row_table_texts()
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_TABLES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_row_table_with_one_field_replaced_loads_or_is_a_data_error(kind, data):
+    # the header or one row gets one field replaced by an arbitrary JSON value
+    text, loads = ROW_TABLES[kind]
+    lines = text.splitlines()
+    i = 0 if data.draw(st.booleans(), label="header") else data.draw(st.integers(1, len(lines) - 1))
+    rec = json.loads(lines[i])
+    field = data.draw(st.sampled_from(sorted(rec)), label="field")
+    rec[field] = data.draw(ANY_JSON, label="value")
+    lines[i] = json.dumps(rec)
+    try:
+        loads("\n".join(lines) + "\n")
+    except DataError:
+        pass
+
+
 @pytest.fixture(scope="module")
 def big_corpus():
     cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
@@ -414,6 +488,19 @@ def test_json_pieces_split_long_lists_and_arrays(n):
     assert "".join(pieces) == json.dumps({**doc, "rows": rows.tolist()}, sort_keys=True) + "\n"
     # "{", four keys, z, "}\n", and per list "[", "]" and one piece per JSON_PIECE_ITEMS items
     assert len(pieces) == 7 + 3 * (2 + -(-n // JSON_PIECE_ITEMS))
+
+
+def test_write_json_writes_a_row_sum_file_a_piece_at_a_time(tmp_path):
+    # the document `score --method row_sum` writes for 12k rows. Measured peak
+    # over the file size: 0.17x; one json.dumps string of values.tolist() 5.1x
+    n = 12_000
+    values = np.random.default_rng(0).normal(size=(n, 5))
+    doc = {"type": "row_sum", "ids": [f"s{i:05d}" for i in range(n)],
+           "dim_names": [f"dim{k}" for k in range(5)], "values": values}
+    path = tmp_path / "rows.json"
+    peak = peak_traced_bytes(write_json, path, doc)
+    assert peak < 0.5 * path.stat().st_size
+    assert path.read_text() == json.dumps(dict(doc, values=values.tolist()), sort_keys=True) + "\n"
 
 
 def test_save_dataset_streams(big_corpus, tmp_path):

@@ -254,7 +254,7 @@ def _cmd_split(args) -> int:
 def _cmd_fit(args) -> int:
     ds = load_dataset(args.data)
     weights = None if args.weights is None else WeightMatrix.load(args.weights)
-    if weights is not None and weights.sample_ids != ds.ids:
+    if weights is not None and tuple(weights.sample_ids) != ds.ids:
         raise DataError("weight file ids do not match the dataset")
     cfg = TrainConfig(
         lambdas=args.lambdas,
@@ -341,7 +341,7 @@ def _cmd_reweight(args) -> int:
 def _cmd_detect_noise(args) -> int:
     ds = load_dataset(args.data)
     table = SelfInfluenceTable.load(args.scores)
-    if table.sample_ids != ds.ids:
+    if tuple(table.sample_ids) != ds.ids:
         raise DataError("score file ids do not match the dataset")
     mask = ds.corruption_mask
     if mask is None or not mask.any():

@@ -13,6 +13,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -67,6 +68,13 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def first_duplicate(ids: Sequence[str]) -> int | None:
+    """The index of the second occurrence of the smallest repeated id, or None."""
+    # sorted neighbours take 8 bytes per id; a set of the ids grows to ~50 (6 MiB at 120k)
+    dup = next((a for a, b in pairwise(sorted(ids)) if a == b), None)
+    return None if dup is None else ids.index(dup, ids.index(dup) + 1)
+
+
 def _digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
@@ -104,7 +112,7 @@ class Dataset:
     ):
         self._features = _frozen(np.atleast_2d(features))
         self._labels = _frozen(np.atleast_2d(labels))
-        self._ids = [str(i) for i in ids]
+        self._ids = tuple(map(str, ids))
         self.dim_names = [str(d) for d in dim_names]
         self.manifest = dict(manifest or {})
         n, d = self._features.shape
@@ -121,11 +129,9 @@ class Dataset:
             raise DataError("non-finite feature values")
         if not np.all(np.isfinite(self._labels)):
             raise DataError("non-finite label values")
-        seen = set()
-        for sid in self._ids:
-            if sid in seen:
-                raise DataError(f"duplicate sample id {sid!r}")
-            seen.add(sid)
+        dup = first_duplicate(self._ids)
+        if dup is not None:
+            raise DataError(f"duplicate sample id {self._ids[dup]!r}")
         if corrupted is not None:
             corrupted = np.ascontiguousarray(corrupted, dtype=bool)
             if corrupted.shape != self._labels.shape:
@@ -147,8 +153,8 @@ class Dataset:
         return self._features.shape[1]
 
     @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
 
     @property
     def features(self) -> np.ndarray:
@@ -601,7 +607,7 @@ def json_pieces(doc: dict) -> Iterator[str]:
         value = doc[key]
         yield f"{sep}{encode(key)}: "
         sep = ", "
-        if not isinstance(value, (list, np.ndarray)):
+        if not isinstance(value, (list, tuple, np.ndarray)):
             yield encode(value)
             continue
         yield "["
@@ -743,7 +749,7 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
     columns = {"features": ds.features, "labels": ds.labels}
     if ds.corruption_mask is not None:
         columns["corrupted"] = ds.corruption_mask
-    return table_lines(head, "sample", ds._ids, columns)
+    return table_lines(head, "sample", ds.ids, columns)
 
 
 def dumps_dataset(ds: Dataset) -> str:

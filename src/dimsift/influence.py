@@ -30,7 +30,7 @@ import io
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .data import (
     Dataset,
     Sample,
     extend_numbers,
+    first_duplicate,
     long_csv_lines,
     read_file,
     table_lines,
@@ -84,7 +85,7 @@ class SelfInfluenceTable:
     """Per-sample, per-dimension self-influence scores (lambda-free); scores is read-only."""
 
     scores: np.ndarray
-    sample_ids: list[str]
+    sample_ids: Sequence[str]
     dim_names: list[str]
     scope: Scope
     lambdas: np.ndarray
@@ -164,17 +165,25 @@ class SelfInfluenceTable:
         k = len(head["dim_names"])
         lam = array("d")
         extend_numbers(lam, head.get("lambdas"), "lambdas", None, ln_no, k)
+        scope, names = head.get("scope"), [s.value for s in Scope]
+        if scope not in names:
+            raise DataError(f"line {ln_no}: scope must be one of {names}, got {scope!r:.40}")
         ids: list[str] = []
+        line_of = array("l")
         scores = array("d")
         for ln_no, sid, rec in rows:
             extend_numbers(scores, rec.get("scores"), "scores", sid, ln_no, k)
             ids.append(sid)
+            line_of.append(ln_no)
+        dup = first_duplicate(ids)
+        if dup is not None:
+            raise DataError(f"line {line_of[dup]}: duplicate sample id {ids[dup]!r}")
         try:
             return cls(
                 scores=np.frombuffer(scores).reshape(len(ids), k),
                 sample_ids=ids,
                 dim_names=head["dim_names"],
-                scope=Scope(head.get("scope")),
+                scope=Scope(scope),
                 lambdas=np.frombuffer(lam),
             )
         except ValueError as e:
@@ -272,8 +281,8 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
     the head input, 1 the bias) and a_i = |x_i|^2 + 1 from the shared-layer
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
-    gradient is assembled. Returns (r, a, b, G), all fresh arrays: the
-    callers overwrite r in place to build their scores.
+    gradient is assembled. Returns (r, a, b, G), all fresh arrays (a is one
+    zero in head-only scopes): the callers overwrite r in place.
     """
     check_pair(head, ds)
     _check_scope(head, cfg.scope)
@@ -288,7 +297,7 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
         a = np.einsum("ij,ij->i", x, x)
         a += 1.0
     else:
-        a = np.zeros(len(ds))
+        a = np.zeros(1)
     return r, a, b, head.weights @ head.weights.T
 
 
@@ -321,7 +330,7 @@ def self_influence_explicit(
     if cfg.scope == Scope.LAST_TWO_LAYERS:
         scores *= np.diag(gram) * a[:, None] + b[:, None]
     else:
-        # a is all zeros in head-only scopes, so the factor is exactly b
+        # a is zero in head-only scopes, so the factor is exactly b
         scores *= b[:, None]
     return SelfInfluenceTable(
         scores=scores,
@@ -374,7 +383,7 @@ def global_tracin_self(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) 
     rho *= cfg.resolved_lambdas(head.n_dims)
     out = np.einsum("ij,ij->i", rho, rho)
     out *= b
-    # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is all zeros
+    # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is zero
     if cfg.scope == Scope.LAST_TWO_LAYERS:
         v = rho @ head.weights
         out += np.einsum("ij,ij->i", v, v) * a
@@ -393,6 +402,7 @@ def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> n
     rho, a, b, gram = _gram_terms(head, ds, cfg)
     rho *= cfg.resolved_lambdas(head.n_dims)
     out = rho @ gram
+    # kept where a is zero (head-only): its sign decides that of a zero lambda_j's zero scores
     out *= a[:, None]
     out += rho * b[:, None]
     out *= rho

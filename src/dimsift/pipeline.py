@@ -405,8 +405,8 @@ class PipelineArtifacts:
 
     A run draws only its training and test rows; build_corpus(config)
     rebuilds the full corpus they were taken from. A pruned run's refined
-    rows are not kept: prune.kept_ids names them, and the refit held only
-    their features and labels.
+    rows are not kept: prune.kept_ids names them. A closed-form refit copied
+    no rows; a gradient-descent refit held a copy of their features and labels.
     """
 
     report: ExperimentReport
@@ -420,15 +420,17 @@ class PipelineArtifacts:
     weight_matrix: Optional[WeightMatrix]
 
 
-def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig) -> RegressionHead:
-    """A head fitted to features x and labels y.
+def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig, drop=None) -> RegressionHead:
+    """A head fitted to features x and labels y, leaving out the rows drop names.
 
-    Gradient descent with a shared layer or a loss-balancing strategy, else
-    the closed form.
+    Gradient descent on a copy of the kept rows with a shared layer or a
+    loss-balancing strategy, else the closed form, which copies no rows.
     """
     if cfg.hidden_dim is not None or cfg.strategy != "equal":
+        if drop is not None:
+            x, y = np.delete(x, drop, axis=0), np.delete(y, drop, axis=0)
         return fit_gd_arrays(x, y, weights, cfg)
-    return fit_closed_form_arrays(x, y, weights, cfg)
+    return fit_closed_form_arrays(x, y, weights, cfg, drop)
 
 
 def build_corpus(config: PipelineConfig) -> tuple[Dataset, Dataset]:
@@ -452,8 +454,9 @@ def run_pipeline(
     training rows carry corrupted labels and the test rows clean ones, both
     equal to the rows build_corpus(config) would give. The full corpus is
     built only with output_dir, to write config.json and corpus.jsonl, and
-    is released before the rows are drawn. After pruning, the refit holds
-    only the kept rows' features and labels, released once it is fitted.
+    is released before the rows are drawn. A pruned closed-form refit
+    subtracts the removed rows' normal equations and copies no rows; a
+    gradient-descent refit fits a copy of the kept rows, released after.
     """
     validate_synth(config.synth)
     train_idx, val_idx, test_idx = split_indices(
@@ -495,7 +498,7 @@ def run_pipeline(
 
     prune: Optional[PruneResult] = None
     weight_matrix: Optional[WeightMatrix] = None
-    x, y, refit_weights = train.features, train.labels, None
+    refit_weights = drop = None
     r = config.refine
     if r.strategy == "ddp":
         prune = ddp_select(scores, r.rho)
@@ -510,13 +513,14 @@ def run_pipeline(
     if prune is not None:
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
-        # the features and labels of kept_ids, in corpus order
+        # the rows of removed_ids, in corpus order
         removed = set(prune.removed_ids)
         kept = np.fromiter((sid not in removed for sid in train.ids), dtype=bool, count=len(train))
-        x, y = train.features[kept], train.labels[kept]
-    n_train_refined = len(x)
-    final = probe if r.strategy == "none" else _fit(x, y, refit_weights, config.train)
-    del x, y
+        drop = np.flatnonzero(~kept)
+    n_train_refined = len(train) - (0 if drop is None else len(drop))
+    final = probe
+    if r.strategy != "none":
+        final = _fit(train.features, train.labels, refit_weights, config.train, drop)
 
     strategies = {
         "baseline": evaluate_head(probe, test_clean, {"strategy": "baseline"}).to_dict()

@@ -101,7 +101,7 @@ class WeightMatrix:
     """Per-sample, per-dimension training weights with global mean one."""
 
     weights: np.ndarray
-    sample_ids: list[str]
+    sample_ids: Sequence[str]
     temperature: float
     epsilon: float
     per_dim_stats: list[tuple[float, float]]
@@ -185,16 +185,17 @@ def loss_prune_select(losses: LossTable, rho: float) -> PruneResult:
     values = np.asarray(losses.values, dtype=np.float64)
     if values.ndim != 2 or len(losses.sample_ids) != values.shape[0]:
         raise ValueError("losses must be an (N, K) table with matching ids")
-    return _union_prune(values, top_sets(values, rho), list(losses.sample_ids), rho)
+    return _union_prune(values, top_sets(values, rho), losses.sample_ids, rho)
 
 
-def load_scalar_scores(path: str | Path) -> tuple[list, np.ndarray]:
+def load_scalar_scores(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The ids and scores of a scalar score file, as `score --method global` writes it."""
     doc = read_json(path, "scalar score")
     try:
         ids, values = doc["ids"], array("d")
         if not isinstance(ids, list):
             raise DataError("line 1: ids must be a list")
+        ids = [str(x) for x in ids]
         extend_numbers(values, doc["scores"], "scores", None, 1, len(ids))
     except (KeyError, TypeError, ValueError, DataError) as e:
         raise DataError(f"invalid scalar score file {path}: {e}") from None
@@ -212,10 +213,9 @@ def global_prune_select(
     column, with per_dim_risk_sets and thresholds left empty.
     """
     scores = np.asarray(scalar_scores, dtype=np.float64)
-    ids = [str(s) for s in sample_ids]
-    if scores.ndim != 1 or len(ids) != scores.shape[0]:
+    if scores.ndim != 1 or len(sample_ids) != scores.shape[0]:
         raise ValueError("scalar_scores must be one score per sample id")
-    result = _union_prune(scores[:, None], top_sets(scores, rho_total), ids, rho_total)
+    result = _union_prune(scores[:, None], top_sets(scores, rho_total), sample_ids, rho_total)
     return replace(result, per_dim_risk_sets=[], thresholds=[])
 
 
@@ -255,7 +255,7 @@ def ddr_weights(
     w = raw / raw.mean()
     return WeightMatrix(
         weights=w,
-        sample_ids=list(scores.sample_ids),
+        sample_ids=scores.sample_ids,
         temperature=float(temperature),
         epsilon=float(epsilon),
         per_dim_stats=stats,

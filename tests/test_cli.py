@@ -190,6 +190,25 @@ def test_detect_noise_reports_auroc(stage_dir, capsys):
     assert all(v > 0.5 for v in doc["per_dim_auroc"].values())
 
 
+@pytest.mark.parametrize("kind", ["weights", "scores"])
+def test_id_files_must_match_the_dataset(stage_dir, kind):
+    noisy, other = str(stage_dir / "noisy.jsonl"), str(stage_dir / "other.jsonl")
+    scores, weights = str(stage_dir / "scores.jsonl"), str(stage_dir / "weights.json")
+    assert main(["score", "--data", noisy, "--head", str(stage_dir / "head.json"),
+                 "--out", scores]) == 0
+    assert main(["reweight", "--scores", scores, "--out", weights]) == 0
+    save_dataset(load_dataset(noisy).select(range(199, -1, -1)), other)
+
+    def argv(data):
+        if kind == "weights":
+            return ["fit", "--data", data, "--weights", weights, "--out", str(stage_dir / "h.json")]
+        return ["detect-noise", "--data", data, "--scores", scores]
+
+    # the dataset the file was made from is accepted, the same rows reordered are not
+    assert main(argv(noisy)) == 0
+    assert main(argv(other)) == 2
+
+
 def test_evaluate_reports_spearman(stage_dir):
     out = stage_dir / "eval.json"
     assert main(["evaluate", "--data", str(stage_dir / "noisy.jsonl"),
@@ -406,6 +425,11 @@ def _field_as(field, make):
                      id="dataset-bool-feature-dim"),
         pytest.param("dataset", 1, _field_as("dim_names", lambda v: "ab"),
                      id="dataset-string-dim-names"),
+        pytest.param("scores", 1, _field_as("scope", lambda v: "everything"),
+                     id="scores-unknown-scope"),
+        # rows s00000, s00001, s00002 sit on lines 2-4: line 4 repeats line 3's id
+        pytest.param("scores", 4, _field_as("id", lambda v: "s00001"), id="scores-duplicate-id"),
+        pytest.param("head", 1, _field_as("weights", lambda v: 5), id="head-number-weights"),
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):

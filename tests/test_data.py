@@ -38,6 +38,7 @@ from dimsift.data import (
     ceil_count,
     draw_synthetic,
     dumps_dataset,
+    first_duplicate,
     floor_count,
     json_pieces,
     loads_dataset,
@@ -195,7 +196,9 @@ def test_generate_synthetic_holds_one_label_sized_temporary():
 def test_ids_are_unique_and_ordered():
     corpus = generate_synthetic(SynthConfig(30, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=0))
     assert len(set(corpus.ids)) == 30
-    assert corpus.ids == sorted(corpus.ids)
+    assert corpus.ids == tuple(sorted(corpus.ids))
+    # one immutable sequence, shared by every caller instead of copied per call
+    assert isinstance(corpus.ids, tuple) and corpus.ids is corpus.ids
 
 
 def test_arrays_are_read_only():
@@ -520,10 +523,18 @@ def test_load_dataset_holds_little_beyond_the_arrays(big_corpus, tmp_path):
 def test_dataset_select_preserves_order():
     corpus = generate_synthetic(SynthConfig(20, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=1))
     sub = corpus.select([5, 2, 9])
-    assert sub.ids == [corpus.ids[5], corpus.ids[2], corpus.ids[9]]
+    assert sub.ids == (corpus.ids[5], corpus.ids[2], corpus.ids[9])
     assert np.array_equal(sub.features[1], corpus.features[2])
     sub2 = corpus.select_ids([corpus.ids[3], corpus.ids[0]])
-    assert sub2.ids == [corpus.ids[3], corpus.ids[0]]
+    assert sub2.ids == (corpus.ids[3], corpus.ids[0])
+
+
+@given(st.lists(st.sampled_from("abcdefgh"), max_size=12))
+def test_first_duplicate_is_the_smallest_repeat(ids):
+    repeated = sorted(sid for sid in set(ids) if ids.count(sid) > 1)
+    want = [i for i, sid in enumerate(ids) if sid == repeated[0]][1] if repeated else None
+    assert first_duplicate(ids) == want
+    assert first_duplicate(tuple(ids)) == first_duplicate(ids)
 
 
 def test_dataset_validation():

@@ -447,7 +447,7 @@ def test_score_table_round_trips(noisy_corpus, tmp_path):
     table.to_jsonl(path)
     back = SelfInfluenceTable.load(path)
     assert np.array_equal(back.scores, table.scores)
-    assert back.sample_ids == table.sample_ids
+    assert tuple(back.sample_ids) == table.sample_ids
     assert back.dim_names == table.dim_names
     assert back.scope == table.scope
     assert np.array_equal(back.lambdas, table.lambdas)

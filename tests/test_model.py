@@ -22,7 +22,7 @@ from dimsift import (
     residuals,
 )
 from dimsift.data import teacher_head
-from dimsift.model import GDObjective
+from dimsift.model import GDObjective, fit_closed_form_arrays
 
 
 def tiny_corpus(n=120, d=3, k=2, sd=0.05, teacher_seed=3, sample_seed=4):
@@ -200,6 +200,94 @@ def test_closed_form_peak_memory(weighted, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * ds.features.nbytes
+
+
+# ------------------------------------------------------- dropped rows
+
+def _beta(head):
+    return np.vstack([head.weights.T, head.biases])
+
+
+def _normwise(got, want):
+    return np.linalg.norm(_beta(got) - _beta(want)) / np.linalg.norm(_beta(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    k=st.integers(1, 4),
+    spare=st.integers(0, 200),
+    drop_frac=st.floats(0.0, 0.5),
+)
+@pytest.mark.parametrize("fit_bias", [True, False])
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 10.0])
+def test_dropped_rows_fit_is_the_kept_rows_fit(fit_bias, alpha, seed, d, k, spare, drop_frac):
+    rng = np.random.default_rng(seed)
+    n = 3 * (d + 1) + spare
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    y = rng.normal(size=(n, k)) * 5.0
+    # a random drop set that keeps at least 3 rows per unknown
+    n_drop = min(int(drop_frac * n), n - 3 * (d + 1))
+    drop = np.sort(rng.choice(n, size=n_drop, replace=False))
+    keep = np.ones(n, dtype=bool)
+    keep[drop] = False
+    cfg = TrainConfig(ridge_alpha=alpha, fit_bias=fit_bias)
+    got = fit_closed_form_arrays(x, y, None, cfg, drop)
+    want = fit_closed_form_arrays(x[keep], y[keep], None, cfg)
+    assert _normwise(got, want) <= 1e-12
+    assert got.fit_info == want.fit_info
+
+
+@pytest.mark.parametrize("fit_bias", [True, False])
+def test_an_empty_drop_is_the_undropped_fit_bit_for_bit(fit_bias):
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(500, 16)), rng.normal(size=(500, 5))
+    cfg = TrainConfig(ridge_alpha=1e-6, fit_bias=fit_bias)
+    got = fit_closed_form_arrays(x, y, None, cfg, np.array([], dtype=np.intp))
+    want = fit_closed_form_arrays(x, y, None, cfg)
+    assert np.array_equal(got.weights, want.weights) and np.array_equal(got.biases, want.biases)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dominant_dropped_rows_still_agree_to_1e_9(seed):
+    # the downdate keeps the full Gram's rounding: 20 dropped rows whose
+    # features and labels are 1e3 times the others' measured ~1.5e-10
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2000, 16)), rng.normal(size=(2000, 5))
+    drop = np.sort(rng.choice(2000, size=20, replace=False))
+    x[drop] *= 1e3
+    y[drop] *= 1e3
+    keep = np.ones(2000, dtype=bool)
+    keep[drop] = False
+    cfg = TrainConfig(ridge_alpha=1e-6)
+    got = fit_closed_form_arrays(x, y, None, cfg, drop)
+    assert _normwise(got, fit_closed_form_arrays(x[keep], y[keep], None, cfg)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    n=st.integers(10, 400),
+    fit_bias=st.booleans(),
+    left=st.integers(0, 8),
+)
+def test_a_drop_leaving_fewer_rows_than_unknowns_raises_at_alpha_zero(seed, d, n, fit_bias, left):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+    y = rng.normal(size=(n, 2))
+    left = min(left, d + fit_bias - 1)
+    drop = np.sort(rng.choice(n, size=n - left, replace=False))
+    with pytest.raises(NumericalError, match="all dimensions"):
+        fit_closed_form_arrays(x, y, None, TrainConfig(ridge_alpha=0.0, fit_bias=fit_bias), drop)
+
+
+def test_dropped_rows_and_sample_weights_do_not_combine():
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
+    with pytest.raises(ValueError, match="sample weights"):
+        fit_closed_form_arrays(x, y, np.ones((20, 2)), None, np.array([0, 1]))
 
 
 # -------------------------------------------------------- gradient descent

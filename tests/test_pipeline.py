@@ -29,6 +29,7 @@ from dimsift import (
     UsageError,
     build_corpus,
     default_config,
+    fit_closed_form,
     generate_synthetic,
     run_pipeline,
     split,
@@ -169,8 +170,15 @@ def test_pipeline_runs_and_reports_every_section():
     assert all(a is None or 0.0 <= a <= 1.0 for a in report.noise_detection["per_dim_auroc"])
     assert report.overlap["cumulative_ratios"][-1] >= report.refine_summary["rho"] - 1e-12
     # pruning actually shrank the training set
-    assert arts.train.ids != arts.prune.kept_ids
+    assert list(arts.train.ids) != arts.prune.kept_ids
     assert len(arts.prune.kept_ids) < len(arts.train.ids)
+
+
+def test_a_run_shares_the_training_ids():
+    # the ids tuple of the training split, not a copy per table
+    arts = run_pipeline(small_config(refine="ddr"))
+    assert arts.scores.sample_ids is arts.train.ids
+    assert arts.weight_matrix.sample_ids is arts.train.ids
 
 
 def test_pipeline_reweighting_branch():
@@ -271,47 +279,71 @@ def _same_rows(a, b):
 
 
 @pytest.mark.parametrize(
-    "refine, noise, synth",
+    "refine, noise, synth, train",
     [
-        pytest.param("ddp", {}, {}, id="ddp"),
-        pytest.param("loss_prune", {}, {}, id="loss_prune"),
-        pytest.param("global_prune", {}, {}, id="global_prune"),
-        pytest.param("ddp", {"dims": (0, 2)}, {}, id="ddp-noise-dims"),
-        pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.02}, {}, id="ddp-correlated-only"),
-        pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.0}, {}, id="ddp-no-noise"),
-        pytest.param("ddp", {}, {"label_range": (-2.0, 2.5)}, id="ddp-label-range"),
+        pytest.param("ddp", {}, {}, {}, id="ddp"),
+        pytest.param("loss_prune", {}, {}, {}, id="loss_prune"),
+        pytest.param("global_prune", {}, {}, {}, id="global_prune"),
+        pytest.param("ddp", {"dims": (0, 2)}, {}, {}, id="ddp-noise-dims"),
+        pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.02}, {}, {}, id="ddp-correlated-only"),
+        pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.0}, {}, {}, id="ddp-no-noise"),
+        pytest.param("ddp", {}, {"label_range": (-2.0, 2.5)}, {}, id="ddp-label-range"),
+        pytest.param("ddp", {}, {}, {"hidden_dim": 4, "epochs": 20}, id="ddp-gd"),
     ],
 )
-def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth):
-    fitted = []
-    fit = dimsift.pipeline._fit
+def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth, train):
+    fitted, gd_fitted = [], []
+    fit, fit_gd = dimsift.pipeline._fit, dimsift.pipeline.fit_gd_arrays
 
-    def recording_fit(x, y, *args):
-        fitted.append((x, y))
-        return fit(x, y, *args)
+    def recording_fit(x, y, weights, cfg, drop=None):
+        fitted.append((x, y, drop))
+        return fit(x, y, weights, cfg, drop)
+
+    def recording_fit_gd(x, y, *args):
+        gd_fitted.append((x, y))
+        return fit_gd(x, y, *args)
 
     monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
+    monkeypatch.setattr(dimsift.pipeline, "fit_gd_arrays", recording_fit_gd)
     cfg = small_config(refine=refine)
     cfg = dataclasses.replace(
         cfg,
         synth=dataclasses.replace(cfg.synth, **synth),
         noise=dataclasses.replace(cfg.noise, **noise),
+        train=dataclasses.replace(cfg.train, **train),
     )
     arts = run_pipeline(cfg)
     clean, noisy = build_corpus(cfg)
-    train, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
-    refined = train.select_ids(arts.prune.kept_ids)
-    assert 0 < len(refined) < len(train)
-    _same_rows(arts.train, train)
+    train_ds, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
+    refined = train_ds.select_ids(arts.prune.kept_ids)
+    assert 0 < len(refined) < len(train_ds)
+    _same_rows(arts.train, train_ds)
     _same_rows(arts.test_clean, clean.select_ids(test.ids))
-    (probe_x, probe_y), (final_x, final_y) = fitted
-    # the probe fits the full training rows themselves; the refit only the
-    # kept rows' features and labels
-    assert probe_x is arts.train.features and probe_y is arts.train.labels
-    for got, want in ((final_x, refined.features), (final_y, refined.labels)):
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert np.array_equal(got, want)
+    (probe_x, probe_y, probe_drop), (final_x, final_y, drop) = fitted
+    # the probe and the refit both get the full training rows themselves; the
+    # refit drops the rows of removed_ids, in corpus order, and no others
+    for x, y in ((probe_x, probe_y), (final_x, final_y)):
+        assert x is arts.train.features and y is arts.train.labels
+    assert probe_drop is None
+    assert drop.tolist() == [arts.train.index_of(sid) for sid in arts.prune.removed_ids]
+    assert np.all(np.diff(drop) > 0)
+    kept = np.delete(np.arange(len(arts.train)), drop)
+    assert [arts.train.ids[i] for i in kept] == arts.prune.kept_ids
     assert arts.report.dataset_summary["n_train_refined"] == len(refined)
+    if cfg.train.hidden_dim is None:
+        # the closed form subtracts the dropped rows' normal equations
+        assert gd_fitted == []
+        want = fit_closed_form(refined, config=cfg.train)
+        got_beta = np.vstack([arts.final.weights.T, arts.final.biases])
+        want_beta = np.vstack([want.weights.T, want.biases])
+        assert np.linalg.norm(got_beta - want_beta) <= 1e-12 * np.linalg.norm(want_beta)
+        assert arts.final.fit_info == want.fit_info
+    else:
+        # gradient descent fits a copy of the kept rows' features and labels
+        (_, _), (gd_x, gd_y) = gd_fitted
+        for got, want in ((gd_x, refined.features), (gd_y, refined.labels)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("out", ["run"], ids=["to-dir"])
@@ -386,10 +418,10 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
         tracemalloc.start()  # from here on: what the selection and the refit allocate
         return select(scores, rho)
 
-    def measuring_fit(x, *args):
-        head = fit(x, *args)
+    def measuring_fit(x, y, weights, cfg, drop=None):
+        head = fit(x, y, weights, cfg, drop)
         if tracemalloc.is_tracing():
-            measured.append((tracemalloc.get_traced_memory()[1], len(x)))
+            measured.append((tracemalloc.get_traced_memory()[1], len(x) - len(drop)))
             tracemalloc.stop()
         return head
 
@@ -401,9 +433,10 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
         if tracemalloc.is_tracing():
             tracemalloc.stop()
     [(peak, n_kept)] = measured
-    # the kept rows' features and labels and the selection beside them: 1.11x
-    # measured; a Dataset of the kept rows (ids, id set, mask and checks) 1.57x
-    assert peak < 1.3 * n_kept * (d + k) * 8
+    # the selection and the dropped rows' normal equations: 0.11x the kept
+    # rows' features and labels measured; copying those rows measured 1.11x,
+    # and a Dataset of the kept rows (ids, id set, mask and checks) 1.57x
+    assert peak < 0.2 * n_kept * (d + k) * 8
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])

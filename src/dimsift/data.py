@@ -13,7 +13,8 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import compress, pairwise
+from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -75,6 +76,102 @@ def first_duplicate(ids: Sequence[str]) -> int | None:
     return None if dup is None else ids.index(dup, ids.index(dup) + 1)
 
 
+def check_unique(ids: Sequence[str], line_of: Sequence[int]) -> None:
+    """A DataError naming the file line of the first repeated id (see first_duplicate), if any."""
+    dup = first_duplicate(ids)
+    if dup is not None:
+        raise DataError(f"line {line_of[dup]}: duplicate sample id {ids[dup]!r}")
+
+
+class RowIds(Sequence[str]):
+    """The ids of a synthetic corpus's rows, "s" and the row number zero-padded to width digits.
+
+    An immutable view over a read-only array of row numbers (not copied), so
+    each id takes 8 bytes instead of a str and a tuple slot. An int index
+    formats one id; a slice, boolean mask or index array gives another view;
+    iteration formats the ids one at a time. == and != compare element-wise
+    with any sequence of str, as a tuple does.
+    """
+
+    __slots__ = ("_rows", "_width")
+    # rows formatted per block while iterating: tolist() of every row would hold one Python int per id
+    _BLOCK = 1024
+
+    def __init__(self, rows: np.ndarray, width: int):
+        rows = np.asarray(rows, dtype=np.intp).view()
+        if rows.ndim != 1:
+            raise ValueError("row numbers must be a 1-D array")
+        rows.setflags(write=False)
+        self._rows = rows
+        self._width = int(width)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The read-only row numbers, one per id."""
+        return self._rows
+
+    @property
+    def ascending(self) -> bool:
+        """Whether the rows strictly ascend, which makes the ids unique."""
+        return bool(np.all(self._rows[1:] > self._rows[:-1]))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return f"s{int(self._rows[key]):0{self._width}d}"
+        return RowIds(self._rows[key], self._width)
+
+    def __iter__(self) -> Iterator[str]:
+        fmt = f"s{{:0{self._width}d}}".format
+        for start in range(0, len(self._rows), self._BLOCK):
+            yield from map(fmt, self._rows[start : start + self._BLOCK].tolist())
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        digits = value[1:] if isinstance(value, str) and value[:1] == "s" else ""
+        # 18 digits or fewer fit the row array's int64
+        if digits.isascii() and digits.isdigit() and len(digits) <= 18:
+            hits = np.flatnonzero(self._rows[lo:hi] == int(digits))
+            # "s1" and "s00001" name the same row number; only the padded one is an id
+            if hits.size and self[lo + int(hits[0])] == value:
+                return lo + int(hits[0])
+        raise ValueError(f"{value!r} is not in the ids")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RowIds):
+            return len(self) == len(other) and (
+                not len(self) or self._width == other._width and np.array_equal(self._rows, other._rows)
+            )
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __add__(self, other):
+        """Concatenation with a sequence of str, a tuple of the ids as a tuple's would be."""
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return (*self, *other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return (*other, *self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RowIds({len(self)} ids, width {self._width})"
+
+
+def take_ids(ids: Sequence[str], rows: np.ndarray) -> Sequence[str]:
+    """The ids at an index array or boolean mask rows: a view of a RowIds, else a list."""
+    if isinstance(ids, RowIds):
+        return ids[rows]
+    if rows.dtype == bool:
+        return list(compress(ids, rows))
+    return [ids[i] for i in rows]
+
+
 def _digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
@@ -112,7 +209,7 @@ class Dataset:
     ):
         self._features = _frozen(np.atleast_2d(features))
         self._labels = _frozen(np.atleast_2d(labels))
-        self._ids = tuple(map(str, ids))
+        self._ids = ids if isinstance(ids, RowIds) else tuple(map(str, ids))
         self.dim_names = [str(d) for d in dim_names]
         self.manifest = dict(manifest or {})
         n, d = self._features.shape
@@ -129,9 +226,11 @@ class Dataset:
             raise DataError("non-finite feature values")
         if not np.all(np.isfinite(self._labels)):
             raise DataError("non-finite label values")
-        dup = first_duplicate(self._ids)
-        if dup is not None:
-            raise DataError(f"duplicate sample id {self._ids[dup]!r}")
+        # strictly ascending row numbers are unique ids by construction
+        if not (isinstance(self._ids, RowIds) and self._ids.ascending):
+            dup = first_duplicate(self._ids)
+            if dup is not None:
+                raise DataError(f"duplicate sample id {self._ids[dup]!r}")
         if corrupted is not None:
             corrupted = np.ascontiguousarray(corrupted, dtype=bool)
             if corrupted.shape != self._labels.shape:
@@ -153,7 +252,8 @@ class Dataset:
         return self._features.shape[1]
 
     @property
-    def ids(self) -> tuple[str, ...]:
+    def ids(self) -> Sequence[str]:
+        """The immutable sample ids: a RowIds for synthetic rows, else a tuple of str."""
         return self._ids
 
     @property
@@ -196,7 +296,7 @@ class Dataset:
         else:
             idx = np.asarray(list(indices), dtype=int)
         return Dataset(
-            ids=[self._ids[i] for i in idx],
+            ids=take_ids(self._ids, idx),
             features=self._features[idx],
             labels=self._labels[idx],
             dim_names=self.dim_names,
@@ -341,12 +441,14 @@ def synthetic_rows(
     corrupted: np.ndarray,
     manifest: dict,
 ) -> Dataset:
-    """The given rows of config's corpus as a Dataset, with the corpus's ids and dimension names."""
-    width = max(5, len(str(config.n_samples - 1)))
-    # one int at a time: a list of them would be freed between the id
-    # strings, leaving the allocator's arenas fragmented after the run
+    """The given rows of config's corpus as a Dataset, with the corpus's ids and dimension names.
+
+    Row r's id is "s" and r zero-padded to the digits of the corpus's last
+    row, at least five. The ids are a RowIds view of rows, an ascending
+    row-index array, which is not copied.
+    """
     return Dataset(
-        ids=[f"s{i:0{width}d}" for i in map(int, rows)],
+        ids=RowIds(rows, max(5, len(str(config.n_samples - 1)))),
         features=features,
         labels=labels,
         dim_names=[f"dim{k}" for k in range(config.n_dims)],
@@ -593,21 +695,29 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 JSON_PIECE_ITEMS = 256
 
 
+def _ids_list(o) -> list[str]:
+    """json's fallback encoding: a RowIds as the list of its ids."""
+    if isinstance(o, RowIds):
+        return list(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def json_pieces(doc: dict) -> Iterator[str]:
     """json.dumps(doc, sort_keys=True) + "\n", produced a piece at a time.
 
-    A list or array value comes JSON_PIECE_ITEMS items per piece, each piece
-    encoded by one call (an array's rows through tolist()), so no piece holds
-    more of the document than that many items.
+    A list, array or RowIds value comes JSON_PIECE_ITEMS items per piece,
+    each piece encoded by one call (an array's rows through tolist()), so no
+    piece holds more of the document than that many items. A RowIds anywhere
+    in the document is written as the list of its ids.
     """
-    encode = json.JSONEncoder(sort_keys=True).encode
+    encode = json.JSONEncoder(sort_keys=True, default=_ids_list).encode
     yield "{"
     sep = ""
     for key in sorted(doc):
         value = doc[key]
         yield f"{sep}{encode(key)}: "
         sep = ", "
-        if not isinstance(value, (list, tuple, np.ndarray)):
+        if not isinstance(value, (list, tuple, np.ndarray, RowIds)):
             yield encode(value)
             continue
         yield "["
@@ -778,6 +888,7 @@ def _read_dataset(lines: Iterable[str]) -> Dataset:
     k = len(dim_names)
 
     ids: list[str] = []
+    line_of = array("l")
     feats = array("d")
     labs = array("d")
     masks = bytearray()
@@ -796,6 +907,8 @@ def _read_dataset(lines: Iterable[str]) -> Dataset:
         else:
             masks.extend(bytes(k))
         ids.append(sid)
+        line_of.append(ln_no)
+    check_unique(ids, line_of)
     n = len(ids)
     return Dataset(
         ids=ids,

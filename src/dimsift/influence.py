@@ -37,8 +37,8 @@ import numpy as np
 from .data import (
     Dataset,
     Sample,
+    check_unique,
     extend_numbers,
-    first_duplicate,
     long_csv_lines,
     read_file,
     table_lines,
@@ -175,9 +175,7 @@ class SelfInfluenceTable:
             extend_numbers(scores, rec.get("scores"), "scores", sid, ln_no, k)
             ids.append(sid)
             line_of.append(ln_no)
-        dup = first_duplicate(ids)
-        if dup is not None:
-            raise DataError(f"line {line_of[dup]}: duplicate sample id {ids[dup]!r}")
+        check_unique(ids, line_of)
         try:
             return cls(
                 scores=np.frombuffer(scores).reshape(len(ids), k),

@@ -9,6 +9,7 @@ per-dimension top scorers a single global ranking would miss.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -65,7 +66,12 @@ def auroc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
 
     Equals the fraction of (positive, negative) pairs where the positive
     scores higher, counting ties as half. Raises DataError when only one
-    class is present.
+    class is present; a NaN score gives NaN.
+
+    The positives' rank sum comes from the tie groups of one stable sort:
+    a group spanning sorted positions [lo, hi) holds its positives at the
+    average rank (lo + 1 + hi) / 2, so the sum is exact and no N-sized rank
+    array is built.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     pos = np.asarray(positive_mask, dtype=bool).ravel()
@@ -75,8 +81,20 @@ def auroc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC undefined: scores contain a single class")
-    ranks = _average_ranks(s)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(s).any():
+        return math.nan
+    # each N-sized temporary is released once used, so at most two are live
+    order = np.argsort(s, kind="stable")
+    ranked = s[order]
+    # [lo, hi) spans one tie group of the sorted scores
+    bounds = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    del ranked
+    lo, hi = bounds[:-1], bounds[1:]
+    group_pos = np.add.reduceat(pos[order], lo, dtype=np.intp)
+    del order
+    twice_rank = lo + hi
+    twice_rank += 1
+    u = int(group_pos @ twice_rank) / 2.0 - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 

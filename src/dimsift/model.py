@@ -170,6 +170,8 @@ class TrainConfig:
     ones). ridge_alpha only affects the closed form. hidden_dim, when set,
     adds a shared affine layer and forces the gradient path. fit_bias=False
     drops the intercept from the closed form (useful for hand-checked cases).
+    The gradient path ignores both, so `run` and `fit` refuse them there
+    (pipeline.check_gd_settings).
     """
 
     lambdas: Optional[tuple[float, ...]] = None

@@ -407,6 +407,9 @@ class PipelineArtifacts:
     rebuilds the full corpus they were taken from. A pruned run's refined
     rows are not kept: prune.kept_ids names them. A closed-form refit copied
     no rows; a gradient-descent refit held a copy of their features and labels.
+    Both datasets keep their ids as row numbers (data.RowIds). The scores
+    and weights share train's ids, and the prune result holds views of
+    them, so no id string is kept.
     """
 
     report: ExperimentReport
@@ -420,13 +423,33 @@ class PipelineArtifacts:
     weight_matrix: Optional[WeightMatrix]
 
 
+def _uses_gd(cfg: TrainConfig) -> bool:
+    """Whether cfg is fitted by gradient descent: a shared layer or a loss-balancing strategy."""
+    return cfg.hidden_dim is not None or cfg.strategy != "equal"
+
+
+def check_gd_settings(cfg: TrainConfig, default: TrainConfig, names: dict[str, str]) -> None:
+    """A UsageError if cfg picks gradient descent but changes a closed-form-only setting.
+
+    Gradient descent has no ridge term and always fits biases, so a
+    ridge_alpha or fit_bias other than default's would be ignored. names
+    maps each of the two fields to the name the caller knows it by.
+    """
+    changed = [names[f] for f in ("ridge_alpha", "fit_bias") if getattr(cfg, f) != getattr(default, f)]
+    if _uses_gd(cfg) and changed:
+        raise UsageError(
+            f"{', '.join(changed)}: not used by gradient descent (a hidden layer or a "
+            "non-equal strategy), which has no ridge term and always fits biases"
+        )
+
+
 def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig, drop=None) -> RegressionHead:
     """A head fitted to features x and labels y, leaving out the rows drop names.
 
     Gradient descent on a copy of the kept rows with a shared layer or a
     loss-balancing strategy, else the closed form, which copies no rows.
     """
-    if cfg.hidden_dim is not None or cfg.strategy != "equal":
+    if _uses_gd(cfg):
         if drop is not None:
             x, y = np.delete(x, drop, axis=0), np.delete(y, drop, axis=0)
         return fit_gd_arrays(x, y, weights, cfg)
@@ -459,6 +482,11 @@ def run_pipeline(
     gradient-descent refit fits a copy of the kept rows, released after.
     """
     validate_synth(config.synth)
+    check_gd_settings(
+        config.train,
+        PipelineConfig.train,
+        {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"},
+    )
     train_idx, val_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed
     )
@@ -513,10 +541,8 @@ def run_pipeline(
     if prune is not None:
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
-        # the rows of removed_ids, in corpus order
-        removed = set(prune.removed_ids)
-        kept = np.fromiter((sid not in removed for sid in train.ids), dtype=bool, count=len(train))
-        drop = np.flatnonzero(~kept)
+        # removed_ids views train's ascending row numbers, which locate its rows in train
+        drop = np.searchsorted(train.ids.rows, prune.removed_ids.rows)
     n_train_refined = len(train) - (0 if drop is None else len(drop))
     final = probe
     if r.strategy != "none":

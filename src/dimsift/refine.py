@@ -16,13 +16,20 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import extend_numbers, long_csv_lines, read_json, top_sets, write_json, write_lines
+from .data import (
+    extend_numbers,
+    long_csv_lines,
+    read_json,
+    take_ids,
+    top_sets,
+    write_json,
+    write_lines,
+)
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import LossTable
@@ -46,27 +53,31 @@ class PruneResult:
     kept_ids preserves the input corpus order. per_dim_risk_sets lists each
     dimension's selected ids in rank order (highest score first); scalar
     strategies leave it empty. thresholds[k] is the smallest selected score
-    in dimension k, +inf when nothing was selected.
+    in dimension k, +inf when nothing was selected. A selection from RowIds
+    holds views of them; one from other ids holds lists of str.
     """
 
-    kept_ids: list[str]
-    removed_ids: list[str]
-    per_dim_risk_sets: list[list[str]]
+    kept_ids: Sequence[str]
+    removed_ids: Sequence[str]
+    per_dim_risk_sets: list[Sequence[str]]
     thresholds: list[float]
     rho: float
 
-    def to_dict(self) -> dict:
+    def _doc(self, ids) -> dict:
         return {
             "rho": self.rho,
-            "kept_ids": self.kept_ids,
-            "removed_ids": self.removed_ids,
-            "per_dim_risk_sets": self.per_dim_risk_sets,
+            "kept_ids": ids(self.kept_ids),
+            "removed_ids": ids(self.removed_ids),
+            "per_dim_risk_sets": [ids(s) for s in self.per_dim_risk_sets],
             "thresholds": self.thresholds,
         }
 
+    def to_dict(self) -> dict:
+        return self._doc(list)
+
     def save(self, path: str | Path) -> None:
         """Write json.dumps(to_dict(), sort_keys=True) and a newline, a piece at a time."""
-        write_json(path, self.to_dict())
+        write_json(path, self._doc(lambda ids: ids))
 
     @classmethod
     def load(cls, path: str | Path) -> "PruneResult":
@@ -106,21 +117,21 @@ class WeightMatrix:
     epsilon: float
     per_dim_stats: list[tuple[float, float]]
 
-    def _doc(self, weights) -> dict:
+    def _doc(self, sample_ids, weights) -> dict:
         return {
             "temperature": self.temperature,
             "epsilon": self.epsilon,
             "per_dim_stats": [[m, s] for m, s in self.per_dim_stats],
-            "sample_ids": self.sample_ids,
+            "sample_ids": sample_ids,
             "weights": weights,
         }
 
     def to_dict(self) -> dict:
-        return self._doc(self.weights.tolist())
+        return self._doc(list(self.sample_ids), self.weights.tolist())
 
     def save(self, path: str | Path) -> None:
         """Write json.dumps(to_dict(), sort_keys=True) and a newline, one weight row at a time."""
-        write_json(path, self._doc(self.weights))
+        write_json(path, self._doc(self.sample_ids, self.weights))
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightMatrix":
@@ -156,9 +167,9 @@ def _union_prune(
     removed = np.zeros(values.shape[0], dtype=bool)
     removed[top] = True
     return PruneResult(
-        kept_ids=list(compress(sample_ids, ~removed)),
-        removed_ids=list(compress(sample_ids, removed)),
-        per_dim_risk_sets=[[sample_ids[i] for i in t] for t in top],
+        kept_ids=take_ids(sample_ids, ~removed),
+        removed_ids=take_ids(sample_ids, removed),
+        per_dim_risk_sets=[take_ids(sample_ids, t) for t in top],
         thresholds=[float(values[t[-1], j]) if t.size else math.inf for j, t in enumerate(top)],
         rho=float(rho),
     )

@@ -429,6 +429,7 @@ def _field_as(field, make):
                      id="scores-unknown-scope"),
         # rows s00000, s00001, s00002 sit on lines 2-4: line 4 repeats line 3's id
         pytest.param("scores", 4, _field_as("id", lambda v: "s00001"), id="scores-duplicate-id"),
+        pytest.param("dataset", 4, _field_as("id", lambda v: "s00001"), id="dataset-duplicate-id"),
         pytest.param("head", 1, _field_as("weights", lambda v: 5), id="head-number-weights"),
     ],
 )
@@ -486,6 +487,11 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
                      id="bad-scope"),
         pytest.param(lambda doc: doc["refine"].update(strategy="psychic"),
                      "config refine: unknown refine strategy 'psychic'", id="bad-refine-strategy"),
+        # gradient descent has no ridge term and always fits biases
+        pytest.param(lambda doc: doc["train"].update(hidden_dim=4, ridge_alpha=0.5),
+                     "train.ridge_alpha", id="gd-ridge-alpha"),
+        pytest.param(lambda doc: doc["train"].update(strategy="rlw", fit_bias=False),
+                     "train.fit_bias", id="gd-no-bias"),
     ],
 )
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
@@ -497,6 +503,21 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and named in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--hidden-dim", "4", "--alpha", "0.5"], "--alpha", id="hidden-dim-alpha"),
+    pytest.param(["--strategy", "uncertainty", "--no-bias"], "--no-bias", id="uncertainty-no-bias"),
+])
+def test_fit_refuses_closed_form_flags_with_gradient_descent(stage_dir, capsys, flags, named):
+    head = stage_dir / "gd.json"
+    argv = ["fit", "--data", str(stage_dir / "noisy.jsonl"), "--epochs", "5", "--out", str(head)]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and named in err
+    assert not head.exists()
+    # without the closed-form flag the same gradient-descent fit runs
+    assert main(argv + flags[:2]) == 0
 
 
 _DATASET_SECTION = {"n_total": 10, "feature_dim": 2, "dim_names": ["a"], "n_train": 6,

@@ -19,6 +19,7 @@ import dimsift
 from dimsift import (
     DataError,
     Dataset,
+    RowIds,
     Scope,
     SelfInfluenceTable,
     SynthConfig,
@@ -42,6 +43,9 @@ from dimsift.data import (
     floor_count,
     json_pieces,
     loads_dataset,
+    long_csv_lines,
+    synthetic_rows,
+    table_lines,
     teacher_head,
     write_json,
 )
@@ -197,8 +201,94 @@ def test_ids_are_unique_and_ordered():
     corpus = generate_synthetic(SynthConfig(30, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=0))
     assert len(set(corpus.ids)) == 30
     assert corpus.ids == tuple(sorted(corpus.ids))
-    # one immutable sequence, shared by every caller instead of copied per call
-    assert isinstance(corpus.ids, tuple) and corpus.ids is corpus.ids
+    # one immutable sequence, shared by every caller instead of copied per call:
+    # a view of read-only row numbers for synthetic rows, a tuple from a file
+    assert isinstance(corpus.ids, RowIds) and corpus.ids is corpus.ids
+    assert not corpus.ids.rows.flags.writeable
+    with pytest.raises(TypeError):
+        corpus.ids[0] = "s00001"
+    assert isinstance(loads_dataset(dumps_dataset(corpus)).ids, tuple)
+
+
+@st.composite
+def _row_ids(draw):
+    """Ascending unique row numbers, an id width, and a selector of each kind over them."""
+    width = draw(st.integers(5, 7))
+    rows = sorted(draw(st.sets(st.integers(0, 10**width - 1), max_size=40)))
+    n = len(rows)
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    picks = draw(st.lists(st.integers(-n, n - 1), max_size=10)) if n else []
+    return np.array(rows, dtype=np.intp), width, draw(st.slices(max(n, 1))), mask, picks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_ids())
+def test_row_ids_match_the_formatted_tuple(case):
+    rows, width, sl, mask, picks = case
+    view, want = RowIds(rows, width), tuple(f"s{r:0{width}d}" for r in rows.tolist())
+    n = len(want)
+    assert len(view) == n and tuple(view) == want and list(iter(view)) == list(want)
+    assert [view[i] for i in range(-n, n)] == [want[i] for i in range(-n, n)]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    # a slice, a boolean mask and an index array each give another view
+    for got, expect in (
+        (view[sl], want[sl]),
+        (view[np.array(mask, dtype=bool)], tuple(s for s, m in zip(want, mask) if m)),
+        (view[np.array(picks, dtype=np.intp)], tuple(want[i] for i in picks)),
+    ):
+        assert isinstance(got, RowIds) and tuple(got) == expect and got == expect
+    for i, sid in enumerate(want):
+        assert view.index(sid) == i and sid in view
+        assert view.index(sid, i) == i
+        with pytest.raises(ValueError):
+            view.index(sid, i + 1)
+    for missing in ("s1", "x" + "0" * width, f"s{10**width}", "s" + "0" * 30, 3, None):
+        assert missing not in want and missing not in view
+        with pytest.raises(ValueError):
+            view.index(missing)
+    # == and != against a tuple, a list and another view, from either side
+    other = want[:-1] + ("s" + "9" * (width + 1),) if n else ("s00000",)
+    for same, differs in ((want, other), (list(want), list(other))):
+        assert view == same and same == view and not view != same and not same != view
+        assert view != differs and differs != view and not view == differs
+    assert view == RowIds(rows.copy(), width)
+    # other rows or another width differ unless there are no ids
+    assert (view != RowIds(rows + 1, width)) == (view != RowIds(rows, width + 1)) == (n > 0)
+    assert view + ("z",) == want + ("z",) and ("z",) + view == ("z",) + want
+    # the writers' bytes: json_pieces, table_lines and long_csv_lines take the view as the tuple
+    doc = {"ids": view, "sets": [view, view[:2]], "n": n}
+    plain = {"ids": list(want), "sets": [list(want), list(want[:2])], "n": n}
+    assert "".join(json_pieces(doc)) == json.dumps(plain, sort_keys=True) + "\n"
+    cols = {"v": np.arange(2.0 * n).reshape(n, 2)}
+    assert "".join(table_lines({"type": "h"}, "r", view, cols)) == "".join(
+        table_lines({"type": "h"}, "r", want, cols)
+    )
+    assert "".join(long_csv_lines("id,dim,v", view, ["a", "b"], cols["v"])) == "".join(
+        long_csv_lines("id,dim,v", want, ["a", "b"], cols["v"])
+    )
+
+
+def test_a_dataset_of_row_ids_refuses_repeated_rows():
+    # only strictly ascending rows skip the duplicate check
+    x, y = np.zeros((3, 1)), np.zeros((3, 1))
+    with pytest.raises(DataError, match="duplicate sample id 's00004'"):
+        Dataset(RowIds(np.array([4, 1, 4]), 5), x, y, ["d0"])
+    assert Dataset(RowIds(np.array([4, 1, 2]), 5), x, y, ["d0"]).index_of("s00001") == 1
+
+
+@pytest.mark.parametrize("n, width", [(100_000, 5), (100_001, 6)])
+def test_the_id_width_follows_the_last_row_number(n, width):
+    cfg = SynthConfig(n, 3, 2)
+    rows = np.array([0, 7, n - 1])
+    ds = synthetic_rows(cfg, rows, np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 2), bool), {})
+    want = (f"s{0:0{width}d}", f"s{7:0{width}d}", f"s{n - 1}")
+    assert isinstance(ds.ids, RowIds) and ds.ids == want
+    assert [ds.index_of(sid) for sid in want] == [0, 1, 2]
+    with pytest.raises(DataError):
+        # the other width's spelling of the same row
+        ds.index_of(f"s{7:0{11 - width}d}")
 
 
 def test_arrays_are_read_only():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import peak_traced_bytes
+
 import dimsift
 
 from dimsift import (
@@ -130,6 +132,35 @@ def test_auroc_matches_pair_enumeration():
         wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
         expect = wins / (pos.size * neg.size)
         assert auroc(scores, positive) == pytest.approx(expect, abs=1e-12)
+
+
+def test_auroc_is_the_average_rank_statistic_bit_for_bit():
+    # the tie-group rank sum and the sum of average ranks are both exact sums
+    # of half-integers, so the two routes agree to the last bit
+    rng = np.random.default_rng(4)
+    for case in range(300):
+        n = int(rng.integers(2, 400))
+        scores = rng.normal(size=n)
+        if case % 2:
+            scores = np.round(scores, int(rng.integers(0, 2)))  # ties
+        positive = rng.random(n) < rng.uniform(0.05, 0.95)
+        n_pos = int(positive.sum())
+        if n_pos in (0, n):
+            continue
+        ranks = _average_ranks(scores)
+        want = (ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+        assert auroc(scores, positive) == want
+    assert np.isnan(auroc(np.array([0.2, np.nan, 0.1]), np.array([True, False, False])))
+
+
+def test_auroc_builds_no_rank_array():
+    n = 100_000
+    rng = np.random.default_rng(5)
+    scores, positive = rng.random(n), rng.random(n) < 0.1
+    peak = peak_traced_bytes(auroc, scores, positive)
+    # the sort order, the sorted scores and the tie groups: 34 bytes per row
+    # measured; ranking every row with _average_ranks measured 58
+    assert peak < 44 * n
 
 
 def test_auroc_complement_symmetry():

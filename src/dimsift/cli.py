@@ -14,14 +14,17 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     NoiseSpec,
     SynthConfig,
     corrupted_copy,
-    generate_synthetic,
+    draw_synthetic,
     load_dataset,
     save_dataset,
+    save_synthetic_corpus,
     split,
     write_json,
 )
@@ -221,9 +224,9 @@ def _cmd_gen(args) -> int:
         sample_seed=args.sample_seed,
         label_range=args.label_range,
     )
-    ds = generate_synthetic(cfg)
-    save_dataset(ds, args.out)
-    print(f"wrote {len(ds)} samples ({ds.feature_dim} features, {ds.n_dims} dims) to {args.out}")
+    labels, _, manifest = draw_synthetic(cfg, [])
+    save_synthetic_corpus(args.out, cfg, labels, np.zeros(labels.shape, dtype=bool), manifest)
+    print(f"wrote {cfg.n_samples} samples ({cfg.feature_dim} features, {cfg.n_dims} dims) to {args.out}")
     return 0
 
 

@@ -375,6 +375,19 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
+def _feature_blocks(
+    config: SynthConfig, rng: np.random.Generator
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(start, stop, features) of each draw block of config's sample stream, drawn from rng.
+
+    Every feature of a corpus comes from here, ahead of its label noise, so
+    a fresh stream of the sample seed gives the same features to the draw
+    and to the corpus writer.
+    """
+    for start, stop in _row_blocks(config.n_samples):
+        yield start, stop, rng.standard_normal((stop - start, config.feature_dim))
+
+
 def draw_synthetic(
     config: SynthConfig, row_sets: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], dict]:
@@ -398,8 +411,7 @@ def draw_synthetic(
     rng = np.random.default_rng(config.sample_seed)
     labels = np.empty((n, config.n_dims))
     features = [np.empty((len(rows), d)) for rows in row_sets]
-    for start, stop in _row_blocks(n):
-        block = rng.standard_normal((stop - start, d))
+    for start, stop, block in _feature_blocks(config, rng):
         if config.n_dims == 1:
             # einsum uses no BLAS, so these labels do not depend on the thread count
             np.einsum("ij,kj->ik", block, w_star, out=labels[start:stop])
@@ -443,18 +455,26 @@ def synthetic_rows(
 ) -> Dataset:
     """The given rows of config's corpus as a Dataset, with the corpus's ids and dimension names.
 
-    Row r's id is "s" and r zero-padded to the digits of the corpus's last
-    row, at least five. The ids are a RowIds view of rows, an ascending
-    row-index array, which is not copied.
+    The ids are a RowIds view of rows, an ascending row-index array, which
+    is not copied (see _synthetic_ids).
     """
     return Dataset(
-        ids=RowIds(rows, max(5, len(str(config.n_samples - 1)))),
+        ids=_synthetic_ids(config, rows),
         features=features,
         labels=labels,
-        dim_names=[f"dim{k}" for k in range(config.n_dims)],
+        dim_names=_synthetic_dim_names(config),
         corrupted=corrupted,
         manifest=manifest,
     )
+
+
+def _synthetic_ids(config: SynthConfig, rows: np.ndarray) -> RowIds:
+    """Row r's id: "s" and r zero-padded to the digits of the corpus's last row, at least five."""
+    return RowIds(rows, max(5, len(str(config.n_samples - 1))))
+
+
+def _synthetic_dim_names(config: SynthConfig) -> list[str]:
+    return [f"dim{k}" for k in range(config.n_dims)]
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -795,8 +815,9 @@ def extend_numbers(
 def table_lines(head: dict, row_type: str, ids: Sequence[str], columns: dict) -> Iterator[str]:
     """A JSONL row table: the header line, then one {"type", "id", column: row} line per id.
 
-    columns maps each row field to an (N, w) array; its rows go through
-    tolist(), and json's float formatting round-trips exactly.
+    columns maps each row field to an (N, w) array, or any iterable of its
+    rows; each row goes through tolist(), and json's float formatting
+    round-trips exactly.
     """
     # one encoder for every line: json.dumps builds a new one per call with these separators
     encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -849,17 +870,27 @@ def table_rows(
         raise DataError(f"{what} file contains no rows")
 
 
+def _sample_lines(
+    ids: Sequence[str],
+    feature_dim: int,
+    dim_names: list[str],
+    manifest: dict,
+    features: Iterable[np.ndarray],
+    labels: np.ndarray,
+    corrupted: np.ndarray | None,
+) -> Iterator[str]:
+    """The lines of a dataset file; features may be any iterable of the feature rows."""
+    head = {"type": "manifest", "feature_dim": feature_dim, "dim_names": dim_names, "meta": manifest}
+    columns = {"features": features, "labels": labels}
+    if corrupted is not None:
+        columns["corrupted"] = corrupted
+    return table_lines(head, "sample", ids, columns)
+
+
 def _dataset_lines(ds: Dataset) -> Iterator[str]:
-    head = {
-        "type": "manifest",
-        "feature_dim": ds.feature_dim,
-        "dim_names": ds.dim_names,
-        "meta": ds.manifest,
-    }
-    columns = {"features": ds.features, "labels": ds.labels}
-    if ds.corruption_mask is not None:
-        columns["corrupted"] = ds.corruption_mask
-    return table_lines(head, "sample", ds.ids, columns)
+    return _sample_lines(
+        ds.ids, ds.feature_dim, ds.dim_names, ds.manifest, ds.features, ds.labels, ds.corruption_mask
+    )
 
 
 def dumps_dataset(ds: Dataset) -> str:
@@ -872,6 +903,27 @@ def dumps_dataset(ds: Dataset) -> str:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     write_lines(path, _dataset_lines(ds))
+
+
+def save_synthetic_corpus(
+    path: str | Path, config: SynthConfig, labels: np.ndarray, corrupted: np.ndarray, manifest: dict
+) -> None:
+    """Write config's whole corpus with these (N, K) labels and mask, as save_dataset would.
+
+    The bytes are those of save_dataset(synthetic_rows(config, every row,
+    ...)), but the features are drawn again from a fresh stream of the
+    sample seed one draw block at a time (see _feature_blocks), so no N x d
+    feature matrix is held.
+    """
+    n = config.n_samples
+    if labels.shape != (n, config.n_dims) or corrupted.shape != labels.shape:
+        raise ValueError(f"labels and mask must be ({n}, {config.n_dims}) for this corpus")
+    rng = np.random.default_rng(config.sample_seed)
+    features = (row for _, _, block in _feature_blocks(config, rng) for row in block)
+    ids = _synthetic_ids(config, np.arange(n))
+    names = _synthetic_dim_names(config)
+    lines = _sample_lines(ids, config.feature_dim, names, manifest, features, labels, corrupted)
+    write_lines(path, lines)
 
 
 def _read_dataset(lines: Iterable[str]) -> Dataset:

@@ -399,9 +399,12 @@ def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> n
     """
     rho, a, b, gram = _gram_terms(head, ds, cfg)
     rho *= cfg.resolved_lambdas(head.n_dims)
-    out = rho @ gram
-    # kept where a is zero (head-only): its sign decides that of a zero lambda_j's zero scores
-    out *= a[:, None]
-    out += rho * b[:, None]
+    if cfg.scope == Scope.LAST_TWO_LAYERS:
+        out = rho @ gram
+        out *= a[:, None]
+        out += rho * b[:, None]
+    else:
+        # the (rho_i G) a_i term is exactly 0 in head-only scopes, where a is zero
+        out = rho * b[:, None]
     out *= rho
     return out

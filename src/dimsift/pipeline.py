@@ -3,8 +3,10 @@
 One seeded config fully determines every artifact byte (no timestamps are
 written), so identical configs give identical runs. Stages:
 
-    split -> draw the training and test rows -> inject noise -> fit probe
-          -> score -> refine -> refit -> evaluate on clean test labels -> report
+    split -> draw the training and test rows -> inject noise
+          -> (with an output directory) write config.json and corpus.jsonl
+          -> fit probe -> score -> refine -> refit
+          -> evaluate on clean test labels -> report
 
 The probe is an equal-weighted fit on the full training split; influence
 scores, the refined training set, and the refit head all derive from it.
@@ -31,6 +33,7 @@ from .data import (
     generate_synthetic,
     read_json,
     save_dataset,
+    save_synthetic_corpus,
     split_indices,
     synthetic_rows,
     validate_synth,
@@ -404,12 +407,14 @@ class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
     A run draws only its training and test rows; build_corpus(config)
-    rebuilds the full corpus they were taken from. A pruned run's refined
-    rows are not kept: prune.kept_ids names them. A closed-form refit copied
-    no rows; a gradient-descent refit held a copy of their features and labels.
-    Both datasets keep their ids as row numbers (data.RowIds). The scores
-    and weights share train's ids, and the prune result holds views of
-    them, so no id string is kept.
+    rebuilds the full corpus they were taken from. With an output directory
+    the run writes that corpus to corpus.jsonl right after the noise, from
+    its own labels and mask, and holds no feature matrix of it. A pruned
+    run's refined rows are not kept: prune.kept_ids names them. A
+    closed-form refit copied no rows; a gradient-descent refit held a copy
+    of their features and labels. Both datasets keep their ids as row
+    numbers (data.RowIds). The scores and weights share train's ids, and
+    the prune result holds views of them, so no id string is kept.
     """
 
     report: ExperimentReport
@@ -475,11 +480,14 @@ def run_pipeline(
     Evaluation is always against clean test labels. The split indices are
     drawn first, and the run draws only the training and test rows: the
     training rows carry corrupted labels and the test rows clean ones, both
-    equal to the rows build_corpus(config) would give. The full corpus is
-    built only with output_dir, to write config.json and corpus.jsonl, and
-    is released before the rows are drawn. A pruned closed-form refit
-    subtracts the removed rows' normal equations and copies no rows; a
-    gradient-descent refit fits a copy of the kept rows, released after.
+    equal to the rows build_corpus(config) would give. No Dataset of the
+    full corpus is built. With output_dir, config.json and corpus.jsonl are
+    written once the noise is applied: the corpus from the run's own full
+    label matrix and mask, its features drawn again a block at a time, so a
+    run that fails after that still leaves both files. The other files
+    follow at the end. A pruned closed-form refit subtracts the removed
+    rows' normal equations and copies no rows; a gradient-descent refit
+    fits a copy of the kept rows, released after.
     """
     validate_synth(config.synth)
     check_gd_settings(
@@ -492,14 +500,6 @@ def run_pipeline(
     )
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
-    if output_dir is not None:
-        noisy = build_corpus(config)[1]
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
-        (out / "config.json").write_text(config_doc + "\n")
-        save_dataset(noisy, out / "corpus.jsonl")
-        del noisy
 
     labels, (train_x, test_x), manifest = draw_synthetic(config.synth, [train_idx, test_idx])
     mask = np.zeros(labels.shape, dtype=bool)
@@ -507,14 +507,15 @@ def run_pipeline(
     test_clean = synthetic_rows(
         config.synth, test_idx, test_x, labels[test_idx], mask[test_idx], manifest
     )
-    records = config.noise.apply(labels, mask)
+    manifest = with_injections(manifest, config.noise.apply(labels, mask))
+    if output_dir is not None:
+        out = Path(output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
+        (out / "config.json").write_text(config_doc + "\n")
+        save_synthetic_corpus(out / "corpus.jsonl", config.synth, labels, mask, manifest)
     train = synthetic_rows(
-        config.synth,
-        train_idx,
-        train_x,
-        labels[train_idx],
-        mask[train_idx],
-        with_injections(manifest, records),
+        config.synth, train_idx, train_x, labels[train_idx], mask[train_idx], manifest
     )
     del labels, mask, train_x, test_x
 

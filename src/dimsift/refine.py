@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -101,10 +102,8 @@ class PruneResult:
             for sid in risk:
                 if sid in by_id:
                     by_id[sid].append(name)
-        lines = ["id,removed_by_dims"]
-        for sid in self.removed_ids:
-            lines.append(f"{sid},{'|'.join(by_id[sid])}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        lines = (f"{sid},{'|'.join(by_id[sid])}\n" for sid in self.removed_ids)
+        write_lines(path, chain(["id,removed_by_dims\n"], lines))
 
 
 @dataclass
@@ -249,21 +248,26 @@ def ddr_weights(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     s = scores.scores
-    n, k = s.shape
-    z = np.zeros_like(s)
+    # z, the sigmoid argument, the raw weight and the weight in turn fill one
+    # N x K buffer, each step in place and rounded as the plain expression
+    w = np.zeros_like(s)
     stats: list[tuple[float, float]] = []
-    for j in range(k):
+    for j in range(s.shape[1]):
         col = s[:, j]
         mu = float(col.mean())
         sigma = float(col.std())  # population std, ddof=0
         stats.append((mu, sigma))
         if col.max() > col.min():
-            z[:, j] = (col - mu) / (sigma + epsilon)
+            np.subtract(col, mu, out=w[:, j])
+            w[:, j] /= sigma + epsilon
         # else: constant column, keep z = 0
+    w /= temperature
     # clamp the sigmoid argument so extreme outliers cannot underflow to 0
-    arg = np.clip(z / temperature, -700.0, 700.0)
-    raw = 1.0 / (1.0 + np.exp(arg))
-    w = raw / raw.mean()
+    np.clip(w, -700.0, 700.0, out=w)
+    np.exp(w, out=w)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    w /= w.mean()
     return WeightMatrix(
         weights=w,
         sample_ids=scores.sample_ids,

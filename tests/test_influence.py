@@ -411,7 +411,7 @@ def _one_expression_scores(head, ds, cfg):
     return {
         "explicit": r * r * (np.diag(gram) * a[:, None] + b[:, None]),
         "global": glob,
-        "row_sum": rho * ((rho @ gram) * a[:, None] + rho * b[:, None]),
+        "row_sum": rho * ((rho @ gram) * a[:, None] + rho * b[:, None]) if two else rho * b[:, None] * rho,
     }
 
 
@@ -435,6 +435,15 @@ def test_zero_lambda_silences_a_dimension(noisy_corpus):
     cfg = InfluenceConfig(scope=Scope.LAST_TWO_LAYERS, lambdas=(1.0, 0.0, 1.0))
     rows = row_sum_scores(head, noisy_corpus, cfg)
     assert np.all(rows[:, 1] == 0.0)
+
+
+def test_a_head_only_zero_lambda_column_is_positive_zero(noisy_corpus):
+    # head-only row sums leave out the (rho G) a term, whose zero factor a
+    # gave a zero lambda's scores the sign of (rho G): -0.0 in about half the rows
+    rng = np.random.default_rng(21)
+    head = random_head(rng, 3, 6)
+    rows = row_sum_scores(head, noisy_corpus, InfluenceConfig(lambdas=(1.0, 0.0, 2.0)))
+    assert np.all(rows[:, 1] == 0.0) and not np.signbit(rows[:, 1]).any()
 
 
 # ------------------------------------------------------------------- io

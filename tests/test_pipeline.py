@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
-import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
+import dimsift.data
 import dimsift.influence
 import dimsift.metrics
 import dimsift.pipeline
@@ -346,27 +347,8 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth,
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("out", ["run"], ids=["to-dir"])
-def test_the_corpora_are_released_before_the_probe_fit(monkeypatch, tmp_path, out):
-    refs, alive_at_fit = [], []
-    build, fit = dimsift.pipeline.build_corpus, dimsift.pipeline._fit
-
-    def recording_build(config):
-        clean, noisy = build(config)
-        refs.extend((weakref.ref(clean), weakref.ref(noisy)))
-        return clean, noisy
-
-    def checking_fit(ds, *args):
-        alive_at_fit.append([ref() is not None for ref in refs])
-        return fit(ds, *args)
-
-    monkeypatch.setattr(dimsift.pipeline, "build_corpus", recording_build)
-    monkeypatch.setattr(dimsift.pipeline, "_fit", checking_fit)
-    run_pipeline(small_config(), output_dir=tmp_path / out)
-    assert alive_at_fit[0] == [False, False]
-
-
-def test_an_in_memory_run_builds_no_full_corpus_dataset(monkeypatch):
+@pytest.mark.parametrize("out", [None, "run"], ids=["in-memory", "to-dir"])
+def test_a_run_builds_no_full_corpus_dataset(monkeypatch, tmp_path, out):
     sizes = []
     init = Dataset.__init__
 
@@ -374,11 +356,46 @@ def test_an_in_memory_run_builds_no_full_corpus_dataset(monkeypatch):
         init(self, *args, **kwargs)
         sizes.append(len(self))
 
+    def refuse(*args):
+        raise AssertionError("the run built the whole corpus")
+
     monkeypatch.setattr(Dataset, "__init__", recording_init)
+    for module, name in [(dimsift.pipeline, "build_corpus"), (dimsift.pipeline, "generate_synthetic"),
+                         (dimsift.data, "generate_synthetic")]:
+        monkeypatch.setattr(module, name, refuse)
     cfg = small_config()
-    arts = run_pipeline(cfg)
+    arts = run_pipeline(cfg, None if out is None else tmp_path / out)
     assert len(arts.train) in sizes and len(arts.test_clean) in sizes
     assert cfg.synth.n_samples not in sizes
+
+
+def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp_path):
+    cfg = default_config(seed=0)
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
+    n, d = cfg.synth.n_samples, cfg.synth.feature_dim
+    write, largest = dimsift.data.write_lines, []
+
+    def sampling(lines):
+        for i, line in enumerate(lines):
+            if i % 2_000 == 0:
+                largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+            yield line
+        tracemalloc.stop()  # the rest of the run is not watched
+
+    def watching_write(path, lines):
+        write(path, sampling(lines) if Path(path).name == "corpus.jsonl" else lines)
+
+    monkeypatch.setattr(dimsift.data, "write_lines", watching_write)
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg, tmp_path)
+    finally:
+        tracemalloc.stop()
+    # the largest live allocation every 2000 lines of corpus.jsonl: the
+    # training features, 0.6x an N x d matrix; writing from a Dataset of
+    # the corpus held all N x d features at once
+    assert len(largest) == 11
+    assert max(largest) < n * d * 8
 
 
 class _AtProbeFit(Exception):

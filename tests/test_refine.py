@@ -248,6 +248,40 @@ def test_ddr_columns_are_independent():
     assert np.abs(ra - rb).max() < 1e-12
 
 
+def _ddr_one_expression(s, temperature, epsilon):
+    """DDR weights written as plain expressions, one temporary per operation."""
+    z = np.zeros_like(s)
+    for j in range(s.shape[1]):
+        col = s[:, j]
+        if col.max() > col.min():
+            z[:, j] = (col - col.mean()) / (col.std() + epsilon)
+    raw = 1.0 / (1.0 + np.exp(np.clip(z / temperature, -700.0, 700.0)))
+    return raw / raw.mean()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 4)),
+        elements=st.just(0.0) | st.just(2.5) | st.floats(0.0, 1e6) | st.floats(0.0, 1e150),
+    ),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-12, 1.0),
+)
+def test_in_place_ddr_weights_are_the_one_expression_weights_bit_for_bit(scores, temperature, epsilon):
+    got = ddr_weights(make_table(scores), temperature, epsilon).weights
+    assert got.tobytes() == _ddr_one_expression(scores, temperature, epsilon).tobytes()
+
+
+def test_ddr_weights_are_built_in_one_buffer():
+    scores = np.random.default_rng(8).lognormal(size=(12_000, 5))
+    table = make_table(scores)
+    # the weights and one column's temporary: 1.2x the score matrix
+    # measured; one temporary per step of the expression measured 4.0x
+    assert peak_traced_bytes(ddr_weights, table) < 1.5 * scores.nbytes
+
+
 def test_ddr_rejects_bad_parameters():
     table = make_table(np.ones((5, 1)))
     with pytest.raises(ValueError):
@@ -329,3 +363,14 @@ def test_weight_and_prune_files_are_written_a_piece_at_a_time(tmp_path, kind):
     path = tmp_path / "out.json"
     peak = peak_traced_bytes(result.save, path)
     assert peak < 0.5 * path.stat().st_size
+
+
+def test_the_removal_csv_is_written_a_line_at_a_time(tmp_path):
+    # 10k removed ids: the map of each id to its dimensions, with one line at
+    # a time, measured 4.9x the file; joining every line into one string as
+    # well measured 10.2x
+    ids = [f"train-{i:06d}" for i in range(20_000)]
+    result = PruneResult(ids[10_000:], ids[:10_000], [ids[:10_000]] * 2, [1.0] * 2, 0.5)
+    path = tmp_path / "removed.csv"
+    peak = peak_traced_bytes(result.removal_csv, path, ["dim0", "dim1"])
+    assert peak < 7 * path.stat().st_size

@@ -17,7 +17,6 @@ from .data import (
     Sample,
     SynthConfig,
     generate_synthetic,
-    inject_correlated_noise,
     inject_dimension_noise,
     load_dataset,
     save_dataset,
@@ -38,29 +37,24 @@ from .influence import (
     self_influence_explicit,
 )
 from .metrics import (
-    HeterogeneityView,
     MaskingReport,
     MetricReport,
     OverlapCurve,
     auroc,
     evaluate_head,
-    heterogeneity_export,
     masking_report,
     overlap_curve,
     per_dim_auroc,
     spearman,
 )
 from .model import (
-    LossTable,
     RegressionHead,
     Scope,
     TrainConfig,
     fit_closed_form,
     fit_closed_form_arrays,
-    fit_gd,
     fit_gd_arrays,
     per_dim_loss,
-    predict,
     residuals,
 )
 from .pipeline import (
@@ -68,7 +62,6 @@ from .pipeline import (
     PipelineArtifacts,
     PipelineConfig,
     RefineSpec,
-    build_corpus,
     default_config,
     run_pipeline,
 )
@@ -89,7 +82,6 @@ __all__ = [
     "SynthConfig",
     "generate_synthetic",
     "inject_dimension_noise",
-    "inject_correlated_noise",
     "load_dataset",
     "save_dataset",
     "split",
@@ -101,12 +93,9 @@ __all__ = [
     "RegressionHead",
     "Scope",
     "TrainConfig",
-    "LossTable",
     "fit_closed_form",
     "fit_closed_form_arrays",
-    "fit_gd",
     "fit_gd_arrays",
-    "predict",
     "residuals",
     "per_dim_loss",
     "InfluenceConfig",
@@ -127,13 +116,11 @@ __all__ = [
     "global_prune_select",
     "MetricReport",
     "OverlapCurve",
-    "HeterogeneityView",
     "MaskingReport",
     "spearman",
     "auroc",
     "evaluate_head",
     "overlap_curve",
-    "heterogeneity_export",
     "masking_report",
     "per_dim_auroc",
     "NoiseSpec",
@@ -141,7 +128,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineArtifacts",
     "ExperimentReport",
-    "build_corpus",
     "default_config",
     "run_pipeline",
 ]

@@ -279,6 +279,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.csv and args.method in ("global", "row_sum"):
+        raise UsageError(f"--csv: score --method {args.method} writes no id,dim,score table")
     ds = load_dataset(args.data)
     head = RegressionHead.load(args.head)
     cfg = InfluenceConfig(scope=Scope(args.scope), lambdas=args.lambdas)
@@ -315,7 +317,8 @@ def _cmd_prune(args) -> int:
         if args.data is None or args.head is None:
             raise UsageError("prune --method loss requires --data and --head")
         ds = load_dataset(args.data)
-        result = loss_prune_select(per_dim_loss(RegressionHead.load(args.head), ds), args.rho)
+        losses = per_dim_loss(RegressionHead.load(args.head), ds)
+        result = loss_prune_select(losses, ds.ids, args.rho)
         dim_names = ds.dim_names
     else:  # global
         if args.global_scores is None:
@@ -381,6 +384,8 @@ def _cmd_report(args) -> int:
     run_dir = Path(args.dir)
     report_path = run_dir / "report.json"
     if report_path.exists():
+        if args.rho is not None:
+            raise UsageError(f"--rho: {report_path} already fixes the run's rho")
         report = ExperimentReport.load(report_path)
         text = report.render_text()
         (run_dir / "report.txt").write_text(text)

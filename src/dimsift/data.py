@@ -532,9 +532,15 @@ def corrupt_correlated(
     rng_seed: int,
     severity: tuple[float, float],
 ) -> dict:
-    """Corrupt labels in place as inject_correlated_noise describes, mark mask, return the record.
+    """Corrupt a common subset of rows in every dimension at once, in place; mark mask.
 
-    The record is the manifest entry of this injection.
+    Models globally broken records (wrong scale, sentinel values): each of
+    ceil(rate * N) seeded rows gets labels pushed outside the observed range in
+    all dimensions, with one shared severity u ~ U(severity) and one shared
+    sign per row. The replacement for dimension k is hi_k + u * (hi_k - lo_k)
+    on the positive side, lo_k - u * (hi_k - lo_k) on the negative.
+    Complements corrupt_dimensions, whose corruptions are independent per
+    dimension. Returns the manifest entry of this injection.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
@@ -567,7 +573,8 @@ class NoiseSpec:
 
     rate / dims / seed drive the per-dimension independent corruption;
     correlated_rate additionally corrupts a common seeded subset in every
-    dimension with out-of-range labels (see inject_correlated_noise).
+    dimension with out-of-range labels (see corrupt_correlated). On a Dataset,
+    corrupted_copy(ds, spec.apply) applies it to copies of the labels and mask.
     """
 
     rate: float = 0.0
@@ -639,26 +646,6 @@ def inject_dimension_noise(
     """
     return corrupted_copy(
         ds, lambda labels, mask: [corrupt_dimensions(labels, mask, rate, dims, rng_seed)]
-    )
-
-
-def inject_correlated_noise(
-    ds: Dataset,
-    rate: float,
-    rng_seed: int,
-    severity: tuple[float, float] = NoiseSpec.severity,
-) -> Dataset:
-    """Corrupt a common subset of samples in every dimension at once.
-
-    Models globally broken records (wrong scale, sentinel values): each chosen
-    sample gets labels pushed outside the observed range in all dimensions,
-    with one shared severity u ~ U(severity) and one shared sign per sample.
-    The replacement for dimension k is hi_k + u * (hi_k - lo_k) on the positive
-    side, lo_k - u * (hi_k - lo_k) on the negative. Complements
-    inject_dimension_noise, whose corruptions are independent per dimension.
-    """
-    return corrupted_copy(
-        ds, lambda labels, mask: [corrupt_correlated(labels, mask, rate, rng_seed, severity)]
     )
 
 

@@ -4,8 +4,7 @@ spearman and auroc are the two quality metrics used everywhere: rank
 correlation of predictions against labels, and corruption-detection quality
 of a score column against a corruption mask. The remaining functions analyze
 score tables themselves: how fast the union of per-dimension top sets grows,
-how two dimensions' scores scatter against each other, and how many
-per-dimension top scorers a single global ranking would miss.
+and how many per-dimension top scorers a single global ranking would miss.
 """
 from __future__ import annotations
 
@@ -110,15 +109,6 @@ def per_dim_auroc(scores: np.ndarray, mask: np.ndarray) -> list[Optional[float]]
     return out
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    den = np.sqrt((dx @ dx) * (dy @ dy))
-    if den == 0.0:
-        return None
-    return float((dx @ dy) / den)
-
-
 @dataclass
 class MetricReport:
     """Per-dimension rank-correlation summary for one fitted head."""
@@ -192,82 +182,6 @@ def overlap_curve(
         member[top[j]] = True
         ratios.append(float(member.sum()) / n)
     return OverlapCurve(cumulative_ratios=ratios, dim_order=order, rho=float(rho))
-
-
-@dataclass
-class HeterogeneityView:
-    """Scatter export of two dimensions' scores plus a global score, normalized."""
-
-    records: list[dict]
-    pearson: Optional[float]
-    spearman: Optional[float]
-    dim_a: int
-    dim_b: int
-    degenerate_dims: list[int]
-
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["id,x,y,global"]
-        for r in self.records:
-            lines.append(f"{r['id']},{r['x']!r},{r['y']!r},{r['global']!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _minmax(col: np.ndarray) -> tuple[np.ndarray, bool]:
-    lo, hi = float(col.min()), float(col.max())
-    if hi > lo:
-        return (col - lo) / (hi - lo), False
-    return np.zeros_like(col), True
-
-
-def heterogeneity_export(
-    scores: SelfInfluenceTable,
-    dim_a: int,
-    dim_b: int,
-    global_scores: np.ndarray,
-) -> HeterogeneityView:
-    """Per-sample scatter of two dimensions' scores with correlation summary.
-
-    Each column (the two dimensions and the global score) is min-max
-    normalized independently; a constant column normalizes to zeros and is
-    flagged. Correlations are computed on the raw columns and set to None
-    when undefined.
-    """
-    n, k = scores.scores.shape
-    for d in (dim_a, dim_b):
-        if not 0 <= d < k:
-            raise ValueError(f"dimension index {d} out of range for {k} dimensions")
-    g = np.asarray(global_scores, dtype=np.float64).ravel()
-    if g.shape[0] != n:
-        raise ValueError(f"global_scores must have one entry per sample, got {g.shape[0]} for {n}")
-    a = scores.scores[:, dim_a]
-    b = scores.scores[:, dim_b]
-    na, da = _minmax(a)
-    nb, db = _minmax(b)
-    ng, dg = _minmax(g)
-    degenerate = []
-    if da:
-        degenerate.append(dim_a)
-    if db:
-        degenerate.append(dim_b)
-    if dg:
-        degenerate.append(-1)  # -1 flags the global column
-    records = [
-        {"id": scores.sample_ids[i], "x": float(na[i]), "y": float(nb[i]), "global": float(ng[i])}
-        for i in range(n)
-    ]
-    pear = None if (da or db) else _pearson(a, b)
-    try:
-        rank_corr = None if (da or db) else spearman(a, b)
-    except DataError:
-        rank_corr = None
-    return HeterogeneityView(
-        records=records,
-        pearson=pear,
-        spearman=rank_corr,
-        dim_a=dim_a,
-        dim_b=dim_b,
-        degenerate_dims=degenerate,
-    )
 
 
 @dataclass

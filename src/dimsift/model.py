@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -204,14 +204,6 @@ class TrainConfig:
         return lam
 
 
-@dataclass
-class LossTable:
-    """Per-sample, per-dimension squared-error losses 0.5 * r^2."""
-
-    values: np.ndarray
-    sample_ids: Sequence[str]
-
-
 def _resolve_weights(weights, n: int, k: int) -> np.ndarray:
     if weights is None:
         return np.ones((n, k))
@@ -291,7 +283,9 @@ def fit_closed_form_arrays(
     """
     cfg = config or TrainConfig()
     if cfg.hidden_dim is not None:
-        raise ValueError("closed-form fitting supports head-only models; use fit_gd for a shared layer")
+        raise ValueError(
+            "closed-form fitting supports head-only models; use fit_gd_arrays for a shared layer"
+        )
     (n, d), k = x.shape, y.shape[1]
     cfg.resolved_lambdas(k)  # validate even though the solution ignores them
     if drop is not None and weights is not None:
@@ -497,16 +491,6 @@ def fit_gd_arrays(
     return obj.to_head(theta, fit_info=info)
 
 
-def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None) -> RegressionHead:
-    """fit_gd_arrays on the features and labels of ds."""
-    return fit_gd_arrays(ds.features, ds.labels, weights, config)
-
-
-def predict(head: RegressionHead, features: np.ndarray) -> np.ndarray:
-    """All K predictions for one feature vector (or a batch of them)."""
-    return head.predict(features)
-
-
 def check_pair(head: RegressionHead, ds: Dataset) -> None:
     """A DataError unless head and ds agree on the dimension and feature counts."""
     if ds.n_dims != head.n_dims:
@@ -521,7 +505,7 @@ def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
     return head.predict_batch(ds.features) - ds.labels
 
 
-def per_dim_loss(head: RegressionHead, ds: Dataset) -> LossTable:
-    """Per-sample, per-dimension losses 0.5 * r^2 (no lambdas, no sample weights)."""
+def per_dim_loss(head: RegressionHead, ds: Dataset) -> np.ndarray:
+    """(N, K) per-sample, per-dimension losses 0.5 * r^2 (no lambdas, no sample weights)."""
     r = residuals(head, ds)
-    return LossTable(values=0.5 * r * r, sample_ids=ds.ids)
+    return 0.5 * r * r

@@ -28,9 +28,7 @@ from .data import (
     Dataset,
     NoiseSpec,
     SynthConfig,
-    corrupted_copy,
     draw_synthetic,
-    generate_synthetic,
     read_json,
     save_dataset,
     save_synthetic_corpus,
@@ -406,8 +404,8 @@ class ExperimentReport:
 class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
-    A run draws only its training and test rows; build_corpus(config)
-    rebuilds the full corpus they were taken from. With an output directory
+    A run draws only its training and test rows and never builds
+    the full corpus they were taken from. With an output directory
     the run writes that corpus to corpus.jsonl right after the noise, from
     its own labels and mask, and holds no feature matrix of it. A pruned
     run's refined rows are not kept: prune.kept_ids names them. A
@@ -461,17 +459,6 @@ def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig, drop=None) -> 
     return fit_closed_form_arrays(x, y, weights, cfg, drop)
 
 
-def build_corpus(config: PipelineConfig) -> tuple[Dataset, Dataset]:
-    """The clean corpus of config and its corrupted copy: generate, then inject noise.
-
-    Both share ids and row order; with no noise configured the corrupted
-    corpus is the clean one. run_pipeline draws its training and test rows
-    with the same kernels, so this rebuilds the corpus a run was drawn from.
-    """
-    clean = generate_synthetic(config.synth)
-    return clean, corrupted_copy(clean, config.noise.apply)
-
-
 def run_pipeline(
     config: PipelineConfig, output_dir: str | Path | None = None
 ) -> PipelineArtifacts:
@@ -480,7 +467,8 @@ def run_pipeline(
     Evaluation is always against clean test labels. The split indices are
     drawn first, and the run draws only the training and test rows: the
     training rows carry corrupted labels and the test rows clean ones, both
-    equal to the rows build_corpus(config) would give. No Dataset of the
+    equal to the rows of generate_synthetic(config.synth), the training
+    rows after config.noise corrupts the whole corpus. No Dataset of the
     full corpus is built. With output_dir, config.json and corpus.jsonl are
     written once the noise is applied: the corpus from the run's own full
     label matrix and mask, its features drawn again a block at a time, so a
@@ -532,7 +520,7 @@ def run_pipeline(
     if r.strategy == "ddp":
         prune = ddp_select(scores, r.rho)
     elif r.strategy == "loss_prune":
-        prune = loss_prune_select(per_dim_loss(probe, train), r.rho)
+        prune = loss_prune_select(per_dim_loss(probe, train), train.ids, r.rho)
     elif r.strategy == "global_prune":
         rho_total = r.rho_total if r.rho_total is not None else r.rho
         prune = global_prune_select(global_scores, train.ids, rho_total)

@@ -33,7 +33,6 @@ from .data import (
 )
 from .errors import DataError
 from .influence import SelfInfluenceTable
-from .model import LossTable
 
 DEFAULT_RHO = 0.005
 DEFAULT_TEMPERATURE = 1.0
@@ -185,17 +184,18 @@ def ddp_select(scores: SelfInfluenceTable, rho: float) -> PruneResult:
     return _union_prune(scores.scores, scores.top_sets(rho), scores.sample_ids, rho)
 
 
-def loss_prune_select(losses: LossTable, rho: float) -> PruneResult:
+def loss_prune_select(values: np.ndarray, sample_ids: Sequence[str], rho: float) -> PruneResult:
     """Per-dimension pruning by plain loss instead of self-influence.
 
-    Same union mechanics as ddp_select; a scalar baseline that ignores the
-    feature-norm factor, so high-leverage low-residual samples rank
-    differently than under self-influence.
+    values is the (N, K) loss matrix of model.per_dim_loss, one row per
+    sample id. Same union mechanics as ddp_select; a scalar baseline that
+    ignores the feature-norm factor, so high-leverage low-residual samples
+    rank differently than under self-influence.
     """
-    values = np.asarray(losses.values, dtype=np.float64)
-    if values.ndim != 2 or len(losses.sample_ids) != values.shape[0]:
-        raise ValueError("losses must be an (N, K) table with matching ids")
-    return _union_prune(values, top_sets(values, rho), losses.sample_ids, rho)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or len(sample_ids) != values.shape[0]:
+        raise ValueError("losses must be an (N, K) matrix with one row per sample id")
+    return _union_prune(values, top_sets(values, rho), sample_ids, rho)
 
 
 def load_scalar_scores(path: str | Path) -> tuple[list[str], np.ndarray]:

@@ -27,7 +27,6 @@ from dimsift import (
     default_config,
     fit_closed_form,
     generate_synthetic,
-    inject_correlated_noise,
     inject_dimension_noise,
     load_dataset,
     run_pipeline,
@@ -38,7 +37,7 @@ import dimsift
 import dimsift.data
 from conftest import peak_traced_bytes
 from dimsift.cli import _build_parser, main
-from dimsift.data import dumps_dataset
+from dimsift.data import corrupted_copy, dumps_dataset
 from dimsift.influence import SelfInfluenceTable
 
 
@@ -107,7 +106,8 @@ def test_corrupt_noise_flags_match_the_library_chain(tmp_path):
     assert main(["corrupt", "--data", str(tmp_path / "corpus.jsonl"), "--rate", "0.15",
                  "--dims", "1,3", "--seed", "9", "--correlated-rate", "0.01",
                  "--correlated-seed", "4", "--out", str(out)]) == 0
-    expect = inject_correlated_noise(inject_dimension_noise(corpus, 0.15, (1, 3), 9), 0.01, 4)
+    noisy = inject_dimension_noise(corpus, 0.15, (1, 3), 9)
+    expect = corrupted_copy(noisy, NoiseSpec(correlated_rate=0.01, correlated_seed=4).apply)
     assert out.read_text() == dumps_dataset(expect)
 
 
@@ -177,6 +177,17 @@ def test_score_global_and_row_sum_outputs(stage_dir):
     assert doc2["type"] == "row_sum"
     assert np.asarray(doc2["values"]).shape == (200, 3)
     assert out2.read_text() == json.dumps(doc2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("method", ["global", "row_sum"])
+def test_score_csv_of_a_scalar_method_exits_one_naming_the_flag(stage_dir, capsys, method):
+    out, csv = stage_dir / "s.json", stage_dir / "s.csv"
+    assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
+                 "--head", str(stage_dir / "head.json"), "--method", method,
+                 "--out", str(out), "--csv", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--csv" in err
+    assert not out.exists() and not csv.exists()
 
 
 def test_prune_matches_library(stage_dir):
@@ -283,6 +294,17 @@ def test_report_renders_run_directory(tmp_path, capsys):
     assert main(["report", "--dir", str(out)]) == 0
     text = capsys.readouterr().out
     assert "baseline" in text
+
+
+def test_report_rho_on_a_run_directory_exits_one_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run", "--seed", "0", "--refine", "ddp", "--out", str(out)]) == 0
+    text = (out / "report.txt").read_text()
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out), "--rho", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--rho" in err
+    assert (out / "report.txt").read_text() == text
 
 
 def test_report_assembles_from_stage_outputs(stage_dir, capsys):

@@ -19,6 +19,7 @@ import dimsift
 from dimsift import (
     DataError,
     Dataset,
+    NoiseSpec,
     RowIds,
     Scope,
     SelfInfluenceTable,
@@ -26,7 +27,6 @@ from dimsift import (
     TrainConfig,
     fit_closed_form,
     generate_synthetic,
-    inject_correlated_noise,
     inject_dimension_noise,
     load_dataset,
     residuals,
@@ -37,6 +37,7 @@ from dimsift.data import (
     DRAW_BLOCK_ROWS,
     JSON_PIECE_ITEMS,
     ceil_count,
+    corrupted_copy,
     draw_synthetic,
     dumps_dataset,
     first_duplicate,
@@ -364,7 +365,8 @@ def test_injection_rejects_bad_rate_and_dims():
 
 def test_correlated_injection_marks_every_dimension():
     corpus = generate_synthetic(SynthConfig(400, 4, 3, label_noise_sd=0.1, teacher_seed=1, sample_seed=2))
-    out = inject_correlated_noise(corpus, 0.01, 5)
+    corrupt = NoiseSpec(correlated_rate=0.01, correlated_seed=5).apply
+    out = corrupted_copy(corpus, corrupt)
     mask = out.corruption_mask
     n_hit = ceil_count(0.01, 400)
     assert mask.any(axis=1).sum() == n_hit
@@ -375,7 +377,7 @@ def test_correlated_injection_marks_every_dimension():
         lo, hi = corpus.labels[:, k].min(), corpus.labels[:, k].max()
         vals = out.labels[rows, k]
         assert np.all((vals < lo) | (vals > hi))
-    two = inject_correlated_noise(corpus, 0.01, 5)
+    two = corrupted_copy(corpus, corrupt)
     assert dumps_dataset(out) == dumps_dataset(two)
 
 

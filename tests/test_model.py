@@ -16,13 +16,12 @@ from dimsift import (
     SynthConfig,
     TrainConfig,
     fit_closed_form,
-    fit_gd,
     generate_synthetic,
     per_dim_loss,
     residuals,
 )
 from dimsift.data import teacher_head
-from dimsift.model import GDObjective, fit_closed_form_arrays
+from dimsift.model import GDObjective, fit_closed_form_arrays, fit_gd_arrays
 
 
 def tiny_corpus(n=120, d=3, k=2, sd=0.05, teacher_seed=3, sample_seed=4):
@@ -295,14 +294,14 @@ def test_dropped_rows_and_sample_weights_do_not_combine():
 def test_gd_equal_converges_to_closed_form():
     corpus = tiny_corpus()
     cf = fit_closed_form(corpus, config=TrainConfig(ridge_alpha=0.0))
-    gd = fit_gd(corpus, config=TrainConfig(lr=0.3, epochs=4000))
+    gd = fit_gd_arrays(corpus.features, corpus.labels, None, TrainConfig(lr=0.3, epochs=4000))
     assert np.abs(gd.weights - cf.weights).max() < 1e-8
     assert np.abs(gd.biases - cf.biases).max() < 1e-8
 
 
 def test_gd_records_decreasing_loss():
     corpus = tiny_corpus()
-    head = fit_gd(corpus, config=TrainConfig(lr=0.1, epochs=50))
+    head = fit_gd_arrays(corpus.features, corpus.labels, None, TrainConfig(lr=0.1, epochs=50))
     hist = head.fit_info["loss_history"]
     assert len(hist) == 50
     assert hist[-1] < hist[0]
@@ -311,7 +310,8 @@ def test_gd_records_decreasing_loss():
 
 def test_gd_two_layer_trains_and_reports_scope():
     corpus = tiny_corpus(n=200, d=5, k=3, teacher_seed=1, sample_seed=2)
-    head = fit_gd(corpus, config=TrainConfig(lr=0.05, epochs=300, hidden_dim=4, seed=3))
+    cfg = TrainConfig(lr=0.05, epochs=300, hidden_dim=4, seed=3)
+    head = fit_gd_arrays(corpus.features, corpus.labels, None, cfg)
     assert head.weights.shape == (3, 4)
     assert head.shared_weight.shape == (4, 5)
     assert head.fit_info["loss_history"][-1] < head.fit_info["loss_history"][0]
@@ -321,16 +321,18 @@ def test_uncertainty_learns_larger_log_variance_for_noisier_dimension():
     # dimension 0 has 10x the label noise SD of dimension 1
     cfg = SynthConfig(300, 4, 2, label_noise_sd=(2.0, 0.2), teacher_seed=5, sample_seed=6)
     corpus = generate_synthetic(cfg)
-    head = fit_gd(corpus, config=TrainConfig(strategy="uncertainty", lr=0.02, epochs=4000))
+    gd_cfg = TrainConfig(strategy="uncertainty", lr=0.02, epochs=4000)
+    head = fit_gd_arrays(corpus.features, corpus.labels, None, gd_cfg)
     s = head.fit_info["log_vars"]
     assert s[0] > s[1]
 
 
 def test_rlw_is_seed_deterministic():
     corpus = tiny_corpus(n=200, d=5, k=3, teacher_seed=1, sample_seed=2)
-    a = fit_gd(corpus, config=TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=9))
-    b = fit_gd(corpus, config=TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=9))
-    c = fit_gd(corpus, config=TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=10))
+    x, y = corpus.features, corpus.labels
+    a = fit_gd_arrays(x, y, None, TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=9))
+    b = fit_gd_arrays(x, y, None, TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=9))
+    c = fit_gd_arrays(x, y, None, TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=10))
     assert np.array_equal(a.weights, b.weights) and np.array_equal(a.biases, b.biases)
     assert not np.array_equal(a.weights, c.weights)
 
@@ -339,7 +341,7 @@ def test_rlw_is_seed_deterministic():
 def test_gd_divergence_raises_and_names_the_epoch():
     corpus = tiny_corpus()
     with pytest.raises(NumericalError, match="epoch"):
-        fit_gd(corpus, config=TrainConfig(lr=1e6, epochs=100))
+        fit_gd_arrays(corpus.features, corpus.labels, None, TrainConfig(lr=1e6, epochs=100))
 
 
 @pytest.mark.parametrize("hidden_dim", [None, 3])
@@ -348,8 +350,8 @@ def test_gd_without_weights_is_the_unit_weighted_fit_bit_for_bit(hidden_dim):
     # give every sample the same products
     corpus = tiny_corpus(n=200, d=5, k=3, teacher_seed=1, sample_seed=2)
     cfg = TrainConfig(lr=0.05, epochs=50, hidden_dim=hidden_dim, lambdas=(1.5, 0.5, 2.0))
-    a = fit_gd(corpus, None, cfg)
-    b = fit_gd(corpus, np.ones((200, 3)), cfg)
+    a = fit_gd_arrays(corpus.features, corpus.labels, None, cfg)
+    b = fit_gd_arrays(corpus.features, corpus.labels, np.ones((200, 3)), cfg)
     for name in ("weights", "biases", "shared_weight", "shared_bias"):
         assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
     assert a.fit_info["loss_history"] == b.fit_info["loss_history"]
@@ -366,7 +368,8 @@ def test_gd_peak_memory(hidden_dim, bound):
     # activations alone are 3.2x); fresh arrays every epoch and an (N, K)
     # block of unit weights measured 4.02x and 7.25x
     corpus = tiny_corpus(n=12_000, d=16, k=5)
-    peak = peak_traced_bytes(fit_gd, corpus, None, TrainConfig(epochs=20, hidden_dim=hidden_dim))
+    cfg = TrainConfig(epochs=20, hidden_dim=hidden_dim)
+    peak = peak_traced_bytes(fit_gd_arrays, corpus.features, corpus.labels, None, cfg)
     assert peak < bound * corpus.labels.nbytes
 
 
@@ -411,10 +414,10 @@ def test_predict_composes_shared_layer_and_head():
 def test_per_dim_loss_is_half_squared_residual():
     corpus = tiny_corpus()
     head = fit_closed_form(corpus, config=TrainConfig(ridge_alpha=0.1))
-    table = per_dim_loss(head, corpus)
+    losses = per_dim_loss(head, corpus)
     res = residuals(head, corpus)
-    assert table.sample_ids == corpus.ids
-    assert np.abs(table.values - 0.5 * res**2).max() < 1e-15
+    assert losses.shape == (len(corpus), corpus.n_dims)
+    assert np.abs(losses - 0.5 * res**2).max() < 1e-15
 
 
 def test_residuals_reject_mismatched_data():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -28,14 +29,13 @@ from dimsift import (
     SynthConfig,
     TrainConfig,
     UsageError,
-    build_corpus,
     default_config,
     fit_closed_form,
     generate_synthetic,
     run_pipeline,
     split,
 )
-from dimsift.data import dumps_dataset, floor_count, top_sets
+from dimsift.data import corrupted_copy, dumps_dataset, floor_count, top_sets
 from dimsift.model import STRATEGIES
 from dimsift.pipeline import REFINE_STRATEGIES
 
@@ -51,6 +51,19 @@ def _merge(base, overrides):
     for section, vals in overrides.items():
         out[section].update(vals)
     return out
+
+
+def test_package_surface_is_its_export_list():
+    # a name deleted from a module but left in __all__, or a public import
+    # left out of it, fails here
+    assert len(set(dimsift.__all__)) == len(dimsift.__all__)
+    for name in dimsift.__all__:
+        assert hasattr(dimsift, name), name
+    imported = {
+        name for name, value in vars(dimsift).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert imported == set(dimsift.__all__) - {"__version__"}
 
 
 def test_config_round_trip_and_unknown_keys():
@@ -198,7 +211,7 @@ def test_pipeline_none_branch_keeps_probe():
 def test_pipeline_clean_test_labels_are_uncorrupted():
     cfg = small_config()
     arts = run_pipeline(cfg)
-    clean, _ = build_corpus(cfg)
+    clean = generate_synthetic(cfg.synth)
     # every test id maps back to the clean corpus with identical labels
     for i, sid in enumerate(arts.test_clean.ids):
         j = clean.index_of(sid)
@@ -243,7 +256,8 @@ def test_pipeline_writes_reloadable_artifacts(tmp_path):
         assert (out / name).exists(), name
     report = ExperimentReport.load(out / "report.json")
     assert report.dumps() == arts.report.dumps()
-    assert (out / "corpus.jsonl").read_text() == dumps_dataset(build_corpus(cfg)[1])
+    noisy = corrupted_copy(generate_synthetic(cfg.synth), cfg.noise.apply)
+    assert (out / "corpus.jsonl").read_text() == dumps_dataset(noisy)
     # no wall-clock state may leak into artifacts
     blob = (out / "report.json").read_text() + (out / "config.json").read_text()
     assert "time" not in blob and "date" not in blob
@@ -314,7 +328,8 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth,
         train=dataclasses.replace(cfg.train, **train),
     )
     arts = run_pipeline(cfg)
-    clean, noisy = build_corpus(cfg)
+    clean = generate_synthetic(cfg.synth)
+    noisy = corrupted_copy(clean, cfg.noise.apply)
     train_ds, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
     refined = train_ds.select_ids(arts.prune.kept_ids)
     assert 0 < len(refined) < len(train_ds)
@@ -360,9 +375,7 @@ def test_a_run_builds_no_full_corpus_dataset(monkeypatch, tmp_path, out):
         raise AssertionError("the run built the whole corpus")
 
     monkeypatch.setattr(Dataset, "__init__", recording_init)
-    for module, name in [(dimsift.pipeline, "build_corpus"), (dimsift.pipeline, "generate_synthetic"),
-                         (dimsift.data, "generate_synthetic")]:
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(dimsift.data, "generate_synthetic", refuse)
     cfg = small_config()
     arts = run_pipeline(cfg, None if out is None else tmp_path / out)
     assert len(arts.train) in sizes and len(arts.test_clean) in sizes
@@ -481,7 +494,7 @@ def test_a_run_holds_its_ids_as_row_numbers():
 def test_invalid_split_fractions_raise_the_split_error(fractions):
     cfg = small_config()
     with pytest.raises(ValueError) as direct:
-        split(build_corpus(cfg)[1], fractions, cfg.split_seed)
+        split(generate_synthetic(cfg.synth), fractions, cfg.split_seed)
     with pytest.raises(ValueError) as piped:
         run_pipeline(dataclasses.replace(cfg, split_fractions=fractions))
     assert str(piped.value) == str(direct.value)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dimsift import (
-    LossTable,
     PruneResult,
     Scope,
     WeightMatrix,
@@ -168,7 +167,7 @@ def test_loss_prune_ranks_by_loss_not_influence():
     scores = np.array([[101.0], [8.0]])  # r=1 at |h|=10 vs r=2 at |h|=1
     losses = np.array([[0.5], [2.0]])
     ddp = ddp_select(make_table(scores, ids=["big_h", "big_r"]), 0.5)
-    lp = loss_prune_select(LossTable(losses, ["big_h", "big_r"]), 0.5)
+    lp = loss_prune_select(losses, ["big_h", "big_r"], 0.5)
     assert ddp.removed_ids == ["big_h"]
     assert lp.removed_ids == ["big_r"]
 

@@ -13,8 +13,8 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress, pairwise
-from operator import eq
+from itertools import chain, compress, pairwise
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -222,10 +222,10 @@ class Dataset:
                 f"label width {self._labels.shape[1]} does not match "
                 f"{len(self.dim_names)} dimension names"
             )
-        if not np.all(np.isfinite(self._features)):
-            raise DataError("non-finite feature values")
-        if not np.all(np.isfinite(self._labels)):
-            raise DataError("non-finite label values")
+        # no N-sized bool array: NaN propagates through min and max, and an infinity is one of them
+        for values, what in ((self._features, "feature"), (self._labels, "label")):
+            if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+                raise DataError(f"non-finite {what} values")
         # strictly ascending row numbers are unique ids by construction
         if not (isinstance(self._ids, RowIds) and self._ids.ascending):
             dup = first_duplicate(self._ids)
@@ -358,7 +358,7 @@ DRAW_BLOCK_ROWS = 8192
 
 
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each draw block of an n-row corpus.
+    """(start, stop) of each block of n rows, in which the draw and the scorers work.
 
     Each block holds DRAW_BLOCK_ROWS rows and the last one the rest, from
     DRAW_BLOCK_ROWS to twice that less one (or all n). A short last block
@@ -420,6 +420,7 @@ def draw_synthetic(
         for rows, out in zip(row_sets, features):
             lo, hi = np.searchsorted(rows, (start, stop))
             out[lo:hi] = block[rows[lo:hi] - start]
+        del block  # released before the next block is drawn
     # the noise draw follows every feature in the stream; each label is
     # (h @ w*^T + b*) + noise * sd, summed in that order
     for start, stop in _row_blocks(n):
@@ -905,8 +906,9 @@ def save_synthetic_corpus(
     n = config.n_samples
     if labels.shape != (n, config.n_dims) or corrupted.shape != labels.shape:
         raise ValueError(f"labels and mask must be ({n}, {config.n_dims}) for this corpus")
-    rng = np.random.default_rng(config.sample_seed)
-    features = (row for _, _, block in _feature_blocks(config, rng) for row in block)
+    blocks = map(itemgetter(2), _feature_blocks(config, np.random.default_rng(config.sample_seed)))
+    # rows are copies and no name binds a block, so each is released before the next is drawn
+    features = map(np.ndarray.copy, chain.from_iterable(blocks))
     ids = _synthetic_ids(config, np.arange(n))
     names = _synthetic_dim_names(config)
     lines = _sample_lines(ids, config.feature_dim, names, manifest, features, labels, corrupted)

@@ -15,10 +15,10 @@ head-only scope it collapses to the forward-only closed form
 
 because the gradient of dimension k touches only that head's weights and
 bias. A shared layer adds one Gram term per dimension pair (see
-_gram_terms), so every batched score is a few matrix products over the
-dataset; grad_per_dimension assembles the gradients one sample at a time as
-the reference. Scores are computed at one final checkpoint; the Hessian is
-taken to be the identity throughout.
+_gram_terms), so every batched score is a few matrix products over each
+row block of the dataset; grad_per_dimension assembles the gradients one
+sample at a time as the reference. Scores are computed at one final
+checkpoint; the Hessian is taken to be the identity throughout.
 
 Self-influence tables are lambda-free so they can be reused under different
 dimension weightings; the pairwise matrix, the aggregated scalar, and the
@@ -37,6 +37,7 @@ import numpy as np
 from .data import (
     Dataset,
     Sample,
+    _row_blocks,
     check_unique,
     extend_numbers,
     long_csv_lines,
@@ -101,9 +102,10 @@ class SelfInfluenceTable:
             raise ValueError(f"{len(self.sample_ids)} ids for {n} score rows")
         if len(self.dim_names) != k:
             raise ValueError(f"{len(self.dim_names)} dim names for {k} score columns")
-        if not np.all(np.isfinite(self.scores)):
+        lo, hi = self.scores.min(initial=0.0), self.scores.max(initial=0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("scores must be finite")
-        if np.any(self.scores < 0):
+        if lo < 0:
             raise ValueError("self-influence scores must be nonnegative")
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
 
@@ -268,8 +270,8 @@ def grad_per_dimension(head: RegressionHead, sample: Sample, cfg: InfluenceConfi
 # -- scoring -----------------------------------------------------------------
 
 
-def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
-    """Batched factors of every per-dimension gradient inner product.
+def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=None):
+    """Batched factors of every per-dimension gradient inner product, a row block at a time.
 
     For sample i and dimensions j, k of one scope,
 
@@ -279,24 +281,26 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig):
     the head input, 1 the bias) and a_i = |x_i|^2 + 1 from the shared-layer
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
-    gradient is assembled. Returns (r, a, b, G), all fresh arrays (a is one
-    zero in head-only scopes): the callers overwrite r in place.
+    gradient is assembled. Yields (start, stop, r, a, b) per block of
+    data._row_blocks (a is one zero in head-only scopes); the callers
+    overwrite r, written into out[start:stop] if an (N, K) out is given.
     """
     check_pair(head, ds)
     _check_scope(head, cfg.scope)
-    x = ds.features
-    u = head.head_inputs(x)
-    r = u @ head.weights.T
-    r += head.biases
-    r -= ds.labels
-    b = np.einsum("ij,ij->i", u, u)
-    b += 1.0
-    if cfg.scope == Scope.LAST_TWO_LAYERS:
-        a = np.einsum("ij,ij->i", x, x)
-        a += 1.0
-    else:
+    for start, stop in _row_blocks(len(ds)):
+        x = ds.features[start:stop]
+        u = head.head_inputs(x)
+        r = np.matmul(u, head.weights.T, out=None if out is None else out[start:stop])
+        r += head.biases
+        r -= ds.labels[start:stop]
+        b = np.einsum("ij,ij->i", u, u)
+        b += 1.0
+        del u  # released before the caller's temporaries
         a = np.zeros(1)
-    return r, a, b, head.weights @ head.weights.T
+        if cfg.scope == Scope.LAST_TWO_LAYERS:
+            a = np.einsum("ij,ij->i", x, x)
+            a += 1.0
+        yield start, stop, r, a, b
 
 
 def self_influence_closed_form(
@@ -323,13 +327,15 @@ def self_influence_explicit(
     assembles the same gradients one sample at a time and is the reference
     the tests check this against.
     """
-    scores, a, b, gram = _gram_terms(head, ds, cfg)
-    scores *= scores
-    if cfg.scope == Scope.LAST_TWO_LAYERS:
-        scores *= np.diag(gram) * a[:, None] + b[:, None]
-    else:
-        # a is zero in head-only scopes, so the factor is exactly b
-        scores *= b[:, None]
+    scores = np.empty((len(ds), ds.n_dims))
+    gram_diag = np.diag(head.weights @ head.weights.T)
+    for _, _, r, a, b in _gram_terms(head, ds, cfg, scores):
+        r *= r
+        if cfg.scope == Scope.LAST_TWO_LAYERS:
+            r *= gram_diag * a[:, None] + b[:, None]
+        else:
+            # a is zero in head-only scopes, so the factor is exactly b
+            r *= b[:, None]
     return SelfInfluenceTable(
         scores=scores,
         sample_ids=ds.ids,
@@ -377,14 +383,16 @@ def global_tracin_self(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) 
     With rho_i = lambda * r_i this is |rho_i W_head|^2 a_i + |rho_i|^2 b_i
     (factors as in _gram_terms).
     """
-    rho, a, b, _ = _gram_terms(head, ds, cfg)
-    rho *= cfg.resolved_lambdas(head.n_dims)
-    out = np.einsum("ij,ij->i", rho, rho)
-    out *= b
-    # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is zero
-    if cfg.scope == Scope.LAST_TWO_LAYERS:
-        v = rho @ head.weights
-        out += np.einsum("ij,ij->i", v, v) * a
+    lam = cfg.resolved_lambdas(head.n_dims)
+    out = np.empty(len(ds))
+    for start, stop, rho, a, b in _gram_terms(head, ds, cfg):
+        rho *= lam
+        part = np.einsum("ij,ij->i", rho, rho, out=out[start:stop])
+        part *= b
+        # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is zero
+        if cfg.scope == Scope.LAST_TWO_LAYERS:
+            v = rho @ head.weights
+            part += np.einsum("ij,ij->i", v, v) * a
     return out
 
 
@@ -397,14 +405,18 @@ def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> n
     the entry is rho_ij ((rho_i G)_j a_i + rho_ij b_i) (factors as in
     _gram_terms).
     """
-    rho, a, b, gram = _gram_terms(head, ds, cfg)
-    rho *= cfg.resolved_lambdas(head.n_dims)
-    if cfg.scope == Scope.LAST_TWO_LAYERS:
-        out = rho @ gram
-        out *= a[:, None]
-        out += rho * b[:, None]
-    else:
-        # the (rho_i G) a_i term is exactly 0 in head-only scopes, where a is zero
-        out = rho * b[:, None]
-    out *= rho
+    lam = cfg.resolved_lambdas(head.n_dims)
+    gram = head.weights @ head.weights.T
+    out = np.empty((len(ds), ds.n_dims))
+    for start, stop, rho, a, b in _gram_terms(head, ds, cfg):
+        rho *= lam
+        part = out[start:stop]
+        if cfg.scope == Scope.LAST_TWO_LAYERS:
+            np.matmul(rho, gram, out=part)
+            part *= a[:, None]
+            part += rho * b[:, None]
+        else:
+            # the (rho_i G) a_i term is exactly 0 in head-only scopes, where a is zero
+            np.multiply(rho, b[:, None], out=part)
+        part *= rho
     return out

@@ -26,7 +26,8 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
     The algorithm of scipy.stats.rankdata(method="average"): stable sort,
     tie groups, and for a group spanning sorted positions [lo, hi) the rank
-    (lo + 1 + hi) / 2, an exact half-integer. A NaN anywhere gives all-NaN
+    (lo + 1 + hi) / 2, an exact half-integer. Without ties the ranks are
+    1..N written through the sort order. A NaN anywhere gives all-NaN
     ranks, as scipy's default nan_policy does.
     """
     if np.isnan(a).any():
@@ -34,6 +35,11 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     order = np.argsort(a, kind="stable")
     s = a[order]
     starts = np.r_[True, s[1:] != s[:-1]]
+    del s
+    if starts.all():
+        ranks = np.empty(a.size)
+        ranks[order] = np.arange(1.0, a.size + 1)
+        return ranks
     dense = np.empty(a.size, dtype=np.intp)
     dense[order] = np.cumsum(starts)
     count = np.r_[np.flatnonzero(starts), a.size]
@@ -54,9 +60,9 @@ def spearman(pred: np.ndarray, target: np.ndarray) -> float:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DataError("rank correlation undefined for a constant input")
     rx = _average_ranks(x)
+    rx -= rx.mean()
     ry = _average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
+    ry -= ry.mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
@@ -67,33 +73,28 @@ def auroc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
     scores higher, counting ties as half. Raises DataError when only one
     class is present; a NaN score gives NaN.
 
-    The positives' rank sum comes from the tie groups of one stable sort:
-    a group spanning sorted positions [lo, hi) holds its positives at the
-    average rank (lo + 1 + hi) / 2, so the sum is exact and no N-sized rank
-    array is built.
+    Each positive is binary-searched in one sorted copy of the negatives, so
+    the statistic is an exact integer sum over 2 and no argsort or gather
+    over all N rows is built.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    pos = np.asarray(positive_mask, dtype=bool).ravel()
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    pos = np.asarray(positive_mask, dtype=bool).reshape(-1)
     if s.shape != pos.shape:
         raise ValueError(f"length mismatch: {s.shape} vs {pos.shape}")
-    n_pos = int(pos.sum())
+    n_pos = int(np.count_nonzero(pos))
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC undefined: scores contain a single class")
-    if np.isnan(s).any():
+    neg = s[~pos]
+    neg.sort()
+    hits = s[pos]
+    # a NaN sorts last among the negatives and propagates through max
+    if np.isnan(neg[-1]) or np.isnan(hits.max()):
         return math.nan
-    # each N-sized temporary is released once used, so at most two are live
-    order = np.argsort(s, kind="stable")
-    ranked = s[order]
-    # [lo, hi) spans one tie group of the sorted scores
-    bounds = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
-    del ranked
-    lo, hi = bounds[:-1], bounds[1:]
-    group_pos = np.add.reduceat(pos[order], lo, dtype=np.intp)
-    del order
-    twice_rank = lo + hi
-    twice_rank += 1
-    u = int(group_pos @ twice_rank) / 2.0 - n_pos * (n_pos + 1) / 2.0
+    # a positive beats the left negatives below it and ties the right - left equal to it
+    left = np.searchsorted(neg, hits, "left")
+    right = np.searchsorted(neg, hits, "right")
+    u = (int(left.sum()) + int(right.sum())) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -102,11 +103,7 @@ def per_dim_auroc(scores: np.ndarray, mask: np.ndarray) -> list[Optional[float]]
 
     None for a column whose mask holds a single class, where AUROC is undefined.
     """
-    out: list[Optional[float]] = []
-    for k in range(mask.shape[1]):
-        col = mask[:, k]
-        out.append(auroc(scores[:, k], col) if col.any() and not col.all() else None)
-    return out
+    return [auroc(s, m) if m.any() and not m.all() else None for s, m in zip(scores.T, mask.T)]
 
 
 @dataclass

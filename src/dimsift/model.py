@@ -101,7 +101,9 @@ class RegressionHead:
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if self.shared_weight is None:
             return x
-        return x @ self.shared_weight.T + self.shared_bias
+        u = x @ self.shared_weight.T
+        u += self.shared_bias
+        return u
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         u = self.head_inputs(features)

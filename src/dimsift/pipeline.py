@@ -483,9 +483,10 @@ def run_pipeline(
         PipelineConfig.train,
         {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"},
     )
-    train_idx, val_idx, test_idx = split_indices(
+    # the validation rows are never drawn, so their indices are not kept
+    train_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed
-    )
+    )[::2]
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
 
@@ -582,11 +583,11 @@ def run_pipeline(
         version=__version__,
         config=config.to_dict(),
         dataset_summary={
-            "n_total": len(train_idx) + len(val_idx) + len(test_idx),
+            "n_total": config.synth.n_samples,
             "feature_dim": train.feature_dim,
             "dim_names": train.dim_names,
             "n_train": len(train),
-            "n_val": len(val_idx),
+            "n_val": config.synth.n_samples - len(train_idx) - len(test_idx),
             "n_test": len(test_idx),
             "train_corrupted_per_dim": None
             if mask is None

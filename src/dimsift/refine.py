@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import (
+    RowIds,
     extend_numbers,
     long_csv_lines,
     read_json,
@@ -94,14 +95,18 @@ class PruneResult:
             raise DataError(f"invalid prune file {path}: {e}") from None
 
     def removal_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
-        """CSV of removed ids with the dimensions whose risk set flagged them."""
-        by_id: dict[str, list[str]] = {sid: [] for sid in self.removed_ids}
-        for k, risk in enumerate(self.per_dim_risk_sets):
-            name = dim_names[k] if dim_names is not None else str(k)
-            for sid in risk:
-                if sid in by_id:
-                    by_id[sid].append(name)
-        lines = (f"{sid},{'|'.join(by_id[sid])}\n" for sid in self.removed_ids)
+        """CSV of removed ids with the dimensions whose risk set flagged them.
+
+        Each risk set flags its removed rows in one bool array: RowIds match
+        by row number, so only the ids written are formatted.
+        """
+        removed, risk_sets = self.removed_ids, self.per_dim_risk_sets
+        names = [str(k) for k in range(len(risk_sets))] if dim_names is None else dim_names
+        if isinstance(removed, RowIds):
+            flags = [np.isin(removed.rows, risk.rows) for risk in risk_sets]
+        else:
+            flags = [np.fromiter(map(set(risk).__contains__, removed), bool) for risk in risk_sets]
+        lines = (f"{sid},{'|'.join(compress(names, row))}\n" for sid, *row in zip(removed, *flags))
         write_lines(path, chain(["id,removed_by_dims\n"], lines))
 
 

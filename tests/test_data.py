@@ -636,3 +636,25 @@ def test_dataset_validation():
         Dataset(["a", "b"], np.zeros((2, 2)), np.zeros((2, 2)), ["d0"])
     with pytest.raises(DataError, match="non-finite"):
         Dataset(["a"], np.array([[np.nan, 0.0]]), np.zeros((1, 1)), ["d0"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+@pytest.mark.parametrize("where", ["feature", "label"])
+@pytest.mark.parametrize("at", [0, 5000, -1], ids=["first", "middle", "last"])
+def test_a_non_finite_value_anywhere_is_a_data_error(bad, where, at):
+    # the check reduces to min and max, so the value must reach one of them
+    # wherever it sits, among large values of either sign
+    rng = np.random.default_rng(0)
+    features, labels = rng.normal(0, 1e300, (10_000, 3)), rng.normal(0, 1e300, (10_000, 2))
+    (features if where == "feature" else labels).flat[at] = bad
+    with pytest.raises(DataError, match=f"^non-finite {where} values$"):
+        Dataset(RowIds(np.arange(10_000), 5), features, labels, ["d0", "d1"])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["no-rows", "no-features"])
+def test_empty_arrays_are_finite(shape):
+    n = shape[0]
+    ds = Dataset([f"s{i}" for i in range(n)], np.zeros(shape), np.ones((n, 2)), ["d0", "d1"])
+    assert ds.features.shape == shape and len(ds) == n
+    empty = Dataset([f"s{i}" for i in range(n)], np.ones((n, 1)), np.zeros((n, 0)), [])
+    assert empty.labels.shape == (n, 0)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dimsift.data as data_mod
 import dimsift.influence as influence_mod
 from conftest import ODD_TEXT, peak_traced_bytes, random_head, random_sample
 from dimsift import (
@@ -429,6 +430,44 @@ def test_in_place_scores_are_the_one_expression_scores_bit_for_bit(case):
         assert got[name].tobytes() == value.tobytes(), name
 
 
+# a small block size keeps the per-sample oracle cheap at every boundary
+_BLOCK = 64
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
+    ids=["1", "B-1", "B", "2B-1", "2B", "3B+5"],
+)
+@pytest.mark.parametrize(
+    "hidden, scope",
+    [(None, Scope.HEAD_ONLY), (4, Scope.HEAD_ONLY), (4, Scope.LAST_TWO_LAYERS)],
+    ids=["head-only", "shared-head-only", "last-two-layers"],
+)
+def test_scores_match_the_one_shot_scores_at_every_block_boundary(monkeypatch, n, hidden, scope):
+    # the scorers run a row block at a time; every block has at least _BLOCK
+    # rows or all of them, so each matches the one-shot expressions bit for bit
+    monkeypatch.setattr(data_mod, "DRAW_BLOCK_ROWS", _BLOCK)
+    assert max(stop - start for start, stop in data_mod._row_blocks(n)) < 2 * _BLOCK
+    rng = np.random.default_rng(n)
+    k = 4
+    head = random_head(rng, k, 6, hidden_dim=hidden)
+    ds = Dataset([f"s{i}" for i in range(n)], rng.normal(size=(n, 6)), rng.normal(size=(n, k)),
+                 [f"dim{j}" for j in range(k)])
+    lam = rng.uniform(0.1, 3.0, k)
+    lam[rng.integers(k)] = 0.0
+    cfg = InfluenceConfig(scope=scope, lambdas=tuple(lam))
+    got = {
+        "explicit": self_influence_explicit(head, ds, cfg).scores,
+        "global": global_tracin_self(head, ds, cfg),
+        "row_sum": row_sum_scores(head, ds, cfg),
+    }
+    for name, value in _one_expression_scores(head, ds, cfg).items():
+        assert got[name].tobytes() == value.tobytes(), name
+    for name, (value, scale) in _oracle_sums(head, ds, cfg).items():
+        assert np.all(np.abs(got[name] - value) <= 1e-10 * scale), name
+
+
 def test_zero_lambda_silences_a_dimension(noisy_corpus):
     rng = np.random.default_rng(20)
     head = random_head(rng, 3, 6, hidden_dim=4)
@@ -562,16 +601,38 @@ def big_corpus():
 @pytest.mark.parametrize(
     "hidden, scope, bound",
     [
-        pytest.param(None, Scope.HEAD_ONLY, 2.5, id="head-only"),
-        pytest.param(8, Scope.LAST_TWO_LAYERS, 4.0, id="last-two-layers"),
+        pytest.param(None, Scope.HEAD_ONLY, 1.3, id="head-only"),
+        pytest.param(8, Scope.LAST_TWO_LAYERS, 2.9, id="last-two-layers"),
     ],
 )
 def test_self_influence_builds_its_scores_in_place(big_corpus, hidden, scope, bound):
-    # the residual matrix becomes the score matrix. Measured peak over N x K
-    # float64 at 20k rows: 1.73x head-only (the scores plus the per-row
-    # factors, the id list and the table's checks), 3.49x with a shared
-    # layer (plus its activations and the factor matrix); building each
-    # operation's result in a new array measured 4.49x for both
+    # each block's residuals are written into its rows of the score matrix.
+    # Measured peak over N x K float64 at 20k rows (blocks of 8192 and 11808
+    # rows): 1.20x head-only (the scores plus one block's per-row factors),
+    # 2.50x with a shared layer (plus a block's activations and factor
+    # matrix); the whole-matrix residuals measured 1.33x and 3.48x, and
+    # building each operation's result in a new array 4.49x for both
     head = random_head(np.random.default_rng(0), 5, 16, hidden_dim=hidden)
     peak = peak_traced_bytes(self_influence_explicit, head, big_corpus, InfluenceConfig(scope=scope))
     assert peak < bound * big_corpus.labels.nbytes
+
+
+@pytest.mark.parametrize("scorer", [global_tracin_self, row_sum_scores])
+@pytest.mark.parametrize(
+    "hidden, scope",
+    [(None, Scope.HEAD_ONLY), (8, Scope.LAST_TWO_LAYERS)],
+    ids=["head-only", "last-two-layers"],
+)
+def test_a_scorer_holds_its_output_and_two_blocks(monkeypatch, big_corpus, scorer, hidden, scope):
+    # 2048-row blocks, so a block is a tenth of the rows: a block here is one
+    # of the dataset's own (features and labels). Measured beyond the output:
+    # 0.51 blocks head-only, 1.14 (global) and 0.92 (row sums) with a shared
+    # layer; whole-matrix residuals measured 1.6 and 1.7 head-only, 4.5 and
+    # 3.3 with a shared layer
+    monkeypatch.setattr(data_mod, "DRAW_BLOCK_ROWS", 2048)
+    rows = max(stop - start for start, stop in data_mod._row_blocks(len(big_corpus)))
+    block = rows * (big_corpus.feature_dim + big_corpus.n_dims) * 8
+    head = random_head(np.random.default_rng(0), 5, 16, hidden_dim=hidden)
+    cfg = InfluenceConfig(scope=scope)
+    output = scorer(head, big_corpus, cfg).nbytes
+    assert peak_traced_bytes(scorer, head, big_corpus, cfg) <= output + 2 * block

@@ -19,7 +19,7 @@ from dimsift import (
     loss_prune_select,
 )
 from conftest import peak_traced_bytes
-from dimsift.data import JSON_PIECE_ITEMS, ceil_count, top_sets
+from dimsift.data import JSON_PIECE_ITEMS, RowIds, ceil_count, top_sets
 from dimsift.influence import SelfInfluenceTable
 
 
@@ -365,11 +365,32 @@ def test_weight_and_prune_files_are_written_a_piece_at_a_time(tmp_path, kind):
 
 
 def test_the_removal_csv_is_written_a_line_at_a_time(tmp_path):
-    # 10k removed ids: the map of each id to its dimensions, with one line at
-    # a time, measured 4.9x the file; joining every line into one string as
-    # well measured 10.2x
+    # 10k removed ids: one risk set's ids in a set and a flag per removed id
+    # and risk set, with one line at a time, measured 2.9x the file; a map of
+    # each id to a list of its dimensions measured 4.9x, and joining every
+    # line into one string as well 10.2x
     ids = [f"train-{i:06d}" for i in range(20_000)]
     result = PruneResult(ids[10_000:], ids[:10_000], [ids[:10_000]] * 2, [1.0] * 2, 0.5)
     path = tmp_path / "removed.csv"
     peak = peak_traced_bytes(result.removal_csv, path, ["dim0", "dim1"])
-    assert peak < 7 * path.stat().st_size
+    assert peak < 3.5 * path.stat().st_size
+
+
+def test_the_removal_csv_of_row_ids_matches_rows_without_formatting_them(tmp_path):
+    # a run's RowIds are matched by row number: 2.2x the file measured (the
+    # flags and one np.isin at a time), where formatting every removed and
+    # risk-set id into a map of lists measured 13.7x
+    rows = RowIds(np.arange(20_000)[::-1], 6)
+    risk = [rows[:10_000:2], rows[5_000:12_000], rows[:0]]
+    result = PruneResult(rows[12_000:], rows[:12_000], risk, [1.0] * 3, 0.5)
+    path = tmp_path / "removed.csv"
+    names = ["dim0", "dim1", "dim2"]
+    peak = peak_traced_bytes(result.removal_csv, path, names)
+    assert peak < 3 * path.stat().st_size
+    as_str = PruneResult(list(rows[12_000:]), list(rows[:12_000]), [list(r) for r in risk],
+                         [1.0] * 3, 0.5)
+    as_str.removal_csv(tmp_path / "str.csv", names)
+    assert path.read_bytes() == (tmp_path / "str.csv").read_bytes()
+    lines = path.read_text().splitlines()
+    assert lines[1:3] == ["s019999,dim0", "s019998,"]
+    assert lines[5_001] == "s014999,dim0|dim1" and lines[-1] == "s008000,dim1"

@@ -270,7 +270,7 @@ def _cmd_fit(args) -> int:
         hidden_dim=args.hidden_dim,
         fit_bias=not args.no_bias,
     )
-    check_gd_settings(cfg, TrainConfig(), {"ridge_alpha": "--alpha", "fit_bias": "--no-bias"})
+    check_gd_settings(cfg, {"ridge_alpha": "--alpha", "fit_bias": "--no-bias"})
     head = _fit(ds.features, ds.labels, weights, cfg)
     head.save(args.out)
     method = head.fit_info["method"].replace("_", "-")

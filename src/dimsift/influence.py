@@ -56,17 +56,13 @@ class InfluenceConfig:
     """Scope and dimension weights used by the influence operations.
 
     lambdas must be nonnegative and finite; a zero entry silences that
-    dimension's contribution wherever lambdas apply. hessian is recorded for
-    provenance and only the identity approximation is implemented.
+    dimension's contribution wherever lambdas apply.
     """
 
     scope: Scope = Scope.HEAD_ONLY
     lambdas: Optional[tuple[float, ...]] = None
-    hessian: str = "identity"
 
     def __post_init__(self):
-        if self.hessian != "identity":
-            raise ValueError(f"only the identity Hessian approximation is supported, got {self.hessian!r}")
         if self.lambdas is not None:
             lam = np.asarray(self.lambdas, dtype=np.float64)
             if np.any(lam < 0) or not np.all(np.isfinite(lam)):

@@ -177,7 +177,7 @@ class TrainConfig:
     """
 
     lambdas: Optional[tuple[float, ...]] = None
-    ridge_alpha: float = 0.0
+    ridge_alpha: float = 1e-6
     lr: float = 0.05
     epochs: int = 200
     strategy: str = "equal"

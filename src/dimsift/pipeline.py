@@ -77,17 +77,25 @@ REFINE_STRATEGIES = ("none", "ddp", "ddr", "loss_prune", "global_prune")
 
 @dataclass(frozen=True)
 class RefineSpec:
+    """A run's refinement. rho is its one budget: ddp, loss_prune and global_prune
+    remove by it, and every run's overlap curve and masking report read it."""
+
     strategy: str = "none"
     rho: float = DEFAULT_RHO
     temperature: float = DEFAULT_TEMPERATURE
     epsilon: float = DEFAULT_EPSILON
-    rho_total: Optional[float] = None
 
     def __post_init__(self):
         if self.strategy not in REFINE_STRATEGIES:
             raise UsageError(
                 f"unknown refine strategy {self.strategy!r}, expected one of {REFINE_STRATEGIES}"
             )
+        if not 0.0 <= self.rho <= 1.0:
+            raise UsageError(f"rho must be in [0, 1], got {self.rho}")
+        if not self.temperature > 0.0:
+            raise UsageError(f"temperature must be positive, got {self.temperature}")
+        if not self.epsilon > 0.0:
+            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
 
 
 # config.json keeps the two split fields of PipelineConfig in one "split" section
@@ -157,7 +165,7 @@ def _read_section(section, name: str, types: dict) -> dict:
 class PipelineConfig:
     synth: SynthConfig
     noise: NoiseSpec = NoiseSpec()
-    train: TrainConfig = TrainConfig(ridge_alpha=1e-6)
+    train: TrainConfig = TrainConfig()
     influence: InfluenceConfig = InfluenceConfig()
     refine: RefineSpec = RefineSpec()
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -431,13 +439,14 @@ def _uses_gd(cfg: TrainConfig) -> bool:
     return cfg.hidden_dim is not None or cfg.strategy != "equal"
 
 
-def check_gd_settings(cfg: TrainConfig, default: TrainConfig, names: dict[str, str]) -> None:
+def check_gd_settings(cfg: TrainConfig, names: dict[str, str]) -> None:
     """A UsageError if cfg picks gradient descent but changes a closed-form-only setting.
 
     Gradient descent has no ridge term and always fits biases, so a
-    ridge_alpha or fit_bias other than default's would be ignored. names
+    ridge_alpha or fit_bias other than its default would be ignored. names
     maps each of the two fields to the name the caller knows it by.
     """
+    default = TrainConfig()
     changed = [names[f] for f in ("ridge_alpha", "fit_bias") if getattr(cfg, f) != getattr(default, f)]
     if _uses_gd(cfg) and changed:
         raise UsageError(
@@ -478,11 +487,7 @@ def run_pipeline(
     fits a copy of the kept rows, released after.
     """
     validate_synth(config.synth)
-    check_gd_settings(
-        config.train,
-        PipelineConfig.train,
-        {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"},
-    )
+    check_gd_settings(config.train, {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"})
     # the validation rows are never drawn, so their indices are not kept
     train_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed
@@ -516,27 +521,40 @@ def run_pipeline(
 
     prune: Optional[PruneResult] = None
     weight_matrix: Optional[WeightMatrix] = None
-    refit_weights = drop = None
+    drop = None
     r = config.refine
+    refine_summary = {"strategy": r.strategy}
     if r.strategy == "ddp":
         prune = ddp_select(scores, r.rho)
     elif r.strategy == "loss_prune":
         prune = loss_prune_select(per_dim_loss(probe, train), train.ids, r.rho)
     elif r.strategy == "global_prune":
-        rho_total = r.rho_total if r.rho_total is not None else r.rho
-        prune = global_prune_select(global_scores, train.ids, rho_total)
+        prune = global_prune_select(global_scores, train.ids, r.rho)
     elif r.strategy == "ddr":
         weight_matrix = ddr_weights(scores, r.temperature, r.epsilon)
-        refit_weights = weight_matrix
+        w = weight_matrix.weights
+        refine_summary.update(
+            temperature=r.temperature,
+            epsilon=r.epsilon,
+            min_weight=float(w.min()),
+            max_weight=float(w.max()),
+            mean_weight=float(w.mean()),
+        )
     if prune is not None:
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
         # removed_ids views train's ascending row numbers, which locate its rows in train
         drop = np.searchsorted(train.ids.rows, prune.removed_ids.rows)
+        refine_summary.update(
+            rho=prune.rho,
+            n_removed=len(drop),
+            removed_fraction=len(drop) / len(train),
+            thresholds=prune.thresholds,
+        )
     n_train_refined = len(train) - (0 if drop is None else len(drop))
     final = probe
     if r.strategy != "none":
-        final = _fit(train.features, train.labels, refit_weights, config.train, drop)
+        final = _fit(train.features, train.labels, weight_matrix, config.train, drop)
 
     strategies = {
         "baseline": evaluate_head(probe, test_clean, {"strategy": "baseline"}).to_dict()
@@ -555,29 +573,8 @@ def run_pipeline(
     else:
         detection = {"per_dim_auroc": per_dim_auroc(scores.scores, mask)}
 
-    report_rho = r.rho if r.strategy in ("ddp", "loss_prune") else DEFAULT_RHO
-    overlap = overlap_curve(scores, report_rho)
-    masking = masking_report(scores, global_scores, report_rho, corrupted=mask)
-
-    if r.strategy in ("ddp", "loss_prune", "global_prune"):
-        refine_summary = {
-            "strategy": r.strategy,
-            "rho": prune.rho,
-            "n_removed": len(prune.removed_ids),
-            "removed_fraction": len(prune.removed_ids) / len(train),
-            "thresholds": prune.thresholds,
-        }
-    elif r.strategy == "ddr":
-        refine_summary = {
-            "strategy": "ddr",
-            "temperature": r.temperature,
-            "epsilon": r.epsilon,
-            "min_weight": float(weight_matrix.weights.min()),
-            "max_weight": float(weight_matrix.weights.max()),
-            "mean_weight": float(weight_matrix.weights.mean()),
-        }
-    else:
-        refine_summary = {"strategy": "none"}
+    overlap = overlap_curve(scores, r.rho)
+    masking = masking_report(scores, global_scores, r.rho, corrupted=mask)
 
     report = ExperimentReport(
         version=__version__,

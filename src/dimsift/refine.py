@@ -218,9 +218,9 @@ def load_scalar_scores(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def global_prune_select(
-    scalar_scores: np.ndarray, sample_ids: Sequence[str], rho_total: float
+    scalar_scores: np.ndarray, sample_ids: Sequence[str], rho: float
 ) -> PruneResult:
-    """Prune the top ceil(rho_total * N) samples by one scalar score.
+    """Prune the top ceil(rho * N) samples by one scalar score.
 
     The matched-budget baseline for dimension-wise pruning: a single ranking
     cannot see which dimension a sample harms, so dominant-variance dimensions
@@ -230,7 +230,7 @@ def global_prune_select(
     scores = np.asarray(scalar_scores, dtype=np.float64)
     if scores.ndim != 1 or len(sample_ids) != scores.shape[0]:
         raise ValueError("scalar_scores must be one score per sample id")
-    result = _union_prune(scores[:, None], top_sets(scores, rho_total), sample_ids, rho_total)
+    result = _union_prune(scores[:, None], top_sets(scores, rho), sample_ids, rho)
     return replace(result, per_dim_risk_sets=[], thresholds=[])
 
 

@@ -280,6 +280,19 @@ def test_run_set_overrides(tmp_path):
     assert doc["dataset"]["n_total"] == 500
 
 
+def test_a_flagless_fit_gives_a_runs_heads(tmp_path):
+    # `run` and `fit` share TrainConfig's defaults, so neither head needs a flag
+    run, probe, final = tmp_path / "r", tmp_path / "probe.json", tmp_path / "final.json"
+    assert main(["run", "--seed", "0", "--refine", "ddr", "--set", "synth.n_samples=500",
+                 "--out", str(run)]) == 0
+    train = str(run / "train.jsonl")
+    assert main(["fit", "--data", train, "--out", str(probe)]) == 0
+    assert main(["fit", "--data", train, "--weights", str(run / "weights.json"),
+                 "--out", str(final)]) == 0
+    assert probe.read_bytes() == (run / "probe_head.json").read_bytes()
+    assert final.read_bytes() == (run / "final_head.json").read_bytes()
+
+
 def test_run_refine_override(tmp_path):
     out = tmp_path / "r"
     assert main(["run", "--seed", "1", "--refine", "ddr", "--out", str(out)]) == 0
@@ -535,6 +548,17 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
                      id="bad-scope"),
         pytest.param(lambda doc: doc["refine"].update(strategy="psychic"),
                      "config refine: unknown refine strategy 'psychic'", id="bad-refine-strategy"),
+        pytest.param(lambda doc: doc["refine"].update(rho=1.5), "config refine: rho", id="rho-above-one"),
+        pytest.param(lambda doc: doc["refine"].update(rho=-0.1), "config refine: rho", id="negative-rho"),
+        pytest.param(lambda doc: doc["refine"].update(strategy="ddr", temperature=-1),
+                     "config refine: temperature", id="negative-temperature"),
+        pytest.param(lambda doc: doc["refine"].update(strategy="ddr", epsilon=0),
+                     "config refine: epsilon", id="zero-epsilon"),
+        # refine.rho is the one budget and the Hessian is always the identity
+        pytest.param(lambda doc: doc["refine"].update(rho_total=0.1), "refine.rho_total",
+                     id="rho-total"),
+        pytest.param(lambda doc: doc["influence"].update(hessian="identity"), "influence.hessian",
+                     id="hessian"),
         # gradient descent has no ridge term and always fits biases
         pytest.param(lambda doc: doc["train"].update(hidden_dim=4, ridge_alpha=0.5),
                      "train.ridge_alpha", id="gd-ridge-alpha"),
@@ -555,6 +579,7 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
 
 @pytest.mark.parametrize("flags, named", [
     pytest.param(["--hidden-dim", "4", "--alpha", "0.5"], "--alpha", id="hidden-dim-alpha"),
+    pytest.param(["--hidden-dim", "4", "--alpha", "0"], "--alpha", id="hidden-dim-zero-alpha"),
     pytest.param(["--strategy", "uncertainty", "--no-bias"], "--no-bias", id="uncertainty-no-bias"),
 ])
 def test_fit_refuses_closed_form_flags_with_gradient_descent(stage_dir, capsys, flags, named):

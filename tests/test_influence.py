@@ -132,9 +132,9 @@ def test_closed_form_equals_explicit_gradient_norms(noisy_corpus):
     rng = np.random.default_rng(3)
     head = random_head(rng, 3, 6)
     fast = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
-    slow = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
-    rel = np.abs(fast.scores - slow.scores) / np.maximum.reduce(
-        [np.abs(fast.scores), np.abs(slow.scores), np.ones_like(fast.scores)]
+    slow = _oracle_sums(head, noisy_corpus, HEAD_CFG)["explicit"][0]
+    rel = np.abs(fast.scores - slow) / np.maximum.reduce(
+        [np.abs(fast.scores), np.abs(slow), np.ones_like(slow)]
     )
     assert rel.max() < 1e-12
     assert np.all(fast.scores >= 0.0)
@@ -146,8 +146,8 @@ def test_closed_form_head_only_scope_on_two_layer_head(noisy_corpus):
     rng = np.random.default_rng(4)
     head = random_head(rng, 3, 6, hidden_dim=5)
     fast = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
-    slow = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
-    assert np.abs(fast.scores - slow.scores).max() < 1e-10 * max(1.0, np.abs(slow.scores).max())
+    slow = _oracle_sums(head, noisy_corpus, HEAD_CFG)["explicit"][0]
+    assert np.abs(fast.scores - slow).max() < 1e-10 * max(1.0, np.abs(slow).max())
 
 
 def test_closed_form_rejects_two_layer_scope(noisy_corpus):

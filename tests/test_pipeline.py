@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 from types import ModuleType
@@ -129,7 +130,6 @@ _configs = st.builds(
         rho=_unit,
         temperature=_positive,
         epsilon=_positive,
-        rho_total=st.none() | _unit,
     ),
     split_fractions=st.tuples(_unit, _unit, _unit),
     split_seed=_seeds,
@@ -193,6 +193,21 @@ def test_a_run_shares_the_training_ids():
     arts = run_pipeline(small_config(refine="ddr"))
     assert arts.scores.sample_ids is arts.train.ids
     assert arts.weight_matrix.sample_ids is arts.train.ids
+
+
+@pytest.mark.parametrize("refine", REFINE_STRATEGIES)
+def test_every_strategy_reports_overlap_and_masking_at_refine_rho(refine):
+    # refine.rho is a run's one budget: every strategy's overlap curve and
+    # masking report are taken at it, and a global prune removes the masking
+    # report's budget of rows
+    arts = run_pipeline(small_config(refine=refine))
+    rho = arts.report.config["refine"]["rho"]
+    assert rho == 0.02
+    assert arts.report.overlap["rho"] == arts.report.masking["rho"] == rho
+    budget = arts.report.masking["budget"]
+    assert budget == math.ceil(rho * len(arts.train))
+    if refine == "global_prune":
+        assert arts.report.refine_summary["n_removed"] == budget
 
 
 def test_pipeline_reweighting_branch():

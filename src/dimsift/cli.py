@@ -24,7 +24,7 @@ from .data import (
     draw_synthetic,
     load_dataset,
     save_dataset,
-    save_synthetic_corpus,
+    save_synthetic_rows,
     split,
     write_json,
 )
@@ -225,7 +225,8 @@ def _cmd_gen(args) -> int:
         label_range=args.label_range,
     )
     labels, _, manifest = draw_synthetic(cfg, [])
-    save_synthetic_corpus(args.out, cfg, labels, np.zeros(labels.shape, dtype=bool), manifest)
+    mask = np.zeros(labels.shape, dtype=bool)
+    save_synthetic_rows(args.out, cfg, np.arange(cfg.n_samples), labels, mask, manifest)
     print(f"wrote {cfg.n_samples} samples ({cfg.feature_dim} features, {cfg.n_dims} dims) to {args.out}")
     return 0
 

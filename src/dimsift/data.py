@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, pairwise
-from operator import eq, itemgetter
+from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -375,17 +375,43 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _feature_blocks(
-    config: SynthConfig, rng: np.random.Generator
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(start, stop, features) of each draw block of config's sample stream, drawn from rng.
+def _checked_rows(rows, n: int) -> np.ndarray:
+    """rows as an intp array; a ValueError unless they ascend within [0, n)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] < rows[:-1])):
+        raise ValueError(f"row indices must be ascending and in [0, {n})")
+    return rows
 
-    Every feature of a corpus comes from here, ahead of its label noise, so
-    a fresh stream of the sample seed gives the same features to the draw
-    and to the corpus writer.
+
+def sample_features(config: SynthConfig, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The features of config's corpus at the ascending row indices rows, a row block at a time.
+
+    Yields one (stop - start, d) array per block of _row_blocks(len(rows)),
+    so a product over each block rounds as the one-shot product over all the
+    rows does. The features come from a fresh stream of the sample seed,
+    read an eighth of DRAW_BLOCK_ROWS rows at a time; standard_normal gives
+    a stream's values in the same order whatever the size of each draw, so
+    these are draw_synthetic's features. Only one chunk of the stream and
+    the block being gathered are held, if the caller drops each block
+    before asking for the next.
     """
-    for start, stop in _row_blocks(config.n_samples):
-        yield start, stop, rng.standard_normal((stop - start, config.feature_dim))
+    n, d = config.n_samples, config.feature_dim
+    rows = _checked_rows(rows, n)
+    chunk_rows = max(1, DRAW_BLOCK_ROWS // 8)
+    rng = np.random.default_rng(config.sample_seed)
+    lo = hi = 0  # the chunk holds stream rows [lo, hi)
+    for start, stop in _row_blocks(len(rows)):
+        block = np.empty((stop - start, d))
+        i = start
+        while i < stop:
+            while rows[i] >= hi:
+                lo, hi = hi, min(hi + chunk_rows, n)
+                chunk = rng.standard_normal((hi - lo, d))
+            j = i + int(np.searchsorted(rows[i:stop], hi))
+            np.take(chunk, rows[i:j] - lo, axis=0, out=block[i - start : j - start])
+            i = j
+        yield block
+        del block  # released before the next block is gathered
 
 
 def draw_synthetic(
@@ -397,21 +423,20 @@ def draw_synthetic(
     gaussian noise per dimension, clipped to label_range if one is set. The
     sample stream is read DRAW_BLOCK_ROWS rows at a time, so only one block
     of features is held beyond the rows of row_sets, each an ascending array
-    of row indices. The manifest records both seeds and content digests of
-    the teacher parameters so runs can be audited later.
+    of row indices; sample_features reads the same features again. The
+    manifest records both seeds and content digests of the teacher
+    parameters so runs can be audited later.
     """
     sd = validate_synth(config)
     n, d = config.n_samples, config.feature_dim
-    row_sets = [np.asarray(rows, dtype=np.intp) for rows in row_sets]
-    for rows in row_sets:
-        if len(rows) and (rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] < rows[:-1])):
-            raise ValueError(f"row indices must be ascending and in [0, {n})")
+    row_sets = [_checked_rows(rows, n) for rows in row_sets]
     w_star, b_star = teacher_head(config)
 
     rng = np.random.default_rng(config.sample_seed)
     labels = np.empty((n, config.n_dims))
     features = [np.empty((len(rows), d)) for rows in row_sets]
-    for start, stop, block in _feature_blocks(config, rng):
+    for start, stop in _row_blocks(n):
+        block = rng.standard_normal((stop - start, d))
         if config.n_dims == 1:
             # einsum uses no BLAS, so these labels do not depend on the thread count
             np.einsum("ij,kj->ik", block, w_star, out=labels[start:stop])
@@ -893,23 +918,26 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     write_lines(path, _dataset_lines(ds))
 
 
-def save_synthetic_corpus(
-    path: str | Path, config: SynthConfig, labels: np.ndarray, corrupted: np.ndarray, manifest: dict
+def save_synthetic_rows(
+    path: str | Path,
+    config: SynthConfig,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    corrupted: np.ndarray,
+    manifest: dict,
 ) -> None:
-    """Write config's whole corpus with these (N, K) labels and mask, as save_dataset would.
+    """Write the ascending rows of config's corpus with these labels and mask, as save_dataset would.
 
-    The bytes are those of save_dataset(synthetic_rows(config, every row,
-    ...)), but the features are drawn again from a fresh stream of the
-    sample seed one draw block at a time (see _feature_blocks), so no N x d
-    feature matrix is held.
+    The bytes are those of save_dataset(synthetic_rows(config, rows, ...)),
+    but the features are read again from the sample stream (see
+    sample_features), so no feature matrix of the rows is held. A run
+    writes its corpus.jsonl and its test_clean.jsonl through here.
     """
-    n = config.n_samples
-    if labels.shape != (n, config.n_dims) or corrupted.shape != labels.shape:
-        raise ValueError(f"labels and mask must be ({n}, {config.n_dims}) for this corpus")
-    blocks = map(itemgetter(2), _feature_blocks(config, np.random.default_rng(config.sample_seed)))
-    # rows are copies and no name binds a block, so each is released before the next is drawn
-    features = map(np.ndarray.copy, chain.from_iterable(blocks))
-    ids = _synthetic_ids(config, np.arange(n))
+    if labels.shape != (len(rows), config.n_dims) or corrupted.shape != labels.shape:
+        raise ValueError(f"labels and mask must be ({len(rows)}, {config.n_dims}) for these rows")
+    # rows are copies and no name binds a block, so each is released before the next is gathered
+    features = map(np.ndarray.copy, chain.from_iterable(sample_features(config, rows)))
+    ids = _synthetic_ids(config, rows)
     names = _synthetic_dim_names(config)
     lines = _sample_lines(ids, config.feature_dim, names, manifest, features, labels, corrupted)
     write_lines(path, lines)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, top_sets, write_json
+from .data import Dataset, _row_blocks, top_sets, write_json
 from .errors import DataError
 from .influence import SelfInfluenceTable
 from .model import RegressionHead, check_pair
@@ -125,19 +125,55 @@ class MetricReport:
         write_json(path, self.to_dict())
 
 
+def evaluate_heads(
+    heads: Sequence[RegressionHead],
+    blocks: Iterable[np.ndarray],
+    labels: np.ndarray,
+    dim_names: Sequence[str],
+) -> list[MetricReport]:
+    """Per-dimension Spearman of each head's predictions against the (N, K) labels.
+
+    blocks yields the features of the labels' rows, in order, a block of
+    rows at a time, and is read once for all the heads. Each head predicts
+    into one dimension-major (K, N) buffer, so every dimension's predictions
+    are ranked as a contiguous row of it. Each report's metadata holds
+    n_samples and dim_names.
+    """
+    n, k = labels.shape
+    for head in heads:
+        if head.n_dims != k:
+            raise DataError(f"head has {head.n_dims} dimensions, labels have {k}")
+    preds = [np.empty((k, n)) for _ in heads]
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        for head, pred in zip(heads, preds):
+            pred[:, start:stop] = head.predict_batch(block).T
+        start = stop
+        del block  # released before the next block is read
+    if start != n:
+        raise ValueError(f"feature blocks hold {start} rows for {n} labels")
+    reports = []
+    while preds:
+        pred = preds.pop(0)
+        per_dim = [spearman(p, y) for p, y in zip(pred, labels.T)]
+        del pred  # released before the next head's ranks
+        meta = {"n_samples": n, "dim_names": list(dim_names)}
+        reports.append(MetricReport(per_dim, float(np.mean(per_dim)), meta))
+    return reports
+
+
 def evaluate_head(head: RegressionHead, ds: Dataset, metadata: dict | None = None) -> MetricReport:
-    """Per-dimension Spearman of head predictions against the dataset labels."""
+    """Per-dimension Spearman of head predictions against the dataset labels.
+
+    evaluate_heads over the row blocks of ds.features; metadata's entries
+    are added to the report's.
+    """
     check_pair(head, ds)
-    pred = head.predict_batch(ds.features)
-    per_dim = [spearman(pred[:, k], ds.labels[:, k]) for k in range(ds.n_dims)]
-    meta = dict(metadata or {})
-    meta.setdefault("n_samples", len(ds))
-    meta.setdefault("dim_names", ds.dim_names)
-    return MetricReport(
-        per_dim_spearman=per_dim,
-        mean_spearman=float(np.mean(per_dim)),
-        metadata=meta,
-    )
+    blocks = (ds.features[start:stop] for start, stop in _row_blocks(len(ds)))
+    [report] = evaluate_heads([head], blocks, ds.labels, ds.dim_names)
+    report.metadata.update(metadata or {})
+    return report
 
 
 @dataclass

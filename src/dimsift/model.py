@@ -19,6 +19,7 @@ that influence scopes covering the last two layers have coupled parameters.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -106,8 +107,9 @@ class RegressionHead:
         return u
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        u = self.head_inputs(features)
-        return u @ self.weights.T + self.biases
+        out = self.head_inputs(features) @ self.weights.T
+        out += self.biases
+        return out
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
@@ -186,14 +188,15 @@ class TrainConfig:
     fit_bias: bool = True
 
     def __post_init__(self):
-        if self.ridge_alpha < 0:
-            raise ValueError("ridge_alpha must be nonnegative")
+        # written so that NaN fails: every comparison with it is False
+        if not 0 <= self.ridge_alpha < math.inf:
+            raise ValueError(f"ridge_alpha must be nonnegative and finite, got {self.ridge_alpha}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
     def resolved_lambdas(self, n_dims: int) -> np.ndarray:
         if self.lambdas is None:

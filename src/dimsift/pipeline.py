@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,8 +31,9 @@ from .data import (
     SynthConfig,
     draw_synthetic,
     read_json,
+    sample_features,
     save_dataset,
-    save_synthetic_corpus,
+    save_synthetic_rows,
     split_indices,
     synthetic_rows,
     validate_synth,
@@ -48,7 +50,7 @@ from .metrics import (
     MaskingReport,
     MetricReport,
     OverlapCurve,
-    evaluate_head,
+    evaluate_heads,
     masking_report,
     overlap_curve,
     per_dim_auroc,
@@ -141,6 +143,9 @@ def _read_value(value, tp, key: str):
             pass
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
+            # json reads NaN, Infinity and integers past the float range, which no setting takes
+            if not abs(value) <= sys.float_info.max:
+                raise UsageError(f"config {key}: expected a finite number, got {value!r:.40}")
             return float(value)
     elif tp is int:
         if isinstance(value, int) and not isinstance(value, bool):
@@ -412,20 +417,20 @@ class ExperimentReport:
 class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
-    A run draws only its training and test rows and never builds
-    the full corpus they were taken from. With an output directory
-    the run writes that corpus to corpus.jsonl right after the noise, from
-    its own labels and mask, and holds no feature matrix of it. A pruned
-    run's refined rows are not kept: prune.kept_ids names them. A
-    closed-form refit copied no rows; a gradient-descent refit held a copy
-    of their features and labels. Both datasets keep their ids as row
-    numbers (data.RowIds). The scores and weights share train's ids, and
-    the prune result holds views of them, so no id string is kept.
+    A run draws only its training rows' features and never builds the full
+    corpus they were taken from. With an output directory the run writes
+    that corpus to corpus.jsonl right after the noise, from its own labels
+    and mask, and holds no feature matrix of it. The test split is not
+    kept: the report holds its evaluation, and test_clean.jsonl its rows.
+    A pruned run's refined rows are not kept either: prune.kept_ids names
+    them. A closed-form refit copied no rows; a gradient-descent refit held
+    a copy of their features and labels. train keeps its ids as row numbers
+    (data.RowIds). The scores and weights share train's ids, and the prune
+    result holds views of them, so no id string is kept.
     """
 
     report: ExperimentReport
     train: Dataset
-    test_clean: Dataset
     probe: RegressionHead
     final: RegressionHead
     scores: SelfInfluenceTable
@@ -474,20 +479,29 @@ def run_pipeline(
     """Run the full experiment described by config; optionally write artifacts.
 
     Evaluation is always against clean test labels. The split indices are
-    drawn first, and the run draws only the training and test rows: the
-    training rows carry corrupted labels and the test rows clean ones, both
-    equal to the rows of generate_synthetic(config.synth), the training
-    rows after config.noise corrupts the whole corpus. No Dataset of the
-    full corpus is built. With output_dir, config.json and corpus.jsonl are
-    written once the noise is applied: the corpus from the run's own full
-    label matrix and mask, its features drawn again a block at a time, so a
-    run that fails after that still leaves both files. The other files
-    follow at the end. A pruned closed-form refit subtracts the removed
-    rows' normal equations and copies no rows; a gradient-descent refit
-    fits a copy of the kept rows, released after.
+    drawn first, and the run draws the labels of every row but the features
+    of its training rows only: those rows carry corrupted labels, equal to
+    the rows of generate_synthetic(config.synth) after config.noise
+    corrupts the whole corpus. The test split is its row indices and their
+    clean labels, taken before the noise; the heads are evaluated on its
+    features read once from a fresh stream of the sample seed, a block at a
+    time, so no test feature matrix is held. No Dataset of the full corpus
+    or of the test split is built. With output_dir, config.json and
+    corpus.jsonl are written once the noise is applied: the corpus from the
+    run's own full label matrix and mask, its features read again from the
+    stream, so a run that fails after that still leaves both files. The
+    other files follow at the end, test_clean.jsonl streamed in the same
+    way. A pruned closed-form refit subtracts the removed rows' normal
+    equations and copies no rows; a gradient-descent refit fits a copy of
+    the kept rows, released after.
     """
     validate_synth(config.synth)
     check_gd_settings(config.train, {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"})
+    for key, section in (("train.lambdas", config.train), ("influence.lambdas", config.influence)):
+        try:
+            section.resolved_lambdas(config.synth.n_dims)
+        except ValueError as e:
+            raise UsageError(f"{key}: {e}") from None
     # the validation rows are never drawn, so their indices are not kept
     train_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed
@@ -495,23 +509,23 @@ def run_pipeline(
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
 
-    labels, (train_x, test_x), manifest = draw_synthetic(config.synth, [train_idx, test_idx])
-    mask = np.zeros(labels.shape, dtype=bool)
+    labels, (train_x,), clean_manifest = draw_synthetic(config.synth, [train_idx])
     # the test rows keep their clean labels; the one label matrix is then corrupted in place
-    test_clean = synthetic_rows(
-        config.synth, test_idx, test_x, labels[test_idx], mask[test_idx], manifest
-    )
-    manifest = with_injections(manifest, config.noise.apply(labels, mask))
+    test_labels = labels[test_idx]
+    mask = np.zeros(labels.shape, dtype=bool)
+    manifest = with_injections(clean_manifest, config.noise.apply(labels, mask))
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
         (out / "config.json").write_text(config_doc + "\n")
-        save_synthetic_corpus(out / "corpus.jsonl", config.synth, labels, mask, manifest)
+        every_row = np.arange(config.synth.n_samples)
+        save_synthetic_rows(out / "corpus.jsonl", config.synth, every_row, labels, mask, manifest)
+        del every_row
     train = synthetic_rows(
         config.synth, train_idx, train_x, labels[train_idx], mask[train_idx], manifest
     )
-    del labels, mask, train_x, test_x
+    del labels, mask, train_x
 
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
     probe = _fit(train.features, train.labels, None, probe_cfg)
@@ -553,16 +567,17 @@ def run_pipeline(
         )
     n_train_refined = len(train) - (0 if drop is None else len(drop))
     final = probe
+    heads = {"baseline": probe}
     if r.strategy != "none":
-        final = _fit(train.features, train.labels, weight_matrix, config.train, drop)
+        final = heads[r.strategy] = _fit(train.features, train.labels, weight_matrix, config.train, drop)
 
-    strategies = {
-        "baseline": evaluate_head(probe, test_clean, {"strategy": "baseline"}).to_dict()
-    }
-    if r.strategy != "none":
-        strategies[r.strategy] = evaluate_head(
-            final, test_clean, {"strategy": r.strategy}
-        ).to_dict()
+    # the test features are read once more from the sample stream, for every head at once
+    blocks = sample_features(config.synth, test_idx)
+    metrics = evaluate_heads(list(heads.values()), blocks, test_labels, train.dim_names)
+    strategies = {}
+    for name, metric in zip(heads, metrics):
+        metric.metadata["strategy"] = name
+        strategies[name] = metric.to_dict()
 
     mask = train.corruption_mask
     if mask is None or not mask.any():
@@ -605,7 +620,6 @@ def run_pipeline(
     artifacts = PipelineArtifacts(
         report=report,
         train=train,
-        test_clean=test_clean,
         probe=probe,
         final=final,
         scores=scores,
@@ -614,14 +628,17 @@ def run_pipeline(
         weight_matrix=weight_matrix,
     )
     if output_dir is not None:
+        clean_mask = np.zeros(test_labels.shape, dtype=bool)
+        save_synthetic_rows(
+            out / "test_clean.jsonl", config.synth, test_idx, test_labels, clean_mask, clean_manifest
+        )
         _write_artifacts(artifacts, out)
     return artifacts
 
 
 def _write_artifacts(art: PipelineArtifacts, out: Path) -> None:
-    """Everything after the split; run_pipeline writes config.json and corpus.jsonl."""
+    """The files drawn from art; run_pipeline writes config.json, corpus.jsonl and test_clean.jsonl."""
     save_dataset(art.train, out / "train.jsonl")
-    save_dataset(art.test_clean, out / "test_clean.jsonl")
     art.probe.save(out / "probe_head.json")
     art.final.save(out / "final_head.json")
     art.scores.to_jsonl(out / "scores.jsonl")

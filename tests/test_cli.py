@@ -564,6 +564,26 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
                      "train.ridge_alpha", id="gd-ridge-alpha"),
         pytest.param(lambda doc: doc["train"].update(strategy="rlw", fit_bias=False),
                      "train.fit_bias", id="gd-no-bias"),
+        # json reads NaN and Infinity; no setting takes them
+        pytest.param(lambda doc: doc["train"].update(ridge_alpha=math.nan), "train.ridge_alpha",
+                     id="nan-ridge-alpha"),
+        pytest.param(lambda doc: doc["train"].update(ridge_alpha=math.inf), "train.ridge_alpha",
+                     id="infinite-ridge-alpha"),
+        pytest.param(lambda doc: doc["train"].update(lr=math.nan), "train.lr", id="nan-lr"),
+        pytest.param(lambda doc: doc["train"].update(ridge_alpha=10**400), "train.ridge_alpha",
+                     id="ridge-alpha-past-float-range"),
+        pytest.param(lambda doc: doc["refine"].update(strategy="ddr", epsilon=math.inf),
+                     "refine.epsilon", id="infinite-epsilon"),
+        pytest.param(lambda doc: doc["noise"].update(rate=math.nan), "noise.rate", id="nan-noise-rate"),
+        pytest.param(lambda doc: doc["synth"].update(label_noise_sd=-math.inf),
+                     "synth.label_noise_sd", id="minus-infinite-noise-sd"),
+        pytest.param(lambda doc: doc["influence"].update(lambdas=[1, math.nan, 1, 1, 1]),
+                     "influence.lambdas", id="nan-lambda"),
+        # lambdas must have one entry per dimension of the corpus
+        pytest.param(lambda doc: doc["influence"].update(lambdas=[1, 2]), "influence.lambdas",
+                     id="short-influence-lambdas"),
+        pytest.param(lambda doc: doc["train"].update(lambdas=[1, 2, 3, 4, 5, 6]), "train.lambdas",
+                     id="long-train-lambdas"),
     ],
 )
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
@@ -575,6 +595,22 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and named in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "influence.lambdas=[1,2]",
+    "train.lambdas=[1,2]",
+    "train.ridge_alpha=NaN",
+    "train.lr=NaN",
+    "refine.epsilon=Infinity",
+    "refine.temperature=-Infinity",
+])
+def test_a_bad_set_value_exits_one_naming_the_key_before_any_file(tmp_path, capsys, setting):
+    out = tmp_path / "r"
+    assert main(["run", "--refine", "ddr", "--set", setting, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and setting.split("=")[0] in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import peak_traced_bytes
+from conftest import peak_traced_bytes, random_head
 
 import dimsift
+import dimsift.data
 
 from dimsift import (
     DataError,
@@ -30,7 +31,8 @@ from dimsift import (
 )
 from dimsift import InfluenceConfig
 from dimsift.influence import SelfInfluenceTable
-from dimsift.metrics import _average_ranks
+from dimsift.data import sample_features
+from dimsift.metrics import _average_ranks, evaluate_heads
 
 
 def make_table(scores):
@@ -194,6 +196,53 @@ def test_evaluate_head_reports_per_dimension_rank_quality():
     assert all(s > 0.99 for s in report.per_dim_spearman)
     assert report.mean_spearman == pytest.approx(np.mean(report.per_dim_spearman), abs=1e-12)
     assert report.metadata["split"] == "train"
+
+
+# a small block size puts every block boundary in a small test; the stream is
+# then read 8 rows at a time
+_BLOCK = 64
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
+    ids=["1", "B-1", "B", "2B-1", "2B", "3B+5"],
+)
+def test_a_streamed_evaluation_equals_evaluate_head_at_every_block_boundary(monkeypatch, m):
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    cfg = SynthConfig(1000, 6, 3, label_noise_sd=0.1, teacher_seed=2, sample_seed=3)
+    clean = generate_synthetic(cfg)
+    # m ascending rows with gaps wider than a stream chunk, the corpus's last row among them
+    rng = np.random.default_rng(m)
+    rows = np.sort(np.r_[rng.choice(cfg.n_samples - 1, m - 1, replace=False), cfg.n_samples - 1])
+    test = clean.select(rows)
+    blocks = list(sample_features(cfg, rows))
+    # the stream gives the rows' features, cut as the draw's row blocks cut m rows
+    assert [len(b) for b in blocks] == [stop - start for start, stop in dimsift.data._row_blocks(m)]
+    assert np.vstack(blocks).tobytes() == test.features.tobytes()
+    heads = [random_head(rng, 3, 6), random_head(rng, 3, 6, hidden_dim=4)]
+    if m == 1:
+        with pytest.raises(DataError, match="two points"):
+            evaluate_heads(heads, iter(blocks), test.labels, test.dim_names)
+        with pytest.raises(DataError, match="two points"):
+            evaluate_head(heads[0], test)
+        return
+    reports = evaluate_heads(heads, iter(blocks), test.labels, test.dim_names)
+    for head, got in zip(heads, reports):
+        # bit for bit: evaluate_head on the test Dataset, and the ranks of
+        # the one-shot predictions
+        assert got.to_dict() == evaluate_head(head, test).to_dict()
+        one_shot = head.predict_batch(test.features)
+        assert got.per_dim_spearman == [spearman(p, y) for p, y in zip(one_shot.T, test.labels.T)]
+        assert got.metadata == {"n_samples": m, "dim_names": test.dim_names}
+
+
+def test_evaluate_heads_refuses_a_head_of_other_dimensions():
+    cfg = SynthConfig(50, 4, 3, label_noise_sd=0.1)
+    test = generate_synthetic(cfg)
+    head = random_head(np.random.default_rng(0), 2, 4)
+    with pytest.raises(DataError, match="2 dimensions"):
+        evaluate_heads([head], [test.features], test.labels, test.dim_names)
 
 
 # ----------------------------------------------------------------- overlap

@@ -36,7 +36,7 @@ from dimsift import (
     run_pipeline,
     split,
 )
-from dimsift.data import corrupted_copy, dumps_dataset, floor_count, top_sets
+from dimsift.data import corrupted_copy, dumps_dataset, floor_count, load_dataset, top_sets
 from dimsift.model import STRATEGIES
 from dimsift.pipeline import REFINE_STRATEGIES
 
@@ -223,15 +223,44 @@ def test_pipeline_none_branch_keeps_probe():
     assert arts.prune is None and arts.weight_matrix is None
 
 
-def test_pipeline_clean_test_labels_are_uncorrupted():
+def _recording_evaluation(monkeypatch) -> dict:
+    """Record what run_pipeline evaluates its heads on: the test rows, their features and labels."""
+    seen = {}
+    sample, evaluate = dimsift.pipeline.sample_features, dimsift.pipeline.evaluate_heads
+
+    def recording_sample(synth, rows):
+        seen["rows"] = rows
+        return sample(synth, rows)
+
+    def recording_evaluate(heads, blocks, labels, dim_names):
+        blocks = list(blocks)
+        seen.update(heads=heads, features=np.vstack(blocks), labels=labels, dim_names=dim_names)
+        return evaluate(heads, iter(blocks), labels, dim_names)
+
+    monkeypatch.setattr(dimsift.pipeline, "sample_features", recording_sample)
+    monkeypatch.setattr(dimsift.pipeline, "evaluate_heads", recording_evaluate)
+    return seen
+
+
+def test_pipeline_clean_test_labels_are_uncorrupted(monkeypatch, tmp_path):
     cfg = small_config()
-    arts = run_pipeline(cfg)
+    seen = _recording_evaluation(monkeypatch)
+    run_pipeline(cfg, tmp_path)
     clean = generate_synthetic(cfg.synth)
-    # every test id maps back to the clean corpus with identical labels
-    for i, sid in enumerate(arts.test_clean.ids):
+    noisy = corrupted_copy(clean, cfg.noise.apply)
+    rows = seen["rows"]
+    # the heads are evaluated on the clean labels of the test rows, some of
+    # which the noise corrupted
+    assert np.array_equal(seen["labels"], clean.labels[rows])
+    assert not np.array_equal(noisy.labels[rows], clean.labels[rows])
+    # and test_clean.jsonl holds them: every test id maps back to the clean
+    # corpus with identical labels
+    test_clean = load_dataset(tmp_path / "test_clean.jsonl")
+    assert len(test_clean) == len(rows)
+    for i, sid in enumerate(test_clean.ids):
         j = clean.index_of(sid)
-        assert np.array_equal(arts.test_clean.labels[i], clean.labels[j])
-    assert arts.test_clean.corruption_mask.sum() == 0
+        assert np.array_equal(test_clean.labels[i], clean.labels[j])
+    assert test_clean.corruption_mask.sum() == 0
 
 
 def test_pipeline_is_deterministic():
@@ -321,7 +350,7 @@ def _same_rows(a, b):
         pytest.param("ddp", {}, {}, {"hidden_dim": 4, "epochs": 20}, id="ddp-gd"),
     ],
 )
-def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth, train):
+def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noise, synth, train):
     fitted, gd_fitted = [], []
     fit, fit_gd = dimsift.pipeline._fit, dimsift.pipeline.fit_gd_arrays
 
@@ -342,14 +371,22 @@ def test_index_selection_matches_the_id_route(monkeypatch, refine, noise, synth,
         noise=dataclasses.replace(cfg.noise, **noise),
         train=dataclasses.replace(cfg.train, **train),
     )
-    arts = run_pipeline(cfg)
+    seen = _recording_evaluation(monkeypatch)
+    arts = run_pipeline(cfg, tmp_path)
     clean = generate_synthetic(cfg.synth)
     noisy = corrupted_copy(clean, cfg.noise.apply)
     train_ds, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
     refined = train_ds.select_ids(arts.prune.kept_ids)
     assert 0 < len(refined) < len(train_ds)
     _same_rows(arts.train, train_ds)
-    _same_rows(arts.test_clean, clean.select_ids(test.ids))
+    # the heads are evaluated on the clean test rows, which test_clean.jsonl holds
+    test_clean = clean.select_ids(test.ids)
+    _same_rows(load_dataset(tmp_path / "test_clean.jsonl"), test_clean)
+    assert [clean.ids[i] for i in seen["rows"]] == test_clean.ids
+    assert np.array_equal(seen["features"], test_clean.features)
+    assert np.array_equal(seen["labels"], test_clean.labels)
+    probe, final = seen["heads"]
+    assert probe is arts.probe and final is arts.final
     (probe_x, probe_y, probe_drop), (final_x, final_y, drop) = fitted
     # the probe and the refit both get the full training rows themselves; the
     # refit drops the rows of removed_ids, in corpus order, and no others
@@ -391,10 +428,14 @@ def test_a_run_builds_no_full_corpus_dataset(monkeypatch, tmp_path, out):
 
     monkeypatch.setattr(Dataset, "__init__", recording_init)
     monkeypatch.setattr(dimsift.data, "generate_synthetic", refuse)
+    seen = _recording_evaluation(monkeypatch)
     cfg = small_config()
     arts = run_pipeline(cfg, None if out is None else tmp_path / out)
-    assert len(arts.train) in sizes and len(arts.test_clean) in sizes
-    assert cfg.synth.n_samples not in sizes
+    # the one Dataset is the training split's; the test rows reach the
+    # evaluator as arrays of their own rows
+    assert sizes == [len(arts.train)]
+    n_test = arts.report.dataset_summary["n_test"]
+    assert len(seen["features"]) == len(seen["labels"]) == n_test < cfg.synth.n_samples
 
 
 def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp_path):
@@ -426,6 +467,37 @@ def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp
     assert max(largest) < n * d * 8
 
 
+def test_an_in_memory_run_holds_no_test_feature_matrix(monkeypatch):
+    # 1024-row draw blocks: the test features are read in blocks of at most
+    # 2047 rows, fewer than the run's 4000 test rows
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
+    cfg = default_config(seed=0)
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
+    n, d = cfg.synth.n_samples, cfg.synth.feature_dim
+    n_test = floor_count(cfg.split_fractions[2], n)
+    sample, large = dimsift.pipeline.sample_features, []
+
+    def allocations_of_a_test_matrix_or_more():
+        return sorted(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n_test * d * 8)
+
+    def watched_sample(synth, rows):
+        for block in sample(synth, rows):
+            large.append(allocations_of_a_test_matrix_or_more())
+            yield block
+
+    monkeypatch.setattr(dimsift.pipeline, "sample_features", watched_sample)
+    tracemalloc.start()
+    try:
+        arts = run_pipeline(cfg)
+        large.append(allocations_of_a_test_matrix_or_more())
+    finally:
+        tracemalloc.stop()
+    # at each test block and once the run returns, the one allocation that
+    # large is the training features
+    assert len(large) == 3 + 1
+    assert large == [[arts.train.features.nbytes]] * len(large)
+
+
 class _AtProbeFit(Exception):
     pass
 
@@ -446,10 +518,12 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
     peak = peak_traced_bytes(run_to_the_probe_fit)
     n_test = floor_count(cfg.split_fractions[2], n)
     n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
-    rows = (n_train + n_test) * ((d + k) * 8 + k)  # features, labels and mask
-    # the training and test rows, two N x K label matrices, and ids beside
-    # them: 1.45x measured; building the whole corpus first measured 2.37x
-    assert peak < 1.75 * (rows + 2 * n * k * 8)
+    # the training rows' features, labels and mask, and the test rows' labels
+    rows = n_train * ((d + k) * 8 + k) + n_test * k * 8
+    # those rows, two N x K label matrices, and ids beside them: 1.47x
+    # measured (5.64 MB); drawing the test rows' features too took 6.16 MB,
+    # and building the whole corpus first about 10.4 MB
+    assert peak < 1.55 * (rows + 2 * n * k * 8)
 
 
 def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
@@ -484,25 +558,29 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
     assert peak < 0.2 * n_kept * (d + k) * 8
 
 
-def test_a_run_holds_its_ids_as_row_numbers():
+def test_a_run_holds_its_ids_as_row_numbers(monkeypatch):
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
+    seen = _recording_evaluation(monkeypatch)
     tracemalloc.start()
     try:
         arts = run_pipeline(cfg)
-        rows = len(arts.train) + len(arts.test_clean)
+        rows = len(arts.train)
         held = tracemalloc.get_traced_memory()[0]
-        # every holder of ids among the datasets, the scores and the prune result
-        for obj, attr in [(arts.train, "_ids"), (arts.test_clean, "_ids"), (arts.scores, "sample_ids"),
+        # every holder of ids among the training split, the scores and the prune result
+        for obj, attr in [(arts.train, "_ids"), (arts.scores, "sample_ids"),
                           (arts.prune, "kept_ids"), (arts.prune, "removed_ids"),
                           (arts.prune, "per_dim_risk_sets")]:
             setattr(obj, attr, None)
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # row numbers of the training, test, kept and removed rows: 14.3 bytes per
-    # row measured; id strings in tuples and lists took 69
-    assert 0 < freed < 16 * rows
+    # row numbers of the training rows and of the kept and removed rows, 8
+    # bytes each: 16.4 bytes per training row measured (with the test rows'
+    # ids, 14.3 per training and test row); a str id in a tuple takes 63
+    assert 0 < freed < 17 * rows
+    # the test rows reach the evaluator as row numbers too
+    assert seen["rows"].dtype == np.intp and len(seen["rows"]) == arts.report.dataset_summary["n_test"]
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])

@@ -83,6 +83,17 @@ def check_unique(ids: Sequence[str], line_of: Sequence[int]) -> None:
         raise DataError(f"line {line_of[dup]}: duplicate sample id {ids[dup]!r}")
 
 
+def id_list(values, what: str) -> list[str]:
+    """A JSON list of distinct non-null sample ids, each read as str as a row table's ids are."""
+    if type(values) is not list or None in values:
+        raise DataError(f"{what} must be a list of non-null ids, got {values!r:.40}")
+    ids = list(map(str, values))
+    dup = first_duplicate(ids)
+    if dup is not None:
+        raise DataError(f"{what}: duplicate sample id {ids[dup]!r}")
+    return ids
+
+
 class RowIds(Sequence[str]):
     """The ids of a synthetic corpus's rows, "s" and the row number zero-padded to width digits.
 
@@ -146,17 +157,6 @@ class RowIds(Sequence[str]):
             )
         if isinstance(other, Sequence) and not isinstance(other, str):
             return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __add__(self, other):
-        """Concatenation with a sequence of str, a tuple of the ids as a tuple's would be."""
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return (*self, *other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return (*other, *self)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -551,18 +551,12 @@ def corrupt_dimensions(
     return {"kind": "per_dimension", "rate": rate, "dims": dim_list, "seed": int(rng_seed)}
 
 
-def corrupt_correlated(
-    labels: np.ndarray,
-    mask: np.ndarray,
-    rate: float,
-    rng_seed: int,
-    severity: tuple[float, float],
-) -> dict:
+def corrupt_correlated(labels: np.ndarray, mask: np.ndarray, rate: float, rng_seed: int) -> dict:
     """Corrupt a common subset of rows in every dimension at once, in place; mark mask.
 
     Models globally broken records (wrong scale, sentinel values): each of
     ceil(rate * N) seeded rows gets labels pushed outside the observed range in
-    all dimensions, with one shared severity u ~ U(severity) and one shared
+    all dimensions, with one shared severity u ~ U(0.5, 1) and one shared
     sign per row. The replacement for dimension k is hi_k + u * (hi_k - lo_k)
     on the positive side, lo_k - u * (hi_k - lo_k) on the negative.
     Complements corrupt_dimensions, whose corruptions are independent per
@@ -570,9 +564,7 @@ def corrupt_correlated(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
-    lo_sev, hi_sev = severity
-    if not 0.0 <= lo_sev <= hi_sev:
-        raise ValueError(f"severity bounds must satisfy 0 <= lo <= hi, got {severity}")
+    lo_sev, hi_sev = 0.5, 1.0
 
     m = ceil_count(rate, len(labels))
     if m > 0:
@@ -589,7 +581,7 @@ def corrupt_correlated(
         "kind": "correlated",
         "rate": rate,
         "seed": int(rng_seed),
-        "severity": [float(lo_sev), float(hi_sev)],
+        "severity": [lo_sev, hi_sev],
     }
 
 
@@ -608,7 +600,6 @@ class NoiseSpec:
     seed: int = 0
     correlated_rate: float = 0.0
     correlated_seed: int = 0
-    severity: tuple[float, float] = (0.5, 1.0)
 
     def apply(self, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
         """Corrupt labels and mask in place, per dimension then correlated; return the records."""
@@ -618,7 +609,7 @@ class NoiseSpec:
             records.append(corrupt_dimensions(labels, mask, self.rate, dims, self.seed))
         if self.correlated_rate > 0.0:
             rate, seed = self.correlated_rate, self.correlated_seed
-            records.append(corrupt_correlated(labels, mask, rate, seed, self.severity))
+            records.append(corrupt_correlated(labels, mask, rate, seed))
         return records
 
 
@@ -779,21 +770,39 @@ def long_csv_lines(
 
 
 def read_file(path: str | Path, what: str, read):
-    """read(fh) of the text file at path, open as fh; a DataError naming it if missing."""
+    """read(fh) of the text file at path, open as fh; a DataError naming it if missing or unreadable."""
     p = Path(path)
     # a directory is no file either: opening one would raise IsADirectoryError
     if not p.is_file():
         raise DataError(f"{what} file not found: {p}")
-    with open(p) as fh:
+    try:
+        fh = open(p)
+    except OSError as e:
+        raise DataError(f"cannot read {what} file {p}: {e}") from None
+    with fh:
         return read(fh)
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON document in the file at path; a DataError naming it if missing or not JSON."""
-    try:
-        return read_file(path, what, json.load)
-    except (OSError, ValueError) as e:
-        raise DataError(f"invalid {what} file {Path(path)}: {e}") from None
+def read_json(path: str | Path, what: str, read):
+    """read(doc) for the JSON object doc in the file at path: the one reader of JSON documents.
+
+    A missing or unreadable file, malformed JSON, a document that is not an
+    object, and a KeyError, TypeError, ValueError or DataError raised by read
+    are one DataError naming the file.
+    """
+    p = Path(path)
+
+    def parse(fh):
+        try:
+            doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise TypeError(f"the document must be a JSON object, got {type(doc).__name__}")
+            return read(doc)
+        except (OSError, KeyError, TypeError, ValueError, DataError) as e:
+            detail = f"missing key {e}" if isinstance(e, KeyError) else e
+            raise DataError(f"invalid {what} file {p}: {detail}") from None
+
+    return read_file(p, what, parse)
 
 
 def extend_numbers(
@@ -823,6 +832,27 @@ def extend_numbers(
             raise DataError(f"{where}: {what} out of float range: {e}") from None
         bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, (int, float)))
         raise DataError(f"{where}: non-numeric {what}: {bad!r}") from None
+
+
+def number_rows(
+    rows, what: str, width: int | None = None, ids: Sequence[str] | None = None
+) -> np.ndarray:
+    """A JSON list of rows of width numbers (the first row's width if None) as an (n, width) matrix.
+
+    The number codec of the JSON documents: each row goes through
+    extend_numbers as line 1, so a bad row names the offender and, given ids
+    (one per row), its sample id.
+    """
+    if type(rows) is not list:
+        raise DataError(f"line 1: {what} must be a list of rows of numbers, got {rows!r:.40}")
+    if ids is not None and len(rows) != len(ids):
+        raise DataError(f"line 1: {what} must hold one row per sample id, got {len(rows)}")
+    if width is None:
+        width = len(rows[0]) if rows and type(rows[0]) is list else None
+    buf = array("d")
+    for i, row in enumerate(rows):
+        extend_numbers(buf, row, what, None if ids is None else ids[i], 1, width)
+    return np.frombuffer(buf).reshape(len(rows), width or 0)
 
 
 def table_lines(head: dict, row_type: str, ids: Sequence[str], columns: dict) -> Iterator[str]:

@@ -20,7 +20,6 @@ that influence scopes covering the last two layers have coupled parameters.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, extend_numbers, read_json, write_json
+from .data import Dataset, number_rows, read_json, write_json
 from .errors import DataError, NumericalError
 
 
@@ -129,41 +128,24 @@ class RegressionHead:
         }
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionHead":
-        """A head from to_dict's document; every parameter entry must be a JSON number."""
-        try:
-            return cls(
-                weights=_number_rows(d["weights"], "weights"),
-                biases=_number_rows([d["biases"]], "biases")[0],
-                shared_weight=None
-                if d.get("shared_weight") is None
-                else _number_rows(d["shared_weight"], "shared_weight"),
-                shared_bias=None
-                if d.get("shared_bias") is None
-                else _number_rows([d["shared_bias"]], "shared_bias")[0],
-                fit_info=d.get("fit_info"),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"invalid head document: {e}") from None
-
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionHead":
-        return cls.from_dict(read_json(path, "head"))
+        """The head save wrote to path; every parameter entry must be a JSON number."""
 
+        def read(d):
+            sw, sb = d.get("shared_weight"), d.get("shared_bias")
+            return cls(
+                weights=number_rows(d["weights"], "weights"),
+                biases=number_rows([d["biases"]], "biases")[0],
+                shared_weight=None if sw is None else number_rows(sw, "shared_weight"),
+                shared_bias=None if sb is None else number_rows([sb], "shared_bias")[0],
+                fit_info=d.get("fit_info"),
+            )
 
-def _number_rows(rows: list, what: str) -> np.ndarray:
-    """Equal-length lists of JSON numbers from line 1 of a head file, as a float64 matrix."""
-    if type(rows) is not list:
-        raise DataError(f"line 1: {what} must be a list of rows of numbers, got {rows!r:.40}")
-    buf = array("d")
-    width = len(rows[0]) if rows and type(rows[0]) is list else None
-    for row in rows:
-        extend_numbers(buf, row, what, None, 1, width)
-    return np.array(buf).reshape(len(rows), width or 0)
+        return read_json(path, "head", read)
 
 
 @dataclass(frozen=True)

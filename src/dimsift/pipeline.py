@@ -219,16 +219,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        p = Path(path)
-        if not p.exists():
-            raise UsageError(f"config file not found: {p}")
+        """from_dict of the config file at path; a fault in the file is a usage error."""
         try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config file {p} is not valid JSON: {e}") from None
-        if not isinstance(doc, dict):
-            raise UsageError("config file must contain a JSON object")
-        return cls.from_dict(doc)
+            return read_json(path, "config", cls.from_dict)
+        except DataError as e:
+            raise UsageError(str(e)) from None
 
 
 def default_config(seed: int = 0, refine_strategy: str = "ddp") -> PipelineConfig:
@@ -338,8 +333,6 @@ class ExperimentReport:
         hints = get_type_hints(cls)
         values = {}
         for name, key in _REPORT_KEYS.items():
-            if key not in d:
-                raise DataError(f"report document missing key {key!r}")
             if not isinstance(d[key], hints[name]):
                 raise DataError(
                     f"report {key!r} must be a {hints[name].__name__}, got {type(d[key]).__name__}"
@@ -355,7 +348,7 @@ class ExperimentReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentReport":
-        return cls.from_dict(read_json(path, "report"))
+        return read_json(path, "report", cls.from_dict)
 
     def render_text(self) -> str:
         out = []

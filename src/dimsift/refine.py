@@ -14,7 +14,6 @@ comparisons.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, compress
 from pathlib import Path
@@ -24,8 +23,9 @@ import numpy as np
 
 from .data import (
     RowIds,
-    extend_numbers,
+    id_list,
     long_csv_lines,
+    number_rows,
     read_json,
     take_ids,
     top_sets,
@@ -38,13 +38,6 @@ from .influence import SelfInfluenceTable
 DEFAULT_RHO = 0.005
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_EPSILON = 1e-8
-
-
-def _numbers(values, what: str, width: int | None = None) -> list[float]:
-    """A JSON list of numbers (width of them, if given) from a one-line JSON file."""
-    buf = array("d")
-    extend_numbers(buf, values, what, None, 1, width)
-    return buf.tolist()
 
 
 @dataclass
@@ -82,17 +75,21 @@ class PruneResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "PruneResult":
-        d = read_json(path, "prune")
-        try:
+        """The result save wrote to path; rho must be in [0, 1]."""
+
+        def read(d):
+            rho = float(number_rows([[d["rho"]]], "rho")[0, 0])
+            if not 0.0 <= rho <= 1.0:  # NaN fails too
+                raise DataError(f"line 1: rho must be in [0, 1], got {rho}")
             return cls(
-                kept_ids=[str(x) for x in d["kept_ids"]],
-                removed_ids=[str(x) for x in d["removed_ids"]],
-                per_dim_risk_sets=[[str(x) for x in s] for s in d["per_dim_risk_sets"]],
-                thresholds=_numbers(d["thresholds"], "thresholds"),
-                rho=_numbers([d["rho"]], "rho")[0],
+                kept_ids=id_list(d["kept_ids"], "kept_ids"),
+                removed_ids=id_list(d["removed_ids"], "removed_ids"),
+                per_dim_risk_sets=[id_list(s, "per_dim_risk_sets") for s in d["per_dim_risk_sets"]],
+                thresholds=number_rows([d["thresholds"]], "thresholds")[0].tolist(),
+                rho=rho,
             )
-        except (KeyError, TypeError, ValueError, DataError) as e:
-            raise DataError(f"invalid prune file {path}: {e}") from None
+
+        return read_json(path, "prune", read)
 
     def removal_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
         """CSV of removed ids with the dimensions whose risk set flagged them.
@@ -138,24 +135,24 @@ class WeightMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightMatrix":
-        d = read_json(path, "weight")
-        try:
-            ids = [str(x) for x in d["sample_ids"]]
-            stats = [tuple(_numbers(pair, "per_dim_stats", 2)) for pair in d["per_dim_stats"]]
-            rows, weights = d["weights"], array("d")
-            if not isinstance(rows, list) or len(rows) != len(ids):
-                raise DataError("weights must hold one row per sample id")
-            for sid, row in zip(ids, rows):
-                extend_numbers(weights, row, "weights", sid, 1, len(stats))
-            return cls(
-                weights=np.frombuffer(weights).reshape(len(ids), len(stats)),
-                sample_ids=ids,
-                temperature=_numbers([d["temperature"]], "temperature")[0],
-                epsilon=_numbers([d["epsilon"]], "epsilon")[0],
-                per_dim_stats=stats,
-            )
-        except (KeyError, TypeError, ValueError, DataError) as e:
-            raise DataError(f"invalid weight file {path}: {e}") from None
+        """The weights save wrote to path; each weight nonnegative, temperature and epsilon positive."""
+
+        def read(d):
+            ids = id_list(d["sample_ids"], "sample_ids")
+            stats = number_rows(d["per_dim_stats"], "per_dim_stats", 2)
+            weights = number_rows(d["weights"], "weights", len(stats), ids)
+            # written so that NaN fails: every comparison with it is False
+            bad = ~np.all((weights >= 0.0) & (weights < math.inf), axis=1)
+            if bad.any():
+                raise DataError(f"sample {ids[bad.argmax()]!r} on line 1: weights must be "
+                                "nonnegative and finite")
+            scalars = {k: float(number_rows([[d[k]]], k)[0, 0]) for k in ("temperature", "epsilon")}
+            for key, value in scalars.items():
+                if not 0.0 < value < math.inf:
+                    raise DataError(f"line 1: {key} must be positive and finite, got {value}")
+            return cls(weights, ids, per_dim_stats=list(map(tuple, stats.tolist())), **scalars)
+
+        return read_json(path, "weight", read)
 
     def to_csv(self, path: str | Path, dim_names: Sequence[str] | None = None) -> None:
         k = self.weights.shape[1]
@@ -205,16 +202,12 @@ def loss_prune_select(values: np.ndarray, sample_ids: Sequence[str], rho: float)
 
 def load_scalar_scores(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The ids and scores of a scalar score file, as `score --method global` writes it."""
-    doc = read_json(path, "scalar score")
-    try:
-        ids, values = doc["ids"], array("d")
-        if not isinstance(ids, list):
-            raise DataError("line 1: ids must be a list")
-        ids = [str(x) for x in ids]
-        extend_numbers(values, doc["scores"], "scores", None, 1, len(ids))
-    except (KeyError, TypeError, ValueError, DataError) as e:
-        raise DataError(f"invalid scalar score file {path}: {e}") from None
-    return ids, np.frombuffer(values)
+
+    def read(doc):
+        ids = id_list(doc["ids"], "ids")
+        return ids, number_rows([doc["scores"]], "scores", len(ids))[0]
+
+    return read_json(path, "scalar score", read)
 
 
 def global_prune_select(

@@ -437,6 +437,43 @@ def _field_as(field, make):
     return lambda doc: dict(doc, **{field: make(doc[field])})
 
 
+def _staged_file(stage_dir, kind):
+    """The file of kind a stage writes from stage_dir's files, and the argv of a stage reading it."""
+    head = str(stage_dir / "head.json")
+    noisy = str(stage_dir / "noisy.jsonl")
+    if kind == "dataset":
+        bad = stage_dir / "noisy.jsonl"
+        argv = ["evaluate", "--data", str(bad), "--head", head]
+    elif kind in ("head", "shared_head"):
+        bad = stage_dir / "head.json"
+        if kind == "shared_head":
+            assert main(["fit", "--data", noisy, "--hidden-dim", "4", "--epochs", "5",
+                         "--out", head]) == 0
+        argv = ["evaluate", "--data", noisy, "--head", head]
+    elif kind == "weights":
+        bad, scores = stage_dir / "weights.json", str(stage_dir / "scores.jsonl")
+        assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
+        assert main(["reweight", "--scores", scores, "--out", str(bad)]) == 0
+        argv = ["fit", "--data", noisy, "--weights", str(bad), "--out", str(stage_dir / "h.json")]
+    elif kind == "global":
+        bad = stage_dir / "global.json"
+        assert main(["score", "--method", "global", "--data", noisy,
+                     "--head", head, "--out", str(bad)]) == 0
+        argv = ["prune", "--method", "global", "--global-scores", str(bad),
+                "--out", str(stage_dir / "prune.json")]
+    elif kind == "prune":
+        bad, scores = stage_dir / "prune.json", str(stage_dir / "scores.jsonl")
+        assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
+        assert main(["prune", "--scores", scores, "--out", str(bad)]) == 0
+        argv = ["report", "--dir", str(stage_dir)]
+    else:
+        bad = stage_dir / "scores.jsonl"
+        assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
+                     "--head", head, "--out", str(bad)]) == 0
+        argv = ["prune", "--scores", str(bad), "--out", str(stage_dir / "prune.json")]
+    return bad, argv
+
+
 @pytest.mark.parametrize(
     "kind, line_no, value",
     [
@@ -495,42 +532,39 @@ def _field_as(field, make):
     ],
 )
 def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
-    head = str(stage_dir / "head.json")
-    noisy = str(stage_dir / "noisy.jsonl")
-    if kind == "dataset":
-        bad = stage_dir / "noisy.jsonl"
-        argv = ["evaluate", "--data", str(bad), "--head", head]
-    elif kind in ("head", "shared_head"):
-        bad = stage_dir / "head.json"
-        if kind == "shared_head":
-            assert main(["fit", "--data", noisy, "--hidden-dim", "4", "--epochs", "5",
-                         "--out", head]) == 0
-        argv = ["evaluate", "--data", noisy, "--head", head]
-    elif kind == "weights":
-        bad, scores = stage_dir / "weights.json", str(stage_dir / "scores.jsonl")
-        assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
-        assert main(["reweight", "--scores", scores, "--out", str(bad)]) == 0
-        argv = ["fit", "--data", noisy, "--weights", str(bad), "--out", str(stage_dir / "h.json")]
-    elif kind == "global":
-        bad = stage_dir / "global.json"
-        assert main(["score", "--method", "global", "--data", noisy,
-                     "--head", head, "--out", str(bad)]) == 0
-        argv = ["prune", "--method", "global", "--global-scores", str(bad),
-                "--out", str(stage_dir / "prune.json")]
-    elif kind == "prune":
-        bad, scores = stage_dir / "prune.json", str(stage_dir / "scores.jsonl")
-        assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
-        assert main(["prune", "--scores", scores, "--out", str(bad)]) == 0
-        argv = ["report", "--dir", str(stage_dir)]
-    else:
-        bad = stage_dir / "scores.jsonl"
-        assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
-                     "--head", head, "--out", str(bad)]) == 0
-        argv = ["prune", "--scores", str(bad), "--out", str(stage_dir / "prune.json")]
+    bad, argv = _staged_file(stage_dir, kind)
     _replace_line(bad, line_no, value)
     out = _cli_subprocess(argv)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and f"line {line_no}" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("kind, value", [
+    pytest.param("prune", _field_as("rho", lambda v: 5), id="prune-rho-5"),
+    pytest.param("prune", _field_as("rho", lambda v: math.nan), id="prune-nan-rho"),
+    pytest.param("prune", _field_as("kept_ids", lambda v: "abc"), id="prune-string-kept-ids"),
+    pytest.param("global", _field_as("ids", lambda v: [v[1], *v[1:]]), id="global-repeated-id"),
+    # an object keyed by the ids would iterate as the ids
+    pytest.param("weights", _field_as("sample_ids", dict.fromkeys), id="weights-object-sample-ids"),
+    pytest.param("weights", _first_as("weights", lambda row: [-1.0, *row[1:]]),
+                 id="weights-negative-weight"),
+    pytest.param("weights", _first_as("weights", lambda row: [math.nan, *row[1:]]),
+                 id="weights-nan-weight"),
+])
+def test_a_json_file_its_writer_cannot_give_exits_two_naming_it(stage_dir, kind, value):
+    bad, argv = _staged_file(stage_dir, kind)
+    _replace_line(bad, 1, value)
+    out = _cli_subprocess(argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("data error:") and str(bad) in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
+    out = _cli_subprocess(["run", "--config", str(tmp_path), "--out", str(tmp_path / "r")])
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("usage error:") and str(tmp_path) in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -584,6 +618,9 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
                      id="short-influence-lambdas"),
         pytest.param(lambda doc: doc["train"].update(lambdas=[1, 2, 3, 4, 5, 6]), "train.lambdas",
                      id="long-train-lambdas"),
+        # the correlated corruption's severity range is a constant
+        pytest.param(lambda doc: doc["noise"].update(severity=[0.5, 1.0]), "noise.severity",
+                     id="noise-severity"),
     ],
 )
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):

@@ -20,11 +20,19 @@ from dimsift import (
     DataError,
     Dataset,
     NoiseSpec,
+    PipelineConfig,
+    PruneResult,
+    RegressionHead,
     RowIds,
     Scope,
     SelfInfluenceTable,
     SynthConfig,
     TrainConfig,
+    UsageError,
+    WeightMatrix,
+    ddp_select,
+    ddr_weights,
+    default_config,
     fit_closed_form,
     generate_synthetic,
     inject_dimension_noise,
@@ -50,6 +58,7 @@ from dimsift.data import (
     teacher_head,
     write_json,
 )
+from dimsift.refine import load_scalar_scores
 
 
 # ---------------------------------------------------------------- counting
@@ -257,7 +266,6 @@ def test_row_ids_match_the_formatted_tuple(case):
     assert view == RowIds(rows.copy(), width)
     # other rows or another width differ unless there are no ids
     assert (view != RowIds(rows + 1, width)) == (view != RowIds(rows, width + 1)) == (n > 0)
-    assert view + ("z",) == want + ("z",) and ("z",) + view == ("z",) + want
     # the writers' bytes: json_pieces, table_lines and long_csv_lines take the view as the tuple
     doc = {"ids": view, "sets": [view, view[:2]], "n": n}
     plain = {"ids": list(want), "sets": [list(want), list(want[:2])], "n": n}
@@ -387,7 +395,7 @@ def test_split_sizes_and_partition():
     corpus = generate_synthetic(SynthConfig(10, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=1))
     train, val, test = split(corpus, (0.6, 0.2, 0.2), seed=0)
     assert (len(train.ids), len(val.ids), len(test.ids)) == (6, 2, 2)
-    assert sorted(train.ids + val.ids + test.ids) == sorted(corpus.ids)
+    assert sorted([*train.ids, *val.ids, *test.ids]) == sorted(corpus.ids)
 
 
 def test_split_everything_to_train_is_identity():
@@ -527,7 +535,20 @@ ANY_JSON = ODD_JSON | st.recursive(
 )
 
 
+def _through_a_file(load):
+    """loads(text) for a reader of files: load of a file holding text."""
+
+    def loads(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(text)
+            return load(path)
+
+    return loads
+
+
 def _row_table_texts():
+    """kind: (text, loads, the one error loads may raise) of each row table and JSON document."""
     corpus = inject_dimension_noise(
         generate_synthetic(SynthConfig(4, 3, 2, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)),
         0.5, range(2), 2,
@@ -535,8 +556,21 @@ def _row_table_texts():
     table = SelfInfluenceTable(
         np.arange(8.0).reshape(4, 2), corpus.ids, corpus.dim_names, Scope.HEAD_ONLY, np.ones(2)
     )
-    return {"dataset": (dumps_dataset(corpus), loads_dataset),
-            "scores": (table.dumps(), SelfInfluenceTable.loads)}
+    head = RegressionHead(np.ones((2, 3)), np.zeros(2), np.eye(3), np.ones(3), {"method": "gd"})
+    documents = {
+        "head": (head.to_dict(), RegressionHead.load),
+        "prune": (ddp_select(table, 0.5).to_dict(), PruneResult.load),
+        "weights": (ddr_weights(table).to_dict(), WeightMatrix.load),
+        "scalar_scores": ({"type": "global_tracin", "ids": list(corpus.ids), "scores": [0.0, 1, 2, 3]},
+                          load_scalar_scores),
+        "config": (default_config().to_dict(), PipelineConfig.from_file),
+    }
+    return {
+        "dataset": (dumps_dataset(corpus), loads_dataset, DataError),
+        "scores": (table.dumps(), SelfInfluenceTable.loads, DataError),
+        **{kind: (json.dumps(doc), _through_a_file(load), UsageError if kind == "config" else DataError)
+           for kind, (doc, load) in documents.items()},
+    }
 
 
 ROW_TABLES = _row_table_texts()
@@ -546,17 +580,19 @@ ROW_TABLES = _row_table_texts()
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_row_table_with_one_field_replaced_loads_or_is_a_data_error(kind, data):
-    # the header or one row gets one field replaced by an arbitrary JSON value
-    text, loads = ROW_TABLES[kind]
+    # the header or one row gets one field replaced by an arbitrary JSON value;
+    # a JSON document is one line, its header, and a config's fault is a UsageError
+    text, loads, error = ROW_TABLES[kind]
     lines = text.splitlines()
-    i = 0 if data.draw(st.booleans(), label="header") else data.draw(st.integers(1, len(lines) - 1))
+    header = len(lines) == 1 or data.draw(st.booleans(), label="header")
+    i = 0 if header else data.draw(st.integers(1, len(lines) - 1))
     rec = json.loads(lines[i])
     field = data.draw(st.sampled_from(sorted(rec)), label="field")
     rec[field] = data.draw(ANY_JSON, label="value")
     lines[i] = json.dumps(rec)
     try:
         loads("\n".join(lines) + "\n")
-    except DataError:
+    except error:
         pass
 
 

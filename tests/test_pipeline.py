@@ -108,7 +108,6 @@ _configs = st.builds(
         seed=_seeds,
         correlated_rate=_unit,
         correlated_seed=_seeds,
-        severity=st.tuples(_unit, _unit),
     ),
     train=st.builds(
         TrainConfig,

@@ -52,7 +52,6 @@ from .model import (
     Scope,
     TrainConfig,
     fit_closed_form,
-    fit_closed_form_arrays,
     fit_gd_arrays,
     per_dim_loss,
     residuals,
@@ -94,7 +93,6 @@ __all__ = [
     "Scope",
     "TrainConfig",
     "fit_closed_form",
-    "fit_closed_form_arrays",
     "fit_gd_arrays",
     "residuals",
     "per_dim_loss",

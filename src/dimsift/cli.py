@@ -24,8 +24,8 @@ from .data import (
     draw_synthetic,
     load_dataset,
     save_dataset,
-    save_synthetic_rows,
     split,
+    synthetic_rows,
     write_json,
 )
 from .errors import DataError, NumericalError, UsageError
@@ -224,9 +224,9 @@ def _cmd_gen(args) -> int:
         sample_seed=args.sample_seed,
         label_range=args.label_range,
     )
-    labels, _, manifest = draw_synthetic(cfg, [])
+    labels, manifest = draw_synthetic(cfg)
     mask = np.zeros(labels.shape, dtype=bool)
-    save_synthetic_rows(args.out, cfg, np.arange(cfg.n_samples), labels, mask, manifest)
+    save_dataset(synthetic_rows(cfg, np.arange(cfg.n_samples), labels, mask, manifest), args.out)
     print(f"wrote {cfg.n_samples} samples ({cfg.feature_dim} features, {cfg.n_dims} dims) to {args.out}")
     return 0
 
@@ -259,8 +259,14 @@ def _cmd_split(args) -> int:
 def _cmd_fit(args) -> int:
     ds = load_dataset(args.data)
     weights = None if args.weights is None else WeightMatrix.load(args.weights)
-    if weights is not None and tuple(weights.sample_ids) != ds.ids:
-        raise DataError("weight file ids do not match the dataset")
+    if weights is not None:
+        if tuple(weights.sample_ids) != ds.ids:
+            raise DataError("weight file ids do not match the dataset")
+        if weights.weights.shape[1] != ds.n_dims:
+            raise DataError(
+                f"weight file {args.weights} holds {weights.weights.shape[1]} dimensions, "
+                f"dataset has {ds.n_dims}"
+            )
     cfg = TrainConfig(
         lambdas=args.lambdas,
         ridge_alpha=args.alpha,
@@ -272,7 +278,7 @@ def _cmd_fit(args) -> int:
         fit_bias=not args.no_bias,
     )
     check_gd_settings(cfg, {"ridge_alpha": "--alpha", "fit_bias": "--no-bias"})
-    head = _fit(ds.features, ds.labels, weights, cfg)
+    head = _fit(ds, weights, cfg)
     head.save(args.out)
     method = head.fit_info["method"].replace("_", "-")
     print(f"fit {method} head on {len(ds)} samples -> {args.out}")

@@ -43,17 +43,24 @@ def top_sets(values: np.ndarray, rho: float) -> np.ndarray:
     """Each column's top ceil(rho * N) rows, as a read-only (K, m) index array.
 
     Row k lists column k's selection in rank order: highest value first, ties
-    to the smaller row index. A 1-D vector counts as one column. This is the
-    one selection rule of pruning, the overlap curve and the masking report.
+    to the smaller row index, as argsort(-column, kind="stable")[:m]. A 1-D
+    vector counts as one column. This is the one selection rule of pruning,
+    the overlap curve and the masking report.
     """
     rho = float(rho)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     cols = values if values.ndim == 2 else values[:, None]
     out = np.empty((cols.shape[1], ceil_count(rho, cols.shape[0])), dtype=np.intp)
-    # a stable sort keeps ties in row order; one column at a time keeps temporaries to one column
-    for j, col in enumerate(cols.T):
-        out[j] = np.argsort(-col, kind="stable")[: out.shape[1]]
+    m = out.shape[1]
+    # a partition finds the column's m-th value in that order; only the rows
+    # not below it are sorted, stably, so ties keep row order. A NaN sorts
+    # last in both and is never below the cut, so it stays a candidate
+    for j, col in enumerate(cols.T if m else ()):
+        neg = -col
+        cut = np.partition(neg, m - 1)[m - 1]
+        cand = np.flatnonzero(~(neg > cut))
+        out[j] = cand[np.argsort(neg[cand], kind="stable")[:m]]
     out.setflags(write=False)
     return out
 
@@ -196,23 +203,36 @@ class Dataset:
     Invariants checked on construction: consistent feature and label
     dimensions, finite values, unique ids. The backing arrays are read-only;
     refinement operations return new datasets instead of mutating.
+
+    features is the (N, d) matrix, or the SynthConfig of a synthetic corpus
+    whose rows ids.rows names (a RowIds of ascending rows): such a dataset
+    holds no features and reads them from the corpus's sample stream (see
+    feature_blocks).
     """
 
     def __init__(
         self,
         ids: Sequence[str],
-        features: np.ndarray,
+        features: np.ndarray | SynthConfig,
         labels: np.ndarray,
         dim_names: Sequence[str],
         corrupted: np.ndarray | None = None,
         manifest: dict | None = None,
     ):
-        self._features = _frozen(np.atleast_2d(features))
-        self._labels = _frozen(np.atleast_2d(labels))
         self._ids = ids if isinstance(ids, RowIds) else tuple(map(str, ids))
+        if isinstance(features, SynthConfig):
+            if not isinstance(ids, RowIds):
+                raise ValueError("the rows of a synthetic corpus need RowIds")
+            _checked_rows(ids.rows, features.n_samples)
+            self._source = features
+            n, d = len(ids), features.feature_dim
+        else:
+            self._source = _frozen(np.atleast_2d(features))
+            n, d = self._source.shape
+        self._feature_dim = d
+        self._labels = _frozen(np.atleast_2d(labels))
         self.dim_names = [str(d) for d in dim_names]
         self.manifest = dict(manifest or {})
-        n, d = self._features.shape
         if len(self._ids) != n:
             raise DataError(f"{len(self._ids)} ids for {n} feature rows")
         if self._labels.shape[0] != n:
@@ -222,8 +242,12 @@ class Dataset:
                 f"label width {self._labels.shape[1]} does not match "
                 f"{len(self.dim_names)} dimension names"
             )
-        # no N-sized bool array: NaN propagates through min and max, and an infinity is one of them
-        for values, what in ((self._features, "feature"), (self._labels, "label")):
+        # no N-sized bool array: NaN propagates through min and max, and an
+        # infinity is one of them; the sample stream's features are finite
+        checked = [(self._labels, "label")]
+        if isinstance(self._source, np.ndarray):
+            checked.append((self._source, "feature"))
+        for values, what in checked:
             if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
                 raise DataError(f"non-finite {what} values")
         # strictly ascending row numbers are unique ids by construction
@@ -237,6 +261,7 @@ class Dataset:
                 raise DataError(f"corruption mask shape {corrupted.shape} != labels {self._labels.shape}")
             corrupted.setflags(write=False)
         self._corrupted = corrupted
+        self._cached: dict = {}
 
     # -- views -------------------------------------------------------------
 
@@ -249,7 +274,7 @@ class Dataset:
 
     @property
     def feature_dim(self) -> int:
-        return self._features.shape[1]
+        return self._feature_dim
 
     @property
     def ids(self) -> Sequence[str]:
@@ -258,8 +283,41 @@ class Dataset:
 
     @property
     def features(self) -> np.ndarray:
-        """(N, d) read-only float64 matrix."""
-        return self._features
+        """(N, d) read-only float64 matrix.
+
+        A synthetic corpus's rows are gathered from its sample stream into a
+        new matrix on every call; feature_blocks reads them a block at a time.
+        """
+        if isinstance(self._source, np.ndarray):
+            return self._source
+        out = np.empty((len(self), self._feature_dim))
+        start = 0
+        for block in self.feature_blocks():
+            out[start : start + len(block)] = block
+            start += len(block)
+            del block  # released before the next block is gathered
+        out.setflags(write=False)
+        return out
+
+    def feature_blocks(self, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The features of the ascending row positions rows (every row if None), a block at a time.
+
+        Yields one array per block of _row_blocks(len(rows)), in row order:
+        views of the feature matrix's blocks, or gathers of rows, or a
+        synthetic corpus's rows read from its sample stream (sample_features).
+        Either way a product over each block rounds the same. The caller
+        must not write a block; dropping each one before asking for the next
+        keeps one block of a synthetic corpus's rows alive.
+        """
+        n = len(self)
+        if rows is not None:
+            rows = _checked_rows(rows, n)
+        if not isinstance(self._source, np.ndarray):
+            stream_rows = self._ids.rows if rows is None else self._ids.rows[rows]
+            yield from sample_features(self._source, stream_rows)
+            return
+        for start, stop in _row_blocks(n if rows is None else len(rows)):
+            yield self._source[start:stop] if rows is None else self._source[rows[start:stop]]
 
     @property
     def labels(self) -> np.ndarray:
@@ -272,13 +330,28 @@ class Dataset:
         return self._corrupted
 
     def sample(self, i: int) -> Sample:
-        mask = self._corrupted
+        """Row i; a synthetic corpus's row is gathered from its sample stream."""
+        src, mask = self._source, self._corrupted
+        if isinstance(src, np.ndarray):
+            features = src[i]
+        else:
+            [[features]] = sample_features(src, self._ids.rows[[i]])
         return Sample(
             id=self._ids[i],
-            features=self._features[i],
+            features=features,
             labels=self._labels[i],
             corrupted=None if mask is None else mask[i],
         )
+
+    def cached(self, key, compute):
+        """compute(), called once per key and kept while this immutable dataset lives.
+
+        The value is shared by every caller with that key, which must not
+        write it.
+        """
+        if key not in self._cached:
+            self._cached[key] = compute()
+        return self._cached[key]
 
     def index_of(self, sample_id: str) -> int:
         try:
@@ -290,6 +363,7 @@ class Dataset:
         """New dataset restricted to the given row indices, in the given order.
 
         An integer ndarray is used as is; any other iterable is read into one.
+        The result holds its rows' features as a matrix.
         """
         if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
             idx = indices
@@ -297,7 +371,7 @@ class Dataset:
             idx = np.asarray(list(indices), dtype=int)
         return Dataset(
             ids=take_ids(self._ids, idx),
-            features=self._features[idx],
+            features=self.features[idx],
             labels=self._labels[idx],
             dim_names=self.dim_names,
             corrupted=None if self._corrupted is None else self._corrupted[idx],
@@ -358,7 +432,7 @@ DRAW_BLOCK_ROWS = 8192
 
 
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block of n rows, in which the draw and the scorers work.
+    """(start, stop) of each block of n rows, in which the draw and every reader of features work.
 
     Each block holds DRAW_BLOCK_ROWS rows and the last one the rest, from
     DRAW_BLOCK_ROWS to twice that less one (or all n). A short last block
@@ -391,9 +465,9 @@ def sample_features(config: SynthConfig, rows: np.ndarray) -> Iterator[np.ndarra
     rows does. The features come from a fresh stream of the sample seed,
     read an eighth of DRAW_BLOCK_ROWS rows at a time; standard_normal gives
     a stream's values in the same order whatever the size of each draw, so
-    these are draw_synthetic's features. Only one chunk of the stream and
-    the block being gathered are held, if the caller drops each block
-    before asking for the next.
+    these are the features draw_synthetic formed the labels from. Only one
+    chunk of the stream and the block being gathered are held, if the
+    caller drops each block before asking for the next.
     """
     n, d = config.n_samples, config.feature_dim
     rows = _checked_rows(rows, n)
@@ -414,27 +488,22 @@ def sample_features(config: SynthConfig, rows: np.ndarray) -> Iterator[np.ndarra
         del block  # released before the next block is gathered
 
 
-def draw_synthetic(
-    config: SynthConfig, row_sets: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray], dict]:
-    """Clean labels of every row, the features of each row set, and the manifest.
+def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
+    """Clean labels of every row of config's corpus, and its manifest.
 
     Features are i.i.d. standard normal. Labels are W* h + b* plus independent
     gaussian noise per dimension, clipped to label_range if one is set. The
-    sample stream is read DRAW_BLOCK_ROWS rows at a time, so only one block
-    of features is held beyond the rows of row_sets, each an ascending array
-    of row indices; sample_features reads the same features again. The
-    manifest records both seeds and content digests of the teacher
-    parameters so runs can be audited later.
+    sample stream is read DRAW_BLOCK_ROWS rows at a time and no feature is
+    kept: sample_features reads the same features again. The manifest
+    records both seeds and content digests of the teacher parameters so
+    runs can be audited later.
     """
     sd = validate_synth(config)
     n, d = config.n_samples, config.feature_dim
-    row_sets = [_checked_rows(rows, n) for rows in row_sets]
     w_star, b_star = teacher_head(config)
 
     rng = np.random.default_rng(config.sample_seed)
     labels = np.empty((n, config.n_dims))
-    features = [np.empty((len(rows), d)) for rows in row_sets]
     for start, stop in _row_blocks(n):
         block = rng.standard_normal((stop - start, d))
         if config.n_dims == 1:
@@ -442,9 +511,6 @@ def draw_synthetic(
             np.einsum("ij,kj->ik", block, w_star, out=labels[start:stop])
         else:
             np.matmul(block, w_star.T, out=labels[start:stop])
-        for rows, out in zip(row_sets, features):
-            lo, hi = np.searchsorted(rows, (start, stop))
-            out[lo:hi] = block[rows[lo:hi] - start]
         del block  # released before the next block is drawn
     # the noise draw follows every feature in the stream; each label is
     # (h @ w*^T + b*) + noise * sd, summed in that order
@@ -468,13 +534,12 @@ def draw_synthetic(
         "label_range": list(config.label_range) if config.label_range else None,
         "teacher_digest": {"weights": _digest(w_star), "biases": _digest(b_star)},
     }
-    return labels, features, manifest
+    return labels, manifest
 
 
 def synthetic_rows(
     config: SynthConfig,
     rows: np.ndarray,
-    features: np.ndarray,
     labels: np.ndarray,
     corrupted: np.ndarray,
     manifest: dict,
@@ -482,11 +547,12 @@ def synthetic_rows(
     """The given rows of config's corpus as a Dataset, with the corpus's ids and dimension names.
 
     The ids are a RowIds view of rows, an ascending row-index array, which
-    is not copied (see _synthetic_ids).
+    is not copied (see _synthetic_ids). The features stay in the corpus's
+    sample stream, read a block at a time (see Dataset.feature_blocks).
     """
     return Dataset(
         ids=_synthetic_ids(config, rows),
-        features=features,
+        features=config,
         labels=labels,
         dim_names=_synthetic_dim_names(config),
         corrupted=corrupted,
@@ -504,11 +570,10 @@ def _synthetic_dim_names(config: SynthConfig) -> list[str]:
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
-    """Draw a corpus from a seeded linear teacher (see draw_synthetic)."""
-    rows = np.arange(config.n_samples)
-    labels, (features,), manifest = draw_synthetic(config, [rows])
+    """Draw a corpus from a seeded linear teacher (see draw_synthetic); its features stay in the stream."""
+    labels, manifest = draw_synthetic(config)
     return synthetic_rows(
-        config, rows, features, labels, np.zeros(labels.shape, dtype=bool), manifest
+        config, np.arange(config.n_samples), labels, np.zeros(labels.shape, dtype=bool), manifest
     )
 
 
@@ -639,7 +704,7 @@ def corrupted_copy(ds: Dataset, corrupt) -> Dataset:
         return ds
     return Dataset(
         ids=ds.ids,
-        features=ds.features,
+        features=ds._source,
         labels=labels,
         dim_names=ds.dim_names,
         corrupted=mask,
@@ -913,27 +978,19 @@ def table_rows(
         raise DataError(f"{what} file contains no rows")
 
 
-def _sample_lines(
-    ids: Sequence[str],
-    feature_dim: int,
-    dim_names: list[str],
-    manifest: dict,
-    features: Iterable[np.ndarray],
-    labels: np.ndarray,
-    corrupted: np.ndarray | None,
-) -> Iterator[str]:
-    """The lines of a dataset file; features may be any iterable of the feature rows."""
-    head = {"type": "manifest", "feature_dim": feature_dim, "dim_names": dim_names, "meta": manifest}
-    columns = {"features": features, "labels": labels}
-    if corrupted is not None:
-        columns["corrupted"] = corrupted
-    return table_lines(head, "sample", ids, columns)
-
-
 def _dataset_lines(ds: Dataset) -> Iterator[str]:
-    return _sample_lines(
-        ds.ids, ds.feature_dim, ds.dim_names, ds.manifest, ds.features, ds.labels, ds.corruption_mask
-    )
+    head = {
+        "type": "manifest",
+        "feature_dim": ds.feature_dim,
+        "dim_names": ds.dim_names,
+        "meta": ds.manifest,
+    }
+    # rows are copies and no name binds a block, so each is released before the next is read
+    features = map(np.ndarray.copy, chain.from_iterable(ds.feature_blocks()))
+    columns = {"features": features, "labels": ds.labels}
+    if ds.corruption_mask is not None:
+        columns["corrupted"] = ds.corruption_mask
+    return table_lines(head, "sample", ds.ids, columns)
 
 
 def dumps_dataset(ds: Dataset) -> str:
@@ -945,32 +1002,12 @@ def dumps_dataset(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    write_lines(path, _dataset_lines(ds))
+    """Write dumps_dataset(ds) to path a line at a time, reading the features a block at a time.
 
-
-def save_synthetic_rows(
-    path: str | Path,
-    config: SynthConfig,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    corrupted: np.ndarray,
-    manifest: dict,
-) -> None:
-    """Write the ascending rows of config's corpus with these labels and mask, as save_dataset would.
-
-    The bytes are those of save_dataset(synthetic_rows(config, rows, ...)),
-    but the features are read again from the sample stream (see
-    sample_features), so no feature matrix of the rows is held. A run
-    writes its corpus.jsonl and its test_clean.jsonl through here.
+    A synthetic corpus's rows are read again from its sample stream, so no
+    feature matrix of them is held.
     """
-    if labels.shape != (len(rows), config.n_dims) or corrupted.shape != labels.shape:
-        raise ValueError(f"labels and mask must be ({len(rows)}, {config.n_dims}) for these rows")
-    # rows are copies and no name binds a block, so each is released before the next is gathered
-    features = map(np.ndarray.copy, chain.from_iterable(sample_features(config, rows)))
-    ids = _synthetic_ids(config, rows)
-    names = _synthetic_dim_names(config)
-    lines = _sample_lines(ids, config.feature_dim, names, manifest, features, labels, corrupted)
-    write_lines(path, lines)
+    write_lines(path, _dataset_lines(ds))
 
 
 def _read_dataset(lines: Iterable[str]) -> Dataset:

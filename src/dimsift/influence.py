@@ -37,7 +37,6 @@ import numpy as np
 from .data import (
     Dataset,
     Sample,
-    _row_blocks,
     check_unique,
     extend_numbers,
     long_csv_lines,
@@ -278,13 +277,14 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
     gradient is assembled. Yields (start, stop, r, a, b) per block of
-    data._row_blocks (a is one zero in head-only scopes); the callers
+    ds.feature_blocks() (a is one zero in head-only scopes); the callers
     overwrite r, written into out[start:stop] if an (N, K) out is given.
     """
     check_pair(head, ds)
     _check_scope(head, cfg.scope)
-    for start, stop in _row_blocks(len(ds)):
-        x = ds.features[start:stop]
+    start = 0
+    for x in ds.feature_blocks():
+        stop = start + len(x)
         u = head.head_inputs(x)
         r = np.matmul(u, head.weights.T, out=None if out is None else out[start:stop])
         r += head.biases
@@ -296,7 +296,9 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
         if cfg.scope == Scope.LAST_TWO_LAYERS:
             a = np.einsum("ij,ij->i", x, x)
             a += 1.0
+        del x  # released before the next block is read
         yield start, stop, r, a, b
+        start = stop
 
 
 def self_influence_closed_form(
@@ -314,6 +316,47 @@ def self_influence_closed_form(
     return self_influence_explicit(head, ds, cfg)
 
 
+def _self_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, table: bool, scalar: bool):
+    """The (N, K) self-influence scores and the (N,) global scores, each None unless asked for.
+
+    Both come from one pass of _gram_terms: a block's global scores are
+    taken from a copy of its residuals before the scores overwrite them.
+    """
+    lam = cfg.resolved_lambdas(head.n_dims)
+    two = cfg.scope == Scope.LAST_TWO_LAYERS
+    gram_diag = np.diag(head.weights @ head.weights.T)
+    scores = np.empty((len(ds), ds.n_dims)) if table else None
+    glob = np.empty(len(ds)) if scalar else None
+    for start, stop, r, a, b in _gram_terms(head, ds, cfg, scores):
+        if scalar:
+            rho = r * lam if table else np.multiply(r, lam, out=r)
+            part = np.einsum("ij,ij->i", rho, rho, out=glob[start:stop])
+            part *= b
+            # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is zero
+            if two:
+                v = rho @ head.weights
+                part += np.einsum("ij,ij->i", v, v) * a
+            del rho
+        if table:
+            r *= r
+            if two:
+                r *= gram_diag * a[:, None] + b[:, None]
+            else:
+                # a is zero in head-only scopes, so the factor is exactly b
+                r *= b[:, None]
+    return scores, glob
+
+
+def _table(scores: np.ndarray, ds: Dataset, cfg: InfluenceConfig) -> SelfInfluenceTable:
+    return SelfInfluenceTable(
+        scores=scores,
+        sample_ids=ds.ids,
+        dim_names=ds.dim_names,
+        scope=cfg.scope,
+        lambdas=cfg.resolved_lambdas(ds.n_dims),
+    )
+
+
 def self_influence_explicit(
     head: RegressionHead, ds: Dataset, cfg: InfluenceConfig
 ) -> SelfInfluenceTable:
@@ -323,22 +366,16 @@ def self_influence_explicit(
     assembles the same gradients one sample at a time and is the reference
     the tests check this against.
     """
-    scores = np.empty((len(ds), ds.n_dims))
-    gram_diag = np.diag(head.weights @ head.weights.T)
-    for _, _, r, a, b in _gram_terms(head, ds, cfg, scores):
-        r *= r
-        if cfg.scope == Scope.LAST_TWO_LAYERS:
-            r *= gram_diag * a[:, None] + b[:, None]
-        else:
-            # a is zero in head-only scopes, so the factor is exactly b
-            r *= b[:, None]
-    return SelfInfluenceTable(
-        scores=scores,
-        sample_ids=ds.ids,
-        dim_names=ds.dim_names,
-        scope=cfg.scope,
-        lambdas=cfg.resolved_lambdas(ds.n_dims),
-    )
+    scores, _ = _self_scores(head, ds, cfg, table=True, scalar=False)
+    return _table(scores, ds, cfg)
+
+
+def self_and_global_scores(
+    head: RegressionHead, ds: Dataset, cfg: InfluenceConfig
+) -> tuple[SelfInfluenceTable, np.ndarray]:
+    """self_influence_explicit and global_tracin_self, bit for bit, from one pass over the features."""
+    scores, glob = _self_scores(head, ds, cfg, table=True, scalar=True)
+    return _table(scores, ds, cfg), glob
 
 
 def disentangled_matrix(
@@ -379,17 +416,7 @@ def global_tracin_self(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) 
     With rho_i = lambda * r_i this is |rho_i W_head|^2 a_i + |rho_i|^2 b_i
     (factors as in _gram_terms).
     """
-    lam = cfg.resolved_lambdas(head.n_dims)
-    out = np.empty(len(ds))
-    for start, stop, rho, a, b in _gram_terms(head, ds, cfg):
-        rho *= lam
-        part = np.einsum("ij,ij->i", rho, rho, out=out[start:stop])
-        part *= b
-        # the |rho_i W_head|^2 a_i term is exactly 0 in head-only scopes, where a is zero
-        if cfg.scope == Scope.LAST_TWO_LAYERS:
-            v = rho @ head.weights
-            part += np.einsum("ij,ij->i", v, v) * a
-    return out
+    return _self_scores(head, ds, cfg, table=False, scalar=True)[1]
 
 
 def row_sum_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig) -> np.ndarray:

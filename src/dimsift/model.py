@@ -5,10 +5,11 @@ Supported fitting paths:
     closed form     per-dimension weighted ridge over augmented inputs [h; 1],
                     solving (X' diag(w) X + alpha D) beta = X' diag(w) y with
                     no penalty on the bias coordinate (D has a zero in the
-                    bias slot); the blocks of these normal equations come
-                    straight from the features, so [h; 1] is never built, and
-                    an unweighted fit shares one set of normal equations (one
-                    Gram matrix, one solve) across all dimensions
+                    bias slot); the blocks of these normal equations are
+                    summed over the feature row blocks, so neither [h; 1]
+                    nor a feature matrix is built, and an unweighted fit
+                    shares one set of normal equations (one Gram matrix, one
+                    solve) across all dimensions
     gradient        full-batch gradient descent on the weighted sum of
                     per-dimension squared-error losses, with a fixed (Equal),
                     learned (uncertainty log-variance), or per-epoch random
@@ -204,23 +205,68 @@ def _resolve_weights(weights, n: int, k: int) -> np.ndarray:
     return w
 
 
-def _normal_equations(x: np.ndarray, y: np.ndarray, w: Optional[np.ndarray], fit_bias: bool):
-    """Normal equations of [x 1] against y (N, K) under row weights w, or unit weights.
+def _normal_equations(ds: Dataset, w: Optional[np.ndarray], fit_bias: bool, rows=None) -> list:
+    """Normal equations of [x 1] against the labels y of ds, summed over its feature blocks.
 
-    Returns A = [x 1]' W [x 1] and B = [x 1]' W y, built from the blocks x'Wx,
-    x'W1, 1'W1, x'Wy and 1'Wy, so [x 1] is never materialised. Only a weighted
-    system allocates an N x d temporary, x * w.
+    rows, ascending positions, restricts them to those rows (every row if
+    None; not combined with weights). Unit weights (w None) give the one
+    system every dimension shares: [(A, B)] with A = [x 1]'[x 1] and
+    B = [x 1]'y. Weights w (N, K) give dimension k its own system, A_k =
+    [x 1]' diag(w_k) [x 1] and B_k = [x 1]' diag(w_k) y_k, all K formed in
+    the same pass over the features. Each block adds its x'Wx, x'W1, 1'W1,
+    x'Wy and 1'Wy terms, so [x 1] is never built, and a weighted block
+    allocates only its own x * w_k. One block gives the one-shot products
+    bit for bit; more are summed in row order.
     """
-    xw = x if w is None else x * w[:, None]
-    a = x.T @ xw
-    b = xw.T @ y
-    if not fit_bias:
+    y = ds.labels if rows is None else ds.labels[rows]
+    dims = [None] if w is None else range(y.shape[1])
+
+    def terms(x, start, stop):
+        out = []
+        for j in dims:
+            ys = y[start:stop] if j is None else y[start:stop, j : j + 1]
+            ws = None if j is None else w[start:stop, j]
+            xw = x if ws is None else x * ws[:, None]
+            t = [x.T @ xw, xw.T @ ys]
+            if fit_bias:
+                total = float(len(x)) if ws is None else ws.sum()
+                t += [xw.sum(axis=0), total, ys.sum(axis=0) if ws is None else ws @ ys]
+            out.append(t)
+            del xw  # released before the next dimension's
+        return out
+
+    sums, start = None, 0
+    for x in ds.feature_blocks(rows):
+        part = terms(x, start, start + len(x))
+        sums = part if sums is None else [[s + p for s, p in zip(ts, tp)] for ts, tp in zip(sums, part)]
+        start += len(x)
+        del x  # released before the next block is read
+    if sums is None:
+        sums = terms(np.empty((0, ds.feature_dim)), 0, 0)
+    systems = []
+    for a, b, *bias in sums:
+        if bias:
+            col, total, ysum = bias
+            a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
+            b = np.vstack([b, ysum[None, :]])
+        systems.append((a, b))
+    return systems
+
+
+def _unweighted_system(ds: Dataset, fit_bias: bool):
+    """_normal_equations(ds, None, fit_bias), read-only, formed once per dataset (Dataset.cached).
+
+    A run's probe fit and its pruned refit share them, so the refit reads
+    only the dropped rows' features.
+    """
+
+    def form():
+        [(a, b)] = _normal_equations(ds, None, fit_bias)
+        a.setflags(write=False)
+        b.setflags(write=False)
         return a, b
-    col = xw.sum(axis=0)
-    total = float(len(x)) if w is None else w.sum()
-    a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
-    b = np.vstack([b, (y.sum(axis=0) if w is None else w @ y)[None, :]])
-    return a, b
+
+    return ds.cached(("unweighted normal equations", fit_bias), form)
 
 
 def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str, tol=None) -> np.ndarray:
@@ -241,12 +287,14 @@ def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str, tol=None) 
         raise NumericalError(f"normal equations for {what} are singular: {e}") from None
 
 
-def fit_closed_form_arrays(
-    x: np.ndarray, y: np.ndarray, weights=None, config: TrainConfig | None = None, drop=None
+def fit_closed_form(
+    ds: Dataset, weights=None, config: TrainConfig | None = None, drop=None
 ) -> RegressionHead:
-    """Weighted ridge solution of features x (N, d) against labels y (N, K).
+    """Weighted ridge solution of the features of ds against its labels.
 
-    x and y are used as given, finite float64 as a Dataset holds them.
+    The features are read a row block at a time (Dataset.feature_blocks), so
+    a synthetic corpus's rows come from its sample stream and no feature
+    matrix is built.
 
     drop, ascending row indices and no sample weights, leaves those rows out
     without copying the others: their normal equations are subtracted from
@@ -258,11 +306,12 @@ def fit_closed_form_arrays(
 
     Minimizes sum_i w_ik * 0.5 * (w_k . h_i + b_k - y_ik)^2 + 0.5 * alpha * |w_k|^2
     over augmented inputs [h; 1]; the bias coordinate is not penalized. The
-    normal equations come straight from the feature matrix, and [h; 1] is
+    normal equations come straight from the feature blocks, and [h; 1] is
     never built. Without sample weights every dimension shares one set of
     normal equations: one Gram matrix, one rank check and one solve with K
     right-hand sides; all-one weights are the unweighted fit and take that
-    route. Other weights give each dimension its own system.
+    route. Other weights give each dimension its own system, all formed in
+    one pass over the features.
     Zero-weight samples drop out of the normal equations exactly. Positive
     per-dimension loss weights rescale each dimension's objective uniformly
     and therefore do not change the solution. With alpha = 0 a rank-deficient
@@ -273,25 +322,23 @@ def fit_closed_form_arrays(
         raise ValueError(
             "closed-form fitting supports head-only models; use fit_gd_arrays for a shared layer"
         )
-    (n, d), k = x.shape, y.shape[1]
+    n, d, k = len(ds), ds.feature_dim, ds.n_dims
     cfg.resolved_lambdas(k)  # validate even though the solution ignores them
     if drop is not None and weights is not None:
         raise ValueError("dropped rows and sample weights cannot be combined")
     w = None if weights is None else _resolve_weights(weights, n, k)
     if w is None or np.all(w == 1.0):
-        a, b = _normal_equations(x, y, None, cfg.fit_bias)
+        a, b = _unweighted_system(ds, cfg.fit_bias)
         tol = None
         if drop is not None:
             # the difference keeps the full Gram's rounding, up to n eps |A|: the rank check allows for it
             tol = np.linalg.norm(a, 2) * n * np.finfo(np.float64).eps
-            a_drop, b_drop = _normal_equations(x[drop], y[drop], None, cfg.fit_bias)
+            [(a_drop, b_drop)] = _normal_equations(ds, None, cfg.fit_bias, drop)
             a, b = a - a_drop, b - b_drop
         beta = _solve(a, b, cfg, "all dimensions", tol)
     else:
-        beta = np.hstack([
-            _solve(*_normal_equations(x, y[:, j : j + 1], w[:, j], cfg.fit_bias), cfg, f"dimension {j}")
-            for j in range(k)
-        ])
+        systems = _normal_equations(ds, w, cfg.fit_bias)
+        beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in enumerate(systems)])
     head_w = beta[:d].T
     head_b = beta[d] if cfg.fit_bias else np.zeros(k)
     info = {
@@ -301,13 +348,6 @@ def fit_closed_form_arrays(
         "fit_bias": cfg.fit_bias,
     }
     return RegressionHead(weights=head_w, biases=head_b, fit_info=info)
-
-
-def fit_closed_form(
-    ds: Dataset, weights=None, config: TrainConfig | None = None
-) -> RegressionHead:
-    """fit_closed_form_arrays on the features and labels of ds."""
-    return fit_closed_form_arrays(ds.features, ds.labels, weights, config)
 
 
 class GDObjective:
@@ -487,9 +527,16 @@ def check_pair(head: RegressionHead, ds: Dataset) -> None:
 
 
 def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
-    """(N, K) matrix of prediction minus label."""
+    """(N, K) matrix of prediction minus label, predicted a feature block at a time."""
     check_pair(head, ds)
-    return head.predict_batch(ds.features) - ds.labels
+    out = np.empty((len(ds), ds.n_dims))
+    start = 0
+    for x in ds.feature_blocks():
+        stop = start + len(x)
+        np.subtract(head.predict_batch(x), ds.labels[start:stop], out=out[start:stop])
+        start = stop
+        del x  # released before the next block is read
+    return out
 
 
 def per_dim_loss(head: RegressionHead, ds: Dataset) -> np.ndarray:

@@ -3,7 +3,7 @@
 One seeded config fully determines every artifact byte (no timestamps are
 written), so identical configs give identical runs. Stages:
 
-    split -> draw the training and test rows -> inject noise
+    split -> draw the labels -> inject noise
           -> (with an output directory) write config.json and corpus.jsonl
           -> fit probe -> score -> refine -> refit
           -> evaluate on clean test labels -> report
@@ -33,19 +33,13 @@ from .data import (
     read_json,
     sample_features,
     save_dataset,
-    save_synthetic_rows,
     split_indices,
     synthetic_rows,
     validate_synth,
     with_injections,
 )
 from .errors import DataError, UsageError
-from .influence import (
-    InfluenceConfig,
-    SelfInfluenceTable,
-    global_tracin_self,
-    self_influence_explicit,
-)
+from .influence import InfluenceConfig, SelfInfluenceTable, self_and_global_scores
 from .metrics import (
     MaskingReport,
     MetricReport,
@@ -58,7 +52,7 @@ from .metrics import (
 from .model import (
     RegressionHead,
     TrainConfig,
-    fit_closed_form_arrays,
+    fit_closed_form,
     fit_gd_arrays,
     per_dim_loss,
 )
@@ -410,16 +404,19 @@ class ExperimentReport:
 class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
-    A run draws only its training rows' features and never builds the full
-    corpus they were taken from. With an output directory the run writes
-    that corpus to corpus.jsonl right after the noise, from its own labels
-    and mask, and holds no feature matrix of it. The test split is not
-    kept: the report holds its evaluation, and test_clean.jsonl its rows.
-    A pruned run's refined rows are not kept either: prune.kept_ids names
-    them. A closed-form refit copied no rows; a gradient-descent refit held
-    a copy of their features and labels. train keeps its ids as row numbers
-    (data.RowIds). The scores and weights share train's ids, and the prune
-    result holds views of them, so no id string is kept.
+    A run draws the labels of every row and keeps no feature. train holds
+    the training rows' indices (its ids, a data.RowIds), labels and mask,
+    and reads their features from the corpus's sample stream a row block at
+    a time (Dataset.feature_blocks); train.features gathers a new matrix on
+    each call. With an output directory the run writes the corpus to
+    corpus.jsonl right after the noise, from its own labels and mask, its
+    features read from the stream as well. The test split is not kept: the
+    report holds its evaluation, and test_clean.jsonl its rows. A pruned
+    run's refined rows are not kept either: prune.kept_ids names them. A
+    closed-form refit copied no rows; a gradient-descent fit held a matrix
+    of the (kept) rows' features and labels while it ran. The scores and
+    weights share train's ids, and the prune result holds views of them, so
+    no id string is kept.
     """
 
     report: ExperimentReport
@@ -453,17 +450,19 @@ def check_gd_settings(cfg: TrainConfig, names: dict[str, str]) -> None:
         )
 
 
-def _fit(x: np.ndarray, y: np.ndarray, weights, cfg: TrainConfig, drop=None) -> RegressionHead:
-    """A head fitted to features x and labels y, leaving out the rows drop names.
+def _fit(ds: Dataset, weights, cfg: TrainConfig, drop=None) -> RegressionHead:
+    """A head fitted to ds, leaving out the rows drop names.
 
-    Gradient descent on a copy of the kept rows with a shared layer or a
-    loss-balancing strategy, else the closed form, which copies no rows.
+    Gradient descent on a gathered copy of the kept rows with a shared layer
+    or a loss-balancing strategy, released after; else the closed form,
+    which reads the features a block at a time and copies no rows.
     """
     if _uses_gd(cfg):
+        x, y = ds.features, ds.labels
         if drop is not None:
             x, y = np.delete(x, drop, axis=0), np.delete(y, drop, axis=0)
         return fit_gd_arrays(x, y, weights, cfg)
-    return fit_closed_form_arrays(x, y, weights, cfg, drop)
+    return fit_closed_form(ds, weights, cfg, drop)
 
 
 def run_pipeline(
@@ -472,21 +471,24 @@ def run_pipeline(
     """Run the full experiment described by config; optionally write artifacts.
 
     Evaluation is always against clean test labels. The split indices are
-    drawn first, and the run draws the labels of every row but the features
-    of its training rows only: those rows carry corrupted labels, equal to
-    the rows of generate_synthetic(config.synth) after config.noise
-    corrupts the whole corpus. The test split is its row indices and their
+    drawn first, then the labels of every row; the training rows carry
+    corrupted labels, equal to the rows of generate_synthetic(config.synth)
+    after config.noise corrupts the whole corpus. No feature matrix of any
+    split is held: the training split is a Dataset of its rows whose
+    features stay in the sample stream, and the probe fit, the scores with
+    the global scores (one pass), the refit (of the removed rows only, when
+    pruned) and train.jsonl each read them a row block at a time. The test split is its row indices and their
     clean labels, taken before the noise; the heads are evaluated on its
-    features read once from a fresh stream of the sample seed, a block at a
-    time, so no test feature matrix is held. No Dataset of the full corpus
-    or of the test split is built. With output_dir, config.json and
-    corpus.jsonl are written once the noise is applied: the corpus from the
-    run's own full label matrix and mask, its features read again from the
-    stream, so a run that fails after that still leaves both files. The
-    other files follow at the end, test_clean.jsonl streamed in the same
-    way. A pruned closed-form refit subtracts the removed rows' normal
-    equations and copies no rows; a gradient-descent refit fits a copy of
-    the kept rows, released after.
+    features read once from a fresh stream of the sample seed, a block at
+    a time. With output_dir, config.json and corpus.jsonl are written once
+    the noise is applied: the corpus from the run's own full label matrix
+    and mask, its features read again from the stream, so a run that fails
+    after that still leaves both files. The other files follow at the end,
+    test_clean.jsonl streamed in the same way. A pruned closed-form refit
+    subtracts the removed rows' normal equations from the probe fit's and
+    copies no rows; a
+    gradient-descent fit gathers the features of the (kept) rows, released
+    after.
     """
     validate_synth(config.synth)
     check_gd_settings(config.train, {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"})
@@ -502,7 +504,7 @@ def run_pipeline(
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
 
-    labels, (train_x,), clean_manifest = draw_synthetic(config.synth, [train_idx])
+    labels, clean_manifest = draw_synthetic(config.synth)
     # the test rows keep their clean labels; the one label matrix is then corrupted in place
     test_labels = labels[test_idx]
     mask = np.zeros(labels.shape, dtype=bool)
@@ -513,18 +515,16 @@ def run_pipeline(
         config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
         (out / "config.json").write_text(config_doc + "\n")
         every_row = np.arange(config.synth.n_samples)
-        save_synthetic_rows(out / "corpus.jsonl", config.synth, every_row, labels, mask, manifest)
-        del every_row
-    train = synthetic_rows(
-        config.synth, train_idx, train_x, labels[train_idx], mask[train_idx], manifest
-    )
-    del labels, mask, train_x
+        corpus = synthetic_rows(config.synth, every_row, labels, mask, manifest)
+        save_dataset(corpus, out / "corpus.jsonl")
+        del every_row, corpus
+    train = synthetic_rows(config.synth, train_idx, labels[train_idx], mask[train_idx], manifest)
+    del labels, mask
 
     probe_cfg = dataclasses.replace(config.train, strategy="equal")
-    probe = _fit(train.features, train.labels, None, probe_cfg)
+    probe = _fit(train, None, probe_cfg)
 
-    scores = self_influence_explicit(probe, train, config.influence)
-    global_scores = global_tracin_self(probe, train, config.influence)
+    scores, global_scores = self_and_global_scores(probe, train, config.influence)
 
     prune: Optional[PruneResult] = None
     weight_matrix: Optional[WeightMatrix] = None
@@ -562,7 +562,7 @@ def run_pipeline(
     final = probe
     heads = {"baseline": probe}
     if r.strategy != "none":
-        final = heads[r.strategy] = _fit(train.features, train.labels, weight_matrix, config.train, drop)
+        final = heads[r.strategy] = _fit(train, weight_matrix, config.train, drop)
 
     # the test features are read once more from the sample stream, for every head at once
     blocks = sample_features(config.synth, test_idx)
@@ -622,9 +622,8 @@ def run_pipeline(
     )
     if output_dir is not None:
         clean_mask = np.zeros(test_labels.shape, dtype=bool)
-        save_synthetic_rows(
-            out / "test_clean.jsonl", config.synth, test_idx, test_labels, clean_mask, clean_manifest
-        )
+        test = synthetic_rows(config.synth, test_idx, test_labels, clean_mask, clean_manifest)
+        save_dataset(test, out / "test_clean.jsonl")
         _write_artifacts(artifacts, out)
     return artifacts
 

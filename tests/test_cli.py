@@ -551,6 +551,10 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
                  id="weights-negative-weight"),
     pytest.param("weights", _first_as("weights", lambda row: [math.nan, *row[1:]]),
                  id="weights-nan-weight"),
+    # a well-formed weight file one dimension narrower than the dataset
+    pytest.param("weights", lambda doc: dict(doc, weights=[row[:-1] for row in doc["weights"]],
+                                             per_dim_stats=doc["per_dim_stats"][:-1]),
+                 id="weights-one-dimension-short"),
 ])
 def test_a_json_file_its_writer_cannot_give_exits_two_naming_it(stage_dir, kind, value):
     bad, argv = _staged_file(stage_dir, kind)

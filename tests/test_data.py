@@ -43,6 +43,7 @@ from dimsift import (
 )
 from dimsift.data import (
     DRAW_BLOCK_ROWS,
+    _row_blocks,
     JSON_PIECE_ITEMS,
     ceil_count,
     corrupted_copy,
@@ -53,6 +54,7 @@ from dimsift.data import (
     json_pieces,
     loads_dataset,
     long_csv_lines,
+    sample_features,
     synthetic_rows,
     table_lines,
     teacher_head,
@@ -153,8 +155,7 @@ def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail, label_range):
     n = 3 * DRAW_BLOCK_ROWS + tail
     cfg = SynthConfig(n, 16, 5, label_noise_sd=(0.1, 0.2, 0.3, 0.4, 0.5), teacher_seed=3,
                       sample_seed=4, label_range=label_range)
-    rows = [np.arange(0, n, 7), np.array([0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1])]
-    labels, features, _ = draw_synthetic(cfg, rows)
+    labels, manifest = draw_synthetic(cfg)
     w_star, b_star = teacher_head(cfg)
     rng = np.random.default_rng(cfg.sample_seed)
     all_features = rng.standard_normal((n, 16))
@@ -164,16 +165,54 @@ def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail, label_range):
         expect = np.clip(expect, *label_range)
         assert (expect.min(), expect.max()) == label_range
     assert np.array_equal(labels, expect)
-    assert [len(f) for f in features] == [len(r) for r in rows]
-    for r, f in zip(rows, features):
-        assert np.array_equal(f, all_features[r])
+    # the rows' features, read again from the stream
+    for r in (np.arange(0, n, 7), np.array([0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1])):
+        ds = synthetic_rows(cfg, r, labels[r], np.zeros((len(r), 5), bool), manifest)
+        assert np.array_equal(ds.features, all_features[r])
 
 
-def test_the_draw_rejects_rows_out_of_order_or_range():
+def test_the_stream_rejects_rows_out_of_order_or_range():
     cfg = SynthConfig(10, 2, 1, teacher_seed=0, sample_seed=1)
     for rows in ([3, 2], [-1, 4], [4, 10]):
         with pytest.raises(ValueError, match="ascending"):
-            draw_synthetic(cfg, [np.array(rows)])
+            list(sample_features(cfg, np.array(rows)))
+        with pytest.raises(ValueError, match="ascending"):
+            synthetic_rows(cfg, np.array(rows), np.zeros((2, 1)), np.zeros((2, 1), bool), {})
+
+
+def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
+    # 64-row blocks: a matrix gives views of its blocks or gathers rows, and
+    # a synthetic corpus's rows read the same features from its sample stream
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 64)
+    cfg = SynthConfig(600, 4, 2, label_noise_sd=0.1, teacher_seed=1, sample_seed=2)
+    labels, manifest = draw_synthetic(cfg)
+    rows = np.arange(3, 600, 2)
+    stream = synthetic_rows(cfg, rows, labels[rows], np.zeros((len(rows), 2), bool), manifest)
+    every = np.random.default_rng(cfg.sample_seed).standard_normal((600, 4))
+    matrix = Dataset(stream.ids, every[rows], stream.labels, stream.dim_names, stream.corruption_mask,
+                     stream.manifest)
+    for picks in (None, np.array([0, 5, 63, 64, 200, len(rows) - 1]), np.arange(130)):
+        want = every[rows] if picks is None else every[rows[picks]]
+        sizes = [stop - start for start, stop in _row_blocks(len(want))]
+        for ds in (stream, matrix):
+            blocks = list(ds.feature_blocks(picks))
+            assert [len(b) for b in blocks] == sizes
+            assert np.vstack(blocks).tobytes() == want.tobytes()
+    assert all(np.shares_memory(b, matrix.features) for b in matrix.feature_blocks())
+    with pytest.raises(ValueError, match="ascending"):
+        list(stream.feature_blocks(np.array([5, 2])))
+    # features gathers a new read-only matrix on each call, sample one row
+    a, b = stream.features, stream.features
+    assert a is not b and a.tobytes() == every[rows].tobytes() and not a.flags.writeable
+    for i in (0, 64, -1):
+        got, want = stream.sample(i), matrix.sample(i)
+        assert got.id == want.id and got.features.tolist() == want.features.tolist()
+    # a corrupted copy keeps reading the stream and writes the same file
+    noisy = inject_dimension_noise(stream, 0.1, [1], 3)
+    assert noisy._source is cfg
+    assert dumps_dataset(noisy) == dumps_dataset(inject_dimension_noise(matrix, 0.1, [1], 3))
+    with pytest.raises(ValueError, match="RowIds"):
+        Dataset(list(stream.ids), cfg, stream.labels, stream.dim_names)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
@@ -291,7 +330,7 @@ def test_a_dataset_of_row_ids_refuses_repeated_rows():
 def test_the_id_width_follows_the_last_row_number(n, width):
     cfg = SynthConfig(n, 3, 2)
     rows = np.array([0, 7, n - 1])
-    ds = synthetic_rows(cfg, rows, np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 2), bool), {})
+    ds = synthetic_rows(cfg, rows, np.zeros((3, 2)), np.zeros((3, 2), bool), {})
     want = (f"s{0:0{width}d}", f"s{7:0{width}d}", f"s{n - 1}")
     assert isinstance(ds.ids, RowIds) and ds.ids == want
     assert [ds.index_of(sid) for sid in want] == [0, 1, 2]
@@ -634,10 +673,18 @@ def test_write_json_writes_a_row_sum_file_a_piece_at_a_time(tmp_path):
     assert path.read_text() == json.dumps(dict(doc, values=values.tolist()), sort_keys=True) + "\n"
 
 
-def test_save_dataset_streams(big_corpus, tmp_path):
-    # one line at a time: no whole-file string, no list of lines
-    peak = peak_traced_bytes(save_dataset, big_corpus, tmp_path / "ds.jsonl")
-    assert peak < 0.1 * (big_corpus.features.nbytes + big_corpus.labels.nbytes)
+@pytest.mark.parametrize("stream", [False, True], ids=["matrix", "stream"])
+def test_save_dataset_streams(monkeypatch, big_corpus, tmp_path, stream):
+    # one line at a time: no whole-file string, no list of lines. A synthetic
+    # corpus's rows are read from the sample stream, which holds one block
+    # of their features (1024-row draw blocks here): beyond that block 0.03x
+    # the features and labels measured, 0.02x from a matrix
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
+    ds = big_corpus if stream else big_corpus.select(np.arange(len(big_corpus)))
+    n, d = len(ds), ds.feature_dim
+    block = max(stop - start for start, stop in _row_blocks(n)) * d * 8 if stream else 0
+    peak = peak_traced_bytes(save_dataset, ds, tmp_path / "ds.jsonl")
+    assert peak < 0.05 * n * (d + ds.n_dims) * 8 + block
 
 
 def test_load_dataset_holds_little_beyond_the_arrays(big_corpus, tmp_path):

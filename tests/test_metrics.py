@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes, random_head
 
 import dimsift
 import dimsift.data
+import dimsift.metrics
 
 from dimsift import (
     DataError,
@@ -235,6 +238,36 @@ def test_a_streamed_evaluation_equals_evaluate_head_at_every_block_boundary(monk
         one_shot = head.predict_batch(test.features)
         assert got.per_dim_spearman == [spearman(p, y) for p, y in zip(one_shot.T, test.labels.T)]
         assert got.metadata == {"n_samples": m, "dim_names": test.dim_names}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200), n_heads=st.integers(1, 3),
+       ties=st.booleans())
+def test_evaluate_heads_ranks_each_label_column_once(seed, n, n_heads, ties):
+    # per head and dimension, spearman of the head's predictions bit for bit,
+    # with one ranking of each label column for all the heads
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
+    if ties:
+        x, y = np.round(x), np.round(y)
+    heads = [random_head(rng, 3, 4) for _ in range(n_heads)]
+    try:
+        want = [[spearman(p, t) for p, t in zip(h.predict_batch(x).T, y.T)] for h in heads]
+    except DataError:
+        with pytest.raises(DataError, match="constant"):
+            evaluate_heads(heads, [x], y, ["a", "b", "c"])
+        return
+    ranked = []
+
+    def counting(a):
+        ranked.append(len(a))
+        return _average_ranks(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimsift.metrics, "_average_ranks", counting)
+        reports = evaluate_heads(heads, [x], y, ["a", "b", "c"])
+    assert [r.per_dim_spearman for r in reports] == want
+    assert ranked == [n] * 3 * (n_heads + 1)
 
 
 def test_evaluate_heads_refuses_a_head_of_other_dimensions():

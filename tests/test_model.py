@@ -20,8 +20,9 @@ from dimsift import (
     per_dim_loss,
     residuals,
 )
-from dimsift.data import teacher_head
-from dimsift.model import GDObjective, fit_closed_form_arrays, fit_gd_arrays
+import dimsift.data
+from dimsift.data import draw_synthetic, dumps_dataset, loads_dataset, synthetic_rows, teacher_head
+from dimsift.model import GDObjective, _normal_equations, fit_gd_arrays
 
 
 def tiny_corpus(n=120, d=3, k=2, sd=0.05, teacher_seed=3, sample_seed=4):
@@ -201,7 +202,108 @@ def test_closed_form_peak_memory(weighted, bound):
     assert peak < bound * ds.features.nbytes
 
 
+# ------------------------------------------------------- row blocks
+
+# a small block size puts every block boundary in a small test
+_BLOCK = 64
+
+
+def _stream_and_matrix(n_rows, n_samples, seed):
+    """n_rows seeded rows of a synthetic corpus, read from its sample stream and loaded as a matrix."""
+    cfg = SynthConfig(n_samples, 6, 3, label_noise_sd=0.1, teacher_seed=seed, sample_seed=seed + 1)
+    labels, manifest = draw_synthetic(cfg)
+    rows = np.sort(np.random.default_rng(seed).choice(n_samples, n_rows, replace=False))
+    stream = synthetic_rows(cfg, rows, labels[rows], np.zeros((n_rows, 3), bool), manifest)
+    return stream, loads_dataset(dumps_dataset(stream))
+
+
+def _same_systems(got, want):
+    assert len(got) == len(want)
+    for (a, b), (a_want, b_want) in zip(got, want):
+        assert a.tobytes() == a_want.tobytes() and b.tobytes() == b_want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
+    ids=["1", "B-1", "B", "2B-1", "2B", "3B+5"],
+)
+@pytest.mark.parametrize("fit_bias", [True, False], ids=["bias", "no-bias"])
+def test_blocked_normal_equations_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch, m, fit_bias):
+    # the unweighted and weighted systems of m rows, and the system of m rows
+    # dropped from 4B + m, are summed over the same row blocks whether the
+    # features come from the sample stream or from a loaded feature matrix
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    stream, matrix = _stream_and_matrix(m, 5 * m + 20, m)
+    w = np.random.default_rng(m).uniform(0.0, 2.0, size=(m, 3))
+    for weights in (None, w):
+        got = _normal_equations(stream, weights, fit_bias)
+        _same_systems(got, _normal_equations(matrix, weights, fit_bias))
+    big_stream, big_matrix = _stream_and_matrix(4 * _BLOCK + m, 5 * _BLOCK + 5 * m, m + 1)
+    drop = np.sort(np.random.default_rng(m).choice(len(big_stream), m, replace=False))
+    got = _normal_equations(big_stream, None, fit_bias, drop)
+    _same_systems(got, _normal_equations(big_matrix, None, fit_bias, drop))
+    # the dropped rows' system is the system of a dataset of those rows
+    _same_systems(got, _normal_equations(big_matrix.select(drop), None, fit_bias))
+    # so are the heads
+    cfg = TrainConfig(ridge_alpha=1e-6, fit_bias=fit_bias)
+    for a, b, args in ((stream, matrix, (None, cfg)), (stream, matrix, (w, cfg)),
+                       (big_stream, big_matrix, (None, cfg, drop))):
+        assert fit_closed_form(a, *args).to_dict() == fit_closed_form(b, *args).to_dict()
+
+
+@pytest.mark.parametrize("m", [_BLOCK, 2 * _BLOCK - 1], ids=["B", "2B-1"])
+def test_one_block_gives_the_one_shot_normal_equations_bit_for_bit(monkeypatch, m):
+    # blocks of B to 2B - 1 rows: a dataset of one block sums nothing
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    _, ds = _stream_and_matrix(m, 3 * m, m)
+    x, y = ds.features, ds.labels
+    w = np.random.default_rng(m).uniform(0.0, 2.0, size=(m, 3))
+    [(a, b)] = _normal_equations(ds, None, False)
+    assert a.tobytes() == (x.T @ x).tobytes() and b.tobytes() == (x.T @ y).tobytes()
+    for j, (a, b) in enumerate(_normal_equations(ds, w, False)):
+        xw = x * w[:, j][:, None]
+        assert a.tobytes() == (x.T @ xw).tobytes() and b.tobytes() == (xw.T @ y[:, j : j + 1]).tobytes()
+
+
+def test_fits_of_one_dataset_share_its_unweighted_normal_equations(monkeypatch):
+    # a run's probe fit and its pruned refit read all rows' features once
+    stream, matrix = _stream_and_matrix(200, 400, 3)
+    reads, blocks = [], Dataset.feature_blocks
+
+    def counting(self, rows=None):
+        reads.append("all" if rows is None else len(rows))
+        return blocks(self, rows)
+
+    monkeypatch.setattr(Dataset, "feature_blocks", counting)
+    drop = np.array([3, 50, 199])
+    fits = [(None, TrainConfig()), (drop, TrainConfig()), (None, TrainConfig(fit_bias=False)),
+            (drop, TrainConfig(fit_bias=False))]
+    heads = [fit_closed_form(stream, None, cfg, rows) for rows, cfg in fits]
+    assert reads == ["all", 3, "all", 3]
+    # each the fit of a dataset fitted once
+    for head, (rows, cfg) in zip(heads, fits):
+        fresh = loads_dataset(dumps_dataset(matrix))
+        assert head.to_dict() == fit_closed_form(fresh, None, cfg, rows).to_dict()
+
+
+def test_residuals_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    stream, matrix = _stream_and_matrix(3 * _BLOCK + 5, 400, 0)
+    head = random_head(np.random.default_rng(0), 3, 6)
+    got = residuals(head, stream)
+    assert got.tobytes() == residuals(head, matrix).tobytes()
+    assert got.tobytes() == (head.predict_batch(matrix.features) - matrix.labels).tobytes()
+    assert per_dim_loss(head, stream).tobytes() == (0.5 * got * got).tobytes()
+
+
 # ------------------------------------------------------- dropped rows
+
+def fit_arrays(x, y, weights=None, config=None, drop=None):
+    """fit_closed_form of a Dataset holding features x and labels y."""
+    ds = Dataset([f"s{i}" for i in range(len(x))], x, y, [f"d{j}" for j in range(y.shape[1])])
+    return fit_closed_form(ds, weights, config, drop)
+
 
 def _beta(head):
     return np.vstack([head.weights.T, head.biases])
@@ -232,8 +334,8 @@ def test_dropped_rows_fit_is_the_kept_rows_fit(fit_bias, alpha, seed, d, k, spar
     keep = np.ones(n, dtype=bool)
     keep[drop] = False
     cfg = TrainConfig(ridge_alpha=alpha, fit_bias=fit_bias)
-    got = fit_closed_form_arrays(x, y, None, cfg, drop)
-    want = fit_closed_form_arrays(x[keep], y[keep], None, cfg)
+    got = fit_arrays(x, y, None, cfg, drop)
+    want = fit_arrays(x[keep], y[keep], None, cfg)
     assert _normwise(got, want) <= 1e-12
     assert got.fit_info == want.fit_info
 
@@ -243,8 +345,8 @@ def test_an_empty_drop_is_the_undropped_fit_bit_for_bit(fit_bias):
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(500, 16)), rng.normal(size=(500, 5))
     cfg = TrainConfig(ridge_alpha=1e-6, fit_bias=fit_bias)
-    got = fit_closed_form_arrays(x, y, None, cfg, np.array([], dtype=np.intp))
-    want = fit_closed_form_arrays(x, y, None, cfg)
+    got = fit_arrays(x, y, None, cfg, np.array([], dtype=np.intp))
+    want = fit_arrays(x, y, None, cfg)
     assert np.array_equal(got.weights, want.weights) and np.array_equal(got.biases, want.biases)
 
 
@@ -260,8 +362,8 @@ def test_dominant_dropped_rows_still_agree_to_1e_9(seed):
     keep = np.ones(2000, dtype=bool)
     keep[drop] = False
     cfg = TrainConfig(ridge_alpha=1e-6)
-    got = fit_closed_form_arrays(x, y, None, cfg, drop)
-    assert _normwise(got, fit_closed_form_arrays(x[keep], y[keep], None, cfg)) <= 1e-9
+    got = fit_arrays(x, y, None, cfg, drop)
+    assert _normwise(got, fit_arrays(x[keep], y[keep], None, cfg)) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,14 +381,14 @@ def test_a_drop_leaving_fewer_rows_than_unknowns_raises_at_alpha_zero(seed, d, n
     left = min(left, d + fit_bias - 1)
     drop = np.sort(rng.choice(n, size=n - left, replace=False))
     with pytest.raises(NumericalError, match="all dimensions"):
-        fit_closed_form_arrays(x, y, None, TrainConfig(ridge_alpha=0.0, fit_bias=fit_bias), drop)
+        fit_arrays(x, y, None, TrainConfig(ridge_alpha=0.0, fit_bias=fit_bias), drop)
 
 
 def test_dropped_rows_and_sample_weights_do_not_combine():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
     with pytest.raises(ValueError, match="sample weights"):
-        fit_closed_form_arrays(x, y, np.ones((20, 2)), None, np.array([0, 1]))
+        fit_arrays(x, y, np.ones((20, 2)), None, np.array([0, 1]))
 
 
 # -------------------------------------------------------- gradient descent

@@ -353,9 +353,9 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
     fitted, gd_fitted = [], []
     fit, fit_gd = dimsift.pipeline._fit, dimsift.pipeline.fit_gd_arrays
 
-    def recording_fit(x, y, weights, cfg, drop=None):
-        fitted.append((x, y, drop))
-        return fit(x, y, weights, cfg, drop)
+    def recording_fit(ds, weights, cfg, drop=None):
+        fitted.append((ds, drop))
+        return fit(ds, weights, cfg, drop)
 
     def recording_fit_gd(x, y, *args):
         gd_fitted.append((x, y))
@@ -386,11 +386,10 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
     assert np.array_equal(seen["labels"], test_clean.labels)
     probe, final = seen["heads"]
     assert probe is arts.probe and final is arts.final
-    (probe_x, probe_y, probe_drop), (final_x, final_y, drop) = fitted
-    # the probe and the refit both get the full training rows themselves; the
-    # refit drops the rows of removed_ids, in corpus order, and no others
-    for x, y in ((probe_x, probe_y), (final_x, final_y)):
-        assert x is arts.train.features and y is arts.train.labels
+    (probe_ds, probe_drop), (final_ds, drop) = fitted
+    # the probe and the refit both get the training split itself; the refit
+    # drops the rows of removed_ids, in corpus order, and no others
+    assert probe_ds is arts.train and final_ds is arts.train
     assert probe_drop is None
     assert drop.tolist() == [arts.train.index_of(sid) for sid in arts.prune.removed_ids]
     assert np.all(np.diff(drop) > 0)
@@ -414,13 +413,13 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
 
 
 @pytest.mark.parametrize("out", [None, "run"], ids=["in-memory", "to-dir"])
-def test_a_run_builds_no_full_corpus_dataset(monkeypatch, tmp_path, out):
-    sizes = []
+def test_a_run_builds_no_dataset_of_features(monkeypatch, tmp_path, out):
+    built = []
     init = Dataset.__init__
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        sizes.append(len(self))
+    def recording_init(self, ids, features, *args, **kwargs):
+        init(self, ids, features, *args, **kwargs)
+        built.append((len(self), features))
 
     def refuse(*args):
         raise AssertionError("the run built the whole corpus")
@@ -430,10 +429,13 @@ def test_a_run_builds_no_full_corpus_dataset(monkeypatch, tmp_path, out):
     seen = _recording_evaluation(monkeypatch)
     cfg = small_config()
     arts = run_pipeline(cfg, None if out is None else tmp_path / out)
-    # the one Dataset is the training split's; the test rows reach the
-    # evaluator as arrays of their own rows
-    assert sizes == [len(arts.train)]
+    # the training split's Dataset, and with an output directory those the
+    # corpus and the test rows are written from: each reads its features
+    # from the sample stream. The test rows reach the evaluator as arrays of
+    # their own rows
     n_test = arts.report.dataset_summary["n_test"]
+    sizes = [len(arts.train)] if out is None else [cfg.synth.n_samples, len(arts.train), n_test]
+    assert built == [(size, cfg.synth) for size in sizes]
     assert len(seen["features"]) == len(seen["labels"]) == n_test < cfg.synth.n_samples
 
 
@@ -459,42 +461,55 @@ def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp
         run_pipeline(cfg, tmp_path)
     finally:
         tracemalloc.stop()
-    # the largest live allocation every 2000 lines of corpus.jsonl: the
-    # training features, 0.6x an N x d matrix; writing from a Dataset of
-    # the corpus held all N x d features at once
+    # the largest live allocation every 2000 lines of corpus.jsonl: one
+    # block of the sample stream's features (11808 rows, 0.59x an N x d
+    # matrix). Holding the training features measured 0.6x, and writing
+    # from a Dataset of the corpus's features held all N x d at once
+    block = max(stop - start for start, stop in dimsift.data._row_blocks(n)) * d * 8
     assert len(largest) == 11
-    assert max(largest) < n * d * 8
+    assert max(largest) <= block < n * d * 8
 
 
-def test_an_in_memory_run_holds_no_test_feature_matrix(monkeypatch):
-    # 1024-row draw blocks: the test features are read in blocks of at most
-    # 2047 rows, fewer than the run's 4000 test rows
+def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
+    # 1024-row draw blocks: every split is read in blocks of at most 2047
+    # rows, fewer than the run's 4000 test rows and 12000 training rows
     monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
     n, d = cfg.synth.n_samples, cfg.synth.feature_dim
     n_test = floor_count(cfg.split_fractions[2], n)
-    sample, large = dimsift.pipeline.sample_features, []
+    n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
+    large = []
 
-    def allocations_of_a_test_matrix_or_more():
-        return sorted(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n_test * d * 8)
+    def allocations_of_a_training_matrix_or_more():
+        return sorted(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n_train * d * 8)
 
-    def watched_sample(synth, rows):
-        for block in sample(synth, rows):
-            large.append(allocations_of_a_test_matrix_or_more())
-            yield block
+    def watching(sample):
+        def watched_sample(synth, rows):
+            for block in sample(synth, rows):
+                large.append(allocations_of_a_training_matrix_or_more())
+                yield block
 
-    monkeypatch.setattr(dimsift.pipeline, "sample_features", watched_sample)
+        return watched_sample
+
+    # the training rows are read through the Dataset, the test rows by the run
+    monkeypatch.setattr(dimsift.data, "sample_features", watching(dimsift.data.sample_features))
+    monkeypatch.setattr(dimsift.pipeline, "sample_features", watching(dimsift.pipeline.sample_features))
     tracemalloc.start()
     try:
         arts = run_pipeline(cfg)
-        large.append(allocations_of_a_test_matrix_or_more())
+        large.append(allocations_of_a_training_matrix_or_more())
     finally:
         tracemalloc.stop()
-    # at each test block and once the run returns, the one allocation that
-    # large is the training features
-    assert len(large) == 3 + 1
-    assert large == [[arts.train.features.nbytes]] * len(large)
+    # the stream is read by the probe fit, by the scores with the global
+    # scores, by the refit for its dropped rows (it shares the probe's
+    # normal equations of all rows) and for the test rows: at each of their
+    # blocks and once the run returns, nothing that large is allocated. A
+    # matrix of the training features was, throughout
+    n_drop = len(arts.prune.removed_ids)
+    blocks = [len(list(dimsift.data._row_blocks(m))) for m in (n_train, n_train, n_drop, n_test)]
+    assert len(large) == sum(blocks) + 1
+    assert large == [[]] * len(large)
 
 
 class _AtProbeFit(Exception):
@@ -504,7 +519,7 @@ class _AtProbeFit(Exception):
 def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monkeypatch):
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
-    n, d, k = cfg.synth.n_samples, cfg.synth.feature_dim, cfg.synth.n_dims
+    n, k = cfg.synth.n_samples, cfg.synth.n_dims
 
     def stop(ds, *args):
         raise _AtProbeFit
@@ -517,12 +532,13 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
     peak = peak_traced_bytes(run_to_the_probe_fit)
     n_test = floor_count(cfg.split_fractions[2], n)
     n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
-    # the training rows' features, labels and mask, and the test rows' labels
-    rows = n_train * ((d + k) * 8 + k) + n_test * k * 8
-    # those rows, two N x K label matrices, and ids beside them: 1.47x
-    # measured (5.64 MB); drawing the test rows' features too took 6.16 MB,
-    # and building the whole corpus first about 10.4 MB
-    assert peak < 1.55 * (rows + 2 * n * k * 8)
+    # the training rows' labels and mask, and the test rows' labels
+    rows = n_train * (k * 8 + k) + n_test * k * 8
+    # those rows, two N x K label matrices, one draw block and ids beside
+    # them: 1.34x measured (3.08 MB). Holding the training rows' features
+    # took 5.64 MB, drawing the test rows' features too 6.16 MB, and
+    # building the whole corpus first about 10.4 MB
+    assert peak < 1.45 * (rows + 2 * n * k * 8)
 
 
 def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
@@ -536,10 +552,10 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
         tracemalloc.start()  # from here on: what the selection and the refit allocate
         return select(scores, rho)
 
-    def measuring_fit(x, y, weights, cfg, drop=None):
-        head = fit(x, y, weights, cfg, drop)
+    def measuring_fit(ds, weights, cfg, drop=None):
+        head = fit(ds, weights, cfg, drop)
         if tracemalloc.is_tracing():
-            measured.append((tracemalloc.get_traced_memory()[1], len(x) - len(drop)))
+            measured.append((tracemalloc.get_traced_memory()[1], len(ds) - len(drop)))
             tracemalloc.stop()
         return head
 
@@ -551,10 +567,13 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
         if tracemalloc.is_tracing():
             tracemalloc.stop()
     [(peak, n_kept)] = measured
-    # the selection and the dropped rows' normal equations: 0.11x the kept
-    # rows' features and labels measured; copying those rows measured 1.11x,
-    # and a Dataset of the kept rows (ids, id set, mask and checks) 1.57x
-    assert peak < 0.2 * n_kept * (d + k) * 8
+    # beyond the one chunk of the sample stream that reading the dropped
+    # rows' features holds: the selection, those features and their normal
+    # equations, 0.14x the kept rows' features and labels measured. Copying
+    # the kept rows measured 1.11x, and a Dataset of them (ids, id set, mask
+    # and checks) 1.57x
+    chunk = dimsift.data.DRAW_BLOCK_ROWS // 8 * d * 8
+    assert peak < 0.2 * n_kept * (d + k) * 8 + chunk
 
 
 def test_a_run_holds_its_ids_as_row_numbers(monkeypatch):

@@ -65,6 +65,35 @@ def test_top_sets_match_a_sorted_reference(values, rho, one_dim):
         assert got[j].tolist() == ref
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.tuples(st.integers(1, 300), st.integers(1, 3)).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64,
+            shape,
+            # ties, signed zeros, infinities and NaN, which argsort puts last
+            elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0, np.inf, -np.inf, np.nan])
+            | st.floats(-1e3, 1e3),
+        )
+    ),
+    constant=st.sampled_from([0.0, 7.5, np.nan]),
+    rho=st.sampled_from([0.0, 1.0, 0.01]) | st.floats(0.0, 1.0),
+    one_dim=st.booleans(),
+)
+def test_top_sets_are_the_stable_argsort_prefix(values, constant, rho, one_dim):
+    # the partition route selects exactly argsort(-col, kind="stable")[:m],
+    # next to an all-equal column, for a 1-D vector too
+    values = np.hstack([values, np.full((len(values), 1), constant)])
+    if one_dim:
+        values = values[:, 0]
+    cols = values.reshape(values.shape[0], -1)
+    m = ceil_count(rho, cols.shape[0])
+    got = top_sets(values, rho)
+    assert got.shape == (cols.shape[1], m) and not got.flags.writeable
+    for j, col in enumerate(cols.T):
+        assert got[j].tolist() == np.argsort(-col, kind="stable")[:m].tolist()
+
+
 def test_prune_zero_rho_keeps_everything():
     table = make_table(np.random.default_rng(0).uniform(size=(20, 3)))
     result = ddp_select(table, 0.0)

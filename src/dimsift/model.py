@@ -269,13 +269,18 @@ def _unweighted_system(ds: Dataset, fit_bias: bool):
     return ds.cached(("unweighted normal equations", fit_bias), form)
 
 
+def _regularized(a: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """A + alpha D; D is the identity with the bias slot zeroed."""
+    reg = np.eye(a.shape[0])
+    if cfg.fit_bias:
+        reg[-1, -1] = 0.0
+    return a + cfg.ridge_alpha * reg
+
+
 def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str, tol=None) -> np.ndarray:
     """Ridge solve of (A + alpha D) beta = B; D is the identity with the bias slot zeroed."""
     p = a.shape[0]
-    reg = np.eye(p)
-    if cfg.fit_bias:
-        reg[-1, -1] = 0.0
-    a = a + cfg.ridge_alpha * reg
+    a = _regularized(a, cfg)
     if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a, tol) < p:
         raise NumericalError(
             f"normal equations for {what} are rank deficient at alpha=0; "
@@ -285,6 +290,29 @@ def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str, tol=None) 
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"normal equations for {what} are singular: {e}") from None
+
+
+# a downdated fit estimated to be off by more than this (normwise relative, ~450 eps)
+# is refitted from the kept rows
+DOWNDATE_RTOL = 1e-13
+
+
+def _downdate_error(a_all, a, y, beta, cfg: TrainConfig) -> float:
+    """Estimated normwise error of beta, solved from all rows' system less the dropped rows'.
+
+    a_all is all rows' A, a the difference, y all rows' labels. Each entry of
+    both systems is a sum over at most all rows, so it rounds by about eps
+    times its Cauchy-Schwarz bound: s_i s_j for A and s_i |y_k| for B, with
+    s = sqrt(diag a_all). The difference keeps that rounding, which, to
+    first order, moves beta by eps (A + alpha D)^-1 (s |y_k| + s s'|beta_k|)
+    for dimension k; bounded entry by entry, that is eps |(A + alpha D)^-1| s v'
+    with v_k = |y_k| + s'|beta_k|. Column scaling of the features leaves the
+    estimate unchanged.
+    """
+    s = np.sqrt(np.diag(a_all))
+    v = np.sqrt(np.einsum("ij,ij->j", y, y)) + s @ np.abs(beta)
+    u = np.abs(np.linalg.inv(_regularized(a, cfg))) @ s
+    return np.finfo(np.float64).eps * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def fit_closed_form(
@@ -299,10 +327,15 @@ def fit_closed_form(
     drop, ascending row indices and no sample weights, leaves those rows out
     without copying the others: their normal equations are subtracted from
     those of all rows, and an empty drop is the undropped fit bit for bit.
-    The difference keeps the full Gram's rounding, so dominant dropped rows
-    cost digits: 20 of 2000 x 16 gaussian rows, features and labels scaled by
-    1, 1e3 and 1e4, agreed with a fit of the kept rows to ~1e-15, 1.2e-10 and
-    1.9e-8 normwise relative.
+    The difference keeps the full Gram's rounding, which costs digits when
+    the dropped rows dominate (20 of 2000 x 16 gaussian rows, features and
+    labels scaled by 1e3, agreed with a fit of the kept rows to 1.2e-10
+    normwise relative) or when the kept rows' solution is small next to the
+    data (a 1e-6 coefficient agreed to 2.7e-12). Where _downdate_error
+    estimates more than DOWNDATE_RTOL, the kept rows' normal equations are
+    formed from their features instead, which gives the kept rows' fit bit
+    for bit; a run's pruned refit estimates ~5e-15 and reads only the dropped
+    rows.
 
     Minimizes sum_i w_ik * 0.5 * (w_k . h_i + b_k - y_ik)^2 + 0.5 * alpha * |w_k|^2
     over augmented inputs [h; 1]; the bias coordinate is not penalized. The
@@ -328,14 +361,20 @@ def fit_closed_form(
         raise ValueError("dropped rows and sample weights cannot be combined")
     w = None if weights is None else _resolve_weights(weights, n, k)
     if w is None or np.all(w == 1.0):
-        a, b = _unweighted_system(ds, cfg.fit_bias)
-        tol = None
-        if drop is not None:
+        a_all, b = _unweighted_system(ds, cfg.fit_bias)
+        if drop is None:
+            beta = _solve(a_all, b, cfg, "all dimensions")
+        else:
             # the difference keeps the full Gram's rounding, up to n eps |A|: the rank check allows for it
-            tol = np.linalg.norm(a, 2) * n * np.finfo(np.float64).eps
+            tol = np.linalg.norm(a_all, 2) * n * np.finfo(np.float64).eps
             [(a_drop, b_drop)] = _normal_equations(ds, None, cfg.fit_bias, drop)
-            a, b = a - a_drop, b - b_drop
-        beta = _solve(a, b, cfg, "all dimensions", tol)
+            a = a_all - a_drop
+            beta = _solve(a, b - b_drop, cfg, "all dimensions", tol)
+            err = _downdate_error(a_all, a, ds.labels, beta, cfg)
+            if err > DOWNDATE_RTOL * np.linalg.norm(beta):
+                keep = np.setdiff1d(np.arange(n), drop, assume_unique=True)
+                [(a, b)] = _normal_equations(ds, None, cfg.fit_bias, keep)
+                beta = _solve(a, b, cfg, "all dimensions")
     else:
         systems = _normal_equations(ds, w, cfg.fit_bias)
         beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in enumerate(systems)])

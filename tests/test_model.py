@@ -353,7 +353,8 @@ def test_an_empty_drop_is_the_undropped_fit_bit_for_bit(fit_bias):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dominant_dropped_rows_still_agree_to_1e_9(seed):
     # the downdate keeps the full Gram's rounding: 20 dropped rows whose
-    # features and labels are 1e3 times the others' measured ~1.5e-10
+    # features and labels are 1e3 times the others' measured ~1.5e-10, more
+    # than DOWNDATE_RTOL, so the fit is formed from the kept rows
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2000, 16)), rng.normal(size=(2000, 5))
     drop = np.sort(rng.choice(2000, size=20, replace=False))
@@ -364,6 +365,30 @@ def test_dominant_dropped_rows_still_agree_to_1e_9(seed):
     cfg = TrainConfig(ridge_alpha=1e-6)
     got = fit_arrays(x, y, None, cfg, drop)
     assert _normwise(got, fit_arrays(x[keep], y[keep], None, cfg)) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 10.0])
+def test_a_downdate_that_cancels_is_refitted_from_the_kept_rows(monkeypatch, alpha):
+    # the kept rows' x'y is 1e-4 of all rows' and of the dropped rows', so the
+    # subtraction left a 4e-6 coefficient 2.7e-12 normwise off the kept rows'
+    # fit; the estimate (2e-10) sends the fit to the kept rows' features
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(109, 1)) * rng.uniform(0.1, 10.0, size=1)
+    y = rng.normal(size=(109, 1)) * 5.0
+    drop = np.sort(rng.choice(109, size=39, replace=False))
+    keep = np.setdiff1d(np.arange(109), drop)
+    cfg = TrainConfig(ridge_alpha=alpha, fit_bias=False)
+    ds = Dataset([f"s{i}" for i in range(109)], x, y, ["d0"])
+    reads, blocks = [], Dataset.feature_blocks
+
+    def counting(self, rows=None):
+        reads.append("all" if rows is None else len(rows))
+        return blocks(self, rows)
+
+    monkeypatch.setattr(Dataset, "feature_blocks", counting)
+    got = fit_closed_form(ds, None, cfg, drop)
+    assert reads == ["all", 39, 70]
+    assert got.to_dict() == fit_arrays(x[keep], y[keep], None, cfg).to_dict()
 
 
 @settings(max_examples=100, deadline=None)

@@ -51,9 +51,9 @@ from .pipeline import (
     run_pipeline,
 )
 from .refine import (
-    DEFAULT_EPSILON,
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
+    SCALAR_SCORE_TYPE,
     PruneResult,
     WeightMatrix,
     ddp_select,
@@ -130,7 +130,6 @@ def _build_parser() -> _Parser:
     f.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     f.add_argument("--hidden-dim", type=int, help="shared layer width (gradient descent)")
     f.add_argument("--seed", type=int, default=TrainConfig.seed)
-    f.add_argument("--no-bias", action="store_true", help="drop the intercept (closed form)")
     f.add_argument("--out", required=True)
 
     sc = sub.add_parser("score", help="influence scores for every training sample")
@@ -159,7 +158,6 @@ def _build_parser() -> _Parser:
     rw = sub.add_parser("reweight", help="smooth per-cell weights from self-influence")
     rw.add_argument("--scores", required=True)
     rw.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
-    rw.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     rw.add_argument("--out", required=True)
     rw.add_argument("--csv", default=None)
 
@@ -175,8 +173,6 @@ def _build_parser() -> _Parser:
 
     rp = sub.add_parser("report", help="render a run directory into human-readable form")
     rp.add_argument("--dir", required=True, help="run directory (from `run`, or stage outputs)")
-    rp.add_argument("--rho", type=float, default=None,
-                    help="overlap/masking rho when assembling from stage files")
 
     rn = sub.add_parser("run", help="full pipeline from one config")
     rn.add_argument("--config", default=None, help="JSON config file; omit for built-in defaults")
@@ -275,9 +271,8 @@ def _cmd_fit(args) -> int:
         strategy=args.strategy,
         seed=args.seed,
         hidden_dim=args.hidden_dim,
-        fit_bias=not args.no_bias,
     )
-    check_gd_settings(cfg, {"ridge_alpha": "--alpha", "fit_bias": "--no-bias"})
+    check_gd_settings(cfg, "--alpha")
     head = _fit(ds, weights, cfg)
     head.save(args.out)
     method = head.fit_info["method"].replace("_", "-")
@@ -297,7 +292,7 @@ def _cmd_score(args) -> int:
         table = self_influence_explicit(head, ds, cfg)
     elif args.method == "global":
         values = global_tracin_self(head, ds, cfg)
-        write_json(args.out, {"type": "global_tracin", "ids": ds.ids, "scores": values})
+        write_json(args.out, {"type": SCALAR_SCORE_TYPE, "ids": ds.ids, "scores": values})
         print(f"wrote scalar self-influence for {len(ds)} samples to {args.out}")
         return 0
     else:  # row_sum
@@ -342,7 +337,7 @@ def _cmd_prune(args) -> int:
 
 def _cmd_reweight(args) -> int:
     table = SelfInfluenceTable.load(args.scores)
-    wm = ddr_weights(table, args.temperature, args.epsilon)
+    wm = ddr_weights(table, args.temperature)
     wm.save(args.out)
     if args.csv:
         wm.to_csv(args.csv, table.dim_names)
@@ -391,8 +386,6 @@ def _cmd_report(args) -> int:
     run_dir = Path(args.dir)
     report_path = run_dir / "report.json"
     if report_path.exists():
-        if args.rho is not None:
-            raise UsageError(f"--rho: {report_path} already fixes the run's rho")
         report = ExperimentReport.load(report_path)
         text = report.render_text()
         (run_dir / "report.txt").write_text(text)
@@ -403,12 +396,8 @@ def _cmd_report(args) -> int:
     if not scores_path.exists():
         raise DataError(f"nothing to report: no report.json or scores.jsonl under {run_dir}")
     table = SelfInfluenceTable.load(scores_path)
-    rho = args.rho
     prune_path = run_dir / "prune.json"
-    if rho is None and prune_path.exists():
-        rho = PruneResult.load(prune_path).rho
-    if rho is None:
-        rho = DEFAULT_RHO
+    rho = PruneResult.load(prune_path).rho if prune_path.exists() else DEFAULT_RHO
     curve = overlap_curve(table, rho)
     curve.to_csv(run_dir / "overlap.csv")
     lines = [f"score table: {table.n_samples} samples x {table.n_dims} dimensions"]

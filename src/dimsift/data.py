@@ -201,8 +201,9 @@ class Dataset:
     """Immutable ordered sample collection with matrix views.
 
     Invariants checked on construction: consistent feature and label
-    dimensions, finite values, unique ids. The backing arrays are read-only;
-    refinement operations return new datasets instead of mutating.
+    dimensions, finite values, unique ids and unique dimension names. The
+    backing arrays are read-only; refinement operations return new datasets
+    instead of mutating.
 
     features is the (N, d) matrix, or the SynthConfig of a synthetic corpus
     whose rows ids.rows names (a RowIds of ascending rows): such a dataset
@@ -242,6 +243,9 @@ class Dataset:
                 f"label width {self._labels.shape[1]} does not match "
                 f"{len(self.dim_names)} dimension names"
             )
+        dup = first_duplicate(self.dim_names)
+        if dup is not None:
+            raise DataError(f"repeated dimension name {self.dim_names[dup]!r}")
         # no N-sized bool array: NaN propagates through min and max, and an
         # infinity is one of them; the sample stream's features are finite
         checked = [(self._labels, "label")]

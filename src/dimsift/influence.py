@@ -39,6 +39,7 @@ from .data import (
     Sample,
     check_unique,
     extend_numbers,
+    first_duplicate,
     long_csv_lines,
     read_file,
     table_lines,
@@ -97,6 +98,9 @@ class SelfInfluenceTable:
             raise ValueError(f"{len(self.sample_ids)} ids for {n} score rows")
         if len(self.dim_names) != k:
             raise ValueError(f"{len(self.dim_names)} dim names for {k} score columns")
+        dup = first_duplicate(self.dim_names)
+        if dup is not None:
+            raise ValueError(f"repeated dimension name {self.dim_names[dup]!r}")
         lo, hi = self.scores.min(initial=0.0), self.scores.max(initial=0.0)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("scores must be finite")

@@ -155,10 +155,9 @@ class TrainConfig:
 
     lambdas are fixed positive per-dimension loss weights (None means all
     ones). ridge_alpha only affects the closed form. hidden_dim, when set,
-    adds a shared affine layer and forces the gradient path. fit_bias=False
-    drops the intercept from the closed form (useful for hand-checked cases).
-    The gradient path ignores both, so `run` and `fit` refuse them there
-    (pipeline.check_gd_settings).
+    adds a shared affine layer and forces the gradient path. Every head fits
+    its bias. The gradient path has no ridge term, so `run` and `fit` refuse
+    a ridge_alpha other than the default there (pipeline.check_gd_settings).
     """
 
     lambdas: Optional[tuple[float, ...]] = None
@@ -168,7 +167,6 @@ class TrainConfig:
     strategy: str = "equal"
     seed: int = 0
     hidden_dim: Optional[int] = None
-    fit_bias: bool = True
 
     def __post_init__(self):
         # written so that NaN fails: every comparison with it is False
@@ -205,7 +203,7 @@ def _resolve_weights(weights, n: int, k: int) -> np.ndarray:
     return w
 
 
-def _normal_equations(ds: Dataset, w: Optional[np.ndarray], fit_bias: bool, rows=None) -> list:
+def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
     """Normal equations of [x 1] against the labels y of ds, summed over its feature blocks.
 
     rows, ascending positions, restricts them to those rows (every row if
@@ -227,11 +225,9 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], fit_bias: bool, rows
             ys = y[start:stop] if j is None else y[start:stop, j : j + 1]
             ws = None if j is None else w[start:stop, j]
             xw = x if ws is None else x * ws[:, None]
-            t = [x.T @ xw, xw.T @ ys]
-            if fit_bias:
-                total = float(len(x)) if ws is None else ws.sum()
-                t += [xw.sum(axis=0), total, ys.sum(axis=0) if ws is None else ws @ ys]
-            out.append(t)
+            total = float(len(x)) if ws is None else ws.sum()
+            out.append([x.T @ xw, xw.T @ ys, xw.sum(axis=0), total,
+                        ys.sum(axis=0) if ws is None else ws @ ys])
             del xw  # released before the next dimension's
         return out
 
@@ -244,36 +240,33 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], fit_bias: bool, rows
     if sums is None:
         sums = terms(np.empty((0, ds.feature_dim)), 0, 0)
     systems = []
-    for a, b, *bias in sums:
-        if bias:
-            col, total, ysum = bias
-            a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
-            b = np.vstack([b, ysum[None, :]])
+    for a, b, col, total, ysum in sums:
+        a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
+        b = np.vstack([b, ysum[None, :]])
         systems.append((a, b))
     return systems
 
 
-def _unweighted_system(ds: Dataset, fit_bias: bool):
-    """_normal_equations(ds, None, fit_bias), read-only, formed once per dataset (Dataset.cached).
+def _unweighted_system(ds: Dataset):
+    """_normal_equations(ds, None), read-only, formed once per dataset (Dataset.cached).
 
     A run's probe fit and its pruned refit share them, so the refit reads
     only the dropped rows' features.
     """
 
     def form():
-        [(a, b)] = _normal_equations(ds, None, fit_bias)
+        [(a, b)] = _normal_equations(ds, None)
         a.setflags(write=False)
         b.setflags(write=False)
         return a, b
 
-    return ds.cached(("unweighted normal equations", fit_bias), form)
+    return ds.cached("unweighted normal equations", form)
 
 
 def _regularized(a: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """A + alpha D; D is the identity with the bias slot zeroed."""
     reg = np.eye(a.shape[0])
-    if cfg.fit_bias:
-        reg[-1, -1] = 0.0
+    reg[-1, -1] = 0.0
     return a + cfg.ridge_alpha * reg
 
 
@@ -361,32 +354,25 @@ def fit_closed_form(
         raise ValueError("dropped rows and sample weights cannot be combined")
     w = None if weights is None else _resolve_weights(weights, n, k)
     if w is None or np.all(w == 1.0):
-        a_all, b = _unweighted_system(ds, cfg.fit_bias)
+        a_all, b = _unweighted_system(ds)
         if drop is None:
             beta = _solve(a_all, b, cfg, "all dimensions")
         else:
             # the difference keeps the full Gram's rounding, up to n eps |A|: the rank check allows for it
             tol = np.linalg.norm(a_all, 2) * n * np.finfo(np.float64).eps
-            [(a_drop, b_drop)] = _normal_equations(ds, None, cfg.fit_bias, drop)
+            [(a_drop, b_drop)] = _normal_equations(ds, None, drop)
             a = a_all - a_drop
             beta = _solve(a, b - b_drop, cfg, "all dimensions", tol)
             err = _downdate_error(a_all, a, ds.labels, beta, cfg)
             if err > DOWNDATE_RTOL * np.linalg.norm(beta):
                 keep = np.setdiff1d(np.arange(n), drop, assume_unique=True)
-                [(a, b)] = _normal_equations(ds, None, cfg.fit_bias, keep)
+                [(a, b)] = _normal_equations(ds, None, keep)
                 beta = _solve(a, b, cfg, "all dimensions")
     else:
-        systems = _normal_equations(ds, w, cfg.fit_bias)
+        systems = _normal_equations(ds, w)
         beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in enumerate(systems)])
-    head_w = beta[:d].T
-    head_b = beta[d] if cfg.fit_bias else np.zeros(k)
-    info = {
-        "method": "closed_form",
-        "ridge_alpha": cfg.ridge_alpha,
-        "weighted": weights is not None,
-        "fit_bias": cfg.fit_bias,
-    }
-    return RegressionHead(weights=head_w, biases=head_b, fit_info=info)
+    info = {"method": "closed_form", "ridge_alpha": cfg.ridge_alpha, "weighted": weights is not None}
+    return RegressionHead(weights=beta[:d].T, biases=beta[d], fit_info=info)
 
 
 class GDObjective:

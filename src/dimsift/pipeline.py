@@ -57,7 +57,6 @@ from .model import (
     per_dim_loss,
 )
 from .refine import (
-    DEFAULT_EPSILON,
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
     PruneResult,
@@ -79,7 +78,6 @@ class RefineSpec:
     strategy: str = "none"
     rho: float = DEFAULT_RHO
     temperature: float = DEFAULT_TEMPERATURE
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.strategy not in REFINE_STRATEGIES:
@@ -90,8 +88,6 @@ class RefineSpec:
             raise UsageError(f"rho must be in [0, 1], got {self.rho}")
         if not self.temperature > 0.0:
             raise UsageError(f"temperature must be positive, got {self.temperature}")
-        if not self.epsilon > 0.0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
 
 
 # config.json keeps the two split fields of PipelineConfig in one "split" section
@@ -112,9 +108,8 @@ def _jsonable(value):
 def _read_value(value, tp, key: str):
     """A JSON value as the annotated type tp; a UsageError naming key if it is not one.
 
-    Handles the annotations config fields use: int, float, str, bool (a JSON
-    boolean only), enums, fixed and variable length tuples, and unions such
-    as X | None.
+    Handles the annotations config fields use: int, float, str, enums,
+    fixed and variable length tuples, and unions such as X | None.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -434,19 +429,16 @@ def _uses_gd(cfg: TrainConfig) -> bool:
     return cfg.hidden_dim is not None or cfg.strategy != "equal"
 
 
-def check_gd_settings(cfg: TrainConfig, names: dict[str, str]) -> None:
-    """A UsageError if cfg picks gradient descent but changes a closed-form-only setting.
+def check_gd_settings(cfg: TrainConfig, name: str) -> None:
+    """A UsageError if cfg picks gradient descent but changes ridge_alpha from its default.
 
-    Gradient descent has no ridge term and always fits biases, so a
-    ridge_alpha or fit_bias other than its default would be ignored. names
-    maps each of the two fields to the name the caller knows it by.
+    Gradient descent has no ridge term, so the setting would be ignored.
+    name is the one the caller knows ridge_alpha by.
     """
-    default = TrainConfig()
-    changed = [names[f] for f in ("ridge_alpha", "fit_bias") if getattr(cfg, f) != getattr(default, f)]
-    if _uses_gd(cfg) and changed:
+    if _uses_gd(cfg) and cfg.ridge_alpha != TrainConfig.ridge_alpha:
         raise UsageError(
-            f"{', '.join(changed)}: not used by gradient descent (a hidden layer or a "
-            "non-equal strategy), which has no ridge term and always fits biases"
+            f"{name}: not used by gradient descent (a hidden layer or a "
+            "non-equal strategy), which has no ridge term"
         )
 
 
@@ -491,7 +483,7 @@ def run_pipeline(
     after.
     """
     validate_synth(config.synth)
-    check_gd_settings(config.train, {"ridge_alpha": "train.ridge_alpha", "fit_bias": "train.fit_bias"})
+    check_gd_settings(config.train, "train.ridge_alpha")
     for key, section in (("train.lambdas", config.train), ("influence.lambdas", config.influence)):
         try:
             section.resolved_lambdas(config.synth.n_dims)
@@ -538,11 +530,10 @@ def run_pipeline(
     elif r.strategy == "global_prune":
         prune = global_prune_select(global_scores, train.ids, r.rho)
     elif r.strategy == "ddr":
-        weight_matrix = ddr_weights(scores, r.temperature, r.epsilon)
+        weight_matrix = ddr_weights(scores, r.temperature)
         w = weight_matrix.weights
         refine_summary.update(
             temperature=r.temperature,
-            epsilon=r.epsilon,
             min_weight=float(w.min()),
             max_weight=float(w.max()),
             mean_weight=float(w.mean()),

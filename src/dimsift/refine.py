@@ -5,7 +5,8 @@ Two refinement families operate on an (N, K) self-influence table:
     pruning      per dimension, take the top ceil(rho * N) scorers as that
                  dimension's risk set and remove the union
     reweighting  z-score each column, push scores through a temperature
-                 sigmoid, and rescale so the global mean weight is one
+                 sigmoid, and rescale so the global mean weight is one; the
+                 z-score divides by the column's std plus EPSILON
 
 plus two scalar baselines (per-dimension loss ranking and a single global
 score) that share the same selection mechanics for matched-budget
@@ -37,7 +38,10 @@ from .influence import SelfInfluenceTable
 
 DEFAULT_RHO = 0.005
 DEFAULT_TEMPERATURE = 1.0
-DEFAULT_EPSILON = 1e-8
+# added to a column's std before it divides: DDR's z-score guard
+EPSILON = 1e-8
+# the type of the scalar score file `score --method global` writes
+SCALAR_SCORE_TYPE = "global_tracin"
 
 
 @dataclass
@@ -114,13 +118,11 @@ class WeightMatrix:
     weights: np.ndarray
     sample_ids: Sequence[str]
     temperature: float
-    epsilon: float
     per_dim_stats: list[tuple[float, float]]
 
     def _doc(self, sample_ids, weights) -> dict:
         return {
             "temperature": self.temperature,
-            "epsilon": self.epsilon,
             "per_dim_stats": [[m, s] for m, s in self.per_dim_stats],
             "sample_ids": sample_ids,
             "weights": weights,
@@ -135,7 +137,7 @@ class WeightMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightMatrix":
-        """The weights save wrote to path; each weight nonnegative, temperature and epsilon positive."""
+        """The weights save wrote to path; each weight nonnegative, the temperature positive."""
 
         def read(d):
             ids = id_list(d["sample_ids"], "sample_ids")
@@ -146,11 +148,10 @@ class WeightMatrix:
             if bad.any():
                 raise DataError(f"sample {ids[bad.argmax()]!r} on line 1: weights must be "
                                 "nonnegative and finite")
-            scalars = {k: float(number_rows([[d[k]]], k)[0, 0]) for k in ("temperature", "epsilon")}
-            for key, value in scalars.items():
-                if not 0.0 < value < math.inf:
-                    raise DataError(f"line 1: {key} must be positive and finite, got {value}")
-            return cls(weights, ids, per_dim_stats=list(map(tuple, stats.tolist())), **scalars)
+            temperature = float(number_rows([[d["temperature"]]], "temperature")[0, 0])
+            if not 0.0 < temperature < math.inf:
+                raise DataError(f"line 1: temperature must be positive and finite, got {temperature}")
+            return cls(weights, ids, temperature, list(map(tuple, stats.tolist())))
 
         return read_json(path, "weight", read)
 
@@ -204,6 +205,8 @@ def load_scalar_scores(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The ids and scores of a scalar score file, as `score --method global` writes it."""
 
     def read(doc):
+        if doc["type"] != SCALAR_SCORE_TYPE:
+            raise DataError(f"type must be {SCALAR_SCORE_TYPE!r}, got {doc['type']!r:.40}")
         ids = id_list(doc["ids"], "ids")
         return ids, number_rows([doc["scores"]], "scores", len(ids))[0]
 
@@ -227,24 +230,18 @@ def global_prune_select(
     return replace(result, per_dim_risk_sets=[], thresholds=[])
 
 
-def ddr_weights(
-    scores: SelfInfluenceTable,
-    temperature: float = DEFAULT_TEMPERATURE,
-    epsilon: float = DEFAULT_EPSILON,
-) -> WeightMatrix:
+def ddr_weights(scores: SelfInfluenceTable, temperature: float = DEFAULT_TEMPERATURE) -> WeightMatrix:
     """Dimension-disentangled reweighting: smooth down-weighting of risky entries.
 
-    Per column k: z = (S - mean_k) / (std_k + epsilon), raw weight
+    Per column k: z = (S - mean_k) / (std_k + EPSILON), raw weight
     1 / (1 + exp(z / temperature)), then every entry is divided by the global
     mean of the raw weights over all N * K entries, making the final global
     mean exactly one. A constant column gets z = 0 (raw weight one half
-    everywhere) rather than amplifying float noise through the epsilon guard.
+    everywhere) rather than amplifying float noise through the EPSILON guard.
     Weights stay strictly positive and nonincreasing in the raw score.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     s = scores.scores
     # z, the sigmoid argument, the raw weight and the weight in turn fill one
     # N x K buffer, each step in place and rounded as the plain expression
@@ -257,7 +254,7 @@ def ddr_weights(
         stats.append((mu, sigma))
         if col.max() > col.min():
             np.subtract(col, mu, out=w[:, j])
-            w[:, j] /= sigma + epsilon
+            w[:, j] /= sigma + EPSILON
         # else: constant column, keep z = 0
     w /= temperature
     # clamp the sigmoid argument so extreme outliers cannot underflow to 0
@@ -270,6 +267,5 @@ def ddr_weights(
         weights=w,
         sample_ids=scores.sample_ids,
         temperature=float(temperature),
-        epsilon=float(epsilon),
         per_dim_stats=stats,
     )

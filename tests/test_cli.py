@@ -39,6 +39,7 @@ from conftest import peak_traced_bytes
 from dimsift.cli import _build_parser, main
 from dimsift.data import corrupted_copy, dumps_dataset
 from dimsift.influence import SelfInfluenceTable
+from dimsift.refine import DEFAULT_RHO
 
 
 @pytest.fixture()
@@ -309,26 +310,21 @@ def test_report_renders_run_directory(tmp_path, capsys):
     assert "baseline" in text
 
 
-def test_report_rho_on_a_run_directory_exits_one_naming_the_flag(tmp_path, capsys):
-    out = tmp_path / "r"
-    assert main(["run", "--seed", "0", "--refine", "ddp", "--out", str(out)]) == 0
-    text = (out / "report.txt").read_text()
-    capsys.readouterr()
-    assert main(["report", "--dir", str(out), "--rho", "0.3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "--rho" in err
-    assert (out / "report.txt").read_text() == text
-
-
-def test_report_assembles_from_stage_outputs(stage_dir, capsys):
+@pytest.mark.parametrize("pruned", [True, False], ids=["prune-rho", "default-rho"])
+def test_report_assembles_from_stage_outputs(stage_dir, capsys, pruned):
+    # the overlap and masking rho is the prune's, else the default
     scores = stage_dir / "scores.jsonl"
     main(["score", "--data", str(stage_dir / "noisy.jsonl"),
           "--head", str(stage_dir / "head.json"), "--out", str(scores)])
-    main(["prune", "--scores", str(scores), "--rho", "0.05",
-          "--out", str(stage_dir / "prune.json")])
+    if pruned:
+        main(["prune", "--scores", str(scores), "--rho", "0.05",
+              "--out", str(stage_dir / "prune.json")])
+    capsys.readouterr()
     assert main(["report", "--dir", str(stage_dir)]) == 0
     text = capsys.readouterr().out
-    assert "overlap" in text.lower()
+    rho = 0.05 if pruned else DEFAULT_RHO
+    assert f"overlap curve at rho={rho}:" in text
+    assert (stage_dir / "report.txt").read_text() == text
 
 
 # ------------------------------------------------------------- exit codes
@@ -492,7 +488,6 @@ def _staged_file(stage_dir, kind):
         pytest.param("weights", 1, _first_as("weights", lambda row: [str(row[0])] + row[1:]),
                      id="weights-string-weight"),
         pytest.param("weights", 1, _field_as("temperature", str), id="weights-string-temperature"),
-        pytest.param("weights", 1, _field_as("epsilon", str), id="weights-string-epsilon"),
         pytest.param("weights", 1, _first_as("per_dim_stats", lambda pair: [str(pair[0]), pair[1]]),
                      id="weights-string-stat"),
         pytest.param("global", 1, _first_as("scores", str), id="global-string-score"),
@@ -545,6 +540,11 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
     pytest.param("prune", _field_as("rho", lambda v: math.nan), id="prune-nan-rho"),
     pytest.param("prune", _field_as("kept_ids", lambda v: "abc"), id="prune-string-kept-ids"),
     pytest.param("global", _field_as("ids", lambda v: [v[1], *v[1:]]), id="global-repeated-id"),
+    # only `score --method global` writes a scalar score file
+    pytest.param("global", _field_as("type", lambda v: "bogus"), id="global-bogus-type"),
+    pytest.param("global", _field_as("type", lambda v: "row_sum"), id="global-row-sum-type"),
+    pytest.param("global", lambda doc: {k: v for k, v in doc.items() if k != "type"},
+                 id="global-no-type"),
     # an object keyed by the ids would iterate as the ids
     pytest.param("weights", _field_as("sample_ids", dict.fromkeys), id="weights-object-sample-ids"),
     pytest.param("weights", _first_as("weights", lambda row: [-1.0, *row[1:]]),
@@ -565,6 +565,31 @@ def test_a_json_file_its_writer_cannot_give_exits_two_naming_it(stage_dir, kind,
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("edited, argv", [
+    pytest.param("noisy.jsonl", ["score", "--data", "{d}/noisy.jsonl", "--head", "{d}/head.json",
+                                 "--out", "{d}/s.jsonl"], id="dataset-score"),
+    pytest.param("noisy.jsonl", ["evaluate", "--data", "{d}/noisy.jsonl", "--head", "{d}/head.json"],
+                 id="dataset-evaluate"),
+    pytest.param("scores.jsonl", ["detect-noise", "--data", "{d}/noisy.jsonl",
+                                  "--scores", "{d}/scores.jsonl", "--out", "{d}/a.json"],
+                 id="scores-detect-noise"),
+    pytest.param("scores.jsonl", ["prune", "--scores", "{d}/scores.jsonl", "--out", "{d}/p.json"],
+                 id="scores-prune"),
+])
+def test_repeated_dimension_names_exit_two_naming_the_name(stage_dir, edited, argv):
+    # the header's dim0, dim1, dim2 become dim0, dim0, dim1: no row of a
+    # scores.csv or AUROC of detect-noise could say which dim0 it means
+    assert main(["score", "--data", str(stage_dir / "noisy.jsonl"), "--head",
+                 str(stage_dir / "head.json"), "--out", str(stage_dir / "scores.jsonl")]) == 0
+    _replace_line(stage_dir / edited, 1, _field_as("dim_names", lambda v: [v[0], *v[:-1]]))
+    written = sorted(stage_dir.iterdir())
+    out = _cli_subprocess([a.format(d=stage_dir) for a in argv])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("data error:") and "repeated dimension name 'dim0'" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert sorted(stage_dir.iterdir()) == written
+
+
 def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
     out = _cli_subprocess(["run", "--config", str(tmp_path), "--out", str(tmp_path / "r")])
     assert out.returncode == 1, out.stderr
@@ -580,8 +605,8 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
         pytest.param(lambda doc: doc["synth"].pop("n_dims"), "synth.n_dims", id="missing-key"),
         pytest.param(lambda doc: doc["synth"].update(n_samples="many"), "synth.n_samples",
                      id="non-numeric-int"),
-        pytest.param(lambda doc: doc["train"].update(fit_bias="false"), "train.fit_bias",
-                     id="string-bool"),
+        pytest.param(lambda doc: doc["train"].update(strategy=1), "train.strategy",
+                     id="number-strategy"),
         pytest.param(lambda doc: doc["influence"].update(scope="everything"), "influence.scope",
                      id="bad-scope"),
         pytest.param(lambda doc: doc["refine"].update(strategy="psychic"),
@@ -590,18 +615,19 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
         pytest.param(lambda doc: doc["refine"].update(rho=-0.1), "config refine: rho", id="negative-rho"),
         pytest.param(lambda doc: doc["refine"].update(strategy="ddr", temperature=-1),
                      "config refine: temperature", id="negative-temperature"),
-        pytest.param(lambda doc: doc["refine"].update(strategy="ddr", epsilon=0),
-                     "config refine: epsilon", id="zero-epsilon"),
         # refine.rho is the one budget and the Hessian is always the identity
         pytest.param(lambda doc: doc["refine"].update(rho_total=0.1), "refine.rho_total",
                      id="rho-total"),
         pytest.param(lambda doc: doc["influence"].update(hessian="identity"), "influence.hessian",
                      id="hessian"),
-        # gradient descent has no ridge term and always fits biases
+        # every head fits its bias, and DDR's z-score guard is a constant
+        pytest.param(lambda doc: doc["train"].update(fit_bias=True), "train.fit_bias",
+                     id="fit-bias"),
+        pytest.param(lambda doc: doc["refine"].update(epsilon=1e-8), "refine.epsilon",
+                     id="epsilon"),
+        # gradient descent has no ridge term
         pytest.param(lambda doc: doc["train"].update(hidden_dim=4, ridge_alpha=0.5),
                      "train.ridge_alpha", id="gd-ridge-alpha"),
-        pytest.param(lambda doc: doc["train"].update(strategy="rlw", fit_bias=False),
-                     "train.fit_bias", id="gd-no-bias"),
         # json reads NaN and Infinity; no setting takes them
         pytest.param(lambda doc: doc["train"].update(ridge_alpha=math.nan), "train.ridge_alpha",
                      id="nan-ridge-alpha"),
@@ -610,8 +636,8 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
         pytest.param(lambda doc: doc["train"].update(lr=math.nan), "train.lr", id="nan-lr"),
         pytest.param(lambda doc: doc["train"].update(ridge_alpha=10**400), "train.ridge_alpha",
                      id="ridge-alpha-past-float-range"),
-        pytest.param(lambda doc: doc["refine"].update(strategy="ddr", epsilon=math.inf),
-                     "refine.epsilon", id="infinite-epsilon"),
+        pytest.param(lambda doc: doc["refine"].update(strategy="ddr", temperature=math.inf),
+                     "refine.temperature", id="infinite-temperature"),
         pytest.param(lambda doc: doc["noise"].update(rate=math.nan), "noise.rate", id="nan-noise-rate"),
         pytest.param(lambda doc: doc["synth"].update(label_noise_sd=-math.inf),
                      "synth.label_noise_sd", id="minus-infinite-noise-sd"),
@@ -643,7 +669,9 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     "train.lambdas=[1,2]",
     "train.ridge_alpha=NaN",
     "train.lr=NaN",
-    "refine.epsilon=Infinity",
+    "refine.rho=NaN",
+    # every head fits its bias
+    "train.fit_bias=false",
     "refine.temperature=-Infinity",
 ])
 def test_a_bad_set_value_exits_one_naming_the_key_before_any_file(tmp_path, capsys, setting):
@@ -657,7 +685,7 @@ def test_a_bad_set_value_exits_one_naming_the_key_before_any_file(tmp_path, caps
 @pytest.mark.parametrize("flags, named", [
     pytest.param(["--hidden-dim", "4", "--alpha", "0.5"], "--alpha", id="hidden-dim-alpha"),
     pytest.param(["--hidden-dim", "4", "--alpha", "0"], "--alpha", id="hidden-dim-zero-alpha"),
-    pytest.param(["--strategy", "uncertainty", "--no-bias"], "--no-bias", id="uncertainty-no-bias"),
+    pytest.param(["--strategy", "uncertainty", "--alpha", "1"], "--alpha", id="uncertainty-alpha"),
 ])
 def test_fit_refuses_closed_form_flags_with_gradient_descent(stage_dir, capsys, flags, named):
     head = stage_dir / "gd.json"
@@ -668,6 +696,26 @@ def test_fit_refuses_closed_form_flags_with_gradient_descent(stage_dir, capsys, 
     assert not head.exists()
     # without the closed-form flag the same gradient-descent fit runs
     assert main(argv + flags[:2]) == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["fit", "--data", "{d}/noisy.jsonl", "--out", "{d}/h.json", "--no-bias"],
+                 "--no-bias", id="fit-no-bias"),
+    pytest.param(["reweight", "--scores", "{d}/scores.jsonl", "--out", "{d}/w.json",
+                  "--epsilon", "1e-8"], "--epsilon", id="reweight-epsilon"),
+    pytest.param(["report", "--dir", "{d}", "--rho", "0.3"], "--rho", id="report-rho"),
+])
+def test_a_deleted_flag_exits_one_naming_it(stage_dir, capsys, argv, flag):
+    # every head fits its bias, DDR's z-score guard is a constant, and a
+    # staged report takes its rho from the directory's prune.json
+    assert main(["score", "--data", str(stage_dir / "noisy.jsonl"), "--head",
+                 str(stage_dir / "head.json"), "--out", str(stage_dir / "scores.jsonl")]) == 0
+    written = sorted(stage_dir.iterdir())
+    capsys.readouterr()
+    assert main([a.format(d=stage_dir) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert sorted(stage_dir.iterdir()) == written
 
 
 _DATASET_SECTION = {"n_total": 10, "feature_dim": 2, "dim_names": ["a"], "n_train": 6,

@@ -525,7 +525,7 @@ def _datasets(draw):
         ids=draw(st.lists(ODD_TEXT, min_size=n, max_size=n, unique=True)),
         features=draw(hnp.arrays(np.float64, (n, d), elements=FINITE)),
         labels=draw(hnp.arrays(np.float64, (n, k), elements=FINITE)),
-        dim_names=draw(st.lists(ODD_TEXT, min_size=k, max_size=k)),
+        dim_names=draw(st.lists(ODD_TEXT, min_size=k, max_size=k, unique=True)),
         corrupted=draw(st.none() | hnp.arrays(bool, (n, k)).filter(np.any)),
         manifest=draw(st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=3)),
     )
@@ -717,6 +717,8 @@ def test_dataset_validation():
         Dataset(["a", "a"], np.zeros((2, 2)), np.zeros((2, 1)), ["d0"])
     with pytest.raises(DataError, match="label width"):
         Dataset(["a", "b"], np.zeros((2, 2)), np.zeros((2, 2)), ["d0"])
+    with pytest.raises(DataError, match="repeated dimension name 'd0'"):
+        Dataset(["a", "b"], np.zeros((2, 2)), np.zeros((2, 3)), ["d0", "d1", "d0"])
     with pytest.raises(DataError, match="non-finite"):
         Dataset(["a"], np.array([[np.nan, 0.0]]), np.zeros((1, 1)), ["d0"])
 

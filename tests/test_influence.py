@@ -196,6 +196,11 @@ def test_score_table_is_read_only_and_ranks_once_per_rho(noisy_corpus):
     assert table.top_sets(0.1).shape == (3, 40)
 
 
+def test_score_table_refuses_repeated_dimension_names():
+    with pytest.raises(ValueError, match="repeated dimension name 'b'"):
+        SelfInfluenceTable(np.ones((2, 3)), ["s0", "s1"], ["b", "a", "b"], Scope.HEAD_ONLY, np.ones(3))
+
+
 # ------------------------------------------------------ disentangled matrix
 
 def test_scalar_influence_equals_matrix_total():
@@ -529,7 +534,7 @@ def _tables(draw):
     return SelfInfluenceTable(
         scores=draw(hnp.arrays(np.float64, (n, k), elements=NONNEG)),
         sample_ids=draw(st.lists(ODD_TEXT, min_size=n, max_size=n, unique=True)),
-        dim_names=draw(st.lists(ODD_TEXT, min_size=k, max_size=k)),
+        dim_names=draw(st.lists(ODD_TEXT, min_size=k, max_size=k, unique=True)),
         scope=draw(st.sampled_from(Scope)),
         lambdas=draw(hnp.arrays(np.float64, k, elements=NONNEG)),
     )

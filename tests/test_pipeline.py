@@ -118,7 +118,6 @@ _configs = st.builds(
         strategy=st.sampled_from(STRATEGIES),
         seed=_seeds,
         hidden_dim=st.none() | st.integers(1, 64),
-        fit_bias=st.booleans(),
     ),
     influence=st.builds(
         InfluenceConfig, scope=st.sampled_from(Scope), lambdas=st.none() | _tuples(_nonneg)
@@ -128,7 +127,6 @@ _configs = st.builds(
         strategy=st.sampled_from(REFINE_STRATEGIES),
         rho=_unit,
         temperature=_positive,
-        epsilon=_positive,
     ),
     split_fractions=st.tuples(_unit, _unit, _unit),
     split_seed=_seeds,

@@ -265,7 +265,6 @@ class Dataset:
                 raise DataError(f"corruption mask shape {corrupted.shape} != labels {self._labels.shape}")
             corrupted.setflags(write=False)
         self._corrupted = corrupted
-        self._cached: dict = {}
 
     # -- views -------------------------------------------------------------
 
@@ -294,9 +293,17 @@ class Dataset:
         """
         if isinstance(self._source, np.ndarray):
             return self._source
-        out = np.empty((len(self), self._feature_dim))
+        return self.gather_features()
+
+    def gather_features(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """A new read-only matrix of the features of the ascending row positions rows (every row if None).
+
+        The rows are gathered a block at a time (feature_blocks), so no
+        matrix of other rows is held.
+        """
+        out = np.empty((len(self) if rows is None else len(rows), self._feature_dim))
         start = 0
-        for block in self.feature_blocks():
+        for block in self.feature_blocks(rows):
             out[start : start + len(block)] = block
             start += len(block)
             del block  # released before the next block is gathered
@@ -346,16 +353,6 @@ class Dataset:
             labels=self._labels[i],
             corrupted=None if mask is None else mask[i],
         )
-
-    def cached(self, key, compute):
-        """compute(), called once per key and kept while this immutable dataset lives.
-
-        The value is shared by every caller with that key, which must not
-        write it.
-        """
-        if key not in self._cached:
-            self._cached[key] = compute()
-        return self._cached[key]
 
     def index_of(self, sample_id: str) -> int:
         try:
@@ -948,10 +945,10 @@ def table_rows(
     """(line number, id, object) of each line of a JSONL row table as table_lines writes it.
 
     The header comes first, with id None; it must be a header_type object
-    with a dim_names list, whose entries are read as strings. Every later
-    line must be a row_type object with a non-null id. Blank lines are
-    skipped, line numbers count from 1 in the file, and a table without rows
-    is a DataError.
+    with a dim_names list, whose entries are read as strings and must be
+    distinct. Every later line must be a row_type object with a non-null
+    id. Blank lines are skipped, line numbers count from 1 in the file, and
+    a table without rows is a DataError.
     """
     head = sid = None
     for ln_no, ln in enumerate(lines, start=1):
@@ -967,6 +964,9 @@ def table_rows(
             if not isinstance(rec.get("dim_names"), list):
                 raise DataError(f"line {ln_no}: {what} header needs a dim_names list")
             rec["dim_names"] = [str(x) for x in rec["dim_names"]]
+            dup = first_duplicate(rec["dim_names"])
+            if dup is not None:
+                raise DataError(f"line {ln_no}: repeated dimension name {rec['dim_names'][dup]!r}")
             head = rec
             yield ln_no, None, rec
             continue

@@ -207,23 +207,24 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
     """Normal equations of [x 1] against the labels y of ds, summed over its feature blocks.
 
     rows, ascending positions, restricts them to those rows (every row if
-    None; not combined with weights). Unit weights (w None) give the one
-    system every dimension shares: [(A, B)] with A = [x 1]'[x 1] and
-    B = [x 1]'y. Weights w (N, K) give dimension k its own system, A_k =
-    [x 1]' diag(w_k) [x 1] and B_k = [x 1]' diag(w_k) y_k, all K formed in
-    the same pass over the features. Each block adds its x'Wx, x'W1, 1'W1,
-    x'Wy and 1'Wy terms, so [x 1] is never built, and a weighted block
-    allocates only its own x * w_k. One block gives the one-shot products
-    bit for bit; more are summed in row order.
+    None; not combined with weights), and each block's labels are gathered
+    with its features. Unit weights (w None) give the one system every
+    dimension shares: [(A, B)] with A = [x 1]'[x 1] and B = [x 1]'y.
+    Weights w (N, K) give dimension k its own system, A_k = [x 1]' diag(w_k)
+    [x 1] and B_k = [x 1]' diag(w_k) y_k, all K formed in the same pass over
+    the features. Each block adds its x'Wx, x'W1, 1'W1, x'Wy and 1'Wy terms,
+    so [x 1] is never built, and a weighted block allocates only its own
+    x * w_k. One block gives the one-shot products bit for bit; more are
+    summed in row order, so the system of rows is that of ds.select(rows)
+    bit for bit.
     """
-    y = ds.labels if rows is None else ds.labels[rows]
-    dims = [None] if w is None else range(y.shape[1])
+    dims = [None] if w is None else range(ds.n_dims)
 
-    def terms(x, start, stop):
+    def terms(x, y, wb):
         out = []
         for j in dims:
-            ys = y[start:stop] if j is None else y[start:stop, j : j + 1]
-            ws = None if j is None else w[start:stop, j]
+            ys = y if j is None else y[:, j : j + 1]
+            ws = None if j is None else wb[:, j]
             xw = x if ws is None else x * ws[:, None]
             total = float(len(x)) if ws is None else ws.sum()
             out.append([x.T @ xw, xw.T @ ys, xw.sum(axis=0), total,
@@ -233,12 +234,14 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
 
     sums, start = None, 0
     for x in ds.feature_blocks(rows):
-        part = terms(x, start, start + len(x))
+        stop = start + len(x)
+        y = ds.labels[start:stop] if rows is None else ds.labels[rows[start:stop]]
+        part = terms(x, y, None if w is None else w[start:stop])
         sums = part if sums is None else [[s + p for s, p in zip(ts, tp)] for ts, tp in zip(sums, part)]
-        start += len(x)
-        del x  # released before the next block is read
+        start = stop
+        del x, y  # released before the next block is read
     if sums is None:
-        sums = terms(np.empty((0, ds.feature_dim)), 0, 0)
+        sums = terms(np.empty((0, ds.feature_dim)), ds.labels[:0], None if w is None else w[:0])
     systems = []
     for a, b, col, total, ysum in sums:
         a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
@@ -247,34 +250,13 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
     return systems
 
 
-def _unweighted_system(ds: Dataset):
-    """_normal_equations(ds, None), read-only, formed once per dataset (Dataset.cached).
-
-    A run's probe fit and its pruned refit share them, so the refit reads
-    only the dropped rows' features.
-    """
-
-    def form():
-        [(a, b)] = _normal_equations(ds, None)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return a, b
-
-    return ds.cached("unweighted normal equations", form)
-
-
-def _regularized(a: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """A + alpha D; D is the identity with the bias slot zeroed."""
-    reg = np.eye(a.shape[0])
-    reg[-1, -1] = 0.0
-    return a + cfg.ridge_alpha * reg
-
-
-def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str, tol=None) -> np.ndarray:
+def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str) -> np.ndarray:
     """Ridge solve of (A + alpha D) beta = B; D is the identity with the bias slot zeroed."""
     p = a.shape[0]
-    a = _regularized(a, cfg)
-    if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a, tol) < p:
+    reg = np.eye(p)
+    reg[-1, -1] = 0.0
+    a = a + cfg.ridge_alpha * reg
+    if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a) < p:
         raise NumericalError(
             f"normal equations for {what} are rank deficient at alpha=0; "
             "use a positive ridge_alpha or more effective samples"
@@ -285,31 +267,8 @@ def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str, tol=None) 
         raise NumericalError(f"normal equations for {what} are singular: {e}") from None
 
 
-# a downdated fit estimated to be off by more than this (normwise relative, ~450 eps)
-# is refitted from the kept rows
-DOWNDATE_RTOL = 1e-13
-
-
-def _downdate_error(a_all, a, y, beta, cfg: TrainConfig) -> float:
-    """Estimated normwise error of beta, solved from all rows' system less the dropped rows'.
-
-    a_all is all rows' A, a the difference, y all rows' labels. Each entry of
-    both systems is a sum over at most all rows, so it rounds by about eps
-    times its Cauchy-Schwarz bound: s_i s_j for A and s_i |y_k| for B, with
-    s = sqrt(diag a_all). The difference keeps that rounding, which, to
-    first order, moves beta by eps (A + alpha D)^-1 (s |y_k| + s s'|beta_k|)
-    for dimension k; bounded entry by entry, that is eps |(A + alpha D)^-1| s v'
-    with v_k = |y_k| + s'|beta_k|. Column scaling of the features leaves the
-    estimate unchanged.
-    """
-    s = np.sqrt(np.diag(a_all))
-    v = np.sqrt(np.einsum("ij,ij->j", y, y)) + s @ np.abs(beta)
-    u = np.abs(np.linalg.inv(_regularized(a, cfg))) @ s
-    return np.finfo(np.float64).eps * np.linalg.norm(u) * np.linalg.norm(v)
-
-
 def fit_closed_form(
-    ds: Dataset, weights=None, config: TrainConfig | None = None, drop=None
+    ds: Dataset, weights=None, config: TrainConfig | None = None, rows=None
 ) -> RegressionHead:
     """Weighted ridge solution of the features of ds against its labels.
 
@@ -317,18 +276,9 @@ def fit_closed_form(
     a synthetic corpus's rows come from its sample stream and no feature
     matrix is built.
 
-    drop, ascending row indices and no sample weights, leaves those rows out
-    without copying the others: their normal equations are subtracted from
-    those of all rows, and an empty drop is the undropped fit bit for bit.
-    The difference keeps the full Gram's rounding, which costs digits when
-    the dropped rows dominate (20 of 2000 x 16 gaussian rows, features and
-    labels scaled by 1e3, agreed with a fit of the kept rows to 1.2e-10
-    normwise relative) or when the kept rows' solution is small next to the
-    data (a 1e-6 coefficient agreed to 2.7e-12). Where _downdate_error
-    estimates more than DOWNDATE_RTOL, the kept rows' normal equations are
-    formed from their features instead, which gives the kept rows' fit bit
-    for bit; a run's pruned refit estimates ~5e-15 and reads only the dropped
-    rows.
+    rows, ascending positions and no sample weights, fits only those rows:
+    their features and labels are gathered a block at a time, and the fit is
+    that of ds.select(rows) bit for bit.
 
     Minimizes sum_i w_ik * 0.5 * (w_k . h_i + b_k - y_ik)^2 + 0.5 * alpha * |w_k|^2
     over augmented inputs [h; 1]; the bias coordinate is not penalized. The
@@ -350,24 +300,12 @@ def fit_closed_form(
         )
     n, d, k = len(ds), ds.feature_dim, ds.n_dims
     cfg.resolved_lambdas(k)  # validate even though the solution ignores them
-    if drop is not None and weights is not None:
-        raise ValueError("dropped rows and sample weights cannot be combined")
+    if rows is not None and weights is not None:
+        raise ValueError("row positions and sample weights cannot be combined")
     w = None if weights is None else _resolve_weights(weights, n, k)
     if w is None or np.all(w == 1.0):
-        a_all, b = _unweighted_system(ds)
-        if drop is None:
-            beta = _solve(a_all, b, cfg, "all dimensions")
-        else:
-            # the difference keeps the full Gram's rounding, up to n eps |A|: the rank check allows for it
-            tol = np.linalg.norm(a_all, 2) * n * np.finfo(np.float64).eps
-            [(a_drop, b_drop)] = _normal_equations(ds, None, drop)
-            a = a_all - a_drop
-            beta = _solve(a, b - b_drop, cfg, "all dimensions", tol)
-            err = _downdate_error(a_all, a, ds.labels, beta, cfg)
-            if err > DOWNDATE_RTOL * np.linalg.norm(beta):
-                keep = np.setdiff1d(np.arange(n), drop, assume_unique=True)
-                [(a, b)] = _normal_equations(ds, None, keep)
-                beta = _solve(a, b, cfg, "all dimensions")
+        [(a, b)] = _normal_equations(ds, None, rows)
+        beta = _solve(a, b, cfg, "all dimensions")
     else:
         systems = _normal_equations(ds, w)
         beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in enumerate(systems)])

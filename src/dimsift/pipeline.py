@@ -408,10 +408,10 @@ class PipelineArtifacts:
     features read from the stream as well. The test split is not kept: the
     report holds its evaluation, and test_clean.jsonl its rows. A pruned
     run's refined rows are not kept either: prune.kept_ids names them. A
-    closed-form refit copied no rows; a gradient-descent fit held a matrix
-    of the (kept) rows' features and labels while it ran. The scores and
-    weights share train's ids, and the prune result holds views of them, so
-    no id string is kept.
+    closed-form refit read the kept rows a block at a time; a
+    gradient-descent fit held a matrix of the (kept) rows' features and
+    labels while it ran. The scores and weights share train's ids, and the
+    prune result holds views of them, so no id string is kept.
     """
 
     report: ExperimentReport
@@ -442,19 +442,18 @@ def check_gd_settings(cfg: TrainConfig, name: str) -> None:
         )
 
 
-def _fit(ds: Dataset, weights, cfg: TrainConfig, drop=None) -> RegressionHead:
-    """A head fitted to ds, leaving out the rows drop names.
+def _fit(ds: Dataset, weights, cfg: TrainConfig, rows=None) -> RegressionHead:
+    """A head fitted to the rows of ds at the ascending positions rows (every row if None).
 
-    Gradient descent on a gathered copy of the kept rows with a shared layer
-    or a loss-balancing strategy, released after; else the closed form,
-    which reads the features a block at a time and copies no rows.
+    Gradient descent on a gathered matrix of those rows' features with a
+    shared layer or a loss-balancing strategy, released after; else the
+    closed form, which reads them a block at a time and copies no rows.
     """
     if _uses_gd(cfg):
-        x, y = ds.features, ds.labels
-        if drop is not None:
-            x, y = np.delete(x, drop, axis=0), np.delete(y, drop, axis=0)
-        return fit_gd_arrays(x, y, weights, cfg)
-    return fit_closed_form(ds, weights, cfg, drop)
+        if rows is None:
+            return fit_gd_arrays(ds.features, ds.labels, weights, cfg)
+        return fit_gd_arrays(ds.gather_features(rows), ds.labels[rows], weights, cfg)
+    return fit_closed_form(ds, weights, cfg, rows)
 
 
 def run_pipeline(
@@ -468,19 +467,19 @@ def run_pipeline(
     after config.noise corrupts the whole corpus. No feature matrix of any
     split is held: the training split is a Dataset of its rows whose
     features stay in the sample stream, and the probe fit, the scores with
-    the global scores (one pass), the refit (of the removed rows only, when
-    pruned) and train.jsonl each read them a row block at a time. The test split is its row indices and their
-    clean labels, taken before the noise; the heads are evaluated on its
-    features read once from a fresh stream of the sample seed, a block at
-    a time. With output_dir, config.json and corpus.jsonl are written once
+    the global scores (one pass), the refit (of the kept rows only, when
+    pruned) and train.jsonl each read them a row block at a time. The test
+    split is its row indices and their clean labels, taken before the
+    noise; the heads are evaluated on its features read once from a fresh
+    stream of the sample seed, a block at a time. With output_dir, config.json and corpus.jsonl are written once
     the noise is applied: the corpus from the run's own full label matrix
     and mask, its features read again from the stream, so a run that fails
     after that still leaves both files. The other files follow at the end,
-    test_clean.jsonl streamed in the same way. A pruned closed-form refit
-    subtracts the removed rows' normal equations from the probe fit's and
-    copies no rows; a
-    gradient-descent fit gathers the features of the (kept) rows, released
-    after.
+    test_clean.jsonl streamed in the same way. A pruned refit gets the
+    kept rows' positions in the training split, released before the
+    evaluation: the closed form gathers their features and labels a block
+    at a time, and gradient descent gathers their features into one
+    matrix, released after.
     """
     validate_synth(config.synth)
     check_gd_settings(config.train, "train.ridge_alpha")
@@ -520,7 +519,7 @@ def run_pipeline(
 
     prune: Optional[PruneResult] = None
     weight_matrix: Optional[WeightMatrix] = None
-    drop = None
+    rows = None
     r = config.refine
     refine_summary = {"strategy": r.strategy}
     if r.strategy == "ddp":
@@ -541,19 +540,21 @@ def run_pipeline(
     if prune is not None:
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
-        # removed_ids views train's ascending row numbers, which locate its rows in train
-        drop = np.searchsorted(train.ids.rows, prune.removed_ids.rows)
+        # kept_ids views train's ascending row numbers, which locate its rows in train
+        rows = np.searchsorted(train.ids.rows, prune.kept_ids.rows)
+        n_removed = len(prune.removed_ids)
         refine_summary.update(
             rho=prune.rho,
-            n_removed=len(drop),
-            removed_fraction=len(drop) / len(train),
+            n_removed=n_removed,
+            removed_fraction=n_removed / len(train),
             thresholds=prune.thresholds,
         )
-    n_train_refined = len(train) - (0 if drop is None else len(drop))
+    n_train_refined = len(train) if rows is None else len(rows)
     final = probe
     heads = {"baseline": probe}
     if r.strategy != "none":
-        final = heads[r.strategy] = _fit(train, weight_matrix, config.train, drop)
+        final = heads[r.strategy] = _fit(train, weight_matrix, config.train, rows)
+    del rows  # the kept positions are not held through the evaluation
 
     # the test features are read once more from the sample stream, for every head at once
     blocks = sample_features(config.synth, test_idx)

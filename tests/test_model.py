@@ -1,6 +1,5 @@
 """Weighted per-dimension ridge, gradient descent strategies, head io."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -230,7 +229,7 @@ def _same_systems(got, want):
 )
 def test_blocked_normal_equations_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch, m):
     # the unweighted and weighted systems of m rows, and the system of m rows
-    # dropped from 4B + m, are summed over the same row blocks whether the
+    # picked from 4B + m, are summed over the same row blocks whether the
     # features come from the sample stream or from a loaded feature matrix
     monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
     stream, matrix = _stream_and_matrix(m, 5 * m + 20, m)
@@ -239,15 +238,15 @@ def test_blocked_normal_equations_of_the_stream_are_the_matrix_ones_bit_for_bit(
         got = _normal_equations(stream, weights)
         _same_systems(got, _normal_equations(matrix, weights))
     big_stream, big_matrix = _stream_and_matrix(4 * _BLOCK + m, 5 * _BLOCK + 5 * m, m + 1)
-    drop = np.sort(np.random.default_rng(m).choice(len(big_stream), m, replace=False))
-    got = _normal_equations(big_stream, None, drop)
-    _same_systems(got, _normal_equations(big_matrix, None, drop))
-    # the dropped rows' system is the system of a dataset of those rows
-    _same_systems(got, _normal_equations(big_matrix.select(drop), None))
+    rows = np.sort(np.random.default_rng(m).choice(len(big_stream), m, replace=False))
+    got = _normal_equations(big_stream, None, rows)
+    _same_systems(got, _normal_equations(big_matrix, None, rows))
+    # the picked rows' system is the system of a dataset of those rows
+    _same_systems(got, _normal_equations(big_matrix.select(rows), None))
     # so are the heads
     cfg = TrainConfig(ridge_alpha=1e-6)
     for a, b, args in ((stream, matrix, (None, cfg)), (stream, matrix, (w, cfg)),
-                       (big_stream, big_matrix, (None, cfg, drop))):
+                       (big_stream, big_matrix, (None, cfg, rows))):
         assert fit_closed_form(a, *args).to_dict() == fit_closed_form(b, *args).to_dict()
 
 
@@ -277,28 +276,6 @@ def test_one_block_gives_the_one_shot_normal_equations_bit_for_bit(monkeypatch, 
         same(b, np.vstack([xw.T @ yj, wj @ yj]))
 
 
-def test_fits_of_one_dataset_share_its_unweighted_normal_equations(monkeypatch):
-    # a run's probe fit and its pruned refit read all rows' features once
-    stream, matrix = _stream_and_matrix(200, 400, 3)
-    reads, blocks = [], Dataset.feature_blocks
-
-    def counting(self, rows=None):
-        reads.append("all" if rows is None else len(rows))
-        return blocks(self, rows)
-
-    monkeypatch.setattr(Dataset, "feature_blocks", counting)
-    drop = np.array([3, 50, 199])
-    fits = [(None, TrainConfig()), (drop, TrainConfig()), (None, TrainConfig(ridge_alpha=1.0)),
-            (drop, TrainConfig(ridge_alpha=1.0))]
-    heads = [fit_closed_form(stream, None, cfg, rows) for rows, cfg in fits]
-    # a fit at another ridge strength reads only the dropped rows too
-    assert reads == ["all", 3, 3]
-    # each the fit of a dataset fitted once
-    for head, (rows, cfg) in zip(heads, fits):
-        fresh = loads_dataset(dumps_dataset(matrix))
-        assert head.to_dict() == fit_closed_form(fresh, None, cfg, rows).to_dict()
-
-
 def test_residuals_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch):
     monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
     stream, matrix = _stream_and_matrix(3 * _BLOCK + 5, 400, 0)
@@ -309,20 +286,19 @@ def test_residuals_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch):
     assert per_dim_loss(head, stream).tobytes() == (0.5 * got * got).tobytes()
 
 
-# ------------------------------------------------------- dropped rows
+# ------------------------------------------------------- kept rows
 
-def fit_arrays(x, y, weights=None, config=None, drop=None):
+def fit_arrays(x, y, weights=None, config=None, rows=None):
     """fit_closed_form of a Dataset holding features x and labels y."""
     ds = Dataset([f"s{i}" for i in range(len(x))], x, y, [f"d{j}" for j in range(y.shape[1])])
-    return fit_closed_form(ds, weights, config, drop)
+    return fit_closed_form(ds, weights, config, rows)
 
 
-def _beta(head):
-    return np.vstack([head.weights.T, head.biases])
-
-
-def _normwise(got, want):
-    return np.linalg.norm(_beta(got) - _beta(want)) / np.linalg.norm(_beta(want))
+def _same_fit_as_the_kept_rows(x, y, rows, cfg):
+    """The fit of rows of (x, y) is, bit for bit, the fit of a dataset of those rows alone."""
+    ds = Dataset([f"s{i}" for i in range(len(x))], x, y, [f"d{j}" for j in range(y.shape[1])])
+    got = fit_closed_form(ds, None, cfg, rows)
+    assert got.to_dict() == fit_closed_form(ds.select(rows), None, cfg).to_dict()
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,70 +317,47 @@ def test_dropped_rows_fit_is_the_kept_rows_fit(alpha, seed, d, k, spare, drop_fr
     y = rng.normal(size=(n, k)) * 5.0
     # a random drop set that keeps at least 3 rows per unknown
     n_drop = min(int(drop_frac * n), n - 3 * (d + 1))
-    drop = np.sort(rng.choice(n, size=n_drop, replace=False))
-    keep = np.ones(n, dtype=bool)
-    keep[drop] = False
-    cfg = TrainConfig(ridge_alpha=alpha)
-    got = fit_arrays(x, y, None, cfg, drop)
-    want = fit_arrays(x[keep], y[keep], None, cfg)
-    assert _normwise(got, want) <= 1e-12
-    assert got.fit_info == want.fit_info
+    rows = np.setdiff1d(np.arange(n), rng.choice(n, size=n_drop, replace=False))
+    # 16-row blocks: up to 14 blocks of kept rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 16)
+        _same_fit_as_the_kept_rows(x, y, rows, TrainConfig(ridge_alpha=alpha))
 
 
-def test_an_empty_drop_is_the_undropped_fit_bit_for_bit():
-    rng = np.random.default_rng(3)
-    x, y = rng.normal(size=(500, 16)), rng.normal(size=(500, 5))
-    cfg = TrainConfig(ridge_alpha=1e-6)
-    got = fit_arrays(x, y, None, cfg, np.array([], dtype=np.intp))
-    want = fit_arrays(x, y, None, cfg)
-    assert np.array_equal(got.weights, want.weights) and np.array_equal(got.biases, want.biases)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_dominant_dropped_rows_still_agree_to_1e_9(seed):
-    # the downdate keeps the full Gram's rounding: 20 dropped rows whose
-    # features and labels are 1e3 times the others' measured ~1.5e-10, more
-    # than DOWNDATE_RTOL, so the fit is formed from the kept rows
+@pytest.mark.parametrize("case, seed, alpha", [
+    ("cancelling", 0, 0.0), ("cancelling", 0, 1e-6), ("cancelling", 0, 10.0),
+    ("dominant", 0, 1e-6), ("dominant", 1, 1e-6), ("dominant", 2, 1e-6),
+])
+def test_the_kept_rows_fit_where_a_downdate_cost_digits(monkeypatch, case, seed, alpha):
+    # inputs on which subtracting the dropped rows' normal equations from
+    # all rows' missed the kept rows' fit
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
     rng = np.random.default_rng(seed)
-    x, y = rng.normal(size=(2000, 16)), rng.normal(size=(2000, 5))
-    drop = np.sort(rng.choice(2000, size=20, replace=False))
-    x[drop] *= 1e3
-    y[drop] *= 1e3
-    keep = np.ones(2000, dtype=bool)
-    keep[drop] = False
+    if case == "cancelling":
+        # the kept rows' labels are 1e-4 of the dropped rows', so their fit
+        # is small next to the data: 4.5e-12 normwise off
+        x = rng.normal(size=(109, 1)) * rng.uniform(0.1, 10.0, size=1)
+        y = rng.normal(size=(109, 1)) * 5.0
+        rows = np.setdiff1d(np.arange(109), rng.choice(109, size=39, replace=False))
+        y[rows] *= 1e-4
+    else:
+        # 20 dropped rows whose features and labels are 1e3 times the
+        # others': ~1.5e-10 normwise off
+        x, y = rng.normal(size=(2000, 16)), rng.normal(size=(2000, 5))
+        drop = rng.choice(2000, size=20, replace=False)
+        x[drop] *= 1e3
+        y[drop] *= 1e3
+        rows = np.setdiff1d(np.arange(2000), drop)
+    _same_fit_as_the_kept_rows(x, y, rows, TrainConfig(ridge_alpha=alpha))
+
+
+def test_every_position_is_the_fit_of_every_row_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    stream, matrix = _stream_and_matrix(7 * _BLOCK + 5, 600, 3)
     cfg = TrainConfig(ridge_alpha=1e-6)
-    got = fit_arrays(x, y, None, cfg, drop)
-    assert _normwise(got, fit_arrays(x[keep], y[keep], None, cfg)) <= 1e-9
-
-
-@pytest.mark.parametrize("alpha", [0.0, 1e-6, 10.0])
-def test_a_downdate_that_cancels_is_refitted_from_the_kept_rows(monkeypatch, alpha):
-    # the kept rows' labels are 1e-4 of the dropped rows', so their fit is
-    # small next to the data: the subtraction alone leaves it 4.5e-12
-    # normwise off the kept rows' fit (7.7e-12 at alpha 10), and the estimate
-    # (1.1e-10) sends the fit to the kept rows' features
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(109, 1)) * rng.uniform(0.1, 10.0, size=1)
-    y = rng.normal(size=(109, 1)) * 5.0
-    drop = np.sort(rng.choice(109, size=39, replace=False))
-    keep = np.setdiff1d(np.arange(109), drop)
-    y[keep] *= 1e-4
-    cfg = TrainConfig(ridge_alpha=alpha)
-    ds = Dataset([f"s{i}" for i in range(109)], x, y, ["d0"])
-    want = fit_arrays(x[keep], y[keep], None, cfg)
-    reads, blocks = [], Dataset.feature_blocks
-
-    def counting(self, rows=None):
-        reads.append("all" if rows is None else len(rows))
-        return blocks(self, rows)
-
-    monkeypatch.setattr(Dataset, "feature_blocks", counting)
-    got = fit_closed_form(ds, None, cfg, drop)
-    assert reads == ["all", 39, 70]
-    assert got.to_dict() == want.to_dict()
-    # without the refit the downdate misses by more than the 1e-12 other dropped-row fits meet
-    monkeypatch.setattr(dimsift.model, "DOWNDATE_RTOL", math.inf)
-    assert _normwise(fit_closed_form(ds, None, cfg, drop), want) > 1e-12
+    for ds in (stream, matrix):
+        got = fit_closed_form(ds, None, cfg, np.arange(len(ds)))
+        assert got.to_dict() == fit_closed_form(ds, None, cfg).to_dict()
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,12 +372,12 @@ def test_a_drop_leaving_fewer_rows_than_unknowns_raises_at_alpha_zero(seed, d, n
     x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
     y = rng.normal(size=(n, 2))
     left = min(left, d)
-    drop = np.sort(rng.choice(n, size=n - left, replace=False))
+    rows = np.sort(rng.choice(n, size=left, replace=False))
     with pytest.raises(NumericalError, match="all dimensions"):
-        fit_arrays(x, y, None, TrainConfig(ridge_alpha=0.0), drop)
+        fit_arrays(x, y, None, TrainConfig(ridge_alpha=0.0), rows)
 
 
-def test_dropped_rows_and_sample_weights_do_not_combine():
+def test_row_positions_and_sample_weights_do_not_combine():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
     with pytest.raises(ValueError, match="sample weights"):

@@ -351,9 +351,9 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
     fitted, gd_fitted = [], []
     fit, fit_gd = dimsift.pipeline._fit, dimsift.pipeline.fit_gd_arrays
 
-    def recording_fit(ds, weights, cfg, drop=None):
-        fitted.append((ds, drop))
-        return fit(ds, weights, cfg, drop)
+    def recording_fit(ds, weights, cfg, rows=None):
+        fitted.append((ds, rows))
+        return fit(ds, weights, cfg, rows)
 
     def recording_fit_gd(x, y, *args):
         gd_fitted.append((x, y))
@@ -384,30 +384,39 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
     assert np.array_equal(seen["labels"], test_clean.labels)
     probe, final = seen["heads"]
     assert probe is arts.probe and final is arts.final
-    (probe_ds, probe_drop), (final_ds, drop) = fitted
+    (probe_ds, probe_rows), (final_ds, rows) = fitted
     # the probe and the refit both get the training split itself; the refit
-    # drops the rows of removed_ids, in corpus order, and no others
+    # gets the positions of kept_ids, in corpus order, and no others
     assert probe_ds is arts.train and final_ds is arts.train
-    assert probe_drop is None
-    assert drop.tolist() == [arts.train.index_of(sid) for sid in arts.prune.removed_ids]
-    assert np.all(np.diff(drop) > 0)
-    kept = np.delete(np.arange(len(arts.train)), drop)
-    assert [arts.train.ids[i] for i in kept] == arts.prune.kept_ids
+    assert probe_rows is None
+    assert rows.tolist() == [arts.train.index_of(sid) for sid in arts.prune.kept_ids]
+    assert np.all(np.diff(rows) > 0)
     assert arts.report.dataset_summary["n_train_refined"] == len(refined)
     if cfg.train.hidden_dim is None:
-        # the closed form subtracts the dropped rows' normal equations
+        # the closed form of the kept rows is the fit of the refined rows
         assert gd_fitted == []
-        want = fit_closed_form(refined, config=cfg.train)
-        got_beta = np.vstack([arts.final.weights.T, arts.final.biases])
-        want_beta = np.vstack([want.weights.T, want.biases])
-        assert np.linalg.norm(got_beta - want_beta) <= 1e-12 * np.linalg.norm(want_beta)
-        assert arts.final.fit_info == want.fit_info
+        assert arts.final.to_dict() == fit_closed_form(refined, config=cfg.train).to_dict()
     else:
         # gradient descent fits a copy of the kept rows' features and labels
         (_, _), (gd_x, gd_y) = gd_fitted
         for got, want in ((gd_x, refined.features), (gd_y, refined.labels)):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_samples", [2000, 50_000])
+@pytest.mark.parametrize("refine", ["ddp", "loss_prune", "global_prune"])
+def test_a_pruned_refit_is_the_fit_of_the_kept_rows_bit_for_bit(refine, n_samples):
+    # run --seed 0 (1200 training rows, one block), and 50k samples, whose
+    # 30000 training rows are read in three blocks
+    cfg = default_config(seed=0, refine_strategy=refine)
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=n_samples))
+    arts = run_pipeline(cfg)
+    kept = set(arts.prune.kept_ids)
+    rows = [i for i, sid in enumerate(arts.train.ids) if sid in kept]
+    assert 0 < len(rows) < len(arts.train)
+    want = fit_closed_form(arts.train.select(rows), config=cfg.train)
+    assert arts.final.to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("out", [None, "run"], ids=["in-memory", "to-dir"])
@@ -500,12 +509,11 @@ def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     # the stream is read by the probe fit, by the scores with the global
-    # scores, by the refit for its dropped rows (it shares the probe's
-    # normal equations of all rows) and for the test rows: at each of their
-    # blocks and once the run returns, nothing that large is allocated. A
-    # matrix of the training features was, throughout
-    n_drop = len(arts.prune.removed_ids)
-    blocks = [len(list(dimsift.data._row_blocks(m))) for m in (n_train, n_train, n_drop, n_test)]
+    # scores, by the refit for its kept rows and for the test rows: at each
+    # of their blocks and once the run returns, nothing that large is
+    # allocated. A matrix of the training features was, throughout
+    n_kept = len(arts.prune.kept_ids)
+    blocks = [len(list(dimsift.data._row_blocks(m))) for m in (n_train, n_train, n_kept, n_test)]
     assert len(large) == sum(blocks) + 1
     assert large == [[]] * len(large)
 
@@ -540,38 +548,33 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
 
 
 def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
+    # 2048-row draw blocks: the 11821 kept rows are read in five blocks
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 2048)
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
     d, k = cfg.synth.feature_dim, cfg.synth.n_dims
-    select, fit = dimsift.pipeline.ddp_select, dimsift.pipeline._fit
+    fit = dimsift.pipeline._fit
     measured = []
 
-    def tracing_select(scores, rho):
-        tracemalloc.start()  # from here on: what the selection and the refit allocate
-        return select(scores, rho)
+    def measuring_fit(ds, weights, cfg, rows=None):
+        if rows is None:
+            return fit(ds, weights, cfg)
+        peak = peak_traced_bytes(fit, ds, weights, cfg, rows)
+        measured.append((peak, len(rows)))
+        return fit(ds, weights, cfg, rows)
 
-    def measuring_fit(ds, weights, cfg, drop=None):
-        head = fit(ds, weights, cfg, drop)
-        if tracemalloc.is_tracing():
-            measured.append((tracemalloc.get_traced_memory()[1], len(ds) - len(drop)))
-            tracemalloc.stop()
-        return head
-
-    monkeypatch.setattr(dimsift.pipeline, "ddp_select", tracing_select)
     monkeypatch.setattr(dimsift.pipeline, "_fit", measuring_fit)
-    try:
-        run_pipeline(cfg)
-    finally:
-        if tracemalloc.is_tracing():
-            tracemalloc.stop()
+    run_pipeline(cfg)
     [(peak, n_kept)] = measured
-    # beyond the one chunk of the sample stream that reading the dropped
-    # rows' features holds: the selection, those features and their normal
-    # equations, 0.14x the kept rows' features and labels measured. Copying
-    # the kept rows measured 1.11x, and a Dataset of them (ids, id set, mask
-    # and checks) 1.57x
-    chunk = dimsift.data.DRAW_BLOCK_ROWS // 8 * d * 8
-    assert peak < 0.2 * n_kept * (d + k) * 8 + chunk
+    assert len(list(dimsift.data._row_blocks(n_kept))) >= 4
+    # one block of the kept rows' features and labels (at most 2B - 1 rows),
+    # the stream rows of the kept positions (8 bytes each) and one chunk of
+    # the sample stream: 0.89 of that measured. Gathering the kept rows'
+    # labels before the first block measured 1.36, and every kept row's
+    # features at once 2.63
+    b = dimsift.data.DRAW_BLOCK_ROWS
+    chunk = b // 8 * d * 8
+    assert peak <= (2 * b - 1) * (d + k) * 8 + n_kept * 8 + chunk
 
 
 def test_a_run_holds_its_ids_as_row_numbers(monkeypatch):

@@ -38,7 +38,7 @@ from .influence import (
     self_influence_explicit,
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
-from .model import STRATEGIES, RegressionHead, Scope, TrainConfig, per_dim_loss
+from .model import RegressionHead, Scope, TrainConfig, per_dim_loss
 from .pipeline import (
     REFINE_STRATEGIES,
     ExperimentReport,
@@ -123,7 +123,6 @@ def _build_parser() -> _Parser:
     f.add_argument("--data", required=True)
     f.add_argument("--alpha", type=float, default=TrainConfig.ridge_alpha,
                    help="ridge strength (closed form)")
-    f.add_argument("--strategy", default=TrainConfig.strategy, choices=STRATEGIES)
     f.add_argument("--lambdas", type=_csv_floats, help="comma list of per-dimension loss weights")
     f.add_argument("--weights", default=None, help="per-sample weight file from `reweight`")
     f.add_argument("--lr", type=float, default=TrainConfig.lr)
@@ -268,7 +267,6 @@ def _cmd_fit(args) -> int:
         ridge_alpha=args.alpha,
         lr=args.lr,
         epochs=args.epochs,
-        strategy=args.strategy,
         seed=args.seed,
         hidden_dim=args.hidden_dim,
     )

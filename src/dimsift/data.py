@@ -296,16 +296,24 @@ class Dataset:
         return self.gather_features()
 
     def gather_features(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """A new read-only matrix of the features of the ascending row positions rows (every row if None).
+        """A new read-only matrix of the features of the row positions rows (every row if None).
 
-        The rows are gathered a block at a time (feature_blocks), so no
-        matrix of other rows is held.
+        rows may come in any order and repeat. They are read in ascending
+        order a block at a time (feature_blocks), each block written to its
+        rows' places, so no matrix of other rows is held.
         """
+        order = None
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if np.any(rows[1:] < rows[:-1]):
+                order = np.argsort(rows, kind="stable")
+                rows = rows[order]
         out = np.empty((len(self) if rows is None else len(rows), self._feature_dim))
         start = 0
         for block in self.feature_blocks(rows):
-            out[start : start + len(block)] = block
-            start += len(block)
+            stop = start + len(block)
+            out[slice(start, stop) if order is None else order[start:stop]] = block
+            start = stop
             del block  # released before the next block is gathered
         out.setflags(write=False)
         return out
@@ -364,15 +372,18 @@ class Dataset:
         """New dataset restricted to the given row indices, in the given order.
 
         An integer ndarray is used as is; any other iterable is read into one.
-        The result holds its rows' features as a matrix.
+        The result holds its rows' features as a matrix; a synthetic corpus's
+        are gathered from its sample stream (gather_features), so no matrix
+        of other rows is built.
         """
         if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
             idx = indices
         else:
             idx = np.asarray(list(indices), dtype=int)
+        src = self._source
         return Dataset(
             ids=take_ids(self._ids, idx),
-            features=self.features[idx],
+            features=src[idx] if isinstance(src, np.ndarray) else self.gather_features(idx),
             labels=self._labels[idx],
             dim_names=self.dim_names,
             corrupted=None if self._corrupted is None else self._corrupted[idx],

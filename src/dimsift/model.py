@@ -10,10 +10,8 @@ Supported fitting paths:
                     nor a feature matrix is built, and an unweighted fit
                     shares one set of normal equations (one Gram matrix, one
                     solve) across all dimensions
-    gradient        full-batch gradient descent on the weighted sum of
-                    per-dimension squared-error losses, with a fixed (Equal),
-                    learned (uncertainty log-variance), or per-epoch random
-                    (softmax draws) combination of dimensions
+    gradient        full-batch gradient descent on the sum of per-dimension
+                    squared-error losses, each scaled by its fixed lambda
 
 An optional shared affine layer (identity activation) sits below the heads so
 that influence scopes covering the last two layers have coupled parameters.
@@ -39,17 +37,13 @@ class Scope(str, Enum):
     LAST_TWO_LAYERS = "last_two_layers"
 
 
-STRATEGIES = ("equal", "uncertainty", "rlw")
-
-
 @dataclass
 class RegressionHead:
     """K independent affine heads, optionally on top of one shared affine layer.
 
     weights is (K, p) where p is the feature dimension, or the hidden width
     when a shared layer is present. fit_info carries fitting diagnostics
-    (loss trajectory, learned loss-balance state) and is not used by
-    prediction.
+    (method, loss trajectory) and is not used by prediction.
     """
 
     weights: np.ndarray
@@ -155,16 +149,16 @@ class TrainConfig:
 
     lambdas are fixed positive per-dimension loss weights (None means all
     ones). ridge_alpha only affects the closed form. hidden_dim, when set,
-    adds a shared affine layer and forces the gradient path. Every head fits
-    its bias. The gradient path has no ridge term, so `run` and `fit` refuse
-    a ridge_alpha other than the default there (pipeline.check_gd_settings).
+    is the width (at least 1) of a shared affine layer and forces the
+    gradient path. Every head fits its bias. The gradient path has no ridge
+    term, so `run` and `fit` refuse a ridge_alpha other than the default
+    there (pipeline.check_gd_settings).
     """
 
     lambdas: Optional[tuple[float, ...]] = None
     ridge_alpha: float = 1e-6
     lr: float = 0.05
     epochs: int = 200
-    strategy: str = "equal"
     seed: int = 0
     hidden_dim: Optional[int] = None
 
@@ -172,8 +166,8 @@ class TrainConfig:
         # written so that NaN fails: every comparison with it is False
         if not 0 <= self.ridge_alpha < math.inf:
             raise ValueError(f"ridge_alpha must be nonnegative and finite, got {self.ridge_alpha}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if not 0 < self.lr < math.inf:
@@ -314,16 +308,15 @@ def fit_closed_form(
 
 
 class GDObjective:
-    """Full-batch objective with per-dimension mean losses and analytic gradients.
+    """Full-batch objective with its analytic gradient.
 
     Parameters are packed into one flat vector:
 
         head only     [head weights (K*p), head biases (K)]
         shared layer  [shared weights (m*d), shared bias (m)] + head block
 
-    per_dim_losses_and_grads returns L (K,) with
-    L_k = (1/N) sum_i lambda_k w_ik 0.5 r_ik^2 and the (K, P) matrix of
-    gradients dL_k/dtheta, so callers can combine dimensions with any weights.
+    loss_and_grad returns L = (1/N) sum_ik lambda_k w_ik 0.5 r_ik^2 and the
+    flat gradient dL/dtheta.
     """
 
     def __init__(
@@ -391,7 +384,7 @@ class GDObjective:
         self._u += shared_b
         return self._u
 
-    def per_dim_losses_and_grads(self, theta: np.ndarray):
+    def loss_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         shared_w, shared_b, hw, hb = self._unpack(theta)
         u = self._head_inputs(shared_w, shared_b)
         r, cr = self._r, self._cr  # (N, K) each
@@ -399,27 +392,16 @@ class GDObjective:
         r += hb
         r -= self.y
         np.multiply(self.coef, r, out=cr)
-        r *= cr  # the residuals are not needed past the losses
-        losses = 0.5 * np.sum(r, axis=0)
-        grads = np.zeros((self.k, self.n_params))
-        off = self.n_shared
-        ph = self.p_head
-        for j in range(self.k):
-            grads[j, off + j * ph : off + (j + 1) * ph] = cr[:, j] @ u
-            grads[j, off + self.k * ph + j] = cr[:, j].sum()
+        r *= cr  # the residuals are not needed past the loss
+        loss = float(0.5 * np.sum(r, axis=0).sum())  # summed per dimension first
+        grad = np.empty(self.n_params)
+        g_sw, g_sb, g_hw, g_hb = self._unpack(grad)  # views into grad
+        np.matmul(cr.T, u, out=g_hw)
+        cr.sum(axis=0, out=g_hb)
         if shared_w is not None:
-            m = self.hidden_dim
-            sx = cr.T @ self.x  # (K, d), row j = sum_i cr_ij x_i
-            sc = cr.sum(axis=0)  # (K,)
-            for j in range(self.k):
-                grads[j, : m * self.d] = np.outer(hw[j], sx[j]).ravel()
-                grads[j, m * self.d : m * self.d + m] = hw[j] * sc[j]
-        return losses, grads
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+            np.matmul(hw.T, cr.T @ self.x, out=g_sw)
+            np.matmul(hw.T, g_hb, out=g_sb)
+        return loss, grad
 
 
 def fit_gd_arrays(
@@ -430,54 +412,32 @@ def fit_gd_arrays(
     x and y are used as given, finite float64 as a Dataset holds them.
 
     Head parameters start at zero; a shared layer, when requested, starts from
-    a small seeded gaussian. Strategies:
-
-        equal        dimensions combined with the fixed lambdas
-        uncertainty  per-dimension log-variances s_k (init 0) are learned
-                     jointly, objective sum_k exp(-s_k) L_k + 0.5 s_k
-        rlw          per-epoch dimension weights drawn as the softmax of K
-                     seeded standard normals, multiplying the fixed lambdas
+    a small seeded gaussian. The objective is GDObjective's: the per-dimension
+    losses scaled by the fixed lambdas and summed.
 
     The per-epoch loss trajectory is recorded in fit_info. A non-finite loss
     raises NumericalError naming the epoch.
     """
     cfg = config or TrainConfig()
-    k = y.shape[1]
-    lam = cfg.resolved_lambdas(k)
+    lam = cfg.resolved_lambdas(y.shape[1])
     obj = GDObjective(x, y, weights, lam, cfg.hidden_dim)
     theta = obj.init_params(cfg.seed)
-    s = np.zeros(k)
-    rlw_rng = np.random.default_rng([cfg.seed, 1])
     history: list[float] = []
 
     for epoch in range(cfg.epochs):
-        losses, grads = obj.per_dim_losses_and_grads(theta)
-        if cfg.strategy == "equal":
-            c = np.ones(k)
-            total = float(losses.sum())
-        elif cfg.strategy == "uncertainty":
-            c = np.exp(-s)
-            total = float(c @ losses + 0.5 * s.sum())
-        else:  # rlw
-            c = _softmax(rlw_rng.standard_normal(k))
-            total = float(c @ losses)
-        if not np.isfinite(total):
+        loss, grad = obj.loss_and_grad(theta)
+        if not np.isfinite(loss):
             raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
-        history.append(total)
-        theta = theta - cfg.lr * (c @ grads)
-        if cfg.strategy == "uncertainty":
-            s = s - cfg.lr * (0.5 - c * losses)
+        history.append(loss)
+        theta = theta - cfg.lr * grad
 
     info = {
         "method": "gd",
-        "strategy": cfg.strategy,
         "epochs": cfg.epochs,
         "lr": cfg.lr,
         "seed": cfg.seed,
         "loss_history": history,
     }
-    if cfg.strategy == "uncertainty":
-        info["log_vars"] = s.tolist()
     return obj.to_head(theta, fit_info=info)
 
 

@@ -8,7 +8,7 @@ written), so identical configs give identical runs. Stages:
           -> fit probe -> score -> refine -> refit
           -> evaluate on clean test labels -> report
 
-The probe is an equal-weighted fit on the full training split; influence
+The probe is an unweighted fit on the full training split; influence
 scores, the refined training set, and the refit head all derive from it.
 """
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .metrics import (
 )
 from .model import (
     RegressionHead,
+    Scope,
     TrainConfig,
     fit_closed_form,
     fit_gd_arrays,
@@ -424,21 +425,16 @@ class PipelineArtifacts:
     weight_matrix: Optional[WeightMatrix]
 
 
-def _uses_gd(cfg: TrainConfig) -> bool:
-    """Whether cfg is fitted by gradient descent: a shared layer or a loss-balancing strategy."""
-    return cfg.hidden_dim is not None or cfg.strategy != "equal"
-
-
 def check_gd_settings(cfg: TrainConfig, name: str) -> None:
-    """A UsageError if cfg picks gradient descent but changes ridge_alpha from its default.
+    """A UsageError if cfg has a shared layer but changes ridge_alpha from its default.
 
-    Gradient descent has no ridge term, so the setting would be ignored.
-    name is the one the caller knows ridge_alpha by.
+    A shared layer is fitted by gradient descent, which has no ridge term, so
+    the setting would be ignored. name is the one the caller knows
+    ridge_alpha by.
     """
-    if _uses_gd(cfg) and cfg.ridge_alpha != TrainConfig.ridge_alpha:
+    if cfg.hidden_dim is not None and cfg.ridge_alpha != TrainConfig.ridge_alpha:
         raise UsageError(
-            f"{name}: not used by gradient descent (a hidden layer or a "
-            "non-equal strategy), which has no ridge term"
+            f"{name}: not used by gradient descent (a hidden layer), which has no ridge term"
         )
 
 
@@ -446,10 +442,10 @@ def _fit(ds: Dataset, weights, cfg: TrainConfig, rows=None) -> RegressionHead:
     """A head fitted to the rows of ds at the ascending positions rows (every row if None).
 
     Gradient descent on a gathered matrix of those rows' features with a
-    shared layer or a loss-balancing strategy, released after; else the
-    closed form, which reads them a block at a time and copies no rows.
+    shared layer, released after; else the closed form, which reads them a
+    block at a time and copies no rows.
     """
-    if _uses_gd(cfg):
+    if cfg.hidden_dim is not None:
         if rows is None:
             return fit_gd_arrays(ds.features, ds.labels, weights, cfg)
         return fit_gd_arrays(ds.gather_features(rows), ds.labels[rows], weights, cfg)
@@ -483,6 +479,10 @@ def run_pipeline(
     """
     validate_synth(config.synth)
     check_gd_settings(config.train, "train.ridge_alpha")
+    if config.influence.scope == Scope.LAST_TWO_LAYERS and config.train.hidden_dim is None:
+        raise UsageError(
+            "influence.scope: last_two_layers needs a shared layer; set train.hidden_dim"
+        )
     for key, section in (("train.lambdas", config.train), ("influence.lambdas", config.influence)):
         try:
             section.resolved_lambdas(config.synth.n_dims)
@@ -512,8 +512,7 @@ def run_pipeline(
     train = synthetic_rows(config.synth, train_idx, labels[train_idx], mask[train_idx], manifest)
     del labels, mask
 
-    probe_cfg = dataclasses.replace(config.train, strategy="equal")
-    probe = _fit(train, None, probe_cfg)
+    probe = _fit(train, None, config.train)
 
     scores, global_scores = self_and_global_scores(probe, train, config.influence)
 

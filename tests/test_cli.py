@@ -607,7 +607,7 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
         pytest.param(lambda doc: doc["synth"].pop("n_dims"), "synth.n_dims", id="missing-key"),
         pytest.param(lambda doc: doc["synth"].update(n_samples="many"), "synth.n_samples",
                      id="non-numeric-int"),
-        pytest.param(lambda doc: doc["train"].update(strategy=1), "train.strategy",
+        pytest.param(lambda doc: doc["refine"].update(strategy=1), "refine.strategy",
                      id="number-strategy"),
         pytest.param(lambda doc: doc["influence"].update(scope="everything"), "influence.scope",
                      id="bad-scope"),
@@ -627,6 +627,9 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
                      id="fit-bias"),
         pytest.param(lambda doc: doc["refine"].update(epsilon=1e-8), "refine.epsilon",
                      id="epsilon"),
+        # dimensions are combined with the fixed lambdas only
+        pytest.param(lambda doc: doc["train"].update(strategy="equal"), "train.strategy",
+                     id="train-strategy"),
         # gradient descent has no ridge term
         pytest.param(lambda doc: doc["train"].update(hidden_dim=4, ridge_alpha=0.5),
                      "train.ridge_alpha", id="gd-ridge-alpha"),
@@ -666,6 +669,10 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     assert not (tmp_path / "r").exists()
 
 
+# a section's own checks name the field after the section, as "config refine: rho"
+_NAMED_IN_SECTION = {"train.hidden_dim": "config train: hidden_dim"}
+
+
 @pytest.mark.parametrize("setting", [
     "influence.lambdas=[1,2]",
     "train.lambdas=[1,2]",
@@ -675,19 +682,23 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     # every head fits its bias
     "train.fit_bias=false",
     "refine.temperature=-Infinity",
+    # a shared layer is at least one unit wide, and the coupled scope needs one
+    "train.hidden_dim=0",
+    "train.hidden_dim=-1",
+    'influence.scope="last_two_layers"',
 ])
 def test_a_bad_set_value_exits_one_naming_the_key_before_any_file(tmp_path, capsys, setting):
     out = tmp_path / "r"
     assert main(["run", "--refine", "ddr", "--set", setting, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and setting.split("=")[0] in err
+    key = setting.split("=")[0]
+    assert err.startswith("usage error:") and _NAMED_IN_SECTION.get(key, key) in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, named", [
     pytest.param(["--hidden-dim", "4", "--alpha", "0.5"], "--alpha", id="hidden-dim-alpha"),
     pytest.param(["--hidden-dim", "4", "--alpha", "0"], "--alpha", id="hidden-dim-zero-alpha"),
-    pytest.param(["--strategy", "uncertainty", "--alpha", "1"], "--alpha", id="uncertainty-alpha"),
 ])
 def test_fit_refuses_closed_form_flags_with_gradient_descent(stage_dir, capsys, flags, named):
     head = stage_dir / "gd.json"
@@ -700,16 +711,29 @@ def test_fit_refuses_closed_form_flags_with_gradient_descent(stage_dir, capsys, 
     assert main(argv + flags[:2]) == 0
 
 
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_fit_refuses_a_hidden_width_below_one(stage_dir, capsys, width):
+    head = stage_dir / "gd.json"
+    argv = ["fit", "--data", str(stage_dir / "noisy.jsonl"), "--hidden-dim", width, "--out", str(head)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "hidden_dim" in err
+    assert not head.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(["fit", "--data", "{d}/noisy.jsonl", "--out", "{d}/h.json", "--no-bias"],
                  "--no-bias", id="fit-no-bias"),
     pytest.param(["reweight", "--scores", "{d}/scores.jsonl", "--out", "{d}/w.json",
                   "--epsilon", "1e-8"], "--epsilon", id="reweight-epsilon"),
     pytest.param(["report", "--dir", "{d}", "--rho", "0.3"], "--rho", id="report-rho"),
+    pytest.param(["fit", "--data", "{d}/noisy.jsonl", "--out", "{d}/h.json", "--strategy", "equal"],
+                 "--strategy", id="fit-strategy"),
 ])
 def test_a_deleted_flag_exits_one_naming_it(stage_dir, capsys, argv, flag):
-    # every head fits its bias, DDR's z-score guard is a constant, and a
-    # staged report takes its rho from the directory's prune.json
+    # every head fits its bias, DDR's z-score guard is a constant, a staged
+    # report takes its rho from the directory's prune.json, and dimensions
+    # are combined with the fixed lambdas only
     assert main(["score", "--data", str(stage_dir / "noisy.jsonl"), "--head",
                  str(stage_dir / "head.json"), "--out", str(stage_dir / "scores.jsonl")]) == 0
     written = sorted(stage_dir.iterdir())

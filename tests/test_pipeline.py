@@ -37,7 +37,6 @@ from dimsift import (
     split,
 )
 from dimsift.data import corrupted_copy, dumps_dataset, floor_count, load_dataset, top_sets
-from dimsift.model import STRATEGIES
 from dimsift.pipeline import REFINE_STRATEGIES
 
 
@@ -115,7 +114,6 @@ _configs = st.builds(
         ridge_alpha=_nonneg,
         lr=_positive,
         epochs=st.integers(1, 10**4),
-        strategy=st.sampled_from(STRATEGIES),
         seed=_seeds,
         hidden_dim=st.none() | st.integers(1, 64),
     ),

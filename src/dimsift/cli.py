@@ -14,18 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import (
     NoiseSpec,
     SynthConfig,
     corrupted_copy,
-    draw_synthetic,
+    generate_synthetic,
     load_dataset,
     save_dataset,
     split,
-    synthetic_rows,
     write_json,
 )
 from .errors import DataError, NumericalError, UsageError
@@ -34,7 +31,6 @@ from .influence import (
     SelfInfluenceTable,
     global_tracin_self,
     row_sum_scores,
-    self_influence_closed_form,
     self_influence_explicit,
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
@@ -98,7 +94,6 @@ def _build_parser() -> _Parser:
                    help="clean label noise SD, scalar or comma list")
     g.add_argument("--teacher-seed", type=int, default=SynthConfig.teacher_seed)
     g.add_argument("--sample-seed", type=int, default=SynthConfig.sample_seed)
-    g.add_argument("--label-range", type=_csv_floats, help="lo,hi clamp for labels")
     g.add_argument("--out", required=True, help="output dataset (JSONL)")
 
     c = sub.add_parser("corrupt", help="inject label corruption into a dataset")
@@ -136,9 +131,8 @@ def _build_parser() -> _Parser:
     sc.add_argument("--head", required=True)
     sc.add_argument("--scope", default=InfluenceConfig.scope.value,
                     choices=[s.value for s in Scope])
-    sc.add_argument("--method", default="closed",
-                    choices=("closed", "explicit", "global", "row_sum"),
-                    help="closed: forward-only self-influence; explicit: any scope; "
+    sc.add_argument("--method", default="explicit", choices=("explicit", "global", "row_sum"),
+                    help="explicit: per-dimension self-influence; "
                          "global: scalar self-influence; row_sum: matrix row sums")
     sc.add_argument("--lambdas", type=_csv_floats)
     sc.add_argument("--out", required=True)
@@ -208,8 +202,6 @@ def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    if args.label_range is not None and len(args.label_range) != 2:
-        raise UsageError("--label-range expects lo,hi")
     cfg = SynthConfig(
         n_samples=args.n,
         feature_dim=args.features,
@@ -217,11 +209,8 @@ def _cmd_gen(args) -> int:
         label_noise_sd=args.noise_sd[0] if len(args.noise_sd) == 1 else args.noise_sd,
         teacher_seed=args.teacher_seed,
         sample_seed=args.sample_seed,
-        label_range=args.label_range,
     )
-    labels, manifest = draw_synthetic(cfg)
-    mask = np.zeros(labels.shape, dtype=bool)
-    save_dataset(synthetic_rows(cfg, np.arange(cfg.n_samples), labels, mask, manifest), args.out)
+    save_dataset(generate_synthetic(cfg), args.out)
     print(f"wrote {cfg.n_samples} samples ({cfg.feature_dim} features, {cfg.n_dims} dims) to {args.out}")
     return 0
 
@@ -284,9 +273,7 @@ def _cmd_score(args) -> int:
     ds = load_dataset(args.data)
     head = RegressionHead.load(args.head)
     cfg = InfluenceConfig(scope=Scope(args.scope), lambdas=args.lambdas)
-    if args.method == "closed":
-        table = self_influence_closed_form(head, ds, cfg)
-    elif args.method == "explicit":
+    if args.method == "explicit":
         table = self_influence_explicit(head, ds, cfg)
     elif args.method == "global":
         values = global_tracin_self(head, ds, cfg)

@@ -77,7 +77,15 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 def first_duplicate(ids: Sequence[str]) -> int | None:
-    """The index of the second occurrence of the smallest repeated id, or None."""
+    """The index of the second occurrence of the smallest repeated id, or None.
+
+    A RowIds's row numbers are compared as integers, and no id is formatted:
+    the smallest repeated row number is its smallest repeated id.
+    """
+    if isinstance(ids, RowIds):
+        rows = np.sort(ids.rows)
+        repeats = np.flatnonzero(rows[1:] == rows[:-1])
+        return int(np.flatnonzero(ids.rows == rows[repeats[0]])[1]) if repeats.size else None
     # sorted neighbours take 8 bytes per id; a set of the ids grows to ~50 (6 MiB at 120k)
     dup = next((a for a, b in pairwise(sorted(ids)) if a == b), None)
     return None if dup is None else ids.index(dup, ids.index(dup) + 1)
@@ -145,17 +153,6 @@ class RowIds(Sequence[str]):
         fmt = f"s{{:0{self._width}d}}".format
         for start in range(0, len(self._rows), self._BLOCK):
             yield from map(fmt, self._rows[start : start + self._BLOCK].tolist())
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        lo, hi, _ = slice(start, stop).indices(len(self))
-        digits = value[1:] if isinstance(value, str) and value[:1] == "s" else ""
-        # 18 digits or fewer fit the row array's int64
-        if digits.isascii() and digits.isdigit() and len(digits) <= 18:
-            hits = np.flatnonzero(self._rows[lo:hi] == int(digits))
-            # "s1" and "s00001" name the same row number; only the padded one is an id
-            if hits.size and self[lo + int(hits[0])] == value:
-                return lo + int(hits[0])
-        raise ValueError(f"{value!r} is not in the ids")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RowIds):
@@ -409,7 +406,8 @@ class SynthConfig:
     label_noise_sd may be a scalar (shared by all dimensions) or one value per
     dimension. teacher_seed fixes the teacher weights, sample_seed fixes the
     feature draws and the clean label noise, so corpora with the same teacher
-    but fresh samples are easy to build.
+    but fresh samples are easy to build. These six values fix every label of
+    the corpus, which is never clipped (see draw_synthetic).
     """
 
     n_samples: int
@@ -418,25 +416,25 @@ class SynthConfig:
     label_noise_sd: float | tuple[float, ...] = 0.0
     teacher_seed: int = 0
     sample_seed: int = 0
-    label_range: tuple[float, float] | None = None
 
     def noise_vector(self) -> np.ndarray:
-        sd = np.broadcast_to(np.asarray(self.label_noise_sd, dtype=np.float64), (self.n_dims,))
+        try:
+            sd = np.broadcast_to(np.asarray(self.label_noise_sd, dtype=np.float64), (self.n_dims,))
+        except ValueError:
+            raise ValueError(
+                f"label_noise_sd: must be one SD or {self.n_dims}, got {self.label_noise_sd}"
+            ) from None
         if np.any(sd < 0) or not np.all(np.isfinite(sd)):
-            raise ValueError("label_noise_sd must be nonnegative and finite")
+            raise ValueError("label_noise_sd: must be nonnegative and finite")
         return sd.copy()
 
 
 def validate_synth(config: SynthConfig) -> np.ndarray:
     """Check the settings a draw needs; return the per-dimension label noise SD."""
-    if config.n_samples <= 0 or config.feature_dim <= 0 or config.n_dims <= 0:
-        raise ValueError("n_samples, feature_dim and n_dims must be positive")
-    sd = config.noise_vector()
-    if config.label_range is not None:
-        lo, hi = config.label_range
-        if not lo < hi:
-            raise ValueError("label_range must satisfy lo < hi")
-    return sd
+    for key in ("n_samples", "feature_dim", "n_dims"):
+        if getattr(config, key) <= 0:
+            raise ValueError(f"{key}: must be positive, got {getattr(config, key)}")
+    return config.noise_vector()
 
 
 # Rows of the sample stream drawn at a time: 1 MiB of features at d=16.
@@ -504,11 +502,10 @@ def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
     """Clean labels of every row of config's corpus, and its manifest.
 
     Features are i.i.d. standard normal. Labels are W* h + b* plus independent
-    gaussian noise per dimension, clipped to label_range if one is set. The
-    sample stream is read DRAW_BLOCK_ROWS rows at a time and no feature is
-    kept: sample_features reads the same features again. The manifest
-    records both seeds and content digests of the teacher parameters so
-    runs can be audited later.
+    gaussian noise per dimension, unclipped. The sample stream is read
+    DRAW_BLOCK_ROWS rows at a time and no feature is kept: sample_features
+    reads the same features again. The manifest records both seeds and
+    content digests of the teacher parameters so runs can be audited later.
     """
     sd = validate_synth(config)
     n, d = config.n_samples, config.feature_dim
@@ -532,8 +529,6 @@ def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
         part = labels[start:stop]
         part += b_star
         part += noise
-    if config.label_range is not None:
-        np.clip(labels, *config.label_range, out=labels)
 
     manifest = {
         "generator": "linear_teacher",
@@ -543,7 +538,6 @@ def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
         "label_noise_sd": sd.tolist(),
         "teacher_seed": config.teacher_seed,
         "sample_seed": config.sample_seed,
-        "label_range": list(config.label_range) if config.label_range else None,
         "teacher_digest": {"weights": _digest(w_star), "biases": _digest(b_star)},
     }
     return labels, manifest
@@ -677,6 +671,11 @@ class NoiseSpec:
     seed: int = 0
     correlated_rate: float = 0.0
     correlated_seed: int = 0
+
+    def __post_init__(self):
+        for key in ("rate", "correlated_rate"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key}: must be in [0, 1], got {getattr(self, key)}")
 
     def apply(self, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
         """Corrupt labels and mask in place, per dimension then correlated; return the records."""

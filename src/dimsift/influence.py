@@ -66,7 +66,7 @@ class InfluenceConfig:
         if self.lambdas is not None:
             lam = np.asarray(self.lambdas, dtype=np.float64)
             if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-                raise ValueError("influence lambdas must be nonnegative and finite")
+                raise ValueError("lambdas: must be nonnegative and finite")
 
     def resolved_lambdas(self, n_dims: int) -> np.ndarray:
         if self.lambdas is None:

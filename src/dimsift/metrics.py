@@ -178,15 +178,10 @@ def evaluate_heads(
     ]
 
 
-def evaluate_head(head: RegressionHead, ds: Dataset, metadata: dict | None = None) -> MetricReport:
-    """Per-dimension Spearman of head predictions against the dataset labels.
-
-    evaluate_heads over ds.feature_blocks(); metadata's entries
-    are added to the report's.
-    """
+def evaluate_head(head: RegressionHead, ds: Dataset) -> MetricReport:
+    """Per-dimension Spearman of head predictions against ds's labels, read by ds.feature_blocks()."""
     check_pair(head, ds)
     [report] = evaluate_heads([head], ds.feature_blocks(), ds.labels, ds.dim_names)
-    report.metadata.update(metadata or {})
     return report
 
 

@@ -165,13 +165,13 @@ class TrainConfig:
     def __post_init__(self):
         # written so that NaN fails: every comparison with it is False
         if not 0 <= self.ridge_alpha < math.inf:
-            raise ValueError(f"ridge_alpha must be nonnegative and finite, got {self.ridge_alpha}")
+            raise ValueError(f"ridge_alpha: must be nonnegative and finite, got {self.ridge_alpha}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
+            raise ValueError(f"hidden_dim: must be at least 1, got {self.hidden_dim}")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise ValueError(f"epochs: must be at least 1, got {self.epochs}")
         if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+            raise ValueError(f"lr: must be positive and finite, got {self.lr}")
 
     def resolved_lambdas(self, n_dims: int) -> np.ndarray:
         if self.lambdas is None:
@@ -245,20 +245,27 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str) -> np.ndarray:
-    """Ridge solve of (A + alpha D) beta = B; D is the identity with the bias slot zeroed."""
+    """Ridge solve of (A + alpha D) beta = B; D is the identity with the bias slot zeroed.
+
+    A NumericalError naming the system (what) if it is rank deficient at
+    alpha=0, singular, or has no finite solution.
+    """
     p = a.shape[0]
     reg = np.eye(p)
     reg[-1, -1] = 0.0
     a = a + cfg.ridge_alpha * reg
-    if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a) < p:
-        raise NumericalError(
-            f"normal equations for {what} are rank deficient at alpha=0; "
-            "use a positive ridge_alpha or more effective samples"
-        )
     try:
-        return np.linalg.solve(a, b)
+        if cfg.ridge_alpha == 0.0 and np.linalg.matrix_rank(a) < p:
+            raise NumericalError(
+                f"normal equations for {what} are rank deficient at alpha=0; "
+                "use a positive ridge_alpha or more effective samples"
+            )
+        beta = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"normal equations for {what} are singular: {e}") from None
+    if not np.all(np.isfinite(beta)):
+        raise NumericalError(f"normal equations for {what} have no finite solution")
+    return beta
 
 
 def fit_closed_form(
@@ -297,12 +304,14 @@ def fit_closed_form(
     if rows is not None and weights is not None:
         raise ValueError("row positions and sample weights cannot be combined")
     w = None if weights is None else _resolve_weights(weights, n, k)
-    if w is None or np.all(w == 1.0):
-        [(a, b)] = _normal_equations(ds, None, rows)
-        beta = _solve(a, b, cfg, "all dimensions")
-    else:
-        systems = _normal_equations(ds, w)
-        beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in enumerate(systems)])
+    # an overflow leaves a solution that is not finite, which _solve reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w is None or np.all(w == 1.0):
+            [(a, b)] = _normal_equations(ds, None, rows)
+            beta = _solve(a, b, cfg, "all dimensions")
+        else:
+            systems = enumerate(_normal_equations(ds, w))
+            beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in systems])
     info = {"method": "closed_form", "ridge_alpha": cfg.ridge_alpha, "weighted": weights is not None}
     return RegressionHead(weights=beta[:d].T, biases=beta[d], fit_info=info)
 

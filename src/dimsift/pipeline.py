@@ -83,12 +83,13 @@ class RefineSpec:
     def __post_init__(self):
         if self.strategy not in REFINE_STRATEGIES:
             raise UsageError(
-                f"unknown refine strategy {self.strategy!r}, expected one of {REFINE_STRATEGIES}"
+                f"strategy: unknown refine strategy {self.strategy!r}, "
+                f"expected one of {REFINE_STRATEGIES}"
             )
         if not 0.0 <= self.rho <= 1.0:
-            raise UsageError(f"rho must be in [0, 1], got {self.rho}")
+            raise UsageError(f"rho: must be in [0, 1], got {self.rho}")
         if not self.temperature > 0.0:
-            raise UsageError(f"temperature must be positive, got {self.temperature}")
+            raise UsageError(f"temperature: must be positive, got {self.temperature}")
 
 
 # config.json keeps the two split fields of PipelineConfig in one "split" section
@@ -149,10 +150,10 @@ def _read_value(value, tp, key: str):
 def _read_section(section, name: str, types: dict) -> dict:
     """The values of one config section, each read as types[key]."""
     if not isinstance(section, dict):
-        raise UsageError(f"config section {name!r} must be an object")
+        raise UsageError(f"config {name}: must be an object")
     unknown = sorted(set(section) - set(types))
     if unknown:
-        raise UsageError(f"unknown config key(s): {[f'{name}.{key}' for key in unknown]}")
+        raise UsageError(f"config {name}.{unknown[0]}: unknown key")
     return {key: _read_value(v, types[key], f"{name}.{key}") for key, v in section.items()}
 
 
@@ -179,13 +180,15 @@ class PipelineConfig:
 
         Each section's keys and types are the fields of its dataclass, and a
         missing key takes its value from this class's default for the
-        section, so every default lives in the dataclasses.
+        section, so every default lives in the dataclasses. A fault is a
+        UsageError that reads "config <section>.<key>: <reason>"; a section's
+        own checks start their messages with the key.
         """
         hints = get_type_hints(cls)
         sections = [f for f in dataclasses.fields(cls) if dataclasses.is_dataclass(hints[f.name])]
-        unknown = set(doc) - {f.name for f in sections} - {"split"}
+        unknown = sorted(set(doc) - {f.name for f in sections} - {"split"})
         if unknown:
-            raise UsageError(f"unknown config section(s): {sorted(unknown)}")
+            raise UsageError(f"config {unknown[0]}: unknown section")
         values = {}
         for f in sections:
             section_cls = hints[f.name]
@@ -193,14 +196,14 @@ class PipelineConfig:
             if f.default is dataclasses.MISSING:
                 for g in dataclasses.fields(section_cls):
                     if g.name not in given and g.default is dataclasses.MISSING:
-                        raise UsageError(f"config requires {f.name}.{g.name}")
+                        raise UsageError(f"config {f.name}.{g.name}: required")
             try:
                 if f.default is dataclasses.MISSING:
                     values[f.name] = section_cls(**given)
                 else:
                     values[f.name] = dataclasses.replace(f.default, **given)
             except (ValueError, UsageError) as e:
-                raise UsageError(f"config {f.name}: {e}") from None
+                raise UsageError(f"config {f.name}.{e}") from None
         split = _read_section(
             doc.get("split", {}), "split", {key: hints[attr] for key, attr in _SPLIT_KEYS.items()}
         )
@@ -216,7 +219,7 @@ class PipelineConfig:
             raise UsageError(str(e)) from None
 
 
-def default_config(seed: int = 0, refine_strategy: str = "ddp") -> PipelineConfig:
+def default_config(seed: int = 0) -> PipelineConfig:
     """The default heterogeneous corpus and refinement settings.
 
     2000 samples, 16 features, 5 dimensions, clean noise SD 0.1; 10 percent
@@ -233,7 +236,7 @@ def default_config(seed: int = 0, refine_strategy: str = "ddp") -> PipelineConfi
             sample_seed=seed + 1,
         ),
         noise=NoiseSpec(rate=0.1, seed=seed + 2, correlated_rate=0.0025, correlated_seed=seed + 3),
-        refine=RefineSpec(strategy=refine_strategy),
+        refine=RefineSpec(strategy="ddp"),
         split_seed=seed + 4,
     )
 
@@ -328,7 +331,9 @@ class ExperimentReport:
                     f"report {key!r} must be a {hints[name].__name__}, got {type(d[key]).__name__}"
                 )
             values[name] = d[key]
-        return cls(**values)
+        report = cls(**values)
+        report.render_text()  # a field it cannot show is a DataError naming the key
+        return report
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -478,16 +483,16 @@ def run_pipeline(
     matrix, released after.
     """
     validate_synth(config.synth)
-    check_gd_settings(config.train, "train.ridge_alpha")
+    check_gd_settings(config.train, "config train.ridge_alpha")
     if config.influence.scope == Scope.LAST_TWO_LAYERS and config.train.hidden_dim is None:
         raise UsageError(
-            "influence.scope: last_two_layers needs a shared layer; set train.hidden_dim"
+            "config influence.scope: last_two_layers needs a shared layer; set train.hidden_dim"
         )
     for key, section in (("train.lambdas", config.train), ("influence.lambdas", config.influence)):
         try:
             section.resolved_lambdas(config.synth.n_dims)
         except ValueError as e:
-            raise UsageError(f"{key}: {e}") from None
+            raise UsageError(f"config {key}: {e}") from None
     # the validation rows are never drawn, so their indices are not kept
     train_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed

@@ -31,7 +31,6 @@ from dimsift import (
     load_dataset,
     run_pipeline,
     save_dataset,
-    self_influence_closed_form,
 )
 import dimsift
 import dimsift.data
@@ -70,13 +69,11 @@ def test_gen_matches_library(tmp_path):
 
 
 def test_gen_matches_library_across_draw_blocks(tmp_path):
-    # two draw blocks, and clipped one-dimension labels
+    # two draw blocks, and one-dimension labels
     out = tmp_path / "corpus.jsonl"
     assert main(["gen", "--n", "17000", "--features", "3", "--dims", "1", "--noise-sd", "0.2",
-                 "--label-range=-1,1", "--sample-seed", "8", "--out", str(out)]) == 0
-    expect = generate_synthetic(
-        SynthConfig(17_000, 3, 1, label_noise_sd=0.2, sample_seed=8, label_range=(-1.0, 1.0))
-    )
+                 "--sample-seed", "8", "--out", str(out)]) == 0
+    expect = generate_synthetic(SynthConfig(17_000, 3, 1, label_noise_sd=0.2, sample_seed=8))
     assert out.read_text() == dumps_dataset(expect)
 
 
@@ -143,22 +140,6 @@ def test_fit_matches_library(stage_dir):
     head = RegressionHead.load(stage_dir / "head.json")
     assert np.array_equal(head.weights, expect.weights)
     assert np.array_equal(head.biases, expect.biases)
-
-
-def test_score_closed_and_explicit_agree(stage_dir):
-    a = stage_dir / "closed.jsonl"
-    b = stage_dir / "explicit.jsonl"
-    for method, path in [("closed", a), ("explicit", b)]:
-        assert main(["score", "--data", str(stage_dir / "noisy.jsonl"),
-                     "--head", str(stage_dir / "head.json"),
-                     "--method", method, "--out", str(path)]) == 0
-    ta = SelfInfluenceTable.load(a)
-    tb = SelfInfluenceTable.load(b)
-    assert np.abs(ta.scores - tb.scores).max() < 1e-9
-    noisy = load_dataset(stage_dir / "noisy.jsonl")
-    head = RegressionHead.load(stage_dir / "head.json")
-    expect = self_influence_closed_form(head, noisy, InfluenceConfig())
-    assert np.array_equal(ta.scores, expect.scores)
 
 
 def test_score_global_and_row_sum_outputs(stage_dir):
@@ -370,6 +351,20 @@ def test_numerical_errors_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_labels_that_overflow_the_normal_equations_exit_three(stage_dir):
+    # two labels near the float maximum overflow the sums of the normal
+    # equations: the fit has no finite solution, which is a numerical failure
+    # (not a usage error), reported once, with no numpy warning
+    bad = stage_dir / "corpus.jsonl"
+    for line_no in (3, 4):
+        _replace_line(bad, line_no, _first_as("labels", lambda v: 1.7e308))
+    head = stage_dir / "h.json"
+    out = _cli_subprocess(["fit", "--data", str(bad), "--out", str(head)])
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "numerical failure: normal equations for all dimensions have no finite solution\n"
+    assert not head.exists()
+
+
 def test_non_numeric_dataset_value_is_a_data_error(stage_dir, capsys):
     lines = (stage_dir / "corpus.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
@@ -457,6 +452,12 @@ def _staged_file(stage_dir, kind):
                      "--head", head, "--out", str(bad)]) == 0
         argv = ["prune", "--method", "global", "--global-scores", str(bad),
                 "--out", str(stage_dir / "prune.json")]
+    elif kind == "report":
+        # a pruned run's report, which report --dir renders
+        run_dir = stage_dir / "run"
+        assert main(["run", "--refine", "ddp", "--set", "synth.n_samples=300",
+                     "--out", str(run_dir)]) == 0
+        bad, argv = run_dir / "report.json", ["report", "--dir", str(run_dir)]
     elif kind == "prune":
         bad, scores = stage_dir / "prune.json", str(stage_dir / "scores.jsonl")
         assert main(["score", "--data", noisy, "--head", head, "--out", scores]) == 0
@@ -535,33 +536,47 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
     assert "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("kind, value", [
-    pytest.param("prune", _field_as("rho", lambda v: 5), id="prune-rho-5"),
-    pytest.param("prune", _field_as("rho", lambda v: math.nan), id="prune-nan-rho"),
-    pytest.param("prune", _field_as("kept_ids", lambda v: "abc"), id="prune-string-kept-ids"),
-    pytest.param("global", _field_as("ids", lambda v: [v[1], *v[1:]]), id="global-repeated-id"),
+@pytest.mark.parametrize("kind, value, named", [
+    # `report --dir` renders report.json: a field it cannot show is named with the file
+    pytest.param("report", _field_as("strategies", _field_as("baseline", _field_as("mean_spearman", str))),
+                 "strategies.baseline.mean_spearman", id="report-string-mean-spearman"),
+    pytest.param("report", _field_as("overlap", _field_as("cumulative_ratios", lambda v: 0.5)),
+                 "overlap.cumulative_ratios", id="report-number-cumulative-ratios"),
+    pytest.param("report", _field_as("refine", _field_as("removed_fraction", lambda v: None)),
+                 "refine.removed_fraction", id="report-null-removed-fraction"),
+    pytest.param("report", _field_as("masking", _first_as("per_dim", lambda row: 5)),
+                 "masking.per_dim", id="report-number-masking-row"),
+    pytest.param("report", _field_as("dataset", _field_as("dim_names", lambda v: 5)),
+                 "dataset.dim_names", id="report-number-dim-names"),
+    pytest.param("report", _field_as("noise_detection", _first_as("per_dim_auroc", str)),
+                 "noise_detection.per_dim_auroc.0", id="report-string-auroc"),
+    pytest.param("prune", _field_as("rho", lambda v: 5), None, id="prune-rho-5"),
+    pytest.param("prune", _field_as("rho", lambda v: math.nan), None, id="prune-nan-rho"),
+    pytest.param("prune", _field_as("kept_ids", lambda v: "abc"), None, id="prune-string-kept-ids"),
+    pytest.param("global", _field_as("ids", lambda v: [v[1], *v[1:]]), None, id="global-repeated-id"),
     # only `score --method global` writes a scalar score file
-    pytest.param("global", _field_as("type", lambda v: "bogus"), id="global-bogus-type"),
-    pytest.param("global", _field_as("type", lambda v: "row_sum"), id="global-row-sum-type"),
-    pytest.param("global", lambda doc: {k: v for k, v in doc.items() if k != "type"},
+    pytest.param("global", _field_as("type", lambda v: "bogus"), None, id="global-bogus-type"),
+    pytest.param("global", _field_as("type", lambda v: "row_sum"), None, id="global-row-sum-type"),
+    pytest.param("global", lambda doc: {k: v for k, v in doc.items() if k != "type"}, None,
                  id="global-no-type"),
     # an object keyed by the ids would iterate as the ids
-    pytest.param("weights", _field_as("sample_ids", dict.fromkeys), id="weights-object-sample-ids"),
-    pytest.param("weights", _first_as("weights", lambda row: [-1.0, *row[1:]]),
+    pytest.param("weights", _field_as("sample_ids", dict.fromkeys), None, id="weights-object-sample-ids"),
+    pytest.param("weights", _first_as("weights", lambda row: [-1.0, *row[1:]]), None,
                  id="weights-negative-weight"),
-    pytest.param("weights", _first_as("weights", lambda row: [math.nan, *row[1:]]),
+    pytest.param("weights", _first_as("weights", lambda row: [math.nan, *row[1:]]), None,
                  id="weights-nan-weight"),
     # a well-formed weight file one dimension narrower than the dataset
     pytest.param("weights", lambda doc: dict(doc, weights=[row[:-1] for row in doc["weights"]],
-                                             per_dim_stats=doc["per_dim_stats"][:-1]),
+                                             per_dim_stats=doc["per_dim_stats"][:-1]), None,
                  id="weights-one-dimension-short"),
 ])
-def test_a_json_file_its_writer_cannot_give_exits_two_naming_it(stage_dir, kind, value):
+def test_a_json_file_its_writer_cannot_give_exits_two_naming_it(stage_dir, kind, value, named):
     bad, argv = _staged_file(stage_dir, kind)
-    _replace_line(bad, 1, value)
+    bad.write_text(json.dumps(value(json.loads(bad.read_text()))))
     out = _cli_subprocess(argv)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and str(bad) in out.stderr
+    assert named is None or f"report {named} " in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -611,12 +626,12 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
                      id="number-strategy"),
         pytest.param(lambda doc: doc["influence"].update(scope="everything"), "influence.scope",
                      id="bad-scope"),
-        pytest.param(lambda doc: doc["refine"].update(strategy="psychic"),
-                     "config refine: unknown refine strategy 'psychic'", id="bad-refine-strategy"),
-        pytest.param(lambda doc: doc["refine"].update(rho=1.5), "config refine: rho", id="rho-above-one"),
-        pytest.param(lambda doc: doc["refine"].update(rho=-0.1), "config refine: rho", id="negative-rho"),
+        pytest.param(lambda doc: doc["refine"].update(strategy="psychic"), "refine.strategy",
+                     id="bad-refine-strategy"),
+        pytest.param(lambda doc: doc["refine"].update(rho=1.5), "refine.rho", id="rho-above-one"),
+        pytest.param(lambda doc: doc["refine"].update(rho=-0.1), "refine.rho", id="negative-rho"),
         pytest.param(lambda doc: doc["refine"].update(strategy="ddr", temperature=-1),
-                     "config refine: temperature", id="negative-temperature"),
+                     "refine.temperature", id="negative-temperature"),
         # refine.rho is the one budget and the Hessian is always the identity
         pytest.param(lambda doc: doc["refine"].update(rho_total=0.1), "refine.rho_total",
                      id="rho-total"),
@@ -656,6 +671,19 @@ def test_a_config_path_that_is_a_directory_exits_one_naming_it(tmp_path):
         # the correlated corruption's severity range is a constant
         pytest.param(lambda doc: doc["noise"].update(severity=[0.5, 1.0]), "noise.severity",
                      id="noise-severity"),
+        # labels are never clipped
+        pytest.param(lambda doc: doc["synth"].update(label_range=[-4, 4]), "synth.label_range",
+                     id="label-range"),
+        # a section's own checks, as the reading of the config
+        pytest.param(lambda doc: doc["train"].update(hidden_dim=0), "train.hidden_dim",
+                     id="zero-hidden-dim"),
+        pytest.param(lambda doc: doc["train"].update(hidden_dim=1.5), "train.hidden_dim",
+                     id="fractional-hidden-dim"),
+        pytest.param(lambda doc: doc["train"].update(epochs=0), "train.epochs", id="zero-epochs"),
+        pytest.param(lambda doc: doc["noise"].update(rate=2), "noise.rate", id="noise-rate-above-one"),
+        pytest.param(lambda doc: doc["noise"].update(correlated_rate=-0.5), "noise.correlated_rate",
+                     id="negative-correlated-rate"),
+        pytest.param(lambda doc: doc.update(synth=[]), "synth", id="list-section"),
     ],
 )
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
@@ -665,12 +693,9 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, edit, named):
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and named in err
+    # every config fault reads "config <section>.<key>: <reason>"
+    assert err.startswith(f"usage error: config {named}: ")
     assert not (tmp_path / "r").exists()
-
-
-# a section's own checks name the field after the section, as "config refine: rho"
-_NAMED_IN_SECTION = {"train.hidden_dim": "config train: hidden_dim"}
 
 
 @pytest.mark.parametrize("setting", [
@@ -685,14 +710,20 @@ _NAMED_IN_SECTION = {"train.hidden_dim": "config train: hidden_dim"}
     # a shared layer is at least one unit wide, and the coupled scope needs one
     "train.hidden_dim=0",
     "train.hidden_dim=-1",
+    "train.hidden_dim=1.5",
     'influence.scope="last_two_layers"',
+    # the corruption rates are read with the config, not when the corpus is corrupted
+    "noise.rate=2",
+    "noise.correlated_rate=1.5",
+    # labels are never clipped
+    "synth.label_range=[-4,4]",
 ])
 def test_a_bad_set_value_exits_one_naming_the_key_before_any_file(tmp_path, capsys, setting):
     out = tmp_path / "r"
     assert main(["run", "--refine", "ddr", "--set", setting, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     key = setting.split("=")[0]
-    assert err.startswith("usage error:") and _NAMED_IN_SECTION.get(key, key) in err
+    assert err.startswith(f"usage error: config {key}: ")
     assert not out.exists()
 
 
@@ -729,11 +760,16 @@ def test_fit_refuses_a_hidden_width_below_one(stage_dir, capsys, width):
     pytest.param(["report", "--dir", "{d}", "--rho", "0.3"], "--rho", id="report-rho"),
     pytest.param(["fit", "--data", "{d}/noisy.jsonl", "--out", "{d}/h.json", "--strategy", "equal"],
                  "--strategy", id="fit-strategy"),
+    pytest.param(["gen", "--n", "10", "--features", "2", "--dims", "1", "--label-range=-1,1",
+                  "--out", "{d}/g.jsonl"], "--label-range", id="gen-label-range"),
+    pytest.param(["score", "--data", "{d}/noisy.jsonl", "--head", "{d}/head.json", "--method", "closed",
+                  "--out", "{d}/s.jsonl"], "'closed'", id="score-method-closed"),
 ])
 def test_a_deleted_flag_exits_one_naming_it(stage_dir, capsys, argv, flag):
     # every head fits its bias, DDR's z-score guard is a constant, a staged
-    # report takes its rho from the directory's prune.json, and dimensions
-    # are combined with the fixed lambdas only
+    # report takes its rho from the directory's prune.json, dimensions are
+    # combined with the fixed lambdas only, labels are never clipped, and
+    # `score` has one per-dimension scorer, the default
     assert main(["score", "--data", str(stage_dir / "noisy.jsonl"), "--head",
                  str(stage_dir / "head.json"), "--out", str(stage_dir / "scores.jsonl")]) == 0
     written = sorted(stage_dir.iterdir())

@@ -127,43 +127,31 @@ def test_per_dimension_noise_sd():
     assert abs(noise[:, 1].std() - 0.5) < 0.05
 
 
-@pytest.mark.parametrize(
-    "sd, label_range",
-    [(0.3, None), ((0.0, 0.5, 2.0), None), ((0.1, 0.2, 0.3), (-1.0, 1.5))],
-    ids=["scalar-sd", "per-dim-sd", "label-range"],
-)
-def test_labels_are_teacher_plus_scaled_noise_bit_for_bit(sd, label_range):
-    cfg = SynthConfig(500, 4, 3, label_noise_sd=sd, teacher_seed=7, sample_seed=8,
-                      label_range=label_range)
+@pytest.mark.parametrize("sd", [0.3, (0.0, 0.5, 2.0)], ids=["scalar-sd", "per-dim-sd"])
+def test_labels_are_teacher_plus_scaled_noise_bit_for_bit(sd):
+    cfg = SynthConfig(500, 4, 3, label_noise_sd=sd, teacher_seed=7, sample_seed=8)
     corpus = generate_synthetic(cfg)
     w_star, b_star = teacher_head(cfg)
     rng = np.random.default_rng(cfg.sample_seed)
     features = rng.standard_normal((500, 4))
     noise = rng.standard_normal((500, 3))
     expect = features @ w_star.T + b_star + noise * cfg.noise_vector()
-    if label_range is not None:
-        expect = np.clip(expect, *label_range)
-        assert (expect.min(), expect.max()) == label_range
     assert np.array_equal(corpus.features, features)
     assert np.array_equal(corpus.labels, expect)
 
 
-@pytest.mark.parametrize("label_range", [None, (-3.0, 2.5)], ids=["no-range", "label-range"])
 @pytest.mark.parametrize("tail", [100, 1], ids=["tail-100", "tail-1"])
-def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail, label_range):
+def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail):
     # several blocks and a remainder, which joins the last full block
     n = 3 * DRAW_BLOCK_ROWS + tail
     cfg = SynthConfig(n, 16, 5, label_noise_sd=(0.1, 0.2, 0.3, 0.4, 0.5), teacher_seed=3,
-                      sample_seed=4, label_range=label_range)
+                      sample_seed=4)
     labels, manifest = draw_synthetic(cfg)
     w_star, b_star = teacher_head(cfg)
     rng = np.random.default_rng(cfg.sample_seed)
     all_features = rng.standard_normal((n, 16))
     noise = rng.standard_normal((n, 5))
     expect = all_features @ w_star.T + b_star + noise * cfg.noise_vector()
-    if label_range is not None:
-        expect = np.clip(expect, *label_range)
-        assert (expect.min(), expect.max()) == label_range
     assert np.array_equal(labels, expect)
     # the rows' features, read again from the stream
     for r in (np.arange(0, n, 7), np.array([0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1])):
@@ -709,16 +697,16 @@ def test_select_gathers_only_the_selected_rows_from_the_stream(monkeypatch, big_
     # half the rows of a synthetic corpus, in either order: its rows are read
     # from the sample stream in ascending order a block at a time and written
     # to their places, so no matrix of every row is built. Over the selected
-    # features and labels this measured 1.09x ascending and 1.47x descending
-    # (whose ids are also sorted for the duplicate check); gathering every
-    # row first measured 2.34x both ways
+    # features and labels this measured 1.09x ascending and 1.13x descending,
+    # whose duplicate check sorts the row numbers (sorting the formatted ids
+    # measured 1.47x); gathering every row first measured 2.34x both ways
     monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
     rows = np.arange(len(big_corpus))[::step]
     sub = big_corpus.select(rows)
     assert np.array_equal(sub.features, big_corpus.features[rows])
     assert list(sub.ids) == [big_corpus.ids[i] for i in rows]
     peak = peak_traced_bytes(big_corpus.select, rows)
-    assert peak < 1.6 * len(rows) * (big_corpus.feature_dim + big_corpus.n_dims) * 8
+    assert peak <= 1.15 * len(rows) * (big_corpus.feature_dim + big_corpus.n_dims) * 8
 
 
 @given(st.lists(st.sampled_from("abcdefgh"), max_size=12))

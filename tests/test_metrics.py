@@ -194,11 +194,11 @@ def test_evaluate_head_reports_per_dimension_rank_quality():
     cfg = SynthConfig(300, 5, 3, label_noise_sd=0.05, teacher_seed=6, sample_seed=7)
     corpus = generate_synthetic(cfg)
     head = fit_closed_form(corpus, config=TrainConfig(ridge_alpha=1e-6))
-    report = evaluate_head(head, corpus, metadata={"split": "train"})
+    report = evaluate_head(head, corpus)
     assert len(report.per_dim_spearman) == 3
     assert all(s > 0.99 for s in report.per_dim_spearman)
     assert report.mean_spearman == pytest.approx(np.mean(report.per_dim_spearman), abs=1e-12)
-    assert report.metadata["split"] == "train"
+    assert report.metadata == {"n_samples": 300, "dim_names": corpus.dim_names}
 
 
 # a small block size puts every block boundary in a small test; the stream is

@@ -533,9 +533,9 @@ def test_config_validation():
         TrainConfig(lambdas=(1.0, -1.0)).resolved_lambdas(2)
     # NaN fails every comparison, so each check must be written to refuse it
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="ridge_alpha must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="ridge_alpha: must be nonnegative and finite"):
             TrainConfig(ridge_alpha=bad)
-        with pytest.raises(ValueError, match="lr must be positive and finite"):
+        with pytest.raises(ValueError, match="lr: must be positive and finite"):
             TrainConfig(lr=bad)
     with pytest.raises(ValueError, match="entries"):
         TrainConfig(lambdas=(1.0,)).resolved_lambdas(2)

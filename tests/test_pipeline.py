@@ -41,9 +41,9 @@ from dimsift.pipeline import REFINE_STRATEGIES
 
 
 def small_config(seed=0, refine="ddp", **synth_overrides):
-    cfg = default_config(seed=seed, refine_strategy=refine)
     synth = dict(n_samples=400, feature_dim=6, n_dims=3, **synth_overrides)
-    return PipelineConfig.from_dict(_merge(cfg.to_dict(), {"synth": synth, "refine": {"rho": 0.02}}))
+    overrides = {"synth": synth, "refine": {"strategy": refine, "rho": 0.02}}
+    return PipelineConfig.from_dict(_merge(default_config(seed).to_dict(), overrides))
 
 
 def _merge(base, overrides):
@@ -98,7 +98,6 @@ _configs = st.builds(
         label_noise_sd=_nonneg | _tuples(_nonneg),
         teacher_seed=_seeds,
         sample_seed=_seeds,
-        label_range=st.none() | st.tuples(st.floats(-1e6, 0.0), _nonneg),
     ),
     noise=st.builds(
         NoiseSpec,
@@ -341,7 +340,7 @@ def _same_rows(a, b):
         pytest.param("ddp", {"dims": (0, 2)}, {}, {}, id="ddp-noise-dims"),
         pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.02}, {}, {}, id="ddp-correlated-only"),
         pytest.param("ddp", {"rate": 0.0, "correlated_rate": 0.0}, {}, {}, id="ddp-no-noise"),
-        pytest.param("ddp", {}, {"label_range": (-2.0, 2.5)}, {}, id="ddp-label-range"),
+        pytest.param("ddp", {}, {"label_noise_sd": (0.1, 0.5, 1.0)}, {}, id="ddp-per-dim-noise-sd"),
         pytest.param("ddp", {}, {}, {"hidden_dim": 4, "epochs": 20}, id="ddp-gd"),
     ],
 )
@@ -407,8 +406,12 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
 def test_a_pruned_refit_is_the_fit_of_the_kept_rows_bit_for_bit(refine, n_samples):
     # run --seed 0 (1200 training rows, one block), and 50k samples, whose
     # 30000 training rows are read in three blocks
-    cfg = default_config(seed=0, refine_strategy=refine)
-    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=n_samples))
+    cfg = default_config(seed=0)
+    cfg = dataclasses.replace(
+        cfg,
+        synth=dataclasses.replace(cfg.synth, n_samples=n_samples),
+        refine=dataclasses.replace(cfg.refine, strategy=refine),
+    )
     arts = run_pipeline(cfg)
     kept = set(arts.prune.kept_ids)
     rows = [i for i, sid in enumerate(arts.train.ids) if sid in kept]
@@ -615,7 +618,7 @@ def test_invalid_split_fractions_raise_the_split_error(fractions):
     [
         pytest.param({"n_samples": 0}, id="no-samples"),
         pytest.param({"label_noise_sd": -0.1}, id="negative-noise-sd"),
-        pytest.param({"label_range": (1.0, 1.0)}, id="empty-label-range"),
+        pytest.param({"feature_dim": 0}, id="no-features"),
     ],
 )
 def test_invalid_synth_settings_raise_the_generator_error(bad):

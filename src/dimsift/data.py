@@ -297,7 +297,9 @@ class Dataset:
 
         rows may come in any order and repeat. They are read in ascending
         order a block at a time (feature_blocks), each block written to its
-        rows' places, so no matrix of other rows is held.
+        rows' places, so no matrix of other rows is held. The sample stream
+        writes ascending rows straight into the result, so then no block is
+        held either.
         """
         order = None
         if rows is not None:
@@ -306,34 +308,46 @@ class Dataset:
                 order = np.argsort(rows, kind="stable")
                 rows = rows[order]
         out = np.empty((len(self) if rows is None else len(rows), self._feature_dim))
-        start = 0
-        for block in self.feature_blocks(rows):
-            stop = start + len(block)
-            out[slice(start, stop) if order is None else order[start:stop]] = block
-            start = stop
-            del block  # released before the next block is gathered
+        if order is None and not isinstance(self._source, np.ndarray):
+            for _ in sample_features(self._source, self._stream_rows(rows), out):
+                pass  # each block is the view of its rows of out
+        else:
+            start = 0
+            for block in self.feature_blocks(rows):
+                stop = start + len(block)
+                out[slice(start, stop) if order is None else order[start:stop]] = block
+                start = stop
+                del block  # released before the next block is gathered
         out.setflags(write=False)
         return out
 
-    def feature_blocks(self, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    def feature_blocks(
+        self, rows: np.ndarray | None = None, chunked: bool = False
+    ) -> Iterator[np.ndarray]:
         """The features of the ascending row positions rows (every row if None), a block at a time.
 
-        Yields one array per block of _row_blocks(len(rows)), in row order:
+        Yields one array per block of _row_blocks(len(rows)), or per chunk of
+        _row_chunks(len(rows)) if chunked, in row order:
         views of the feature matrix's blocks, or gathers of rows, or a
         synthetic corpus's rows read from its sample stream (sample_features).
         Either way a product over each block rounds the same. The caller
         must not write a block; dropping each one before asking for the next
         keeps one block of a synthetic corpus's rows alive.
         """
-        n = len(self)
-        if rows is not None:
-            rows = _checked_rows(rows, n)
         if not isinstance(self._source, np.ndarray):
-            stream_rows = self._ids.rows if rows is None else self._ids.rows[rows]
-            yield from sample_features(self._source, stream_rows)
+            yield from sample_features(self._source, self._stream_rows(rows), chunked=chunked)
             return
-        for start, stop in _row_blocks(n if rows is None else len(rows)):
+        if rows is not None:
+            rows = _checked_rows(rows, len(self))
+        blocks = _row_chunks if chunked else _row_blocks
+        for start, stop in blocks(len(self) if rows is None else len(rows)):
             yield self._source[start:stop] if rows is None else self._source[rows[start:stop]]
+
+    def _stream_rows(self, rows: np.ndarray | None) -> np.ndarray:
+        """The sample-stream rows of a synthetic corpus's ascending row positions rows (every row if None)."""
+        if rows is None:
+            return self._ids.rows
+        return self._ids.rows[_checked_rows(rows, len(self))]
 
     @property
     def labels(self) -> np.ndarray:
@@ -441,22 +455,35 @@ def validate_synth(config: SynthConfig) -> np.ndarray:
 DRAW_BLOCK_ROWS = 8192
 
 
-def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
+def _row_blocks(n: int, size: int | None = None) -> Iterator[tuple[int, int]]:
     """(start, stop) of each block of n rows, in which the draw and every reader of features work.
 
-    Each block holds DRAW_BLOCK_ROWS rows and the last one the rest, from
-    DRAW_BLOCK_ROWS to twice that less one (or all n). A short last block
+    Each block holds size rows (DRAW_BLOCK_ROWS if None) and the last one
+    the rest, from size to twice that less one (or all n). A short last block
     could round its product differently from the one-shot product: numpy
     sends a one-row product to gemv, and OpenBLAS takes small products
     through other kernels. A one-column product would go to gemv too, whose
     OpenBLAS result depends on the thread count, so draw_synthetic forms the
     labels of a one-dimension corpus with einsum instead.
     """
+    size = DRAW_BLOCK_ROWS if size is None else size
     start = 0
     while start < n:
-        stop = n if n - start < 2 * DRAW_BLOCK_ROWS else start + DRAW_BLOCK_ROWS
+        stop = n if n - start < 2 * size else start + size
         yield start, stop
         start = stop
+
+
+def _row_chunks(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each chunk of n rows: _row_blocks of an eighth of DRAW_BLOCK_ROWS.
+
+    The kernels of a shared layer (gradient descent and the scorers of a
+    head with one) hold their per-row temporaries one chunk at a time, so
+    they hold the same memory at any number of rows, and a chunk of at
+    least that many rows rounds as the one-shot products do, for the
+    reason _row_blocks gives.
+    """
+    return _row_blocks(n, max(1, DRAW_BLOCK_ROWS // 8))
 
 
 def _checked_rows(rows, n: int) -> np.ndarray:
@@ -467,33 +494,43 @@ def _checked_rows(rows, n: int) -> np.ndarray:
     return rows
 
 
-def sample_features(config: SynthConfig, rows: np.ndarray) -> Iterator[np.ndarray]:
+def sample_features(
+    config: SynthConfig, rows: np.ndarray, out: np.ndarray | None = None, chunked: bool = False
+) -> Iterator[np.ndarray]:
     """The features of config's corpus at the ascending row indices rows, a row block at a time.
 
     Yields one (stop - start, d) array per block of _row_blocks(len(rows)),
-    so a product over each block rounds as the one-shot product over all the
-    rows does. The features come from a fresh stream of the sample seed,
+    or of _row_chunks if chunked, so a product over each block rounds as the
+    one-shot product over all the rows does. Each block is a new array, or
+    the view of its rows of out, a (len(rows), d) matrix given to be
+    written. The features come from a fresh stream of the sample seed,
     read an eighth of DRAW_BLOCK_ROWS rows at a time; standard_normal gives
     a stream's values in the same order whatever the size of each draw, so
     these are the features draw_synthetic formed the labels from. Only one
-    chunk of the stream and the block being gathered are held, if the
-    caller drops each block before asking for the next.
+    chunk of the stream (each drawn into the same buffer) and the block
+    being gathered are held, if the caller drops each block before asking
+    for the next.
     """
     n, d = config.n_samples, config.feature_dim
     rows = _checked_rows(rows, n)
     chunk_rows = max(1, DRAW_BLOCK_ROWS // 8)
     rng = np.random.default_rng(config.sample_seed)
+    buffer = np.empty((min(chunk_rows, n), d))  # each chunk is drawn into it
     lo = hi = 0  # the chunk holds stream rows [lo, hi)
-    for start, stop in _row_blocks(len(rows)):
-        block = np.empty((stop - start, d))
+    for start, stop in (_row_chunks if chunked else _row_blocks)(len(rows)):
+        block = np.empty((stop - start, d)) if out is None else out[start:stop]
         i = start
         while i < stop:
             while rows[i] >= hi:
                 lo, hi = hi, min(hi + chunk_rows, n)
-                chunk = rng.standard_normal((hi - lo, d))
+                chunk = rng.standard_normal(out=buffer[: hi - lo])
             j = i + int(np.searchsorted(rows[i:stop], hi))
-            np.take(chunk, rows[i:j] - lo, axis=0, out=block[i - start : j - start])
+            # the positions lie in the chunk: "clip" lets take write out directly,
+            # where "raise" would fill a temporary of the same size first
+            np.take(chunk, rows[i:j] - lo, axis=0, out=block[i - start : j - start], mode="clip")
             i = j
+        if stop == len(rows):
+            del chunk, buffer  # the last block is read: released while the caller uses it
         yield block
         del block  # released before the next block is gathered
 

@@ -16,7 +16,8 @@ head-only scope it collapses to the forward-only closed form
 because the gradient of dimension k touches only that head's weights and
 bias. A shared layer adds one Gram term per dimension pair (see
 _gram_terms), so every batched score is a few matrix products over each
-row block of the dataset; grad_per_dimension assembles the gradients one
+row block of the dataset (each row chunk, for a head with a shared
+layer); grad_per_dimension assembles the gradients one
 sample at a time as the reference. Scores are computed at one final
 checkpoint; the Hessian is taken to be the identity throughout.
 
@@ -281,13 +282,16 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
     gradient is assembled. Yields (start, stop, r, a, b) per block of
-    ds.feature_blocks() (a is one zero in head-only scopes); the callers
-    overwrite r, written into out[start:stop] if an (N, K) out is given.
+    ds.feature_blocks() (a is one zero in head-only scopes); a head with a
+    shared layer reads them a chunk at a time (chunked=True), so its
+    features, activations u and the callers' temporaries are one chunk's.
+    The callers overwrite r, written into out[start:stop] if an (N, K) out
+    is given.
     """
     check_pair(head, ds)
     _check_scope(head, cfg.scope)
     start = 0
-    for x in ds.feature_blocks():
+    for x in ds.feature_blocks(chunked=head.shared_weight is not None):
         stop = start + len(x)
         u = head.head_inputs(x)
         r = np.matmul(u, head.weights.T, out=None if out is None else out[start:stop])
@@ -340,6 +344,7 @@ def _self_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, table:
             if two:
                 v = rho @ head.weights
                 part += np.einsum("ij,ij->i", v, v) * a
+                del v  # released before the next chunk is read
             del rho
         if table:
             r *= r

@@ -11,7 +11,8 @@ Supported fitting paths:
                     shares one set of normal equations (one Gram matrix, one
                     solve) across all dimensions
     gradient        full-batch gradient descent on the sum of per-dimension
-                    squared-error losses, each scaled by its fixed lambda
+                    squared-error losses, each scaled by its fixed lambda;
+                    each epoch sums the loss and gradient over row chunks
 
 An optional shared affine layer (identity activation) sits below the heads so
 that influence scopes covering the last two layers have coupled parameters.
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, number_rows, read_json, write_json
+from .data import Dataset, _row_chunks, number_rows, read_json, write_json
 from .errors import DataError, NumericalError
 
 
@@ -207,22 +208,25 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
     Weights w (N, K) give dimension k its own system, A_k = [x 1]' diag(w_k)
     [x 1] and B_k = [x 1]' diag(w_k) y_k, all K formed in the same pass over
     the features. Each block adds its x'Wx, x'W1, 1'W1, x'Wy and 1'Wy terms,
-    so [x 1] is never built, and a weighted block allocates only its own
-    x * w_k. One block gives the one-shot products bit for bit; more are
-    summed in row order, so the system of rows is that of ds.select(rows)
-    bit for bit.
+    so [x 1] is never built. Every dimension's right-hand side comes from
+    one product x'(w * y) and the column sums of w * y, and only the Grams
+    are formed per dimension, each from its own x * w_k: numpy sends a
+    product with one label column to gemv, whose OpenBLAS result depends on
+    the thread count, and x'(w * y) has K columns. One block gives the
+    one-shot products bit for bit; more are summed in row order, so the
+    system of rows is that of ds.select(rows) bit for bit.
     """
-    dims = [None] if w is None else range(ds.n_dims)
 
     def terms(x, y, wb):
+        if wb is None:
+            return [[x.T @ x, x.T @ y, x.sum(axis=0), float(len(x)), y.sum(axis=0)]]
+        wy = wb * y
+        xwy, wysum = x.T @ wy, wy.sum(axis=0)
+        del wy
         out = []
-        for j in dims:
-            ys = y if j is None else y[:, j : j + 1]
-            ws = None if j is None else wb[:, j]
-            xw = x if ws is None else x * ws[:, None]
-            total = float(len(x)) if ws is None else ws.sum()
-            out.append([x.T @ xw, xw.T @ ys, xw.sum(axis=0), total,
-                        ys.sum(axis=0) if ws is None else ws @ ys])
+        for j in range(ds.n_dims):
+            xw = x * wb[:, j : j + 1]
+            out.append([x.T @ xw, xwy[:, j : j + 1], xw.sum(axis=0), wb[:, j].sum(), wysum[j : j + 1]])
             del xw  # released before the next dimension's
         return out
 
@@ -345,14 +349,17 @@ class GDObjective:
         self.p_head = p_head
         self.n_shared = 0 if hidden_dim is None else hidden_dim * self.d + hidden_dim
         self.n_params = self.n_shared + self.k * p_head + self.k
-        # the per-epoch (N, m) and (N, K) arrays are written into buffers kept
-        # for the whole fit. Fresh ones every epoch are mapped and unmapped
-        # each time once they are above the allocator's mmap threshold, which
-        # measured 1.7x the fit time at N = 12k, m = 16 on a 2-core x86 VM;
-        # below it they fragment the heap and raise the peak RSS
-        self._u = None if hidden_dim is None else np.empty((self.n, hidden_dim))
-        self._r = np.empty((self.n, self.k))
-        self._cr = np.empty((self.n, self.k))
+        # the rows are taken a chunk at a time (data._row_chunks), and each
+        # chunk's activations u (rows, m) and residual products r, cr
+        # (rows, K) are written into buffers of the largest chunk, kept for
+        # the whole fit: the fit holds the same temporaries at any N, and
+        # fresh ones every chunk would be mapped and unmapped each time once
+        # they are above the allocator's mmap threshold
+        self._chunks = list(_row_chunks(self.n))
+        rows = max((stop - start for start, stop in self._chunks), default=0)
+        self._u = None if hidden_dim is None else np.empty((rows, hidden_dim))
+        self._r = np.empty((rows, self.k))
+        self._cr = np.empty((rows, self.k))
 
     def init_params(self, seed: int) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -385,31 +392,44 @@ class GDObjective:
             fit_info=fit_info,
         )
 
-    def _head_inputs(self, shared_w, shared_b) -> np.ndarray:
-        """u = x W_s^T + b_s (x itself without a shared layer), valid until the next call."""
-        if shared_w is None:
-            return self.x
-        np.matmul(self.x, shared_w.T, out=self._u)
-        self._u += shared_b
-        return self._u
-
     def loss_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The loss and its gradient, summed over the row chunks.
+
+        Each chunk adds its per-dimension losses and its cr'u, cr'1 and cr'x
+        terms (cr the coefficient-scaled residuals); the shared-layer
+        gradient is W_head' (cr'x) of the sums. One chunk gives the one-shot
+        products bit for bit. An overflow leaves a loss that is not finite,
+        which fit_gd_arrays reports.
+        """
         shared_w, shared_b, hw, hb = self._unpack(theta)
-        u = self._head_inputs(shared_w, shared_b)
-        r, cr = self._r, self._cr  # (N, K) each
-        np.matmul(u, hw.T, out=r)
-        r += hb
-        r -= self.y
-        np.multiply(self.coef, r, out=cr)
-        r *= cr  # the residuals are not needed past the loss
-        loss = float(0.5 * np.sum(r, axis=0).sum())  # summed per dimension first
-        grad = np.empty(self.n_params)
+        grad = np.zeros(self.n_params)
         g_sw, g_sb, g_hw, g_hb = self._unpack(grad)  # views into grad
-        np.matmul(cr.T, u, out=g_hw)
-        cr.sum(axis=0, out=g_hb)
-        if shared_w is not None:
-            np.matmul(hw.T, cr.T @ self.x, out=g_sw)
-            np.matmul(hw.T, g_hb, out=g_sb)
+        dim_loss = np.zeros(self.k)
+        crx = None if shared_w is None else np.zeros((self.k, self.d))
+        weighted = self.coef.shape[0] > 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop in self._chunks:
+                x = self.x[start:stop]
+                if shared_w is None:
+                    u = x
+                else:
+                    u = np.matmul(x, shared_w.T, out=self._u[: stop - start])
+                    u += shared_b
+                r, cr = self._r[: stop - start], self._cr[: stop - start]
+                np.matmul(u, hw.T, out=r)
+                r += hb
+                r -= self.y[start:stop]
+                np.multiply(self.coef[start:stop] if weighted else self.coef, r, out=cr)
+                r *= cr  # the residuals are not needed past the loss
+                dim_loss += np.sum(r, axis=0)
+                g_hw += cr.T @ u
+                g_hb += cr.sum(axis=0)
+                if crx is not None:
+                    crx += cr.T @ x
+            loss = float(0.5 * dim_loss.sum())  # summed per dimension first
+            if crx is not None:
+                np.matmul(hw.T, crx, out=g_sw)
+                np.matmul(hw.T, g_hb, out=g_sb)
         return loss, grad
 
 

@@ -365,6 +365,20 @@ def test_labels_that_overflow_the_normal_equations_exit_three(stage_dir):
     assert not head.exists()
 
 
+def test_labels_that_overflow_gradient_descent_exit_three(stage_dir):
+    # the same labels overflow the first epoch's loss of a shared-layer fit:
+    # a numerical failure naming the epoch, with no numpy warning before it
+    bad = stage_dir / "corpus.jsonl"
+    for line_no in (3, 4):
+        _replace_line(bad, line_no, _first_as("labels", lambda v: 1.7e308))
+    head = stage_dir / "h.json"
+    out = _cli_subprocess(["fit", "--data", str(bad), "--hidden-dim", "2", "--epochs", "3",
+                           "--out", str(head)])
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "numerical failure: training diverged: non-finite loss at epoch 0\n"
+    assert not head.exists()
+
+
 def test_non_numeric_dataset_value_is_a_data_error(stage_dir, capsys):
     lines = (stage_dir / "corpus.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])

@@ -44,6 +44,7 @@ from dimsift import (
 from dimsift.data import (
     DRAW_BLOCK_ROWS,
     _row_blocks,
+    _row_chunks,
     JSON_PIECE_ITEMS,
     ceil_count,
     corrupted_copy,
@@ -179,13 +180,16 @@ def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
     every = np.random.default_rng(cfg.sample_seed).standard_normal((600, 4))
     matrix = Dataset(stream.ids, every[rows], stream.labels, stream.dim_names, stream.corruption_mask,
                      stream.manifest)
+    # chunked, the same rows come in the 8-row chunks of _row_chunks
     for picks in (None, np.array([0, 5, 63, 64, 200, len(rows) - 1]), np.arange(130)):
         want = every[rows] if picks is None else every[rows[picks]]
-        sizes = [stop - start for start, stop in _row_blocks(len(want))]
-        for ds in (stream, matrix):
-            blocks = list(ds.feature_blocks(picks))
-            assert [len(b) for b in blocks] == sizes
-            assert np.vstack(blocks).tobytes() == want.tobytes()
+        for chunked, parts in ((False, _row_blocks), (True, _row_chunks)):
+            sizes = [stop - start for start, stop in parts(len(want))]
+            for ds in (stream, matrix):
+                blocks = list(ds.feature_blocks(picks, chunked=chunked))
+                assert [len(b) for b in blocks] == sizes
+                assert np.vstack(blocks).tobytes() == want.tobytes()
+    assert max(stop - start for start, stop in _row_chunks(len(rows))) < 16
     assert all(np.shares_memory(b, matrix.features) for b in matrix.feature_blocks())
     with pytest.raises(ValueError, match="ascending"):
         list(stream.feature_blocks(np.array([5, 2])))
@@ -222,6 +226,19 @@ def test_one_dimension_labels_do_not_depend_on_the_blas_thread_count():
         labels.append(out.stdout)
     assert len(labels[0]) == 16500 * 8
     assert labels[0] == labels[1]
+
+
+def test_gathering_every_row_of_the_stream_holds_little_beyond_the_result():
+    # the stream writes each block straight into the result, and each chunk
+    # of the stream is drawn into one buffer: 1.06x the result measured at
+    # 20k rows (blocks of 8192 and 11808 rows), beside 1.70x when each block
+    # was gathered and then copied in, and each chunk drawn fresh
+    cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
+    corpus = generate_synthetic(cfg)
+    every = corpus.gather_features()
+    want = np.random.default_rng(cfg.sample_seed).standard_normal((20_000, 16))
+    assert every.tobytes() == want.tobytes() and not every.flags.writeable
+    assert peak_traced_bytes(corpus.gather_features) <= 1.1 * every.nbytes
 
 
 def test_generate_synthetic_holds_one_label_sized_temporary():

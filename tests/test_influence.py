@@ -435,14 +435,17 @@ def test_in_place_scores_are_the_one_expression_scores_bit_for_bit(case):
         assert got[name].tobytes() == value.tobytes(), name
 
 
-# a small block size keeps the per-sample oracle cheap at every boundary
+# a small block size keeps the per-sample oracle cheap at every boundary;
+# a head with a shared layer is scored in chunks of an eighth of a block
 _BLOCK = 64
+_CHUNK = _BLOCK // 8
 
 
 @pytest.mark.parametrize(
     "n",
-    [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
-    ids=["1", "B-1", "B", "2B-1", "2B", "3B+5"],
+    [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK + 5,
+     _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
+    ids=["1", "C-1", "C", "2C-1", "2C", "3C+5", "B-1", "B", "2B-1", "2B", "3B+5"],
 )
 @pytest.mark.parametrize(
     "hidden, scope",
@@ -450,10 +453,13 @@ _BLOCK = 64
     ids=["head-only", "shared-head-only", "last-two-layers"],
 )
 def test_scores_match_the_one_shot_scores_at_every_block_boundary(monkeypatch, n, hidden, scope):
-    # the scorers run a row block at a time; every block has at least _BLOCK
-    # rows or all of them, so each matches the one-shot expressions bit for bit
+    # the scorers run a row block at a time, or a chunk at a time for a head
+    # with a shared layer; every block has at least _BLOCK rows, and every
+    # chunk _CHUNK, or all of them, so each matches the one-shot expressions
+    # bit for bit
     monkeypatch.setattr(data_mod, "DRAW_BLOCK_ROWS", _BLOCK)
     assert max(stop - start for start, stop in data_mod._row_blocks(n)) < 2 * _BLOCK
+    assert max(stop - start for start, stop in data_mod._row_chunks(n)) < 2 * _CHUNK
     rng = np.random.default_rng(n)
     k = 4
     head = random_head(rng, k, 6, hidden_dim=hidden)
@@ -657,3 +663,25 @@ def test_a_scorer_holds_its_output_and_two_blocks(monkeypatch, big_corpus, score
     out = scorer(head, big_corpus, cfg)
     output = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
     assert peak_traced_bytes(scorer, head, big_corpus, cfg) <= output + 2 * block
+
+
+@pytest.mark.parametrize("scorer", [global_tracin_self, row_sum_scores, _table_and_global])
+@pytest.mark.parametrize(
+    "scope", [Scope.HEAD_ONLY, Scope.LAST_TWO_LAYERS], ids=["shared-head-only", "last-two-layers"]
+)
+def test_a_shared_layer_scorer_holds_its_output_and_two_chunks(scorer, scope):
+    # 12k rows of a synthetic corpus are one draw block; a head with a
+    # shared layer reads them from the sample stream a chunk at a time (the
+    # last of 1760 rows here), and a chunk here is its features, activations
+    # and residuals. Measured beyond the output: 1.02 to 1.25 chunks; a
+    # block of every row, with its activations and products, measured 6.3
+    # to 8.4
+    synth = SynthConfig(12_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
+    corpus = generate_synthetic(synth)
+    rows = max(stop - start for start, stop in data_mod._row_chunks(len(corpus)))
+    chunk = rows * (corpus.feature_dim + 16 + corpus.n_dims) * 8
+    head = random_head(np.random.default_rng(0), 5, 16, hidden_dim=16)
+    cfg = InfluenceConfig(scope=scope)
+    out = scorer(head, corpus, cfg)
+    output = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+    assert peak_traced_bytes(scorer, head, corpus, cfg) <= output + 2 * chunk

@@ -1,6 +1,10 @@
 """Weighted per-dimension ridge, gradient descent strategies, head io."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from dimsift import (
     per_dim_loss,
     residuals,
 )
+import dimsift
 import dimsift.data
 import dimsift.model
 from dimsift.data import draw_synthetic, dumps_dataset, loads_dataset, synthetic_rows, teacher_head
@@ -267,13 +272,16 @@ def test_one_block_gives_the_one_shot_normal_equations_bit_for_bit(monkeypatch, 
     same(a[:-1, -1], x.sum(axis=0))
     same(a[-1], np.append(x.sum(axis=0), m))
     same(b, np.vstack([x.T @ y, y.sum(axis=0)]))
+    # every dimension's right-hand side from one product, x'(w * y), and the
+    # column sums of w * y; only the Grams are per dimension
+    rhs = np.vstack([x.T @ (w * y), (w * y).sum(axis=0)])
     for j, (a, b) in enumerate(_normal_equations(ds, w)):
-        wj, yj = w[:, j], y[:, j : j + 1]
+        wj = w[:, j]
         xw = x * wj[:, None]
         same(a[:-1, :-1], x.T @ xw)
         same(a[:-1, -1], xw.sum(axis=0))
         same(a[-1], np.append(xw.sum(axis=0), wj.sum()))
-        same(b, np.vstack([xw.T @ yj, wj @ yj]))
+        same(b, rhs[:, j : j + 1])
 
 
 def test_residuals_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch):
@@ -412,7 +420,6 @@ def test_gd_two_layer_trains_and_reports_scope():
     assert head.fit_info["loss_history"][-1] < head.fit_info["loss_history"][0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_gd_divergence_raises_and_names_the_epoch():
     corpus = tiny_corpus()
     with pytest.raises(NumericalError, match="epoch"):
@@ -433,19 +440,102 @@ def test_gd_without_weights_is_the_unit_weighted_fit_bit_for_bit(hidden_dim):
 
 
 @pytest.mark.parametrize(
-    "hidden_dim, bound",
-    [pytest.param(None, 3.0, id="head-only"), pytest.param(16, 6.2, id="shared-layer")],
+    "hidden_dim, weighted",
+    [
+        pytest.param(None, False, id="head-only"),
+        pytest.param(16, False, id="shared-layer"),
+        pytest.param(None, True, id="head-only-weighted"),
+        pytest.param(16, True, id="shared-layer-weighted"),
+    ],
 )
-def test_gd_peak_memory(hidden_dim, bound):
-    # the per-epoch (N, K) arrays live in buffers kept for the fit, and an
-    # unweighted fit keeps no (N, K) weights. Measured peak over N x K float64
-    # at 12k rows: 2.16x head-only, 5.38x with a 16-wide shared layer (whose
-    # activations alone are 3.2x); fresh arrays every epoch and an (N, K)
-    # block of unit weights measured 4.02x and 7.25x
+def test_gd_peak_memory(hidden_dim, weighted):
+    # beyond its inputs, a fit holds one chunk's activations and (rows, K)
+    # products, in buffers kept for the fit, and a weighted fit its (N, K)
+    # coefficients. A chunk here is the last of 12k rows, 1760 rows. Measured
+    # beyond the inputs and coefficients at 12k rows: 1.52 chunks head-only
+    # and 1.22 with a 16-wide shared layer; buffers of every row, the
+    # activations among them, measured 7.3 and 7.0
     corpus = tiny_corpus(n=12_000, d=16, k=5)
+    x, y = corpus.features, corpus.labels
+    rows = max(stop - start for start, stop in dimsift.data._row_chunks(len(x)))
+    chunk = rows * ((hidden_dim or 0) + 2 * y.shape[1]) * 8
+    weights = np.random.default_rng(0).uniform(0.0, 2.0, size=y.shape) if weighted else None
     cfg = TrainConfig(epochs=20, hidden_dim=hidden_dim)
-    peak = peak_traced_bytes(fit_gd_arrays, corpus.features, corpus.labels, None, cfg)
-    assert peak < bound * corpus.labels.nbytes
+    peak = peak_traced_bytes(fit_gd_arrays, x, y, weights, cfg)
+    assert peak <= (y.nbytes if weighted else 0) + 2 * chunk
+
+
+# a small chunk size puts every chunk boundary in a small test
+_CHUNK = 8
+
+
+def _one_shot_objective(x, y, weights, lam, hidden_dim, theta):
+    """GDObjective's loss and flat gradient from one expression over every row."""
+    obj = GDObjective(x, y, weights, lam, hidden_dim)
+    sw, sb, hw, hb = obj._unpack(theta)
+    coef = lam[None, :] / len(x) if weights is None else lam[None, :] * weights / len(x)
+    u = x if sw is None else x @ sw.T + sb
+    r = u @ hw.T + hb - y
+    cr = coef * r
+    loss = float(0.5 * np.sum(r * cr, axis=0).sum())
+    head = [(cr.T @ u).ravel(), cr.sum(axis=0)]
+    if sw is None:
+        return loss, np.concatenate(head)
+    return loss, np.concatenate([(hw.T @ (cr.T @ x)).ravel(), hw.T @ cr.sum(axis=0)] + head)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK + 5],
+    ids=["1", "C-1", "C", "2C-1", "2C", "3C+5"],
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("hidden_dim", [None, 3], ids=["head-only", "shared-layer"])
+def test_the_chunked_objective_is_the_one_shot_objective(monkeypatch, n, weighted, hidden_dim):
+    # the loss and gradient are summed over chunks of C to 2C - 1 rows: one
+    # chunk is the one-shot expression bit for bit, more agree with it to
+    # roundoff and with finite differences
+    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 8 * _CHUNK)
+    chunks = list(dimsift.data._row_chunks(n))
+    assert max(stop - start for start, stop in chunks) < 2 * _CHUNK
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(n, 4)), rng.normal(size=(n, 2))
+    weights = rng.uniform(0.2, 1.8, size=(n, 2)) if weighted else None
+    lam = np.array([1.3, 0.6])
+    obj = GDObjective(x, y, weights, lam, hidden_dim)
+    theta = obj.init_params(seed=1) + 0.05 * rng.standard_normal(obj.n_params)
+    loss, grad = obj.loss_and_grad(theta)
+    want_loss, want_grad = _one_shot_objective(x, y, weights, lam, hidden_dim, theta)
+    if len(chunks) == 1:
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    rel = np.abs(_fd_grad(obj, theta) - grad) / np.maximum(np.abs(grad), 1.0)
+    assert rel.max() < 1e-6
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_a_weighted_fit_does_not_depend_on_the_blas_thread_count():
+    # the right-hand side of one label column went to gemv, and OpenBLAS's
+    # gemv gave the weighted heads different bytes at one and two threads
+    src = str(Path(dimsift.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+        "from dimsift import Dataset, fit_closed_form; "
+        "rng = np.random.default_rng(0); n, d, k = 20000, 16, 5; "
+        "ds = Dataset([str(i) for i in range(n)], rng.normal(size=(n, d)), "
+        "rng.normal(size=(n, k)), [str(j) for j in range(k)]); "
+        "head = fit_closed_form(ds, rng.uniform(0.0, 2.0, size=(n, k))); "
+        "sys.stdout.buffer.write(head.weights.tobytes() + head.biases.tobytes())"
+    )
+    heads = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        heads.append(out.stdout)
+    assert len(heads[0]) == (5 * 16 + 5) * 8
+    assert heads[0] == heads[1]
 
 
 def _fd_grad(obj, theta, h=1e-6):

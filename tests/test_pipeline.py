@@ -493,8 +493,8 @@ def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
         return sorted(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n_train * d * 8)
 
     def watching(sample):
-        def watched_sample(synth, rows):
-            for block in sample(synth, rows):
+        def watched_sample(synth, rows, *args, **kwargs):
+            for block in sample(synth, rows, *args, **kwargs):
                 large.append(allocations_of_a_training_matrix_or_more())
                 yield block
 

@@ -52,7 +52,7 @@ from .model import (
     Scope,
     TrainConfig,
     fit_closed_form,
-    fit_gd_arrays,
+    fit_gd,
     per_dim_loss,
     residuals,
 )
@@ -93,7 +93,7 @@ __all__ = [
     "Scope",
     "TrainConfig",
     "fit_closed_form",
-    "fit_gd_arrays",
+    "fit_gd",
     "residuals",
     "per_dim_loss",
     "InfluenceConfig",

@@ -40,6 +40,7 @@ from .pipeline import (
     ExperimentReport,
     PipelineConfig,
     _fit,
+    check_config,
     check_gd_settings,
     default_config,
     masking_line,
@@ -409,6 +410,7 @@ def _cmd_run(args) -> int:
         doc["refine"]["strategy"] = args.refine
     doc = _apply_overrides(doc, args.set)
     config = PipelineConfig.from_dict(doc)
+    check_config(config)
     artifacts = run_pipeline(config, output_dir=args.out)
     print(artifacts.report.render_text(), end="")
     print(f"artifacts written to {args.out}")

@@ -286,7 +286,7 @@ class Dataset:
         """(N, d) read-only float64 matrix.
 
         A synthetic corpus's rows are gathered from its sample stream into a
-        new matrix on every call; feature_blocks reads them a block at a time.
+        new matrix on every call; feature_blocks reads them a chunk at a time.
         """
         if isinstance(self._source, np.ndarray):
             return self._source
@@ -296,9 +296,9 @@ class Dataset:
         """A new read-only matrix of the features of the row positions rows (every row if None).
 
         rows may come in any order and repeat. They are read in ascending
-        order a block at a time (feature_blocks), each block written to its
+        order a chunk at a time (feature_blocks), each chunk written to its
         rows' places, so no matrix of other rows is held. The sample stream
-        writes ascending rows straight into the result, so then no block is
+        writes ascending rows straight into the result, so then no chunk is
         held either.
         """
         order = None
@@ -310,37 +310,33 @@ class Dataset:
         out = np.empty((len(self) if rows is None else len(rows), self._feature_dim))
         if order is None and not isinstance(self._source, np.ndarray):
             for _ in sample_features(self._source, self._stream_rows(rows), out):
-                pass  # each block is the view of its rows of out
+                pass  # each chunk is the view of its rows of out
         else:
             start = 0
             for block in self.feature_blocks(rows):
                 stop = start + len(block)
                 out[slice(start, stop) if order is None else order[start:stop]] = block
                 start = stop
-                del block  # released before the next block is gathered
+                del block  # released before the next chunk is gathered
         out.setflags(write=False)
         return out
 
-    def feature_blocks(
-        self, rows: np.ndarray | None = None, chunked: bool = False
-    ) -> Iterator[np.ndarray]:
-        """The features of the ascending row positions rows (every row if None), a block at a time.
+    def feature_blocks(self, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The features of the ascending row positions rows (every row if None), a chunk at a time.
 
-        Yields one array per block of _row_blocks(len(rows)), or per chunk of
-        _row_chunks(len(rows)) if chunked, in row order:
-        views of the feature matrix's blocks, or gathers of rows, or a
+        Yields one array per chunk of _row_chunks(len(rows)), in row order:
+        views of the feature matrix's chunks, or gathers of rows, or a
         synthetic corpus's rows read from its sample stream (sample_features).
-        Either way a product over each block rounds the same. The caller
-        must not write a block; dropping each one before asking for the next
-        keeps one block of a synthetic corpus's rows alive.
+        Either way a product over each chunk rounds the same. The caller
+        must not write a chunk; dropping each one before asking for the next
+        keeps one chunk of a synthetic corpus's rows alive.
         """
         if not isinstance(self._source, np.ndarray):
-            yield from sample_features(self._source, self._stream_rows(rows), chunked=chunked)
+            yield from sample_features(self._source, self._stream_rows(rows))
             return
         if rows is not None:
             rows = _checked_rows(rows, len(self))
-        blocks = _row_chunks if chunked else _row_blocks
-        for start, stop in blocks(len(self) if rows is None else len(rows)):
+        for start, stop in _row_chunks(len(self) if rows is None else len(rows)):
             yield self._source[start:stop] if rows is None else self._source[rows[start:stop]]
 
     def _stream_rows(self, rows: np.ndarray | None) -> np.ndarray:
@@ -451,39 +447,28 @@ def validate_synth(config: SynthConfig) -> np.ndarray:
     return config.noise_vector()
 
 
-# Rows of the sample stream drawn at a time: 1 MiB of features at d=16.
-DRAW_BLOCK_ROWS = 8192
+# Rows in which the draw and every reader of features work: 128 KiB of features at d=16.
+CHUNK_ROWS = 1024
 
 
-def _row_blocks(n: int, size: int | None = None) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block of n rows, in which the draw and every reader of features work.
+def _row_chunks(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each chunk of n rows, in which the draw and every reader of features work.
 
-    Each block holds size rows (DRAW_BLOCK_ROWS if None) and the last one
-    the rest, from size to twice that less one (or all n). A short last block
-    could round its product differently from the one-shot product: numpy
-    sends a one-row product to gemv, and OpenBLAS takes small products
-    through other kernels. A one-column product would go to gemv too, whose
-    OpenBLAS result depends on the thread count, so draw_synthetic forms the
-    labels of a one-dimension corpus with einsum instead.
+    Each chunk holds CHUNK_ROWS rows (read at call time) and the last one
+    the rest, from CHUNK_ROWS to twice that less one (or all n), so every
+    reader holds one chunk of temporaries at any number of rows. A short
+    last chunk could round its product differently from the one-shot
+    product: numpy sends a one-row product to gemv, and OpenBLAS takes small
+    products through other kernels. A one-column product would go to gemv
+    too, whose OpenBLAS result depends on the thread count, so draw_synthetic
+    forms the labels of a one-dimension corpus with einsum instead.
     """
-    size = DRAW_BLOCK_ROWS if size is None else size
+    size = CHUNK_ROWS
     start = 0
     while start < n:
         stop = n if n - start < 2 * size else start + size
         yield start, stop
         start = stop
-
-
-def _row_chunks(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each chunk of n rows: _row_blocks of an eighth of DRAW_BLOCK_ROWS.
-
-    The kernels of a shared layer (gradient descent and the scorers of a
-    head with one) hold their per-row temporaries one chunk at a time, so
-    they hold the same memory at any number of rows, and a chunk of at
-    least that many rows rounds as the one-shot products do, for the
-    reason _row_blocks gives.
-    """
-    return _row_blocks(n, max(1, DRAW_BLOCK_ROWS // 8))
 
 
 def _checked_rows(rows, n: int) -> np.ndarray:
@@ -495,54 +480,54 @@ def _checked_rows(rows, n: int) -> np.ndarray:
 
 
 def sample_features(
-    config: SynthConfig, rows: np.ndarray, out: np.ndarray | None = None, chunked: bool = False
+    config: SynthConfig, rows: np.ndarray, out: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
-    """The features of config's corpus at the ascending row indices rows, a row block at a time.
+    """The features of config's corpus at the ascending row indices rows, a row chunk at a time.
 
-    Yields one (stop - start, d) array per block of _row_blocks(len(rows)),
-    or of _row_chunks if chunked, so a product over each block rounds as the
-    one-shot product over all the rows does. Each block is a new array, or
-    the view of its rows of out, a (len(rows), d) matrix given to be
-    written. The features come from a fresh stream of the sample seed,
-    read an eighth of DRAW_BLOCK_ROWS rows at a time; standard_normal gives
-    a stream's values in the same order whatever the size of each draw, so
-    these are the features draw_synthetic formed the labels from. Only one
-    chunk of the stream (each drawn into the same buffer) and the block
-    being gathered are held, if the caller drops each block before asking
-    for the next.
+    Yields one (stop - start, d) array per chunk of _row_chunks(len(rows)),
+    so a product over each chunk rounds as the one-shot product over all the
+    rows does. Each chunk is a new array, or the view of its rows of out, a
+    (len(rows), d) matrix given to be written. The features come from a
+    fresh stream of the sample seed, read CHUNK_ROWS rows at a time;
+    standard_normal gives a stream's values in the same order whatever the
+    size of each draw, so these are the features draw_synthetic formed the
+    labels from. Only one piece of the stream (each drawn into the same
+    buffer) and the chunk being gathered are held, if the caller drops each
+    chunk before asking for the next.
     """
     n, d = config.n_samples, config.feature_dim
     rows = _checked_rows(rows, n)
-    chunk_rows = max(1, DRAW_BLOCK_ROWS // 8)
+    piece_rows = CHUNK_ROWS
     rng = np.random.default_rng(config.sample_seed)
-    buffer = np.empty((min(chunk_rows, n), d))  # each chunk is drawn into it
-    lo = hi = 0  # the chunk holds stream rows [lo, hi)
-    for start, stop in (_row_chunks if chunked else _row_blocks)(len(rows)):
+    buffer = np.empty((min(piece_rows, n), d))  # each piece of the stream is drawn into it
+    lo = hi = 0  # the piece holds stream rows [lo, hi)
+    for start, stop in _row_chunks(len(rows)):
         block = np.empty((stop - start, d)) if out is None else out[start:stop]
         i = start
         while i < stop:
             while rows[i] >= hi:
-                lo, hi = hi, min(hi + chunk_rows, n)
-                chunk = rng.standard_normal(out=buffer[: hi - lo])
+                lo, hi = hi, min(hi + piece_rows, n)
+                piece = rng.standard_normal(out=buffer[: hi - lo])
             j = i + int(np.searchsorted(rows[i:stop], hi))
-            # the positions lie in the chunk: "clip" lets take write out directly,
+            # the positions lie in the piece: "clip" lets take write out directly,
             # where "raise" would fill a temporary of the same size first
-            np.take(chunk, rows[i:j] - lo, axis=0, out=block[i - start : j - start], mode="clip")
+            np.take(piece, rows[i:j] - lo, axis=0, out=block[i - start : j - start], mode="clip")
             i = j
         if stop == len(rows):
-            del chunk, buffer  # the last block is read: released while the caller uses it
+            del piece, buffer  # the last chunk is read: released while the caller uses it
         yield block
-        del block  # released before the next block is gathered
+        del block  # released before the next chunk is gathered
 
 
 def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
     """Clean labels of every row of config's corpus, and its manifest.
 
     Features are i.i.d. standard normal. Labels are W* h + b* plus independent
-    gaussian noise per dimension, unclipped. The sample stream is read
-    DRAW_BLOCK_ROWS rows at a time and no feature is kept: sample_features
-    reads the same features again. The manifest records both seeds and
-    content digests of the teacher parameters so runs can be audited later.
+    gaussian noise per dimension, unclipped. The sample stream is read a row
+    chunk at a time (_row_chunks), each chunk drawn into one buffer, and no
+    feature is kept: sample_features reads the same features again. The
+    manifest records both seeds and content digests of the teacher
+    parameters so runs can be audited later.
     """
     sd = validate_synth(config)
     n, d = config.n_samples, config.feature_dim
@@ -550,18 +535,21 @@ def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
 
     rng = np.random.default_rng(config.sample_seed)
     labels = np.empty((n, config.n_dims))
-    for start, stop in _row_blocks(n):
-        block = rng.standard_normal((stop - start, d))
+    rows = max((stop - start for start, stop in _row_chunks(n)), default=0)
+    buffer = np.empty((rows, d))  # each chunk of features is drawn into it
+    for start, stop in _row_chunks(n):
+        chunk = rng.standard_normal(out=buffer[: stop - start])
         if config.n_dims == 1:
             # einsum uses no BLAS, so these labels do not depend on the thread count
-            np.einsum("ij,kj->ik", block, w_star, out=labels[start:stop])
+            np.einsum("ij,kj->ik", chunk, w_star, out=labels[start:stop])
         else:
-            np.matmul(block, w_star.T, out=labels[start:stop])
-        del block  # released before the next block is drawn
+            np.matmul(chunk, w_star.T, out=labels[start:stop])
+    del buffer
     # the noise draw follows every feature in the stream; each label is
     # (h @ w*^T + b*) + noise * sd, summed in that order
-    for start, stop in _row_blocks(n):
-        noise = rng.standard_normal((stop - start, config.n_dims))
+    buffer = np.empty((rows, config.n_dims))
+    for start, stop in _row_chunks(n):
+        noise = rng.standard_normal(out=buffer[: stop - start])
         noise *= sd
         part = labels[start:stop]
         part += b_star
@@ -591,7 +579,7 @@ def synthetic_rows(
 
     The ids are a RowIds view of rows, an ascending row-index array, which
     is not copied (see _synthetic_ids). The features stay in the corpus's
-    sample stream, read a block at a time (see Dataset.feature_blocks).
+    sample stream, read a chunk at a time (see Dataset.feature_blocks).
     """
     return Dataset(
         ids=_synthetic_ids(config, rows),
@@ -628,6 +616,16 @@ def teacher_head(config: SynthConfig):
     return w_star, b_star
 
 
+def checked_dims(dims: Iterable[int], n_dims: int) -> list[int]:
+    """dims as a sorted list of distinct indices; a ValueError naming dims unless they lie in [0, n_dims)."""
+    dim_list = sorted(set(int(k) for k in dims))
+    if not dim_list:
+        raise ValueError("dims: must be a non-empty set of dimension indices")
+    if dim_list[0] < 0 or dim_list[-1] >= n_dims:
+        raise ValueError(f"dims: out of range for {n_dims} dimensions: {dim_list}")
+    return dim_list
+
+
 def corrupt_dimensions(
     labels: np.ndarray, mask: np.ndarray, rate: float, dims: Iterable[int], rng_seed: int
 ) -> dict:
@@ -637,12 +635,8 @@ def corrupt_dimensions(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
-    dim_list = sorted(set(int(k) for k in dims))
-    if not dim_list:
-        raise ValueError("dims must be a non-empty set of dimension indices")
     n, n_dims = labels.shape
-    if dim_list[0] < 0 or dim_list[-1] >= n_dims:
-        raise ValueError(f"dims out of range for {n_dims} dimensions: {dim_list}")
+    dim_list = checked_dims(dims, n_dims)
 
     m = ceil_count(rate, n)
     if m > 0:
@@ -714,6 +708,11 @@ class NoiseSpec:
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"{key}: must be in [0, 1], got {getattr(self, key)}")
 
+    def check(self, n_dims: int) -> None:
+        """The ValueError apply would raise on labels of n_dims dimensions, if any, without them."""
+        if self.rate > 0.0 and self.dims is not None:
+            checked_dims(self.dims, n_dims)
+
     def apply(self, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
         """Corrupt labels and mask in place, per dimension then correlated; return the records."""
         records = []
@@ -779,6 +778,16 @@ def inject_dimension_noise(
     )
 
 
+def checked_fractions(fractions: Sequence[float]) -> tuple[float, float, float]:
+    """fractions as three floats; a ValueError naming fractions unless they are nonnegative and sum to 1."""
+    f = tuple(float(x) for x in fractions)
+    if len(f) != 3 or any(x < 0 for x in f):
+        raise ValueError(f"fractions: must be three nonnegative reals, got {fractions}")
+    if abs(sum(f) - 1.0) > 1e-9:
+        raise ValueError(f"fractions: must sum to 1, got {sum(f)}")
+    return f
+
+
 def split_indices(
     n: int, fractions: tuple[float, float, float], seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -788,11 +797,7 @@ def split_indices(
     Membership comes from one seeded permutation; each part lists its rows
     in ascending order. The three parts partition range(n).
     """
-    f = tuple(float(x) for x in fractions)
-    if len(f) != 3 or any(x < 0 for x in f):
-        raise ValueError(f"fractions must be three nonnegative reals, got {fractions}")
-    if abs(sum(f) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(f)}")
+    f = checked_fractions(fractions)
     n_val = floor_count(f[1], n)
     n_test = floor_count(f[2], n)
     n_train = n - n_val - n_test
@@ -1036,7 +1041,7 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
         "dim_names": ds.dim_names,
         "meta": ds.manifest,
     }
-    # rows are copies and no name binds a block, so each is released before the next is read
+    # rows are copies and no name binds a chunk, so each is released before the next is read
     features = map(np.ndarray.copy, chain.from_iterable(ds.feature_blocks()))
     columns = {"features": features, "labels": ds.labels}
     if ds.corruption_mask is not None:
@@ -1053,7 +1058,7 @@ def dumps_dataset(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write dumps_dataset(ds) to path a line at a time, reading the features a block at a time.
+    """Write dumps_dataset(ds) to path a line at a time, reading the features a chunk at a time.
 
     A synthetic corpus's rows are read again from its sample stream, so no
     feature matrix of them is held.

@@ -16,8 +16,7 @@ head-only scope it collapses to the forward-only closed form
 because the gradient of dimension k touches only that head's weights and
 bias. A shared layer adds one Gram term per dimension pair (see
 _gram_terms), so every batched score is a few matrix products over each
-row block of the dataset (each row chunk, for a head with a shared
-layer); grad_per_dimension assembles the gradients one
+row chunk of the dataset; grad_per_dimension assembles the gradients one
 sample at a time as the reference. Scores are computed at one final
 checkpoint; the Hessian is taken to be the identity throughout.
 
@@ -271,7 +270,7 @@ def grad_per_dimension(head: RegressionHead, sample: Sample, cfg: InfluenceConfi
 
 
 def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=None):
-    """Batched factors of every per-dimension gradient inner product, a row block at a time.
+    """Batched factors of every per-dimension gradient inner product, a row chunk at a time.
 
     For sample i and dimensions j, k of one scope,
 
@@ -281,9 +280,8 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
     the head input, 1 the bias) and a_i = |x_i|^2 + 1 from the shared-layer
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
-    gradient is assembled. Yields (start, stop, r, a, b) per block of
-    ds.feature_blocks() (a is one zero in head-only scopes); a head with a
-    shared layer reads them a chunk at a time (chunked=True), so its
+    gradient is assembled. Yields (start, stop, r, a, b) per chunk of
+    ds.feature_blocks() (a is one zero in head-only scopes), so the
     features, activations u and the callers' temporaries are one chunk's.
     The callers overwrite r, written into out[start:stop] if an (N, K) out
     is given.
@@ -291,7 +289,7 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
     check_pair(head, ds)
     _check_scope(head, cfg.scope)
     start = 0
-    for x in ds.feature_blocks(chunked=head.shared_weight is not None):
+    for x in ds.feature_blocks():
         stop = start + len(x)
         u = head.head_inputs(x)
         r = np.matmul(u, head.weights.T, out=None if out is None else out[start:stop])
@@ -304,7 +302,7 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
         if cfg.scope == Scope.LAST_TWO_LAYERS:
             a = np.einsum("ij,ij->i", x, x)
             a += 1.0
-        del x  # released before the next block is read
+        del x  # released before the next chunk is read
         yield start, stop, r, a, b
         start = stop
 
@@ -327,7 +325,7 @@ def self_influence_closed_form(
 def _self_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, table: bool, scalar: bool):
     """The (N, K) self-influence scores and the (N,) global scores, each None unless asked for.
 
-    Both come from one pass of _gram_terms: a block's global scores are
+    Both come from one pass of _gram_terms: a chunk's global scores are
     taken from a copy of its residuals before the scores overwrite them.
     """
     lam = cfg.resolved_lambdas(head.n_dims)

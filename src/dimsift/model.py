@@ -1,18 +1,19 @@
 """Per-dimension linear regression heads over shared features.
 
-Supported fitting paths:
+Both fitting paths read the features once, a row chunk at a time, into the
+moments of the normal equations over augmented inputs [h; 1]: A = [h 1]'
+diag(w) [h 1], B = [h 1]' diag(w) y and y' diag(w) y, one set shared by
+every dimension without sample weights, one per dimension with them
+(_normal_equations). Neither [h; 1] nor a feature matrix is built.
 
-    closed form     per-dimension weighted ridge over augmented inputs [h; 1],
-                    solving (X' diag(w) X + alpha D) beta = X' diag(w) y with
-                    no penalty on the bias coordinate (D has a zero in the
-                    bias slot); the blocks of these normal equations are
-                    summed over the feature row blocks, so neither [h; 1]
-                    nor a feature matrix is built, and an unweighted fit
-                    shares one set of normal equations (one Gram matrix, one
-                    solve) across all dimensions
+    closed form     per-dimension weighted ridge, solving (A + alpha D)
+                    beta = B with no penalty on the bias coordinate (D has
+                    a zero in the bias slot); an unweighted fit has one Gram
+                    matrix and one solve for all dimensions
     gradient        full-batch gradient descent on the sum of per-dimension
                     squared-error losses, each scaled by its fixed lambda;
-                    each epoch sums the loss and gradient over row chunks
+                    the model is affine, so each loss is a quadratic form in
+                    the moments and an epoch costs O(K (d+1)^2) at any N
 
 An optional shared affine layer (identity activation) sits below the heads so
 that influence scopes covering the last two layers have coupled parameters.
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, _row_chunks, number_rows, read_json, write_json
+from .data import Dataset, number_rows, read_json, write_json
 from .errors import DataError, NumericalError
 
 
@@ -186,47 +187,49 @@ class TrainConfig:
 
 
 def _resolve_weights(weights, n: int, k: int) -> np.ndarray:
-    if weights is None:
-        return np.ones((n, k))
     # accept a refine.WeightMatrix without importing it
     w = getattr(weights, "weights", weights)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n, k):
         raise ValueError(f"sample weights must have shape ({n}, {k}), got {w.shape}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    # no N-sized bool array: NaN propagates through min and max, and an infinity is max
+    if not (w.min(initial=0.0) >= 0 and np.isfinite(w.max(initial=0.0))):
         raise ValueError("sample weights must be nonnegative and finite")
     return w
 
 
 def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
-    """Normal equations of [x 1] against the labels y of ds, summed over its feature blocks.
+    """Normal equations of [x 1] against the labels y of ds, summed over its feature chunks.
 
     rows, ascending positions, restricts them to those rows (every row if
-    None; not combined with weights), and each block's labels are gathered
+    None; not combined with weights), and each chunk's labels are gathered
     with its features. Unit weights (w None) give the one system every
-    dimension shares: [(A, B)] with A = [x 1]'[x 1] and B = [x 1]'y.
-    Weights w (N, K) give dimension k its own system, A_k = [x 1]' diag(w_k)
-    [x 1] and B_k = [x 1]' diag(w_k) y_k, all K formed in the same pass over
-    the features. Each block adds its x'Wx, x'W1, 1'W1, x'Wy and 1'Wy terms,
-    so [x 1] is never built. Every dimension's right-hand side comes from
-    one product x'(w * y) and the column sums of w * y, and only the Grams
-    are formed per dimension, each from its own x * w_k: numpy sends a
+    dimension shares: [(A, B, yy)] with A = [x 1]'[x 1], B = [x 1]'y and yy
+    the (K,) column sums of y * y. Weights w (N, K) give dimension k its own
+    system, A_k = [x 1]' diag(w_k) [x 1], B_k = [x 1]' diag(w_k) y_k and
+    yy_k = y_k' diag(w_k) y_k, all K formed in the same pass over the
+    features. Each chunk adds its x'Wx, x'W1, 1'W1, x'Wy, 1'Wy and y'Wy
+    terms, so [x 1] is never built. Every dimension's right-hand side comes
+    from one product x'(w * y) and the column sums of w * y, and only the
+    Grams are formed per dimension, each from its own x * w_k: numpy sends a
     product with one label column to gemv, whose OpenBLAS result depends on
-    the thread count, and x'(w * y) has K columns. One block gives the
+    the thread count, and x'(w * y) has K columns. One chunk gives the
     one-shot products bit for bit; more are summed in row order, so the
     system of rows is that of ds.select(rows) bit for bit.
     """
 
     def terms(x, y, wb):
         if wb is None:
-            return [[x.T @ x, x.T @ y, x.sum(axis=0), float(len(x)), y.sum(axis=0)]]
+            yy = np.einsum("ij,ij->j", y, y)
+            return [[x.T @ x, x.T @ y, x.sum(axis=0), float(len(x)), y.sum(axis=0), yy]]
         wy = wb * y
-        xwy, wysum = x.T @ wy, wy.sum(axis=0)
+        xwy, wysum, wyy = x.T @ wy, wy.sum(axis=0), np.einsum("ij,ij->j", wy, y)
         del wy
         out = []
         for j in range(ds.n_dims):
             xw = x * wb[:, j : j + 1]
-            out.append([x.T @ xw, xwy[:, j : j + 1], xw.sum(axis=0), wb[:, j].sum(), wysum[j : j + 1]])
+            col = slice(j, j + 1)
+            out.append([x.T @ xw, xwy[:, col], xw.sum(axis=0), wb[:, j].sum(), wysum[col], wyy[col]])
             del xw  # released before the next dimension's
         return out
 
@@ -237,15 +240,33 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
         part = terms(x, y, None if w is None else w[start:stop])
         sums = part if sums is None else [[s + p for s, p in zip(ts, tp)] for ts, tp in zip(sums, part)]
         start = stop
-        del x, y  # released before the next block is read
+        del x, y  # released before the next chunk is read
     if sums is None:
         sums = terms(np.empty((0, ds.feature_dim)), ds.labels[:0], None if w is None else w[:0])
     systems = []
-    for a, b, col, total, ysum in sums:
+    for a, b, col, total, ysum, yy in sums:
         a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
         b = np.vstack([b, ysum[None, :]])
-        systems.append((a, b))
+        systems.append((a, b, yy))
     return systems
+
+
+def _fit_systems(ds: Dataset, weights, rows) -> tuple[bool, list]:
+    """Whether the fit of ds has one system shared by every dimension, and its _normal_equations.
+
+    Without sample weights, and with all-one weights, every dimension
+    shares one system; other weights give each dimension its own. rows and
+    weights do not combine. numpy's overflow warnings are silenced: an
+    overflow leaves moments that are not finite, which the fits report.
+    """
+    if rows is not None and weights is not None:
+        raise ValueError("row positions and sample weights cannot be combined")
+    w = None if weights is None else _resolve_weights(weights, len(ds), ds.n_dims)
+    # min and max, not w == 1.0, so no N-sized bool array is built
+    if w is not None and w.min(initial=1.0) == 1.0 == w.max(initial=1.0):
+        w = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w is None, _normal_equations(ds, w, rows)
 
 
 def _solve(a: np.ndarray, b: np.ndarray, cfg: TrainConfig, what: str) -> np.ndarray:
@@ -277,17 +298,17 @@ def fit_closed_form(
 ) -> RegressionHead:
     """Weighted ridge solution of the features of ds against its labels.
 
-    The features are read a row block at a time (Dataset.feature_blocks), so
+    The features are read a row chunk at a time (Dataset.feature_blocks), so
     a synthetic corpus's rows come from its sample stream and no feature
     matrix is built.
 
     rows, ascending positions and no sample weights, fits only those rows:
-    their features and labels are gathered a block at a time, and the fit is
+    their features and labels are gathered a chunk at a time, and the fit is
     that of ds.select(rows) bit for bit.
 
     Minimizes sum_i w_ik * 0.5 * (w_k . h_i + b_k - y_ik)^2 + 0.5 * alpha * |w_k|^2
     over augmented inputs [h; 1]; the bias coordinate is not penalized. The
-    normal equations come straight from the feature blocks, and [h; 1] is
+    normal equations come straight from the feature chunks, and [h; 1] is
     never built. Without sample weights every dimension shares one set of
     normal equations: one Gram matrix, one rank check and one solve with K
     right-hand sides; all-one weights are the unweighted fit and take that
@@ -300,66 +321,55 @@ def fit_closed_form(
     """
     cfg = config or TrainConfig()
     if cfg.hidden_dim is not None:
-        raise ValueError(
-            "closed-form fitting supports head-only models; use fit_gd_arrays for a shared layer"
-        )
-    n, d, k = len(ds), ds.feature_dim, ds.n_dims
+        raise ValueError("closed-form fitting supports head-only models; use fit_gd for a shared layer")
+    d, k = ds.feature_dim, ds.n_dims
     cfg.resolved_lambdas(k)  # validate even though the solution ignores them
-    if rows is not None and weights is not None:
-        raise ValueError("row positions and sample weights cannot be combined")
-    w = None if weights is None else _resolve_weights(weights, n, k)
+    shared, systems = _fit_systems(ds, weights, rows)
     # an overflow leaves a solution that is not finite, which _solve reports
     with np.errstate(over="ignore", invalid="ignore"):
-        if w is None or np.all(w == 1.0):
-            [(a, b)] = _normal_equations(ds, None, rows)
+        if shared:
+            [(a, b, _)] = systems
             beta = _solve(a, b, cfg, "all dimensions")
         else:
-            systems = enumerate(_normal_equations(ds, w))
-            beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b) in systems])
+            beta = np.hstack([_solve(a, b, cfg, f"dimension {j}") for j, (a, b, _) in enumerate(systems)])
     info = {"method": "closed_form", "ridge_alpha": cfg.ridge_alpha, "weighted": weights is not None}
     return RegressionHead(weights=beta[:d].T, biases=beta[d], fit_info=info)
 
 
 class GDObjective:
-    """Full-batch objective with its analytic gradient.
+    """Full-batch objective of gradient descent on the normal-equation moments, with its gradient.
 
     Parameters are packed into one flat vector:
 
         head only     [head weights (K*p), head biases (K)]
         shared layer  [shared weights (m*d), shared bias (m)] + head block
 
-    loss_and_grad returns L = (1/N) sum_ik lambda_k w_ik 0.5 r_ik^2 and the
-    flat gradient dL/dtheta.
+    loss_and_grad returns L = (1/N) sum_ik lambda_k w_ik 0.5 r_ik^2 over the
+    N fitted rows of ds and the flat gradient dL/dtheta. The model is affine
+    throughout (the shared layer has identity activation), so dimension k
+    predicts Theta_k . [x; 1], where Theta = S' W_head' + e b_head' is
+    (d+1, K), S = [W_shared b_shared] (the identity head-only) and e is the
+    bias slot's unit vector. L is then 0.5 sum_k c_k (Theta_k' A_k Theta_k -
+    2 Theta_k' B_k + yy_k), c = lambda / N, in the moments A, B and yy of
+    _normal_equations, and dL/dTheta = g = c * (A Theta - B). The moments
+    are formed in one pass over the features when the objective is built,
+    so an evaluation costs O(K (d+1)^2) at any N.
     """
 
-    def __init__(
-        self, x: np.ndarray, y: np.ndarray, weights, lambdas: np.ndarray, hidden_dim: Optional[int]
-    ):
-        self.x = x
-        self.y = y
-        self.n, self.d = x.shape
-        self.k = y.shape[1]
+    def __init__(self, ds: Dataset, weights, lambdas: np.ndarray, hidden_dim: Optional[int], rows=None):
+        shared, systems = _fit_systems(ds, weights, rows)
+        self.n = len(ds) if rows is None else len(rows)
+        self.d, self.k = ds.feature_dim, ds.n_dims
         self.hidden_dim = hidden_dim
-        lam = np.asarray(lambdas)[None, :]
-        if weights is None:
-            self.coef = lam / self.n  # (1, K), shared by every sample
-        else:
-            self.coef = lam * _resolve_weights(weights, self.n, self.k) / self.n  # (N, K)
+        # one (d+1, d+1) A shared by every dimension, or a (K, d+1, d+1) stack of them
+        self.a = systems[0][0] if shared else np.stack([a for a, _, _ in systems])
+        self.b = np.hstack([b for _, b, _ in systems])  # (d+1, K)
+        self.yy = np.concatenate([yy for _, _, yy in systems])  # (K,)
+        self.coef = np.asarray(lambdas) / self.n  # (K,)
         p_head = hidden_dim if hidden_dim is not None else self.d
         self.p_head = p_head
         self.n_shared = 0 if hidden_dim is None else hidden_dim * self.d + hidden_dim
         self.n_params = self.n_shared + self.k * p_head + self.k
-        # the rows are taken a chunk at a time (data._row_chunks), and each
-        # chunk's activations u (rows, m) and residual products r, cr
-        # (rows, K) are written into buffers of the largest chunk, kept for
-        # the whole fit: the fit holds the same temporaries at any N, and
-        # fresh ones every chunk would be mapped and unmapped each time once
-        # they are above the allocator's mmap threshold
-        self._chunks = list(_row_chunks(self.n))
-        rows = max((stop - start for start, stop in self._chunks), default=0)
-        self._u = None if hidden_dim is None else np.empty((rows, hidden_dim))
-        self._r = np.empty((rows, self.k))
-        self._cr = np.empty((rows, self.k))
 
     def init_params(self, seed: int) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -393,52 +403,47 @@ class GDObjective:
         )
 
     def loss_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The loss and its gradient, summed over the row chunks.
+        """The loss and its gradient from the moments.
 
-        Each chunk adds its per-dimension losses and its cr'u, cr'1 and cr'x
-        terms (cr the coefficient-scaled residuals); the shared-layer
-        gradient is W_head' (cr'x) of the sums. One chunk gives the one-shot
-        products bit for bit. An overflow leaves a loss that is not finite,
-        which fit_gd_arrays reports.
+        The head gradients are dW_head = g' S' and db_head = g[d], the shared
+        layer's dS = W_head' g'. An overflow leaves a loss that is not
+        finite, which fit_gd reports.
         """
         shared_w, shared_b, hw, hb = self._unpack(theta)
         grad = np.zeros(self.n_params)
         g_sw, g_sb, g_hw, g_hb = self._unpack(grad)  # views into grad
-        dim_loss = np.zeros(self.k)
-        crx = None if shared_w is None else np.zeros((self.k, self.d))
-        weighted = self.coef.shape[0] > 1
+        d = self.d
         with np.errstate(over="ignore", invalid="ignore"):
-            for start, stop in self._chunks:
-                x = self.x[start:stop]
-                if shared_w is None:
-                    u = x
-                else:
-                    u = np.matmul(x, shared_w.T, out=self._u[: stop - start])
-                    u += shared_b
-                r, cr = self._r[: stop - start], self._cr[: stop - start]
-                np.matmul(u, hw.T, out=r)
-                r += hb
-                r -= self.y[start:stop]
-                np.multiply(self.coef[start:stop] if weighted else self.coef, r, out=cr)
-                r *= cr  # the residuals are not needed past the loss
-                dim_loss += np.sum(r, axis=0)
-                g_hw += cr.T @ u
-                g_hb += cr.sum(axis=0)
-                if crx is not None:
-                    crx += cr.T @ x
-            loss = float(0.5 * dim_loss.sum())  # summed per dimension first
-            if crx is not None:
-                np.matmul(hw.T, crx, out=g_sw)
-                np.matmul(hw.T, g_hb, out=g_sb)
+            if shared_w is None:
+                t = np.vstack([hw.T, hb])
+            else:
+                s = np.hstack([shared_w, shared_b[:, None]])
+                t = s.T @ hw.T
+                t[d] += hb
+            at = self.a @ t if self.a.ndim == 2 else np.einsum("kij,jk->ik", self.a, t)
+            quad, lin = np.einsum("ik,ik->k", t, at), np.einsum("ik,ik->k", t, self.b)
+            loss = float(0.5 * (self.coef * (quad - 2.0 * lin + self.yy)).sum())
+            g = self.coef * (at - self.b)
+            g_hb[:] = g[d]
+            if shared_w is None:
+                g_hw[:] = g[:d].T
+            else:
+                np.matmul(g.T, s.T, out=g_hw)
+                gs = hw.T @ g.T
+                g_sw[:] = gs[:, :d]
+                g_sb[:] = gs[:, d]
         return loss, grad
 
 
-def fit_gd_arrays(
-    x: np.ndarray, y: np.ndarray, weights=None, config: TrainConfig | None = None
-) -> RegressionHead:
-    """Full-batch gradient descent of features x (N, d) against labels y (N, K).
+def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None, rows=None) -> RegressionHead:
+    """Full-batch gradient descent of the features of ds against its labels.
 
-    x and y are used as given, finite float64 as a Dataset holds them.
+    Takes the arguments of fit_closed_form: rows, ascending positions and no
+    sample weights, fits only those rows, and the fit is that of
+    ds.select(rows) bit for bit; all-one weights are the unweighted fit.
+    The features are read once, a row chunk at a time, into the moments of
+    GDObjective, and every epoch works on those, so the sample stream is
+    read once whatever the number of epochs.
 
     Head parameters start at zero; a shared layer, when requested, starts from
     a small seeded gaussian. The objective is GDObjective's: the per-dimension
@@ -448,8 +453,8 @@ def fit_gd_arrays(
     raises NumericalError naming the epoch.
     """
     cfg = config or TrainConfig()
-    lam = cfg.resolved_lambdas(y.shape[1])
-    obj = GDObjective(x, y, weights, lam, cfg.hidden_dim)
+    lam = cfg.resolved_lambdas(ds.n_dims)
+    obj = GDObjective(ds, weights, lam, cfg.hidden_dim, rows)
     theta = obj.init_params(cfg.seed)
     history: list[float] = []
 
@@ -479,7 +484,7 @@ def check_pair(head: RegressionHead, ds: Dataset) -> None:
 
 
 def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
-    """(N, K) matrix of prediction minus label, predicted a feature block at a time."""
+    """(N, K) matrix of prediction minus label, predicted a feature chunk at a time."""
     check_pair(head, ds)
     out = np.empty((len(ds), ds.n_dims))
     start = 0
@@ -487,7 +492,7 @@ def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
         stop = start + len(x)
         np.subtract(head.predict_batch(x), ds.labels[start:stop], out=out[start:stop])
         start = stop
-        del x  # released before the next block is read
+        del x  # released before the next chunk is read
     return out
 
 

@@ -29,6 +29,7 @@ from .data import (
     Dataset,
     NoiseSpec,
     SynthConfig,
+    checked_fractions,
     draw_synthetic,
     read_json,
     sample_features,
@@ -54,7 +55,7 @@ from .model import (
     Scope,
     TrainConfig,
     fit_closed_form,
-    fit_gd_arrays,
+    fit_gd,
     per_dim_loss,
 )
 from .refine import (
@@ -407,17 +408,17 @@ class PipelineArtifacts:
 
     A run draws the labels of every row and keeps no feature. train holds
     the training rows' indices (its ids, a data.RowIds), labels and mask,
-    and reads their features from the corpus's sample stream a row block at
+    and reads their features from the corpus's sample stream a row chunk at
     a time (Dataset.feature_blocks); train.features gathers a new matrix on
     each call. With an output directory the run writes the corpus to
     corpus.jsonl right after the noise, from its own labels and mask, its
     features read from the stream as well. The test split is not kept: the
     report holds its evaluation, and test_clean.jsonl its rows. A pruned
-    run's refined rows are not kept either: prune.kept_ids names them. A
-    closed-form refit read the kept rows a block at a time; a
-    gradient-descent fit held a matrix of the (kept) rows' features and
-    labels while it ran. The scores and weights share train's ids, and the
-    prune result holds views of them, so no id string is kept.
+    run's refined rows are not kept either: prune.kept_ids names them. Every
+    fit, closed form or gradient descent, read its (kept) rows once, a
+    chunk at a time, into the moments of the normal equations. The scores
+    and weights share train's ids, and the prune result holds views of
+    them, so no id string is kept.
     """
 
     report: ExperimentReport
@@ -443,18 +444,35 @@ def check_gd_settings(cfg: TrainConfig, name: str) -> None:
         )
 
 
+def check_config(config: PipelineConfig) -> None:
+    """A UsageError "config <section>.<key>: <reason>" for a setting a run's stages would refuse.
+
+    PipelineConfig.from_dict reads every constructible config; these rules
+    belong to the stages, which run_pipeline meets only once it has started:
+    the corpus settings (data.validate_synth), the split fractions
+    (data.checked_fractions) and the noise dimensions (NoiseSpec.check).
+    """
+    checks = (
+        ("synth", lambda: validate_synth(config.synth)),
+        ("split", lambda: checked_fractions(config.split_fractions)),
+        ("noise", lambda: config.noise.check(config.synth.n_dims)),
+    )
+    for section, check in checks:
+        try:
+            check()
+        except ValueError as e:
+            raise UsageError(f"config {section}.{e}") from None
+
+
 def _fit(ds: Dataset, weights, cfg: TrainConfig, rows=None) -> RegressionHead:
     """A head fitted to the rows of ds at the ascending positions rows (every row if None).
 
-    Gradient descent on a gathered matrix of those rows' features with a
-    shared layer, released after; else the closed form, which reads them a
-    block at a time and copies no rows.
+    Gradient descent with a shared layer, else the closed form: both read
+    those rows' features once, a chunk at a time, into the moments of the
+    normal equations, and copy no rows.
     """
-    if cfg.hidden_dim is not None:
-        if rows is None:
-            return fit_gd_arrays(ds.features, ds.labels, weights, cfg)
-        return fit_gd_arrays(ds.gather_features(rows), ds.labels[rows], weights, cfg)
-    return fit_closed_form(ds, weights, cfg, rows)
+    fit = fit_closed_form if cfg.hidden_dim is None else fit_gd
+    return fit(ds, weights, cfg, rows)
 
 
 def run_pipeline(
@@ -469,18 +487,20 @@ def run_pipeline(
     split is held: the training split is a Dataset of its rows whose
     features stay in the sample stream, and the probe fit, the scores with
     the global scores (one pass), the refit (of the kept rows only, when
-    pruned) and train.jsonl each read them a row block at a time. The test
+    pruned) and train.jsonl each read them a row chunk at a time. The test
     split is its row indices and their clean labels, taken before the
     noise; the heads are evaluated on its features read once from a fresh
-    stream of the sample seed, a block at a time. With output_dir, config.json and corpus.jsonl are written once
-    the noise is applied: the corpus from the run's own full label matrix
-    and mask, its features read again from the stream, so a run that fails
-    after that still leaves both files. The other files follow at the end,
-    test_clean.jsonl streamed in the same way. A pruned refit gets the
-    kept rows' positions in the training split, released before the
-    evaluation: the closed form gathers their features and labels a block
-    at a time, and gradient descent gathers their features into one
-    matrix, released after.
+    stream of the sample seed, a chunk at a time. With output_dir,
+    config.json and corpus.jsonl are written once the noise is applied: the
+    corpus from the run's own full label matrix and mask, its features read
+    again from the stream, so a run that fails after that still leaves both
+    files. The other files follow at the end, test_clean.jsonl streamed in
+    the same way. A pruned refit gets the kept rows' positions in the
+    training split, released before the evaluation: the closed form and
+    gradient descent alike gather those rows' features and labels a chunk
+    at a time into the moments of the normal equations. Settings a stage
+    refuses raise that stage's own error here; check_config reports them
+    as config faults before a run starts.
     """
     validate_synth(config.synth)
     check_gd_settings(config.train, "config train.ridge_alpha")

@@ -78,16 +78,17 @@ def test_gen_matches_library_across_draw_blocks(tmp_path):
 
 
 def test_gen_holds_no_full_feature_matrix(monkeypatch, tmp_path):
-    # 512-row draw blocks keep the test small: 8000 rows in 15 blocks
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 512)
+    # 512-row chunks keep the test small: 8000 rows in 15 chunks
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 512)
     n, d = 8_000, 16
     argv = ["gen", "--features", str(d), "--dims", "1", "--out", str(tmp_path / "c.jsonl")]
     main(argv + ["--n", "10"])  # the parser and numpy's lazy set-up, outside the measurement
     peak = peak_traced_bytes(main, argv + ["--n", str(n)])
-    # the labels, the mask, the ids' row numbers and one draw block
-    # measured 0.37x an N x d matrix; holding the previous block while the
-    # next is drawn measured 0.42x, and drawing the corpus as a Dataset 1.4x
-    assert peak < 0.4 * n * d * 8
+    # the labels, the mask, the ids' row numbers, one chunk and one 512-row
+    # piece of the sample stream measured 0.42x an N x d matrix (0.37x with
+    # 64-row pieces); holding the previous chunk while the next is drawn
+    # measured 0.05x more, and drawing the corpus as a Dataset 1.4x
+    assert peak < 0.4 * n * d * 8 + 512 * d * 8
 
 
 def test_corrupt_matches_library(stage_dir):
@@ -739,6 +740,26 @@ def test_a_bad_set_value_exits_one_naming_the_key_before_any_file(tmp_path, caps
     key = setting.split("=")[0]
     assert err.startswith(f"usage error: config {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    # the stages' own checks: the generator's, the split's and the noise's
+    ("synth.n_samples=0", "config synth.n_samples: must be positive, got 0"),
+    ("split.fractions=[0.5,0.5,0.5]", "config split.fractions: must sum to 1, got 1.5"),
+    ("noise.dims=[9]", "config noise.dims: out of range for 5 dimensions: [9]"),
+    ("noise.dims=[]", "config noise.dims: must be a non-empty set of dimension indices"),
+])
+def test_a_setting_a_stage_refuses_exits_one_naming_its_section(tmp_path, capsys, setting, message):
+    out = tmp_path / "r"
+    assert main(["run", "--set", setting, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_noise_dims_are_not_checked_without_per_dimension_noise(tmp_path):
+    # as the run, which corrupts no dimension at rate 0
+    argv = ["run", "--set", "noise.rate=0", "--set", "noise.dims=[9]", "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -42,8 +42,7 @@ from dimsift import (
     split,
 )
 from dimsift.data import (
-    DRAW_BLOCK_ROWS,
-    _row_blocks,
+    CHUNK_ROWS,
     _row_chunks,
     JSON_PIECE_ITEMS,
     ceil_count,
@@ -143,8 +142,8 @@ def test_labels_are_teacher_plus_scaled_noise_bit_for_bit(sd):
 
 @pytest.mark.parametrize("tail", [100, 1], ids=["tail-100", "tail-1"])
 def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail):
-    # several blocks and a remainder, which joins the last full block
-    n = 3 * DRAW_BLOCK_ROWS + tail
+    # several chunks and a remainder, which joins the last full chunk
+    n = 3 * CHUNK_ROWS + tail
     cfg = SynthConfig(n, 16, 5, label_noise_sd=(0.1, 0.2, 0.3, 0.4, 0.5), teacher_seed=3,
                       sample_seed=4)
     labels, manifest = draw_synthetic(cfg)
@@ -155,7 +154,7 @@ def test_the_blocked_draw_is_the_one_shot_draw_bit_for_bit(tail):
     expect = all_features @ w_star.T + b_star + noise * cfg.noise_vector()
     assert np.array_equal(labels, expect)
     # the rows' features, read again from the stream
-    for r in (np.arange(0, n, 7), np.array([0, DRAW_BLOCK_ROWS - 1, DRAW_BLOCK_ROWS, n - 1])):
+    for r in (np.arange(0, n, 7), np.array([0, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1])):
         ds = synthetic_rows(cfg, r, labels[r], np.zeros((len(r), 5), bool), manifest)
         assert np.array_equal(ds.features, all_features[r])
 
@@ -170,9 +169,9 @@ def test_the_stream_rejects_rows_out_of_order_or_range():
 
 
 def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
-    # 64-row blocks: a matrix gives views of its blocks or gathers rows, and
+    # 8-row chunks: a matrix gives views of its chunks or gathers rows, and
     # a synthetic corpus's rows read the same features from its sample stream
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 64)
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 8)
     cfg = SynthConfig(600, 4, 2, label_noise_sd=0.1, teacher_seed=1, sample_seed=2)
     labels, manifest = draw_synthetic(cfg)
     rows = np.arange(3, 600, 2)
@@ -180,15 +179,13 @@ def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
     every = np.random.default_rng(cfg.sample_seed).standard_normal((600, 4))
     matrix = Dataset(stream.ids, every[rows], stream.labels, stream.dim_names, stream.corruption_mask,
                      stream.manifest)
-    # chunked, the same rows come in the 8-row chunks of _row_chunks
     for picks in (None, np.array([0, 5, 63, 64, 200, len(rows) - 1]), np.arange(130)):
         want = every[rows] if picks is None else every[rows[picks]]
-        for chunked, parts in ((False, _row_blocks), (True, _row_chunks)):
-            sizes = [stop - start for start, stop in parts(len(want))]
-            for ds in (stream, matrix):
-                blocks = list(ds.feature_blocks(picks, chunked=chunked))
-                assert [len(b) for b in blocks] == sizes
-                assert np.vstack(blocks).tobytes() == want.tobytes()
+        sizes = [stop - start for start, stop in _row_chunks(len(want))]
+        for ds in (stream, matrix):
+            blocks = list(ds.feature_blocks(picks))
+            assert [len(b) for b in blocks] == sizes
+            assert np.vstack(blocks).tobytes() == want.tobytes()
     assert max(stop - start for start, stop in _row_chunks(len(rows))) < 16
     assert all(np.shares_memory(b, matrix.features) for b in matrix.feature_blocks())
     with pytest.raises(ValueError, match="ascending"):
@@ -229,10 +226,10 @@ def test_one_dimension_labels_do_not_depend_on_the_blas_thread_count():
 
 
 def test_gathering_every_row_of_the_stream_holds_little_beyond_the_result():
-    # the stream writes each block straight into the result, and each chunk
+    # the stream writes each chunk straight into the result, and each piece
     # of the stream is drawn into one buffer: 1.06x the result measured at
-    # 20k rows (blocks of 8192 and 11808 rows), beside 1.70x when each block
-    # was gathered and then copied in, and each chunk drawn fresh
+    # 20k rows, beside 1.70x when each 8192-row block was gathered and then
+    # copied in, and each piece drawn fresh
     cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
     corpus = generate_synthetic(cfg)
     every = corpus.gather_features()
@@ -242,9 +239,9 @@ def test_gathering_every_row_of_the_stream_holds_little_beyond_the_result():
 
 
 def test_generate_synthetic_holds_one_label_sized_temporary():
-    # beyond the features: the labels, one block of the noise draw added into
-    # them and the Dataset checks (1.9x the labels measured); an unfused sum
-    # peaks at 3.0x
+    # beyond the features: the labels, one chunk of the noise draw added into
+    # them and the Dataset checks (1.14x the labels measured; 1.9x with
+    # 8192-row blocks); an unfused sum peaks at 3.0x
     cfg = SynthConfig(20_000, 4, 64, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
     peak = peak_traced_bytes(generate_synthetic, cfg)
     features, labels = 20_000 * 4 * 8, 20_000 * 64 * 8
@@ -681,15 +678,16 @@ def test_write_json_writes_a_row_sum_file_a_piece_at_a_time(tmp_path):
 @pytest.mark.parametrize("stream", [False, True], ids=["matrix", "stream"])
 def test_save_dataset_streams(monkeypatch, big_corpus, tmp_path, stream):
     # one line at a time: no whole-file string, no list of lines. A synthetic
-    # corpus's rows are read from the sample stream, which holds one block
-    # of their features (1024-row draw blocks here): beyond that block 0.03x
-    # the features and labels measured, 0.02x from a matrix
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
+    # corpus's rows are read from the sample stream, which holds one chunk
+    # of their features and one piece of the stream (1024 rows each here):
+    # beyond those 0.03x the features and labels measured, 0.02x from a
+    # matrix
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 1024)
     ds = big_corpus if stream else big_corpus.select(np.arange(len(big_corpus)))
     n, d = len(ds), ds.feature_dim
-    block = max(stop - start for start, stop in _row_blocks(n)) * d * 8 if stream else 0
+    chunk = max(stop - start for start, stop in _row_chunks(n)) + 1024 if stream else 0
     peak = peak_traced_bytes(save_dataset, ds, tmp_path / "ds.jsonl")
-    assert peak < 0.05 * n * (d + ds.n_dims) * 8 + block
+    assert peak < 0.05 * n * (d + ds.n_dims) * 8 + chunk * d * 8
 
 
 def test_load_dataset_holds_little_beyond_the_arrays(big_corpus, tmp_path):
@@ -712,18 +710,20 @@ def test_dataset_select_preserves_order():
 @pytest.mark.parametrize("step", [2, -2], ids=["ascending", "descending"])
 def test_select_gathers_only_the_selected_rows_from_the_stream(monkeypatch, big_corpus, step):
     # half the rows of a synthetic corpus, in either order: its rows are read
-    # from the sample stream in ascending order a block at a time and written
-    # to their places, so no matrix of every row is built. Over the selected
-    # features and labels this measured 1.09x ascending and 1.13x descending,
-    # whose duplicate check sorts the row numbers (sorting the formatted ids
-    # measured 1.47x); gathering every row first measured 2.34x both ways
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
+    # from the sample stream in ascending order a chunk at a time and written
+    # to their places, so no matrix of every row is built. Beyond one
+    # 1024-row piece of the stream, over the selected features and labels
+    # this measured 1.01x ascending and 1.09x descending, whose duplicate
+    # check sorts the row numbers (sorting the formatted ids measured 1.47x
+    # with 128-row pieces); gathering every row first measured 2.34x both ways
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 1024)
     rows = np.arange(len(big_corpus))[::step]
     sub = big_corpus.select(rows)
     assert np.array_equal(sub.features, big_corpus.features[rows])
     assert list(sub.ids) == [big_corpus.ids[i] for i in rows]
     peak = peak_traced_bytes(big_corpus.select, rows)
-    assert peak <= 1.15 * len(rows) * (big_corpus.feature_dim + big_corpus.n_dims) * 8
+    piece = 1024 * big_corpus.feature_dim * 8
+    assert peak <= 1.15 * len(rows) * (big_corpus.feature_dim + big_corpus.n_dims) * 8 + piece
 
 
 @given(st.lists(st.sampled_from("abcdefgh"), max_size=12))

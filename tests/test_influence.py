@@ -437,15 +437,14 @@ def test_in_place_scores_are_the_one_expression_scores_bit_for_bit(case):
 
 # a small block size keeps the per-sample oracle cheap at every boundary;
 # a head with a shared layer is scored in chunks of an eighth of a block
-_BLOCK = 64
-_CHUNK = _BLOCK // 8
+_CHUNK = 8
 
 
 @pytest.mark.parametrize(
     "n",
     [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK + 5,
-     _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
-    ids=["1", "C-1", "C", "2C-1", "2C", "3C+5", "B-1", "B", "2B-1", "2B", "3B+5"],
+     8 * _CHUNK - 1, 8 * _CHUNK, 16 * _CHUNK - 1, 16 * _CHUNK, 24 * _CHUNK + 5],
+    ids=["1", "C-1", "C", "2C-1", "2C", "3C+5", "8C-1", "8C", "16C-1", "16C", "24C+5"],
 )
 @pytest.mark.parametrize(
     "hidden, scope",
@@ -453,12 +452,10 @@ _CHUNK = _BLOCK // 8
     ids=["head-only", "shared-head-only", "last-two-layers"],
 )
 def test_scores_match_the_one_shot_scores_at_every_block_boundary(monkeypatch, n, hidden, scope):
-    # the scorers run a row block at a time, or a chunk at a time for a head
-    # with a shared layer; every block has at least _BLOCK rows, and every
-    # chunk _CHUNK, or all of them, so each matches the one-shot expressions
-    # bit for bit
-    monkeypatch.setattr(data_mod, "DRAW_BLOCK_ROWS", _BLOCK)
-    assert max(stop - start for start, stop in data_mod._row_blocks(n)) < 2 * _BLOCK
+    # the scorers run a row chunk at a time; every chunk has at least _CHUNK
+    # rows, or all of them, so each matches the one-shot expressions bit for
+    # bit
+    monkeypatch.setattr(data_mod, "CHUNK_ROWS", _CHUNK)
     assert max(stop - start for start, stop in data_mod._row_chunks(n)) < 2 * _CHUNK
     rng = np.random.default_rng(n)
     k = 4
@@ -647,16 +644,16 @@ def _table_and_global(head, ds, cfg):
     ids=["head-only", "last-two-layers"],
 )
 def test_a_scorer_holds_its_output_and_two_blocks(monkeypatch, big_corpus, scorer, hidden, scope):
-    # 2048-row blocks, so a block is a tenth of the rows: a block here is one
-    # block of the dataset's features and labels, the features gathered from
-    # the sample stream. Measured beyond the output: 1.28 blocks head-only
-    # (1.17 for the table and global scores together), 1.91 (global), 1.69
-    # (row sums) and 1.84 (both) with a shared layer; from a feature matrix,
-    # whose blocks are views, 0.77 blocks less. Whole-matrix residuals
-    # measured 1.6 and 1.7 head-only, 4.5 and 3.3 with a shared layer, from
-    # a matrix
-    monkeypatch.setattr(data_mod, "DRAW_BLOCK_ROWS", 2048)
-    rows = max(stop - start for start, stop in data_mod._row_blocks(len(big_corpus)))
+    # 2048-row chunks, so a chunk is a tenth of the rows: a block here is one
+    # chunk of the dataset's features and labels, the features gathered from
+    # the sample stream, 2048 rows at a time. Measured beyond the output:
+    # 1.39 blocks head-only (1.25 for the table and global scores together),
+    # 1.69 (global and row sums) and 1.58 (both) with a shared layer; from a
+    # feature matrix, whose chunks are views, 0.77 to 0.88 blocks less.
+    # Whole-matrix residuals measured 1.6 and 1.7 head-only, 4.5 and 3.3
+    # with a shared layer, from a matrix
+    monkeypatch.setattr(data_mod, "CHUNK_ROWS", 2048)
+    rows = max(stop - start for start, stop in data_mod._row_chunks(len(big_corpus)))
     block = rows * (big_corpus.feature_dim + big_corpus.n_dims) * 8
     head = random_head(np.random.default_rng(0), 5, 16, hidden_dim=hidden)
     cfg = InfluenceConfig(scope=scope)
@@ -670,12 +667,11 @@ def test_a_scorer_holds_its_output_and_two_blocks(monkeypatch, big_corpus, score
     "scope", [Scope.HEAD_ONLY, Scope.LAST_TWO_LAYERS], ids=["shared-head-only", "last-two-layers"]
 )
 def test_a_shared_layer_scorer_holds_its_output_and_two_chunks(scorer, scope):
-    # 12k rows of a synthetic corpus are one draw block; a head with a
-    # shared layer reads them from the sample stream a chunk at a time (the
-    # last of 1760 rows here), and a chunk here is its features, activations
-    # and residuals. Measured beyond the output: 1.02 to 1.25 chunks; a
-    # block of every row, with its activations and products, measured 6.3
-    # to 8.4
+    # a head with a shared layer reads 12k rows from the sample stream a
+    # chunk at a time (the last of 1760 rows here), and a chunk here is its
+    # features, activations and residuals. Measured beyond the output: 1.02
+    # to 1.25 chunks; a block of every row, with its activations and
+    # products, measured 6.3 to 8.4
     synth = SynthConfig(12_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
     corpus = generate_synthetic(synth)
     rows = max(stop - start for start, stop in data_mod._row_chunks(len(corpus)))

@@ -201,27 +201,27 @@ def test_evaluate_head_reports_per_dimension_rank_quality():
     assert report.metadata == {"n_samples": 300, "dim_names": corpus.dim_names}
 
 
-# a small block size puts every block boundary in a small test; the stream is
+# a small chunk size puts every chunk boundary in a small test; the stream is
 # then read 8 rows at a time
-_BLOCK = 64
+_CHUNK = 8
 
 
 @pytest.mark.parametrize(
     "m",
-    [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
-    ids=["1", "B-1", "B", "2B-1", "2B", "3B+5"],
+    [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK + 5],
+    ids=["1", "C-1", "C", "2C-1", "2C", "3C+5"],
 )
 def test_a_streamed_evaluation_equals_evaluate_head_at_every_block_boundary(monkeypatch, m):
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
     cfg = SynthConfig(1000, 6, 3, label_noise_sd=0.1, teacher_seed=2, sample_seed=3)
     clean = generate_synthetic(cfg)
-    # m ascending rows with gaps wider than a stream chunk, the corpus's last row among them
+    # m ascending rows with gaps wider than a piece of the stream, the corpus's last row among them
     rng = np.random.default_rng(m)
     rows = np.sort(np.r_[rng.choice(cfg.n_samples - 1, m - 1, replace=False), cfg.n_samples - 1])
     test = clean.select(rows)
     blocks = list(sample_features(cfg, rows))
-    # the stream gives the rows' features, cut as the draw's row blocks cut m rows
-    assert [len(b) for b in blocks] == [stop - start for start, stop in dimsift.data._row_blocks(m)]
+    # the stream gives the rows' features, cut as the row chunks cut m rows
+    assert [len(b) for b in blocks] == [stop - start for start, stop in dimsift.data._row_chunks(m)]
     assert np.vstack(blocks).tobytes() == test.features.tobytes()
     heads = [random_head(rng, 3, 6), random_head(rng, 3, 6, hidden_dim=4)]
     if m == 1:

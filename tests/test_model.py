@@ -1,4 +1,4 @@
-"""Weighted per-dimension ridge, gradient descent strategies, head io."""
+"""Weighted per-dimension ridge, gradient descent on the normal-equation moments, head io."""
 
 import os
 import subprocess
@@ -20,6 +20,7 @@ from dimsift import (
     SynthConfig,
     TrainConfig,
     fit_closed_form,
+    fit_gd,
     generate_synthetic,
     per_dim_loss,
     residuals,
@@ -28,7 +29,7 @@ import dimsift
 import dimsift.data
 import dimsift.model
 from dimsift.data import draw_synthetic, dumps_dataset, loads_dataset, synthetic_rows, teacher_head
-from dimsift.model import GDObjective, _normal_equations, fit_gd_arrays
+from dimsift.model import GDObjective, _normal_equations
 
 
 def tiny_corpus(n=120, d=3, k=2, sd=0.05, teacher_seed=3, sample_seed=4):
@@ -206,10 +207,10 @@ def test_closed_form_peak_memory(weighted, bound):
     assert peak < bound * ds.features.nbytes
 
 
-# ------------------------------------------------------- row blocks
+# ------------------------------------------------------- row chunks
 
-# a small block size puts every block boundary in a small test
-_BLOCK = 64
+# a small chunk size puts every chunk boundary in a small test
+_CHUNK = 64
 
 
 def _stream_and_matrix(n_rows, n_samples, seed):
@@ -223,26 +224,26 @@ def _stream_and_matrix(n_rows, n_samples, seed):
 
 def _same_systems(got, want):
     assert len(got) == len(want)
-    for (a, b), (a_want, b_want) in zip(got, want):
-        assert a.tobytes() == a_want.tobytes() and b.tobytes() == b_want.tobytes()
+    for system, system_want in zip(got, want):
+        assert [a.tobytes() for a in system] == [a.tobytes() for a in system_want]
 
 
 @pytest.mark.parametrize(
     "m",
-    [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK + 5],
-    ids=["1", "B-1", "B", "2B-1", "2B", "3B+5"],
+    [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK + 5],
+    ids=["1", "C-1", "C", "2C-1", "2C", "3C+5"],
 )
 def test_blocked_normal_equations_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch, m):
     # the unweighted and weighted systems of m rows, and the system of m rows
-    # picked from 4B + m, are summed over the same row blocks whether the
+    # picked from 4C + m, are summed over the same row chunks whether the
     # features come from the sample stream or from a loaded feature matrix
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
     stream, matrix = _stream_and_matrix(m, 5 * m + 20, m)
     w = np.random.default_rng(m).uniform(0.0, 2.0, size=(m, 3))
     for weights in (None, w):
         got = _normal_equations(stream, weights)
         _same_systems(got, _normal_equations(matrix, weights))
-    big_stream, big_matrix = _stream_and_matrix(4 * _BLOCK + m, 5 * _BLOCK + 5 * m, m + 1)
+    big_stream, big_matrix = _stream_and_matrix(4 * _CHUNK + m, 5 * _CHUNK + 5 * m, m + 1)
     rows = np.sort(np.random.default_rng(m).choice(len(big_stream), m, replace=False))
     got = _normal_equations(big_stream, None, rows)
     _same_systems(got, _normal_equations(big_matrix, None, rows))
@@ -255,10 +256,10 @@ def test_blocked_normal_equations_of_the_stream_are_the_matrix_ones_bit_for_bit(
         assert fit_closed_form(a, *args).to_dict() == fit_closed_form(b, *args).to_dict()
 
 
-@pytest.mark.parametrize("m", [_BLOCK, 2 * _BLOCK - 1], ids=["B", "2B-1"])
+@pytest.mark.parametrize("m", [_CHUNK, 2 * _CHUNK - 1], ids=["C", "2C-1"])
 def test_one_block_gives_the_one_shot_normal_equations_bit_for_bit(monkeypatch, m):
-    # blocks of B to 2B - 1 rows: a dataset of one block sums nothing
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    # chunks of C to 2C - 1 rows: a dataset of one chunk sums nothing
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
     _, ds = _stream_and_matrix(m, 3 * m, m)
     x, y = ds.features, ds.labels
     w = np.random.default_rng(m).uniform(0.0, 2.0, size=(m, 3))
@@ -266,27 +267,31 @@ def test_one_block_gives_the_one_shot_normal_equations_bit_for_bit(monkeypatch, 
     def same(got, want):
         assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
-    # [x 1]'[x 1] and [x 1]'y, their bias row and column from sums over the rows
-    [(a, b)] = _normal_equations(ds, None)
+    # [x 1]'[x 1] and [x 1]'y, their bias row and column from sums over the
+    # rows, and y'y per dimension
+    [(a, b, yy)] = _normal_equations(ds, None)
     same(a[:-1, :-1], x.T @ x)
     same(a[:-1, -1], x.sum(axis=0))
     same(a[-1], np.append(x.sum(axis=0), m))
     same(b, np.vstack([x.T @ y, y.sum(axis=0)]))
+    same(yy, np.einsum("ij,ij->j", y, y))
     # every dimension's right-hand side from one product, x'(w * y), and the
     # column sums of w * y; only the Grams are per dimension
     rhs = np.vstack([x.T @ (w * y), (w * y).sum(axis=0)])
-    for j, (a, b) in enumerate(_normal_equations(ds, w)):
+    wyy = np.einsum("ij,ij->j", w * y, y)
+    for j, (a, b, yy) in enumerate(_normal_equations(ds, w)):
         wj = w[:, j]
         xw = x * wj[:, None]
         same(a[:-1, :-1], x.T @ xw)
         same(a[:-1, -1], xw.sum(axis=0))
         same(a[-1], np.append(xw.sum(axis=0), wj.sum()))
         same(b, rhs[:, j : j + 1])
+        same(yy, wyy[j : j + 1])
 
 
 def test_residuals_of_the_stream_are_the_matrix_ones_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
-    stream, matrix = _stream_and_matrix(3 * _BLOCK + 5, 400, 0)
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
+    stream, matrix = _stream_and_matrix(3 * _CHUNK + 5, 400, 0)
     head = random_head(np.random.default_rng(0), 3, 6)
     got = residuals(head, stream)
     assert got.tobytes() == residuals(head, matrix).tobytes()
@@ -326,9 +331,9 @@ def test_dropped_rows_fit_is_the_kept_rows_fit(alpha, seed, d, k, spare, drop_fr
     # a random drop set that keeps at least 3 rows per unknown
     n_drop = min(int(drop_frac * n), n - 3 * (d + 1))
     rows = np.setdiff1d(np.arange(n), rng.choice(n, size=n_drop, replace=False))
-    # 16-row blocks: up to 14 blocks of kept rows
+    # 16-row chunks: up to 14 chunks of kept rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 16)
+        mp.setattr(dimsift.data, "CHUNK_ROWS", 16)
         _same_fit_as_the_kept_rows(x, y, rows, TrainConfig(ridge_alpha=alpha))
 
 
@@ -339,7 +344,7 @@ def test_dropped_rows_fit_is_the_kept_rows_fit(alpha, seed, d, k, spare, drop_fr
 def test_the_kept_rows_fit_where_a_downdate_cost_digits(monkeypatch, case, seed, alpha):
     # inputs on which subtracting the dropped rows' normal equations from
     # all rows' missed the kept rows' fit
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
     rng = np.random.default_rng(seed)
     if case == "cancelling":
         # the kept rows' labels are 1e-4 of the dropped rows', so their fit
@@ -360,8 +365,8 @@ def test_the_kept_rows_fit_where_a_downdate_cost_digits(monkeypatch, case, seed,
 
 
 def test_every_position_is_the_fit_of_every_row_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", _BLOCK)
-    stream, matrix = _stream_and_matrix(7 * _BLOCK + 5, 600, 3)
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
+    stream, matrix = _stream_and_matrix(7 * _CHUNK + 5, 600, 3)
     cfg = TrainConfig(ridge_alpha=1e-6)
     for ds in (stream, matrix):
         got = fit_closed_form(ds, None, cfg, np.arange(len(ds)))
@@ -397,14 +402,14 @@ def test_row_positions_and_sample_weights_do_not_combine():
 def test_gd_equal_converges_to_closed_form():
     corpus = tiny_corpus()
     cf = fit_closed_form(corpus, config=TrainConfig(ridge_alpha=0.0))
-    gd = fit_gd_arrays(corpus.features, corpus.labels, None, TrainConfig(lr=0.3, epochs=4000))
+    gd = fit_gd(corpus, None, TrainConfig(lr=0.3, epochs=4000))
     assert np.abs(gd.weights - cf.weights).max() < 1e-8
     assert np.abs(gd.biases - cf.biases).max() < 1e-8
 
 
 def test_gd_records_decreasing_loss():
     corpus = tiny_corpus()
-    head = fit_gd_arrays(corpus.features, corpus.labels, None, TrainConfig(lr=0.1, epochs=50))
+    head = fit_gd(corpus, None, TrainConfig(lr=0.1, epochs=50))
     hist = head.fit_info["loss_history"]
     assert len(hist) == 50
     assert hist[-1] < hist[0]
@@ -414,7 +419,7 @@ def test_gd_records_decreasing_loss():
 def test_gd_two_layer_trains_and_reports_scope():
     corpus = tiny_corpus(n=200, d=5, k=3, teacher_seed=1, sample_seed=2)
     cfg = TrainConfig(lr=0.05, epochs=300, hidden_dim=4, seed=3)
-    head = fit_gd_arrays(corpus.features, corpus.labels, None, cfg)
+    head = fit_gd(corpus, None, cfg)
     assert head.weights.shape == (3, 4)
     assert head.shared_weight.shape == (4, 5)
     assert head.fit_info["loss_history"][-1] < head.fit_info["loss_history"][0]
@@ -423,20 +428,58 @@ def test_gd_two_layer_trains_and_reports_scope():
 def test_gd_divergence_raises_and_names_the_epoch():
     corpus = tiny_corpus()
     with pytest.raises(NumericalError, match="epoch"):
-        fit_gd_arrays(corpus.features, corpus.labels, None, TrainConfig(lr=1e6, epochs=100))
+        fit_gd(corpus, None, TrainConfig(lr=1e6, epochs=100))
 
 
 @pytest.mark.parametrize("hidden_dim", [None, 3])
 def test_gd_without_weights_is_the_unit_weighted_fit_bit_for_bit(hidden_dim):
-    # an unweighted fit broadcasts one (1, K) coefficient row; unit weights
-    # give every sample the same products
+    # all-one weights take the unweighted fit's one shared system, as the
+    # closed form does
     corpus = tiny_corpus(n=200, d=5, k=3, teacher_seed=1, sample_seed=2)
     cfg = TrainConfig(lr=0.05, epochs=50, hidden_dim=hidden_dim, lambdas=(1.5, 0.5, 2.0))
-    a = fit_gd_arrays(corpus.features, corpus.labels, None, cfg)
-    b = fit_gd_arrays(corpus.features, corpus.labels, np.ones((200, 3)), cfg)
-    for name in ("weights", "biases", "shared_weight", "shared_bias"):
-        assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
-    assert a.fit_info["loss_history"] == b.fit_info["loss_history"]
+    a = fit_gd(corpus, None, cfg)
+    b = fit_gd(corpus, np.ones((200, 3)), cfg)
+    assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("hidden_dim", [None, 3], ids=["head-only", "shared-layer"])
+def test_gd_of_row_positions_is_the_fit_of_those_rows_bit_for_bit(monkeypatch, hidden_dim, weighted):
+    # the moments of the rows are summed over the chunks of those rows, read
+    # from the sample stream or gathered from a loaded matrix alike; weights
+    # give every dimension its own system, and do not combine with rows
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
+    stream, matrix = _stream_and_matrix(5 * _CHUNK + 7, 900, 2)
+    rng = np.random.default_rng(2)
+    rows = np.sort(rng.choice(len(stream), 3 * _CHUNK + 5, replace=False))
+    cfg = TrainConfig(epochs=30, hidden_dim=hidden_dim, lambdas=(1.5, 0.5, 2.0))
+    weights = rng.uniform(0.0, 2.0, size=(len(rows), 3)) if weighted else None
+    want = fit_gd(matrix.select(rows), weights, cfg).to_dict()
+    assert fit_gd(stream.select(rows), weights, cfg).to_dict() == want
+    if not weighted:
+        for ds in (stream, matrix):
+            assert fit_gd(ds, None, cfg, rows).to_dict() == want
+    with pytest.raises(ValueError, match="sample weights"):
+        fit_gd(stream, np.ones((len(stream), 3)), cfg, rows)
+
+
+def test_a_gd_fit_reads_the_sample_stream_once(monkeypatch):
+    # the epochs work on the moments, so the features are read once
+    reads = []
+    sample = dimsift.data.sample_features
+
+    def counting(*args, **kwargs):
+        reads.append(args[1])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(dimsift.data, "sample_features", counting)
+    corpus = tiny_corpus(n=3000, d=4, k=2)
+    weights = np.random.default_rng(0).uniform(0.0, 2.0, size=(3000, 2))
+    for epochs in (1, 40):
+        for w, rows in ((None, None), (weights, None), (None, np.arange(0, 3000, 3))):
+            reads.clear()
+            fit_gd(corpus, w, TrainConfig(epochs=epochs, hidden_dim=3), rows)
+            assert len(reads) == 1
 
 
 @pytest.mark.parametrize(
@@ -449,39 +492,47 @@ def test_gd_without_weights_is_the_unit_weighted_fit_bit_for_bit(hidden_dim):
     ],
 )
 def test_gd_peak_memory(hidden_dim, weighted):
-    # beyond its inputs, a fit holds one chunk's activations and (rows, K)
-    # products, in buffers kept for the fit, and a weighted fit its (N, K)
-    # coefficients. A chunk here is the last of 12k rows, 1760 rows. Measured
-    # beyond the inputs and coefficients at 12k rows: 1.52 chunks head-only
-    # and 1.22 with a 16-wide shared layer; buffers of every row, the
-    # activations among them, measured 7.3 and 7.0
-    corpus = tiny_corpus(n=12_000, d=16, k=5)
-    x, y = corpus.features, corpus.labels
-    rows = max(stop - start for start, stop in dimsift.data._row_chunks(len(x)))
-    chunk = rows * ((hidden_dim or 0) + 2 * y.shape[1]) * 8
-    weights = np.random.default_rng(0).uniform(0.0, 2.0, size=y.shape) if weighted else None
-    cfg = TrainConfig(epochs=20, hidden_dim=hidden_dim)
-    peak = peak_traced_bytes(fit_gd_arrays, x, y, weights, cfg)
-    assert peak <= (y.nbytes if weighted else 0) + 2 * chunk
-
-
-# a small chunk size puts every chunk boundary in a small test
-_CHUNK = 8
+    # a fit reads its rows once, a chunk at a time, into the moments: one
+    # piece of the sample stream, one chunk of features and, weighted, that
+    # chunk's w * y and x * w_k; its epochs hold (d+1) x (d+1) moments. So
+    # the peak grows with N only as the largest chunk does: 1760 rows at
+    # 12k, 1920 at 48k. Measured: 0.37 and 0.40 MB (0.57 and 0.60
+    # weighted). Gathering the rows' features and fitting them by epochs
+    # over the row chunks measured 1.75 and 6.37 MB (2.23 and 8.29 weighted)
+    peaks, rows = [], []
+    for n in (12_000, 48_000):
+        corpus = tiny_corpus(n=n, d=16, k=5)
+        weights = np.random.default_rng(0).uniform(0.0, 2.0, size=(n, 5)) if weighted else None
+        cfg = TrainConfig(epochs=20, hidden_dim=hidden_dim)
+        peaks.append(peak_traced_bytes(fit_gd, corpus, weights, cfg))
+        rows.append(max(stop - start for start, stop in dimsift.data._row_chunks(n)))
+    chunk = rows[1] * (16 + 5) * 8
+    assert max(peaks) <= 2 * chunk
+    assert peaks[1] <= peaks[0] * rows[1] / rows[0]
 
 
 def _one_shot_objective(x, y, weights, lam, hidden_dim, theta):
-    """GDObjective's loss and flat gradient from one expression over every row."""
-    obj = GDObjective(x, y, weights, lam, hidden_dim)
-    sw, sb, hw, hb = obj._unpack(theta)
-    coef = lam[None, :] / len(x) if weights is None else lam[None, :] * weights / len(x)
+    """The loss and flat gradient of GDObjective's parameters from one expression over every row.
+
+    Also returns the cancellation term sum_k c_k (|Theta_k' A_k Theta_k| +
+    2 |Theta_k' B_k| + yy_k) of the moment form, each sum taken over the rows.
+    """
+    n, d = x.shape
+    ds = Dataset([f"s{i}" for i in range(n)], x, y, [f"d{j}" for j in range(y.shape[1])])
+    sw, sb, hw, hb = GDObjective(ds, weights, lam, hidden_dim)._unpack(theta)
+    w = np.ones(y.shape) if weights is None else weights
+    coef = lam / n
     u = x if sw is None else x @ sw.T + sb
-    r = u @ hw.T + hb - y
-    cr = coef * r
+    pred = u @ hw.T + hb
+    r = pred - y
+    cr = coef * w * r
     loss = float(0.5 * np.sum(r * cr, axis=0).sum())
     head = [(cr.T @ u).ravel(), cr.sum(axis=0)]
-    if sw is None:
-        return loss, np.concatenate(head)
-    return loss, np.concatenate([(hw.T @ (cr.T @ x)).ravel(), hw.T @ cr.sum(axis=0)] + head)
+    grad = head if sw is None else [(hw.T @ (cr.T @ x)).ravel(), hw.T @ cr.sum(axis=0)] + head
+    # pred_k = Theta_k . [x; 1], so Theta_k' A_k Theta_k = sum_i w_ik pred_ik^2
+    quad, lin, yy = (np.sum(w * a * b, axis=0) for a, b in ((pred, pred), (pred, y), (y, y)))
+    cancel = float(np.sum(coef * (np.abs(quad) + 2.0 * np.abs(lin) + yy)))
+    return loss, np.concatenate(grad), cancel
 
 
 @pytest.mark.parametrize(
@@ -491,24 +542,28 @@ def _one_shot_objective(x, y, weights, lam, hidden_dim, theta):
 )
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("hidden_dim", [None, 3], ids=["head-only", "shared-layer"])
-def test_the_chunked_objective_is_the_one_shot_objective(monkeypatch, n, weighted, hidden_dim):
-    # the loss and gradient are summed over chunks of C to 2C - 1 rows: one
-    # chunk is the one-shot expression bit for bit, more agree with it to
-    # roundoff and with finite differences
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 8 * _CHUNK)
-    chunks = list(dimsift.data._row_chunks(n))
-    assert max(stop - start for start, stop in chunks) < 2 * _CHUNK
+def test_the_moment_objective_is_the_one_shot_objective(monkeypatch, n, weighted, hidden_dim):
+    # the moments are summed over chunks of C to 2C - 1 rows. The loss from
+    # them, 0.5 sum_k c_k (Theta_k' A_k Theta_k - 2 Theta_k' B_k + yy_k),
+    # cancels to the residuals' weighted sum of squares: each of its sums
+    # over n rows and 2 (d + 1) coefficients rounds by at most its length
+    # times eps of its magnitude, so the loss lies within (n + 2 (d + 1))
+    # eps of the cancellation term of the per-row loss. The gradient, far
+    # from the optimum, agrees to 1e-12 of its largest entry, and both agree
+    # with finite differences
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _CHUNK)
     rng = np.random.default_rng(n)
-    x, y = rng.normal(size=(n, 4)), rng.normal(size=(n, 2))
+    d = 4
+    x, y = rng.normal(size=(n, d)), rng.normal(size=(n, 2)) + 3.0
     weights = rng.uniform(0.2, 1.8, size=(n, 2)) if weighted else None
     lam = np.array([1.3, 0.6])
-    obj = GDObjective(x, y, weights, lam, hidden_dim)
+    ds = Dataset([f"s{i}" for i in range(n)], x, y, ["d0", "d1"])
+    obj = GDObjective(ds, weights, lam, hidden_dim)
     theta = obj.init_params(seed=1) + 0.05 * rng.standard_normal(obj.n_params)
     loss, grad = obj.loss_and_grad(theta)
-    want_loss, want_grad = _one_shot_objective(x, y, weights, lam, hidden_dim, theta)
-    if len(chunks) == 1:
-        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
-    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    want_loss, want_grad, cancel = _one_shot_objective(x, y, weights, lam, hidden_dim, theta)
+    eps = np.finfo(np.float64).eps
+    assert abs(loss - want_loss) <= (n + 2 * (d + 1)) * eps * cancel
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
     rel = np.abs(_fd_grad(obj, theta) - grad) / np.maximum(np.abs(grad), 1.0)
     assert rel.max() < 1e-6
@@ -528,14 +583,38 @@ def test_a_weighted_fit_does_not_depend_on_the_blas_thread_count():
         "head = fit_closed_form(ds, rng.uniform(0.0, 2.0, size=(n, k))); "
         "sys.stdout.buffer.write(head.weights.tobytes() + head.biases.tobytes())"
     )
-    heads = []
+    heads = _at_one_and_two_threads(code)
+    assert len(heads[0]) == (5 * 16 + 5) * 8
+    assert heads[0] == heads[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_a_shared_layer_gd_fit_does_not_depend_on_the_blas_thread_count():
+    # unweighted and weighted, from the moments of 20k rows of the stream
+    src = str(Path(dimsift.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+        "from dimsift import SynthConfig, TrainConfig, fit_gd, generate_synthetic; "
+        "ds = generate_synthetic(SynthConfig(20000, 16, 5, label_noise_sd=0.1, sample_seed=1)); "
+        "w = np.random.default_rng(0).uniform(0.0, 2.0, size=(20000, 5)); "
+        "heads = [fit_gd(ds, weights, TrainConfig(hidden_dim=16)) for weights in (None, w)]; "
+        "sys.stdout.buffer.write(b''.join(a.tobytes() for h in heads "
+        "for a in (h.weights, h.biases, h.shared_weight, h.shared_bias)))"
+    )
+    heads = _at_one_and_two_threads(code)
+    assert len(heads[0]) == 2 * (5 * 16 + 5 + 16 * 16 + 16) * 8
+    assert heads[0] == heads[1]
+
+
+def _at_one_and_two_threads(code: str) -> list[bytes]:
+    """The standard output of a Python process running code at one and at two BLAS threads."""
+    out = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-        heads.append(out.stdout)
-    assert len(heads[0]) == (5 * 16 + 5) * 8
-    assert heads[0] == heads[1]
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        out.append(run.stdout)
+    return out
 
 
 def _fd_grad(obj, theta, h=1e-6):
@@ -553,7 +632,7 @@ def test_objective_gradients_match_finite_differences(hidden_dim):
     rng = np.random.default_rng(6)
     corpus = tiny_corpus(n=40, d=4, k=2, sd=0.2, teacher_seed=5, sample_seed=6)
     weights = rng.uniform(0.2, 1.8, size=(40, 2))
-    obj = GDObjective(corpus.features, corpus.labels, weights, np.array([1.3, 0.6]), hidden_dim)
+    obj = GDObjective(corpus, weights, np.array([1.3, 0.6]), hidden_dim)
     theta = obj.init_params(seed=1) + 0.05 * rng.standard_normal(obj.n_params)
     _, analytic = obj.loss_and_grad(theta)
     fd = _fd_grad(obj, theta)

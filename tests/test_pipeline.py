@@ -346,18 +346,18 @@ def _same_rows(a, b):
 )
 def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noise, synth, train):
     fitted, gd_fitted = [], []
-    fit, fit_gd = dimsift.pipeline._fit, dimsift.pipeline.fit_gd_arrays
+    fit, fit_gd = dimsift.pipeline._fit, dimsift.pipeline.fit_gd
 
     def recording_fit(ds, weights, cfg, rows=None):
         fitted.append((ds, rows))
         return fit(ds, weights, cfg, rows)
 
-    def recording_fit_gd(x, y, *args):
-        gd_fitted.append((x, y))
-        return fit_gd(x, y, *args)
+    def recording_fit_gd(ds, weights, cfg, rows=None):
+        gd_fitted.append((ds, rows))
+        return fit_gd(ds, weights, cfg, rows)
 
     monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
-    monkeypatch.setattr(dimsift.pipeline, "fit_gd_arrays", recording_fit_gd)
+    monkeypatch.setattr(dimsift.pipeline, "fit_gd", recording_fit_gd)
     cfg = small_config(refine=refine)
     cfg = dataclasses.replace(
         cfg,
@@ -389,16 +389,14 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
     assert rows.tolist() == [arts.train.index_of(sid) for sid in arts.prune.kept_ids]
     assert np.all(np.diff(rows) > 0)
     assert arts.report.dataset_summary["n_train_refined"] == len(refined)
+    # either fit of the kept rows is the fit of the refined rows, and gets
+    # the same arguments as _fit
     if cfg.train.hidden_dim is None:
-        # the closed form of the kept rows is the fit of the refined rows
         assert gd_fitted == []
         assert arts.final.to_dict() == fit_closed_form(refined, config=cfg.train).to_dict()
     else:
-        # gradient descent fits a copy of the kept rows' features and labels
-        (_, _), (gd_x, gd_y) = gd_fitted
-        for got, want in ((gd_x, refined.features), (gd_y, refined.labels)):
-            assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert np.array_equal(got, want)
+        assert [(id(ds), id(rows)) for ds, rows in gd_fitted] == [(id(ds), id(rows)) for ds, rows in fitted]
+        assert arts.final.to_dict() == fit_gd(refined, config=cfg.train).to_dict()
 
 
 @pytest.mark.parametrize("n_samples", [2000, 50_000])
@@ -469,19 +467,22 @@ def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp
         run_pipeline(cfg, tmp_path)
     finally:
         tracemalloc.stop()
-    # the largest live allocation every 2000 lines of corpus.jsonl: one
-    # block of the sample stream's features (11808 rows, 0.59x an N x d
-    # matrix). Holding the training features measured 0.6x, and writing
-    # from a Dataset of the corpus's features held all N x d at once
-    block = max(stop - start for start, stop in dimsift.data._row_blocks(n)) * d * 8
+    # the largest live allocation every 2000 lines of corpus.jsonl: the
+    # run's N x K label matrix; one chunk of the sample stream's features
+    # (1568 rows) is a quarter of it. With 8192-row blocks one block of
+    # features (11808 rows, 0.59x an N x d matrix) was the largest. Holding
+    # the training features measured 0.6x, and writing from a Dataset of the
+    # corpus's features held all N x d at once
+    k = cfg.synth.n_dims
+    chunk = max(stop - start for start, stop in dimsift.data._row_chunks(n)) * d * 8
     assert len(largest) == 11
-    assert max(largest) <= block < n * d * 8
+    assert chunk < max(largest) == n * k * 8 < n * d * 8
 
 
 def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
-    # 1024-row draw blocks: every split is read in blocks of at most 2047
-    # rows, fewer than the run's 4000 test rows and 12000 training rows
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 1024)
+    # 1024-row chunks: every split is read in chunks of at most 2047 rows,
+    # fewer than the run's 4000 test rows and 12000 training rows
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 1024)
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
     n, d = cfg.synth.n_samples, cfg.synth.feature_dim
@@ -511,10 +512,10 @@ def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
         tracemalloc.stop()
     # the stream is read by the probe fit, by the scores with the global
     # scores, by the refit for its kept rows and for the test rows: at each
-    # of their blocks and once the run returns, nothing that large is
+    # of their chunks and once the run returns, nothing that large is
     # allocated. A matrix of the training features was, throughout
     n_kept = len(arts.prune.kept_ids)
-    blocks = [len(list(dimsift.data._row_blocks(m))) for m in (n_train, n_train, n_kept, n_test)]
+    blocks = [len(list(dimsift.data._row_chunks(m))) for m in (n_train, n_train, n_kept, n_test)]
     assert len(large) == sum(blocks) + 1
     assert large == [[]] * len(large)
 
@@ -541,16 +542,17 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
     n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
     # the training rows' labels and mask, and the test rows' labels
     rows = n_train * (k * 8 + k) + n_test * k * 8
-    # those rows, two N x K label matrices, one draw block and ids beside
-    # them: 1.34x measured (3.08 MB). Holding the training rows' features
+    # those rows, two N x K label matrices, one draw chunk and ids beside
+    # them: 1.04x measured (2.38 MB; 1.34x with 8192-row draw blocks).
+    # Holding the training rows' features
     # took 5.64 MB, drawing the test rows' features too 6.16 MB, and
     # building the whole corpus first about 10.4 MB
     assert peak < 1.45 * (rows + 2 * n * k * 8)
 
 
 def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
-    # 2048-row draw blocks: the 11821 kept rows are read in five blocks
-    monkeypatch.setattr(dimsift.data, "DRAW_BLOCK_ROWS", 2048)
+    # 2048-row chunks: the 11821 kept rows are read in five chunks
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 2048)
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
     d, k = cfg.synth.feature_dim, cfg.synth.n_dims
@@ -567,15 +569,15 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
     monkeypatch.setattr(dimsift.pipeline, "_fit", measuring_fit)
     run_pipeline(cfg)
     [(peak, n_kept)] = measured
-    assert len(list(dimsift.data._row_blocks(n_kept))) >= 4
-    # one block of the kept rows' features and labels (at most 2B - 1 rows),
-    # the stream rows of the kept positions (8 bytes each) and one chunk of
-    # the sample stream: 0.89 of that measured. Gathering the kept rows'
-    # labels before the first block measured 1.36, and every kept row's
-    # features at once 2.63
-    b = dimsift.data.DRAW_BLOCK_ROWS
-    chunk = b // 8 * d * 8
-    assert peak <= (2 * b - 1) * (d + k) * 8 + n_kept * 8 + chunk
+    assert len(list(dimsift.data._row_chunks(n_kept))) >= 4
+    # one chunk of the kept rows' features and labels (at most 2C - 1 rows),
+    # the stream rows of the kept positions (8 bytes each) and one piece of
+    # the sample stream (C rows): 0.81 of that measured. Gathering the kept
+    # rows' labels before the first block measured 1.36, and every kept
+    # row's features at once 2.63
+    c = dimsift.data.CHUNK_ROWS
+    bound = (2 * c - 1) * (d + k) * 8 + n_kept * 8 + c * d * 8
+    assert peak <= bound
 
 
 def test_a_run_holds_its_ids_as_row_numbers(monkeypatch):

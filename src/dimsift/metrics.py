@@ -203,27 +203,22 @@ class OverlapCurve:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def overlap_curve(
-    scores: SelfInfluenceTable, rho: float, dim_order: Sequence[int] | None = None
-) -> OverlapCurve:
+def overlap_curve(scores: SelfInfluenceTable, rho: float) -> OverlapCurve:
     """How the union of per-dimension top-ceil(rho N) sets grows dimension by dimension.
 
-    Entry j is |union of the first j risk sets| / N. Nondecreasing by
-    construction; the final value does not depend on dim_order. Identical
+    Entry j is |union of the first j risk sets| / N, the dimensions taken
+    in order 0..K-1 (dim_order). Nondecreasing by construction. Identical
     score columns give a flat curve at rho, disjoint top sets a line up to
     K * ceil(rho N) / N.
     """
     n, k = scores.scores.shape
-    order = list(range(k)) if dim_order is None else [int(j) for j in dim_order]
-    if sorted(order) != list(range(k)):
-        raise ValueError(f"dim_order must be a permutation of 0..{k - 1}, got {order}")
     top = scores.top_sets(rho)
     member = np.zeros(n, dtype=bool)
     ratios = []
-    for j in order:
-        member[top[j]] = True
+    for t in top:
+        member[t] = True
         ratios.append(float(member.sum()) / n)
-    return OverlapCurve(cumulative_ratios=ratios, dim_order=order, rho=float(rho))
+    return OverlapCurve(cumulative_ratios=ratios, dim_order=list(range(k)), rho=float(rho))
 
 
 @dataclass

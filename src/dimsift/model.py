@@ -11,9 +11,11 @@ every dimension without sample weights, one per dimension with them
                     a zero in the bias slot); an unweighted fit has one Gram
                     matrix and one solve for all dimensions
     gradient        full-batch gradient descent on the sum of per-dimension
-                    squared-error losses, each scaled by its fixed lambda;
-                    the model is affine, so each loss is a quadratic form in
-                    the moments and an epoch costs O(K (d+1)^2) at any N
+                    squared-error losses, each scaled by its fixed lambda,
+                    stepping the arrays [W_shared b_shared], W_head and
+                    b_head; the model is affine, so each loss is a quadratic
+                    form in the moments and an epoch costs O(K (d+1)^2) at
+                    any N
 
 An optional shared affine layer (identity activation) sits below the heads so
 that influence scopes covering the last two layers have coupled parameters.
@@ -336,103 +338,50 @@ def fit_closed_form(
     return RegressionHead(weights=beta[:d].T, biases=beta[d], fit_info=info)
 
 
-class GDObjective:
-    """Full-batch objective of gradient descent on the normal-equation moments, with its gradient.
+def _gd_moments(ds: Dataset, weights, lambdas: np.ndarray, rows=None) -> tuple:
+    """The moments (A, B, yy, c) of the gradient-descent loss, from one pass over the features.
 
-    Parameters are packed into one flat vector:
-
-        head only     [head weights (K*p), head biases (K)]
-        shared layer  [shared weights (m*d), shared bias (m)] + head block
-
-    loss_and_grad returns L = (1/N) sum_ik lambda_k w_ik 0.5 r_ik^2 over the
-    N fitted rows of ds and the flat gradient dL/dtheta. The model is affine
-    throughout (the shared layer has identity activation), so dimension k
-    predicts Theta_k . [x; 1], where Theta = S' W_head' + e b_head' is
-    (d+1, K), S = [W_shared b_shared] (the identity head-only) and e is the
-    bias slot's unit vector. L is then 0.5 sum_k c_k (Theta_k' A_k Theta_k -
-    2 Theta_k' B_k + yy_k), c = lambda / N, in the moments A, B and yy of
-    _normal_equations, and dL/dTheta = g = c * (A Theta - B). The moments
-    are formed in one pass over the features when the objective is built,
-    so an evaluation costs O(K (d+1)^2) at any N.
+    A is the (d+1, d+1) Gram matrix every dimension shares, or a (K, d+1,
+    d+1) stack of them with sample weights; B is (d+1, K), yy (K,), and c =
+    lambda / N over the N fitted rows (_normal_equations).
     """
+    shared, systems = _fit_systems(ds, weights, rows)
+    a = systems[0][0] if shared else np.stack([a for a, _, _ in systems])
+    b = np.hstack([b for _, b, _ in systems])
+    yy = np.concatenate([yy for _, _, yy in systems])
+    return a, b, yy, np.asarray(lambdas) / (len(ds) if rows is None else len(rows))
 
-    def __init__(self, ds: Dataset, weights, lambdas: np.ndarray, hidden_dim: Optional[int], rows=None):
-        shared, systems = _fit_systems(ds, weights, rows)
-        self.n = len(ds) if rows is None else len(rows)
-        self.d, self.k = ds.feature_dim, ds.n_dims
-        self.hidden_dim = hidden_dim
-        # one (d+1, d+1) A shared by every dimension, or a (K, d+1, d+1) stack of them
-        self.a = systems[0][0] if shared else np.stack([a for a, _, _ in systems])
-        self.b = np.hstack([b for _, b, _ in systems])  # (d+1, K)
-        self.yy = np.concatenate([yy for _, _, yy in systems])  # (K,)
-        self.coef = np.asarray(lambdas) / self.n  # (K,)
-        p_head = hidden_dim if hidden_dim is not None else self.d
-        self.p_head = p_head
-        self.n_shared = 0 if hidden_dim is None else hidden_dim * self.d + hidden_dim
-        self.n_params = self.n_shared + self.k * p_head + self.k
 
-    def init_params(self, seed: int) -> np.ndarray:
-        theta = np.zeros(self.n_params)
-        if self.hidden_dim is not None:
-            rng = np.random.default_rng([seed, 0])
-            m = self.hidden_dim
-            theta[: m * self.d + m] = 0.1 * rng.standard_normal(m * self.d + m)
-        return theta
+def _gd_loss_and_grads(moments: tuple, s: Optional[np.ndarray], hw: np.ndarray, hb: np.ndarray):
+    """The loss of gradient descent and its gradients in S, W_head and b_head.
 
-    def _unpack(self, theta: np.ndarray):
-        if self.hidden_dim is None:
-            shared_w = shared_b = None
-            rest = theta
+    S = [W_shared b_shared] is (m, d+1), or None head-only; W_head is (K,
+    p) and b_head (K,). The loss is L = (1/N) sum_ik lambda_k w_ik 0.5
+    r_ik^2 over the N fitted rows. The model is affine throughout (the
+    shared layer has identity activation), so dimension k predicts Theta_k
+    . [x; 1], where Theta = S' W_head' + e b_head' is (d+1, K), S is the
+    identity head-only and e is the bias slot's unit vector. L is then 0.5
+    sum_k c_k (Theta_k' A_k Theta_k - 2 Theta_k' B_k + yy_k) in the moments
+    (A, B, yy, c) of _gd_moments, and dL/dTheta = g = c * (A Theta - B), so
+    dW_head = g' S', db_head = g[d] and dS = W_head' g' (None head-only).
+    An evaluation costs O(K (d+1)^2) at any N. An overflow leaves a loss
+    that is not finite, which fit_gd reports.
+    """
+    a, b, yy, c = moments
+    d = b.shape[0] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s is None:
+            t = np.vstack([hw.T, hb])
         else:
-            m = self.hidden_dim
-            shared_w = theta[: m * self.d].reshape(m, self.d)
-            shared_b = theta[m * self.d : m * self.d + m]
-            rest = theta[self.n_shared :]
-        hw = rest[: self.k * self.p_head].reshape(self.k, self.p_head)
-        hb = rest[self.k * self.p_head :]
-        return shared_w, shared_b, hw, hb
-
-    def to_head(self, theta: np.ndarray, fit_info: Optional[dict] = None) -> RegressionHead:
-        shared_w, shared_b, hw, hb = self._unpack(theta)
-        return RegressionHead(
-            weights=hw.copy(),
-            biases=hb.copy(),
-            shared_weight=None if shared_w is None else shared_w.copy(),
-            shared_bias=None if shared_b is None else shared_b.copy(),
-            fit_info=fit_info,
-        )
-
-    def loss_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The loss and its gradient from the moments.
-
-        The head gradients are dW_head = g' S' and db_head = g[d], the shared
-        layer's dS = W_head' g'. An overflow leaves a loss that is not
-        finite, which fit_gd reports.
-        """
-        shared_w, shared_b, hw, hb = self._unpack(theta)
-        grad = np.zeros(self.n_params)
-        g_sw, g_sb, g_hw, g_hb = self._unpack(grad)  # views into grad
-        d = self.d
-        with np.errstate(over="ignore", invalid="ignore"):
-            if shared_w is None:
-                t = np.vstack([hw.T, hb])
-            else:
-                s = np.hstack([shared_w, shared_b[:, None]])
-                t = s.T @ hw.T
-                t[d] += hb
-            at = self.a @ t if self.a.ndim == 2 else np.einsum("kij,jk->ik", self.a, t)
-            quad, lin = np.einsum("ik,ik->k", t, at), np.einsum("ik,ik->k", t, self.b)
-            loss = float(0.5 * (self.coef * (quad - 2.0 * lin + self.yy)).sum())
-            g = self.coef * (at - self.b)
-            g_hb[:] = g[d]
-            if shared_w is None:
-                g_hw[:] = g[:d].T
-            else:
-                np.matmul(g.T, s.T, out=g_hw)
-                gs = hw.T @ g.T
-                g_sw[:] = gs[:, :d]
-                g_sb[:] = gs[:, d]
-        return loss, grad
+            t = s.T @ hw.T
+            t[d] += hb
+        at = a @ t if a.ndim == 2 else np.einsum("kij,jk->ik", a, t)
+        quad, lin = np.einsum("ik,ik->k", t, at), np.einsum("ik,ik->k", t, b)
+        loss = float(0.5 * (c * (quad - 2.0 * lin + yy)).sum())
+        g = c * (at - b)
+        if s is None:
+            return loss, None, g[:d].T, g[d]
+        return loss, hw.T @ g.T, g.T @ s.T, g[d]
 
 
 def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None, rows=None) -> RegressionHead:
@@ -442,28 +391,35 @@ def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None, rows=No
     sample weights, fits only those rows, and the fit is that of
     ds.select(rows) bit for bit; all-one weights are the unweighted fit.
     The features are read once, a row chunk at a time, into the moments of
-    GDObjective, and every epoch works on those, so the sample stream is
+    _gd_moments, and every epoch works on those, so the sample stream is
     read once whatever the number of epochs.
 
     Head parameters start at zero; a shared layer, when requested, starts from
-    a small seeded gaussian. The objective is GDObjective's: the per-dimension
-    losses scaled by the fixed lambdas and summed.
+    a small seeded gaussian. Each epoch steps S = [W_shared b_shared], W_head
+    and b_head against their gradients from _gd_loss_and_grads: the
+    per-dimension losses scaled by the fixed lambdas and summed.
 
     The per-epoch loss trajectory is recorded in fit_info. A non-finite loss
     raises NumericalError naming the epoch.
     """
     cfg = config or TrainConfig()
-    lam = cfg.resolved_lambdas(ds.n_dims)
-    obj = GDObjective(ds, weights, lam, cfg.hidden_dim, rows)
-    theta = obj.init_params(cfg.seed)
+    moments = _gd_moments(ds, weights, cfg.resolved_lambdas(ds.n_dims), rows)
+    d, k, m = ds.feature_dim, ds.n_dims, cfg.hidden_dim
+    s = None
+    if m is not None:
+        init = 0.1 * np.random.default_rng([cfg.seed, 0]).standard_normal(m * d + m)
+        s = np.hstack([init[: m * d].reshape(m, d), init[m * d :, None]])
+    hw, hb = np.zeros((k, d if m is None else m)), np.zeros(k)
     history: list[float] = []
 
     for epoch in range(cfg.epochs):
-        loss, grad = obj.loss_and_grad(theta)
+        loss, g_s, g_hw, g_hb = _gd_loss_and_grads(moments, s, hw, hb)
         if not np.isfinite(loss):
             raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
         history.append(loss)
-        theta = theta - cfg.lr * grad
+        if s is not None:
+            s = s - cfg.lr * g_s
+        hw, hb = hw - cfg.lr * g_hw, hb - cfg.lr * g_hb
 
     info = {
         "method": "gd",
@@ -472,7 +428,8 @@ def fit_gd(ds: Dataset, weights=None, config: TrainConfig | None = None, rows=No
         "seed": cfg.seed,
         "loss_history": history,
     }
-    return obj.to_head(theta, fit_info=info)
+    sw, sb = (None, None) if s is None else (s[:, :d], s[:, d])
+    return RegressionHead(hw, hb, sw, sb, fit_info=info)
 
 
 def check_pair(head: RegressionHead, ds: Dataset) -> None:

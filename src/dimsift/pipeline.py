@@ -517,6 +517,8 @@ def run_pipeline(
     train_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed
     )[::2]
+    if len(train_idx) == 0:
+        raise DataError("training split is empty; increase the train fraction")
     if len(test_idx) == 0:
         raise DataError("test split is empty; increase the test fraction")
 

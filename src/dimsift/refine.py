@@ -51,8 +51,9 @@ class PruneResult:
     kept_ids preserves the input corpus order. per_dim_risk_sets lists each
     dimension's selected ids in rank order (highest score first); scalar
     strategies leave it empty. thresholds[k] is the smallest selected score
-    in dimension k, +inf when nothing was selected. A selection from RowIds
-    holds views of them; one from other ids holds lists of str.
+    in dimension k; every dimension selects ceil(rho * N) rows, so when that
+    is zero thresholds is empty, as a scalar strategy's is. A selection from
+    RowIds holds views of them; one from other ids holds lists of str.
     """
 
     kept_ids: Sequence[str]
@@ -171,7 +172,7 @@ def _union_prune(
         kept_ids=take_ids(sample_ids, ~removed),
         removed_ids=take_ids(sample_ids, removed),
         per_dim_risk_sets=[take_ids(sample_ids, t) for t in top],
-        thresholds=[float(values[t[-1], j]) if t.size else math.inf for j, t in enumerate(top)],
+        thresholds=[float(values[t[-1], j]) for j, t in enumerate(top) if t.size],
         rho=float(rho),
     )
 

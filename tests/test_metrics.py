@@ -297,21 +297,19 @@ def test_overlap_grows_linearly_for_disjoint_rankings():
     assert curve.cumulative_ratios == [0.1, 0.2, 0.3, 0.4]
 
 
-def test_overlap_is_nondecreasing_and_order_insensitive_at_the_end():
+def test_overlap_is_nondecreasing_and_ends_at_the_union():
     rng = np.random.default_rng(4)
     table = make_table(rng.uniform(size=(80, 5)))
     a = overlap_curve(table, 0.05)
+    assert a.dim_order == [0, 1, 2, 3, 4]
     assert np.all(np.diff(a.cumulative_ratios) >= 0.0)
-    b = overlap_curve(table, 0.05, dim_order=[4, 2, 0, 1, 3])
-    assert a.final() == b.final()
+    assert a.final() == len(np.unique(table.top_sets(0.05))) / 80
 
 
 def test_overlap_validates_inputs():
     table = make_table(np.ones((10, 2)))
     with pytest.raises(ValueError):
         overlap_curve(table, 1.5)
-    with pytest.raises(ValueError):
-        overlap_curve(table, 0.1, dim_order=[0, 0])
 
 
 # ------------------------------------------------------------ heterogeneity

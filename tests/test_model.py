@@ -29,7 +29,7 @@ import dimsift
 import dimsift.data
 import dimsift.model
 from dimsift.data import draw_synthetic, dumps_dataset, loads_dataset, synthetic_rows, teacher_head
-from dimsift.model import GDObjective, _normal_equations
+from dimsift.model import _gd_loss_and_grads, _gd_moments, _normal_equations
 
 
 def tiny_corpus(n=120, d=3, k=2, sd=0.05, teacher_seed=3, sample_seed=4):
@@ -511,28 +511,37 @@ def test_gd_peak_memory(hidden_dim, weighted):
     assert peaks[1] <= peaks[0] * rows[1] / rows[0]
 
 
-def _one_shot_objective(x, y, weights, lam, hidden_dim, theta):
-    """The loss and flat gradient of GDObjective's parameters from one expression over every row.
+def _one_shot_objective(x, y, weights, lam, s, hw, hb):
+    """The loss and the gradients in (S, W_head, b_head) from one expression over every row.
 
     Also returns the cancellation term sum_k c_k (|Theta_k' A_k Theta_k| +
     2 |Theta_k' B_k| + yy_k) of the moment form, each sum taken over the rows.
     """
     n, d = x.shape
-    ds = Dataset([f"s{i}" for i in range(n)], x, y, [f"d{j}" for j in range(y.shape[1])])
-    sw, sb, hw, hb = GDObjective(ds, weights, lam, hidden_dim)._unpack(theta)
     w = np.ones(y.shape) if weights is None else weights
     coef = lam / n
-    u = x if sw is None else x @ sw.T + sb
+    u = x if s is None else x @ s[:, :d].T + s[:, d]
     pred = u @ hw.T + hb
     r = pred - y
     cr = coef * w * r
     loss = float(0.5 * np.sum(r * cr, axis=0).sum())
-    head = [(cr.T @ u).ravel(), cr.sum(axis=0)]
-    grad = head if sw is None else [(hw.T @ (cr.T @ x)).ravel(), hw.T @ cr.sum(axis=0)] + head
+    g_s = None if s is None else hw.T @ np.hstack([cr.T @ x, cr.sum(axis=0)[:, None]])
     # pred_k = Theta_k . [x; 1], so Theta_k' A_k Theta_k = sum_i w_ik pred_ik^2
     quad, lin, yy = (np.sum(w * a * b, axis=0) for a, b in ((pred, pred), (pred, y), (y, y)))
     cancel = float(np.sum(coef * (np.abs(quad) + 2.0 * np.abs(lin) + yy)))
-    return loss, np.concatenate(grad), cancel
+    return loss, (g_s, cr.T @ u, cr.sum(axis=0)), cancel
+
+
+def _random_params(rng, d, k, hidden_dim):
+    """S (None head-only), W_head and b_head away from the optimum."""
+    s = None if hidden_dim is None else 0.1 * rng.standard_normal((hidden_dim, d + 1))
+    p = d if hidden_dim is None else hidden_dim
+    return s, 0.05 * rng.standard_normal((k, p)), 0.05 * rng.standard_normal(k)
+
+
+def _flat(arrays):
+    """The entries of the arrays that are not None, in one vector."""
+    return np.concatenate([a.ravel() for a in arrays if a is not None])
 
 
 @pytest.mark.parametrize(
@@ -558,14 +567,15 @@ def test_the_moment_objective_is_the_one_shot_objective(monkeypatch, n, weighted
     weights = rng.uniform(0.2, 1.8, size=(n, 2)) if weighted else None
     lam = np.array([1.3, 0.6])
     ds = Dataset([f"s{i}" for i in range(n)], x, y, ["d0", "d1"])
-    obj = GDObjective(ds, weights, lam, hidden_dim)
-    theta = obj.init_params(seed=1) + 0.05 * rng.standard_normal(obj.n_params)
-    loss, grad = obj.loss_and_grad(theta)
-    want_loss, want_grad, cancel = _one_shot_objective(x, y, weights, lam, hidden_dim, theta)
+    moments = _gd_moments(ds, weights, lam)
+    params = _random_params(rng, d, 2, hidden_dim)
+    loss, *grads = _gd_loss_and_grads(moments, *params)
+    want_loss, want_grads, cancel = _one_shot_objective(x, y, weights, lam, *params)
+    grad, want_grad = _flat(grads), _flat(want_grads)
     eps = np.finfo(np.float64).eps
     assert abs(loss - want_loss) <= (n + 2 * (d + 1)) * eps * cancel
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
-    rel = np.abs(_fd_grad(obj, theta) - grad) / np.maximum(np.abs(grad), 1.0)
+    rel = np.abs(_fd_grad(moments, params) - grad) / np.maximum(np.abs(grad), 1.0)
     assert rel.max() < 1e-6
 
 
@@ -617,14 +627,20 @@ def _at_one_and_two_threads(code: str) -> list[bytes]:
     return out
 
 
-def _fd_grad(obj, theta, h=1e-6):
-    grad = np.zeros(theta.size)
-    for i in range(theta.size):
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (obj.loss_and_grad(up)[0] - obj.loss_and_grad(down)[0]) / (2 * h)
-    return grad
+def _fd_grad(moments, params, h=1e-6):
+    """Central differences of the loss over every entry of each array of params, flattened."""
+    grad = []
+    for i, p in enumerate(params):
+        if p is None:
+            continue
+        for idx in np.ndindex(p.shape):
+            losses = []
+            for step in (h, -h):
+                moved = [a if a is None else a.copy() for a in params]
+                moved[i][idx] += step
+                losses.append(_gd_loss_and_grads(moments, *moved)[0])
+            grad.append((losses[0] - losses[1]) / (2 * h))
+    return np.array(grad)
 
 
 @pytest.mark.parametrize("hidden_dim", [None, 3])
@@ -632,10 +648,10 @@ def test_objective_gradients_match_finite_differences(hidden_dim):
     rng = np.random.default_rng(6)
     corpus = tiny_corpus(n=40, d=4, k=2, sd=0.2, teacher_seed=5, sample_seed=6)
     weights = rng.uniform(0.2, 1.8, size=(40, 2))
-    obj = GDObjective(corpus, weights, np.array([1.3, 0.6]), hidden_dim)
-    theta = obj.init_params(seed=1) + 0.05 * rng.standard_normal(obj.n_params)
-    _, analytic = obj.loss_and_grad(theta)
-    fd = _fd_grad(obj, theta)
+    moments = _gd_moments(corpus, weights, np.array([1.3, 0.6]))
+    params = _random_params(rng, 4, 2, hidden_dim)
+    analytic = _flat(_gd_loss_and_grads(moments, *params)[1:])
+    fd = _fd_grad(moments, params)
     rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1.0)
     assert rel.max() < 1e-6
 

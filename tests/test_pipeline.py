@@ -308,6 +308,16 @@ def test_pipeline_rejects_empty_test_split():
         run_pipeline(PipelineConfig.from_dict(doc))
 
 
+def test_pipeline_rejects_empty_training_split_before_writing(tmp_path):
+    # it failed in the probe fit as singular normal equations, after
+    # config.json and corpus.jsonl were written
+    doc = small_config().to_dict()
+    doc["split"]["fractions"] = [0.0, 0.5, 0.5]
+    with pytest.raises(DataError, match="training split is empty"):
+        run_pipeline(PipelineConfig.from_dict(doc), output_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_run_that_fails_after_the_split_leaves_config_and_corpus(tmp_path):
     cfg = dataclasses.replace(small_config(), refine=RefineSpec("ddp", rho=1.0))
     with pytest.raises(DataError, match="every training sample"):

@@ -100,7 +100,7 @@ def test_prune_zero_rho_keeps_everything():
     result = ddp_select(table, 0.0)
     assert result.removed_ids == []
     assert result.kept_ids == table.sample_ids
-    assert all(t == np.inf for t in result.thresholds)
+    assert result.thresholds == []
 
 
 def test_prune_disjoint_top_sets_remove_union():

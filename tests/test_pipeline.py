@@ -552,12 +552,52 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
     n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
     # the training rows' labels and mask, and the test rows' labels
     rows = n_train * (k * 8 + k) + n_test * k * 8
-    # those rows, two N x K label matrices, one draw chunk and ids beside
-    # them: 1.04x measured (2.38 MB; 1.34x with 8192-row draw blocks).
-    # Holding the training rows' features
-    # took 5.64 MB, drawing the test rows' features too 6.16 MB, and
-    # building the whole corpus first about 10.4 MB
-    assert peak < 1.45 * (rows + 2 * n * k * 8)
+    # those rows, one N x K label matrix and its mask, and the noise draw's
+    # index arrays and ids beside them: 1.27x measured (2.04 MB), at the
+    # per-dimension noise. Copying the training rows out of the label
+    # matrix as well as the mask measured 1.49x (2.39 MB); holding the
+    # training rows' features took 5.64 MB, drawing the test rows' features
+    # too 6.16 MB, and building the whole corpus first about 10.4 MB
+    assert peak < 1.4 * (rows + n * k * 9)
+
+
+_C = 8
+
+
+@pytest.mark.parametrize("n_train", [_C - 1, _C, 2 * _C - 1, 2 * _C, 3 * _C + 5])
+@pytest.mark.parametrize("noise", [{}, {"dims": [1, 3], "correlated_rate": 0.01}], ids=["default", "dims-1-3"])
+@pytest.mark.parametrize("written", [False, True], ids=["in-memory", "out"])
+def test_the_training_rows_are_compacted_bit_identically_at_every_chunk_boundary(
+    monkeypatch, tmp_path, n_train, noise, written
+):
+    # the run moves the training rows of its one label matrix to the front
+    # a chunk at a time: splits one row short of a chunk, one chunk, a row
+    # short of two, two, and three plus a remainder
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _C)
+    overrides = {
+        "synth": {"n_samples": 2 * n_train, "feature_dim": 4},
+        "noise": noise,
+        "refine": {"strategy": "none"},
+        "split": {"fractions": [0.5, 0.0, 0.5]},
+    }
+    cfg = PipelineConfig.from_dict(_merge(default_config(seed=0).to_dict(), overrides))
+    seen = _recording_evaluation(monkeypatch)
+    arts = run_pipeline(cfg, tmp_path if written else None)
+    train_idx, _, test_idx = dimsift.data.split_indices(
+        cfg.synth.n_samples, cfg.split_fractions, cfg.split_seed
+    )
+    assert len(train_idx) == n_train
+    clean, _ = dimsift.data.draw_synthetic(cfg.synth)
+    labels, mask = clean.copy(), np.zeros(clean.shape, dtype=bool)
+    cfg.noise.apply(labels, mask)
+    assert np.array_equal(arts.train.labels, labels[train_idx])
+    assert np.array_equal(arts.train.corruption_mask, mask[train_idx])
+    assert np.array_equal(seen["labels"], clean[test_idx])
+    if written:
+        # corpus.jsonl is written from the whole matrix, before the compaction
+        corpus = load_dataset(tmp_path / "corpus.jsonl")
+        assert np.array_equal(corpus.labels, labels)
+        assert np.array_equal(corpus.corruption_mask, mask)
 
 
 def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):

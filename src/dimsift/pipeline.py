@@ -1,12 +1,14 @@
 """End-to-end experiment pipeline: corpus, probe, scores, refinement, report.
 
 One seeded config fully determines every artifact byte (no timestamps are
-written), so identical configs give identical runs. Stages:
+written), so identical configs give identical runs. A run is a shared
+prefix, then one per-strategy suffix:
 
-    split -> draw the labels -> inject noise
-          -> (with an output directory) write config.json and corpus.jsonl
-          -> fit probe -> score -> refine -> refit
-          -> evaluate on clean test labels -> report
+    prefix  _draw: split -> draw the labels -> inject noise
+                   -> (with an output directory) write config.json and corpus.jsonl
+            -> fit probe -> score (self and global, one pass)
+    suffix  _refine: select or weight -> refit
+            -> evaluate every head on clean test labels -> report
 
 The probe is an unweighted fit on the full training split; influence
 scores, the refined training set, and the refit head all derive from it.
@@ -43,8 +45,6 @@ from .data import (
 from .errors import DataError, UsageError
 from .influence import InfluenceConfig, SelfInfluenceTable, self_and_global_scores
 from .metrics import (
-    MaskingReport,
-    MetricReport,
     OverlapCurve,
     evaluate_heads,
     masking_report,
@@ -407,15 +407,14 @@ class ExperimentReport:
 class PipelineArtifacts:
     """In-memory handles to what a run produced after the split.
 
-    A run draws the labels of every row and keeps no feature. train holds
-    the training rows' indices (its ids, a data.RowIds), the run's one
-    label matrix, corrupted in place and then compacted in place to the
-    training rows, and those rows of the corruption mask. It reads their
-    features from the corpus's sample stream a row chunk at a time
-    (Dataset.feature_blocks); train.features gathers a new matrix on each
-    call. With an output directory the run writes the corpus to
-    corpus.jsonl right after the noise, from its own labels and mask, its
-    features read from the stream as well. The test split is not kept: the
+    train, probe, scores and global_scores come from the run's shared
+    prefix; final, prune and weight_matrix from its suffix, _refine. A run
+    keeps no feature. train holds the training rows' indices (its ids, a
+    data.RowIds), the run's one label matrix, corrupted in place and then
+    compacted in place to the training rows, and those rows of the
+    corruption mask. It reads their features from the corpus's sample
+    stream a row chunk at a time (Dataset.feature_blocks); train.features
+    gathers a new matrix on each call. The test split is not kept: the
     report holds its evaluation, and test_clean.jsonl its rows. A pruned
     run's refined rows are not kept either: prune.kept_ids names them. Every
     fit, closed form or gradient descent, read its (kept) rows once, a
@@ -478,66 +477,30 @@ def _fit(ds: Dataset, weights, cfg: TrainConfig, rows=None) -> RegressionHead:
     return fit(ds, weights, cfg, rows)
 
 
-def run_pipeline(
-    config: PipelineConfig, output_dir: str | Path | None = None
-) -> PipelineArtifacts:
-    """Run the full experiment described by config; optionally write artifacts.
+def _draw(config: PipelineConfig, out: Path | None):
+    """A run's split, labels and noise: (train, test_idx, clean test labels, clean manifest).
 
-    Evaluation is always against clean test labels. The split indices are
-    drawn first, then the labels of every row; the training rows carry
-    corrupted labels, equal to the rows of generate_synthetic(config.synth)
-    after config.noise corrupts the whole corpus. No feature matrix of any
-    split is held: the training split is a Dataset of its rows whose
-    features stay in the sample stream, and the probe fit, the scores with
-    the global scores (one pass), the refit (of the kept rows only, when
-    pruned) and train.jsonl each read them a row chunk at a time. The test
-    split is its row indices and their clean labels, taken before the
-    noise; the heads are evaluated on its features read once from a fresh
-    stream of the sample seed, a chunk at a time. The run keeps one label
-    matrix and one mask: the noise corrupts them in place, and with
-    output_dir config.json and corpus.jsonl are then written, the corpus
-    from that full matrix and mask, its features read again from the
-    stream, so a run that fails after that still leaves both files. Only
-    then is the matrix compacted in place to the training rows, a row chunk
-    at a time, and shrunk with ndarray.resize: the training split holds it
-    and a copy of those rows of the mask, and no copy of its labels is
-    made. The other files follow at the end, test_clean.jsonl streamed in
-    the same way. A pruned refit gets the kept rows' positions in the
-    training split, released before the evaluation: the closed form and
-    gradient descent alike gather those rows' features and labels a chunk
-    at a time into the moments of the normal equations. Settings a stage
-    refuses raise that stage's own error here; check_config reports them
-    as config faults before a run starts.
+    The split indices come first, then the labels of every row; the test
+    rows' clean labels are taken before the noise corrupts the one label
+    matrix and mask in place. With out, config.json and corpus.jsonl are
+    written next, from the full matrix, so a run that fails later still
+    leaves both. Only then is the matrix compacted in place to the
+    training rows, which train holds with a copy of those rows of the mask.
     """
-    validate_synth(config.synth)
-    check_gd_settings(config.train, "config train.ridge_alpha")
-    if config.influence.scope == Scope.LAST_TWO_LAYERS and config.train.hidden_dim is None:
-        raise UsageError(
-            "config influence.scope: last_two_layers needs a shared layer; set train.hidden_dim"
-        )
-    for key, section in (("train.lambdas", config.train), ("influence.lambdas", config.influence)):
-        try:
-            section.resolved_lambdas(config.synth.n_dims)
-        except ValueError as e:
-            raise UsageError(f"config {key}: {e}") from None
     # the validation rows are never drawn, so their indices are not kept
     train_idx, test_idx = split_indices(
         config.synth.n_samples, config.split_fractions, config.split_seed
     )[::2]
     if len(train_idx) == 0:
         raise DataError("training split is empty; increase the train fraction")
-    if len(test_idx) == 0:
-        raise DataError("test split is empty; increase the test fraction")
+    if len(test_idx) < 2:  # a rank correlation needs two points
+        raise DataError("test split has fewer than 2 rows; increase the test fraction")
 
     labels, clean_manifest = draw_synthetic(config.synth)
-    # the test rows keep their clean labels; the one label matrix and mask
-    # are then corrupted in place, and once corpus.jsonl is written the
-    # matrix is compacted in place to the training rows
     test_labels = labels[test_idx]
     mask = np.zeros(labels.shape, dtype=bool)
     manifest = with_injections(clean_manifest, config.noise.apply(labels, mask))
-    if output_dir is not None:
-        out = Path(output_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
         (out / "config.json").write_text(config_doc + "\n")
@@ -558,51 +521,88 @@ def run_pipeline(
     labels.resize((len(train_idx), labels.shape[1]))
     mask = mask[train_idx]
     train = synthetic_rows(config.synth, train_idx, labels, mask, manifest)
-    del labels, mask
+    return train, test_idx, test_labels, clean_manifest
 
-    probe = _fit(train, None, config.train)
 
-    scores, global_scores = self_and_global_scores(probe, train, config.influence)
+def _refine(spec: RefineSpec, train_cfg: TrainConfig, train, probe, scores, global_scores):
+    """A run's per-strategy suffix: (head, prune | None, weights | None, refine section).
 
-    prune: Optional[PruneResult] = None
-    weight_matrix: Optional[WeightMatrix] = None
-    rows = None
-    r = config.refine
-    refine_summary = {"strategy": r.strategy}
-    if r.strategy == "ddp":
-        prune = ddp_select(scores, r.rho)
-    elif r.strategy == "loss_prune":
-        prune = loss_prune_select(per_dim_loss(probe, train), train.ids, r.rho)
-    elif r.strategy == "global_prune":
-        prune = global_prune_select(global_scores, train.ids, r.rho)
-    elif r.strategy == "ddr":
-        weight_matrix = ddr_weights(scores, r.temperature)
-        w = weight_matrix.weights
-        refine_summary.update(
-            temperature=r.temperature,
+    The head is the probe itself for "none", the weighted refit for "ddr",
+    else the refit of the kept rows, given their positions in train. It
+    changes none of its arguments, so one prefix serves every strategy.
+    """
+    summary = {"strategy": spec.strategy}
+    if spec.strategy == "none":
+        return probe, None, None, summary
+    prune = weights = rows = None
+    if spec.strategy == "ddr":
+        weights = ddr_weights(scores, spec.temperature)
+        w = weights.weights
+        summary.update(
+            temperature=spec.temperature,
             min_weight=float(w.min()),
             max_weight=float(w.max()),
             mean_weight=float(w.mean()),
         )
-    if prune is not None:
+    else:
+        if spec.strategy == "ddp":
+            prune = ddp_select(scores, spec.rho)
+        elif spec.strategy == "loss_prune":
+            prune = loss_prune_select(per_dim_loss(probe, train), train.ids, spec.rho)
+        else:
+            prune = global_prune_select(global_scores, train.ids, spec.rho)
         if not prune.kept_ids:
             raise DataError("refinement removed every training sample; lower rho")
         # kept_ids views train's ascending row numbers, which locate its rows in train
         rows = np.searchsorted(train.ids.rows, prune.kept_ids.rows)
-        n_removed = len(prune.removed_ids)
-        refine_summary.update(
+        summary.update(
             rho=prune.rho,
-            n_removed=n_removed,
-            removed_fraction=n_removed / len(train),
+            n_removed=len(prune.removed_ids),
+            removed_fraction=len(prune.removed_ids) / len(train),
             thresholds=prune.thresholds,
         )
-    n_train_refined = len(train) if rows is None else len(rows)
-    final = probe
-    heads = {"baseline": probe}
-    if r.strategy != "none":
-        final = heads[r.strategy] = _fit(train, weight_matrix, config.train, rows)
-    del rows  # the kept positions are not held through the evaluation
+    return _fit(train, weights, train_cfg, rows), prune, weights, summary
 
+
+def run_pipeline(
+    config: PipelineConfig, output_dir: str | Path | None = None
+) -> PipelineArtifacts:
+    """Run the full experiment described by config; optionally write artifacts.
+
+    A shared prefix, then one per-strategy suffix. The prefix is _draw,
+    the probe fit and one pass of the scores with the global scores; the
+    suffix is _refine. The training rows carry the labels of
+    generate_synthetic(config.synth) after config.noise corrupts the whole
+    corpus. No feature matrix of any split is held: the probe fit, the
+    scores, the refit (of the kept rows only, when pruned) and train.jsonl
+    each read the training features from the sample stream a row chunk at
+    a time, and every head is evaluated against the clean test labels in
+    one pass over the test features, read the same way. The other files
+    are written at the end. Settings a stage refuses raise that stage's
+    own error here; check_config reports them as config faults before a
+    run starts.
+    """
+    validate_synth(config.synth)
+    check_gd_settings(config.train, "config train.ridge_alpha")
+    if config.influence.scope == Scope.LAST_TWO_LAYERS and config.train.hidden_dim is None:
+        raise UsageError(
+            "config influence.scope: last_two_layers needs a shared layer; set train.hidden_dim"
+        )
+    for key, section in (("train.lambdas", config.train), ("influence.lambdas", config.influence)):
+        try:
+            section.resolved_lambdas(config.synth.n_dims)
+        except ValueError as e:
+            raise UsageError(f"config {key}: {e}") from None
+    out = None if output_dir is None else Path(output_dir)
+    train, test_idx, test_labels, clean_manifest = _draw(config, out)
+    probe = _fit(train, None, config.train)
+    scores, global_scores = self_and_global_scores(probe, train, config.influence)
+    r = config.refine
+    final, prune, weight_matrix, refine_summary = _refine(
+        r, config.train, train, probe, scores, global_scores
+    )
+
+    heads = {"baseline": probe} if final is probe else {"baseline": probe, r.strategy: final}
     # the test features are read once more from the sample stream, for every head at once
     blocks = sample_features(config.synth, test_idx)
     metrics = evaluate_heads(list(heads.values()), blocks, test_labels, train.dim_names)
@@ -612,16 +612,13 @@ def run_pipeline(
         strategies[name] = metric.to_dict()
 
     mask = train.corruption_mask
-    if mask is None or not mask.any():
+    if not mask.any():
         detection = {
             "per_dim_auroc": None,
             "note": "no corrupted labels in the training split; AUROC undefined",
         }
     else:
         detection = {"per_dim_auroc": per_dim_auroc(scores.scores, mask)}
-
-    overlap = overlap_curve(scores, r.rho)
-    masking = masking_report(scores, global_scores, r.rho, corrupted=mask)
 
     report = ExperimentReport(
         version=__version__,
@@ -631,22 +628,16 @@ def run_pipeline(
             "feature_dim": train.feature_dim,
             "dim_names": train.dim_names,
             "n_train": len(train),
-            "n_val": config.synth.n_samples - len(train_idx) - len(test_idx),
+            "n_val": config.synth.n_samples - len(train) - len(test_idx),
             "n_test": len(test_idx),
-            "train_corrupted_per_dim": None
-            if mask is None
-            else [int(c) for c in mask.sum(axis=0)],
-            "n_train_refined": n_train_refined,
+            "train_corrupted_per_dim": [int(c) for c in mask.sum(axis=0)],
+            "n_train_refined": len(train) if prune is None else len(prune.kept_ids),
         },
         strategies=strategies,
         refine_summary=refine_summary,
         noise_detection=detection,
-        overlap={
-            "rho": overlap.rho,
-            "dim_order": overlap.dim_order,
-            "cumulative_ratios": overlap.cumulative_ratios,
-        },
-        masking=masking.to_dict(),
+        overlap=dataclasses.asdict(overlap_curve(scores, r.rho)),
+        masking=masking_report(scores, global_scores, r.rho, corrupted=mask).to_dict(),
     )
 
     artifacts = PipelineArtifacts(
@@ -659,7 +650,7 @@ def run_pipeline(
         prune=prune,
         weight_matrix=weight_matrix,
     )
-    if output_dir is not None:
+    if out is not None:
         clean_mask = np.zeros(test_labels.shape, dtype=bool)
         test = synthetic_rows(config.synth, test_idx, test_labels, clean_mask, clean_manifest)
         save_dataset(test, out / "test_clean.jsonl")
@@ -680,11 +671,6 @@ def _write_artifacts(art: PipelineArtifacts, out: Path) -> None:
     if art.weight_matrix is not None:
         art.weight_matrix.save(out / "weights.json")
         art.weight_matrix.to_csv(out / "weights.csv", art.train.dim_names)
-    curve = OverlapCurve(
-        cumulative_ratios=art.report.overlap["cumulative_ratios"],
-        dim_order=art.report.overlap["dim_order"],
-        rho=art.report.overlap["rho"],
-    )
-    curve.to_csv(out / "overlap.csv")
+    OverlapCurve(**art.report.overlap).to_csv(out / "overlap.csv")
     art.report.save(out / "report.json")
     (out / "report.txt").write_text(art.report.render_text())

@@ -38,6 +38,7 @@ from conftest import peak_traced_bytes
 from dimsift.cli import _build_parser, main
 from dimsift.data import corrupted_copy, dumps_dataset
 from dimsift.influence import SelfInfluenceTable
+from dimsift.pipeline import REFINE_STRATEGIES
 from dimsift.refine import DEFAULT_RHO
 
 
@@ -284,12 +285,16 @@ def test_run_refine_override(tmp_path):
     assert (out / "weights.json").exists()
 
 
-def test_report_renders_run_directory(tmp_path, capsys):
+@pytest.mark.parametrize("refine", REFINE_STRATEGIES)
+def test_report_renders_run_directory(tmp_path, capsys, refine):
+    # report --dir re-renders a run's report.json to the run's own report.txt
     out = tmp_path / "r"
-    main(["run", "--seed", "1", "--out", str(out)])
+    assert main(["run", "--seed", "1", "--refine", refine, "--out", str(out)]) == 0
+    written = (out / "report.txt").read_bytes()
+    capsys.readouterr()
     assert main(["report", "--dir", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "baseline" in text
+    assert (out / "report.txt").read_bytes() == written
+    assert capsys.readouterr().out == written.decode()
 
 
 @pytest.mark.parametrize("pruned", [True, False], ids=["prune-rho", "default-rho"])

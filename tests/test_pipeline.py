@@ -217,6 +217,35 @@ def test_pipeline_none_branch_keeps_probe():
     assert arts.prune is None and arts.weight_matrix is None
 
 
+def _as_dict(result):
+    return None if result is None else result.to_dict()
+
+
+def test_one_prefix_serves_every_strategy():
+    # the split, the probe and the scores drawn once, then each strategy's
+    # suffix in turn, give what a run of that strategy gives; no suffix
+    # changes the prefix it shares
+    cfg = small_config()
+    train, _, _, _ = dimsift.pipeline._draw(cfg, None)
+    probe = dimsift.pipeline._fit(train, None, cfg.train)
+    scores, global_scores = dimsift.pipeline.self_and_global_scores(probe, train, cfg.influence)
+    held = [a.copy() for a in (train.labels, train.corruption_mask, scores.scores, global_scores)]
+    probe_doc = probe.to_dict()
+    for strategy in REFINE_STRATEGIES:
+        spec = dataclasses.replace(cfg.refine, strategy=strategy)
+        head, prune, weights, section = dimsift.pipeline._refine(
+            spec, cfg.train, train, probe, scores, global_scores
+        )
+        arts = run_pipeline(dataclasses.replace(cfg, refine=spec))
+        assert head.to_dict() == arts.final.to_dict()
+        assert _as_dict(prune) == _as_dict(arts.prune)
+        assert _as_dict(weights) == _as_dict(arts.weight_matrix)
+        assert section == arts.report.refine_summary
+    after = (train.labels, train.corruption_mask, scores.scores, global_scores)
+    assert all(np.array_equal(a, b) for a, b in zip(held, after))
+    assert probe.to_dict() == probe_doc
+
+
 def _recording_evaluation(monkeypatch) -> dict:
     """Record what run_pipeline evaluates its heads on: the test rows, their features and labels."""
     seen = {}
@@ -315,6 +344,16 @@ def test_pipeline_rejects_empty_training_split_before_writing(tmp_path):
     doc["split"]["fractions"] = [0.0, 0.5, 0.5]
     with pytest.raises(DataError, match="training split is empty"):
         run_pipeline(PipelineConfig.from_dict(doc), output_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_rejects_a_one_row_test_split_before_writing(tmp_path):
+    # 6 samples leave one test row: the run failed in the evaluation's rank
+    # correlation, after config.json and corpus.jsonl were written
+    cfg = small_config()
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=6))
+    with pytest.raises(DataError, match="test split has fewer than 2 rows"):
+        run_pipeline(cfg, output_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 

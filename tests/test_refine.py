@@ -17,6 +17,7 @@ from dimsift import (
     ddr_weights,
     global_prune_select,
     loss_prune_select,
+    overlap_curve,
 )
 from conftest import peak_traced_bytes
 from dimsift.data import JSON_PIECE_ITEMS, RowIds, ceil_count, top_sets
@@ -134,20 +135,56 @@ def test_prune_risk_sets_are_rank_ordered_and_thresholded():
     assert result.kept_ids == ["s000", "s002"]  # corpus order, not score order
 
 
-def test_prune_budget_bounds_hold_on_random_tables():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(10, 200))
-        k = int(rng.integers(1, 6))
-        rho = float(rng.uniform(0.01, 0.4))
-        table = make_table(rng.uniform(size=(n, k)))
-        result = ddp_select(table, rho)
-        m = ceil_count(rho, n)
-        assert m <= len(result.removed_ids) <= min(n, k * m)
-        assert sorted(result.kept_ids + result.removed_ids) == sorted(table.sample_ids)
-        # kept preserves corpus order
-        pos = {sid: i for i, sid in enumerate(table.sample_ids)}
-        assert [pos[s] for s in result.kept_ids] == sorted(pos[s] for s in result.kept_ids)
+@st.composite
+def score_tables(draw):
+    """Random self-influence matrices with ties and all-zero columns.
+
+    The entries come from a drawn numpy seed, far faster than drawing each
+    entry through hypothesis.
+    """
+    n, k = draw(st.integers(1, 300)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 1, 2 or 4 distinct integer values make most columns full of ties
+    kind = draw(st.sampled_from(["uniform", "lognormal", 1, 2, 4]))
+    if kind == "uniform":
+        scores = rng.uniform(0.0, 1e3, size=(n, k))
+    elif kind == "lognormal":
+        scores = rng.lognormal(size=(n, k))
+    else:
+        scores = rng.integers(0, kind, size=(n, k)).astype(float)
+    scores[:, draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    return scores
+
+
+# every budget a rho grid over [0, 1] reaches, its ends included
+budgets = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+# temperatures down to 1/256
+temperatures = st.sampled_from([1 / 256, 1 / 16, 1.0]) | st.floats(1 / 256, 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=score_tables(), rho=budgets)
+def test_prune_budget_bounds_hold_on_random_tables(scores, rho):
+    table = make_table(scores)
+    n, k = scores.shape
+    result = ddp_select(table, rho)
+    m = ceil_count(rho, n)
+    assert m <= len(result.removed_ids) <= min(n, k * m)
+    assert sorted(result.kept_ids + result.removed_ids) == sorted(table.sample_ids)
+    # kept preserves corpus order
+    pos = {sid: i for i, sid in enumerate(table.sample_ids)}
+    assert [pos[s] for s in result.kept_ids] == sorted(pos[s] for s in result.kept_ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=score_tables(), rho=budgets)
+def test_overlap_curve_is_nondecreasing_and_ends_at_the_removed_fraction(scores, rho):
+    table = make_table(scores)
+    n, k = scores.shape
+    curve = overlap_curve(table, rho)
+    assert curve.dim_order == list(range(k))
+    assert np.all(np.diff(curve.cumulative_ratios) >= 0.0)
+    assert curve.final() == len(ddp_select(table, rho).removed_ids) / n
 
 
 def test_prune_rejects_bad_rho():
@@ -223,21 +260,20 @@ def test_ddr_weights_hand_case():
     assert wm.weights[0, 0] == pytest.approx(2.0 - expect_hi, abs=1e-6)
 
 
-def test_ddr_global_mean_is_one():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        table = make_table(rng.lognormal(size=(int(rng.integers(5, 300)), int(rng.integers(1, 5)))))
-        wm = ddr_weights(table, temperature=float(rng.uniform(0.2, 5.0)))
-        assert abs(wm.weights.mean() - 1.0) < 1e-12
-        assert np.all(wm.weights > 0.0)
+@settings(max_examples=200, deadline=None)
+@given(scores=score_tables(), temperature=temperatures)
+def test_ddr_global_mean_is_one(scores, temperature):
+    wm = ddr_weights(make_table(scores), temperature=temperature)
+    assert abs(wm.weights.mean() - 1.0) < 1e-12
+    assert np.all(wm.weights > 0.0)
 
 
-def test_ddr_is_monotone_nonincreasing_in_score():
-    rng = np.random.default_rng(4)
-    table = make_table(rng.uniform(size=(50, 3)))
-    wm = ddr_weights(table)
-    for k in range(3):
-        order = np.argsort(table.scores[:, k], kind="stable")
+@settings(max_examples=200, deadline=None)
+@given(scores=score_tables(), temperature=temperatures)
+def test_ddr_is_monotone_nonincreasing_in_score(scores, temperature):
+    wm = ddr_weights(make_table(scores), temperature=temperature)
+    for k in range(scores.shape[1]):
+        order = np.argsort(scores[:, k], kind="stable")
         assert np.all(np.diff(wm.weights[order, k]) <= 1e-12)
 
 

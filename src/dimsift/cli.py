@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import eq
 from pathlib import Path
 
 from . import __version__
@@ -199,6 +200,14 @@ def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
     return doc
 
 
+def _same_ids(a, b) -> bool:
+    """Whether two id sequences hold the same ids in the same order, compared without a copy.
+
+    A plain != is no test: a list never equals a tuple.
+    """
+    return len(a) == len(b) and all(map(eq, a, b))
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -245,7 +254,7 @@ def _cmd_fit(args) -> int:
     ds = load_dataset(args.data)
     weights = None if args.weights is None else WeightMatrix.load(args.weights)
     if weights is not None:
-        if tuple(weights.sample_ids) != ds.ids:
+        if not _same_ids(weights.sample_ids, ds.ids):
             raise DataError("weight file ids do not match the dataset")
         if weights.weights.shape[1] != ds.n_dims:
             raise DataError(
@@ -337,7 +346,7 @@ def _cmd_reweight(args) -> int:
 def _cmd_detect_noise(args) -> int:
     ds = load_dataset(args.data)
     table = SelfInfluenceTable.load(args.scores)
-    if tuple(table.sample_ids) != ds.ids:
+    if not _same_ids(table.sample_ids, ds.ids):
         raise DataError("score file ids do not match the dataset")
     mask = ds.corruption_mask
     if mask is None or not mask.any():

@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, pairwise
+from itertools import compress, pairwise
 from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -379,18 +379,27 @@ class Dataset:
         """New dataset restricted to the given row indices, in the given order.
 
         An integer ndarray is used as is; any other iterable is read into one.
-        The result holds its rows' features as a matrix; a synthetic corpus's
-        are gathered from its sample stream (gather_features), so no matrix
-        of other rows is built.
+        Strictly ascending rows of a synthetic corpus stay in its sample
+        stream: the result holds a RowIds of their row numbers and the same
+        SynthConfig, and reads no feature. Otherwise it holds its rows'
+        features as a matrix; a synthetic corpus's are gathered from its
+        sample stream (gather_features), so no matrix of other rows is built.
         """
         if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
             idx = indices
         else:
             idx = np.asarray(list(indices), dtype=int)
         src = self._source
+        if isinstance(src, np.ndarray):
+            features = src[idx]
+        elif np.all(idx[1:] > idx[:-1]):
+            features = src
+            idx = _checked_rows(idx, len(self))
+        else:
+            features = self.gather_features(idx)
         return Dataset(
             ids=take_ids(self._ids, idx),
-            features=src[idx] if isinstance(src, np.ndarray) else self.gather_features(idx),
+            features=features,
             labels=self._labels[idx],
             dim_names=self.dim_names,
             corrupted=None if self._corrupted is None else self._corrupted[idx],
@@ -592,12 +601,38 @@ def synthetic_rows(
 
 
 def _synthetic_ids(config: SynthConfig, rows: np.ndarray) -> RowIds:
-    """Row r's id: "s" and r zero-padded to the digits of the corpus's last row, at least five."""
-    return RowIds(rows, max(5, len(str(config.n_samples - 1))))
+    """Row r's id: "s" and r zero-padded to _id_width(config) digits."""
+    return RowIds(rows, _id_width(config))
+
+
+def _id_width(config: SynthConfig) -> int:
+    """The digits of the corpus's last row, at least five."""
+    return max(5, len(str(config.n_samples - 1)))
 
 
 def _synthetic_dim_names(config: SynthConfig) -> list[str]:
     return [f"dim{k}" for k in range(config.n_dims)]
+
+
+# the rows a stream digest covers: bound at import, so a file's digest never follows a patched CHUNK_ROWS
+_DIGEST_ROWS = CHUNK_ROWS
+
+
+def stream_digest(config: SynthConfig) -> str:
+    """_digest of the first min(N, CHUNK_ROWS) rows of config's sample stream.
+
+    A sample-stream row table stores it, and its reader draws the rows
+    again and compares: NumPy does not promise that a Generator's stream
+    stays fixed across versions, so another stream is refused, not read.
+    """
+    m = min(config.n_samples, _DIGEST_ROWS)
+    rng = np.random.default_rng(config.sample_seed)
+    # hashed a few rows at a time, each piece drawn into one small buffer
+    piece = np.empty((min(m, 64), config.feature_dim))
+    h = hashlib.sha256()
+    for start in range(0, m, len(piece)):
+        h.update(rng.standard_normal(out=piece[: min(len(piece), m - start)]))
+    return h.hexdigest()[:16]
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -1034,16 +1069,25 @@ def table_rows(
         raise DataError(f"{what} file contains no rows")
 
 
+# the header's features value of a table whose features are drawn from the sample stream
+FEATURE_STREAM = "sample_stream"
+# the manifest fields a sample-stream table's reader rebuilds the SynthConfig from
+_SYNTH_FIELDS = ("n_samples", "feature_dim", "n_dims", "label_noise_sd", "teacher_seed", "sample_seed")
+
+
 def _dataset_lines(ds: Dataset) -> Iterator[str]:
-    head = {
-        "type": "manifest",
-        "feature_dim": ds.feature_dim,
-        "dim_names": ds.dim_names,
-        "meta": ds.manifest,
-    }
-    # rows are copies and no name binds a chunk, so each is released before the next is read
-    features = map(np.ndarray.copy, chain.from_iterable(ds.feature_blocks()))
-    columns = {"features": features, "labels": ds.labels}
+    head = {"type": "manifest", "feature_dim": ds.feature_dim, "dim_names": ds.dim_names}
+    src = ds._source
+    if isinstance(src, np.ndarray):
+        columns = {"features": src}
+    else:
+        # the rows carry no features: the header names the stream, which the manifest describes
+        if any(ds.manifest.get(key) != getattr(src, key) for key in ("n_samples", "feature_dim", "sample_seed")):
+            raise ValueError("a synthetic dataset's manifest must give its n_samples, feature_dim and sample_seed")
+        head.update(features=FEATURE_STREAM, stream_digest=stream_digest(src))
+        columns = {}
+    head["meta"] = ds.manifest
+    columns["labels"] = ds.labels
     if ds.corruption_mask is not None:
         columns["corrupted"] = ds.corruption_mask
     return table_lines(head, "sample", ds.ids, columns)
@@ -1052,18 +1096,69 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
 def dumps_dataset(ds: Dataset) -> str:
     """Serialize to JSON Lines: one manifest line, then one line per sample.
 
-    Floats go through json's repr formatting, which round-trips exactly.
+    Floats go through json's repr formatting, which round-trips exactly. A
+    dataset of a feature matrix writes each row's features; a synthetic
+    corpus's rows carry none, and the header marks them as drawn from the
+    sample stream (features "sample_stream") and stores stream_digest.
     """
     return "".join(_dataset_lines(ds))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write dumps_dataset(ds) to path a line at a time, reading the features a chunk at a time.
-
-    A synthetic corpus's rows are read again from its sample stream, so no
-    feature matrix of them is held.
-    """
+    """Write dumps_dataset(ds) to path a line at a time."""
     write_lines(path, _dataset_lines(ds))
+
+
+def _stream_config(head: dict, meta: dict, ln_no: int) -> SynthConfig:
+    """The SynthConfig of a sample-stream table's header on line ln_no, checked against this numpy's stream.
+
+    It is rebuilt from the manifest meta, which must describe the header's
+    feature_dim and dim_names; a stream whose digest is not the header's
+    stream_digest is a DataError.
+    """
+    if head["features"] != FEATURE_STREAM:
+        raise DataError(f"line {ln_no}: header features must be {FEATURE_STREAM!r}, got {head['features']!r:.40}")
+    missing = next((key for key in _SYNTH_FIELDS if key not in meta), None)
+    if missing is not None:
+        raise DataError(f"line {ln_no}: a sample-stream table's meta needs {missing}")
+    fields = {key: meta[key] for key in _SYNTH_FIELDS}
+    for key, value in fields.items():
+        if key != "label_noise_sd" and type(value) is not int:
+            raise DataError(f"line {ln_no}: meta {key} must be an integer, got {value!r:.40}")
+    if type(fields["label_noise_sd"]) is list:
+        fields["label_noise_sd"] = tuple(fields["label_noise_sd"])
+    config = SynthConfig(**fields)
+    try:
+        validate_synth(config)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"line {ln_no}: meta {e}") from None
+    if config.feature_dim != head["feature_dim"] or head["dim_names"] != _synthetic_dim_names(config):
+        raise DataError(
+            f"line {ln_no}: meta does not describe the header: a corpus of {config.feature_dim} "
+            f"features and {config.n_dims} dimensions"
+        )
+    digest = stream_digest(config)
+    if head.get("stream_digest") != digest:
+        raise DataError(
+            f"line {ln_no}: stream digest {head.get('stream_digest')!r:.40} is not {digest!r}, that of "
+            f"the sample stream numpy {np.__version__} draws, so the features cannot be rebuilt"
+        )
+    return config
+
+
+def _stream_row(sid: str, width: int, n: int, last: int, ln_no: int) -> int:
+    """The row of a sample-stream table's id sid on line ln_no, after the row last; a DataError unless canonical."""
+    digits = sid[1:]
+    if not (len(sid) == width + 1 and sid[0] == "s" and digits.isascii() and digits.isdigit()):
+        raise DataError(f"line {ln_no}: sample id {sid!r} is not a row id: 's' and {width} digits")
+    row = int(digits)
+    if row >= n:
+        raise DataError(f"line {ln_no}: sample id {sid!r} is past the stream's {n} rows")
+    if row <= last:
+        if row == last:
+            raise DataError(f"line {ln_no}: duplicate sample id {sid!r}")
+        raise DataError(f"line {ln_no}: sample id {sid!r} does not ascend")
+    return row
 
 
 def _read_dataset(lines: Iterable[str]) -> Dataset:
@@ -1078,6 +1173,10 @@ def _read_dataset(lines: Iterable[str]) -> Dataset:
         raise DataError(f"line {ln_no}: feature_dim must be an integer, got {feature_dim!r}")
     dim_names = head["dim_names"]
     k = len(dim_names)
+    # a sample-stream table's ids are read as row numbers, which must ascend
+    stream = _stream_config(head, meta, ln_no) if "features" in head else None
+    width = None if stream is None else _id_width(stream)
+    stream_rows = array("q")
 
     ids: list[str] = []
     line_of = array("l")
@@ -1086,7 +1185,15 @@ def _read_dataset(lines: Iterable[str]) -> Dataset:
     masks = bytearray()
     any_mask = False
     for ln_no, sid, rec in rows:
-        extend_numbers(feats, rec.get("features"), "features", sid, ln_no, feature_dim)
+        if stream is None:
+            extend_numbers(feats, rec.get("features"), "features", sid, ln_no, feature_dim)
+            ids.append(sid)
+            line_of.append(ln_no)
+        elif "features" in rec:
+            raise DataError(f"sample {sid!r} on line {ln_no}: a sample-stream table's rows carry no features")
+        else:
+            last = stream_rows[-1] if stream_rows else -1
+            stream_rows.append(_stream_row(sid, width, stream.n_samples, last, ln_no))
         extend_numbers(labs, rec.get("labels"), "labels", sid, ln_no, k)
         c = rec.get("corrupted")
         if c is not None:
@@ -1098,16 +1205,18 @@ def _read_dataset(lines: Iterable[str]) -> Dataset:
             masks.extend(c)
         else:
             masks.extend(bytes(k))
-        ids.append(sid)
-        line_of.append(ln_no)
+    n = len(ids) if stream is None else len(stream_rows)
+    labels = np.frombuffer(labs).reshape(n, k)
+    corrupted = np.frombuffer(masks, dtype=bool).reshape(n, k) if any_mask else None
+    if stream is not None:
+        return synthetic_rows(stream, np.frombuffer(stream_rows, dtype=np.int64), labels, corrupted, meta)
     check_unique(ids, line_of)
-    n = len(ids)
     return Dataset(
         ids=ids,
         features=np.frombuffer(feats).reshape(n, feature_dim),
-        labels=np.frombuffer(labs).reshape(n, k),
+        labels=labels,
         dim_names=dim_names,
-        corrupted=np.frombuffer(masks, dtype=bool).reshape(n, k) if any_mask else None,
+        corrupted=corrupted,
         manifest=meta,
     )
 
@@ -1117,4 +1226,12 @@ def loads_dataset(text: str) -> Dataset:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    return read_file(path, "dataset", _read_dataset)
+    """The dataset of the row table at path; a DataError names the file and, for a bad line, the line."""
+
+    def read(fh):
+        try:
+            return _read_dataset(fh)
+        except DataError as e:
+            raise DataError(f"invalid dataset file {path}: {e}") from None
+
+    return read_file(path, "dataset", read)

@@ -574,13 +574,13 @@ def run_pipeline(
     suffix is _refine. The training rows carry the labels of
     generate_synthetic(config.synth) after config.noise corrupts the whole
     corpus. No feature matrix of any split is held: the probe fit, the
-    scores, the refit (of the kept rows only, when pruned) and train.jsonl
-    each read the training features from the sample stream a row chunk at
-    a time, and every head is evaluated against the clean test labels in
-    one pass over the test features, read the same way. The other files
-    are written at the end. Settings a stage refuses raise that stage's
-    own error here; check_config reports them as config faults before a
-    run starts.
+    scores and the refit (of the kept rows only, when pruned) each read
+    the training features from the sample stream a row chunk at a time,
+    and every head is evaluated against the clean test labels in one pass
+    over the test features, read the same way. The row tables carry no
+    features (see data.save_dataset). The other files are written at the
+    end. Settings a stage refuses raise that stage's own error here;
+    check_config reports them as config faults before a run starts.
     """
     validate_synth(config.synth)
     check_gd_settings(config.train, "config train.ridge_alpha")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dimsift import (
+    Dataset,
     RegressionHead,
     Sample,
     SynthConfig,
@@ -29,6 +30,15 @@ def peak_traced_bytes(fn, *args) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+def matrix_copy(ds):
+    """ds as a dataset of user data: its features as a matrix and its ids as str.
+
+    Such a dataset's row table keeps its feature column, where a synthetic
+    corpus's rows stay in its sample stream, through select and file alike.
+    """
+    return Dataset(list(ds.ids), ds.features, ds.labels, ds.dim_names, ds.corruption_mask, ds.manifest)
 
 
 def random_head(rng, n_dims, feature_dim, hidden_dim=None):

@@ -34,7 +34,7 @@ from dimsift import (
 )
 import dimsift
 import dimsift.data
-from conftest import peak_traced_bytes
+from conftest import matrix_copy, peak_traced_bytes
 from dimsift.cli import _build_parser, main
 from dimsift.data import corrupted_copy, dumps_dataset
 from dimsift.influence import SelfInfluenceTable
@@ -85,11 +85,12 @@ def test_gen_holds_no_full_feature_matrix(monkeypatch, tmp_path):
     argv = ["gen", "--features", str(d), "--dims", "1", "--out", str(tmp_path / "c.jsonl")]
     main(argv + ["--n", "10"])  # the parser and numpy's lazy set-up, outside the measurement
     peak = peak_traced_bytes(main, argv + ["--n", str(n)])
-    # the labels, the mask, the ids' row numbers, one chunk and one 512-row
-    # piece of the sample stream measured 0.42x an N x d matrix (0.37x with
-    # 64-row pieces); holding the previous chunk while the next is drawn
-    # measured 0.05x more, and drawing the corpus as a Dataset 1.4x
-    assert peak < 0.4 * n * d * 8 + 512 * d * 8
+    # the draw's labels, one chunk and one 512-row piece of the sample
+    # stream, then the writer's mask and ids' row numbers, measured 0.27x an
+    # N x d matrix: the rows carry no features. Writing each row's features
+    # from the stream measured 0.42x, holding the previous chunk while the
+    # next is drawn 0.05x more, and drawing the corpus as a Dataset 1.4x
+    assert peak < 0.3 * n * d * 8 + 512 * d * 8
 
 
 def test_corrupt_matches_library(stage_dir):
@@ -219,14 +220,18 @@ def test_id_files_must_match_the_dataset(stage_dir, kind):
                  "--out", scores]) == 0
     assert main(["reweight", "--scores", scores, "--out", weights]) == 0
     save_dataset(load_dataset(noisy).select(range(199, -1, -1)), other)
+    user = str(stage_dir / "user.jsonl")
+    save_dataset(matrix_copy(load_dataset(noisy)), user)
 
     def argv(data):
         if kind == "weights":
             return ["fit", "--data", data, "--weights", weights, "--out", str(stage_dir / "h.json")]
         return ["detect-noise", "--data", data, "--scores", scores]
 
-    # the dataset the file was made from is accepted, the same rows reordered are not
+    # the dataset the file was made from is accepted, as a table of user data
+    # too (its ids a tuple, the file's a list); the same rows reordered are not
     assert main(argv(noisy)) == 0
+    assert main(argv(user)) == 0
     assert main(argv(other)) == 2
 
 
@@ -455,6 +460,11 @@ def _staged_file(stage_dir, kind):
     if kind == "dataset":
         bad = stage_dir / "noisy.jsonl"
         argv = ["evaluate", "--data", str(bad), "--head", head]
+    elif kind == "user_dataset":
+        # a table of user data, whose rows carry their features
+        bad = stage_dir / "user.jsonl"
+        save_dataset(matrix_copy(load_dataset(noisy)), bad)
+        argv = ["evaluate", "--data", str(bad), "--head", head]
     elif kind in ("head", "shared_head"):
         bad = stage_dir / "head.json"
         if kind == "shared_head":
@@ -500,7 +510,7 @@ def _staged_file(stage_dir, kind):
         ("scores", 1, _as_list),
         ("scores", 4, _as_list),
         ("scores", 4, _without_id),
-        pytest.param("dataset", 3, _first_as("features", str), id="dataset-string-feature"),
+        pytest.param("user_dataset", 3, _first_as("features", str), id="dataset-string-feature"),
         pytest.param("dataset", 3, _first_as("labels", str), id="dataset-string-label"),
         pytest.param("dataset", 3, _first_as("labels", lambda v: None), id="dataset-null-label"),
         pytest.param("scores", 4, _first_as("scores", str), id="scores-string-score"),
@@ -516,7 +526,8 @@ def _staged_file(stage_dir, kind):
         pytest.param("prune", 1, _field_as("rho", str), id="prune-string-rho"),
         pytest.param("prune", 1, _first_as("thresholds", str), id="prune-string-threshold"),
         # array('d') takes a JSON true as 1.0 unless booleans are refused
-        pytest.param("dataset", 3, _first_as("features", lambda v: True), id="dataset-bool-feature"),
+        pytest.param("user_dataset", 3, _first_as("features", lambda v: True),
+                     id="dataset-bool-feature"),
         pytest.param("scores", 4, _first_as("scores", lambda v: True), id="scores-bool-score"),
         pytest.param("prune", 1, _field_as("rho", lambda v: True), id="prune-bool-rho"),
         pytest.param("weights", 1, _field_as("temperature", lambda v: False),
@@ -880,6 +891,41 @@ def test_missing_or_malformed_json_file_exits_two_naming_it(stage_dir, kind, bro
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and str(path) in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _without(key):
+    """Edit that drops a key of a header's meta."""
+    return _field_as("meta", lambda meta: {k: v for k, v in meta.items() if k != key})
+
+
+@pytest.mark.parametrize("line_no, value, message", [
+    # another numpy's stream would give another digest: the file is refused, not read
+    pytest.param(1, _field_as("stream_digest", lambda v: v[::-1]), "stream digest", id="edited-digest"),
+    pytest.param(1, _without("sample_seed"), "meta needs sample_seed", id="meta-without-sample-seed"),
+    pytest.param(1, _without("n_samples"), "meta needs n_samples", id="meta-without-n-samples"),
+    pytest.param(1, _field_as("meta", _field_as("feature_dim", lambda v: v + 1)),
+                 "meta does not describe the header", id="meta-of-another-feature-dim"),
+    pytest.param(1, _field_as("features", lambda v: "matrix"), "header features", id="unknown-features"),
+    pytest.param(3, _field_as("id", lambda v: "s1"), "is not a row id", id="short-id"),
+    pytest.param(3, _field_as("id", lambda v: "x00001"), "is not a row id", id="other-prefix-id"),
+    pytest.param(3, _field_as("id", lambda v: "s0000\u0661"), "is not a row id", id="non-ascii-digit-id"),
+    pytest.param(4, _field_as("id", lambda v: "s00000"), "does not ascend", id="descending-id"),
+    pytest.param(201, _field_as("id", lambda v: "s00200"), "past the stream's 200 rows", id="id-past-the-rows"),
+    pytest.param(3, lambda rec: dict(rec, features=[0.0] * 5), "carry no features", id="row-with-features"),
+])
+def test_a_malformed_stream_table_exits_two_naming_the_file_and_line(stage_dir, capsys, line_no, value,
+                                                                     message):
+    # noisy.jsonl holds rows s00000 to s00199 on lines 2 to 201, with no features
+    bad = stage_dir / "noisy.jsonl"
+    _replace_line(bad, line_no, value)
+    capsys.readouterr()
+    for argv in (["evaluate", "--data", str(bad), "--head", str(stage_dir / "head.json")],
+                 ["split", "--data", str(bad), "--out-prefix", str(stage_dir / "part")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: invalid dataset file {bad}: ")
+        assert f"line {line_no}: " in err and message in err
+    assert not (stage_dir / "part.train.jsonl").exists()
 
 
 def test_string_corruption_mask_is_a_data_error(stage_dir):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ODD_TEXT, peak_traced_bytes
+from conftest import ODD_TEXT, matrix_copy, peak_traced_bytes
 import dimsift
 from dimsift import (
     DataError,
@@ -55,6 +55,7 @@ from dimsift.data import (
     loads_dataset,
     long_csv_lines,
     sample_features,
+    stream_digest,
     synthetic_rows,
     table_lines,
     teacher_head,
@@ -196,10 +197,17 @@ def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
     for i in (0, 64, -1):
         got, want = stream.sample(i), matrix.sample(i)
         assert got.id == want.id and got.features.tolist() == want.features.tolist()
-    # a corrupted copy keeps reading the stream and writes the same file
+    # a corrupted copy keeps reading the stream, and its file reads back as
+    # the matrix's corrupted copy: the same ids, features, labels and mask
     noisy = inject_dimension_noise(stream, 0.1, [1], 3)
     assert noisy._source is cfg
-    assert dumps_dataset(noisy) == dumps_dataset(inject_dimension_noise(matrix, 0.1, [1], 3))
+    back = loads_dataset(dumps_dataset(noisy))
+    want = inject_dimension_noise(matrix, 0.1, [1], 3)
+    assert back._source == SynthConfig(600, 4, 2, (0.1, 0.1), teacher_seed=1, sample_seed=2)
+    assert back.ids == want.ids
+    for a, b in ((back.features, want.features), (back.labels, want.labels),
+                 (back.corruption_mask, want.corruption_mask)):
+        assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError, match="RowIds"):
         Dataset(list(stream.ids), cfg, stream.labels, stream.dim_names)
 
@@ -253,12 +261,14 @@ def test_ids_are_unique_and_ordered():
     assert len(set(corpus.ids)) == 30
     assert corpus.ids == tuple(sorted(corpus.ids))
     # one immutable sequence, shared by every caller instead of copied per call:
-    # a view of read-only row numbers for synthetic rows, a tuple from a file
+    # a view of read-only row numbers for synthetic rows, from a file too, and
+    # a tuple for a table of user data
     assert isinstance(corpus.ids, RowIds) and corpus.ids is corpus.ids
     assert not corpus.ids.rows.flags.writeable
     with pytest.raises(TypeError):
         corpus.ids[0] = "s00001"
-    assert isinstance(loads_dataset(dumps_dataset(corpus)).ids, tuple)
+    assert isinstance(loads_dataset(dumps_dataset(corpus)).ids, RowIds)
+    assert isinstance(loads_dataset(dumps_dataset(matrix_copy(corpus))).ids, tuple)
 
 
 @st.composite
@@ -491,8 +501,9 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_jsonl_errors_name_the_offender():
+    # a table of user data, whose rows carry their features
     corpus = generate_synthetic(SynthConfig(5, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=1))
-    lines = dumps_dataset(corpus).splitlines()
+    lines = dumps_dataset(matrix_copy(corpus)).splitlines()
 
     rec = json.loads(lines[2])
     rec["features"] = rec["features"][:-1]
@@ -676,26 +687,30 @@ def test_write_json_writes_a_row_sum_file_a_piece_at_a_time(tmp_path):
 
 
 @pytest.mark.parametrize("stream", [False, True], ids=["matrix", "stream"])
-def test_save_dataset_streams(monkeypatch, big_corpus, tmp_path, stream):
+def test_save_dataset_streams(big_corpus, tmp_path, stream):
     # one line at a time: no whole-file string, no list of lines. A synthetic
-    # corpus's rows are read from the sample stream, which holds one chunk
-    # of their features and one piece of the stream (1024 rows each here):
-    # beyond those 0.03x the features and labels measured, 0.02x from a
-    # matrix
-    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 1024)
-    ds = big_corpus if stream else big_corpus.select(np.arange(len(big_corpus)))
-    n, d = len(ds), ds.feature_dim
-    chunk = max(stop - start for start, stop in _row_chunks(n)) + 1024 if stream else 0
+    # corpus's rows carry no features, and its digest reads 64 rows of the
+    # sample stream at a time. Measured over the features and labels: 0.007x
+    # from a matrix, 0.02x from the stream, mostly one block of its ids
+    # formatted (0.03x plus one chunk and one piece of the stream, 1024 rows
+    # each, when its rows carried features)
+    ds = big_corpus if stream else matrix_copy(big_corpus)
     peak = peak_traced_bytes(save_dataset, ds, tmp_path / "ds.jsonl")
-    assert peak < 0.05 * n * (d + ds.n_dims) * 8 + chunk * d * 8
+    assert peak < 0.05 * len(ds) * (ds.feature_dim + ds.n_dims) * 8
 
 
-def test_load_dataset_holds_little_beyond_the_arrays(big_corpus, tmp_path):
-    # the arrays themselves plus ids and buffer slack; no text, line list or Python floats
+@pytest.mark.parametrize("stream", [False, True], ids=["matrix", "stream"])
+def test_load_dataset_holds_little_beyond_the_arrays(big_corpus, tmp_path, stream):
+    # the arrays themselves plus ids and buffer slack; no text, line list or
+    # Python floats. A sample-stream table's rows hold labels, mask and row
+    # numbers, and no features: measured 1.41x the labels (a matrix 6.6x)
     path = tmp_path / "ds.jsonl"
-    save_dataset(big_corpus, path)
+    save_dataset(big_corpus if stream else matrix_copy(big_corpus), path)
     peak = peak_traced_bytes(load_dataset, path)
-    assert peak < 4 * (big_corpus.features.nbytes + big_corpus.labels.nbytes)
+    if stream:
+        assert peak < 4 * big_corpus.labels.nbytes
+    else:
+        assert peak < 4 * (big_corpus.features.nbytes + big_corpus.labels.nbytes)
 
 
 def test_dataset_select_preserves_order():
@@ -707,23 +722,86 @@ def test_dataset_select_preserves_order():
     assert sub2.ids == (corpus.ids[3], corpus.ids[0])
 
 
-@pytest.mark.parametrize("step", [2, -2], ids=["ascending", "descending"])
-def test_select_gathers_only_the_selected_rows_from_the_stream(monkeypatch, big_corpus, step):
-    # half the rows of a synthetic corpus, in either order: its rows are read
-    # from the sample stream in ascending order a chunk at a time and written
-    # to their places, so no matrix of every row is built. Beyond one
-    # 1024-row piece of the stream, over the selected features and labels
-    # this measured 1.01x ascending and 1.09x descending, whose duplicate
-    # check sorts the row numbers (sorting the formatted ids measured 1.47x
-    # with 128-row pieces); gathering every row first measured 2.34x both ways
+def test_select_gathers_only_the_selected_rows_from_the_stream(monkeypatch, big_corpus):
+    # half the rows of a synthetic corpus, descending: its rows are read from
+    # the sample stream in ascending order a chunk at a time and written to
+    # their places, so no matrix of every row is built. Beyond one 1024-row
+    # piece of the stream, over the selected features and labels this
+    # measured 1.09x, whose duplicate check sorts the row numbers (sorting
+    # the formatted ids measured 1.47x with 128-row pieces); gathering every
+    # row first measured 2.34x. Ascending rows stay in the stream
+    # (test_select_of_ascending_rows_stays_in_the_stream)
     monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", 1024)
-    rows = np.arange(len(big_corpus))[::step]
+    rows = np.arange(len(big_corpus))[::-2]
     sub = big_corpus.select(rows)
+    assert isinstance(sub._source, np.ndarray)
     assert np.array_equal(sub.features, big_corpus.features[rows])
     assert list(sub.ids) == [big_corpus.ids[i] for i in rows]
     peak = peak_traced_bytes(big_corpus.select, rows)
     piece = 1024 * big_corpus.feature_dim * 8
     assert peak <= 1.15 * len(rows) * (big_corpus.feature_dim + big_corpus.n_dims) * 8 + piece
+
+
+def test_select_of_ascending_rows_stays_in_the_stream(big_corpus):
+    # strictly ascending rows of a synthetic corpus keep its SynthConfig and
+    # a RowIds of their row numbers: no feature is read, and the selection
+    # holds its labels, mask and row numbers alone (measured 0.62x of those).
+    # Repeated or descending rows, or any rows of a matrix, are gathered
+    # into a matrix as before
+    rows = np.arange(3, len(big_corpus), 2)
+    sub = big_corpus.select(rows)
+    assert sub._source is big_corpus._source and isinstance(sub.ids, RowIds)
+    assert np.array_equal(sub.features, big_corpus.features[rows])
+    assert sub.labels.tobytes() == big_corpus.labels[rows].tobytes()
+    assert np.array_equal(sub.corruption_mask, big_corpus.corruption_mask[rows])
+    assert peak_traced_bytes(big_corpus.select, rows) <= 1.05 * len(rows) * (2 * big_corpus.n_dims + 1) * 8
+    for picks in ([5, 2, 9], [2, 2, 9]):
+        if picks[0] == picks[1]:
+            with pytest.raises(DataError, match="duplicate sample id"):
+                big_corpus.select(picks)
+        else:
+            assert isinstance(big_corpus.select(picks)._source, np.ndarray)
+    matrix = matrix_copy(big_corpus)
+    assert isinstance(matrix.select(rows)._source, np.ndarray)
+    with pytest.raises(ValueError, match="ascending"):
+        big_corpus.select([-1, 4])
+    # a split of the corpus stays in the stream, and writes tables without features
+    for part in split(big_corpus, (0.6, 0.2, 0.2), seed=4):
+        assert part._source is big_corpus._source
+        assert all("features" not in json.loads(ln) for ln in dumps_dataset(part).splitlines()[1:])
+
+
+def test_a_user_data_table_keeps_its_feature_column_byte_for_byte(tmp_path):
+    # the one format of a feature matrix's table: header, then id, features,
+    # labels and mask per row, as json writes them with no spaces
+    ds = Dataset(["a", 'b"\u00e9'], np.array([[0.1, -0.0], [1e-300, 2.0]]), np.array([[3.5], [-1.0]]),
+                 ["y"], np.array([[True], [False]]), {"source": "user", "n": 2})
+    text = (
+        '{"type":"manifest","feature_dim":2,"dim_names":["y"],"meta":{"source":"user","n":2}}\n'
+        '{"type":"sample","id":"a","features":[0.1,-0.0],"labels":[3.5],"corrupted":[true]}\n'
+        '{"type":"sample","id":"b\\"\\u00e9","features":[1e-300,2.0],"labels":[-1.0],"corrupted":[false]}\n'
+    )
+    assert dumps_dataset(ds) == text
+    save_dataset(ds, tmp_path / "ds.jsonl")
+    assert (tmp_path / "ds.jsonl").read_text() == text
+    back = load_dataset(tmp_path / "ds.jsonl")
+    assert isinstance(back._source, np.ndarray) and back.ids == ("a", 'b"\u00e9')
+    assert back.features.tobytes() == ds.features.tobytes() and dumps_dataset(back) == text
+
+
+def test_a_stream_table_stores_the_digest_of_its_first_rows():
+    # the first min(N, CHUNK_ROWS) rows of the sample stream, hashed as _digest hashes an array
+    for n in (1, 63, 65, CHUNK_ROWS + 5):
+        cfg = SynthConfig(n, 3, 2, sample_seed=n)
+        first = np.random.default_rng(n).standard_normal((min(n, CHUNK_ROWS), 3))
+        assert stream_digest(cfg) == dimsift.data._digest(first)
+        head = json.loads(dumps_dataset(generate_synthetic(cfg)).splitlines()[0])
+        assert head["features"] == "sample_stream" and head["stream_digest"] == stream_digest(cfg)
+    # a synthetic dataset whose manifest does not describe its stream is not written
+    cfg = SynthConfig(10, 3, 2)
+    ds = synthetic_rows(cfg, np.arange(10), np.zeros((10, 2)), np.zeros((10, 2), bool), {})
+    with pytest.raises(ValueError, match="manifest"):
+        dumps_dataset(ds)
 
 
 @given(st.lists(st.sampled_from("abcdefgh"), max_size=12))

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import dimsift.data as data_mod
 import dimsift.influence as influence_mod
-from conftest import ODD_TEXT, peak_traced_bytes, random_head, random_sample
+from conftest import ODD_TEXT, matrix_copy, peak_traced_bytes, random_head, random_sample
 from dimsift import (
     DataError,
     Dataset,
@@ -626,7 +626,7 @@ def test_self_influence_builds_its_scores_in_place(big_corpus, hidden, scope, bo
     # building each operation's result in a new array 4.49x for both. The
     # rows are a feature matrix here, whose blocks are views; the block a
     # synthetic corpus's rows gather is test_a_scorer_holds_its_output_and_two_blocks's
-    corpus = big_corpus.select(np.arange(len(big_corpus)))
+    corpus = matrix_copy(big_corpus)
     head = random_head(np.random.default_rng(0), 5, 16, hidden_dim=hidden)
     peak = peak_traced_bytes(self_influence_explicit, head, corpus, InfluenceConfig(scope=scope))
     assert peak < bound * corpus.labels.nbytes

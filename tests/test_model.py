@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak_traced_bytes, random_head
+from conftest import matrix_copy, peak_traced_bytes, random_head
 from dimsift import (
     DataError,
     Dataset,
@@ -214,12 +214,16 @@ _CHUNK = 64
 
 
 def _stream_and_matrix(n_rows, n_samples, seed):
-    """n_rows seeded rows of a synthetic corpus, read from its sample stream and loaded as a matrix."""
+    """n_rows seeded rows of a synthetic corpus, read from its sample stream and loaded as a matrix.
+
+    The matrix comes from a table of user data, which keeps the features a
+    sample-stream table leaves out.
+    """
     cfg = SynthConfig(n_samples, 6, 3, label_noise_sd=0.1, teacher_seed=seed, sample_seed=seed + 1)
     labels, manifest = draw_synthetic(cfg)
     rows = np.sort(np.random.default_rng(seed).choice(n_samples, n_rows, replace=False))
     stream = synthetic_rows(cfg, rows, labels[rows], np.zeros((n_rows, 3), bool), manifest)
-    return stream, loads_dataset(dumps_dataset(stream))
+    return stream, loads_dataset(dumps_dataset(matrix_copy(stream)))
 
 
 def _same_systems(got, want):

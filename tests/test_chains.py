@@ -1,16 +1,20 @@
 """Staged commands rebuild a run's files byte for byte.
 
 Each chain is a default-size `dimsift run`, then the staged commands that
-read or write its row tables, called in process through cli.main; every
-file they write must equal the run's (filecmp.cmp, shallow=False). The
-default config's seeds are teacher 0, sample 1, noise 2, correlated noise
-3 and split 4, which the staged flags below repeat.
+rebuild its files, called in process through cli.main; every file they
+write must equal the run's (filecmp.cmp, shallow=False). The default
+config's seeds are teacher 0, sample 1, noise 2, correlated noise 3 and
+split 4, which the staged flags below repeat. This module is the one home
+of the default-size chains: CI adds only the installed console script's
+smoke, the 20k/30k/50k chains and the BLAS thread-count diffs, which need
+their own process or size.
 """
 
 import contextlib
 import filecmp
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +28,13 @@ CORRUPT = ["--rate", "0.1", "--seed", "2", "--correlated-rate", "0.0025", "--cor
 RUNS = {
     "ddr": ["--refine", "ddr"],
     "ddp": ["--refine", "ddp"],
+    # no dimension selects a row, so prune.json has no thresholds
+    "ddp_rho0": ["--refine", "ddp", "--set", "refine.rho=0"],
+    "none": ["--refine", "none"],
     "loss_prune": ["--refine", "loss_prune"],
     "global_prune": ["--refine", "global_prune"],
+    # refine.rho is a run's one budget: the prune, overlap and masking all take it
+    "global_rho": ["--refine", "global_prune", "--set", "refine.rho=0.02"],
     "gd": ["--refine", "ddp", "--set", "train.hidden_dim=8",
            "--set", 'influence.scope="last_two_layers"'],
     "gd_ddr": ["--refine", "ddr", "--set", "train.hidden_dim=8"],
@@ -62,6 +71,9 @@ def run_dir(tmp_path_factory):
                          ["fit", "--data", "{r}/train.jsonl", "--weights", "{r}/weights.json",
                           "--out", "{s}/final_head.json"]],
                  ["probe_head.json", "final_head.json"], id="ddr-fit-and-fit-weights"),
+    pytest.param("ddr", [["reweight", "--scores", "{r}/scores.jsonl", "--out", "{s}/weights.json",
+                          "--csv", "{s}/weights.csv"]],
+                 ["weights.json", "weights.csv"], id="ddr-reweight"),
     pytest.param("gd", [["fit", "--data", "{r}/train.jsonl", "--hidden-dim", "8",
                          "--out", "{s}/probe_head.json"],
                         ["score", "--data", "{r}/train.jsonl", "--head", "{s}/probe_head.json",
@@ -76,9 +88,14 @@ def run_dir(tmp_path_factory):
                  ["final_head.json"], id="gd-ddr-fit-weights"),
     pytest.param("ddp", [["score", "--data", "{r}/train.jsonl", "--head", "{r}/probe_head.json",
                           "--out", "{s}/scores.jsonl"],
-                         ["prune", "--scores", "{s}/scores.jsonl", "--out", "{s}/prune.json"],
+                         ["prune", "--scores", "{s}/scores.jsonl", "--out", "{s}/prune.json",
+                          "--csv", "{s}/removed.csv"],
                          ["report", "--dir", "{s}"]],
-                 ["scores.jsonl", "prune.json", "overlap.csv"], id="ddp-score-prune-report"),
+                 ["scores.jsonl", "prune.json", "removed.csv", "overlap.csv"],
+                 id="ddp-score-prune-report"),
+    pytest.param("ddp_rho0", [["prune", "--scores", "{r}/scores.jsonl", "--rho", "0",
+                               "--out", "{s}/prune.json", "--csv", "{s}/removed.csv"]],
+                 ["prune.json", "removed.csv"], id="ddp-rho0-prune"),
     pytest.param("loss_prune", [["prune", "--method", "loss", "--data", "{r}/train.jsonl",
                                  "--head", "{r}/probe_head.json", "--out", "{s}/prune.json",
                                  "--csv", "{s}/removed.csv"]],
@@ -88,6 +105,11 @@ def run_dir(tmp_path_factory):
                                   ["prune", "--method", "global", "--global-scores", "{s}/g.json",
                                    "--out", "{s}/prune.json", "--csv", "{s}/removed.csv"]],
                  ["prune.json", "removed.csv"], id="global-score-prune"),
+    pytest.param("global_rho", [["score", "--method", "global", "--data", "{r}/train.jsonl",
+                                 "--head", "{r}/probe_head.json", "--out", "{s}/g.json"],
+                                ["prune", "--method", "global", "--global-scores", "{s}/g.json",
+                                 "--rho", "0.02", "--out", "{s}/prune.json", "--csv", "{s}/removed.csv"]],
+                 ["prune.json", "removed.csv"], id="global-rho-score-prune"),
 ])
 def test_staged_commands_on_a_runs_tables_give_its_files(run_dir, tmp_path, run, staged, same):
     r = run_dir(run)
@@ -121,3 +143,51 @@ def test_gen_corrupt_and_split_give_a_runs_row_tables(run_dir, tmp_path):
     for staged, ran in ((noisy, r / "corpus.jsonl"), (tmp_path / "n.train.jsonl", r / "train.jsonl"),
                         (tmp_path / "c.test.jsonl", r / "test_clean.jsonl"), (dims, v / "corpus.jsonl")):
         assert filecmp.cmp(staged, ran, shallow=False), staged.name
+
+
+@pytest.mark.parametrize("run", ["ddr", "gd", "global_rho"])
+def test_report_dir_rewrites_a_runs_report_txt(run_dir, run):
+    r = run_dir(run)
+    before = (r / "report.txt").read_bytes()
+    _main(["report", "--dir", r])
+    assert (r / "report.txt").read_bytes() == before
+
+
+def test_a_none_run_keeps_its_probe_as_final_head(run_dir):
+    r = run_dir("none")
+    assert filecmp.cmp(r / "final_head.json", r / "probe_head.json", shallow=False)
+
+
+def _not_strict(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_a_runs_json_is_strict(run_dir, run):
+    # RFC 8259 has no NaN or Infinity, which json.loads would otherwise accept
+    r = run_dir(run)
+    for path in sorted(r.glob("*.json")):
+        json.loads(path.read_text(), parse_constant=_not_strict)
+    for path in sorted(r.glob("*.jsonl")):
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=_not_strict)
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_a_runs_row_tables_hold_no_features(run_dir, run):
+    # each header marks the features as drawn from the sample stream and stores its digest
+    r = run_dir(run)
+    for name in ("corpus.jsonl", "train.jsonl", "test_clean.jsonl"):
+        head, *rows = map(json.loads, (r / name).read_text().splitlines())
+        assert head["features"] == "sample_stream" and len(head["stream_digest"]) == 16, name
+        assert rows and not any("features" in row for row in rows), name
+
+
+def test_ci_runs_no_default_size_chain_but_the_console_smoke():
+    # read as text: PyYAML is no test dependency. Any other default-size
+    # chain belongs in this module, not in CI.
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    runs = [line.strip() for line in workflow.read_text().splitlines()
+            if "dimsift run " in line and not line.lstrip().startswith("#")]
+    default_size = [line for line in runs if "synth.n_samples=" not in line]
+    assert default_size == ['- run: dimsift run --seed 0 --refine ddr --out "$RUNNER_TEMP/r"']

@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    NoiseSpec,
     RowIds,
     Sample,
     SynthConfig,
     generate_synthetic,
-    inject_dimension_noise,
     load_dataset,
     save_dataset,
     split,
@@ -56,6 +54,7 @@ from .model import (
     per_dim_loss,
     residuals,
 )
+from .noise import NoiseSpec, inject_dimension_noise
 from .pipeline import (
     ExperimentReport,
     PipelineArtifacts,

@@ -17,9 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import (
-    NoiseSpec,
     SynthConfig,
-    corrupted_copy,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -36,6 +34,7 @@ from .influence import (
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
 from .model import RegressionHead, Scope, TrainConfig, per_dim_loss
+from .noise import NoiseSpec, corrupted_copy
 from .pipeline import (
     REFINE_STRATEGIES,
     ExperimentReport,
@@ -446,10 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except DataError as e:

@@ -1,4 +1,4 @@
-"""Datasets for multi-dimension regression: synthetic corpora, label corruption, splits, JSONL I/O.
+"""Datasets for multi-dimension regression: synthetic corpora, splits, JSONL I/O.
 
 A dataset is an ordered collection of samples, each carrying a feature vector,
 one label per output dimension, and an optional per-dimension corruption mask.
@@ -205,14 +205,15 @@ class Dataset:
     features is the (N, d) matrix, or the SynthConfig of a synthetic corpus
     whose rows ids.rows names (a RowIds of ascending rows): such a dataset
     holds no features and reads them from the corpus's sample stream (see
-    feature_blocks).
+    feature_blocks). labels is the (N, K) matrix, or, for such a dataset,
+    the StreamLabels that read them from the same stream (see blocks).
     """
 
     def __init__(
         self,
         ids: Sequence[str],
         features: np.ndarray | SynthConfig,
-        labels: np.ndarray,
+        labels: np.ndarray | StreamLabels,
         dim_names: Sequence[str],
         corrupted: np.ndarray | None = None,
         manifest: dict | None = None,
@@ -228,24 +229,28 @@ class Dataset:
             self._source = _frozen(np.atleast_2d(features))
             n, d = self._source.shape
         self._feature_dim = d
-        self._labels = _frozen(np.atleast_2d(labels))
+        if isinstance(labels, StreamLabels):
+            if not isinstance(features, SynthConfig):
+                raise ValueError("labels read from the sample stream need its features")
+            self._labels = labels
+            shape = (n, features.n_dims)
+        else:
+            self._labels = _frozen(np.atleast_2d(labels))
+            shape = self._labels.shape
         self.dim_names = [str(d) for d in dim_names]
         self.manifest = dict(manifest or {})
         if len(self._ids) != n:
             raise DataError(f"{len(self._ids)} ids for {n} feature rows")
-        if self._labels.shape[0] != n:
-            raise DataError(f"{self._labels.shape[0]} label rows for {n} samples")
-        if self._labels.shape[1] != len(self.dim_names):
-            raise DataError(
-                f"label width {self._labels.shape[1]} does not match "
-                f"{len(self.dim_names)} dimension names"
-            )
+        if shape[0] != n:
+            raise DataError(f"{shape[0]} label rows for {n} samples")
+        if shape[1] != len(self.dim_names):
+            raise DataError(f"label width {shape[1]} does not match {len(self.dim_names)} dimension names")
         dup = first_duplicate(self.dim_names)
         if dup is not None:
             raise DataError(f"repeated dimension name {self.dim_names[dup]!r}")
         # no N-sized bool array: NaN propagates through min and max, and an
-        # infinity is one of them; the sample stream's features are finite
-        checked = [(self._labels, "label")]
+        # infinity is one of them; the sample stream's features and clean labels are finite
+        checked = [(labels.values if isinstance(labels, StreamLabels) else self._labels, "label")]
         if isinstance(self._source, np.ndarray):
             checked.append((self._source, "feature"))
         for values, what in checked:
@@ -258,8 +263,8 @@ class Dataset:
                 raise DataError(f"duplicate sample id {self._ids[dup]!r}")
         if corrupted is not None:
             corrupted = np.ascontiguousarray(corrupted, dtype=bool)
-            if corrupted.shape != self._labels.shape:
-                raise DataError(f"corruption mask shape {corrupted.shape} != labels {self._labels.shape}")
+            if corrupted.shape != shape:
+                raise DataError(f"corruption mask shape {corrupted.shape} != labels {shape}")
             corrupted.setflags(write=False)
         self._corrupted = corrupted
 
@@ -270,7 +275,7 @@ class Dataset:
 
     @property
     def n_dims(self) -> int:
-        return self._labels.shape[1]
+        return len(self.dim_names)
 
     @property
     def feature_dim(self) -> int:
@@ -339,6 +344,47 @@ class Dataset:
         for start, stop in _row_chunks(len(self) if rows is None else len(rows)):
             yield self._source[start:stop] if rows is None else self._source[rows[start:stop]]
 
+    def blocks(self, rows: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(features, labels) of the ascending row positions rows (every row if None), a chunk at a time.
+
+        The chunks are feature_blocks' chunks, and each one's labels are its
+        rows' of the label matrix, or, for StreamLabels, the clean labels
+        the sample stream gives those rows (sample_rows) with each corrupted
+        cell's value written over its own. This is the one reader of labels
+        with their features: the fits, the scorers, residuals and the
+        evaluation read their rows through it. The caller must not write
+        the features; dropping each pair before asking for the next keeps
+        one chunk alive.
+        """
+        if rows is not None:
+            rows = _checked_rows(rows, len(self))
+        labels = self._labels
+        if isinstance(labels, np.ndarray):
+            start = 0
+            for x in self.feature_blocks(rows):
+                stop = start + len(x)
+                yield x, labels[start:stop] if rows is None else labels[rows[start:stop]]
+                start = stop
+                del x  # released before the next chunk is read
+            return
+        mask, values = self._corrupted, labels.values
+        # mask rows [0, done) hold the values [0, used)
+        done = used = start = 0
+        for x, y in sample_rows(self._source, self._stream_rows(rows), labels.noise_state):
+            stop = start + len(x)
+            if mask is not None:
+                at = np.arange(start, stop) if rows is None else rows[start:stop]
+                span = mask[done : at[-1] + 1]
+                picked = np.zeros(len(span), dtype=bool)
+                picked[at - done] = True
+                # the values of span's cells, in row-major order, less those of rows not read
+                cells = values[used : used + np.count_nonzero(span)]
+                y[mask[at]] = cells[(span & picked[:, None])[span]]
+                done, used = at[-1] + 1, used + len(cells)
+            yield x, y
+            start = stop
+            del x, y  # released before the next chunk is read
+
     def _stream_rows(self, rows: np.ndarray | None) -> np.ndarray:
         """The sample-stream rows of a synthetic corpus's ascending row positions rows (every row if None)."""
         if rows is None:
@@ -347,8 +393,23 @@ class Dataset:
 
     @property
     def labels(self) -> np.ndarray:
-        """(N, K) read-only float64 matrix."""
-        return self._labels
+        """(N, K) read-only float64 matrix.
+
+        StreamLabels are gathered into a new matrix on every call; blocks
+        reads them a chunk at a time.
+        """
+        if isinstance(self._labels, np.ndarray):
+            return self._labels
+        out = np.empty((len(self), self.n_dims))
+        for (start, stop), (_, y) in zip(_row_chunks(len(self)), self.blocks()):
+            out[start:stop] = y
+        out.setflags(write=False)
+        return out
+
+    @property
+    def label_matrix(self) -> np.ndarray | None:
+        """The (N, K) label matrix the dataset holds, or None for StreamLabels."""
+        return self._labels if isinstance(self._labels, np.ndarray) else None
 
     @property
     def corruption_mask(self) -> np.ndarray | None:
@@ -356,18 +417,11 @@ class Dataset:
         return self._corrupted
 
     def sample(self, i: int) -> Sample:
-        """Row i; a synthetic corpus's row is gathered from its sample stream."""
-        src, mask = self._source, self._corrupted
-        if isinstance(src, np.ndarray):
-            features = src[i]
-        else:
-            [[features]] = sample_features(src, self._ids.rows[[i]])
-        return Sample(
-            id=self._ids[i],
-            features=features,
-            labels=self._labels[i],
-            corrupted=None if mask is None else mask[i],
-        )
+        """Row i, read as blocks reads it; a synthetic corpus's row comes from its sample stream."""
+        i = range(len(self))[i]
+        [([features], [labels])] = self.blocks(np.array([i]))
+        mask = self._corrupted
+        return Sample(self._ids[i], features, labels, None if mask is None else mask[i])
 
     def index_of(self, sample_id: str) -> int:
         try:
@@ -384,6 +438,7 @@ class Dataset:
         SynthConfig, and reads no feature. Otherwise it holds its rows'
         features as a matrix; a synthetic corpus's are gathered from its
         sample stream (gather_features), so no matrix of other rows is built.
+        The result holds its labels as a matrix (StreamLabels are gathered).
         """
         if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
             idx = indices
@@ -400,7 +455,7 @@ class Dataset:
         return Dataset(
             ids=take_ids(self._ids, idx),
             features=features,
-            labels=self._labels[idx],
+            labels=self.labels[idx],
             dim_names=self.dim_names,
             corrupted=None if self._corrupted is None else self._corrupted[idx],
             manifest=self.manifest,
@@ -504,67 +559,119 @@ def sample_features(
     buffer) and the chunk being gathered are held, if the caller drops each
     chunk before asking for the next.
     """
-    n, d = config.n_samples, config.feature_dim
+    for x, _ in sample_rows(config, rows, None, out):
+        yield x
+        del x  # released before the next chunk is gathered
+
+
+def sample_rows(
+    config: SynthConfig, rows: np.ndarray, noise_state: dict | None, out: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """(features, clean labels) of config's corpus at the ascending row indices rows, a row chunk at a time.
+
+    The chunks are sample_features' chunks, and the labels new arrays, or
+    None if noise_state is None. The labels are draw_synthetic's bit for
+    bit: the stream is read in the draw's own chunks (_row_chunks(N)), and
+    each chunk that holds a wanted row forms its labels as the draw did,
+    (h @ w*^T + b*) + noise * sd, from its features and its piece of the
+    label noise, which a second generator, restored to noise_state (see
+    noise_state), reads alongside. Every chunk's noise is drawn, wanted or
+    not, so a pass draws N x K noise values as well as N x d features.
+    """
+    n, d, k = config.n_samples, config.feature_dim, config.n_dims
     rows = _checked_rows(rows, n)
-    piece_rows = CHUNK_ROWS
     rng = np.random.default_rng(config.sample_seed)
-    buffer = np.empty((min(piece_rows, n), d))  # each piece of the stream is drawn into it
+    noise = piece_labels = noise_buffer = label_buffer = None
+    if noise_state is None:
+        pieces = ((lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS))
+        piece_rows = min(n, CHUNK_ROWS)
+    else:
+        # the draw's chunks, so each label is formed by the product draw_synthetic formed it by
+        pieces = _row_chunks(n)
+        piece_rows = min(n, CHUNK_ROWS + n % CHUNK_ROWS)  # the longest of them
+        noise_rng = np.random.default_rng(config.sample_seed)
+        noise_rng.bit_generator.state = noise_state
+        w_star, b_star = teacher_head(config)
+        sd = config.noise_vector()
+        noise_buffer, label_buffer = np.empty((piece_rows, k)), np.empty((piece_rows, k))
+    buffer = np.empty((piece_rows, d))  # each piece of the stream is drawn into it
     lo = hi = 0  # the piece holds stream rows [lo, hi)
     for start, stop in _row_chunks(len(rows)):
         block = np.empty((stop - start, d)) if out is None else out[start:stop]
+        labels = None if noise_state is None else np.empty((stop - start, k))
         i = start
         while i < stop:
             while rows[i] >= hi:
-                lo, hi = hi, min(hi + piece_rows, n)
+                lo, hi = next(pieces)
                 piece = rng.standard_normal(out=buffer[: hi - lo])
+                if noise_state is not None:
+                    noise = noise_rng.standard_normal(out=noise_buffer[: hi - lo])
+                    piece_labels = None  # formed once a row of the piece is wanted
             j = i + int(np.searchsorted(rows[i:stop], hi))
+            at = rows[i:j] - lo
             # the positions lie in the piece: "clip" lets take write out directly,
             # where "raise" would fill a temporary of the same size first
-            np.take(piece, rows[i:j] - lo, axis=0, out=block[i - start : j - start], mode="clip")
+            np.take(piece, at, axis=0, out=block[i - start : j - start], mode="clip")
+            if labels is not None:
+                if piece_labels is None:
+                    piece_labels = label_buffer[: hi - lo]
+                    _teacher_product(piece, w_star, piece_labels)
+                    piece_labels += b_star
+                    noise *= sd
+                    piece_labels += noise
+                np.take(piece_labels, at, axis=0, out=labels[i - start : j - start], mode="clip")
             i = j
         if stop == len(rows):
-            del piece, buffer  # the last chunk is read: released while the caller uses it
-        yield block
-        del block  # released before the next chunk is gathered
+            # the last chunk is read: released while the caller uses it
+            del piece, buffer, noise, piece_labels, noise_buffer, label_buffer
+        yield block, labels
+        del block, labels  # released before the next chunk is gathered
 
 
-def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
-    """Clean labels of every row of config's corpus, and its manifest.
+def _teacher_product(x: np.ndarray, w_star: np.ndarray, out: np.ndarray) -> None:
+    """x @ w*^T into out.
 
-    Features are i.i.d. standard normal. Labels are W* h + b* plus independent
-    gaussian noise per dimension, unclipped. The sample stream is read a row
-    chunk at a time (_row_chunks), each chunk drawn into one buffer, and no
-    feature is kept: sample_features reads the same features again. The
-    manifest records both seeds and content digests of the teacher
-    parameters so runs can be audited later.
+    einsum for one dimension, which uses no BLAS: numpy sends a one-column
+    product to gemv, whose OpenBLAS result depends on the thread count.
     """
-    sd = validate_synth(config)
+    if len(w_star) == 1:
+        np.einsum("ij,kj->ik", x, w_star, out=out)
+    else:
+        np.matmul(x, w_star.T, out=out)
+
+
+def noise_state(config: SynthConfig) -> dict:
+    """The sample seed's generator state after the last feature of config's corpus, where its label noise starts.
+
+    Found by drawing every feature, 256 rows at a time into one small buffer.
+    """
     n, d = config.n_samples, config.feature_dim
-    w_star, b_star = teacher_head(config)
-
     rng = np.random.default_rng(config.sample_seed)
-    labels = np.empty((n, config.n_dims))
-    rows = max((stop - start for start, stop in _row_chunks(n)), default=0)
-    buffer = np.empty((rows, d))  # each chunk of features is drawn into it
-    for start, stop in _row_chunks(n):
-        chunk = rng.standard_normal(out=buffer[: stop - start])
-        if config.n_dims == 1:
-            # einsum uses no BLAS, so these labels do not depend on the thread count
-            np.einsum("ij,kj->ik", chunk, w_star, out=labels[start:stop])
-        else:
-            np.matmul(chunk, w_star.T, out=labels[start:stop])
-    del buffer
-    # the noise draw follows every feature in the stream; each label is
-    # (h @ w*^T + b*) + noise * sd, summed in that order
-    buffer = np.empty((rows, config.n_dims))
-    for start, stop in _row_chunks(n):
-        noise = rng.standard_normal(out=buffer[: stop - start])
-        noise *= sd
-        part = labels[start:stop]
-        part += b_star
-        part += noise
+    buffer = np.empty((min(n, 256), d))
+    for lo in range(0, n, 256):
+        rng.standard_normal(out=buffer[: min(256, n - lo)])
+    return rng.bit_generator.state
 
-    manifest = {
+
+@dataclass(frozen=True, eq=False)
+class StreamLabels:
+    """The labels of a synthetic corpus's rows, read from its sample stream (see Dataset.blocks).
+
+    noise_state is noise_state(config) of the corpus, where its label noise
+    starts. values holds one float per corrupted cell of the rows, in the
+    row-major order of their corruption mask: each is written over the
+    clean label the stream gives that cell. Clean labels have none.
+    """
+
+    noise_state: dict
+    values: np.ndarray
+
+
+def synth_manifest(config: SynthConfig) -> dict:
+    """The manifest of config's corpus: its settings, and digests of the teacher parameters for audits."""
+    sd = validate_synth(config)
+    w_star, b_star = teacher_head(config)
+    return {
         "generator": "linear_teacher",
         "n_samples": config.n_samples,
         "feature_dim": config.feature_dim,
@@ -574,21 +681,54 @@ def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
         "sample_seed": config.sample_seed,
         "teacher_digest": {"weights": _digest(w_star), "biases": _digest(b_star)},
     }
+
+
+def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
+    """Clean labels of every row of config's corpus, and its manifest (synth_manifest).
+
+    Features are i.i.d. standard normal. Labels are W* h + b* plus independent
+    gaussian noise per dimension, unclipped; the noise draw follows every
+    feature in the sample stream. The stream is read a row chunk at a time
+    (_row_chunks), each chunk drawn into one buffer, and no feature is kept:
+    sample_features reads the same features again, and sample_rows the same
+    labels.
+    """
+    manifest = synth_manifest(config)
+    sd = config.noise_vector()
+    n, d = config.n_samples, config.feature_dim
+    w_star, b_star = teacher_head(config)
+
+    rng = np.random.default_rng(config.sample_seed)
+    labels = np.empty((n, config.n_dims))
+    rows = min(n, CHUNK_ROWS + n % CHUNK_ROWS)  # the longest chunk
+    buffer = np.empty((rows, d))  # each chunk of features is drawn into it
+    for start, stop in _row_chunks(n):
+        _teacher_product(rng.standard_normal(out=buffer[: stop - start]), w_star, labels[start:stop])
+    del buffer
+    # each label is (h @ w*^T + b*) + noise * sd, summed in that order
+    buffer = np.empty((rows, config.n_dims))
+    for start, stop in _row_chunks(n):
+        noise = rng.standard_normal(out=buffer[: stop - start])
+        noise *= sd
+        part = labels[start:stop]
+        part += b_star
+        part += noise
     return labels, manifest
 
 
 def synthetic_rows(
     config: SynthConfig,
     rows: np.ndarray,
-    labels: np.ndarray,
-    corrupted: np.ndarray,
+    labels: np.ndarray | StreamLabels,
+    corrupted: np.ndarray | None,
     manifest: dict,
 ) -> Dataset:
     """The given rows of config's corpus as a Dataset, with the corpus's ids and dimension names.
 
     The ids are a RowIds view of rows, an ascending row-index array, which
     is not copied (see _synthetic_ids). The features stay in the corpus's
-    sample stream, read a chunk at a time (see Dataset.feature_blocks).
+    sample stream, read a chunk at a time (see Dataset.feature_blocks), and
+    StreamLabels read the labels there too (see Dataset.blocks).
     """
     return Dataset(
         ids=_synthetic_ids(config, rows),
@@ -649,168 +789,6 @@ def teacher_head(config: SynthConfig):
     w_star = rng.standard_normal((config.n_dims, config.feature_dim))
     b_star = rng.standard_normal(config.n_dims)
     return w_star, b_star
-
-
-def checked_dims(dims: Iterable[int], n_dims: int) -> list[int]:
-    """dims as a sorted list of distinct indices; a ValueError naming dims unless they lie in [0, n_dims)."""
-    dim_list = sorted(set(int(k) for k in dims))
-    if not dim_list:
-        raise ValueError("dims: must be a non-empty set of dimension indices")
-    if dim_list[0] < 0 or dim_list[-1] >= n_dims:
-        raise ValueError(f"dims: out of range for {n_dims} dimensions: {dim_list}")
-    return dim_list
-
-
-def corrupt_dimensions(
-    labels: np.ndarray, mask: np.ndarray, rate: float, dims: Iterable[int], rng_seed: int
-) -> dict:
-    """Corrupt labels in place as inject_dimension_noise describes, mark mask, return the record.
-
-    The record is the manifest entry of this injection.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    n, n_dims = labels.shape
-    dim_list = checked_dims(dims, n_dims)
-
-    m = ceil_count(rate, n)
-    if m > 0:
-        for k in dim_list:
-            rng = np.random.default_rng([rng_seed, k])
-            idx = rng.choice(n, size=m, replace=False)
-            col = labels[:, k]
-            # read before this column is touched, and no other dimension
-            # writes it, so this is the pre-injection range
-            lo = float(col.min())
-            hi = float(col.max())
-            col[idx] = rng.uniform(lo, hi, size=m)
-            mask[idx, k] = True
-    return {"kind": "per_dimension", "rate": rate, "dims": dim_list, "seed": int(rng_seed)}
-
-
-def corrupt_correlated(labels: np.ndarray, mask: np.ndarray, rate: float, rng_seed: int) -> dict:
-    """Corrupt a common subset of rows in every dimension at once, in place; mark mask.
-
-    Models globally broken records (wrong scale, sentinel values): each of
-    ceil(rate * N) seeded rows gets labels pushed outside the observed range in
-    all dimensions, with one shared severity u ~ U(0.5, 1) and one shared
-    sign per row. The replacement for dimension k is hi_k + u * (hi_k - lo_k)
-    on the positive side, lo_k - u * (hi_k - lo_k) on the negative.
-    Complements corrupt_dimensions, whose corruptions are independent per
-    dimension. Returns the manifest entry of this injection.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    lo_sev, hi_sev = 0.5, 1.0
-
-    m = ceil_count(rate, len(labels))
-    if m > 0:
-        rng = np.random.default_rng(rng_seed)
-        idx = rng.choice(len(labels), size=m, replace=False)
-        u = rng.uniform(lo_sev, hi_sev, size=m)[:, None]
-        sign = rng.integers(0, 2, size=m) * 2 - 1
-        lo = labels.min(axis=0)
-        hi = labels.max(axis=0)
-        width = hi - lo
-        labels[idx] = np.where(sign[:, None] > 0, hi + u * width, lo - u * width)
-        mask[idx] = True
-    return {
-        "kind": "correlated",
-        "rate": rate,
-        "seed": int(rng_seed),
-        "severity": [lo_sev, hi_sev],
-    }
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Label corruption: the noise section of a pipeline config and of `corrupt`.
-
-    rate / dims / seed drive the per-dimension independent corruption;
-    correlated_rate additionally corrupts a common seeded subset in every
-    dimension with out-of-range labels (see corrupt_correlated). On a Dataset,
-    corrupted_copy(ds, spec.apply) applies it to copies of the labels and mask.
-    """
-
-    rate: float = 0.0
-    dims: Optional[tuple[int, ...]] = None
-    seed: int = 0
-    correlated_rate: float = 0.0
-    correlated_seed: int = 0
-
-    def __post_init__(self):
-        for key in ("rate", "correlated_rate"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ValueError(f"{key}: must be in [0, 1], got {getattr(self, key)}")
-
-    def check(self, n_dims: int) -> None:
-        """The ValueError apply would raise on labels of n_dims dimensions, if any, without them."""
-        if self.rate > 0.0 and self.dims is not None:
-            checked_dims(self.dims, n_dims)
-
-    def apply(self, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
-        """Corrupt labels and mask in place, per dimension then correlated; return the records."""
-        records = []
-        if self.rate > 0.0:
-            dims = range(labels.shape[1]) if self.dims is None else self.dims
-            records.append(corrupt_dimensions(labels, mask, self.rate, dims, self.seed))
-        if self.correlated_rate > 0.0:
-            rate, seed = self.correlated_rate, self.correlated_seed
-            records.append(corrupt_correlated(labels, mask, rate, seed))
-        return records
-
-
-def with_injections(manifest: dict, records: list[dict]) -> dict:
-    """manifest with records appended to its noise_injections list; unchanged if there are none."""
-    if not records:
-        return manifest
-    out = dict(manifest)
-    out["noise_injections"] = list(out.get("noise_injections", [])) + records
-    return out
-
-
-def corrupted_copy(ds: Dataset, corrupt) -> Dataset:
-    """ds with corrupt(labels, mask) applied to copies of its labels and mask.
-
-    corrupt returns the manifest records of its injections; with none, the
-    result is ds itself.
-    """
-    labels = ds.labels.copy()
-    mask = (
-        np.zeros(labels.shape, dtype=bool)
-        if ds.corruption_mask is None
-        else ds.corruption_mask.copy()
-    )
-    records = corrupt(labels, mask)
-    if not records:
-        return ds
-    return Dataset(
-        ids=ds.ids,
-        features=ds._source,
-        labels=labels,
-        dim_names=ds.dim_names,
-        corrupted=mask,
-        manifest=with_injections(ds.manifest, records),
-    )
-
-
-def inject_dimension_noise(
-    ds: Dataset, rate: float, dims: Iterable[int], rng_seed: int
-) -> Dataset:
-    """Corrupt a fraction of labels independently in each selected dimension.
-
-    For each dimension k in dims, ceil(rate * N) samples are chosen without
-    replacement and their k-th label is replaced by a uniform draw over the
-    empirical [min, max] of that dimension's input labels. Selections and
-    replacement draws use a child stream seeded by (rng_seed, k), so different
-    dimensions are corrupted independently and a single multi-dimension call
-    equals a sequence of one-dimension calls with the same seed. Other label
-    columns are bit-identical to the input. Returns a new dataset with the
-    corruption mask extended.
-    """
-    return corrupted_copy(
-        ds, lambda labels, mask: [corrupt_dimensions(labels, mask, rate, dims, rng_seed)]
-    )
 
 
 def checked_fractions(fractions: Sequence[float]) -> tuple[float, float, float]:
@@ -923,7 +901,11 @@ def long_csv_lines(
 
 
 def read_file(path: str | Path, what: str, read):
-    """read(fh) of the text file at path, open as fh; a DataError naming it if missing or unreadable."""
+    """read(fh) of the text file at path, open as fh: the one place a file's DataError names the file.
+
+    A missing or unreadable file is a DataError naming it, and a DataError
+    read raises becomes "invalid {what} file {path}: {reason}".
+    """
     p = Path(path)
     # a directory is no file either: opening one would raise IsADirectoryError
     if not p.is_file():
@@ -933,7 +915,10 @@ def read_file(path: str | Path, what: str, read):
     except OSError as e:
         raise DataError(f"cannot read {what} file {p}: {e}") from None
     with fh:
-        return read(fh)
+        try:
+            return read(fh)
+        except DataError as e:
+            raise DataError(f"invalid {what} file {p}: {e}") from None
 
 
 def read_json(path: str | Path, what: str, read):
@@ -941,9 +926,8 @@ def read_json(path: str | Path, what: str, read):
 
     A missing or unreadable file, malformed JSON, a document that is not an
     object, and a KeyError, TypeError, ValueError or DataError raised by read
-    are one DataError naming the file.
+    are one DataError naming the file (read_file).
     """
-    p = Path(path)
 
     def parse(fh):
         try:
@@ -951,11 +935,10 @@ def read_json(path: str | Path, what: str, read):
             if not isinstance(doc, dict):
                 raise TypeError(f"the document must be a JSON object, got {type(doc).__name__}")
             return read(doc)
-        except (OSError, KeyError, TypeError, ValueError, DataError) as e:
-            detail = f"missing key {e}" if isinstance(e, KeyError) else e
-            raise DataError(f"invalid {what} file {p}: {detail}") from None
+        except (OSError, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"missing key {e}" if isinstance(e, KeyError) else str(e)) from None
 
-    return read_file(p, what, parse)
+    return read_file(path, what, parse)
 
 
 def extend_numbers(
@@ -1087,7 +1070,9 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
         head.update(features=FEATURE_STREAM, stream_digest=stream_digest(src))
         columns = {}
     head["meta"] = ds.manifest
-    columns["labels"] = ds.labels
+    # StreamLabels are written a row chunk at a time as Dataset.blocks reads them
+    held = ds.label_matrix
+    columns["labels"] = (row for _, y in ds.blocks() for row in y) if held is None else held
     if ds.corruption_mask is not None:
         columns["corrupted"] = ds.corruption_mask
     return table_lines(head, "sample", ds.ids, columns)
@@ -1227,11 +1212,4 @@ def loads_dataset(text: str) -> Dataset:
 
 def load_dataset(path: str | Path) -> Dataset:
     """The dataset of the row table at path; a DataError names the file and, for a bad line, the line."""
-
-    def read(fh):
-        try:
-            return _read_dataset(fh)
-        except DataError as e:
-            raise DataError(f"invalid dataset file {path}: {e}") from None
-
-    return read_file(path, "dataset", read)
+    return read_file(path, "dataset", _read_dataset)

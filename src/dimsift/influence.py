@@ -186,7 +186,7 @@ class SelfInfluenceTable:
                 lambdas=np.frombuffer(lam),
             )
         except ValueError as e:
-            raise DataError(f"invalid score file: {e}") from None
+            raise DataError(str(e)) from None
 
     @classmethod
     def loads(cls, text: str) -> "SelfInfluenceTable":
@@ -281,7 +281,7 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
     blocks, which is 0 for head-only scopes. This is the per-example
     gradient-norm identity for linear layers (Goodfellow 2015), so no
     gradient is assembled. Yields (start, stop, r, a, b) per chunk of
-    ds.feature_blocks() (a is one zero in head-only scopes), so the
+    ds.blocks() (a is one zero in head-only scopes), so the labels,
     features, activations u and the callers' temporaries are one chunk's.
     The callers overwrite r, written into out[start:stop] if an (N, K) out
     is given.
@@ -289,12 +289,13 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
     check_pair(head, ds)
     _check_scope(head, cfg.scope)
     start = 0
-    for x in ds.feature_blocks():
+    for x, y in ds.blocks():
         stop = start + len(x)
         u = head.head_inputs(x)
         r = np.matmul(u, head.weights.T, out=None if out is None else out[start:stop])
         r += head.biases
-        r -= ds.labels[start:stop]
+        r -= y
+        del y
         b = np.einsum("ij,ij->i", u, u)
         b += 1.0
         del u  # released before the caller's temporaries

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -136,52 +136,49 @@ class MetricReport:
         write_json(path, self.to_dict())
 
 
-def evaluate_heads(
-    heads: Sequence[RegressionHead],
-    blocks: Iterable[np.ndarray],
-    labels: np.ndarray,
-    dim_names: Sequence[str],
-) -> list[MetricReport]:
-    """Per-dimension Spearman of each head's predictions against the (N, K) labels.
+def evaluate_heads(heads: Sequence[RegressionHead], ds: Dataset) -> list[MetricReport]:
+    """Per-dimension Spearman of each head's predictions against ds's labels.
 
-    blocks yields the features of the labels' rows, in order, a block of
-    rows at a time, and is read once for all the heads. Each head predicts
-    into one dimension-major (K, N) buffer, so every dimension's predictions
-    are ranked as a contiguous row of it; each label column is ranked once
-    for all the heads. Each report's metadata holds n_samples and dim_names.
+    ds is read once for all the heads, a chunk of features and labels at a
+    time (Dataset.blocks), so StreamLabels are drawn here, into one
+    dimension-major (K, N) buffer; a held label matrix is ranked in place.
+    Each head predicts into a buffer like it, so every dimension's
+    predictions are ranked as a contiguous row; each label column is ranked
+    once for all the heads. Each report's metadata holds n_samples and
+    dim_names.
     """
-    n, k = labels.shape
+    n, k = len(ds), ds.n_dims
     for head in heads:
-        if head.n_dims != k:
-            raise DataError(f"head has {head.n_dims} dimensions, labels have {k}")
-    preds = [np.empty((k, n)) for _ in heads]
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
-        for head, pred in zip(heads, preds):
-            pred[:, start:stop] = head.predict_batch(block).T
-        start = stop
-        del block  # released before the next block is read
-    if start != n:
-        raise ValueError(f"feature blocks hold {start} rows for {n} labels")
+        check_pair(head, ds)
     if n < 2:
         raise DataError("need at least two points for a rank correlation")
+    preds = [np.empty((k, n)) for _ in heads]
+    held = ds.label_matrix
+    labels = np.empty((k, n)) if held is None else held.T
+    start = 0
+    for x, y in ds.blocks():
+        stop = start + len(x)
+        if held is None:
+            labels[:, start:stop] = y.T
+        for head, pred in zip(heads, preds):
+            pred[:, start:stop] = head.predict_batch(x).T
+        start = stop
+        del x, y  # released before the next chunk is read
     # each label column is ranked once for every head, which gives spearman(pred, label) bit for bit
     per_dim = [[] for _ in heads]
     for j in range(k):
-        ry = _centered_ranks(labels[:, j])
+        ry = _centered_ranks(labels[j])
         for pred, out in zip(preds, per_dim):
             out.append(_correlation(_centered_ranks(pred[j]), ry))
     return [
-        MetricReport(p, float(np.mean(p)), {"n_samples": n, "dim_names": list(dim_names)})
+        MetricReport(p, float(np.mean(p)), {"n_samples": n, "dim_names": list(ds.dim_names)})
         for p in per_dim
     ]
 
 
 def evaluate_head(head: RegressionHead, ds: Dataset) -> MetricReport:
-    """Per-dimension Spearman of head predictions against ds's labels, read by ds.feature_blocks()."""
-    check_pair(head, ds)
-    [report] = evaluate_heads([head], ds.feature_blocks(), ds.labels, ds.dim_names)
+    """Per-dimension Spearman of head predictions against ds's labels (evaluate_heads)."""
+    [report] = evaluate_heads([head], ds)
     return report
 
 

@@ -204,9 +204,10 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
     """Normal equations of [x 1] against the labels y of ds, summed over its feature chunks.
 
     rows, ascending positions, restricts them to those rows (every row if
-    None; not combined with weights), and each chunk's labels are gathered
-    with its features. Unit weights (w None) give the one system every
-    dimension shares: [(A, B, yy)] with A = [x 1]'[x 1], B = [x 1]'y and yy
+    None; not combined with weights), and each chunk's labels are read
+    with its features (Dataset.blocks). Unit weights (w None) give the one
+    system every dimension shares: [(A, B, yy)] with A = [x 1]'[x 1],
+    B = [x 1]'y and yy
     the (K,) column sums of y * y. Weights w (N, K) give dimension k its own
     system, A_k = [x 1]' diag(w_k) [x 1], B_k = [x 1]' diag(w_k) y_k and
     yy_k = y_k' diag(w_k) y_k, all K formed in the same pass over the
@@ -236,15 +237,14 @@ def _normal_equations(ds: Dataset, w: Optional[np.ndarray], rows=None) -> list:
         return out
 
     sums, start = None, 0
-    for x in ds.feature_blocks(rows):
+    for x, y in ds.blocks(rows):
         stop = start + len(x)
-        y = ds.labels[start:stop] if rows is None else ds.labels[rows[start:stop]]
         part = terms(x, y, None if w is None else w[start:stop])
         sums = part if sums is None else [[s + p for s, p in zip(ts, tp)] for ts, tp in zip(sums, part)]
         start = stop
         del x, y  # released before the next chunk is read
     if sums is None:
-        sums = terms(np.empty((0, ds.feature_dim)), ds.labels[:0], None if w is None else w[:0])
+        sums = terms(np.empty((0, ds.feature_dim)), np.empty((0, ds.n_dims)), None if w is None else w[:0])
     systems = []
     for a, b, col, total, ysum, yy in sums:
         a = np.block([[a, col[:, None]], [col[None, :], np.array([[total]])]])
@@ -300,9 +300,9 @@ def fit_closed_form(
 ) -> RegressionHead:
     """Weighted ridge solution of the features of ds against its labels.
 
-    The features are read a row chunk at a time (Dataset.feature_blocks), so
-    a synthetic corpus's rows come from its sample stream and no feature
-    matrix is built.
+    The features and labels are read a row chunk at a time
+    (Dataset.blocks), so a synthetic corpus's rows come from its sample
+    stream and no feature or label matrix is built.
 
     rows, ascending positions and no sample weights, fits only those rows:
     their features and labels are gathered a chunk at a time, and the fit is
@@ -445,11 +445,11 @@ def residuals(head: RegressionHead, ds: Dataset) -> np.ndarray:
     check_pair(head, ds)
     out = np.empty((len(ds), ds.n_dims))
     start = 0
-    for x in ds.feature_blocks():
+    for x, y in ds.blocks():
         stop = start + len(x)
-        np.subtract(head.predict_batch(x), ds.labels[start:stop], out=out[start:stop])
+        np.subtract(head.predict_batch(x), y, out=out[start:stop])
         start = stop
-        del x  # released before the next chunk is read
+        del x, y  # released before the next chunk is read
     return out
 
 

@@ -4,7 +4,8 @@ One seeded config fully determines every artifact byte (no timestamps are
 written), so identical configs give identical runs. A run is a shared
 prefix, then one per-strategy suffix:
 
-    prefix  _draw: split -> draw the labels -> inject noise
+    prefix  _draw: split -> find the label noise in the sample stream
+                   -> read the clean label ranges -> draw the noise
                    -> (with an output directory) write config.json and corpus.jsonl
             -> fit probe -> score (self and global, one pass)
     suffix  _refine: select or weight -> refit
@@ -29,18 +30,16 @@ import numpy as np
 from . import __version__
 from .data import (
     Dataset,
-    NoiseSpec,
+    StreamLabels,
     SynthConfig,
-    _row_chunks,
     checked_fractions,
-    draw_synthetic,
+    noise_state,
     read_json,
-    sample_features,
     save_dataset,
     split_indices,
+    synth_manifest,
     synthetic_rows,
     validate_synth,
-    with_injections,
 )
 from .errors import DataError, UsageError
 from .influence import InfluenceConfig, SelfInfluenceTable, self_and_global_scores
@@ -59,6 +58,7 @@ from .model import (
     fit_gd,
     per_dim_loss,
 )
+from .noise import NoiseSpec, corrupted_cells, label_extrema, with_injections
 from .refine import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
@@ -409,18 +409,18 @@ class PipelineArtifacts:
 
     train, probe, scores and global_scores come from the run's shared
     prefix; final, prune and weight_matrix from its suffix, _refine. A run
-    keeps no feature. train holds the training rows' indices (its ids, a
-    data.RowIds), the run's one label matrix, corrupted in place and then
-    compacted in place to the training rows, and those rows of the
-    corruption mask. It reads their features from the corpus's sample
-    stream a row chunk at a time (Dataset.feature_blocks); train.features
-    gathers a new matrix on each call. The test split is not kept: the
-    report holds its evaluation, and test_clean.jsonl its rows. A pruned
-    run's refined rows are not kept either: prune.kept_ids names them. Every
-    fit, closed form or gradient descent, read its (kept) rows once, a
-    chunk at a time, into the moments of the normal equations. The scores
-    and weights share train's ids, and the prune result holds views of
-    them, so no id string is kept.
+    keeps no feature and no label. train holds the training rows' indices
+    (its ids, a data.RowIds), those rows of the corruption mask and one
+    float per corrupted cell (data.StreamLabels). It reads their features
+    and labels from the corpus's sample stream a row chunk at a time
+    (Dataset.blocks); train.features and train.labels gather a new matrix
+    on each call. The test split is not kept: the report holds its
+    evaluation, which drew its clean labels, and test_clean.jsonl its rows.
+    A pruned run's refined rows are not kept either: prune.kept_ids names
+    them. Every fit, closed form or gradient descent, read its (kept) rows
+    once, a chunk at a time, into the moments of the normal equations. The
+    scores and weights share train's ids, and the prune result holds views
+    of them, so no id string is kept.
     """
 
     report: ExperimentReport
@@ -478,14 +478,17 @@ def _fit(ds: Dataset, weights, cfg: TrainConfig, rows=None) -> RegressionHead:
 
 
 def _draw(config: PipelineConfig, out: Path | None):
-    """A run's split, labels and noise: (train, test_idx, clean test labels, clean manifest).
+    """A run's split and noise: (train, test_idx, the clean labels, the clean manifest).
 
-    The split indices come first, then the labels of every row; the test
-    rows' clean labels are taken before the noise corrupts the one label
-    matrix and mask in place. With out, config.json and corpus.jsonl are
-    written next, from the full matrix, so a run that fails later still
-    leaves both. Only then is the matrix compacted in place to the
-    training rows, which train holds with a copy of those rows of the mask.
+    The split indices come first, then two passes over the sample stream:
+    one finds where its label noise starts (data.noise_state), the other
+    reads every row's clean labels a chunk at a time for the column ranges
+    the noise needs (NoiseSpec.corruption). No label is kept: train holds
+    the training rows' indices (its ids), their corruption mask and the
+    values of their corrupted cells, and reads their features and labels
+    from the stream (data.StreamLabels). The clean labels read the test
+    rows' the same way. With out, config.json and corpus.jsonl are written
+    before train is built, so a run that fails later still leaves both.
     """
     # the validation rows are never drawn, so their indices are not kept
     train_idx, test_idx = split_indices(
@@ -496,32 +499,27 @@ def _draw(config: PipelineConfig, out: Path | None):
     if len(test_idx) < 2:  # a rank correlation needs two points
         raise DataError("test split has fewer than 2 rows; increase the test fraction")
 
-    labels, clean_manifest = draw_synthetic(config.synth)
-    test_labels = labels[test_idx]
-    mask = np.zeros(labels.shape, dtype=bool)
-    manifest = with_injections(clean_manifest, config.noise.apply(labels, mask))
+    synth, k = config.synth, config.synth.n_dims
+    clean_manifest = synth_manifest(synth)
+    clean = StreamLabels(noise_state(synth), np.empty(0))
+    every_row = np.arange(synth.n_samples)
+    corpus = synthetic_rows(synth, every_row, clean, None, clean_manifest)
+    writes, records = config.noise.corruption(
+        synth.n_samples, k, lambda picks: label_extrema((y for _, y in corpus.blocks()), picks, k)
+    )
+    manifest = with_injections(clean_manifest, records)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
         (out / "config.json").write_text(config_doc + "\n")
-        every_row = np.arange(config.synth.n_samples)
-        # a view: the Dataset freezes the array it is given, and labels is compacted below
-        corpus = synthetic_rows(config.synth, every_row, labels.view(), mask, manifest)
-        save_dataset(corpus, out / "corpus.jsonl")
-        del every_row, corpus
-    # each chunk of training rows is gathered, then written to the front;
-    # train_idx ascends, so train_idx[i] >= i and no later chunk reads a row
-    # it overwrites. resize then reallocates the matrix to those rows (its
-    # reference check needs the corpus's view gone): no copy of them is made
-    # and no N x K float array is freed. The mask, a byte a cell, is copied:
-    # shrunk in place as well, it raised the peak RSS of 20k-sample runs by
-    # 0.13-0.16 MiB (glibc malloc, which carves a mask that small from its heap)
-    for start, stop in _row_chunks(len(train_idx)):
-        labels[start:stop] = labels[train_idx[start:stop]]
-    labels.resize((len(train_idx), labels.shape[1]))
-    mask = mask[train_idx]
-    train = synthetic_rows(config.synth, train_idx, labels, mask, manifest)
-    return train, test_idx, test_labels, clean_manifest
+        mask, values = corrupted_cells(writes, every_row, k)
+        noisy = StreamLabels(clean.noise_state, values)
+        save_dataset(synthetic_rows(synth, every_row, noisy, mask, manifest), out / "corpus.jsonl")
+        del mask, values, noisy
+    del corpus, every_row
+    mask, values = corrupted_cells(writes, train_idx, k)
+    train = synthetic_rows(synth, train_idx, StreamLabels(clean.noise_state, values), mask, manifest)
+    return train, test_idx, clean, clean_manifest
 
 
 def _refine(spec: RefineSpec, train_cfg: TrainConfig, train, probe, scores, global_scores):
@@ -573,11 +571,11 @@ def run_pipeline(
     the probe fit and one pass of the scores with the global scores; the
     suffix is _refine. The training rows carry the labels of
     generate_synthetic(config.synth) after config.noise corrupts the whole
-    corpus. No feature matrix of any split is held: the probe fit, the
-    scores and the refit (of the kept rows only, when pruned) each read
-    the training features from the sample stream a row chunk at a time,
-    and every head is evaluated against the clean test labels in one pass
-    over the test features, read the same way. The row tables carry no
+    corpus. No feature or label matrix of any split is held: the probe fit,
+    the scores and the refit (of the kept rows only, when pruned) each read
+    the training features and labels from the sample stream a row chunk at
+    a time, and every head is evaluated against the clean test labels in
+    one pass over the test rows, read the same way. The row tables carry no
     features (see data.save_dataset). The other files are written at the
     end. Settings a stage refuses raise that stage's own error here;
     check_config reports them as config faults before a run starts.
@@ -594,7 +592,7 @@ def run_pipeline(
         except ValueError as e:
             raise UsageError(f"config {key}: {e}") from None
     out = None if output_dir is None else Path(output_dir)
-    train, test_idx, test_labels, clean_manifest = _draw(config, out)
+    train, test_idx, clean, clean_manifest = _draw(config, out)
     probe = _fit(train, None, config.train)
     scores, global_scores = self_and_global_scores(probe, train, config.influence)
     r = config.refine
@@ -603,9 +601,9 @@ def run_pipeline(
     )
 
     heads = {"baseline": probe} if final is probe else {"baseline": probe, r.strategy: final}
-    # the test features are read once more from the sample stream, for every head at once
-    blocks = sample_features(config.synth, test_idx)
-    metrics = evaluate_heads(list(heads.values()), blocks, test_labels, train.dim_names)
+    # the test rows' features and clean labels are read once from the sample stream, for every head at once
+    test = synthetic_rows(config.synth, test_idx, clean, None, clean_manifest)
+    metrics = evaluate_heads(list(heads.values()), test)
     strategies = {}
     for name, metric in zip(heads, metrics):
         metric.metadata["strategy"] = name
@@ -651,8 +649,8 @@ def run_pipeline(
         weight_matrix=weight_matrix,
     )
     if out is not None:
-        clean_mask = np.zeros(test_labels.shape, dtype=bool)
-        test = synthetic_rows(config.synth, test_idx, test_labels, clean_mask, clean_manifest)
+        clean_mask = np.zeros((len(test_idx), train.n_dims), dtype=bool)
+        test = synthetic_rows(config.synth, test_idx, clean, clean_mask, clean_manifest)
         save_dataset(test, out / "test_clean.jsonl")
         _write_artifacts(artifacts, out)
     return artifacts

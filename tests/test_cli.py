@@ -5,6 +5,7 @@ documented exit codes (1 usage, 2 data, 3 numerics)."""
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,8 @@ import dimsift
 import dimsift.data
 from conftest import matrix_copy, peak_traced_bytes
 from dimsift.cli import _build_parser, main
-from dimsift.data import corrupted_copy, dumps_dataset
+from dimsift.data import dumps_dataset
+from dimsift.noise import corrupted_copy
 from dimsift.influence import SelfInfluenceTable
 from dimsift.pipeline import REFINE_STRATEGIES
 from dimsift.refine import DEFAULT_RHO
@@ -564,6 +566,8 @@ def test_wrong_shape_json_is_a_data_error(stage_dir, kind, line_no, value):
     out = _cli_subprocess(argv)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("data error:") and f"line {line_no}" in out.stderr
+    # the bad file is named, once
+    assert str(bad) in out.stderr and len(re.findall(r"invalid [a-z ]+ file ", out.stderr)) == 1
     assert "Traceback" not in out.stderr
 
 
@@ -631,9 +635,12 @@ def test_repeated_dimension_names_exit_two_naming_the_name(stage_dir, edited, ar
     written = sorted(stage_dir.iterdir())
     out = _cli_subprocess([a.format(d=stage_dir) for a in argv])
     assert out.returncode == 2, out.stderr
-    # the header is read by data.table_rows, which names its line
-    assert out.stderr.startswith("data error:")
-    assert "line 1: repeated dimension name 'dim0'" in out.stderr
+    # the header is read by data.table_rows, which names its line, and
+    # data.read_file names the file
+    what = {"noisy.jsonl": "dataset", "scores.jsonl": "score"}[edited]
+    assert out.stderr.startswith(
+        f"data error: invalid {what} file {stage_dir / edited}: line 1: repeated dimension name 'dim0'"
+    )
     assert "Traceback" not in out.stderr
     assert sorted(stage_dir.iterdir()) == written
 

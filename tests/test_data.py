@@ -46,7 +46,6 @@ from dimsift.data import (
     _row_chunks,
     JSON_PIECE_ITEMS,
     ceil_count,
-    corrupted_copy,
     draw_synthetic,
     dumps_dataset,
     first_duplicate,
@@ -61,6 +60,7 @@ from dimsift.data import (
     teacher_head,
     write_json,
 )
+from dimsift.noise import corrupted_copy
 from dimsift.refine import load_scalar_scores
 
 

@@ -18,6 +18,7 @@ import dimsift.metrics
 
 from dimsift import (
     DataError,
+    Dataset,
     Scope,
     SynthConfig,
     TrainConfig,
@@ -226,11 +227,11 @@ def test_a_streamed_evaluation_equals_evaluate_head_at_every_block_boundary(monk
     heads = [random_head(rng, 3, 6), random_head(rng, 3, 6, hidden_dim=4)]
     if m == 1:
         with pytest.raises(DataError, match="two points"):
-            evaluate_heads(heads, iter(blocks), test.labels, test.dim_names)
+            evaluate_heads(heads, test)
         with pytest.raises(DataError, match="two points"):
             evaluate_head(heads[0], test)
         return
-    reports = evaluate_heads(heads, iter(blocks), test.labels, test.dim_names)
+    reports = evaluate_heads(heads, test)
     for head, got in zip(heads, reports):
         # bit for bit: evaluate_head on the test Dataset, and the ranks of
         # the one-shot predictions
@@ -251,11 +252,12 @@ def test_evaluate_heads_ranks_each_label_column_once(seed, n, n_heads, ties):
     if ties:
         x, y = np.round(x), np.round(y)
     heads = [random_head(rng, 3, 4) for _ in range(n_heads)]
+    ds = Dataset([f"r{i}" for i in range(n)], x, y, ["a", "b", "c"])
     try:
         want = [[spearman(p, t) for p, t in zip(h.predict_batch(x).T, y.T)] for h in heads]
     except DataError:
         with pytest.raises(DataError, match="constant"):
-            evaluate_heads(heads, [x], y, ["a", "b", "c"])
+            evaluate_heads(heads, ds)
         return
     ranked = []
 
@@ -265,7 +267,7 @@ def test_evaluate_heads_ranks_each_label_column_once(seed, n, n_heads, ties):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimsift.metrics, "_average_ranks", counting)
-        reports = evaluate_heads(heads, [x], y, ["a", "b", "c"])
+        reports = evaluate_heads(heads, ds)
     assert [r.per_dim_spearman for r in reports] == want
     assert ranked == [n] * 3 * (n_heads + 1)
 
@@ -275,7 +277,7 @@ def test_evaluate_heads_refuses_a_head_of_other_dimensions():
     test = generate_synthetic(cfg)
     head = random_head(np.random.default_rng(0), 2, 4)
     with pytest.raises(DataError, match="2 dimensions"):
-        evaluate_heads([head], [test.features], test.labels, test.dim_names)
+        evaluate_heads([head], test)
 
 
 # ----------------------------------------------------------------- overlap

@@ -36,7 +36,8 @@ from dimsift import (
     run_pipeline,
     split,
 )
-from dimsift.data import corrupted_copy, dumps_dataset, floor_count, load_dataset, top_sets
+from dimsift.data import StreamLabels, ceil_count, dumps_dataset, floor_count, load_dataset, top_sets
+from dimsift.noise import corrupted_copy
 from dimsift.pipeline import REFINE_STRATEGIES
 
 
@@ -249,18 +250,13 @@ def test_one_prefix_serves_every_strategy():
 def _recording_evaluation(monkeypatch) -> dict:
     """Record what run_pipeline evaluates its heads on: the test rows, their features and labels."""
     seen = {}
-    sample, evaluate = dimsift.pipeline.sample_features, dimsift.pipeline.evaluate_heads
+    evaluate = dimsift.pipeline.evaluate_heads
 
-    def recording_sample(synth, rows):
-        seen["rows"] = rows
-        return sample(synth, rows)
+    def recording_evaluate(heads, ds):
+        seen.update(heads=heads, rows=ds.ids.rows, features=ds.features, labels=ds.labels,
+                    dim_names=ds.dim_names)
+        return evaluate(heads, ds)
 
-    def recording_evaluate(heads, blocks, labels, dim_names):
-        blocks = list(blocks)
-        seen.update(heads=heads, features=np.vstack(blocks), labels=labels, dim_names=dim_names)
-        return evaluate(heads, iter(blocks), labels, dim_names)
-
-    monkeypatch.setattr(dimsift.pipeline, "sample_features", recording_sample)
     monkeypatch.setattr(dimsift.pipeline, "evaluate_heads", recording_evaluate)
     return seen
 
@@ -472,9 +468,9 @@ def test_a_run_builds_no_dataset_of_features(monkeypatch, tmp_path, out):
     built = []
     init = Dataset.__init__
 
-    def recording_init(self, ids, features, *args, **kwargs):
-        init(self, ids, features, *args, **kwargs)
-        built.append((len(self), features))
+    def recording_init(self, ids, features, labels, *args, **kwargs):
+        init(self, ids, features, labels, *args, **kwargs)
+        built.append((len(self), features, type(labels)))
 
     def refuse(*args):
         raise AssertionError("the run built the whole corpus")
@@ -484,14 +480,14 @@ def test_a_run_builds_no_dataset_of_features(monkeypatch, tmp_path, out):
     seen = _recording_evaluation(monkeypatch)
     cfg = small_config()
     arts = run_pipeline(cfg, None if out is None else tmp_path / out)
-    # the training split's Dataset, and with an output directory those the
-    # corpus and the test rows are written from: each reads its features
-    # from the sample stream. The test rows reach the evaluator as arrays of
-    # their own rows
-    n_test = arts.report.dataset_summary["n_test"]
-    sizes = [len(arts.train)] if out is None else [cfg.synth.n_samples, len(arts.train), n_test]
-    assert built == [(size, cfg.synth) for size in sizes]
-    assert len(seen["features"]) == len(seen["labels"]) == n_test < cfg.synth.n_samples
+    # the clean corpus the noise reads its ranges from, the training split
+    # and the test rows it is evaluated on, and with an output directory the
+    # corpus and the test rows written: each reads its features and labels
+    # from the sample stream
+    n, n_test = cfg.synth.n_samples, arts.report.dataset_summary["n_test"]
+    sizes = [n, len(arts.train), n_test] if out is None else [n, n, len(arts.train), n_test, n_test]
+    assert built == [(size, cfg.synth, StreamLabels) for size in sizes]
+    assert len(seen["features"]) == len(seen["labels"]) == n_test < n
 
 
 def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp_path):
@@ -516,16 +512,17 @@ def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp
         run_pipeline(cfg, tmp_path)
     finally:
         tracemalloc.stop()
-    # the largest live allocation every 2000 lines of corpus.jsonl: the
-    # run's N x K label matrix; one chunk of the sample stream's features
-    # (1568 rows) is a quarter of it. With 8192-row blocks one block of
-    # features (11808 rows, 0.59x an N x d matrix) was the largest. Holding
-    # the training features measured 0.6x, and writing from a Dataset of the
-    # corpus's features held all N x d at once
+    # the largest live allocation every 2000 lines of corpus.jsonl: one
+    # chunk of the sample stream's features (1568 rows), a quarter of an
+    # N x K label matrix, which the run held until its labels were read
+    # from the stream. With 8192-row blocks one block of features (11808
+    # rows, 0.59x an N x d matrix) was the largest. Holding the training
+    # features measured 0.6x, and writing from a Dataset of the corpus's
+    # features held all N x d at once
     k = cfg.synth.n_dims
     chunk = max(stop - start for start, stop in dimsift.data._row_chunks(n)) * d * 8
     assert len(largest) == 11
-    assert chunk < max(largest) == n * k * 8 < n * d * 8
+    assert max(largest) == chunk < n * k * 8 < n * d * 8
 
 
 def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
@@ -542,29 +539,28 @@ def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
     def allocations_of_a_training_matrix_or_more():
         return sorted(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n_train * d * 8)
 
-    def watching(sample):
-        def watched_sample(synth, rows, *args, **kwargs):
-            for block in sample(synth, rows, *args, **kwargs):
-                large.append(allocations_of_a_training_matrix_or_more())
-                yield block
+    sample = dimsift.data.sample_rows
 
-        return watched_sample
+    def watched_sample(synth, rows, *args):
+        for pair in sample(synth, rows, *args):
+            large.append(allocations_of_a_training_matrix_or_more())
+            yield pair
 
-    # the training rows are read through the Dataset, the test rows by the run
-    monkeypatch.setattr(dimsift.data, "sample_features", watching(dimsift.data.sample_features))
-    monkeypatch.setattr(dimsift.pipeline, "sample_features", watching(dimsift.pipeline.sample_features))
+    # every Dataset of the run reads its rows' features and labels through it
+    monkeypatch.setattr(dimsift.data, "sample_rows", watched_sample)
     tracemalloc.start()
     try:
         arts = run_pipeline(cfg)
         large.append(allocations_of_a_training_matrix_or_more())
     finally:
         tracemalloc.stop()
-    # the stream is read by the probe fit, by the scores with the global
-    # scores, by the refit for its kept rows and for the test rows: at each
-    # of their chunks and once the run returns, nothing that large is
-    # allocated. A matrix of the training features was, throughout
+    # the stream is read for the ranges of every row's clean labels, by the
+    # probe fit, by the scores with the global scores, by the refit for its
+    # kept rows and for the test rows: at each of their chunks and once the
+    # run returns, nothing that large is allocated. A matrix of the training
+    # features was, throughout
     n_kept = len(arts.prune.kept_ids)
-    blocks = [len(list(dimsift.data._row_chunks(m))) for m in (n_train, n_train, n_kept, n_test)]
+    blocks = [len(list(dimsift.data._row_chunks(m))) for m in (n, n_train, n_train, n_kept, n_test)]
     assert len(large) == sum(blocks) + 1
     assert large == [[]] * len(large)
 
@@ -576,7 +572,7 @@ class _AtProbeFit(Exception):
 def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monkeypatch):
     cfg = default_config(seed=0)
     cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=20_000))
-    n, k = cfg.synth.n_samples, cfg.synth.n_dims
+    n, d, k = cfg.synth.n_samples, cfg.synth.feature_dim, cfg.synth.n_dims
 
     def stop(ds, *args):
         raise _AtProbeFit
@@ -586,18 +582,22 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
             run_pipeline(cfg)
 
     monkeypatch.setattr(dimsift.pipeline, "_fit", stop)
+    run_to_the_probe_fit()  # numpy imports some modules on first use; they are not the run's
     peak = peak_traced_bytes(run_to_the_probe_fit)
     n_test = floor_count(cfg.split_fractions[2], n)
     n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
-    # the training rows' labels and mask, and the test rows' labels
-    rows = n_train * (k * 8 + k) + n_test * k * 8
-    # those rows, one N x K label matrix and its mask, and the noise draw's
-    # index arrays and ids beside them: 1.27x measured (2.04 MB), at the
-    # per-dimension noise. Copying the training rows out of the label
-    # matrix as well as the mask measured 1.49x (2.39 MB); holding the
-    # training rows' features took 5.64 MB, drawing the test rows' features
-    # too 6.16 MB, and building the whole corpus first about 10.4 MB
-    assert peak < 1.4 * (rows + n * k * 9)
+    # the split's row numbers and the training rows' mask
+    rows = n_train * (8 + k) + n_test * 8
+    # those rows; the corpus's row numbers and the noise's selection mask,
+    # 8 and K bytes a corpus row; the noise's rows and values; and one piece
+    # of the sample stream with its noise and labels beside one chunk of
+    # rows: 1.11x measured (1.33 MB), at the per-dimension noise. No label
+    # is held. One N x K label matrix, compacted in place to the training
+    # rows, measured 1.38 MB here (2.04 MB cold), and at 200k samples 14.5
+    # MB against 6.4 MB now
+    m = ceil_count(cfg.noise.rate, n)
+    piece = max(stop - start for start, stop in dimsift.data._row_chunks(n))
+    assert peak < 1.4 * (rows + n * (8 + k) + m * k * 16 + piece * (2 * d + 3 * k) * 8)
 
 
 _C = 8
@@ -606,12 +606,13 @@ _C = 8
 @pytest.mark.parametrize("n_train", [_C - 1, _C, 2 * _C - 1, 2 * _C, 3 * _C + 5])
 @pytest.mark.parametrize("noise", [{}, {"dims": [1, 3], "correlated_rate": 0.01}], ids=["default", "dims-1-3"])
 @pytest.mark.parametrize("written", [False, True], ids=["in-memory", "out"])
-def test_the_training_rows_are_compacted_bit_identically_at_every_chunk_boundary(
+def test_a_runs_stream_labels_are_the_drawn_and_corrupted_labels_at_every_chunk_boundary(
     monkeypatch, tmp_path, n_train, noise, written
 ):
-    # the run moves the training rows of its one label matrix to the front
-    # a chunk at a time: splits one row short of a chunk, one chunk, a row
-    # short of two, two, and three plus a remainder
+    # the oracle: draw_synthetic's label matrix, corrupted by NoiseSpec.apply.
+    # The run reads its labels from the sample stream, a chunk at a time:
+    # splits one row short of a chunk, one chunk, a row short of two, two,
+    # and three plus a remainder
     monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _C)
     overrides = {
         "synth": {"n_samples": 2 * n_train, "feature_dim": 4},
@@ -629,14 +630,45 @@ def test_the_training_rows_are_compacted_bit_identically_at_every_chunk_boundary
     clean, _ = dimsift.data.draw_synthetic(cfg.synth)
     labels, mask = clean.copy(), np.zeros(clean.shape, dtype=bool)
     cfg.noise.apply(labels, mask)
-    assert np.array_equal(arts.train.labels, labels[train_idx])
+    assert arts.train.labels.tobytes() == labels[train_idx].tobytes()
     assert np.array_equal(arts.train.corruption_mask, mask[train_idx])
-    assert np.array_equal(seen["labels"], clean[test_idx])
+    # the test rows' clean labels, drawn when the evaluation starts
+    assert seen["labels"].tobytes() == clean[test_idx].tobytes()
     if written:
-        # corpus.jsonl is written from the whole matrix, before the compaction
-        corpus = load_dataset(tmp_path / "corpus.jsonl")
-        assert np.array_equal(corpus.labels, labels)
-        assert np.array_equal(corpus.corruption_mask, mask)
+        # and the row tables written from the stream
+        for name, want, want_mask in (("corpus", labels, mask), ("train", labels[train_idx], mask[train_idx]),
+                                      ("test_clean", clean[test_idx], np.zeros((len(test_idx), 5), bool))):
+            table = load_dataset(tmp_path / f"{name}.jsonl")
+            assert table.labels.tobytes() == want.tobytes()
+            assert np.array_equal(table.corruption_mask, want_mask)
+
+
+def test_a_runs_training_rows_are_its_train_jsonls_bit_for_bit(monkeypatch, tmp_path):
+    # sample(i) and labels of a run's training split read the sample stream;
+    # train.jsonl's reader reads the labels the file holds. 8-row chunks: 50
+    # chunks of the 400-row stream, and 30 of the 240 training rows
+    monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _C)
+    cfg = small_config()
+    arts = run_pipeline(cfg, tmp_path)
+    train, staged = arts.train, load_dataset(tmp_path / "train.jsonl")
+    assert train.labels.tobytes() == staged.labels.tobytes()
+    assert np.array_equal(train.corruption_mask, staged.corruption_mask)
+    chunks = dimsift.data._row_chunks
+    # the training rows at the first and last row of a chunk of the stream
+    # and of the split, the first and last with a corrupted cell, and the
+    # split's last row
+    edges = [r for start, stop in chunks(cfg.synth.n_samples) for r in (start, stop - 1)]
+    at_edges = np.flatnonzero(np.isin(train.ids.rows, edges)).tolist()
+    corrupted = np.flatnonzero(train.corruption_mask.any(axis=1))
+    picks = {*at_edges, *(r for start, stop in chunks(len(train)) for r in (start, stop - 1)),
+             int(corrupted[0]), int(corrupted[-1]), len(train) - 1}
+    assert len(at_edges) > 10 and len(corrupted) > 10
+    for i in sorted(picks):
+        got, want = train.sample(i), staged.sample(i)
+        assert got.id == want.id
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert np.array_equal(got.corrupted, want.corrupted)
 
 
 def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
@@ -659,13 +691,17 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
     run_pipeline(cfg)
     [(peak, n_kept)] = measured
     assert len(list(dimsift.data._row_chunks(n_kept))) >= 4
-    # one chunk of the kept rows' features and labels (at most 2C - 1 rows),
-    # the stream rows of the kept positions (8 bytes each) and one piece of
-    # the sample stream (C rows): 0.81 of that measured. Gathering the kept
-    # rows' labels before the first block measured 1.36, and every kept
-    # row's features at once 2.63
+    # one chunk of the kept rows' features and labels (at most 2C - 1 rows)
+    # with its mask rows and positions; the stream rows of the kept
+    # positions (8 bytes each); and one piece of the sample stream, the
+    # longest of the draw's chunks (C + N mod C rows), with its noise and
+    # labels: 0.98 of that measured (1.56 MB). With the labels in a matrix
+    # and C-row pieces of features only, the refit measured 0.85 MB;
+    # gathering the kept rows' labels before the first block measured 1.4 MB
+    # and every kept row's features at once 2.7 MB
     c = dimsift.data.CHUNK_ROWS
-    bound = (2 * c - 1) * (d + k) * 8 + n_kept * 8 + c * d * 8
+    piece = c + cfg.synth.n_samples % c
+    bound = (2 * c - 1) * ((d + k) * 8 + k + 8) + n_kept * 8 + piece * (d + 2 * k) * 8
     assert peak <= bound
 
 

@@ -266,6 +266,10 @@ class Dataset:
             if corrupted.shape != shape:
                 raise DataError(f"corruption mask shape {corrupted.shape} != labels {shape}")
             corrupted.setflags(write=False)
+        if isinstance(labels, StreamLabels):
+            n_corrupted = 0 if corrupted is None else np.count_nonzero(corrupted)
+            if len(labels.values) != n_corrupted:
+                raise ValueError(f"{len(labels.values)} stream label values for {n_corrupted} corrupted cells")
         self._corrupted = corrupted
 
     # -- views -------------------------------------------------------------
@@ -347,31 +351,52 @@ class Dataset:
     def blocks(self, rows: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(features, labels) of the ascending row positions rows (every row if None), a chunk at a time.
 
-        The chunks are feature_blocks' chunks, and each one's labels are its
-        rows' of the label matrix, or, for StreamLabels, the clean labels
-        the sample stream gives those rows (sample_rows) with each corrupted
-        cell's value written over its own. This is the one reader of labels
-        with their features: the fits, the scorers, residuals and the
-        evaluation read their rows through it. The caller must not write
-        the features; dropping each pair before asking for the next keeps
-        one chunk alive.
+        The chunks are feature_blocks' chunks, with label_blocks' labels:
+        the fits, the scorers, residuals and the evaluation read their rows
+        through it. Each chunk's labels are read before its features, so the
+        pieces of the sample stream StreamLabels are formed from are gone
+        when the features are drawn (sample_labels). The caller must not
+        write the features; dropping each pair before asking for the next
+        keeps one chunk alive.
+        """
+        if rows is not None:
+            rows = _checked_rows(rows, len(self))
+        if isinstance(self._labels, np.ndarray):
+            label_blocks = self.label_blocks(rows)
+            features = self.feature_blocks(rows)
+        else:
+            stream = self._stream_rows(rows)  # one copy, shared by both readers
+            label_blocks = self._stream_label_blocks(stream, rows)
+            features = sample_features(self._source, stream)
+        for y in label_blocks:
+            x = next(features)
+            yield x, y
+            del x, y  # released before the next chunk is read
+
+    def label_blocks(self, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The labels of the ascending row positions rows (every row if None), a chunk at a time.
+
+        The chunks are feature_blocks' chunks: views or gathers of the label
+        matrix's rows, or, for StreamLabels, new arrays of the clean labels
+        the sample stream gives those rows (sample_labels) with each
+        corrupted cell's value written over its own. No feature is kept.
         """
         if rows is not None:
             rows = _checked_rows(rows, len(self))
         labels = self._labels
         if isinstance(labels, np.ndarray):
-            start = 0
-            for x in self.feature_blocks(rows):
-                stop = start + len(x)
-                yield x, labels[start:stop] if rows is None else labels[rows[start:stop]]
-                start = stop
-                del x  # released before the next chunk is read
+            for start, stop in _row_chunks(len(self) if rows is None else len(rows)):
+                yield labels[start:stop] if rows is None else labels[rows[start:stop]]
             return
-        mask, values = self._corrupted, labels.values
+        yield from self._stream_label_blocks(self._stream_rows(rows), rows)
+
+    def _stream_label_blocks(self, stream: np.ndarray, rows: np.ndarray | None) -> Iterator[np.ndarray]:
+        """label_blocks of StreamLabels, given the sample-stream rows stream of the positions rows."""
+        mask, values = self._corrupted, self._labels.values
         # mask rows [0, done) hold the values [0, used)
         done = used = start = 0
-        for x, y in sample_rows(self._source, self._stream_rows(rows), labels.noise_state):
-            stop = start + len(x)
+        for y in sample_labels(self._source, stream, self._labels.noise_state):
+            stop = start + len(y)
             if mask is not None:
                 at = np.arange(start, stop) if rows is None else rows[start:stop]
                 span = mask[done : at[-1] + 1]
@@ -381,9 +406,9 @@ class Dataset:
                 cells = values[used : used + np.count_nonzero(span)]
                 y[mask[at]] = cells[(span & picked[:, None])[span]]
                 done, used = at[-1] + 1, used + len(cells)
-            yield x, y
+            yield y
             start = stop
-            del x, y  # released before the next chunk is read
+            del y  # released before the next chunk is read
 
     def _stream_rows(self, rows: np.ndarray | None) -> np.ndarray:
         """The sample-stream rows of a synthetic corpus's ascending row positions rows (every row if None)."""
@@ -395,13 +420,13 @@ class Dataset:
     def labels(self) -> np.ndarray:
         """(N, K) read-only float64 matrix.
 
-        StreamLabels are gathered into a new matrix on every call; blocks
-        reads them a chunk at a time.
+        StreamLabels are gathered into a new matrix on every call;
+        label_blocks reads them a chunk at a time.
         """
         if isinstance(self._labels, np.ndarray):
             return self._labels
         out = np.empty((len(self), self.n_dims))
-        for (start, stop), (_, y) in zip(_row_chunks(len(self)), self.blocks()):
+        for (start, stop), y in zip(_row_chunks(len(self)), self.label_blocks()):
             out[start:stop] = y
         out.setflags(write=False)
         return out
@@ -552,80 +577,101 @@ def sample_features(
     so a product over each chunk rounds as the one-shot product over all the
     rows does. Each chunk is a new array, or the view of its rows of out, a
     (len(rows), d) matrix given to be written. The features come from a
-    fresh stream of the sample seed, read CHUNK_ROWS rows at a time;
-    standard_normal gives a stream's values in the same order whatever the
-    size of each draw, so these are the features draw_synthetic formed the
-    labels from. Only one piece of the stream (each drawn into the same
-    buffer) and the chunk being gathered are held, if the caller drops each
-    chunk before asking for the next.
+    fresh stream of the sample seed; standard_normal gives a stream's values
+    in the same order whatever the size of each draw, so these are the
+    features draw_synthetic formed the labels from. Each chunk draws the
+    stream up to its own last row, CHUNK_ROWS rows at a time into one
+    buffer that is freed before the chunk is yielded: between chunks only
+    the generator and one row of features are held, if the caller drops
+    each chunk before asking for the next (sample_labels' pieces are
+    formed then, see Dataset.blocks).
     """
-    for x, _ in sample_rows(config, rows, None, out):
-        yield x
-        del x  # released before the next chunk is gathered
+    n, d = config.n_samples, config.feature_dim
+    rows = _checked_rows(rows, n)
+    rng = np.random.default_rng(config.sample_seed)
+    hi = 0  # the stream is drawn up to row hi
+    last = None  # the features of row hi - 1
+
+    def chunk(start, stop):
+        nonlocal hi, last
+        block = np.empty((stop - start, d)) if out is None else out[start:stop]
+        # rows drawn already repeat the last chunk's last row
+        i = start + int(np.searchsorted(rows[start:stop], hi))
+        if i > start:
+            block[: i - start] = last
+        if i < stop:
+            end = rows[stop - 1] + 1
+            # features form no product, so any pieces do: CHUNK_ROWS-row ones keep the buffer
+            # within the one C-row piece test_the_refit_holds_little_beyond_the_kept_rows allows
+            buffer = np.empty((min(CHUNK_ROWS, end - hi), d))
+            while i < stop:
+                lo, hi = hi, min(hi + CHUNK_ROWS, end)
+                piece = rng.standard_normal(out=buffer[: hi - lo])
+                j = i + int(np.searchsorted(rows[i:stop], hi))
+                # the positions lie in the piece: "clip" lets take write out directly,
+                # where "raise" would fill a temporary of the same size first
+                np.take(piece, rows[i:j] - lo, axis=0, out=block[i - start : j - start], mode="clip")
+                i = j
+            last = block[-1].copy()
+        return block
+
+    for start, stop in _row_chunks(len(rows)):
+        # not bound here: this generator resumes only after the next chunk's
+        # labels are read, and the chunk is freed as soon as the caller drops it
+        yield chunk(start, stop)
 
 
-def sample_rows(
-    config: SynthConfig, rows: np.ndarray, noise_state: dict | None, out: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """(features, clean labels) of config's corpus at the ascending row indices rows, a row chunk at a time.
+def sample_labels(config: SynthConfig, rows: np.ndarray, noise_state: dict) -> Iterator[np.ndarray]:
+    """The clean labels of config's corpus at the ascending row indices rows, a row chunk at a time.
 
-    The chunks are sample_features' chunks, and the labels new arrays, or
-    None if noise_state is None. The labels are draw_synthetic's bit for
-    bit: the stream is read in the draw's own chunks (_row_chunks(N)), and
-    each chunk that holds a wanted row forms its labels as the draw did,
-    (h @ w*^T + b*) + noise * sd, from its features and its piece of the
-    label noise, which a second generator, restored to noise_state (see
-    noise_state), reads alongside. Every chunk's noise is drawn, wanted or
-    not, so a pass draws N x K noise values as well as N x d features.
+    The chunks are sample_features' chunks, each a new (stop - start, K)
+    array. The labels are draw_synthetic's bit for bit: the stream is read
+    in the draw's own chunks (_row_chunks(N)), and each piece that holds a
+    wanted row forms its labels as the draw did, (h @ w*^T + b*) + noise *
+    sd, from its features and its piece of the label noise, which a second
+    generator, restored to noise_state (see noise_state), reads after them.
+    Every piece's features and noise are drawn, wanted or not, so a pass
+    draws N x K noise values as well as N x d features. A piece's features
+    and noise are freed once its labels are formed: between chunks only
+    the labels of the piece a chunk ended in are held, if the caller drops
+    each chunk before asking for the next.
     """
     n, d, k = config.n_samples, config.feature_dim, config.n_dims
     rows = _checked_rows(rows, n)
     rng = np.random.default_rng(config.sample_seed)
-    noise = piece_labels = noise_buffer = label_buffer = None
-    if noise_state is None:
-        pieces = ((lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS))
-        piece_rows = min(n, CHUNK_ROWS)
-    else:
-        # the draw's chunks, so each label is formed by the product draw_synthetic formed it by
-        pieces = _row_chunks(n)
-        piece_rows = min(n, CHUNK_ROWS + n % CHUNK_ROWS)  # the longest of them
-        noise_rng = np.random.default_rng(config.sample_seed)
-        noise_rng.bit_generator.state = noise_state
-        w_star, b_star = teacher_head(config)
-        sd = config.noise_vector()
-        noise_buffer, label_buffer = np.empty((piece_rows, k)), np.empty((piece_rows, k))
-    buffer = np.empty((piece_rows, d))  # each piece of the stream is drawn into it
-    lo = hi = 0  # the piece holds stream rows [lo, hi)
+    noise_rng = np.random.default_rng(config.sample_seed)
+    noise_rng.bit_generator.state = noise_state
+    w_star, b_star = teacher_head(config)
+    sd = config.noise_vector()
+    pieces = _row_chunks(n)  # the draw's chunks, so each label is formed by the draw's product
+    hi = 0
+    piece = None  # the labels of stream rows [lo, hi), if one of them is read
     for start, stop in _row_chunks(len(rows)):
-        block = np.empty((stop - start, d)) if out is None else out[start:stop]
-        labels = None if noise_state is None else np.empty((stop - start, k))
+        labels = np.empty((stop - start, k))
         i = start
         while i < stop:
-            while rows[i] >= hi:
+            if rows[i] >= hi:
+                piece = None
                 lo, hi = next(pieces)
-                piece = rng.standard_normal(out=buffer[: hi - lo])
-                if noise_state is not None:
-                    noise = noise_rng.standard_normal(out=noise_buffer[: hi - lo])
-                    piece_labels = None  # formed once a row of the piece is wanted
-            j = i + int(np.searchsorted(rows[i:stop], hi))
-            at = rows[i:j] - lo
-            # the positions lie in the piece: "clip" lets take write out directly,
-            # where "raise" would fill a temporary of the same size first
-            np.take(piece, at, axis=0, out=block[i - start : j - start], mode="clip")
-            if labels is not None:
-                if piece_labels is None:
-                    piece_labels = label_buffer[: hi - lo]
-                    _teacher_product(piece, w_star, piece_labels)
-                    piece_labels += b_star
+                x = rng.standard_normal((hi - lo, d))
+                if rows[i] < hi:
+                    piece = np.empty((hi - lo, k))
+                    _teacher_product(x, w_star, piece)
+                    piece += b_star
+                del x
+                noise = noise_rng.standard_normal((hi - lo, k))
+                if piece is not None:
                     noise *= sd
-                    piece_labels += noise
-                np.take(piece_labels, at, axis=0, out=labels[i - start : j - start], mode="clip")
+                    piece += noise
+                del noise
+                continue
+            j = i + int(np.searchsorted(rows[i:stop], hi))
+            np.take(piece, rows[i:j] - lo, axis=0, out=labels[i - start : j - start], mode="clip")
             i = j
         if stop == len(rows):
-            # the last chunk is read: released while the caller uses it
-            del piece, buffer, noise, piece_labels, noise_buffer, label_buffer
-        yield block, labels
-        del block, labels  # released before the next chunk is gathered
+            piece = None  # the last chunk is read: released while the caller uses it
+        yield labels
+        del labels  # released before the next chunk is gathered
 
 
 def _teacher_product(x: np.ndarray, w_star: np.ndarray, out: np.ndarray) -> None:
@@ -690,7 +736,7 @@ def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
     gaussian noise per dimension, unclipped; the noise draw follows every
     feature in the sample stream. The stream is read a row chunk at a time
     (_row_chunks), each chunk drawn into one buffer, and no feature is kept:
-    sample_features reads the same features again, and sample_rows the same
+    sample_features reads the same features again, and sample_labels the same
     labels.
     """
     manifest = synth_manifest(config)
@@ -1070,9 +1116,9 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
         head.update(features=FEATURE_STREAM, stream_digest=stream_digest(src))
         columns = {}
     head["meta"] = ds.manifest
-    # StreamLabels are written a row chunk at a time as Dataset.blocks reads them
+    # StreamLabels are written a row chunk at a time as Dataset.label_blocks reads them
     held = ds.label_matrix
-    columns["labels"] = (row for _, y in ds.blocks() for row in y) if held is None else held
+    columns["labels"] = (row for y in ds.label_blocks() for row in y) if held is None else held
     if ds.corruption_mask is not None:
         columns["corrupted"] = ds.corruption_mask
     return table_lines(head, "sample", ds.ids, columns)

@@ -482,8 +482,9 @@ def _draw(config: PipelineConfig, out: Path | None):
 
     The split indices come first, then two passes over the sample stream:
     one finds where its label noise starts (data.noise_state), the other
-    reads every row's clean labels a chunk at a time for the column ranges
-    the noise needs (NoiseSpec.corruption). No label is kept: train holds
+    reads every row's clean labels, without their features, a chunk at a
+    time for the column ranges the noise needs (Dataset.label_blocks,
+    NoiseSpec.corruption). No label is kept: train holds
     the training rows' indices (its ids), their corruption mask and the
     values of their corrupted cells, and reads their features and labels
     from the stream (data.StreamLabels). The clean labels read the test
@@ -505,7 +506,7 @@ def _draw(config: PipelineConfig, out: Path | None):
     every_row = np.arange(synth.n_samples)
     corpus = synthetic_rows(synth, every_row, clean, None, clean_manifest)
     writes, records = config.noise.corruption(
-        synth.n_samples, k, lambda picks: label_extrema((y for _, y in corpus.blocks()), picks, k)
+        synth.n_samples, k, lambda picks: label_extrema(corpus.label_blocks(), picks, k)
     )
     manifest = with_injections(clean_manifest, records)
     if out is not None:

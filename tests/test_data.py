@@ -53,6 +53,8 @@ from dimsift.data import (
     json_pieces,
     loads_dataset,
     long_csv_lines,
+    StreamLabels,
+    noise_state,
     sample_features,
     stream_digest,
     synthetic_rows,
@@ -169,6 +171,23 @@ def test_the_stream_rejects_rows_out_of_order_or_range():
             synthetic_rows(cfg, np.array(rows), np.zeros((2, 1)), np.zeros((2, 1), bool), {})
 
 
+def test_stream_labels_hold_one_value_per_corrupted_cell():
+    cfg = SynthConfig(20, 3, 2, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
+    rows, state = np.arange(20), noise_state(cfg)
+    mask = np.zeros((20, 2), dtype=bool)
+    mask[[3, 7], [0, 1]] = True
+    # too many values, too few, and values without a mask
+    for values, corrupted in ((np.zeros(3), mask), (np.zeros(1), mask), (np.zeros(1), None)):
+        with pytest.raises(ValueError, match="stream label values"):
+            synthetic_rows(cfg, rows, StreamLabels(state, values), corrupted, {})
+    # each value is read at its own cell, over the clean label
+    ds = synthetic_rows(cfg, rows, StreamLabels(state, np.array([10.0, 20.0])), mask, {})
+    clean, _ = draw_synthetic(cfg)
+    want = clean.copy()
+    want[3, 0], want[7, 1] = 10.0, 20.0
+    assert ds.labels.tobytes() == want.tobytes()
+
+
 def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
     # 8-row chunks: a matrix gives views of its chunks or gathers rows, and
     # a synthetic corpus's rows read the same features from its sample stream
@@ -180,7 +199,8 @@ def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
     every = np.random.default_rng(cfg.sample_seed).standard_normal((600, 4))
     matrix = Dataset(stream.ids, every[rows], stream.labels, stream.dim_names, stream.corruption_mask,
                      stream.manifest)
-    for picks in (None, np.array([0, 5, 63, 64, 200, len(rows) - 1]), np.arange(130)):
+    # the last: rows repeated across the ends of chunks
+    for picks in (None, np.array([0, 5, 63, 64, 200, len(rows) - 1]), np.arange(130), np.repeat(np.arange(0, 40, 3), 3)):
         want = every[rows] if picks is None else every[rows[picks]]
         sizes = [stop - start for start, stop in _row_chunks(len(want))]
         for ds in (stream, matrix):
@@ -366,6 +386,9 @@ def test_injection_zero_rate_is_identity():
     out = inject_dimension_noise(corpus, 0.0, [0, 1, 2], 7)
     assert np.array_equal(out.labels, corpus.labels)
     assert out.corruption_mask.sum() == 0
+    # rate 0 injects nothing: the corpus itself, with no injection recorded
+    assert out is corpus
+    assert "noise_injections" not in out.manifest
 
 
 def test_injection_exact_count_and_isolation():

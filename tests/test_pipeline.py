@@ -512,17 +512,19 @@ def test_a_run_writes_its_corpus_holding_no_full_feature_matrix(monkeypatch, tmp
         run_pipeline(cfg, tmp_path)
     finally:
         tracemalloc.stop()
-    # the largest live allocation every 2000 lines of corpus.jsonl: one
-    # chunk of the sample stream's features (1568 rows), a quarter of an
-    # N x K label matrix, which the run held until its labels were read
-    # from the stream. With 8192-row blocks one block of features (11808
-    # rows, 0.59x an N x d matrix) was the largest. Holding the training
-    # features measured 0.6x, and writing from a Dataset of the corpus's
-    # features held all N x d at once
+    # the largest live allocation every 2000 lines of corpus.jsonl: the
+    # corpus's row numbers, 8 bytes a row. Its labels are read from the
+    # stream without its features (Dataset.label_blocks), so not even one
+    # chunk of features (1568 rows) is live between lines; an N x K label
+    # matrix was, until the run read its labels from the stream. With
+    # 8192-row blocks one block of features (11808 rows, 0.59x an N x d
+    # matrix) was the largest. Holding the training features measured 0.6x,
+    # and writing from a Dataset of the corpus's features held all N x d at
+    # once
     k = cfg.synth.n_dims
     chunk = max(stop - start for start, stop in dimsift.data._row_chunks(n)) * d * 8
     assert len(largest) == 11
-    assert max(largest) == chunk < n * k * 8 < n * d * 8
+    assert max(largest) == n * 8 < chunk < n * k * 8 < n * d * 8
 
 
 def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
@@ -539,29 +541,31 @@ def test_an_in_memory_run_holds_no_feature_matrix(monkeypatch):
     def allocations_of_a_training_matrix_or_more():
         return sorted(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n_train * d * 8)
 
-    sample = dimsift.data.sample_rows
+    def watching(sample):
+        def watched_sample(*args):
+            for block in sample(*args):
+                large.append(allocations_of_a_training_matrix_or_more())
+                yield block
 
-    def watched_sample(synth, rows, *args):
-        for pair in sample(synth, rows, *args):
-            large.append(allocations_of_a_training_matrix_or_more())
-            yield pair
+        return watched_sample
 
-    # every Dataset of the run reads its rows' features and labels through it
-    monkeypatch.setattr(dimsift.data, "sample_rows", watched_sample)
+    # every Dataset of the run reads its rows' labels and features through them
+    for name in ("sample_labels", "sample_features"):
+        monkeypatch.setattr(dimsift.data, name, watching(getattr(dimsift.data, name)))
     tracemalloc.start()
     try:
         arts = run_pipeline(cfg)
         large.append(allocations_of_a_training_matrix_or_more())
     finally:
         tracemalloc.stop()
-    # the stream is read for the ranges of every row's clean labels, by the
-    # probe fit, by the scores with the global scores, by the refit for its
-    # kept rows and for the test rows: at each of their chunks and once the
-    # run returns, nothing that large is allocated. A matrix of the training
-    # features was, throughout
+    # the stream is read for the ranges of every row's clean labels, and for
+    # the labels and features of the probe fit, of the scores with the
+    # global scores, of the refit's kept rows and of the test rows: at each
+    # of their chunks and once the run returns, nothing that large is
+    # allocated. A matrix of the training features was, throughout
     n_kept = len(arts.prune.kept_ids)
     blocks = [len(list(dimsift.data._row_chunks(m))) for m in (n, n_train, n_train, n_kept, n_test)]
-    assert len(large) == sum(blocks) + 1
+    assert len(large) == sum(blocks) + sum(blocks[1:]) + 1
     assert large == [[]] * len(large)
 
 
@@ -582,7 +586,10 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
             run_pipeline(cfg)
 
     monkeypatch.setattr(dimsift.pipeline, "_fit", stop)
-    run_to_the_probe_fit()  # numpy imports some modules on first use; they are not the run's
+    # measured warm: numpy imports numpy.random on first use, about 0.65 MB
+    # that is not the run's. Cold, in a process of its own, the peak below
+    # is 1.60 MB
+    run_to_the_probe_fit()
     peak = peak_traced_bytes(run_to_the_probe_fit)
     n_test = floor_count(cfg.split_fractions[2], n)
     n_train = n - floor_count(cfg.split_fractions[1], n) - n_test
@@ -590,14 +597,14 @@ def test_an_in_memory_run_holds_little_beyond_its_rows_before_the_probe_fit(monk
     rows = n_train * (8 + k) + n_test * 8
     # those rows; the corpus's row numbers and the noise's selection mask,
     # 8 and K bytes a corpus row; the noise's rows and values; and one piece
-    # of the sample stream with its noise and labels beside one chunk of
-    # rows: 1.11x measured (1.33 MB), at the per-dimension noise. No label
-    # is held. One N x K label matrix, compacted in place to the training
-    # rows, measured 1.38 MB here (2.04 MB cold), and at 200k samples 14.5
-    # MB against 6.4 MB now
+    # of the sample stream, its labels and one chunk of them, which the
+    # ranges read without features: 1.01x measured (0.94 MB), at the
+    # per-dimension noise. No label is held. One N x K label matrix,
+    # compacted in place to the training rows, measured 1.38 MB here (2.04
+    # MB cold), and at 200k samples 14.5 MB
     m = ceil_count(cfg.noise.rate, n)
     piece = max(stop - start for start, stop in dimsift.data._row_chunks(n))
-    assert peak < 1.4 * (rows + n * (8 + k) + m * k * 16 + piece * (2 * d + 3 * k) * 8)
+    assert peak < 1.4 * (rows + n * (8 + k) + m * k * 16 + piece * (d + 2 * k) * 8)
 
 
 _C = 8
@@ -691,17 +698,16 @@ def test_the_refit_holds_little_beyond_the_kept_rows(monkeypatch):
     run_pipeline(cfg)
     [(peak, n_kept)] = measured
     assert len(list(dimsift.data._row_chunks(n_kept))) >= 4
-    # one chunk of the kept rows' features and labels (at most 2C - 1 rows)
-    # with its mask rows and positions; the stream rows of the kept
-    # positions (8 bytes each); and one piece of the sample stream, the
-    # longest of the draw's chunks (C + N mod C rows), with its noise and
-    # labels: 0.98 of that measured (1.56 MB). With the labels in a matrix
-    # and C-row pieces of features only, the refit measured 0.85 MB;
-    # gathering the kept rows' labels before the first block measured 1.4 MB
-    # and every kept row's features at once 2.7 MB
+    # one chunk of the kept rows' features and labels (at most 2C - 1 rows),
+    # the stream rows of the kept positions (8 bytes each) and one piece of
+    # the sample stream (C rows): 0.95 of that measured, with the labels
+    # read from the stream (0.81 from a label matrix). Each chunk's labels
+    # come first, from the draw's own pieces (up to 2C - 1 rows), which are
+    # freed before its features are drawn. Reading both from one piece at
+    # once measured 1.49, gathering the kept rows' labels before the first
+    # block 1.36, and every kept row's features at once 2.63
     c = dimsift.data.CHUNK_ROWS
-    piece = c + cfg.synth.n_samples % c
-    bound = (2 * c - 1) * ((d + k) * 8 + k + 8) + n_kept * 8 + piece * (d + 2 * k) * 8
+    bound = (2 * c - 1) * (d + k) * 8 + n_kept * 8 + c * d * 8
     assert peak <= bound
 
 

@@ -380,30 +380,24 @@ def _cmd_report(args) -> int:
     run_dir = Path(args.dir)
     report_path = run_dir / "report.json"
     if report_path.exists():
-        report = ExperimentReport.load(report_path)
-        text = report.render_text()
-        (run_dir / "report.txt").write_text(text)
-        print(text, end="")
-        return 0
-    # assemble analytics from stage files
-    scores_path = run_dir / "scores.jsonl"
-    if not scores_path.exists():
-        raise DataError(f"nothing to report: no report.json or scores.jsonl under {run_dir}")
-    table = SelfInfluenceTable.load(scores_path)
-    prune_path = run_dir / "prune.json"
-    rho = PruneResult.load(prune_path).rho if prune_path.exists() else DEFAULT_RHO
-    curve = overlap_curve(table, rho)
-    curve.to_csv(run_dir / "overlap.csv")
-    lines = [f"score table: {table.n_samples} samples x {table.n_dims} dimensions"]
-    lines.append(overlap_line(rho, curve.cumulative_ratios))
-    if table.scope == Scope.HEAD_ONLY:
-        masking = masking_report(table, table.global_scores(), rho)
-        lines.append(masking_line(masking.budget, masking.to_dict()["per_dim"]))
-    else:
-        lines.append(
-            f"masked by global ranking: not computed ({table.scope.value} scores need the head)"
-        )
-    text = "\n".join(lines) + "\n"
+        text = ExperimentReport.load(report_path).render_text()
+    else:  # assemble analytics from stage files
+        scores_path = run_dir / "scores.jsonl"
+        if not scores_path.exists():
+            raise DataError(f"nothing to report: no report.json or scores.jsonl under {run_dir}")
+        table = SelfInfluenceTable.load(scores_path)
+        prune_path = run_dir / "prune.json"
+        rho = PruneResult.load(prune_path).rho if prune_path.exists() else DEFAULT_RHO
+        curve = overlap_curve(table, rho)
+        curve.to_csv(run_dir / "overlap.csv")
+        lines = [f"score table: {table.n_samples} samples x {table.n_dims} dimensions"]
+        lines.append(overlap_line(rho, curve.cumulative_ratios))
+        if table.scope == Scope.HEAD_ONLY:
+            masking = masking_report(table, table.global_scores(), rho)
+            lines.append(masking_line(masking.budget, masking.to_dict()["per_dim"]))
+        else:
+            lines.append(f"masked by global ranking: not computed ({table.scope.value} scores need the head)")
+        text = "\n".join(lines) + "\n"
     (run_dir / "report.txt").write_text(text)
     print(text, end="")
     return 0

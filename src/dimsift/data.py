@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import compress, islice, pairwise
 from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -906,10 +906,10 @@ def _ids_list(o) -> list[str]:
 def json_pieces(doc: dict) -> Iterator[str]:
     """json.dumps(doc, sort_keys=True) + "\n", produced a piece at a time.
 
-    A list, array or RowIds value comes JSON_PIECE_ITEMS items per piece,
-    each piece encoded by one call (an array's rows through tolist()), so no
-    piece holds more of the document than that many items. A RowIds anywhere
-    in the document is written as the list of its ids.
+    A list, array, RowIds or iterator value comes JSON_PIECE_ITEMS items per
+    piece, each piece encoded by one call (an array's rows through tolist()),
+    so no piece holds more of the document than that many items. A RowIds
+    or iterator is written as the list of its ids or items.
     """
     encode = json.JSONEncoder(sort_keys=True, default=_ids_list).encode
     yield "{"
@@ -918,12 +918,15 @@ def json_pieces(doc: dict) -> Iterator[str]:
         value = doc[key]
         yield f"{sep}{encode(key)}: "
         sep = ", "
-        if not isinstance(value, (list, tuple, np.ndarray, RowIds)):
+        if isinstance(value, Iterator):
+            pieces = iter(lambda: list(islice(value, JSON_PIECE_ITEMS)), [])
+        elif isinstance(value, (list, tuple, np.ndarray, RowIds)):
+            pieces = (value[i : i + JSON_PIECE_ITEMS] for i in range(0, len(value), JSON_PIECE_ITEMS))
+        else:
             yield encode(value)
             continue
         yield "["
-        for i in range(0, len(value), JSON_PIECE_ITEMS):
-            items = value[i : i + JSON_PIECE_ITEMS]
+        for i, items in enumerate(pieces):
             text = encode(items.tolist() if isinstance(items, np.ndarray) else items)
             # the items without their brackets, so the pieces join into one list
             yield ("" if i == 0 else ", ") + text[1:-1]

@@ -21,40 +21,36 @@ from .influence import SelfInfluenceTable
 from .model import RegressionHead, check_pair
 
 
-def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array, tied values sharing the mean of their ranks.
+def _centered_ranks(a: np.ndarray) -> np.ndarray:
+    """Write the average-tie ranks of the 1-D float array a, less their mean, into a; return a.
 
-    The algorithm of scipy.stats.rankdata(method="average"): sort, tie
+    The ranks are scipy.stats.rankdata(method="average")'s: sort, tie
     groups, and for a group spanning sorted positions [lo, hi) the rank
     (lo + 1 + hi) / 2, an exact half-integer. Without ties the ranks are
     1..N written through the sort order. A tie group's members share one
     rank, so their order in the sort does not matter and numpy's default
     sort serves (6x faster than a stable one on 40k floats). A NaN
-    anywhere gives all-NaN ranks, as scipy's default nan_policy does.
+    anywhere gives all-NaN ranks, as scipy's default nan_policy does. A
+    constant a raises DataError and is left as it was.
     """
+    if np.all(a == a[0]):
+        raise DataError("rank correlation undefined for a constant input")
     if np.isnan(a).any():
-        return np.full(a.shape, np.nan)
+        a.fill(np.nan)
+        return a
     order = np.argsort(a)
     s = a[order]
     starts = np.r_[True, s[1:] != s[:-1]]
     del s
     if starts.all():
-        ranks = np.empty(a.size)
-        ranks[order] = np.arange(1.0, a.size + 1)
-        return ranks
-    dense = np.empty(a.size, dtype=np.intp)
-    dense[order] = np.cumsum(starts)
-    count = np.r_[np.flatnonzero(starts), a.size]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
-
-
-def _centered_ranks(a: np.ndarray) -> np.ndarray:
-    """Average-tie ranks of a 1-D array less their mean; a DataError if a is constant."""
-    if np.all(a == a[0]):
-        raise DataError("rank correlation undefined for a constant input")
-    r = _average_ranks(a)
-    r -= r.mean()
-    return r
+        a[order] = np.arange(1.0, a.size + 1)
+    else:
+        dense = np.empty(a.size, dtype=np.intp)
+        dense[order] = np.cumsum(starts)
+        count = np.r_[np.flatnonzero(starts), a.size]
+        a[:] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    a -= a.mean()
+    return a
 
 
 def _correlation(rx: np.ndarray, ry: np.ndarray) -> float:
@@ -66,15 +62,15 @@ def spearman(pred: np.ndarray, target: np.ndarray) -> float:
     """Spearman rank correlation: Pearson correlation of average-tie ranks.
 
     Raises DataError when either input is constant (correlation undefined).
+    Both are ranked in copies.
     """
-    x = np.asarray(pred, dtype=np.float64).ravel()
-    y = np.asarray(target, dtype=np.float64).ravel()
+    x = np.array(pred, dtype=np.float64).ravel()
+    y = np.array(target, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise DataError("need at least two points for a rank correlation")
-    rx = _centered_ranks(x)
-    return _correlation(rx, _centered_ranks(y))
+    return _correlation(_centered_ranks(x), _centered_ranks(y))
 
 
 def auroc(scores: np.ndarray, positive_mask: np.ndarray) -> float:
@@ -141,11 +137,12 @@ def evaluate_heads(heads: Sequence[RegressionHead], ds: Dataset) -> list[MetricR
 
     ds is read once for all the heads, a chunk of features and labels at a
     time (Dataset.blocks), so StreamLabels are drawn here, into one
-    dimension-major (K, N) buffer; a held label matrix is ranked in place.
-    Each head predicts into a buffer like it, so every dimension's
-    predictions are ranked as a contiguous row; each label column is ranked
-    once for all the heads. Each report's metadata holds n_samples and
-    dim_names.
+    dimension-major (K, N) buffer. Each head predicts into a buffer like it.
+    Every row of those buffers is ranked in place, as a contiguous row;
+    each label row is ranked once for all the heads. A held label matrix is
+    not copied whole: each of its columns is ranked in a copy of that
+    column, so ds is never written. Each report's metadata holds n_samples
+    and dim_names.
     """
     n, k = len(ds), ds.n_dims
     for head in heads:
@@ -164,12 +161,13 @@ def evaluate_heads(heads: Sequence[RegressionHead], ds: Dataset) -> list[MetricR
             pred[:, start:stop] = head.predict_batch(x).T
         start = stop
         del x, y  # released before the next chunk is read
-    # each label column is ranked once for every head, which gives spearman(pred, label) bit for bit
+    # each label row is ranked once for every head, which gives spearman(pred, label) bit for bit
     per_dim = [[] for _ in heads]
     for j in range(k):
-        ry = _centered_ranks(labels[j])
+        ry = _centered_ranks(labels[j] if held is None else labels[j].copy())
         for pred, out in zip(preds, per_dim):
             out.append(_correlation(_centered_ranks(pred[j]), ry))
+        del ry  # a held column's copy is freed before the next one is made
     return [
         MetricReport(p, float(np.mean(p)), {"n_samples": n, "dim_names": list(ds.dim_names)})
         for p in per_dim

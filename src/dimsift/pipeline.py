@@ -416,11 +416,11 @@ class PipelineArtifacts:
     (Dataset.blocks); train.features and train.labels gather a new matrix
     on each call. The test split is not kept: the report holds its
     evaluation, which drew its clean labels, and test_clean.jsonl its rows.
-    A pruned run's refined rows are not kept either: prune.kept_ids names
-    them. Every fit, closed form or gradient descent, read its (kept) rows
+    A pruned run's refined rows are not kept either, nor their ids:
+    prune.kept_ids takes them from train's ids and prune's removed mask on
+    access. Every fit, closed form or gradient descent, read its (kept) rows
     once, a chunk at a time, into the moments of the normal equations. The
-    scores and weights share train's ids, and the prune result holds views
-    of them, so no id string is kept.
+    scores, weights and prune result share train's ids: no id string is kept.
     """
 
     report: ExperimentReport
@@ -550,10 +550,10 @@ def _refine(spec: RefineSpec, train_cfg: TrainConfig, train, probe, scores, glob
             prune = loss_prune_select(per_dim_loss(probe, train), train.ids, spec.rho)
         else:
             prune = global_prune_select(global_scores, train.ids, spec.rho)
-        if not prune.kept_ids:
+        # the removed mask runs over train's rows, so the kept ones are its positions in train
+        rows = np.flatnonzero(~prune.removed)
+        if not rows.size:
             raise DataError("refinement removed every training sample; lower rho")
-        # kept_ids views train's ascending row numbers, which locate its rows in train
-        rows = np.searchsorted(train.ids.rows, prune.kept_ids.rows)
         summary.update(
             rho=prune.rho,
             n_removed=len(prune.removed_ids),
@@ -630,7 +630,7 @@ def run_pipeline(
             "n_val": config.synth.n_samples - len(train) - len(test_idx),
             "n_test": len(test_idx),
             "train_corrupted_per_dim": [int(c) for c in mask.sum(axis=0)],
-            "n_train_refined": len(train) if prune is None else len(prune.kept_ids),
+            "n_train_refined": len(train) - (0 if prune is None else len(prune.removed_ids)),
         },
         strategies=strategies,
         refine_summary=refine_summary,

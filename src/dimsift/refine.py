@@ -48,24 +48,28 @@ SCALAR_SCORE_TYPE = "global_tracin"
 class PruneResult:
     """Outcome of a pruning pass.
 
-    kept_ids preserves the input corpus order. per_dim_risk_sets lists each
-    dimension's selected ids in rank order (highest score first); scalar
-    strategies leave it empty. thresholds[k] is the smallest selected score
-    in dimension k; every dimension selects ceil(rho * N) rows, so when that
-    is zero thresholds is empty, as a scalar strategy's is. A selection from
-    RowIds holds views of them; one from other ids holds lists of str.
+    removed flags the rows of sample_ids (held, not copied) that the pass
+    removed; kept_ids and removed_ids are taken from both on each access,
+    in sample_ids's order, so no copy of the kept ids is held (RowIds for
+    RowIds, else lists of str; a loaded result's sample_ids are its kept
+    ids, then its removed ones). per_dim_risk_sets lists each dimension's
+    selected ids in rank order, highest score first. thresholds[k] is the
+    smallest selected score in dimension k, and is empty when ceil(rho * N)
+    is zero; a scalar strategy leaves both empty.
     """
 
-    kept_ids: Sequence[str]
-    removed_ids: Sequence[str]
+    sample_ids: Sequence[str]
+    removed: np.ndarray
     per_dim_risk_sets: list[Sequence[str]]
     thresholds: list[float]
     rho: float
+    kept_ids = property(lambda self: take_ids(self.sample_ids, ~self.removed))
+    removed_ids = property(lambda self: take_ids(self.sample_ids, self.removed))
 
     def _doc(self, ids) -> dict:
         return {
             "rho": self.rho,
-            "kept_ids": ids(self.kept_ids),
+            "kept_ids": ids(compress(self.sample_ids, ~self.removed)),
             "removed_ids": ids(self.removed_ids),
             "per_dim_risk_sets": [ids(s) for s in self.per_dim_risk_sets],
             "thresholds": self.thresholds,
@@ -86,9 +90,10 @@ class PruneResult:
             rho = float(number_rows([[d["rho"]]], "rho")[0, 0])
             if not 0.0 <= rho <= 1.0:  # NaN fails too
                 raise DataError(f"line 1: rho must be in [0, 1], got {rho}")
+            kept, removed = id_list(d["kept_ids"], "kept_ids"), id_list(d["removed_ids"], "removed_ids")
             return cls(
-                kept_ids=id_list(d["kept_ids"], "kept_ids"),
-                removed_ids=id_list(d["removed_ids"], "removed_ids"),
+                sample_ids=kept + removed,
+                removed=np.arange(len(kept) + len(removed)) >= len(kept),
                 per_dim_risk_sets=[id_list(s, "per_dim_risk_sets") for s in d["per_dim_risk_sets"]],
                 thresholds=number_rows([d["thresholds"]], "thresholds")[0].tolist(),
                 rho=rho,
@@ -169,8 +174,8 @@ def _union_prune(
     removed = np.zeros(values.shape[0], dtype=bool)
     removed[top] = True
     return PruneResult(
-        kept_ids=take_ids(sample_ids, ~removed),
-        removed_ids=take_ids(sample_ids, removed),
+        sample_ids=sample_ids,
+        removed=removed,
         per_dim_risk_sets=[take_ids(sample_ids, t) for t in top],
         thresholds=[float(values[t[-1], j]) for j, t in enumerate(top) if t.size],
         rho=float(rho),

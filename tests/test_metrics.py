@@ -36,7 +36,7 @@ from dimsift import (
 from dimsift import InfluenceConfig
 from dimsift.influence import SelfInfluenceTable
 from dimsift.data import sample_features
-from dimsift.metrics import _average_ranks, evaluate_heads
+from dimsift.metrics import _centered_ranks, evaluate_heads
 
 
 def make_table(scores):
@@ -88,7 +88,31 @@ def test_average_ranks_equal_scipy_rankdata():
             rng.integers(-1000, 1000, size=n).astype(float),
             rng.normal(size=n),
         ):
-            assert np.array_equal(_average_ranks(x), scipy.stats.rankdata(x, method="average"))
+            ranks = scipy.stats.rankdata(x, method="average")
+            if np.all(x == x[0]):
+                with pytest.raises(DataError, match="constant"):
+                    _centered_ranks(x)
+                continue
+            assert _centered_ranks(x) is x and np.array_equal(x, ranks - ranks.mean())
+
+
+# a few repeated values, so that ties are common, among any floats and NaN
+rank_values = st.sampled_from([-1.5, 0.0, 2.0, 7.25, np.nan]) | st.floats(allow_nan=True, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(rank_values, min_size=1, max_size=60))
+def test_centered_ranks_are_scipys_average_ranks_less_their_mean(values):
+    x = np.array(values)
+    before = x.tobytes()
+    if np.all(x == x[0]):
+        with pytest.raises(DataError, match="constant"):
+            _centered_ranks(x)
+        assert x.tobytes() == before
+        return
+    ranks = scipy.stats.rankdata(x, method="average")  # all NaN when x holds a NaN
+    assert _centered_ranks(x) is x
+    assert np.array_equal(x, ranks - ranks.mean(), equal_nan=True)
 
 
 def test_import_loads_no_scipy():
@@ -151,7 +175,7 @@ def test_auroc_is_the_average_rank_statistic_bit_for_bit():
         n_pos = int(positive.sum())
         if n_pos in (0, n):
             continue
-        ranks = _average_ranks(scores)
+        ranks = scipy.stats.rankdata(scores, method="average")
         want = (ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
         assert auroc(scores, positive) == want
     assert np.isnan(auroc(np.array([0.2, np.nan, 0.1]), np.array([True, False, False])))
@@ -165,7 +189,7 @@ def test_auroc_builds_no_rank_array():
     # the negatives' sorted copy, the class mask's complement and the
     # positives' search positions: 9.6 bytes per row measured; the tie
     # groups of a stable sort of every row measured 33, and ranking every
-    # row with _average_ranks 58
+    # row with the average-rank code spearman used then, 58
     assert peak < 12 * n
 
 
@@ -263,13 +287,36 @@ def test_evaluate_heads_ranks_each_label_column_once(seed, n, n_heads, ties):
 
     def counting(a):
         ranked.append(len(a))
-        return _average_ranks(a)
+        return _centered_ranks(a)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dimsift.metrics, "_average_ranks", counting)
+        mp.setattr(dimsift.metrics, "_centered_ranks", counting)
         reports = evaluate_heads(heads, ds)
     assert [r.per_dim_spearman for r in reports] == want
     assert ranked == [n] * 3 * (n_heads + 1)
+
+
+def test_rank_metrics_leave_their_inputs_unchanged():
+    # the ranker writes into its argument: spearman ranks copies, and
+    # evaluate_heads ranks a held label matrix's columns in copies
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(300, 4))
+    y = np.round(rng.normal(size=(300, 3)), 1)  # ties
+    heads = [random_head(rng, 3, 4) for _ in range(2)]
+    pred = heads[0].predict_batch(x)
+    # writable inputs, which a rank in place would change without an error
+    inputs = [x, y, pred]
+    before = [a.tobytes() for a in inputs]
+    spearman(pred[:, 0], y[:, 0])
+    spearman(pred, np.round(x[:, :3], 1))
+    spearman(y[:, 1].tolist(), pred[:, 1])
+    assert [a.tobytes() for a in inputs] == before
+    ds = Dataset([f"r{i}" for i in range(300)], x.copy(), y.copy(), ["a", "b", "c"])
+    inputs = [ds.features, ds.label_matrix] + [h.weights for h in heads] + [h.biases for h in heads]
+    before = [a.tobytes() for a in inputs]
+    evaluate_head(heads[0], ds)
+    evaluate_heads(heads, ds)
+    assert [a.tobytes() for a in inputs] == before
 
 
 def test_evaluate_heads_refuses_a_head_of_other_dimensions():

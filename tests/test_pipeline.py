@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak_traced_bytes
+from conftest import matrix_copy, peak_traced_bytes, random_head
 import dimsift.data
 import dimsift.influence
 import dimsift.metrics
@@ -37,6 +37,7 @@ from dimsift import (
     split,
 )
 from dimsift.data import StreamLabels, ceil_count, dumps_dataset, floor_count, load_dataset, top_sets
+from dimsift.metrics import evaluate_heads
 from dimsift.noise import corrupted_copy
 from dimsift.pipeline import REFINE_STRATEGIES
 
@@ -722,18 +723,83 @@ def test_a_run_holds_its_ids_as_row_numbers(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
         # every holder of ids among the training split, the scores and the prune result
         for obj, attr in [(arts.train, "_ids"), (arts.scores, "sample_ids"),
-                          (arts.prune, "kept_ids"), (arts.prune, "removed_ids"),
-                          (arts.prune, "per_dim_risk_sets")]:
+                          (arts.prune, "sample_ids"), (arts.prune, "per_dim_risk_sets")]:
             setattr(obj, attr, None)
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # row numbers of the training rows and of the kept and removed rows, 8
-    # bytes each: 16.4 bytes per training row measured (with the test rows'
-    # ids, 14.3 per training and test row); a str id in a tuple takes 63
-    assert 0 < freed < 17 * rows
+    # row numbers of the training rows and of the risk sets' rows, 8 bytes
+    # each: 8.3 bytes per training row measured. Holding the kept rows'
+    # numbers as well measured 16.4, and a str id in a tuple takes 63
+    assert 0 < freed < 9 * rows
     # the test rows reach the evaluator as row numbers too
     assert seen["rows"].dtype == np.intp and len(seen["rows"]) == arts.report.dataset_summary["n_test"]
+
+
+@pytest.mark.parametrize("refine", ["ddp", "loss_prune", "global_prune"])
+def test_a_pruned_refit_fits_the_rows_its_kept_ids_locate(monkeypatch, refine):
+    # the refit's positions, the complement of the removed mask, are the
+    # positions of the kept ids' row numbers among the training rows
+    fitted = []
+    fit = dimsift.pipeline._fit
+
+    def recording_fit(ds, weights, cfg, rows=None):
+        fitted.append(rows)
+        return fit(ds, weights, cfg, rows)
+
+    monkeypatch.setattr(dimsift.pipeline, "_fit", recording_fit)
+    arts = run_pipeline(small_config(refine=refine))
+    probe_rows, rows = fitted
+    want = np.searchsorted(arts.train.ids.rows, arts.prune.kept_ids.rows)
+    assert probe_rows is None and rows.dtype == want.dtype and np.array_equal(rows, want)
+    assert 0 < len(rows) == arts.report.dataset_summary["n_train_refined"] < len(arts.train)
+
+
+def test_an_in_memory_ddp_run_holds_no_copy_of_its_kept_ids():
+    cfg = default_config(seed=0)
+    cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, n_samples=50_000))
+    run_pipeline(cfg)  # numpy's lazy imports are not the run's
+    tracemalloc.start()
+    try:
+        arts = run_pipeline(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    train, n = arts.train, len(arts.train)
+    mask = train.corruption_mask
+    # the scores and global scores, the training rows' numbers, corruption
+    # mask and corrupted values, and the removed mask: 28 KB more measured
+    # (the report, heads and risk sets). Kept ids as a copy of the kept
+    # rows' numbers measured 240 KB more, 8 bytes a training row
+    rows = arts.scores.scores.nbytes + arts.global_scores.nbytes + train.ids.rows.nbytes
+    rows += mask.nbytes + 8 * int(mask.sum()) + arts.prune.removed.nbytes
+    assert arts.prune.removed.nbytes == n
+    assert held < rows + 64 * 1024 < rows + 8 * n
+
+
+@pytest.mark.parametrize("labels", ["stream", "held"])
+def test_evaluate_heads_ranks_within_its_buffers(labels):
+    # 60000 rows of the sample stream (every third of 180k), clean labels
+    synth = dataclasses.replace(default_config(seed=0).synth, n_samples=180_000)
+    rows = np.arange(0, synth.n_samples, 3)
+    clean = StreamLabels(dimsift.data.noise_state(synth), np.empty(0))
+    ds = dimsift.data.synthetic_rows(synth, rows, clean, None, dimsift.data.synth_manifest(synth))
+    if labels == "held":
+        ds = matrix_copy(ds)
+    rng = np.random.default_rng(0)
+    heads = [random_head(rng, synth.n_dims, synth.feature_dim) for _ in range(2)]
+    evaluate_heads(heads, ds)  # numpy's lazy imports are not the evaluation's
+    peak = peak_traced_bytes(evaluate_heads, heads, ds)
+    n, k, d = len(ds), synth.n_dims, synth.feature_dim
+    chunk = max(stop - start for start, stop in dimsift.data._row_chunks(n)) * (d + k) * 8
+    # the (K, n) buffers of each head's predictions and of the labels drawn
+    # from the stream (a held matrix's are not copied), and the ranker's
+    # sort order and sorted copy of one row: 18.0 bytes a row beyond the
+    # buffers measured from the stream, and 26 from a held label matrix,
+    # whose column is ranked in a copy. Ranking into new arrays measured 33
+    # and 41
+    buffers = (len(heads) + (labels == "stream")) * k * n * 8
+    assert peak < buffers + 3 * n * 8 + chunk
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (0.5, 0.5)])

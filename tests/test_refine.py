@@ -20,7 +20,7 @@ from dimsift import (
     overlap_curve,
 )
 from conftest import peak_traced_bytes
-from dimsift.data import JSON_PIECE_ITEMS, RowIds, ceil_count, top_sets
+from dimsift.data import JSON_PIECE_ITEMS, RowIds, ceil_count, take_ids, top_sets
 from dimsift.influence import SelfInfluenceTable
 from dimsift.refine import EPSILON
 
@@ -193,6 +193,31 @@ def test_prune_rejects_bad_rho():
         ddp_select(table, -0.1)
     with pytest.raises(ValueError):
         ddp_select(table, 1.1)
+
+
+@pytest.mark.parametrize("row_ids", [False, True], ids=["str-ids", "row-ids"])
+@pytest.mark.parametrize("strategy", ["ddp", "loss_prune", "global_prune"])
+def test_kept_ids_are_taken_from_the_ids_outside_the_removed_union(strategy, row_ids):
+    # a result holds its ids and the removed mask; its kept and removed ids
+    # are those of take_ids, RowIds views for RowIds, lists of str otherwise
+    rng = np.random.default_rng(11)
+    n, rho = 400, 0.02
+    values = np.abs(np.round(rng.normal(size=(n, 3)), 1))  # ties
+    ids = RowIds(np.arange(3, 3 * n + 3, 3), 5) if row_ids else [f"s{i:03d}" for i in range(n)]
+    if strategy == "ddp":
+        result, top = ddp_select(make_table(values, ids), rho), top_sets(values, rho)
+    elif strategy == "loss_prune":
+        result, top = loss_prune_select(values, ids, rho), top_sets(values, rho)
+    else:
+        result, top = global_prune_select(values[:, 0], ids, rho), top_sets(values[:, 0], rho)
+    removed = np.isin(np.arange(n), top)
+    assert result.sample_ids is ids and np.array_equal(result.removed, removed)
+    kept, dropped = take_ids(ids, ~removed), take_ids(ids, removed)
+    assert result.kept_ids == kept and result.removed_ids == dropped
+    assert type(result.kept_ids) is type(kept) is type(result.removed_ids)
+    if row_ids:
+        assert np.array_equal(result.kept_ids.rows, kept.rows)
+        assert np.array_equal(result.removed_ids.rows, ids.rows[removed])
 
 
 def test_prune_result_round_trip(tmp_path):
@@ -385,7 +410,7 @@ def _weights(n, k):
             lambda: ddr_weights(make_table(np.arange(5.0)[:, None], ids=_ODD_IDS)), id="weights-odd-ids"
         ),
         pytest.param(
-            lambda: PruneResult(_IDS[2:], _IDS[:2], [_IDS[:2], []], [1.5, math.inf], 0.005),
+            lambda: PruneResult(_IDS, np.arange(len(_IDS)) < 2, [_IDS[:2], []], [1.5, math.inf], 0.005),
             id="prune-inf-threshold",
         ),
         pytest.param(
@@ -421,7 +446,7 @@ def test_weight_and_prune_files_are_written_a_piece_at_a_time(tmp_path, kind):
     if kind == "weights":
         result = WeightMatrix(rng.uniform(0.2, 2.0, (n, 5)), ids, 1.0, [(0.1, 0.2)] * 5)
     else:
-        result = PruneResult(ids[:-100], ids[-100:], [ids[:100]] * 5, [1.0] * 5, 0.005)
+        result = PruneResult(ids, np.arange(n) >= n - 100, [ids[:100]] * 5, [1.0] * 5, 0.005)
     path = tmp_path / "out.json"
     peak = peak_traced_bytes(result.save, path)
     assert peak < 0.5 * path.stat().st_size
@@ -433,7 +458,7 @@ def test_the_removal_csv_is_written_a_line_at_a_time(tmp_path):
     # each id to a list of its dimensions measured 4.9x, and joining every
     # line into one string as well 10.2x
     ids = [f"train-{i:06d}" for i in range(20_000)]
-    result = PruneResult(ids[10_000:], ids[:10_000], [ids[:10_000]] * 2, [1.0] * 2, 0.5)
+    result = PruneResult(ids, np.arange(20_000) < 10_000, [ids[:10_000]] * 2, [1.0] * 2, 0.5)
     path = tmp_path / "removed.csv"
     peak = peak_traced_bytes(result.removal_csv, path, ["dim0", "dim1"])
     assert peak < 3.5 * path.stat().st_size
@@ -445,13 +470,13 @@ def test_the_removal_csv_of_row_ids_matches_rows_without_formatting_them(tmp_pat
     # risk-set id into a map of lists measured 13.7x
     rows = RowIds(np.arange(20_000)[::-1], 6)
     risk = [rows[:10_000:2], rows[5_000:12_000], rows[:0]]
-    result = PruneResult(rows[12_000:], rows[:12_000], risk, [1.0] * 3, 0.5)
+    removed = np.arange(20_000) < 12_000
+    result = PruneResult(rows, removed, risk, [1.0] * 3, 0.5)
     path = tmp_path / "removed.csv"
     names = ["dim0", "dim1", "dim2"]
     peak = peak_traced_bytes(result.removal_csv, path, names)
     assert peak < 3 * path.stat().st_size
-    as_str = PruneResult(list(rows[12_000:]), list(rows[:12_000]), [list(r) for r in risk],
-                         [1.0] * 3, 0.5)
+    as_str = PruneResult(list(rows), removed, [list(r) for r in risk], [1.0] * 3, 0.5)
     as_str.removal_csv(tmp_path / "str.csv", names)
     assert path.read_bytes() == (tmp_path / "str.csv").read_bytes()
     lines = path.read_text().splitlines()

@@ -31,7 +31,6 @@ from .influence import (
     grad_per_dimension,
     row_sum_scores,
     scalar_influence,
-    self_influence_closed_form,
     self_influence_explicit,
 )
 from .metrics import (
@@ -54,7 +53,7 @@ from .model import (
     per_dim_loss,
     residuals,
 )
-from .noise import NoiseSpec, inject_dimension_noise
+from .noise import NoiseSpec
 from .pipeline import (
     ExperimentReport,
     PipelineArtifacts,
@@ -79,7 +78,6 @@ __all__ = [
     "Sample",
     "SynthConfig",
     "generate_synthetic",
-    "inject_dimension_noise",
     "load_dataset",
     "save_dataset",
     "split",
@@ -99,7 +97,6 @@ __all__ = [
     "SelfInfluenceTable",
     "DisentangledMatrix",
     "grad_per_dimension",
-    "self_influence_closed_form",
     "self_influence_explicit",
     "disentangled_matrix",
     "scalar_influence",

@@ -34,7 +34,7 @@ from .influence import (
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
 from .model import RegressionHead, Scope, TrainConfig, per_dim_loss
-from .noise import NoiseSpec, corrupted_copy
+from .noise import NoiseSpec
 from .pipeline import (
     REFINE_STRATEGIES,
     ExperimentReport,
@@ -232,7 +232,7 @@ def _cmd_corrupt(args) -> int:
         correlated_rate=args.correlated_rate,
         correlated_seed=args.correlated_seed,
     )
-    ds = corrupted_copy(load_dataset(args.data), noise.apply)
+    ds = noise.apply(load_dataset(args.data))
     save_dataset(ds, args.out)
     mask = ds.corruption_mask
     total = 0 if mask is None else int(mask.any(axis=1).sum())

@@ -1119,9 +1119,8 @@ def _dataset_lines(ds: Dataset) -> Iterator[str]:
         head.update(features=FEATURE_STREAM, stream_digest=stream_digest(src))
         columns = {}
     head["meta"] = ds.manifest
-    # StreamLabels are written a row chunk at a time as Dataset.label_blocks reads them
-    held = ds.label_matrix
-    columns["labels"] = (row for y in ds.label_blocks() for row in y) if held is None else held
+    # a row chunk at a time as Dataset.label_blocks reads them: views of a held matrix, or StreamLabels
+    columns["labels"] = (row for y in ds.label_blocks() for row in y)
     if ds.corruption_mask is not None:
         columns["corrupted"] = ds.corruption_mask
     return table_lines(head, "sample", ds.ids, columns)

@@ -308,21 +308,6 @@ def _gram_terms(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, out=Non
         start = stop
 
 
-def self_influence_closed_form(
-    head: RegressionHead, ds: Dataset, cfg: InfluenceConfig
-) -> SelfInfluenceTable:
-    """Forward-pass-only self-influence for head-only scopes.
-
-    S[i, k] = r[i, k]^2 * (|u_i|^2 + 1), where u_i is the head input and the
-    trailing 1 accounts for the bias coordinate. Equals the squared norm of
-    the explicit per-dimension gradient without assembling any gradient, in
-    O(N * d) arithmetic.
-    """
-    if cfg.scope != Scope.HEAD_ONLY:
-        raise ValueError("closed-form self-influence is defined for the head_only scope")
-    return self_influence_explicit(head, ds, cfg)
-
-
 def _self_scores(head: RegressionHead, ds: Dataset, cfg: InfluenceConfig, table: bool, scalar: bool):
     """The (N, K) self-influence scores and the (N,) global scores, each None unless asked for.
 
@@ -370,7 +355,8 @@ def self_influence_explicit(
 ) -> SelfInfluenceTable:
     """Self-influence S[i, k] = |grad L_k(z_i)|^2 = r_ik^2 (G_kk a_i + b_i).
 
-    Valid for any scope; see _gram_terms for the factors. grad_per_dimension
+    Valid for any scope; see _gram_terms for the factors. In head-only
+    scopes it is the closed form r_ik^2 (|h_i|^2 + 1). grad_per_dimension
     assembles the same gradients one sample at a time and is the reference
     the tests check this against.
     """

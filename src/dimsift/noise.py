@@ -1,10 +1,10 @@
 """Label corruption: the noise of a pipeline config and of `corrupt`, and the cells it corrupts.
 
-NoiseSpec.corruption is the one noise routine. It draws which cells are
-corrupted and their new values, reading the labels only for each column's
-range, so the same values can be written into a label matrix
-(NoiseSpec.apply) or kept beside labels read from the sample stream
-(corrupted_cells, data.StreamLabels).
+NoiseSpec.corruption is the one noise routine. It draws which cells of a
+Dataset are corrupted and their new values, reading its labels only for
+each column's range, so the same values can be written into a copy of
+its labels (NoiseSpec.apply) or kept beside labels read from the sample
+stream (corrupted_cells, data.StreamLabels).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .data import Dataset, _row_chunks, ceil_count
+from .data import Dataset, ceil_count
 
 
 def checked_dims(dims: Iterable[int], n_dims: int) -> list[int]:
@@ -32,10 +32,9 @@ class NoiseSpec:
 
     rate / dims / seed drive the per-dimension independent corruption;
     correlated_rate additionally corrupts a common seeded subset in every
-    dimension with out-of-range labels (see corruption). On a Dataset,
-    corrupted_copy(ds, spec.apply) applies it to copies of the labels and
-    mask; a run writes its cells' values over labels read from the sample
-    stream (corrupted_cells).
+    dimension with out-of-range labels (see corruption). apply(ds) writes
+    it into a copy of a Dataset; a run writes its cells' values over
+    labels read from the sample stream (corrupted_cells).
     """
 
     rate: float = 0.0
@@ -50,12 +49,12 @@ class NoiseSpec:
                 raise ValueError(f"{key}: must be in [0, 1], got {getattr(self, key)}")
 
     def check(self, n_dims: int) -> None:
-        """The ValueError apply would raise on labels of n_dims dimensions, if any, without them."""
+        """The ValueError apply would raise on a dataset of n_dims dimensions, if any, without reading one."""
         if self.rate > 0.0 and self.dims is not None:
             checked_dims(self.dims, n_dims)
 
-    def corruption(self, n: int, n_dims: int, extrema) -> tuple[list, list[dict]]:
-        """The writes of this corruption of n rows of n_dims labels, and their manifest records.
+    def corruption(self, ds: Dataset) -> tuple[list, list[dict]]:
+        """The writes of this corruption of ds's labels, and their manifest records.
 
         Per dimension first: for each dimension k of dims (every one if
         None), ceil(rate * n) rows drawn without replacement by a child
@@ -71,13 +70,12 @@ class NoiseSpec:
 
         Each write (rows, dims, values) sets label (rows[i], dims[j]) to
         values[i, j], and a later write replaces an earlier one. The rows
-        and the draws are seeded and read no label; only the ranges do,
-        through extrema(picks): four (n_dims,) arrays, each column's minimum
-        and maximum and those of its cells the per-dimension rows leave out
-        (label_extrema; picks lists each dimension and its ascending rows).
-        A column's range after its per-dimension writes is then exactly that
-        of its other cells and its new values, with no label written.
+        and the draws are seeded and read no label; only the ranges do, in
+        one pass of ds.label_blocks() (_label_extrema). A column's range
+        after its per-dimension writes is then exactly that of its other
+        cells and its new values, with no label written.
         """
+        n, n_dims = len(ds), ds.n_dims
         records, per_dim, shared = [], [], None
         if self.rate > 0.0:
             dims = checked_dims(range(n_dims) if self.dims is None else self.dims, n_dims)
@@ -107,7 +105,7 @@ class NoiseSpec:
             })
         if not per_dim and shared is None:
             return [], records
-        lo, hi, rest_lo, rest_hi = extrema([(k, rows) for k, _, rows, _ in per_dim])
+        lo, hi, rest_lo, rest_hi = _label_extrema(ds, [(k, rows) for k, _, rows, _ in per_dim])
         writes = []
         lo_after, hi_after = rest_lo.copy(), rest_hi.copy()
         for k, rng, rows, order in per_dim:
@@ -122,28 +120,41 @@ class NoiseSpec:
             writes.append((rows, np.arange(n_dims), values))
         return writes, records
 
-    def apply(self, labels: np.ndarray, mask: np.ndarray) -> list[dict]:
-        """Corrupt labels and mask in place (see corruption); return the records."""
-        n, n_dims = labels.shape
-        chunks = (labels[start:stop] for start, stop in _row_chunks(n))
-        writes, records = self.corruption(n, n_dims, lambda picks: label_extrema(chunks, picks, n_dims))
+    def apply(self, ds: Dataset) -> Dataset:
+        """ds with this corruption (see corruption) written into copies of its labels and mask.
+
+        The manifest gains the records; with none, the result is ds itself.
+        """
+        writes, records = self.corruption(ds)
+        if not records:
+            return ds
+        labels = ds.labels.copy()
+        mask = np.zeros(labels.shape, dtype=bool) if ds.corruption_mask is None else ds.corruption_mask.copy()
         for rows, dims, values in writes:
             labels[rows[:, None], dims] = values
             mask[rows[:, None], dims] = True
-        return records
+        return Dataset(
+            ids=ds.ids,
+            features=ds._source,
+            labels=labels,
+            dim_names=ds.dim_names,
+            corrupted=mask,
+            manifest=with_injections(ds.manifest, records),
+        )
 
 
-def label_extrema(chunks: Iterable[np.ndarray], picks: list, n_dims: int) -> tuple[np.ndarray, ...]:
-    """NoiseSpec.corruption's extrema of the labels of n_dims columns given as row chunks, in order.
+def _label_extrema(ds: Dataset, picks: list) -> tuple[np.ndarray, ...]:
+    """NoiseSpec.corruption's column ranges of ds's labels, read a chunk at a time.
 
-    Each column's minimum and maximum, and those of its cells that picks,
-    a list of (column, ascending rows), leaves out (infinite if it leaves
-    out none).
+    Four (n_dims,) arrays: each column's minimum and maximum, and those of
+    its cells that picks, a list of (column, ascending rows), leaves out
+    (infinite if it leaves out none).
     """
+    n_dims = ds.n_dims
     lo, rest_lo = np.full(n_dims, np.inf), np.full(n_dims, np.inf)
     hi, rest_hi = np.full(n_dims, -np.inf), np.full(n_dims, -np.inf)
     start = 0
-    for y in chunks:
+    for y in ds.label_blocks():
         stop = start + len(y)
         # dimension-major, so each column is reduced as one contiguous row (4x faster)
         z = y.T.copy()
@@ -193,44 +204,3 @@ def with_injections(manifest: dict, records: list[dict]) -> dict:
     out = dict(manifest)
     out["noise_injections"] = list(out.get("noise_injections", [])) + records
     return out
-
-
-def corrupted_copy(ds: Dataset, corrupt) -> Dataset:
-    """ds with corrupt(labels, mask) applied to copies of its labels and mask.
-
-    corrupt returns the manifest records of its injections; with none, the
-    result is ds itself.
-    """
-    labels = ds.labels.copy()
-    mask = (
-        np.zeros(labels.shape, dtype=bool)
-        if ds.corruption_mask is None
-        else ds.corruption_mask.copy()
-    )
-    records = corrupt(labels, mask)
-    if not records:
-        return ds
-    return Dataset(
-        ids=ds.ids,
-        features=ds._source,
-        labels=labels,
-        dim_names=ds.dim_names,
-        corrupted=mask,
-        manifest=with_injections(ds.manifest, records),
-    )
-
-
-def inject_dimension_noise(
-    ds: Dataset, rate: float, dims: Iterable[int], rng_seed: int
-) -> Dataset:
-    """Corrupt a fraction of labels independently in each selected dimension.
-
-    For each dimension k in dims, ceil(rate * N) samples are chosen without
-    replacement and their k-th label is replaced by a uniform draw over the
-    empirical [min, max] of that dimension's input labels, as
-    NoiseSpec(rate, dims, rng_seed) corrupts them. Other label columns are
-    bit-identical to the input. Returns a new dataset with the corruption
-    mask extended; at rate 0, ds itself.
-    """
-    spec = NoiseSpec(rate=rate, dims=tuple(checked_dims(dims, ds.n_dims)), seed=rng_seed)
-    return corrupted_copy(ds, spec.apply)

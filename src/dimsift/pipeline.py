@@ -58,7 +58,7 @@ from .model import (
     fit_gd,
     per_dim_loss,
 )
-from .noise import NoiseSpec, corrupted_cells, label_extrema, with_injections
+from .noise import NoiseSpec, corrupted_cells, with_injections
 from .refine import (
     DEFAULT_RHO,
     DEFAULT_TEMPERATURE,
@@ -505,9 +505,7 @@ def _draw(config: PipelineConfig, out: Path | None):
     clean = StreamLabels(noise_state(synth), np.empty(0))
     every_row = np.arange(synth.n_samples)
     corpus = synthetic_rows(synth, every_row, clean, None, clean_manifest)
-    writes, records = config.noise.corruption(
-        synth.n_samples, k, lambda picks: label_extrema(corpus.label_blocks(), picks, k)
-    )
+    writes, records = config.noise.corruption(corpus)
     manifest = with_injections(clean_manifest, records)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import (
     RowIds,
+    first_duplicate,
     id_list,
     long_csv_lines,
     number_rows,
@@ -84,15 +85,19 @@ class PruneResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "PruneResult":
-        """The result save wrote to path; rho must be in [0, 1]."""
+        """The result save wrote to path; rho must be in [0, 1], and no id both kept and removed."""
 
         def read(d):
             rho = float(number_rows([[d["rho"]]], "rho")[0, 0])
             if not 0.0 <= rho <= 1.0:  # NaN fails too
                 raise DataError(f"line 1: rho must be in [0, 1], got {rho}")
             kept, removed = id_list(d["kept_ids"], "kept_ids"), id_list(d["removed_ids"], "removed_ids")
+            ids = kept + removed
+            dup = first_duplicate(ids)  # each list's ids are distinct, so a repeat is in both
+            if dup is not None:
+                raise DataError(f"removed_ids: sample id {ids[dup]!r} is also kept")
             return cls(
-                sample_ids=kept + removed,
+                sample_ids=ids,
                 removed=np.arange(len(kept) + len(removed)) >= len(kept),
                 per_dim_risk_sets=[id_list(s, "per_dim_risk_sets") for s in d["per_dim_risk_sets"]],
                 thresholds=number_rows([d["thresholds"]], "thresholds")[0].tolist(),

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from dimsift import (
     Dataset,
+    NoiseSpec,
     RegressionHead,
     Sample,
     SynthConfig,
     generate_synthetic,
-    inject_dimension_noise,
 )
 
 
@@ -64,7 +64,7 @@ def random_sample(rng, feature_dim, n_dims, sid="z"):
 def noisy_corpus():
     """400-sample corpus with 10% corruption in every dimension."""
     cfg = SynthConfig(400, 6, 3, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
-    return inject_dimension_noise(generate_synthetic(cfg), 0.1, range(3), 2)
+    return NoiseSpec(rate=0.1, dims=tuple(range(3)), seed=2).apply(generate_synthetic(cfg))
 
 
 @pytest.fixture(scope="session")

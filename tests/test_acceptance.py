@@ -14,6 +14,7 @@ import pytest
 from conftest import random_head, random_sample
 from dimsift import (
     InfluenceConfig,
+    NoiseSpec,
     Sample,
     Scope,
     SynthConfig,
@@ -29,11 +30,10 @@ from dimsift import (
     global_prune_select,
     global_tracin_self,
     grad_per_dimension,
-    inject_dimension_noise,
     overlap_curve,
     run_pipeline,
     scalar_influence,
-    self_influence_closed_form,
+    self_influence_explicit,
     spearman,
     split,
 )
@@ -95,7 +95,7 @@ def test_02_closed_form_and_gradients():
     )
     head = random_head(rng, k, d)
     cfg = InfluenceConfig()
-    fast = self_influence_closed_form(head, corpus, cfg).scores
+    fast = self_influence_explicit(head, corpus, cfg).scores
     # explicit gradient norms: squared row norms of each sample's assembled gradient
     slow = _oracle_sums(head, corpus, cfg)["explicit"][0]
     rel = np.abs(fast - slow) / np.maximum.reduce([np.abs(fast), np.abs(slow), np.ones_like(fast)])
@@ -156,9 +156,9 @@ def detection_runs():
     start = time.perf_counter()
     for s in range(5):
         cfg = SynthConfig(2000, 16, 5, label_noise_sd=0.1, teacher_seed=s, sample_seed=100 + s)
-        noisy = inject_dimension_noise(generate_synthetic(cfg), 0.1, range(5), 200 + s)
+        noisy = NoiseSpec(rate=0.1, dims=tuple(range(5)), seed=200 + s).apply(generate_synthetic(cfg))
         head = fit_closed_form(noisy, config=TrainConfig(ridge_alpha=1e-6))
-        table = self_influence_closed_form(head, noisy, InfluenceConfig())
+        table = self_influence_explicit(head, noisy, InfluenceConfig())
         runs.append((noisy, table))
     return runs, time.perf_counter() - start
 
@@ -202,10 +202,10 @@ def test_06_masking_effect():
     for s in range(10):
         cfg = SynthConfig(2000, 16, 5, label_noise_sd=(10.0, 1.0, 1.0, 1.0, 1.0),
                           teacher_seed=s, sample_seed=1000 + s)
-        noisy = inject_dimension_noise(generate_synthetic(cfg), 0.1, minority, 2000 + s)
+        noisy = NoiseSpec(rate=0.1, dims=tuple(minority), seed=2000 + s).apply(generate_synthetic(cfg))
         head = fit_closed_form(noisy, config=TrainConfig(ridge_alpha=1e-6))
         icfg = InfluenceConfig()
-        table = self_influence_closed_form(head, noisy, icfg)
+        table = self_influence_explicit(head, noisy, icfg)
         ddp = ddp_select(table, 0.1)
         budget = len(ddp.removed_ids) / 2000.0
         glob = global_prune_select(global_tracin_self(head, noisy, icfg), noisy.ids, budget)
@@ -232,14 +232,14 @@ def test_07_end_to_end_improvement():
         base = 10 * s
         cfg = SynthConfig(2000, 16, 5, label_noise_sd=0.1, teacher_seed=base, sample_seed=base + 1)
         clean = generate_synthetic(cfg)
-        noisy = inject_dimension_noise(clean, 0.25, range(5), base + 2)
+        noisy = NoiseSpec(rate=0.25, dims=tuple(range(5)), seed=base + 2).apply(clean)
         train, _, test = split(noisy, (0.6, 0.2, 0.2), seed=base + 4)
         test_clean = clean.select_ids(test.ids)
         tcfg = TrainConfig(ridge_alpha=1e-6)
 
         probe = fit_closed_form(train, config=tcfg)
         baseline = np.array(evaluate_head(probe, test_clean).per_dim_spearman)
-        table = self_influence_closed_form(probe, train, InfluenceConfig())
+        table = self_influence_explicit(probe, train, InfluenceConfig())
 
         kept = train.select_ids(ddp_select(table, 0.25).kept_ids)
         ddp_scores = np.array(

@@ -28,7 +28,6 @@ from dimsift import (
     default_config,
     fit_closed_form,
     generate_synthetic,
-    inject_dimension_noise,
     load_dataset,
     run_pipeline,
     save_dataset,
@@ -38,7 +37,6 @@ import dimsift.data
 from conftest import matrix_copy, peak_traced_bytes
 from dimsift.cli import _build_parser, main
 from dimsift.data import dumps_dataset
-from dimsift.noise import corrupted_copy
 from dimsift.influence import SelfInfluenceTable
 from dimsift.pipeline import REFINE_STRATEGIES
 from dimsift.refine import DEFAULT_RHO
@@ -98,7 +96,7 @@ def test_gen_holds_no_full_feature_matrix(monkeypatch, tmp_path):
 def test_corrupt_matches_library(stage_dir):
     corpus = load_dataset(stage_dir / "corpus.jsonl")
     noisy = load_dataset(stage_dir / "noisy.jsonl")
-    expect = inject_dimension_noise(corpus, 0.1, range(3), 3)
+    expect = NoiseSpec(rate=0.1, dims=tuple(range(3)), seed=3).apply(corpus)
     assert dumps_dataset(noisy) == dumps_dataset(expect)
 
 
@@ -109,8 +107,8 @@ def test_corrupt_noise_flags_match_the_library_chain(tmp_path):
     assert main(["corrupt", "--data", str(tmp_path / "corpus.jsonl"), "--rate", "0.15",
                  "--dims", "1,3", "--seed", "9", "--correlated-rate", "0.01",
                  "--correlated-seed", "4", "--out", str(out)]) == 0
-    noisy = inject_dimension_noise(corpus, 0.15, (1, 3), 9)
-    expect = corrupted_copy(noisy, NoiseSpec(correlated_rate=0.01, correlated_seed=4).apply)
+    noisy = NoiseSpec(rate=0.15, dims=(1, 3), seed=9).apply(corpus)
+    expect = NoiseSpec(correlated_rate=0.01, correlated_seed=4).apply(noisy)
     assert out.read_text() == dumps_dataset(expect)
 
 

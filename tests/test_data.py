@@ -35,7 +35,6 @@ from dimsift import (
     default_config,
     fit_closed_form,
     generate_synthetic,
-    inject_dimension_noise,
     load_dataset,
     residuals,
     save_dataset,
@@ -62,7 +61,6 @@ from dimsift.data import (
     teacher_head,
     write_json,
 )
-from dimsift.noise import corrupted_copy
 from dimsift.refine import load_scalar_scores
 
 
@@ -219,10 +217,10 @@ def test_feature_blocks_of_the_stream_and_of_a_matrix(monkeypatch):
         assert got.id == want.id and got.features.tolist() == want.features.tolist()
     # a corrupted copy keeps reading the stream, and its file reads back as
     # the matrix's corrupted copy: the same ids, features, labels and mask
-    noisy = inject_dimension_noise(stream, 0.1, [1], 3)
+    noisy = NoiseSpec(rate=0.1, dims=(1,), seed=3).apply(stream)
     assert noisy._source is cfg
     back = loads_dataset(dumps_dataset(noisy))
-    want = inject_dimension_noise(matrix, 0.1, [1], 3)
+    want = NoiseSpec(rate=0.1, dims=(1,), seed=3).apply(matrix)
     assert back._source == SynthConfig(600, 4, 2, (0.1, 0.1), teacher_seed=1, sample_seed=2)
     assert back.ids == want.ids
     for a, b in ((back.features, want.features), (back.labels, want.labels),
@@ -381,19 +379,37 @@ def test_arrays_are_read_only():
 
 # --------------------------------------------------------------- injection
 
-def test_injection_zero_rate_is_identity():
-    corpus = generate_synthetic(SynthConfig(50, 4, 3, label_noise_sd=0.1, teacher_seed=0, sample_seed=1))
-    out = inject_dimension_noise(corpus, 0.0, [0, 1, 2], 7)
-    assert np.array_equal(out.labels, corpus.labels)
-    assert out.corruption_mask.sum() == 0
-    # rate 0 injects nothing: the corpus itself, with no injection recorded
-    assert out is corpus
-    assert "noise_injections" not in out.manifest
+def _held_and_stream(cfg):
+    """cfg's corpus with one corrupted cell: holding its labels, and reading them from the sample stream."""
+    rows = np.arange(cfg.n_samples)
+    mask = np.zeros((cfg.n_samples, cfg.n_dims), dtype=bool)
+    mask[5, 1] = True
+    stream = synthetic_rows(cfg, rows, StreamLabels(noise_state(cfg), np.array([9.0])), mask,
+                            draw_synthetic(cfg)[1])
+    return synthetic_rows(cfg, rows, stream.labels, mask, stream.manifest), stream
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["label_matrix", "stream_labels"])
+def test_apply_corrupts_a_copy_and_leaves_its_input_unchanged(held):
+    pair = _held_and_stream(SynthConfig(300, 4, 3, label_noise_sd=0.1, teacher_seed=0, sample_seed=1))
+    ds = pair[0] if held else pair[1]
+    labels, mask = ds.labels.tobytes(), ds.corruption_mask.tobytes()
+    spec = NoiseSpec(rate=0.1, dims=(0, 2), seed=3, correlated_rate=0.01, correlated_seed=4)
+    out = spec.apply(ds)
+    assert ds.labels.tobytes() == labels and ds.corruption_mask.tobytes() == mask
+    assert out is not ds and out.ids == ds.ids and out._source is ds._source
+    assert "noise_injections" not in ds.manifest and len(out.manifest["noise_injections"]) == 2
+    assert out.corruption_mask[5, 1] and out.labels[5, 1] == 9.0
+    # either label source gives the same copy
+    assert dumps_dataset(out) == dumps_dataset(spec.apply(pair[0]))
+    # rate 0 injects nothing: the input itself, with no injection recorded
+    for zero in (NoiseSpec(), NoiseSpec(rate=0.0, dims=(0, 1, 2), seed=7)):
+        assert zero.apply(ds) is ds
 
 
 def test_injection_exact_count_and_isolation():
     corpus = generate_synthetic(SynthConfig(1000, 4, 3, label_noise_sd=0.1, teacher_seed=0, sample_seed=1))
-    out = inject_dimension_noise(corpus, 0.1, [1], 7)
+    out = NoiseSpec(rate=0.1, dims=(1,), seed=7).apply(corpus)
     mask = out.corruption_mask
     assert mask[:, 1].sum() == 100
     assert mask[:, 0].sum() == 0 and mask[:, 2].sum() == 0
@@ -407,7 +423,7 @@ def test_injection_exact_count_and_isolation():
 
 def test_injection_stays_inside_observed_range():
     corpus = generate_synthetic(SynthConfig(500, 4, 2, label_noise_sd=0.3, teacher_seed=2, sample_seed=3))
-    out = inject_dimension_noise(corpus, 0.2, [0, 1], 11)
+    out = NoiseSpec(rate=0.2, dims=(0, 1), seed=11).apply(corpus)
     for k in range(2):
         lo, hi = corpus.labels[:, k].min(), corpus.labels[:, k].max()
         assert out.labels[:, k].min() >= lo and out.labels[:, k].max() <= hi
@@ -415,19 +431,21 @@ def test_injection_stays_inside_observed_range():
 
 def test_injection_deterministic_and_composable():
     corpus = generate_synthetic(SynthConfig(300, 4, 3, label_noise_sd=0.1, teacher_seed=0, sample_seed=1))
-    once = inject_dimension_noise(corpus, 0.1, [0, 2], 13)
-    again = inject_dimension_noise(corpus, 0.1, [0, 2], 13)
+    once = NoiseSpec(rate=0.1, dims=(0, 2), seed=13).apply(corpus)
+    again = NoiseSpec(rate=0.1, dims=(0, 2), seed=13).apply(corpus)
     assert dumps_dataset(once) == dumps_dataset(again)
     # one multi-dimension call equals a sequence of single-dimension calls
     # with the same seed: each dimension owns an independent child stream
-    stepwise = inject_dimension_noise(inject_dimension_noise(corpus, 0.1, [0], 13), 0.1, [2], 13)
+    stepwise = NoiseSpec(rate=0.1, dims=(2,), seed=13).apply(
+        NoiseSpec(rate=0.1, dims=(0,), seed=13).apply(corpus)
+    )
     assert np.array_equal(once.labels, stepwise.labels)
     assert np.array_equal(once.corruption_mask, stepwise.corruption_mask)
 
 
 def test_injection_masks_are_independent_across_dimensions():
     corpus = generate_synthetic(SynthConfig(1000, 4, 5, label_noise_sd=0.1, teacher_seed=3, sample_seed=4))
-    mask = inject_dimension_noise(corpus, 0.1, range(5), 77).corruption_mask.astype(float)
+    mask = NoiseSpec(rate=0.1, dims=tuple(range(5)), seed=77).apply(corpus).corruption_mask.astype(float)
     for a in range(5):
         for b in range(a + 1, 5):
             assert abs(np.corrcoef(mask[:, a], mask[:, b])[0, 1]) < 0.1
@@ -436,19 +454,19 @@ def test_injection_masks_are_independent_across_dimensions():
 def test_injection_rejects_bad_rate_and_dims():
     corpus = generate_synthetic(SynthConfig(20, 3, 2, label_noise_sd=0.0, teacher_seed=0, sample_seed=0))
     with pytest.raises(ValueError):
-        inject_dimension_noise(corpus, 1.5, [0], 0)
+        NoiseSpec(rate=1.5, dims=(0,), seed=0).apply(corpus)
     with pytest.raises(ValueError):
-        inject_dimension_noise(corpus, -0.1, [0], 0)
+        NoiseSpec(rate=-0.1, dims=(0,), seed=0).apply(corpus)
     with pytest.raises(ValueError):
-        inject_dimension_noise(corpus, 0.1, [5], 0)
+        NoiseSpec(rate=0.1, dims=(5,), seed=0).apply(corpus)
     with pytest.raises(ValueError):
-        inject_dimension_noise(corpus, 0.1, [], 0)
+        NoiseSpec(rate=0.1, dims=(), seed=0).apply(corpus)
 
 
 def test_correlated_injection_marks_every_dimension():
     corpus = generate_synthetic(SynthConfig(400, 4, 3, label_noise_sd=0.1, teacher_seed=1, sample_seed=2))
-    corrupt = NoiseSpec(correlated_rate=0.01, correlated_seed=5).apply
-    out = corrupted_copy(corpus, corrupt)
+    spec = NoiseSpec(correlated_rate=0.01, correlated_seed=5)
+    out = spec.apply(corpus)
     mask = out.corruption_mask
     n_hit = ceil_count(0.01, 400)
     assert mask.any(axis=1).sum() == n_hit
@@ -459,7 +477,7 @@ def test_correlated_injection_marks_every_dimension():
         lo, hi = corpus.labels[:, k].min(), corpus.labels[:, k].max()
         vals = out.labels[rows, k]
         assert np.all((vals < lo) | (vals > hi))
-    two = corrupted_copy(corpus, corrupt)
+    two = spec.apply(corpus)
     assert dumps_dataset(out) == dumps_dataset(two)
 
 
@@ -492,7 +510,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 def test_split_carries_corruption_mask():
     corpus = generate_synthetic(SynthConfig(100, 4, 2, label_noise_sd=0.1, teacher_seed=0, sample_seed=1))
-    noisy = inject_dimension_noise(corpus, 0.2, [0, 1], 3)
+    noisy = NoiseSpec(rate=0.2, dims=(0, 1), seed=3).apply(corpus)
     train, _, _ = split(noisy, (0.8, 0.1, 0.1), seed=1)
     for i, sid in enumerate(train.ids):
         j = noisy.index_of(sid)
@@ -511,7 +529,7 @@ def test_split_rejects_bad_fractions():
 
 def test_jsonl_round_trip(tmp_path):
     cfg = SynthConfig(30, 4, 3, label_noise_sd=0.1, teacher_seed=2, sample_seed=3)
-    corpus = inject_dimension_noise(generate_synthetic(cfg), 0.1, [1], 4)
+    corpus = NoiseSpec(rate=0.1, dims=(1,), seed=4).apply(generate_synthetic(cfg))
     path = tmp_path / "corpus.jsonl"
     save_dataset(corpus, path)
     back = load_dataset(path)
@@ -624,9 +642,8 @@ def _through_a_file(load):
 
 def _row_table_texts():
     """kind: (text, loads, the one error loads may raise) of each row table and JSON document."""
-    corpus = inject_dimension_noise(
-        generate_synthetic(SynthConfig(4, 3, 2, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)),
-        0.5, range(2), 2,
+    corpus = NoiseSpec(rate=0.5, dims=tuple(range(2)), seed=2).apply(
+        generate_synthetic(SynthConfig(4, 3, 2, label_noise_sd=0.1, teacher_seed=0, sample_seed=1))
     )
     table = SelfInfluenceTable(
         np.arange(8.0).reshape(4, 2), corpus.ids, corpus.dim_names, Scope.HEAD_ONLY, np.ones(2)
@@ -674,7 +691,7 @@ def test_a_row_table_with_one_field_replaced_loads_or_is_a_data_error(kind, data
 @pytest.fixture(scope="module")
 def big_corpus():
     cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
-    return inject_dimension_noise(generate_synthetic(cfg), 0.1, range(5), 2)
+    return NoiseSpec(rate=0.1, dims=tuple(range(5)), seed=2).apply(generate_synthetic(cfg))
 
 
 @settings(max_examples=200, deadline=None)

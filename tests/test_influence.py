@@ -22,6 +22,7 @@ from dimsift import (
     DataError,
     Dataset,
     InfluenceConfig,
+    NoiseSpec,
     RegressionHead,
     Sample,
     Scope,
@@ -30,10 +31,8 @@ from dimsift import (
     generate_synthetic,
     global_tracin_self,
     grad_per_dimension,
-    inject_dimension_noise,
     row_sum_scores,
     scalar_influence,
-    self_influence_closed_form,
     self_influence_explicit,
 )
 from dimsift.influence import SelfInfluenceTable, scope_dim, self_and_global_scores
@@ -118,7 +117,7 @@ def test_closed_form_hand_case():
     # residual 2, features (3, 4): 4 * (9 + 16 + 1) = 104
     head = RegressionHead(weights=np.zeros((1, 2)), biases=np.array([2.0]))
     corpus_like = _one_sample_dataset(np.array([3.0, 4.0]), np.array([0.0]))
-    table = self_influence_closed_form(head, corpus_like, HEAD_CFG)
+    table = self_influence_explicit(head, corpus_like, HEAD_CFG)
     assert table.scores[0, 0] == pytest.approx(104.0, abs=1e-12)
 
 
@@ -131,7 +130,7 @@ def _one_sample_dataset(x, y):
 def test_closed_form_equals_explicit_gradient_norms(noisy_corpus):
     rng = np.random.default_rng(3)
     head = random_head(rng, 3, 6)
-    fast = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
+    fast = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
     slow = _oracle_sums(head, noisy_corpus, HEAD_CFG)["explicit"][0]
     rel = np.abs(fast.scores - slow) / np.maximum.reduce(
         [np.abs(fast.scores), np.abs(slow), np.ones_like(slow)]
@@ -145,16 +144,9 @@ def test_closed_form_head_only_scope_on_two_layer_head(noisy_corpus):
     # head input just moves from x to the hidden representation
     rng = np.random.default_rng(4)
     head = random_head(rng, 3, 6, hidden_dim=5)
-    fast = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
+    fast = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
     slow = _oracle_sums(head, noisy_corpus, HEAD_CFG)["explicit"][0]
     assert np.abs(fast.scores - slow).max() < 1e-10 * max(1.0, np.abs(slow).max())
-
-
-def test_closed_form_rejects_two_layer_scope(noisy_corpus):
-    rng = np.random.default_rng(5)
-    head = random_head(rng, 3, 6, hidden_dim=5)
-    with pytest.raises(ValueError):
-        self_influence_closed_form(head, noisy_corpus, TWO_CFG)
 
 
 def test_closed_form_never_assembles_gradients(noisy_corpus, monkeypatch):
@@ -169,7 +161,7 @@ def test_closed_form_never_assembles_gradients(noisy_corpus, monkeypatch):
         raise AssertionError("batched scoring must not assemble gradients")
 
     monkeypatch.setattr(influence_mod, "grad_per_dimension", boom)
-    table = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
+    table = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
     assert np.all(np.isfinite(table.scores))
     for score in (self_influence_explicit, global_tracin_self, row_sum_scores):
         for h, cfg in ((head, HEAD_CFG), (shared, TWO_CFG)):
@@ -182,8 +174,8 @@ def test_closed_form_never_assembles_gradients(noisy_corpus, monkeypatch):
 def test_self_influence_ignores_lambdas(noisy_corpus):
     rng = np.random.default_rng(7)
     head = random_head(rng, 3, 6)
-    a = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
-    b = self_influence_closed_form(head, noisy_corpus, InfluenceConfig(lambdas=(9.0, 1.0, 0.5)))
+    a = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
+    b = self_influence_explicit(head, noisy_corpus, InfluenceConfig(lambdas=(9.0, 1.0, 0.5)))
     assert np.array_equal(a.scores, b.scores)
 
 
@@ -248,7 +240,7 @@ def test_matrix_diagonal_at_self_is_lambda_scaled_self_influence(noisy_corpus):
     head = random_head(rng, 3, 6)
     lam = np.array([2.0, 1.0, 0.25])
     cfg = InfluenceConfig(lambdas=tuple(lam))
-    table = self_influence_closed_form(head, noisy_corpus, cfg)
+    table = self_influence_explicit(head, noisy_corpus, cfg)
     for i in [0, 7, 399]:
         z = noisy_corpus.sample(i)
         phi = disentangled_matrix(head, z, z, cfg).phi
@@ -300,7 +292,7 @@ def test_global_tracin_is_lambda_weighted_score_sum(noisy_corpus):
     head = random_head(rng, 3, 6)
     lam = np.array([1.5, 1.0, 0.5])
     cfg = InfluenceConfig(lambdas=tuple(lam))
-    table = self_influence_closed_form(head, noisy_corpus, cfg)
+    table = self_influence_explicit(head, noisy_corpus, cfg)
     g = global_tracin_self(head, noisy_corpus, cfg)
     assert np.abs(g - table.scores @ lam**2).max() < 1e-9
 
@@ -324,7 +316,7 @@ def test_row_sums_head_only_reduce_to_scaled_self_influence(noisy_corpus):
     lam = np.array([1.5, 1.0, 0.5])
     cfg = InfluenceConfig(lambdas=tuple(lam))
     rows = row_sum_scores(head, noisy_corpus, cfg)
-    table = self_influence_closed_form(head, noisy_corpus, cfg)
+    table = self_influence_explicit(head, noisy_corpus, cfg)
     assert np.abs(rows - lam**2 * table.scores).max() < 1e-9
 
 
@@ -502,7 +494,7 @@ def test_a_head_only_zero_lambda_column_is_positive_zero(noisy_corpus):
 def test_score_table_round_trips(noisy_corpus, tmp_path):
     rng = np.random.default_rng(21)
     head = random_head(rng, 3, 6)
-    table = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
+    table = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
     path = tmp_path / "scores.jsonl"
     table.to_jsonl(path)
     back = SelfInfluenceTable.load(path)
@@ -516,7 +508,7 @@ def test_score_table_round_trips(noisy_corpus, tmp_path):
 def test_score_table_csv_layout(noisy_corpus, tmp_path):
     rng = np.random.default_rng(22)
     head = random_head(rng, 3, 6)
-    table = self_influence_closed_form(head, noisy_corpus, HEAD_CFG)
+    table = self_influence_explicit(head, noisy_corpus, HEAD_CFG)
     path = tmp_path / "scores.csv"
     table.to_csv(path)
     lines = path.read_text().splitlines()
@@ -607,7 +599,7 @@ def test_score_load_holds_little_beyond_the_array(big_table, tmp_path):
 @pytest.fixture(scope="module")
 def big_corpus():
     cfg = SynthConfig(20_000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=1)
-    return inject_dimension_noise(generate_synthetic(cfg), 0.1, range(5), 2)
+    return NoiseSpec(rate=0.1, dims=tuple(range(5)), seed=2).apply(generate_synthetic(cfg))
 
 
 @pytest.mark.parametrize(

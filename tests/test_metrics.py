@@ -19,6 +19,7 @@ import dimsift.metrics
 from dimsift import (
     DataError,
     Dataset,
+    NoiseSpec,
     Scope,
     SynthConfig,
     TrainConfig,
@@ -26,11 +27,10 @@ from dimsift import (
     evaluate_head,
     fit_closed_form,
     generate_synthetic,
-    inject_dimension_noise,
     masking_report,
     overlap_curve,
     per_dim_auroc,
-    self_influence_closed_form,
+    self_influence_explicit,
     spearman,
 )
 from dimsift import InfluenceConfig
@@ -365,9 +365,9 @@ def test_overlap_validates_inputs():
 
 def test_heterogeneity_decorrelates_under_independent_corruption():
     cfg = SynthConfig(2000, 16, 5, label_noise_sd=0.1, teacher_seed=0, sample_seed=50)
-    noisy = inject_dimension_noise(generate_synthetic(cfg), 0.1, range(5), 99)
+    noisy = NoiseSpec(rate=0.1, dims=tuple(range(5)), seed=99).apply(generate_synthetic(cfg))
     head = fit_closed_form(noisy, config=TrainConfig(ridge_alpha=1e-6))
-    table = self_influence_closed_form(head, noisy, InfluenceConfig())
+    table = self_influence_explicit(head, noisy, InfluenceConfig())
     # independently corrupted dimensions flag different samples
     assert abs(np.corrcoef(table.scores[:, 0], table.scores[:, 1])[0, 1]) < 0.2
 

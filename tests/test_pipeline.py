@@ -38,7 +38,6 @@ from dimsift import (
 )
 from dimsift.data import StreamLabels, ceil_count, dumps_dataset, floor_count, load_dataset, top_sets
 from dimsift.metrics import evaluate_heads
-from dimsift.noise import corrupted_copy
 from dimsift.pipeline import REFINE_STRATEGIES
 
 
@@ -267,7 +266,7 @@ def test_pipeline_clean_test_labels_are_uncorrupted(monkeypatch, tmp_path):
     seen = _recording_evaluation(monkeypatch)
     run_pipeline(cfg, tmp_path)
     clean = generate_synthetic(cfg.synth)
-    noisy = corrupted_copy(clean, cfg.noise.apply)
+    noisy = cfg.noise.apply(clean)
     rows = seen["rows"]
     # the heads are evaluated on the clean labels of the test rows, some of
     # which the noise corrupted
@@ -320,7 +319,7 @@ def test_pipeline_writes_reloadable_artifacts(tmp_path):
         assert (out / name).exists(), name
     report = ExperimentReport.load(out / "report.json")
     assert report.dumps() == arts.report.dumps()
-    noisy = corrupted_copy(generate_synthetic(cfg.synth), cfg.noise.apply)
+    noisy = cfg.noise.apply(generate_synthetic(cfg.synth))
     assert (out / "corpus.jsonl").read_text() == dumps_dataset(noisy)
     # no wall-clock state may leak into artifacts
     blob = (out / "report.json").read_text() + (out / "config.json").read_text()
@@ -414,7 +413,7 @@ def test_index_selection_matches_the_id_route(monkeypatch, tmp_path, refine, noi
     seen = _recording_evaluation(monkeypatch)
     arts = run_pipeline(cfg, tmp_path)
     clean = generate_synthetic(cfg.synth)
-    noisy = corrupted_copy(clean, cfg.noise.apply)
+    noisy = cfg.noise.apply(clean)
     train_ds, _, test = split(noisy, cfg.split_fractions, cfg.split_seed)
     refined = train_ds.select_ids(arts.prune.kept_ids)
     assert 0 < len(refined) < len(train_ds)
@@ -635,9 +634,9 @@ def test_a_runs_stream_labels_are_the_drawn_and_corrupted_labels_at_every_chunk_
         cfg.synth.n_samples, cfg.split_fractions, cfg.split_seed
     )
     assert len(train_idx) == n_train
-    clean, _ = dimsift.data.draw_synthetic(cfg.synth)
-    labels, mask = clean.copy(), np.zeros(clean.shape, dtype=bool)
-    cfg.noise.apply(labels, mask)
+    corpus = generate_synthetic(cfg.synth)
+    clean, noisy = corpus.labels, cfg.noise.apply(corpus)
+    labels, mask = noisy.labels, noisy.corruption_mask
     assert arts.train.labels.tobytes() == labels[train_idx].tobytes()
     assert np.array_equal(arts.train.corruption_mask, mask[train_idx])
     # the test rows' clean labels, drawn when the evaluation starts

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dimsift import (
+    DataError,
     PruneResult,
     Scope,
     WeightMatrix,
@@ -231,6 +232,15 @@ def test_prune_result_round_trip(tmp_path):
     assert back.per_dim_risk_sets == result.per_dim_risk_sets
     assert back.thresholds == result.thresholds
     assert back.rho == result.rho
+
+
+def test_prune_result_load_refuses_an_id_both_kept_and_removed(tmp_path):
+    doc = ddp_select(make_table(np.eye(4)), 0.25).to_dict()
+    doc["kept_ids"] = doc["kept_ids"] + doc["removed_ids"][:1]
+    path = tmp_path / "prune.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"removed_ids: sample id {doc['removed_ids'][0]!r} is also kept"):
+        PruneResult.load(path)
 
 
 def test_removal_csv_lists_flagging_dimensions(tmp_path):

@@ -18,10 +18,12 @@ from pathlib import Path
 from . import __version__
 from .data import (
     SynthConfig,
+    checked_fractions,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split,
+    validate_synth,
     write_json,
 )
 from .errors import DataError, NumericalError, UsageError
@@ -30,6 +32,7 @@ from .influence import (
     SelfInfluenceTable,
     global_tracin_self,
     row_sum_scores,
+    scope_dim,
     self_influence_explicit,
 )
 from .metrics import evaluate_head, masking_report, overlap_curve, per_dim_auroc
@@ -39,6 +42,7 @@ from .pipeline import (
     REFINE_STRATEGIES,
     ExperimentReport,
     PipelineConfig,
+    RefineSpec,
     _fit,
     check_config,
     check_gd_settings,
@@ -67,18 +71,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected a comma-separated list of numbers, got {text!r}") from None
+def numbers(text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers (argparse names the flag of a bad one, as for integers and seed)."""
+    return tuple(map(float, text.split(",")))
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected a comma-separated list of integers, got {text!r}") from None
+def integers(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(",")))
+
+
+def seed(text: str) -> int:
+    """A nonnegative integer: numpy's generators refuse a negative seed."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -91,40 +97,40 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True, help="number of samples")
     g.add_argument("--features", type=int, required=True, help="feature dimension")
     g.add_argument("--dims", type=int, required=True, help="number of output dimensions")
-    g.add_argument("--noise-sd", type=_csv_floats, default=str(SynthConfig.label_noise_sd),
+    g.add_argument("--noise-sd", type=numbers, default=str(SynthConfig.label_noise_sd),
                    help="clean label noise SD, scalar or comma list")
-    g.add_argument("--teacher-seed", type=int, default=SynthConfig.teacher_seed)
-    g.add_argument("--sample-seed", type=int, default=SynthConfig.sample_seed)
+    g.add_argument("--teacher-seed", type=seed, default=SynthConfig.teacher_seed)
+    g.add_argument("--sample-seed", type=seed, default=SynthConfig.sample_seed)
     g.add_argument("--out", required=True, help="output dataset (JSONL)")
 
     c = sub.add_parser("corrupt", help="inject label corruption into a dataset")
     c.add_argument("--data", required=True)
     c.add_argument("--rate", type=float, default=NoiseSpec.rate,
                    help="per-dimension corruption rate")
-    c.add_argument("--dims", type=_csv_ints, default=NoiseSpec.dims,
+    c.add_argument("--dims", type=integers, default=NoiseSpec.dims,
                    help="comma list of dimension indices, default all")
-    c.add_argument("--seed", type=int, default=NoiseSpec.seed)
+    c.add_argument("--seed", type=seed, default=NoiseSpec.seed)
     c.add_argument("--correlated-rate", type=float, default=NoiseSpec.correlated_rate,
                    help="fraction of samples corrupted across all dimensions at once")
-    c.add_argument("--correlated-seed", type=int, default=NoiseSpec.correlated_seed)
+    c.add_argument("--correlated-seed", type=seed, default=NoiseSpec.correlated_seed)
     c.add_argument("--out", required=True)
 
     s = sub.add_parser("split", help="seeded train/val/test split")
     s.add_argument("--data", required=True)
-    s.add_argument("--fractions", type=_csv_floats, default=PipelineConfig.split_fractions)
-    s.add_argument("--seed", type=int, default=PipelineConfig.split_seed)
+    s.add_argument("--fractions", type=numbers, default=PipelineConfig.split_fractions)
+    s.add_argument("--seed", type=seed, default=PipelineConfig.split_seed)
     s.add_argument("--out-prefix", required=True, help="writes <prefix>.train/.val/.test.jsonl")
 
     f = sub.add_parser("fit", help="fit a regression head")
     f.add_argument("--data", required=True)
     f.add_argument("--alpha", type=float, default=TrainConfig.ridge_alpha,
                    help="ridge strength (closed form)")
-    f.add_argument("--lambdas", type=_csv_floats, help="comma list of per-dimension loss weights")
+    f.add_argument("--lambdas", type=numbers, help="comma list of per-dimension loss weights")
     f.add_argument("--weights", default=None, help="per-sample weight file from `reweight`")
     f.add_argument("--lr", type=float, default=TrainConfig.lr)
     f.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     f.add_argument("--hidden-dim", type=int, help="shared layer width (gradient descent)")
-    f.add_argument("--seed", type=int, default=TrainConfig.seed)
+    f.add_argument("--seed", type=seed, default=TrainConfig.seed)
     f.add_argument("--out", required=True)
 
     sc = sub.add_parser("score", help="influence scores for every training sample")
@@ -135,7 +141,7 @@ def _build_parser() -> _Parser:
     sc.add_argument("--method", default="explicit", choices=("explicit", "global", "row_sum"),
                     help="explicit: per-dimension self-influence; "
                          "global: scalar self-influence; row_sum: matrix row sums")
-    sc.add_argument("--lambdas", type=_csv_floats)
+    sc.add_argument("--lambdas", type=numbers)
     sc.add_argument("--out", required=True)
     sc.add_argument("--csv", default=None, help="also export id,dim,score CSV")
 
@@ -170,7 +176,7 @@ def _build_parser() -> _Parser:
 
     rn = sub.add_parser("run", help="full pipeline from one config")
     rn.add_argument("--config", default=None, help="JSON config file; omit for built-in defaults")
-    rn.add_argument("--seed", type=int, default=0, help="base seed for the default config")
+    rn.add_argument("--seed", type=seed, default=0, help="base seed for the default config")
     rn.add_argument("--refine", default=None, choices=REFINE_STRATEGIES)
     rn.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                     help="override a config value, e.g. --set refine.rho=0.01")
@@ -199,6 +205,20 @@ def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
     return doc
 
 
+def _flag_check(check, **flags):
+    """check() of settings built from flags, which maps each setting's field to its flag.
+
+    A setting's check starts its message with its field ("rho: must be in
+    [0, 1], got 2.0"). Its ValueError, or RefineSpec's UsageError, becomes a
+    UsageError naming the field's flag first (every flag, if no field leads).
+    """
+    try:
+        return check()
+    except (ValueError, UsageError) as e:
+        field = str(e).partition(":")[0]
+        raise UsageError(f"{flags.get(field) or ', '.join(flags.values())}: {e}") from None
+
+
 def _same_ids(a, b) -> bool:
     """Whether two id sequences hold the same ids in the same order, compared without a copy.
 
@@ -219,20 +239,24 @@ def _cmd_gen(args) -> int:
         teacher_seed=args.teacher_seed,
         sample_seed=args.sample_seed,
     )
+    _flag_check(lambda: validate_synth(cfg), n_samples="--n", feature_dim="--features", n_dims="--dims",
+                label_noise_sd="--noise-sd")
     save_dataset(generate_synthetic(cfg), args.out)
     print(f"wrote {cfg.n_samples} samples ({cfg.feature_dim} features, {cfg.n_dims} dims) to {args.out}")
     return 0
 
 
 def _cmd_corrupt(args) -> int:
-    noise = NoiseSpec(
+    noise = _flag_check(lambda: NoiseSpec(
         rate=args.rate,
         dims=args.dims,
         seed=args.seed,
         correlated_rate=args.correlated_rate,
         correlated_seed=args.correlated_seed,
-    )
-    ds = noise.apply(load_dataset(args.data))
+    ), rate="--rate", correlated_rate="--correlated-rate")
+    ds = load_dataset(args.data)
+    _flag_check(lambda: noise.check(ds.n_dims), dims="--dims")
+    ds = noise.apply(ds)
     save_dataset(ds, args.out)
     mask = ds.corruption_mask
     total = 0 if mask is None else int(mask.any(axis=1).sum())
@@ -241,6 +265,7 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    _flag_check(lambda: checked_fractions(args.fractions), fractions="--fractions")
     ds = load_dataset(args.data)
     train, val, test = split(ds, args.fractions, args.seed)
     for part, name in ((train, "train"), (val, "val"), (test, "test")):
@@ -250,7 +275,17 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    cfg = _flag_check(lambda: TrainConfig(
+        lambdas=args.lambdas,
+        ridge_alpha=args.alpha,
+        lr=args.lr,
+        epochs=args.epochs,
+        seed=args.seed,
+        hidden_dim=args.hidden_dim,
+    ), ridge_alpha="--alpha", lr="--lr", epochs="--epochs", hidden_dim="--hidden-dim")
+    check_gd_settings(cfg, "--alpha")
     ds = load_dataset(args.data)
+    _flag_check(lambda: cfg.resolved_lambdas(ds.n_dims), lambdas="--lambdas")
     weights = None if args.weights is None else WeightMatrix.load(args.weights)
     if weights is not None:
         if not _same_ids(weights.sample_ids, ds.ids):
@@ -260,15 +295,6 @@ def _cmd_fit(args) -> int:
                 f"weight file {args.weights} holds {weights.weights.shape[1]} dimensions, "
                 f"dataset has {ds.n_dims}"
             )
-    cfg = TrainConfig(
-        lambdas=args.lambdas,
-        ridge_alpha=args.alpha,
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        hidden_dim=args.hidden_dim,
-    )
-    check_gd_settings(cfg, "--alpha")
     head = _fit(ds, weights, cfg)
     head.save(args.out)
     method = head.fit_info["method"].replace("_", "-")
@@ -279,9 +305,11 @@ def _cmd_fit(args) -> int:
 def _cmd_score(args) -> int:
     if args.csv and args.method in ("global", "row_sum"):
         raise UsageError(f"--csv: score --method {args.method} writes no id,dim,score table")
+    cfg = _flag_check(lambda: InfluenceConfig(scope=Scope(args.scope), lambdas=args.lambdas), lambdas="--lambdas")
     ds = load_dataset(args.data)
     head = RegressionHead.load(args.head)
-    cfg = InfluenceConfig(scope=Scope(args.scope), lambdas=args.lambdas)
+    _flag_check(lambda: scope_dim(head, cfg.scope), scope="--scope")
+    _flag_check(lambda: cfg.resolved_lambdas(head.n_dims), lambdas="--lambdas")
     if args.method == "explicit":
         table = self_influence_explicit(head, ds, cfg)
     elif args.method == "global":
@@ -303,6 +331,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_prune(args) -> int:
+    _flag_check(lambda: RefineSpec(rho=args.rho), rho="--rho")
     if args.method == "ddp":
         if args.scores is None:
             raise UsageError("prune --method ddp requires --scores")
@@ -330,6 +359,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_reweight(args) -> int:
+    _flag_check(lambda: RefineSpec(temperature=args.temperature), temperature="--temperature")
     table = SelfInfluenceTable.load(args.scores)
     wm = ddr_weights(table, args.temperature)
     wm.save(args.out)
@@ -439,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (UsageError, ValueError) as e:
+    except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except DataError as e:

@@ -7,12 +7,13 @@ score has a known ground truth to be checked against.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice, pairwise
 from operator import eq
 from pathlib import Path
@@ -395,7 +396,7 @@ class Dataset:
         mask, values = self._corrupted, self._labels.values
         # mask rows [0, done) hold the values [0, used)
         done = used = start = 0
-        for y in sample_labels(self._source, stream, self._labels.noise_state):
+        for y in sample_labels(self._source, stream):
             stop = start + len(y)
             if mask is not None:
                 at = np.arange(start, stop) if rows is None else rows[start:stop]
@@ -506,7 +507,7 @@ class SynthConfig:
     dimension. teacher_seed fixes the teacher weights, sample_seed fixes the
     feature draws and the clean label noise, so corpora with the same teacher
     but fresh samples are easy to build. These six values fix every label of
-    the corpus, which is never clipped (see draw_synthetic).
+    the corpus, which is never clipped (see sample_labels).
     """
 
     n_samples: int
@@ -536,12 +537,12 @@ def validate_synth(config: SynthConfig) -> np.ndarray:
     return config.noise_vector()
 
 
-# Rows in which the draw and every reader of features work: 128 KiB of features at d=16.
+# Rows in which labels are formed and every reader of features works: 128 KiB of features at d=16.
 CHUNK_ROWS = 1024
 
 
 def _row_chunks(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each chunk of n rows, in which the draw and every reader of features work.
+    """(start, stop) of each chunk of n rows, in which labels are formed and every reader of features works.
 
     Each chunk holds CHUNK_ROWS rows (read at call time) and the last one
     the rest, from CHUNK_ROWS to twice that less one (or all n), so every
@@ -549,7 +550,7 @@ def _row_chunks(n: int) -> Iterator[tuple[int, int]]:
     last chunk could round its product differently from the one-shot
     product: numpy sends a one-row product to gemv, and OpenBLAS takes small
     products through other kernels. A one-column product would go to gemv
-    too, whose OpenBLAS result depends on the thread count, so draw_synthetic
+    too, whose OpenBLAS result depends on the thread count, so sample_labels
     forms the labels of a one-dimension corpus with einsum instead.
     """
     size = CHUNK_ROWS
@@ -579,7 +580,7 @@ def sample_features(
     (len(rows), d) matrix given to be written. The features come from a
     fresh stream of the sample seed; standard_normal gives a stream's values
     in the same order whatever the size of each draw, so these are the
-    features draw_synthetic formed the labels from. Each chunk draws the
+    features sample_labels forms the labels from. Each chunk draws the
     stream up to its own last row, CHUNK_ROWS rows at a time into one
     buffer that is freed before the chunk is yielded: between chunks only
     the generator and one row of features are held, if the caller drops
@@ -621,29 +622,30 @@ def sample_features(
         yield chunk(start, stop)
 
 
-def sample_labels(config: SynthConfig, rows: np.ndarray, noise_state: dict) -> Iterator[np.ndarray]:
+def sample_labels(config: SynthConfig, rows: np.ndarray) -> Iterator[np.ndarray]:
     """The clean labels of config's corpus at the ascending row indices rows, a row chunk at a time.
 
-    The chunks are sample_features' chunks, each a new (stop - start, K)
-    array. The labels are draw_synthetic's bit for bit: the stream is read
-    in the draw's own chunks (_row_chunks(N)), and each piece that holds a
-    wanted row forms its labels as the draw did, (h @ w*^T + b*) + noise *
-    sd, from its features and its piece of the label noise, which a second
-    generator, restored to noise_state (see noise_state), reads after them.
-    Every piece's features and noise are drawn, wanted or not, so a pass
-    draws N x K noise values as well as N x d features. A piece's features
-    and noise are freed once its labels are formed: between chunks only
-    the labels of the piece a chunk ended in are held, if the caller drops
-    each chunk before asking for the next.
+    The one place a synthetic label is formed: W* h + b* plus independent
+    gaussian noise per dimension, unclipped, summed as (h @ w*^T + b*) +
+    noise * sd. The chunks are sample_features' chunks, each a new
+    (stop - start, K) array. The stream is read in the corpus's own chunks
+    (_row_chunks(N)), so a label rounds the same whichever rows are read;
+    each piece that holds a wanted row forms its labels from its features
+    and its piece of the noise, which follows every feature in the stream
+    and which a second generator, started there (_noise_state), reads.
+    Every piece's features and noise are drawn, wanted or not. A piece's
+    features and noise are freed once its labels are formed: between
+    chunks only the labels of the piece a chunk ended in are held, if the
+    caller drops each chunk before asking for the next.
     """
     n, d, k = config.n_samples, config.feature_dim, config.n_dims
     rows = _checked_rows(rows, n)
     rng = np.random.default_rng(config.sample_seed)
     noise_rng = np.random.default_rng(config.sample_seed)
-    noise_rng.bit_generator.state = noise_state
+    noise_rng.bit_generator.state = _noise_state(config.sample_seed, n, d)
     w_star, b_star = teacher_head(config)
     sd = config.noise_vector()
-    pieces = _row_chunks(n)  # the draw's chunks, so each label is formed by the draw's product
+    pieces = _row_chunks(n)  # the corpus's chunks, so each label is formed by one product
     hi = 0
     piece = None  # the labels of stream rows [lo, hi), if one of them is read
     for start, stop in _row_chunks(len(rows)):
@@ -656,7 +658,12 @@ def sample_labels(config: SynthConfig, rows: np.ndarray, noise_state: dict) -> I
                 x = rng.standard_normal((hi - lo, d))
                 if rows[i] < hi:
                     piece = np.empty((hi - lo, k))
-                    _teacher_product(x, w_star, piece)
+                    # einsum for one dimension, which uses no BLAS: numpy sends a one-column
+                    # product to gemv, whose OpenBLAS result depends on the thread count
+                    if k == 1:
+                        np.einsum("ij,kj->ik", x, w_star, out=piece)
+                    else:
+                        np.matmul(x, w_star.T, out=piece)
                     piece += b_star
                 del x
                 noise = noise_rng.standard_normal((hi - lo, k))
@@ -674,28 +681,17 @@ def sample_labels(config: SynthConfig, rows: np.ndarray, noise_state: dict) -> I
         del labels  # released before the next chunk is gathered
 
 
-def _teacher_product(x: np.ndarray, w_star: np.ndarray, out: np.ndarray) -> None:
-    """x @ w*^T into out.
+@functools.lru_cache(maxsize=8)
+def _noise_state(sample_seed: int, n_samples: int, feature_dim: int) -> dict:
+    """The sample seed's generator state after the last feature of a corpus, where its label noise starts.
 
-    einsum for one dimension, which uses no BLAS: numpy sends a one-column
-    product to gemv, whose OpenBLAS result depends on the thread count.
+    Found once per process and corpus shape, drawing every feature 256 rows
+    at a time into one small buffer. The caller must not change the dict.
     """
-    if len(w_star) == 1:
-        np.einsum("ij,kj->ik", x, w_star, out=out)
-    else:
-        np.matmul(x, w_star.T, out=out)
-
-
-def noise_state(config: SynthConfig) -> dict:
-    """The sample seed's generator state after the last feature of config's corpus, where its label noise starts.
-
-    Found by drawing every feature, 256 rows at a time into one small buffer.
-    """
-    n, d = config.n_samples, config.feature_dim
-    rng = np.random.default_rng(config.sample_seed)
-    buffer = np.empty((min(n, 256), d))
-    for lo in range(0, n, 256):
-        rng.standard_normal(out=buffer[: min(256, n - lo)])
+    rng = np.random.default_rng(sample_seed)
+    buffer = np.empty((min(n_samples, 256), feature_dim))
+    for lo in range(0, n_samples, 256):
+        rng.standard_normal(out=buffer[: min(256, n_samples - lo)])
     return rng.bit_generator.state
 
 
@@ -703,14 +699,12 @@ def noise_state(config: SynthConfig) -> dict:
 class StreamLabels:
     """The labels of a synthetic corpus's rows, read from its sample stream (see Dataset.blocks).
 
-    noise_state is noise_state(config) of the corpus, where its label noise
-    starts. values holds one float per corrupted cell of the rows, in the
-    row-major order of their corruption mask: each is written over the
-    clean label the stream gives that cell. Clean labels have none.
+    values holds one float per corrupted cell of the rows, in the row-major
+    order of their corruption mask: each is written over the clean label
+    the stream gives that cell (sample_labels). Clean labels have none.
     """
 
-    noise_state: dict
-    values: np.ndarray
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def synth_manifest(config: SynthConfig) -> dict:
@@ -727,39 +721,6 @@ def synth_manifest(config: SynthConfig) -> dict:
         "sample_seed": config.sample_seed,
         "teacher_digest": {"weights": _digest(w_star), "biases": _digest(b_star)},
     }
-
-
-def draw_synthetic(config: SynthConfig) -> tuple[np.ndarray, dict]:
-    """Clean labels of every row of config's corpus, and its manifest (synth_manifest).
-
-    Features are i.i.d. standard normal. Labels are W* h + b* plus independent
-    gaussian noise per dimension, unclipped; the noise draw follows every
-    feature in the sample stream. The stream is read a row chunk at a time
-    (_row_chunks), each chunk drawn into one buffer, and no feature is kept:
-    sample_features reads the same features again, and sample_labels the same
-    labels.
-    """
-    manifest = synth_manifest(config)
-    sd = config.noise_vector()
-    n, d = config.n_samples, config.feature_dim
-    w_star, b_star = teacher_head(config)
-
-    rng = np.random.default_rng(config.sample_seed)
-    labels = np.empty((n, config.n_dims))
-    rows = min(n, CHUNK_ROWS + n % CHUNK_ROWS)  # the longest chunk
-    buffer = np.empty((rows, d))  # each chunk of features is drawn into it
-    for start, stop in _row_chunks(n):
-        _teacher_product(rng.standard_normal(out=buffer[: stop - start]), w_star, labels[start:stop])
-    del buffer
-    # each label is (h @ w*^T + b*) + noise * sd, summed in that order
-    buffer = np.empty((rows, config.n_dims))
-    for start, stop in _row_chunks(n):
-        noise = rng.standard_normal(out=buffer[: stop - start])
-        noise *= sd
-        part = labels[start:stop]
-        part += b_star
-        part += noise
-    return labels, manifest
 
 
 def synthetic_rows(
@@ -822,11 +783,14 @@ def stream_digest(config: SynthConfig) -> str:
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
-    """Draw a corpus from a seeded linear teacher (see draw_synthetic); its features stay in the stream."""
-    labels, manifest = draw_synthetic(config)
-    return synthetic_rows(
-        config, np.arange(config.n_samples), labels, np.zeros(labels.shape, dtype=bool), manifest
-    )
+    """Draw a corpus from a seeded linear teacher (see sample_labels); its features stay in the stream.
+
+    Its clean labels are gathered from the stream into the one label matrix it holds.
+    """
+    manifest = synth_manifest(config)
+    rows = np.arange(config.n_samples)
+    labels = synthetic_rows(config, rows, StreamLabels(), None, manifest).labels
+    return synthetic_rows(config, rows, labels, np.zeros(labels.shape, dtype=bool), manifest)
 
 
 def teacher_head(config: SynthConfig):

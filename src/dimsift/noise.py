@@ -124,11 +124,14 @@ class NoiseSpec:
         """ds with this corruption (see corruption) written into copies of its labels and mask.
 
         The manifest gains the records; with none, the result is ds itself.
+        Labels read from the sample stream are gathered into a new matrix,
+        which is the copy; a held label matrix is copied.
         """
         writes, records = self.corruption(ds)
         if not records:
             return ds
-        labels = ds.labels.copy()
+        labels = ds.labels if ds.label_matrix is None else ds.label_matrix.copy()
+        labels.setflags(write=True)
         mask = np.zeros(labels.shape, dtype=bool) if ds.corruption_mask is None else ds.corruption_mask.copy()
         for rows, dims, values in writes:
             labels[rows[:, None], dims] = values

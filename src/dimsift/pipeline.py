@@ -4,8 +4,7 @@ One seeded config fully determines every artifact byte (no timestamps are
 written), so identical configs give identical runs. A run is a shared
 prefix, then one per-strategy suffix:
 
-    prefix  _draw: split -> find the label noise in the sample stream
-                   -> read the clean label ranges -> draw the noise
+    prefix  _draw: split -> read the clean label ranges -> draw the noise
                    -> (with an output directory) write config.json and corpus.jsonl
             -> fit probe -> score (self and global, one pass)
     suffix  _refine: select or weight -> refit
@@ -33,7 +32,6 @@ from .data import (
     StreamLabels,
     SynthConfig,
     checked_fractions,
-    noise_state,
     read_json,
     save_dataset,
     split_indices,
@@ -142,6 +140,9 @@ def _read_value(value, tp, key: str):
             return float(value)
     elif tp is int:
         if isinstance(value, int) and not isinstance(value, bool):
+            # numpy's generators refuse a negative seed
+            if key.endswith("seed") and value < 0:
+                raise UsageError(f"config {key}: must be nonnegative, got {value}")
             return value
     elif isinstance(value, tp):
         return value
@@ -478,18 +479,17 @@ def _fit(ds: Dataset, weights, cfg: TrainConfig, rows=None) -> RegressionHead:
 
 
 def _draw(config: PipelineConfig, out: Path | None):
-    """A run's split and noise: (train, test_idx, the clean labels, the clean manifest).
+    """A run's split and noise: (train, test_idx, the clean manifest).
 
-    The split indices come first, then two passes over the sample stream:
-    one finds where its label noise starts (data.noise_state), the other
+    The split indices come first, then one pass over the sample stream
     reads every row's clean labels, without their features, a chunk at a
     time for the column ranges the noise needs (Dataset.label_blocks,
-    NoiseSpec.corruption). No label is kept: train holds
-    the training rows' indices (its ids), their corruption mask and the
-    values of their corrupted cells, and reads their features and labels
-    from the stream (data.StreamLabels). The clean labels read the test
-    rows' the same way. With out, config.json and corpus.jsonl are written
-    before train is built, so a run that fails later still leaves both.
+    NoiseSpec.corruption). No label is kept: train holds the training
+    rows' indices (its ids), their corruption mask and the values of their
+    corrupted cells, and reads their features and labels from the stream
+    (data.StreamLabels). With out, config.json and corpus.jsonl are
+    written before train is built, so a run that fails later still leaves
+    both.
     """
     # the validation rows are never drawn, so their indices are not kept
     train_idx, test_idx = split_indices(
@@ -502,9 +502,8 @@ def _draw(config: PipelineConfig, out: Path | None):
 
     synth, k = config.synth, config.synth.n_dims
     clean_manifest = synth_manifest(synth)
-    clean = StreamLabels(noise_state(synth), np.empty(0))
     every_row = np.arange(synth.n_samples)
-    corpus = synthetic_rows(synth, every_row, clean, None, clean_manifest)
+    corpus = synthetic_rows(synth, every_row, StreamLabels(), None, clean_manifest)
     writes, records = config.noise.corruption(corpus)
     manifest = with_injections(clean_manifest, records)
     if out is not None:
@@ -512,13 +511,12 @@ def _draw(config: PipelineConfig, out: Path | None):
         config_doc = json.dumps(config.to_dict(), sort_keys=True, indent=2)
         (out / "config.json").write_text(config_doc + "\n")
         mask, values = corrupted_cells(writes, every_row, k)
-        noisy = StreamLabels(clean.noise_state, values)
-        save_dataset(synthetic_rows(synth, every_row, noisy, mask, manifest), out / "corpus.jsonl")
-        del mask, values, noisy
+        save_dataset(synthetic_rows(synth, every_row, StreamLabels(values), mask, manifest), out / "corpus.jsonl")
+        del mask, values
     del corpus, every_row
     mask, values = corrupted_cells(writes, train_idx, k)
-    train = synthetic_rows(synth, train_idx, StreamLabels(clean.noise_state, values), mask, manifest)
-    return train, test_idx, clean, clean_manifest
+    train = synthetic_rows(synth, train_idx, StreamLabels(values), mask, manifest)
+    return train, test_idx, clean_manifest
 
 
 def _refine(spec: RefineSpec, train_cfg: TrainConfig, train, probe, scores, global_scores):
@@ -591,7 +589,7 @@ def run_pipeline(
         except ValueError as e:
             raise UsageError(f"config {key}: {e}") from None
     out = None if output_dir is None else Path(output_dir)
-    train, test_idx, clean, clean_manifest = _draw(config, out)
+    train, test_idx, clean_manifest = _draw(config, out)
     probe = _fit(train, None, config.train)
     scores, global_scores = self_and_global_scores(probe, train, config.influence)
     r = config.refine
@@ -601,7 +599,7 @@ def run_pipeline(
 
     heads = {"baseline": probe} if final is probe else {"baseline": probe, r.strategy: final}
     # the test rows' features and clean labels are read once from the sample stream, for every head at once
-    test = synthetic_rows(config.synth, test_idx, clean, None, clean_manifest)
+    test = synthetic_rows(config.synth, test_idx, StreamLabels(), None, clean_manifest)
     metrics = evaluate_heads(list(heads.values()), test)
     strategies = {}
     for name, metric in zip(heads, metrics):
@@ -649,7 +647,7 @@ def run_pipeline(
     )
     if out is not None:
         clean_mask = np.zeros((len(test_idx), train.n_dims), dtype=bool)
-        test = synthetic_rows(config.synth, test_idx, clean, clean_mask, clean_manifest)
+        test = synthetic_rows(config.synth, test_idx, StreamLabels(), clean_mask, clean_manifest)
         save_dataset(test, out / "test_clean.jsonl")
         _write_artifacts(artifacts, out)
     return artifacts

@@ -14,6 +14,7 @@ from dimsift import (
     SynthConfig,
     generate_synthetic,
 )
+from dimsift.data import teacher_head
 
 
 # Odd strings for ids, dimension names and manifest keys: commas, quotes,
@@ -30,6 +31,21 @@ def peak_traced_bytes(fn, *args) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+def teacher_labels(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The features and clean labels of cfg's whole corpus, drawn in one shot: the stream's oracle.
+
+    The features, then the label noise, from default_rng(sample_seed); each
+    label is the teacher's product plus its bias, plus the scaled noise. A
+    one-dimension corpus's product is an einsum, as the library forms it.
+    """
+    w_star, b_star = teacher_head(cfg)
+    rng = np.random.default_rng(cfg.sample_seed)
+    features = rng.standard_normal((cfg.n_samples, cfg.feature_dim))
+    noise = rng.standard_normal((cfg.n_samples, cfg.n_dims))
+    product = np.einsum("ij,kj->ik", features, w_star) if cfg.n_dims == 1 else features @ w_star.T
+    return features, product + b_star + noise * cfg.noise_vector()
 
 
 def matrix_copy(ds):

@@ -836,6 +836,65 @@ def test_a_deleted_flag_exits_one_naming_it(stage_dir, capsys, argv, flag):
     assert sorted(stage_dir.iterdir()) == written
 
 
+_GEN = ["gen", "--n", "50", "--features", "3", "--dims", "2", "--out", "{d}/g.jsonl"]
+_FIT = ["fit", "--data", "{d}/noisy.jsonl", "--out", "{d}/h.json"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(_GEN[:2] + ["0"] + _GEN[3:], "--n", id="gen-n"),
+    pytest.param(_GEN + ["--noise-sd", "-1"], "--noise-sd", id="gen-noise-sd"),
+    pytest.param(_GEN + ["--sample-seed", "-1"], "--sample-seed", id="gen-sample-seed"),
+    pytest.param(["corrupt", "--data", "{d}/k2.jsonl", "--rate", "2", "--out", "{d}/c.jsonl"], "--rate",
+                 id="corrupt-rate"),
+    pytest.param(["corrupt", "--data", "{d}/k2.jsonl", "--rate", "0.1", "--dims", "5", "--out", "{d}/c.jsonl"],
+                 "--dims", id="corrupt-dims"),
+    pytest.param(["split", "--data", "{d}/corpus.jsonl", "--fractions", "0.5,0.5,0.5", "--out-prefix", "{d}/p"],
+                 "--fractions", id="split-fractions"),
+    pytest.param(_FIT + ["--alpha", "-1"], "--alpha", id="fit-alpha"),
+    pytest.param(_FIT + ["--lr", "0"], "--lr", id="fit-lr"),
+    pytest.param(_FIT + ["--epochs", "0"], "--epochs", id="fit-epochs"),
+    pytest.param(_FIT + ["--hidden-dim", "0"], "--hidden-dim", id="fit-hidden-dim"),
+    pytest.param(_FIT + ["--lambdas=1,-1,1"], "--lambdas", id="fit-negative-lambda"),
+    pytest.param(_FIT + ["--lambdas=1,1"], "--lambdas", id="fit-lambda-count"),
+    pytest.param(["score", "--data", "{d}/noisy.jsonl", "--head", "{d}/head.json", "--scope", "last_two_layers",
+                  "--out", "{d}/s.jsonl"], "--scope", id="score-scope"),
+    pytest.param(["prune", "--scores", "{d}/scores.jsonl", "--rho", "2", "--out", "{d}/p.json"], "--rho",
+                 id="prune-rho"),
+    pytest.param(["reweight", "--scores", "{d}/scores.jsonl", "--temperature", "0", "--out", "{d}/w.json"],
+                 "--temperature", id="reweight-temperature"),
+    pytest.param(["run", "--set", "noise.seed=-1", "--out", "{d}/r"], "config noise.seed", id="run-seed"),
+])
+def test_a_setting_a_flag_builds_and_its_stage_refuses_exits_one_naming_the_flag(stage_dir, capsys, argv, flag):
+    # each handler checks the settings it builds from its flags before it
+    # writes anything; the inputs themselves are sound
+    assert main(["score", "--data", str(stage_dir / "noisy.jsonl"), "--head",
+                 str(stage_dir / "head.json"), "--out", str(stage_dir / "scores.jsonl")]) == 0
+    assert main([a.format(d=stage_dir) for a in _GEN[:-1]] + [str(stage_dir / "k2.jsonl")]) == 0
+    written = sorted(stage_dir.iterdir())
+    capsys.readouterr()
+    assert main([a.format(d=stage_dir) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag}") or err.startswith(f"usage error: argument {flag}:"), err
+    assert err.count("\n") == 1
+    assert sorted(stage_dir.iterdir()) == written
+
+
+def test_a_value_error_inside_a_library_call_is_no_usage_error(stage_dir, monkeypatch, capsys):
+    # a fault of the program, not of its input: it propagates, as a traceback would show it
+    assert main(["score", "--data", str(stage_dir / "noisy.jsonl"), "--head",
+                 str(stage_dir / "head.json"), "--out", str(stage_dir / "scores.jsonl")]) == 0
+    capsys.readouterr()
+
+    def broken(*args):
+        raise ValueError("temperature: broken inside the library")
+
+    monkeypatch.setattr(dimsift.cli, "ddr_weights", broken)
+    with pytest.raises(ValueError, match="broken inside the library"):
+        main(["reweight", "--scores", str(stage_dir / "scores.jsonl"), "--out", str(stage_dir / "w.json")])
+    assert "usage error" not in capsys.readouterr().err
+    assert not (stage_dir / "w.json").exists()
+
+
 _DATASET_SECTION = {"n_total": 10, "feature_dim": 2, "dim_names": ["a"], "n_train": 6,
                     "n_val": 2, "n_test": 2}
 

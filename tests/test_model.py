@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_copy, peak_traced_bytes, random_head
+from conftest import matrix_copy, peak_traced_bytes, random_head, teacher_labels
 from dimsift import (
     DataError,
     Dataset,
@@ -28,7 +28,7 @@ from dimsift import (
 import dimsift
 import dimsift.data
 import dimsift.model
-from dimsift.data import draw_synthetic, dumps_dataset, loads_dataset, synthetic_rows, teacher_head
+from dimsift.data import dumps_dataset, loads_dataset, synth_manifest, synthetic_rows, teacher_head
 from dimsift.model import _gd_loss_and_grads, _gd_moments, _normal_equations
 
 
@@ -220,9 +220,9 @@ def _stream_and_matrix(n_rows, n_samples, seed):
     sample-stream table leaves out.
     """
     cfg = SynthConfig(n_samples, 6, 3, label_noise_sd=0.1, teacher_seed=seed, sample_seed=seed + 1)
-    labels, manifest = draw_synthetic(cfg)
+    labels = teacher_labels(cfg)[1]
     rows = np.sort(np.random.default_rng(seed).choice(n_samples, n_rows, replace=False))
-    stream = synthetic_rows(cfg, rows, labels[rows], np.zeros((n_rows, 3), bool), manifest)
+    stream = synthetic_rows(cfg, rows, labels[rows], np.zeros((n_rows, 3), bool), synth_manifest(cfg))
     return stream, loads_dataset(dumps_dataset(matrix_copy(stream)))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_copy, peak_traced_bytes, random_head
+from conftest import matrix_copy, peak_traced_bytes, random_head, teacher_labels
 import dimsift.data
 import dimsift.influence
 import dimsift.metrics
@@ -227,7 +227,7 @@ def test_one_prefix_serves_every_strategy():
     # suffix in turn, give what a run of that strategy gives; no suffix
     # changes the prefix it shares
     cfg = small_config()
-    train, _, _, _ = dimsift.pipeline._draw(cfg, None)
+    train, _, _ = dimsift.pipeline._draw(cfg, None)
     probe = dimsift.pipeline._fit(train, None, cfg.train)
     scores, global_scores = dimsift.pipeline.self_and_global_scores(probe, train, cfg.influence)
     held = [a.copy() for a in (train.labels, train.corruption_mask, scores.scores, global_scores)]
@@ -616,8 +616,8 @@ _C = 8
 def test_a_runs_stream_labels_are_the_drawn_and_corrupted_labels_at_every_chunk_boundary(
     monkeypatch, tmp_path, n_train, noise, written
 ):
-    # the oracle: draw_synthetic's label matrix, corrupted by NoiseSpec.apply.
-    # The run reads its labels from the sample stream, a chunk at a time:
+    # the oracle: the one-shot teacher labels, held as a matrix and corrupted
+    # by NoiseSpec.apply. The run reads its labels from the sample stream, a chunk at a time:
     # splits one row short of a chunk, one chunk, a row short of two, two,
     # and three plus a remainder
     monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _C)
@@ -634,8 +634,11 @@ def test_a_runs_stream_labels_are_the_drawn_and_corrupted_labels_at_every_chunk_
         cfg.synth.n_samples, cfg.split_fractions, cfg.split_seed
     )
     assert len(train_idx) == n_train
-    corpus = generate_synthetic(cfg.synth)
-    clean, noisy = corpus.labels, cfg.noise.apply(corpus)
+    n = cfg.synth.n_samples
+    clean = teacher_labels(cfg.synth)[1]
+    corpus = dimsift.data.synthetic_rows(cfg.synth, np.arange(n), clean, np.zeros(clean.shape, bool),
+                                         dimsift.data.synth_manifest(cfg.synth))
+    noisy = cfg.noise.apply(corpus)
     labels, mask = noisy.labels, noisy.corruption_mask
     assert arts.train.labels.tobytes() == labels[train_idx].tobytes()
     assert np.array_equal(arts.train.corruption_mask, mask[train_idx])
@@ -776,13 +779,38 @@ def test_an_in_memory_ddp_run_holds_no_copy_of_its_kept_ids():
     assert held < rows + 64 * 1024 < rows + 8 * n
 
 
+def test_the_noise_start_is_drawn_once_per_sample_seed_and_corpus_shape():
+    # where a corpus's label noise starts in its sample stream depends on
+    # its sample seed, N and d alone: a process finds it once for each
+    noise_state = dimsift.data._noise_state
+    cfg = small_config()
+    noise_state.cache_clear()
+    first = run_pipeline(cfg)
+    assert noise_state.cache_info().misses == 1
+    # a second run of the same config makes no noise-state pass
+    again = run_pipeline(cfg)
+    assert noise_state.cache_info().misses == 1
+    assert again.report.to_dict() == first.report.to_dict()
+
+    def uncached(seed, n, d):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((n, d))
+        return rng.bit_generator.state
+
+    # changing any one of the three gives another state, the one a pass of its own finds
+    base = (cfg.synth.sample_seed, cfg.synth.n_samples, cfg.synth.feature_dim)
+    keys = [base] + [base[:i] + (base[i] + 1,) + base[i + 1:] for i in range(3)]
+    states = [noise_state(*key) for key in keys]
+    assert states == [uncached(*key) for key in keys]
+    assert all(states[i] != states[j] for i in range(4) for j in range(i))
+
+
 @pytest.mark.parametrize("labels", ["stream", "held"])
 def test_evaluate_heads_ranks_within_its_buffers(labels):
     # 60000 rows of the sample stream (every third of 180k), clean labels
     synth = dataclasses.replace(default_config(seed=0).synth, n_samples=180_000)
     rows = np.arange(0, synth.n_samples, 3)
-    clean = StreamLabels(dimsift.data.noise_state(synth), np.empty(0))
-    ds = dimsift.data.synthetic_rows(synth, rows, clean, None, dimsift.data.synth_manifest(synth))
+    ds = dimsift.data.synthetic_rows(synth, rows, StreamLabels(), None, dimsift.data.synth_manifest(synth))
     if labels == "held":
         ds = matrix_copy(ds)
     rng = np.random.default_rng(0)

@@ -617,9 +617,9 @@ def test_a_runs_stream_labels_are_the_drawn_and_corrupted_labels_at_every_chunk_
     monkeypatch, tmp_path, n_train, noise, written
 ):
     # the oracle: the one-shot teacher labels, held as a matrix and corrupted
-    # by NoiseSpec.apply. The run reads its labels from the sample stream, a chunk at a time:
-    # splits one row short of a chunk, one chunk, a row short of two, two,
-    # and three plus a remainder
+    # by NoiseSpec.apply. The run reads its labels from the sample stream, a
+    # chunk at a time: splits one row short of a chunk, one chunk, a row
+    # short of two, two, and three plus a remainder
     monkeypatch.setattr(dimsift.data, "CHUNK_ROWS", _C)
     overrides = {
         "synth": {"n_samples": 2 * n_train, "feature_dim": 4},
